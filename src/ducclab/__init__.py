@@ -22,8 +22,8 @@ from .dynamics import (Trajectory, build_heff_td, decompose_trajectory,
                        evaluate_sescc_lagrangian, grid_provider, heff_grid,
                        propagate_full, propagate_internal, sigma_dot_grid,
                        trajectory_to_csv)
-from .ecc import (EccConfiguration, eval_ecc_action_integrand, eval_ldt_forms,
-                  eval_lh_forms, x_int_ext_bch)
+from .ecc import (EccConfiguration, action_deviation, eval_ecc_action_integrand,
+                  eval_ldt_forms, eval_lh_forms, x_int_ext_bch)
 from .errors import (BranchCutError, CasSupportError, ConfigError,
                      ConvergenceError, DuccLabError, IntermediateNormalizationError,
                      InvalidDimensionError, NormDriftError, OperatorPropertyError,
@@ -31,8 +31,8 @@ from .errors import (BranchCutError, CasSupportError, ConfigError,
 from .fock import (Determinant, DetClass, ExcitationSignature, FockBasis,
                    SpinOrbitalPartition, apply_deexcitation, apply_excitation,
                    aufbau_reference, build_basis, classify_determinant,
-                   enumerate_signatures, holes_and_particles, homo_lumo_partition,
-                   signature_between)
+                   classify_sector, enumerate_signatures, excitation_pairs,
+                   holes_and_particles, homo_lumo_partition, signature_between)
 from .imagtime import (FlowResult, ImaginaryFlowState, imaginary_evolve,
                        imaginary_step, imaginary_step_nonstationary,
                        initial_flow_state, write_flow_log)

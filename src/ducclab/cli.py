@@ -36,8 +36,8 @@ from .downfold import (cas_indices, downfold_ducc, downfold_sescc,
 from .dynamics import (Trajectory, decompose_trajectory, evaluate_lagrangians,
                        evaluate_sescc_lagrangian, grid_provider, heff_grid,
                        propagate_full, propagate_internal, trajectory_to_csv)
-from .ecc import EccConfiguration, eval_ecc_action_integrand, eval_ldt_forms, \
-    eval_lh_forms, x_int_ext_bch
+from .ecc import (EccConfiguration, action_deviation, eval_ldt_forms,
+                  eval_lh_forms, x_int_ext_bch)
 from .errors import ConfigError, DuccLabError
 from .fock import (SpinOrbitalPartition, build_basis, homo_lumo_partition)
 from .imagtime import imaginary_evolve, write_flow_log
@@ -129,6 +129,8 @@ def _build_system(cfg: dict):
             return basis, hamiltonian_from_integrals(ints, basis)
     except KeyError as exc:
         raise ConfigError(f"system.{exc.args[0]} missing for kind={kind!r}") from exc
+    except (OSError, TypeError, ValueError, IndexError, DuccLabError) as exc:
+        raise ConfigError(f"system ({kind}): {exc}") from exc
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
@@ -386,9 +388,9 @@ def task_ecc(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
             dt_int=random_amplitudes(ctx.ref, rng, part, "internal", scale),
             dt_ext=random_amplitudes(ctx.ref, rng, part, "external", scale),
         )
-        v1, v2, _ = eval_ldt_forms(cfg, ctx.ref, ctx.basis)
+        v1, v2, v4 = eval_ldt_forms(cfg, ctx.ref, ctx.basis)
         w1, w2 = eval_lh_forms(cfg, ctx.H, ctx.ref)
-        _, act_dev = eval_ecc_action_integrand(cfg, ctx.H, ctx.ref)
+        _, act_dev = action_deviation(v1, v4, w1, w2)
         direct, series, _ = x_int_ext_bch(cfg, ctx.basis)
         max_v = max(max_v, abs(v1 - v2))
         max_w = max(max_w, abs(w1 - w2))
@@ -480,7 +482,7 @@ def _echo_config(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if not k.startswith("_")}
 
 
-def run(cfg: dict, outdir: str, seed: int, parallel: bool = False) -> tuple[dict, int]:
+def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
     ctx = build_context(cfg, outdir, seed)
     os.makedirs(outdir, exist_ok=True)
     entries = [(t["name"], {k: v for k, v in t.items() if k != "name"})
@@ -496,12 +498,7 @@ def run(cfg: dict, outdir: str, seed: int, parallel: bool = False) -> tuple[dict
             return {"name": name, "status": "failed", "results": {},
                     "files": [], "error": f"{type(exc).__name__}: {exc}"}
 
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(4, len(entries))) as pool:
-            task_reports = list(pool.map(lambda e: execute(*e), entries))
-    else:
-        task_reports = [execute(name, params) for name, params in entries]
+    task_reports = [execute(name, params) for name, params in entries]
 
     report = {
         "config": _echo_config(cfg),
@@ -534,8 +531,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--output", help="output directory (default: config output_dir)")
     p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--parallel", action="store_true",
-                       help="run independent tasks concurrently")
     p_val = sub.add_parser("validate", help="parse and validate a config file")
     p_val.add_argument("config")
     args = parser.parse_args(argv)
@@ -553,7 +548,7 @@ def main(argv=None) -> int:
         if not os.path.isabs(outdir):
             outdir = os.path.join(cfg["_config_dir"], outdir)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        _, code = run(cfg, outdir, seed, parallel=args.parallel)
+        _, code = run(cfg, outdir, seed)
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

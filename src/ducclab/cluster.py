@@ -11,8 +11,8 @@ import scipy.linalg
 
 from .errors import IntermediateNormalizationError, SectorMismatchError
 from .fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
-                   SpinOrbitalPartition, apply_deexcitation, apply_excitation,
-                   classify_determinant, enumerate_signatures)
+                   SpinOrbitalPartition, apply_excitation, classify_sector,
+                   enumerate_signatures, excitation_pairs)
 from .operators import QOperator
 
 
@@ -52,37 +52,17 @@ def excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
     identity)."""
     mat = np.zeros((basis.size, basis.size), dtype=complex)
     for sig, t in amps:
-        if t == 0:
-            continue
-        if sig.rank == 0:
-            mat += t * np.eye(basis.size)
-            continue
-        for j, det in enumerate(basis):
-            res = apply_excitation(sig, det)
-            if res is None:
-                continue
-            d2, ph = res
-            mat[basis.index_of(d2), j] += t * ph
+        if t != 0:
+            lows, highs, phases = excitation_pairs(sig, basis)
+            mat[highs, lows] += t * phases
     return mat
 
 
 def deexcitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
     """Matrix of sum_sig x_sig (E_sig)+ -- amplitude sets applied in adjoint
-    (de-excitation) form, coefficients NOT conjugated."""
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
-    for sig, t in amps:
-        if t == 0:
-            continue
-        if sig.rank == 0:
-            mat += t * np.eye(basis.size)
-            continue
-        for j, det in enumerate(basis):
-            res = apply_deexcitation(sig, det)
-            if res is None:
-                continue
-            d2, ph = res
-            mat[basis.index_of(d2), j] += t * ph
-    return mat
+    (de-excitation) form, coefficients NOT conjugated.  The phases are real,
+    so this is the transpose of :func:`excitation_matrix`."""
+    return excitation_matrix(amps, basis).T
 
 
 def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis,
@@ -153,23 +133,10 @@ class Projectors:
 
 def build_projectors(ref: Determinant, basis: FockBasis,
                      part: SpinOrbitalPartition) -> Projectors:
-    dim = basis.size
-    diag_p = np.zeros(dim)
-    diag_i = np.zeros(dim)
-    diag_e = np.zeros(dim)
-    for j, det in enumerate(basis):
-        cls = classify_determinant(det, ref, part)
-        if cls is DetClass.REFERENCE:
-            diag_p[j] = 1.0
-        elif cls is DetClass.INTERNAL:
-            diag_i[j] = 1.0
-        else:
-            diag_e[j] = 1.0
-    return Projectors(
-        P=QOperator(np.diag(diag_p).astype(complex), basis),
-        Q_int=QOperator(np.diag(diag_i).astype(complex), basis),
-        Q_ext=QOperator(np.diag(diag_e).astype(complex), basis),
-    )
+    classes = classify_sector(basis, ref, part)
+    proj = lambda cls: QOperator(np.diag((classes == cls).astype(complex)), basis)
+    return Projectors(P=proj(DetClass.REFERENCE), Q_int=proj(DetClass.INTERNAL),
+                      Q_ext=proj(DetClass.EXTERNAL))
 
 
 def random_amplitudes(ref: Determinant, rng: np.random.Generator,

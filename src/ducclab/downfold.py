@@ -18,7 +18,7 @@ import scipy.linalg
 from .cluster import Amplitudes, excitation_matrix
 from .errors import OperatorPropertyError
 from .fock import (DetClass, Determinant, FockBasis, SpinOrbitalPartition,
-                   classify_determinant)
+                   classify_sector)
 from .operators import QOperator
 
 
@@ -26,9 +26,8 @@ def cas_indices(ref: Determinant, part: SpinOrbitalPartition,
                 basis: FockBasis) -> np.ndarray:
     """Parent-basis indices of the CAS sub-basis: reference first, internal
     determinants after in parent order."""
-    internal = [j for j, det in enumerate(basis)
-                if classify_determinant(det, ref, part) is DetClass.INTERNAL]
-    return np.array([basis.index_of(ref)] + internal, dtype=int)
+    internal = np.flatnonzero(classify_sector(basis, ref, part) == DetClass.INTERNAL)
+    return np.concatenate(([basis.index_of(ref)], internal))
 
 
 @dataclass

@@ -141,14 +141,19 @@ def x_int_ext_bch(cfg: EccConfiguration, basis: FockBasis,
     return direct, series, n
 
 
+def action_deviation(v1: complex, v4: complex, w1: complex,
+                     w2: complex) -> tuple[complex, float]:
+    """Action integrand from the B-operator and doubly transformed
+    Hamiltonian pieces (v4 - w2), and its deviation from the direct
+    single-product evaluation (v1 - w1)."""
+    assembled = v4 - w2
+    return complex(assembled), float(abs(assembled - (v1 - w1)))
+
+
 def eval_ecc_action_integrand(cfg: EccConfiguration, H: QOperator,
                               ref: Determinant) -> tuple[complex, float]:
-    """Action integrand assembled from the B-operator and doubly transformed
-    Hamiltonian pieces, plus its deviation from the direct single-product
-    evaluation."""
-    basis = H.basis
-    v1, _, v4 = eval_ldt_forms(cfg, ref, basis)
+    """:func:`action_deviation` of the forms of :func:`eval_ldt_forms` and
+    :func:`eval_lh_forms`."""
+    v1, _, v4 = eval_ldt_forms(cfg, ref, H.basis)
     w1, w2 = eval_lh_forms(cfg, H, ref)
-    assembled = v4 - w2
-    direct = v1 - w1
-    return complex(assembled), float(abs(assembled - direct))
+    return action_deviation(v1, v4, w1, w2)

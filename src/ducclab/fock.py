@@ -30,6 +30,10 @@ from .errors import InvalidDimensionError, SectorMismatchError
 MAX_ORBITALS = 16
 
 
+def _mask(orbitals) -> int:
+    return sum(1 << p for p in orbitals)
+
+
 class DetClass(Enum):
     REFERENCE = "reference"
     INTERNAL = "internal"
@@ -142,10 +146,7 @@ class SpinOrbitalPartition:
         return len(self.occ_inactive) + len(self.occ_active)
 
     def reference(self) -> Determinant:
-        mask = 0
-        for p in self.occ_inactive + self.occ_active:
-            mask |= 1 << p
-        return Determinant(mask, self.M)
+        return Determinant(_mask(self.occ_inactive + self.occ_active), self.M)
 
     def is_internal_signature(self, sig: ExcitationSignature) -> bool:
         """True iff every index of ``sig`` lies in the active classes.
@@ -173,7 +174,11 @@ def homo_lumo_partition(M: int, N: int, n_occ_active: int,
 
 class FockBasis:
     """All N-electron determinants of M spin orbitals, ordered by ascending
-    occupation-mask value (deterministic)."""
+    occupation-mask value (deterministic).
+
+    ``masks`` is the tuple of occupation masks and ``mask_array`` the same
+    masks as a sorted int64 array for whole-basis (vectorised) work.
+    """
 
     def __init__(self, M: int, N: int):
         if not (0 <= N <= M <= MAX_ORBITALS):
@@ -181,8 +186,9 @@ class FockBasis:
                 f"need 0 <= N <= M <= {MAX_ORBITALS}, got M={M}, N={N}")
         self.M = M
         self.N = N
-        masks = sorted(sum(1 << p for p in occ) for occ in combinations(range(M), N))
+        masks = sorted(_mask(occ) for occ in combinations(range(M), N))
         self.masks = tuple(masks)
+        self.mask_array = np.array(masks, dtype=np.int64)
         self.dets = tuple(Determinant(m, M) for m in masks)
         self._index = {m: i for i, m in enumerate(masks)}
         assert len(masks) == comb(M, N)
@@ -312,6 +318,45 @@ def classify_determinant(det: Determinant, ref: Determinant,
     if set(holes) <= set(part.occ_active) and set(parts) <= set(part.virt_active):
         return DetClass.INTERNAL
     return DetClass.EXTERNAL
+
+
+def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All determinant pairs coupled by E_sig, for the whole basis at once:
+    (low indices ascending, high indices, phases of <high|E_sig|low>).
+
+    Vectorised :func:`apply_excitation`: the operators act in the same
+    order, each contributing the parity of the occupied orbitals below it.
+    """
+    occ, virt = _mask(sig.occ), _mask(sig.virt)
+    masks = basis.mask_array
+    lows = np.flatnonzero((masks & occ == occ) & (masks & virt == 0))
+    m = masks[lows]
+    parity = np.zeros(lows.size, dtype=np.int64)
+    for p in sig.occ:
+        parity += np.bitwise_count(m & ((1 << p) - 1))
+        m = m & ~(1 << p)
+    for p in reversed(sig.virt):
+        parity += np.bitwise_count(m & ((1 << p) - 1))
+        m = m | (1 << p)
+    highs = np.searchsorted(masks, m)
+    return lows, highs, 1.0 - 2.0 * (parity & 1)
+
+
+def classify_sector(basis: FockBasis, ref: Determinant,
+                    part: SpinOrbitalPartition) -> np.ndarray:
+    """:func:`classify_determinant` of every basis determinant, as an
+    object array of :class:`DetClass` in basis order."""
+    if basis.M != ref.M or basis.N != ref.N or part.M != ref.M:
+        raise SectorMismatchError("basis, reference and partition disagree on sector")
+    masks = basis.mask_array
+    holes = ref.occupation & ~masks
+    parts = masks & ~ref.occupation
+    internal = ((holes & ~_mask(part.occ_active) == 0)
+                & (parts & ~_mask(part.virt_active) == 0))
+    classes = np.where(internal, DetClass.INTERNAL, DetClass.EXTERNAL)
+    classes[masks == ref.occupation] = DetClass.REFERENCE
+    return classes
 
 
 def enumerate_signatures(ref: Determinant, max_rank: int | None = None,

@@ -21,13 +21,12 @@ from .errors import ConvergenceError, OperatorPropertyError
 
 @dataclass
 class ImaginaryFlowState:
-    """One point of the flow: unit-norm CAS vector, the shift used to reach
-    it (energy of the pre-step state), and the (tau, shift) history."""
+    """One point of the flow: unit-norm CAS vector and the shift used to
+    reach it (energy of the pre-step state)."""
 
     tau: float
     c_int: np.ndarray
     shift: float
-    energy_history: list[tuple[float, float]]
 
 
 class FlowResult(NamedTuple):
@@ -44,7 +43,7 @@ def initial_flow_state(c0: np.ndarray, heff: EffectiveHamiltonian) -> ImaginaryF
     c = np.asarray(c0, dtype=complex)
     c = c / np.linalg.norm(c)
     s = _rayleigh(heff.matrix, c)
-    return ImaginaryFlowState(0.0, c, s, [(0.0, s)])
+    return ImaginaryFlowState(0.0, c, s)
 
 
 def imaginary_step(state: ImaginaryFlowState, heff: EffectiveHamiltonian,
@@ -66,8 +65,7 @@ def imaginary_step(state: ImaginaryFlowState, heff: EffectiveHamiltonian,
         vals, vecs = heff.eigensystem()  # cached on the operator
         c1 = vecs @ (np.exp(-dtau * (vals - s)) * (vecs.conj().T @ c))
     c1 = c1 / np.linalg.norm(c1)
-    tau1 = state.tau + dtau
-    return ImaginaryFlowState(tau1, c1, s, state.energy_history + [(tau1, s)])
+    return ImaginaryFlowState(state.tau + dtau, c1, s)
 
 
 def imaginary_evolve(heff: EffectiveHamiltonian, c0: np.ndarray,
@@ -113,8 +111,7 @@ def imaginary_step_nonstationary(state: ImaginaryFlowState,
     s = _rayleigh(heff.matrix, c)
     c1 = scipy.linalg.expm(-dtau * (heff.matrix - s * np.eye(heff.dim))) @ c
     c1 = c1 / np.linalg.norm(c1)
-    tau1 = state.tau + dtau
-    return ImaginaryFlowState(tau1, c1, s, state.energy_history + [(tau1, s)])
+    return ImaginaryFlowState(state.tau + dtau, c1, s)
 
 
 def write_flow_log(history, path):

@@ -333,9 +333,10 @@ def read_fcidump(path) -> tuple[IntegralSet, int]:
 
     Data lines are ``value i j k l`` with 1-based indices: ``i j k l`` a
     chemist two-electron integral (ij|kl), ``i j 0 0`` a one-electron
-    integral, ``0 0 0 0`` the core energy.  The header is validated for
-    NORB/NELEC and otherwise ignored.  Real eightfold permutational
-    symmetry is applied to two-electron entries.
+    integral, ``0 0 0 0`` the core energy; any other index pattern, or an
+    index beyond NORB, is rejected.  The header is validated for NORB/NELEC
+    and otherwise ignored.  Real eightfold permutational symmetry is applied
+    to two-electron entries.
 
     Returns the IntegralSet and the NELEC declared in the header.
     """
@@ -368,7 +369,10 @@ def read_fcidump(path) -> tuple[IntegralSet, int]:
                 raise OperatorPropertyError(f"malformed FCIDUMP line: {line!r}")
             continue
         val = float(parts[0].replace("D", "E").replace("d", "e"))
-        i, j, k, l = (int(x) for x in parts[1:])
+        i, j, k, l = idx = tuple(int(x) for x in parts[1:])
+        used = idx if k or l else idx[:2] if i or j else ()
+        if not all(1 <= x <= norb for x in used):
+            raise OperatorPropertyError(f"FCIDUMP index outside 1..NORB={norb}: {line!r}")
         if i == j == k == l == 0:
             core = val
         elif k == l == 0:

@@ -41,8 +41,8 @@ import numpy as np
 from .errors import (CasSupportError, IntermediateNormalizationError,
                      InvalidDimensionError, OrderingViolationError)
 from .fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
-                   SpinOrbitalPartition, apply_excitation, classify_determinant,
-                   signature_between)
+                   SpinOrbitalPartition, apply_excitation, classify_sector,
+                   excitation_pairs, signature_between)
 from .operators import QOperator, expm, logm_unitary
 
 #: Coefficients with magnitude below this are treated as already eliminated.
@@ -64,24 +64,6 @@ class RotationStep:
     @property
     def signature(self) -> ExcitationSignature:
         return ExcitationSignature(self.occ, self.virt)
-
-
-def rotation_pairs(sig: ExcitationSignature, basis: FockBasis
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All determinant pairs coupled by E_sig: (low indices, high indices,
-    fermionic phases of <high|E_sig|low>)."""
-    occ_mask = sum(1 << p for p in sig.occ)
-    virt_mask = sum(1 << p for p in sig.virt)
-    lows, highs, phases = [], [], []
-    for j, mask in enumerate(basis.masks):
-        if mask & occ_mask != occ_mask or mask & virt_mask:
-            continue
-        det2, ph = apply_excitation(sig, basis.determinant(j))
-        lows.append(j)
-        highs.append(basis.index_of(det2))
-        phases.append(ph)
-    return (np.asarray(lows, dtype=int), np.asarray(highs, dtype=int),
-            np.asarray(phases, dtype=float))
 
 
 def _apply_rotation(step: RotationStep, pairs, *arrays):
@@ -108,12 +90,11 @@ def _apply_rotation(step: RotationStep, pairs, *arrays):
 
 def rotation_generator(step: RotationStep, basis: FockBasis) -> QOperator:
     """Dense anti-Hermitian generator of the rotation (for provenance checks)."""
-    lows, highs, phases = rotation_pairs(step.signature, basis)
+    lows, highs, phases = excitation_pairs(step.signature, basis)
     g = np.zeros((basis.size, basis.size), dtype=complex)
     eip = np.exp(1j * step.phase)
-    for lo, hi, ph in zip(lows, highs, phases):
-        g[hi, lo] += step.angle * eip * ph
-        g[lo, hi] -= step.angle * np.conj(eip) * ph
+    g[highs, lows] += step.angle * eip * phases
+    g[lows, highs] -= step.angle * np.conj(eip) * phases
     return QOperator(g, basis)
 
 
@@ -121,7 +102,7 @@ def rotation_unitary(step: RotationStep, basis: FockBasis) -> QOperator:
     """Dense unitary of one rotation, assembled pairwise (equals
     expm(rotation_generator))."""
     u = np.eye(basis.size, dtype=complex)
-    _apply_rotation(step, rotation_pairs(step.signature, basis), u)
+    _apply_rotation(step, excitation_pairs(step.signature, basis), u)
     return QOperator(u, basis)
 
 
@@ -167,36 +148,27 @@ def _check_sweep_ordering(part: SpinOrbitalPartition):
             "sweep ordering requires all virt_inactive indices above virt_active")
 
 
-def external_targets(ref: Determinant, part: SpinOrbitalPartition,
-                     basis: FockBasis) -> tuple[list, list]:
-    """Ordered sweep-1 and sweep-2 target lists of (signature, index)."""
+def sweep_targets(ref: Determinant, part: SpinOrbitalPartition,
+                  basis: FockBasis) -> tuple[list, list, list]:
+    """Ordered sweep-1, sweep-2 and sweep-3 target lists of (signature, index)."""
     _check_sweep_ordering(part)
+    classes = classify_sector(basis, ref, part)
     sweep1 = {mu: [] for mu in part.occ_inactive}
     sweep2 = {al: [] for al in part.virt_inactive}
+    sweep3 = {i: [] for i in part.occ_active}
     occ_inact = set(part.occ_inactive)
-    for j, det in enumerate(basis):
-        if classify_determinant(det, ref, part) is not DetClass.EXTERNAL:
-            continue
-        sig = signature_between(ref, det)
-        if set(sig.occ) & occ_inact:
+    for j in np.flatnonzero(classes != DetClass.REFERENCE).tolist():
+        sig = signature_between(ref, basis.determinant(j))
+        if classes[j] is DetClass.INTERNAL:
+            sweep3[sig.occ[0]].append((sig, j))
+        elif set(sig.occ) & occ_inact:
             sweep1[sig.occ[0]].append((sig, j))  # smallest hole is inactive
         else:
             sweep2[sig.virt[-1]].append((sig, j))  # largest particle is inactive
-    ordered1 = [sd for mu in part.occ_inactive for sd in _sorted_group(sweep1[mu])]
-    ordered2 = [sd for al in reversed(part.virt_inactive)
-                for sd in _sorted_group(sweep2[al])]
-    return ordered1, ordered2
-
-
-def internal_targets(ref: Determinant, part: SpinOrbitalPartition,
-                     basis: FockBasis) -> list:
-    groups = {i: [] for i in part.occ_active}
-    for j, det in enumerate(basis):
-        if classify_determinant(det, ref, part) is not DetClass.INTERNAL:
-            continue
-        sig = signature_between(ref, det)
-        groups[sig.occ[0]].append((sig, j))
-    return [sd for i in part.occ_active for sd in _sorted_group(groups[i])]
+    ordered = lambda groups, keys: [sd for k in keys for sd in _sorted_group(groups[k])]
+    return (ordered(sweep1, part.occ_inactive),
+            ordered(sweep2, reversed(part.virt_inactive)),
+            ordered(sweep3, part.occ_active))
 
 
 def _run_targets(state, omegas, targets, ref, basis, check, eliminated):
@@ -207,8 +179,7 @@ def _run_targets(state, omegas, targets, ref, basis, check, eliminated):
     for sig, j in targets:
         step = rotation_for_target(state, basis.determinant(j), ref, basis)
         if step.angle != 0.0:
-            pairs = rotation_pairs(sig, basis)
-            _apply_rotation(step, pairs, state, *omegas)
+            _apply_rotation(step, excitation_pairs(sig, basis), state, *omegas)
             steps.append(step)
         eliminated.append(j)
         if check and eliminated:
@@ -276,7 +247,7 @@ def sweep_external(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition
     dim = basis.size
     om1 = np.eye(dim, dtype=complex)
     om2 = np.eye(dim, dtype=complex)
-    targets1, targets2 = external_targets(ref, part, basis)
+    targets1, targets2, _ = sweep_targets(ref, part, basis)
     eliminated: list[int] = []
     steps1 = _run_targets(state, [om1], targets1, ref, basis, check, eliminated)
     steps2 = _run_targets(state, [om2], targets2, ref, basis, check, eliminated)
@@ -289,8 +260,7 @@ def sweep_internal(psi_act: np.ndarray, ref: Determinant,
                    check: bool = True, support_tol: float = 1e-10) -> InternalSweep:
     """Rotate a CAS-supported state onto e^{i delta}|ref> with internal
     generators only."""
-    proj_ext = np.array([
-        classify_determinant(d, ref, part) is DetClass.EXTERNAL for d in basis])
+    proj_ext = classify_sector(basis, ref, part) == DetClass.EXTERNAL
     ext_norm = float(np.linalg.norm(psi_act[proj_ext]))
     if ext_norm > support_tol:
         raise CasSupportError(
@@ -298,7 +268,7 @@ def sweep_internal(psi_act: np.ndarray, ref: Determinant,
     state = np.array(psi_act, dtype=complex)
     om3 = np.eye(basis.size, dtype=complex)
     eliminated: list[int] = []
-    steps3 = _run_targets(state, [om3], internal_targets(ref, part, basis),
+    steps3 = _run_targets(state, [om3], sweep_targets(ref, part, basis)[2],
                           ref, basis, check, eliminated)
     c_ref = state[basis.index_of(ref)]
     delta = float(np.angle(c_ref))

@@ -52,6 +52,34 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
 
+DIMER_FCIDUMP = ["&FCI NORB=4,NELEC=2,MS2=0,", "&END", "-1.0 1 3 0 0", "-1.0 2 4 0 0",
+                 "4.0 1 1 2 2", "4.0 3 3 4 4"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("fcidump,overrides", [
+    (DIMER_FCIDUMP + ["0.5 5 5 0 0"], {}),
+    (DIMER_FCIDUMP + ["0.7 1 0 0 0"], {}),
+    (DIMER_FCIDUMP + ["0.5 1 1 0 2"], {}),
+    (DIMER_FCIDUMP + ["abc 1 1 0 0"], {}),
+    (None, {"system": {"kind": "fcidump", "path": "absent"}}),
+    (None, {"electrons": 5}),
+    (None, {"system": {"kind": "hubbard", "L": "x", "t": 1.0, "U": 4.0}}),
+    (None, {"system": {"kind": "hubbard", "L": None, "t": 1.0, "U": 4.0}}),
+], ids=["index-beyond-norb", "zero-index-would-wrap", "zero-index-two-electron",
+        "non-numeric-value", "missing-fcidump", "electrons-above-M", "non-integer-L",
+        "null-L"])
+def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, overrides):
+    if fcidump is not None:
+        (tmp_path / "FCIDUMP").write_text("\n".join(fcidump) + "\n")
+        overrides = {"system": {"kind": "fcidump", "path": "FCIDUMP"}}
+    assert main([command, str(write_config(tmp_path, **overrides))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRun:
     def test_fci_ground_energy(self, tmp_path):
         path = write_config(tmp_path)
@@ -109,14 +137,6 @@ class TestRun:
         report = read_report(tmp_path)
         assert report["tasks"][0]["status"] == "ok"
         assert report["tasks"][1]["status"] == "failed"
-
-    def test_parallel_flag(self, tmp_path):
-        path = write_config(tmp_path, tasks=[{"name": "fci"}, {"name": "cluster"},
-                                             {"name": "sweep"}])
-        assert main(["run", str(path), "--parallel"]) == 0
-        report = read_report(tmp_path)
-        assert [t["name"] for t in report["tasks"]] == ["fci", "cluster", "sweep"]
-        assert all(t["status"] == "ok" for t in report["tasks"])
 
     def test_propagate_and_imagtime_artifacts(self, tmp_path):
         path = write_config(

@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,3 +180,59 @@ class TestClassify:
         assert counts[dl.DetClass.REFERENCE] == 1
         assert counts[dl.DetClass.INTERNAL] == comb(no + nv, no) - 1
         assert sum(counts.values()) == basis.size
+
+
+def _interleaved_reference(M: int, N: int) -> dl.Determinant:
+    """Every other orbital occupied, so signatures mix low and high indices."""
+    return dl.Determinant(sum(1 << p for p in range(0, 2 * N, 2)), M)
+
+
+class TestDeterminantTable:
+    """The vectorised table against the scalar reference implementations."""
+
+    @pytest.mark.parametrize("M,N", [(6, 3), (8, 4), (10, 5)])
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_excitation_pairs_match_apply_excitation(self, M, N, interleaved):
+        basis = dl.build_basis(M, N)
+        ref = _interleaved_reference(M, N) if interleaved else dl.aufbau_reference(M, N)
+        for sig in dl.enumerate_signatures(ref, include_identity=True):
+            expected = []
+            for j, det in enumerate(basis):
+                res = dl.apply_excitation(sig, det)
+                if res is not None:
+                    expected.append((j, basis.index_of(res[0]), res[1]))
+            lows, highs, phases = dl.excitation_pairs(sig, basis)
+            assert list(zip(lows.tolist(), highs.tolist(), phases.tolist())) == expected
+
+    @pytest.mark.parametrize("part", [
+        dl.homo_lumo_partition(8, 4, 2, 2),
+        dl.SpinOrbitalPartition((1,), (0, 3, 6), (2, 5), (4, 7), allow_arbitrary=True),
+    ])
+    def test_classify_sector_matches_classify_determinant(self, m8_basis, part):
+        ref = part.reference()
+        classes = dl.classify_sector(m8_basis, ref, part)
+        assert classes.tolist() == [dl.classify_determinant(det, ref, part)
+                                    for det in m8_basis]
+        assert len(set(classes.tolist())) == 3
+
+    def test_classify_sector_mismatch(self, m8_part):
+        with pytest.raises(SectorMismatchError):
+            dl.classify_sector(dl.build_basis(8, 3), m8_part.reference(), m8_part)
+
+    @pytest.mark.parametrize("M,N", [(6, 3), (8, 4)])
+    def test_matrices_match_scalar_loops(self, M, N):
+        basis = dl.build_basis(M, N)
+        ref = _interleaved_reference(M, N)
+        amps = dl.random_amplitudes(ref, np.random.default_rng(M))
+        amps.entries[dl.ExcitationSignature((), ())] = 0.3 - 0.2j
+        for build, apply in ((dl.excitation_matrix, dl.apply_excitation),
+                             (dl.deexcitation_matrix, dl.apply_deexcitation)):
+            expected = np.zeros((basis.size, basis.size), dtype=complex)
+            for sig, t in amps:
+                for j, det in enumerate(basis):
+                    res = apply(sig, det)
+                    if res is not None:
+                        expected[basis.index_of(res[0]), j] += t * res[1]
+            assert np.array_equal(build(amps, basis), expected)
+        assert np.array_equal(dl.deexcitation_matrix(amps, basis),
+                              dl.excitation_matrix(amps, basis).T)

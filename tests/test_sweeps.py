@@ -4,7 +4,7 @@ import scipy.linalg
 
 import ducclab as dl
 from ducclab.errors import CasSupportError, OrderingViolationError
-from ducclab.sweeps import external_targets
+from ducclab.sweeps import sweep_targets
 
 from conftest import random_state
 
@@ -25,8 +25,8 @@ class TestRotationForTarget:
         step = dl.rotation_for_target(state, det, m6_ref, m6_basis)
         assert step.angle == pytest.approx(np.arctan(c1 / c0))
         rotated = state.copy()
-        from ducclab.sweeps import _apply_rotation, rotation_pairs
-        _apply_rotation(step, rotation_pairs(sig, m6_basis), rotated)
+        from ducclab.sweeps import _apply_rotation
+        _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), rotated)
         assert abs(rotated[m6_basis.index_of(det)]) < 1e-14
         assert np.linalg.norm(rotated) == pytest.approx(np.linalg.norm(state))
 
@@ -36,8 +36,8 @@ class TestRotationForTarget:
         state = 0.9 * m6_basis.unit_vector(m6_basis.index_of(m6_ref)) \
             + 0.3j * m6_basis.unit_vector(m6_basis.index_of(det))
         step = dl.rotation_for_target(state, det, m6_ref, m6_basis)
-        from ducclab.sweeps import _apply_rotation, rotation_pairs
-        _apply_rotation(step, rotation_pairs(sig, m6_basis), state)
+        from ducclab.sweeps import _apply_rotation
+        _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
         assert abs(state[m6_basis.index_of(det)]) < 1e-14
 
     def test_empty_partner_quarter_turn(self, m6_basis, m6_ref):
@@ -46,8 +46,8 @@ class TestRotationForTarget:
         state = 0.7j * m6_basis.unit_vector(m6_basis.index_of(det))
         step = dl.rotation_for_target(state, det, m6_ref, m6_basis)
         assert step.angle == pytest.approx(np.pi / 2)
-        from ducclab.sweeps import _apply_rotation, rotation_pairs
-        _apply_rotation(step, rotation_pairs(sig, m6_basis), state)
+        from ducclab.sweeps import _apply_rotation
+        _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
         assert abs(state[m6_basis.index_of(det)]) < 1e-14
         assert abs(state[m6_basis.index_of(m6_ref)]) == pytest.approx(0.7)
 
@@ -106,7 +106,7 @@ class TestSweepExternal:
     def test_ordering_keys(self, m8_basis, m8_ref, m8_part):
         # sweep-1 groups carry an inactive hole as smallest index; sweep-2
         # groups carry an inactive particle as largest index
-        t1, t2 = external_targets(m8_ref, m8_part, m8_basis)
+        t1, t2, _ = sweep_targets(m8_ref, m8_part, m8_basis)
         occ_inact = set(m8_part.occ_inactive)
         virt_inact = set(m8_part.virt_inactive)
         for sig, _ in t1:
@@ -249,7 +249,7 @@ class TestDecomposeState:
         # coefficient: replaying it through the monitored runner trips the
         # ordering check
         from ducclab.sweeps import _run_targets
-        t1, t2 = external_targets(dimer_ref, part, dimer_basis)
+        t1, t2, _ = sweep_targets(dimer_ref, part, dimer_basis)
         assert not t1
         occ_keyed = sorted(t2, key=lambda sd: (sd[0].occ[0], sd[0].rank, sd[0].occ,
                                                sd[0].virt))
