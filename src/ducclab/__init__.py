@@ -15,8 +15,9 @@ from .cluster import (Amplitudes, Projectors, build_projectors, cluster_analyze,
                       deexcitation_matrix, excitation_matrix, random_amplitudes,
                       sigma_lowest_order, split_amplitudes)
 from .downfold import (EffectiveHamiltonian, cas_ci, cas_eigensolve, cas_indices,
-                       downfold_ducc, downfold_sescc, effective_matrix_dump,
-                       effective_to_dict, match_root, write_effective_json)
+                       downfold_ducc, downfold_sescc, ducc_projection,
+                       effective_matrix_dump, effective_to_dict, match_root,
+                       write_effective_json)
 from .dynamics import (Trajectory, build_heff_td, decompose_trajectory,
                        dexp_series, dexp_tail_ratio, evaluate_lagrangians,
                        evaluate_sescc_lagrangian, grid_provider, heff_grid,
@@ -37,7 +38,7 @@ from .imagtime import (FlowResult, ImaginaryFlowState, imaginary_evolve,
                        imaginary_step, imaginary_step_nonstationary,
                        initial_flow_state, write_flow_log)
 from .operators import (IntegralSet, QOperator, build_hubbard, build_pairing,
-                        commutator, expm, hamiltonian_from_integrals,
+                        commutator, direct_sum_blocks, expm, hamiltonian_from_integrals,
                         hubbard_integrals, logm_unitary,
                         random_hermitian_hamiltonian, read_fcidump)
 from .sweeps import (RotationStep, SweepResult, decompose_state, extract_sigmas,

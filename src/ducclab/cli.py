@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -47,6 +48,27 @@ from .sweeps import decompose_state
 
 TASK_NAMES = ("fci", "cluster", "sweep", "downfold", "propagate",
               "imagtime", "ecc", "verify-all")
+INITIAL_STATES = ("reference", "ground", "noninteracting-ground")
+VERIFY_ALL_TASKS = ("fci", "cluster", "sweep", "downfold", "propagate", "imagtime", "ecc")
+
+_positive = (lambda v: v > 0, "> 0")
+#: per task: parameter -> (type, default, (domain predicate, domain text));
+#: floats must also be finite
+TASK_PARAMS = {
+    "fci": {"nroots": (int, 6, (lambda v: v >= 1, ">= 1"))},
+    "propagate": {
+        "dt": (float, 0.02, _positive),
+        "nsteps": (int, 100, (lambda v: v >= 0, ">= 0")),
+        "fd_order": (int, 4, (lambda v: v in (2, 4), "2 or 4")),
+        "initial": (str, "reference", (lambda v: v in INITIAL_STATES,
+                                       f"one of {INITIAL_STATES}")),
+    },
+    "imagtime": {"dtau": (float, 0.1, _positive), "tol": (float, 1e-10, _positive)},
+    "ecc": {"n_configs": (int, 50, (lambda v: v >= 1, ">= 1")),
+            "scale": (float, 0.1, (lambda v: True, "any number"))},
+}
+#: sub-task defaults of verify-all, below the user's nested parameters
+VERIFY_ALL_DEFAULTS = {"propagate": {"dt": 0.02, "nsteps": 50}, "ecc": {"n_configs": 10}}
 
 
 @dataclass
@@ -160,6 +182,50 @@ def _build_partition(cfg: dict, M: int, N: int) -> SpinOrbitalPartition | None:
         raise ConfigError(str(exc)) from exc
 
 
+def task_params(name: str, params: dict) -> dict:
+    """Typed parameters of a task, defaults filled in.
+
+    Raises ConfigError for any value the task cannot run with, so that
+    ``validate`` and ``run`` reject the same configs.
+    """
+    out = {}
+    for key, (kind, default, (ok, domain)) in TASK_PARAMS.get(name, {}).items():
+        raw = params.get(key, default)
+        try:
+            value = kind(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"task {name}: {key}={raw!r} is not {kind.__name__}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"task {name}: {key}={raw!r} must be finite")
+        if not ok(value):
+            raise ConfigError(f"task {name}: {key}={raw!r} must be {domain}")
+        out[key] = value
+    if name == "propagate" and 2 * out["nsteps"] < out["fd_order"]:
+        # the velocity stencil runs on the 2 * nsteps + 1 half-step grid points
+        raise ConfigError(f"task propagate: nsteps={out['nsteps']} is too few "
+                          f"for fd_order={out['fd_order']}")
+    return out
+
+
+def verify_all_params(params: dict, name: str) -> dict:
+    """Parameters of one verify-all sub-task: its defaults, then the
+    user's nested ``params[name]`` object."""
+    sub = params.get(name, {})
+    if not isinstance(sub, dict):
+        raise ConfigError(f"task verify-all: {name} parameters must be an object")
+    return {**VERIFY_ALL_DEFAULTS.get(name, {}), **sub}
+
+
+def _check_task(cfg: dict, name: str, params: dict):
+    if name == "verify-all":
+        for sub in VERIFY_ALL_TASKS:
+            _check_task(cfg, sub, verify_all_params(params, sub))
+        return
+    if task_params(name, params).get("initial") == "noninteracting-ground" \
+            and cfg["system"]["kind"] not in ("hubbard", "pairing"):
+        raise ConfigError("noninteracting-ground initial state needs a hubbard/pairing system")
+
+
 def build_context(cfg: dict, outdir: str, seed: int) -> RunContext:
     basis, H = _build_system(cfg)
     part = _build_partition(cfg, basis.M, basis.N)
@@ -178,6 +244,7 @@ def build_context(cfg: dict, outdir: str, seed: int) -> RunContext:
     for t in tasks:
         if not isinstance(t, dict) or t.get("name") not in TASK_NAMES:
             raise ConfigError(f"unknown task entry {t!r}; valid names: {TASK_NAMES}")
+        _check_task(cfg, t["name"], t)
     return RunContext(cfg, basis, H, ref, part, outdir, seed)
 
 
@@ -186,7 +253,7 @@ def build_context(cfg: dict, outdir: str, seed: int) -> RunContext:
 
 def task_fci(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     vals, _ = ctx.ground_state()
-    nroots = min(int(params.get("nroots", 6)), len(vals))
+    nroots = min(task_params("fci", params)["nroots"], len(vals))
     path = ctx.path("fci_spectrum.csv")
     with open(path, "w") as fh:
         fh.write("root,energy\n")
@@ -288,8 +355,7 @@ def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     }, files
 
 
-def _initial_state(ctx: RunContext, params: dict) -> np.ndarray:
-    kind = params.get("initial", "reference")
+def _initial_state(ctx: RunContext, kind: str) -> np.ndarray:
     sys_cfg = ctx.config["system"]
     if kind == "reference":
         # quench: the reference determinant is never an eigenstate of an
@@ -315,16 +381,14 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     coefficients are propagated under the time-dependent downfolded
     Hamiltonian and compared per step against the sweep decomposition."""
     part = ctx.need_partition()
-    dt = float(params.get("dt", 0.02))
-    nsteps = int(params.get("nsteps", 100))
-    k_order = int(params.get("series_order", 12))
-    fd_order = int(params.get("fd_order", 4))
-    psi0 = _initial_state(ctx, params)
+    p = task_params("propagate", params)
+    dt, nsteps, fd_order = p["dt"], p["nsteps"], p["fd_order"]
+    psi0 = _initial_state(ctx, p["initial"])
 
     # oracle on the half grid so stage values of the coarse integrator are exact
     fine = propagate_full(ctx.H, psi0, dt / 2, 2 * nsteps)
     fine = decompose_trajectory(fine, ctx.ref, part)
-    heffs = heff_grid(ctx.H, fine, ctx.ref, part, K=k_order, fd_order=fd_order)
+    heffs = heff_grid(ctx.H, fine, ctx.ref, part, fd_order=fd_order)
     provider = grid_provider(fine.times, heffs)
     c0 = fine.decompositions[0].c_int
     _, cs = propagate_internal(provider, c0, dt, nsteps)
@@ -353,8 +417,8 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 
 def task_imagtime(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     part = ctx.need_partition()
-    dtau = float(params.get("dtau", 0.1))
-    tol = float(params.get("tol", 1e-10))
+    p = task_params("imagtime", params)
+    dtau, tol = p["dtau"], p["tol"]
     vals, vecs = ctx.ground_state()
     sweep = decompose_state(vecs[:, 0], ctx.ref, part, ctx.basis)
     heff = downfold_ducc(ctx.H, sweep.sigma_ext, ctx.ref, part)
@@ -375,8 +439,8 @@ def task_imagtime(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 
 def task_ecc(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     part = ctx.need_partition()
-    n_configs = int(params.get("n_configs", 50))
-    scale = float(params.get("scale", 0.1))
+    p = task_params("ecc", params)
+    n_configs, scale = p["n_configs"], p["scale"]
     rng = ctx.rng("ecc")
     max_v, max_w, max_act, max_bch = 0.0, 0.0, 0.0, 0.0
     for _ in range(n_configs):
@@ -409,14 +473,8 @@ def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     """Battery: every task above plus series/Lagrangian spot checks."""
     results: dict = {}
     files: list[str] = []
-    for name in ("fci", "cluster", "sweep", "downfold", "propagate", "imagtime", "ecc"):
-        sub_params = dict(params.get(name, {}))
-        if name == "propagate":
-            sub_params.setdefault("dt", 0.02)
-            sub_params.setdefault("nsteps", 50)
-        if name == "ecc":
-            sub_params.setdefault("n_configs", 10)
-        sub_results, sub_files = TASKS[name](ctx, sub_params)
+    for name in VERIFY_ALL_TASKS:
+        sub_results, sub_files = TASKS[name](ctx, verify_all_params(params, name))
         results[name] = sub_results
         files.extend(sub_files)
 

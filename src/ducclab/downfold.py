@@ -19,7 +19,7 @@ from .cluster import Amplitudes, excitation_matrix
 from .errors import OperatorPropertyError
 from .fock import (DetClass, Determinant, FockBasis, SpinOrbitalPartition,
                    classify_sector)
-from .operators import QOperator
+from .operators import QOperator, eigh_direct_sum
 
 
 def cas_indices(ref: Determinant, part: SpinOrbitalPartition,
@@ -62,12 +62,40 @@ class EffectiveHamiltonian:
         return self._eig
 
 
-def _transformed_projected(H: QOperator, gen_matrix: np.ndarray,
-                           cas: np.ndarray) -> np.ndarray:
-    right = scipy.linalg.expm(gen_matrix)
-    left = scipy.linalg.expm(-gen_matrix)
-    hbar = left @ H.matrix @ right
-    return hbar[np.ix_(cas, cas)]
+def ducc_projection(H: QOperator, sigma: QOperator, cas: np.ndarray,
+                    sigma_dot: QOperator | None = None,
+                    anti_tol: float = 1e-10) -> np.ndarray:
+    """CAS block of e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot), Hermitian.
+
+    One eigendecomposition of the Hermitian ``i sigma = V diag(mu) V^+``
+    (block by block, :func:`ducclab.operators.eigh_direct_sum`) gives both
+    terms in closed form.  With ``R = e^{sigma}[:, cas] = V (e^{-i mu} o
+    V[cas]^+)`` the transformed block is ``R^+ H R``.  ``A`` is the
+    derivative of the exponential map, ``d/dt e^{sigma} = e^{sigma} A``,
+    in its Daleckii-Krein form ``A = V [(V^+ sigma_dot V) o phi] V^+`` with
+    ``phi_jk = (1 - e^{-z})/z`` at ``z = -i (mu_j - mu_k)`` (``phi = 1`` on
+    degenerate pairs).  Without ``sigma_dot`` only the transformed block is
+    returned.
+    """
+    for op, name in ((sigma, "sigma"), (sigma_dot, "sigma_dot")):
+        defect = 0.0 if op is None else op.anti_hermiticity_defect()
+        if defect > anti_tol:
+            raise OperatorPropertyError(f"{name} not anti-Hermitian (defect {defect:.3e})")
+    mu, V = eigh_direct_sum(1j * sigma.matrix)
+    v_cas = V[cas]
+    R = V @ (np.exp(-1j * mu)[:, None] * v_cas.conj().T)
+    sub = R.conj().T @ H.matrix @ R
+    if sigma_dot is not None:
+        d = mu[:, None] - mu[None, :]
+        # (1 - e^{-z})/z at z = -i d equals e^{i d/2} sin(d/2)/(d/2)
+        phi = np.exp(0.5j * d) * np.sinc(d / (2 * np.pi))
+        inner = (V.conj().T @ sigma_dot.matrix @ V) * phi
+        sub = sub - 1j * (v_cas @ inner @ v_cas.conj().T)
+    defect = float(np.linalg.norm(sub - sub.conj().T))
+    if defect > 1e-10 * max(1.0, float(np.linalg.norm(sub))):
+        raise OperatorPropertyError(
+            f"downfolded matrix unexpectedly non-Hermitian (defect {defect:.3e})")
+    return 0.5 * (sub + sub.conj().T)
 
 
 def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
@@ -81,7 +109,8 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
         if part.is_internal_signature(sig):
             raise OperatorPropertyError(f"internal signature {sig} in external amplitude set")
     cas = cas_indices(ref, part, H.basis)
-    sub = _transformed_projected(H, excitation_matrix(t_ext, H.basis), cas)
+    T = excitation_matrix(t_ext, H.basis)
+    sub = scipy.linalg.expm(-T)[cas] @ H.matrix @ scipy.linalg.expm(T)[:, cas]
     return EffectiveHamiltonian(sub, cas, H.basis, "sescc", hermitian=False)
 
 
@@ -89,17 +118,8 @@ def downfold_ducc(H: QOperator, sigma_ext: QOperator, ref: Determinant,
                   part: SpinOrbitalPartition, anti_tol: float = 1e-10,
                   source: str = "ducc") -> EffectiveHamiltonian:
     """(P+Q_int) e^{-sigma_ext} H e^{sigma_ext} (P+Q_int), Hermitian on CAS."""
-    defect = sigma_ext.anti_hermiticity_defect()
-    if defect > anti_tol:
-        raise OperatorPropertyError(
-            f"external generator not anti-Hermitian (defect {defect:.3e})")
     cas = cas_indices(ref, part, H.basis)
-    sub = _transformed_projected(H, sigma_ext.matrix, cas)
-    herm_defect = float(np.linalg.norm(sub - sub.conj().T))
-    if herm_defect > 1e-10 * max(1.0, float(np.linalg.norm(sub))):
-        raise OperatorPropertyError(
-            f"downfolded matrix unexpectedly non-Hermitian (defect {herm_defect:.3e})")
-    sub = 0.5 * (sub + sub.conj().T)
+    sub = ducc_projection(H, sigma_ext, cas, anti_tol=anti_tol)
     return EffectiveHamiltonian(sub, cas, H.basis, source, hermitian=True)
 
 

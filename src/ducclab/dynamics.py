@@ -2,9 +2,13 @@
 
 The full-space propagation is the oracle: exact stepping with a precomputed
 exponential propagator.  The downfolded side propagates active-space
-coefficients under a time-dependent Hermitian effective Hamiltonian built
-from the external generator and its velocity via the derivative-of-
-exponential series.  hbar = 1.
+coefficients under the time-dependent Hermitian effective Hamiltonian
+(P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int),
+built from the external generator and its velocity.  The velocity term is
+the derivative of the exponential map, evaluated in closed form from one
+eigendecomposition of the generator (:func:`ducclab.downfold.ducc_projection`);
+the commutator series :func:`dexp_series` and its tail certificate stay as
+the independent reference.  hbar = 1.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .cluster import Amplitudes, build_projectors, deexcitation_matrix, excitation_matrix
-from .downfold import EffectiveHamiltonian, cas_indices
+from .downfold import EffectiveHamiltonian, cas_indices, ducc_projection
 from .errors import NormDriftError, OperatorPropertyError
 from .fock import Determinant, FockBasis, SpinOrbitalPartition
 from .operators import QOperator
@@ -141,33 +145,20 @@ def dexp_tail_ratio(X: QOperator, Xdot: QOperator,
 
 def build_heff_td(H: QOperator, sigma_ext: QOperator, sigma_ext_dot: QOperator,
                   ref: Determinant, part: SpinOrbitalPartition,
-                  K: int = DEFAULT_SERIES_ORDER, certify: bool = True,
                   anti_tol: float = 1e-10) -> EffectiveHamiltonian:
     """Time-dependent downfolded Hamiltonian
-    (P+Q_int){ e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot) }(P+Q_int).
+    (P+Q_int){ e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot) }(P+Q_int),
+    where e^{sigma} A = d/dt e^{sigma}.
 
-    Hermitian: the transformed Hamiltonian is Hermitian and -iA is Hermitian
-    for anti-Hermitian A.  With ``certify`` the velocity series is extended
-    past K until its tail norm passes the convergence certificate.
+    Both terms come from one eigendecomposition of the anti-Hermitian
+    generator: the transformed Hamiltonian as ``R^+ H R`` with the CAS
+    columns ``R`` of e^{sigma}, and A in the closed Daleckii-Krein form
+    (see :func:`ducclab.downfold.ducc_projection`), which sums the series
+    :func:`dexp_series` exactly.  Hermitian, since -iA is Hermitian for
+    anti-Hermitian A.
     """
-    for op, name in ((sigma_ext, "sigma_ext"), (sigma_ext_dot, "sigma_ext_dot")):
-        defect = op.anti_hermiticity_defect()
-        if defect > anti_tol:
-            raise OperatorPropertyError(f"{name} not anti-Hermitian (defect {defect:.3e})")
-    if certify:
-        A = _dexp_certified(sigma_ext.matrix, sigma_ext_dot.matrix, K)
-    else:
-        A = _dexp_np(sigma_ext.matrix, sigma_ext_dot.matrix, K)
-    right = scipy.linalg.expm(sigma_ext.matrix)
-    left = scipy.linalg.expm(-sigma_ext.matrix)
-    full = left @ H.matrix @ right - 1j * A
     cas = cas_indices(ref, part, H.basis)
-    sub = full[np.ix_(cas, cas)]
-    defect = float(np.linalg.norm(sub - sub.conj().T))
-    if defect > 1e-9 * max(1.0, float(np.linalg.norm(sub))):
-        raise OperatorPropertyError(
-            f"time-dependent downfolded matrix not Hermitian (defect {defect:.3e})")
-    sub = 0.5 * (sub + sub.conj().T)
+    sub = ducc_projection(H, sigma_ext, cas, sigma_ext_dot, anti_tol=anti_tol)
     return EffectiveHamiltonian(sub, cas, H.basis, "ducc-td", hermitian=True)
 
 
@@ -236,7 +227,7 @@ def sigma_dot_grid(sigmas: Sequence[np.ndarray], dt: float,
 
 
 def heff_grid(H: QOperator, traj: Trajectory, ref: Determinant,
-              part: SpinOrbitalPartition, K: int = DEFAULT_SERIES_ORDER,
+              part: SpinOrbitalPartition,
               fd_order: int = 2) -> list[EffectiveHamiltonian]:
     """Time-dependent effective Hamiltonians on the trajectory's grid, with
     the generator velocity obtained by differencing the sweep output."""
@@ -248,7 +239,7 @@ def heff_grid(H: QOperator, traj: Trajectory, ref: Determinant,
     for sig, dot in zip(sigmas, dots):
         dot = 0.5 * (dot - dot.conj().T)  # differencing noise breaks anti-hermiticity
         out.append(build_heff_td(H, QOperator(sig, traj.basis),
-                                 QOperator(dot, traj.basis), ref, part, K=K))
+                                 QOperator(dot, traj.basis), ref, part))
     return out
 
 

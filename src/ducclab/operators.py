@@ -292,13 +292,50 @@ def expm(X: QOperator) -> QOperator:
     return QOperator(scipy.linalg.expm(X.matrix), X.basis)
 
 
+def direct_sum_blocks(A: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected blocks of the exact-zero pattern of ``A``.
+
+    Two indices share a block when a chain of nonzero entries ``A[i, j]``
+    or ``A[j, i]`` links them, so ``A`` is the direct sum of its blocks
+    ``A[np.ix_(b, b)]``.  Breadth-first search over the boolean pattern.
+    """
+    adj = (A != 0) | (A != 0).T
+    unseen = np.ones(len(A), dtype=bool)
+    blocks = []
+    for i in range(len(A)):
+        if not unseen[i]:
+            continue
+        members = np.zeros(len(A), dtype=bool)
+        members[i] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
+def eigh_direct_sum(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a Hermitian matrix, one block of :func:`direct_sum_blocks`
+    at a time: ``A = V diag(w) V^+`` with ``V`` unitary and zero between
+    blocks.  The eigenvalues come grouped by block, not sorted."""
+    w = np.empty(len(A))
+    V = np.zeros_like(A, dtype=complex)
+    for b in direct_sum_blocks(A):
+        w[b], V[np.ix_(b, b)] = np.linalg.eigh(A[np.ix_(b, b)])
+    return w, V
+
+
 def logm_unitary(U: QOperator, unitary_tol: float = 1e-10,
                  branch_tol: float = 1e-10) -> QOperator:
     """Principal logarithm of a unitary operator, returned anti-Hermitian.
 
-    Uses the complex Schur form (exact diagonalization for normal input).
-    Raises :class:`BranchCutError` when an eigenvalue sits on the branch
-    cut at -1, where the principal logarithm is ambiguous.
+    The log of a direct sum is the direct sum of the logs, so each block of
+    :func:`direct_sum_blocks` gets its own complex Schur form (exact
+    diagonalization for normal input).  Raises :class:`BranchCutError` when
+    an eigenvalue sits on the branch cut at -1, where the principal
+    logarithm is ambiguous.
     """
     A = U.matrix
     if not np.all(np.isfinite(A)):
@@ -306,11 +343,13 @@ def logm_unitary(U: QOperator, unitary_tol: float = 1e-10,
     defect = U.unitarity_defect()
     if defect > unitary_tol:
         raise OperatorPropertyError(f"logm input not unitary (defect {defect:.3e})")
-    T, Z = scipy.linalg.schur(A, output="complex")
-    lam = np.diag(T)
-    if np.abs(lam + 1.0).min() < branch_tol:
-        raise BranchCutError("unitary has an eigenvalue at -1; principal log undefined")
-    L = (Z * np.log(lam)) @ Z.conj().T
+    L = np.zeros_like(A)
+    for b in direct_sum_blocks(A):
+        T, Z = scipy.linalg.schur(A[np.ix_(b, b)], output="complex")
+        lam = np.diag(T)
+        if np.abs(lam + 1.0).min() < branch_tol:
+            raise BranchCutError("unitary has an eigenvalue at -1; principal log undefined")
+        L[np.ix_(b, b)] = (Z * np.log(lam)) @ Z.conj().T
     L = 0.5 * (L - L.conj().T)  # exact log of unitary input is anti-Hermitian
     return QOperator(L, U.basis)
 

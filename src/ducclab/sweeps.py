@@ -43,7 +43,7 @@ from .errors import (CasSupportError, IntermediateNormalizationError,
 from .fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
                    SpinOrbitalPartition, apply_excitation, classify_sector,
                    excitation_pairs, signature_between)
-from .operators import QOperator, expm, logm_unitary
+from .operators import QOperator, eigh_direct_sum, logm_unitary
 
 #: Coefficients with magnitude below this are treated as already eliminated.
 ZERO_TOL = 1e-14
@@ -299,8 +299,11 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
     ext = sweep_external(psi_n, ref, part, basis, check=check)
     intr = sweep_internal(ext.psi_act, ref, part, basis, check=check)
     sigma_ext, sigma_int = extract_sigmas(ext.omega12, intr.omega3, intr.delta)
-    recon = expm(sigma_ext).matrix @ (expm(sigma_int).matrix @ basis.unit_vector(
-        basis.index_of(ref)))
+    recon = basis.unit_vector(basis.index_of(ref))
+    for sigma in (sigma_int, sigma_ext):
+        # e^{sigma} v through i sigma = V diag(mu) V^+, independent of the omegas
+        mu, V = eigh_direct_sum(1j * sigma.matrix)
+        recon = V @ (np.exp(-1j * mu) * (V.conj().T @ recon))
     residual = float(np.linalg.norm(recon - psi_n))
     return SweepResult(
         omega1=ext.omega1, omega2=ext.omega2, omega3=intr.omega3,

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ducclab
 from ducclab.cli import main
 
 
@@ -78,6 +82,60 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, ove
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("task", [
+    {"name": "propagate", "dt": -1},
+    {"name": "propagate", "dt": 0},
+    {"name": "propagate", "dt": "fast"},
+    {"name": "propagate", "dt": float("inf")},
+    {"name": "propagate", "nsteps": -1},
+    {"name": "propagate", "nsteps": 4, "fd_order": 3},
+    {"name": "propagate", "nsteps": 1},
+    {"name": "propagate", "nsteps": 0, "fd_order": 2},
+    {"name": "propagate", "nsteps": 4, "initial": "excited"},
+    {"name": "imagtime", "dtau": 0},
+    {"name": "imagtime", "tol": -1e-10},
+    {"name": "ecc", "n_configs": 0},
+    {"name": "fci", "nroots": "all"},
+    {"name": "verify-all", "propagate": {"dt": -1}},
+    {"name": "verify-all", "propagate": {"nsteps": 1}},
+    {"name": "verify-all", "imagtime": {"dtau": -0.1}},
+    {"name": "verify-all", "ecc": "many"},
+], ids=["dt-negative", "dt-zero", "dt-non-numeric", "dt-infinite", "nsteps-negative",
+        "fd-order-3", "too-few-points-order-4", "too-few-points-order-2",
+        "unknown-initial", "dtau-zero", "tol-negative", "ecc-no-configs",
+        "nroots-non-numeric", "verify-all-dt", "verify-all-nsteps", "verify-all-dtau",
+        "verify-all-params-not-object"])
+def test_bad_task_parameter_is_config_error(tmp_path, capsys, command, task):
+    assert main([command, str(write_config(tmp_path, tasks=[task]))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_noninteracting_start_needs_model_system(tmp_path, capsys):
+    (tmp_path / "FCIDUMP").write_text("\n".join(DIMER_FCIDUMP) + "\n")
+    path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"},
+                        tasks=[{"name": "propagate", "nsteps": 4,
+                                "initial": "noninteracting-ground"}])
+    assert main(["validate", str(path)]) == 2
+    assert "hubbard/pairing" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse costs start-up time and memory on every run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ducclab; print(sorted(m for m in sys.modules "
+         "if m.startswith('scipy.sparse')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestRun:

@@ -111,6 +111,52 @@ class TestDuccDownfold:
                            np.linalg.eigvalsh(H.matrix), atol=1e-10)
 
 
+def _anti_hermitian(rng, n, norm2):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = 0.5 * (a - a.conj().T)
+    return g * (norm2 / np.linalg.norm(g, 2))
+
+
+def _generator_cases():
+    rng = np.random.default_rng(11)
+    half = _anti_hermitian(rng, 10, 1.0)
+    cases = [pytest.param(_anti_hermitian(rng, 20, s), id=f"norm{s}")
+             for s in (0.1, 0.5, 1.0, 2.0)]
+    cases.append(pytest.param(np.zeros((20, 20), dtype=complex), id="zero"))
+    # two equal blocks: every eigenvalue twice, degenerate pairs in phi
+    cases.append(pytest.param(np.kron(np.eye(2), half), id="repeated"))
+    return cases
+
+
+class TestDuccProjection:
+    """The closed-form projection against dense ``expm`` and the certified
+    commutator series."""
+
+    @pytest.mark.parametrize("sigma", _generator_cases())
+    def test_matches_expm_and_dexp_series(self, m6_basis, m6_ref, m6_part, sigma):
+        from ducclab.dynamics import _dexp_certified
+        rng = np.random.default_rng(12)
+        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        sigma_dot = _anti_hermitian(rng, 20, 0.7)
+        cas = dl.cas_indices(m6_ref, m6_part, m6_basis)
+        ix = np.ix_(cas, cas)
+        hbar = (scipy.linalg.expm(-sigma) @ H.matrix @ scipy.linalg.expm(sigma))[ix]
+        vel = -1j * _dexp_certified(sigma, sigma_dot, 12)[ix]
+        S = dl.QOperator(sigma, m6_basis)
+        Sd = dl.QOperator(sigma_dot, m6_basis)
+        zero_H = dl.QOperator.zero(m6_basis)
+        rel = lambda a, b: np.linalg.norm(a - b) / np.linalg.norm(b)
+        assert rel(dl.ducc_projection(H, S, cas), hbar) < 1e-12
+        assert rel(dl.ducc_projection(zero_H, S, cas, Sd), vel) < 1e-12
+        assert rel(dl.ducc_projection(H, S, cas, Sd), hbar + vel) < 1e-12
+
+    def test_rejects_non_anti_hermitian_velocity(self, m6_basis, m6_ref, m6_part):
+        cas = dl.cas_indices(m6_ref, m6_part, m6_basis)
+        H = dl.QOperator.identity(m6_basis)
+        with pytest.raises(OperatorPropertyError, match="sigma_dot"):
+            dl.ducc_projection(H, dl.QOperator.zero(m6_basis), cas, H)
+
+
 class TestCasEigensolve:
     def test_empty_active_space_scalar(self, m8_basis, m8_ref):
         part = dl.homo_lumo_partition(8, 4, 0, 0)

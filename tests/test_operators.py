@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ducclab as dl
 from ducclab.errors import (BranchCutError, InvalidDimensionError,
@@ -158,6 +159,43 @@ class TestLogmUnitary:
     def test_non_unitary_rejected(self, dimer_basis):
         with pytest.raises(OperatorPropertyError):
             dl.logm_unitary(dl.QOperator(2.0 * np.eye(dimer_basis.size), dimer_basis))
+
+
+class TestBlockwiseLogm:
+    """logm_unitary Schur-factors each block of the exact-zero pattern."""
+
+    @staticmethod
+    def permuted_direct_sum(blocks, rng):
+        n = sum(len(b) for b in blocks)
+        U = scipy.linalg.block_diag(*blocks)
+        perm = rng.permutation(n)
+        return U[np.ix_(perm, perm)], perm
+
+    @staticmethod
+    def random_unitary(rng, n, scale=2.5):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        g = 0.5 * (a - a.conj().T)
+        return scipy.linalg.expm(g * (scale / np.linalg.norm(g, 2)))
+
+    def test_direct_sum_matches_whole_matrix_schur(self, m6_basis):
+        rng = np.random.default_rng(31)
+        blocks = [self.random_unitary(rng, n) for n in (9, 6, 4, 1)]
+        U, perm = self.permuted_direct_sum(blocks, rng)
+        found = sorted(sorted(perm[b].tolist()) for b in dl.direct_sum_blocks(U))
+        assert [len(b) for b in sorted(found, key=len)] == [1, 4, 6, 9]
+        T, Z = scipy.linalg.schur(U, output="complex")
+        whole = (Z * np.log(np.diag(T))) @ Z.conj().T
+        whole = 0.5 * (whole - whole.conj().T)
+        L = dl.logm_unitary(dl.QOperator(U, m6_basis))
+        assert np.abs(L.matrix - whole).max() < 1e-13
+        assert np.abs(scipy.linalg.expm(L.matrix) - U).max() < 1e-12
+
+    def test_branch_cut_in_one_small_block(self, m6_basis):
+        rng = np.random.default_rng(32)
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # eigenvalues +1, -1
+        U, _ = self.permuted_direct_sum([self.random_unitary(rng, 18), flip], rng)
+        with pytest.raises(BranchCutError):
+            dl.logm_unitary(dl.QOperator(U, m6_basis))
 
 
 class TestCommutator:

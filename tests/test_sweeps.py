@@ -185,6 +185,24 @@ class TestDecomposeState:
         assert res.sigma_ext.anti_hermiticity_defect() < 1e-12
         assert res.sigma_int.anti_hermiticity_defect() < 1e-12
 
+    def test_residual_detects_perturbed_generator(self, m8_basis, m8_ref, m8_part,
+                                                  monkeypatch):
+        # the residual rebuilds psi from the returned generators alone, so a
+        # 1e-6 error in sigma_ext must show
+        import ducclab.sweeps as sweeps
+        rng = np.random.default_rng(8)
+        psi = random_state(m8_basis, rng, ref=m8_ref)
+        a = rng.normal(size=(m8_basis.size,) * 2) + 1j * rng.normal(size=(m8_basis.size,) * 2)
+        kick = 1e-6 * 0.5 * (a - a.conj().T) / np.linalg.norm(a - a.conj().T, 2)
+        extract = sweeps.extract_sigmas
+
+        def perturbed(omega12, omega3, delta):
+            sigma_ext, sigma_int = extract(omega12, omega3, delta)
+            return dl.QOperator(sigma_ext.matrix + kick, m8_basis), sigma_int
+
+        monkeypatch.setattr(sweeps, "extract_sigmas", perturbed)
+        assert dl.decompose_state(psi, m8_ref, m8_part, m8_basis).residual > 1e-8
+
     def test_internal_generator_preserves_cas(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(7)
         psi = random_state(m8_basis, rng, ref=m8_ref)
