@@ -12,8 +12,8 @@ real and imaginary time.
 __version__ = "0.1.0"
 
 from .cluster import (Amplitudes, Projectors, build_projectors, cluster_analyze,
-                      deexcitation_matrix, excitation_matrix, random_amplitudes,
-                      sigma_lowest_order, split_amplitudes)
+                      deexcitation_matrix, excitation_matrix, exp_nilpotent,
+                      random_amplitudes, sigma_lowest_order, split_amplitudes)
 from .downfold import (EffectiveHamiltonian, cas_ci, cas_eigensolve, cas_indices,
                        downfold_ducc, downfold_sescc, ducc_projection,
                        effective_matrix_dump, effective_to_dict, match_root,

@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-import scipy.linalg
 
 from . import __version__
-from .cluster import (build_projectors, cluster_analyze, random_amplitudes,
-                      sigma_lowest_order, split_amplitudes, excitation_matrix)
+from .cluster import (cluster_analyze, excitation_matrix, exp_nilpotent,
+                      random_amplitudes, sigma_lowest_order, split_amplitudes)
 from .downfold import (cas_indices, downfold_ducc, downfold_sescc,
                        effective_matrix_dump, match_root, write_effective_json)
 from .dynamics import (Trajectory, decompose_trajectory, evaluate_lagrangians,
@@ -40,7 +39,8 @@ from .dynamics import (Trajectory, decompose_trajectory, evaluate_lagrangians,
 from .ecc import (EccConfiguration, action_deviation, eval_ldt_forms,
                   eval_lh_forms, x_int_ext_bch)
 from .errors import ConfigError, DuccLabError
-from .fock import (SpinOrbitalPartition, build_basis, homo_lumo_partition)
+from .fock import (DetClass, SpinOrbitalPartition, build_basis, classify_sector,
+                   homo_lumo_partition)
 from .imagtime import imaginary_evolve, write_flow_log
 from .operators import (QOperator, build_hubbard, build_pairing,
                         hamiltonian_from_integrals, read_fcidump)
@@ -73,7 +73,13 @@ VERIFY_ALL_DEFAULTS = {"propagate": {"dt": 0.02, "nsteps": 50}, "ecc": {"n_confi
 
 @dataclass
 class RunContext:
-    """Everything a task needs: system, partition, reference, output sink."""
+    """Everything a task needs: system, partition, reference, output sink.
+
+    The ground-state stages (FCI eigenpairs, cluster amplitudes, sweep
+    decomposition, DUCC Hamiltonian) are deterministic functions of the
+    system, so each is computed once per run and shared by every task; a
+    stage that raises is not cached.
+    """
 
     config: dict
     basis: object
@@ -89,11 +95,27 @@ class RunContext:
         # independent of task ordering
         return np.random.default_rng([self.seed, TASK_NAMES.index(task)])
 
+    def _stage(self, key: str, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     def ground_state(self):
-        if "ground" not in self._cache:
-            vals, vecs = np.linalg.eigh(self.H.matrix)
-            self._cache["ground"] = (vals, vecs)
-        return self._cache["ground"]
+        return self._stage("ground", lambda: tuple(np.linalg.eigh(self.H.matrix)))
+
+    def amplitudes(self):
+        return self._stage("amplitudes", lambda: cluster_analyze(
+            self.ground_state()[1][:, 0], self.ref, self.basis))
+
+    def sweep(self):
+        part = self.need_partition()
+        return self._stage("sweep", lambda: decompose_state(
+            self.ground_state()[1][:, 0], self.ref, part, self.basis))
+
+    def ducc_hamiltonian(self):
+        part = self.need_partition()
+        return self._stage("ducc", lambda: downfold_ducc(
+            self.H, self.sweep().sigma_ext, self.ref, part))
 
     def need_partition(self) -> SpinOrbitalPartition:
         if self.part is None:
@@ -267,14 +289,14 @@ def task_fci(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     vals, vecs = ctx.ground_state()
     psi = vecs[:, 0]
-    amps = cluster_analyze(psi, ctx.ref, ctx.basis)
+    amps = ctx.amplitudes()
     tmat = excitation_matrix(amps, ctx.basis)
     e_ref = ctx.basis.unit_vector(ctx.basis.index_of(ctx.ref))
-    recon = scipy.linalg.expm(tmat) @ e_ref
+    recon = exp_nilpotent(tmat, e_ref, ctx.basis)
     c0 = psi[ctx.basis.index_of(ctx.ref)]
     roundtrip = float(np.linalg.norm(recon - psi / c0))
-    hbar = scipy.linalg.expm(-tmat) @ ctx.H.matrix @ scipy.linalg.expm(tmat)
-    hbar_ref = hbar @ e_ref
+    # e^{-T} H e^{T} |ref>, never forming the similarity-transformed matrix
+    hbar_ref = exp_nilpotent(-tmat, ctx.H.matrix @ recon, ctx.basis)
     energy = complex(e_ref.conj() @ hbar_ref)
     residual = float(np.linalg.norm(hbar_ref - energy * e_ref))
     results = {
@@ -293,10 +315,9 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 
 def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     part = ctx.need_partition()
-    _, vecs = ctx.ground_state()
-    res = decompose_state(vecs[:, 0], ctx.ref, part, ctx.basis)
-    projs = build_projectors(ctx.ref, ctx.basis, part)
-    cas_support = float(np.linalg.norm(projs.Q_ext.matrix @ res.psi_act))
+    res = ctx.sweep()
+    external = classify_sector(ctx.basis, ctx.ref, part) == DetClass.EXTERNAL
+    cas_support = float(np.linalg.norm(res.psi_act[external]))
     return {
         "reconstruction_residual": res.residual,
         "external_support_after": cas_support,
@@ -310,24 +331,22 @@ def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 
 def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     part = ctx.need_partition()
-    vals, vecs = ctx.ground_state()
-    psi = vecs[:, 0]
+    vals, _ = ctx.ground_state()
     e_fci = float(vals[0])
 
-    amps = cluster_analyze(psi, ctx.ref, ctx.basis)
-    t_int, t_ext = split_amplitudes(amps, part)
+    t_int, t_ext = split_amplitudes(ctx.amplitudes(), part)
     heff_s = downfold_sescc(ctx.H, t_ext, ctx.ref, part)
-    target = heff_s.restrict(scipy.linalg.expm(
-        excitation_matrix(t_int, ctx.basis)) @ ctx.basis.unit_vector(
-            ctx.basis.index_of(ctx.ref)))
+    target = heff_s.restrict(exp_nilpotent(
+        excitation_matrix(t_int, ctx.basis),
+        ctx.basis.unit_vector(ctx.basis.index_of(ctx.ref)), ctx.basis))
     svals, svecs = heff_s.eigensystem()
     root = match_root(heff_s, target)
     sescc_delta = abs(complex(svals[root]).real - e_fci)
     tnorm = target / np.linalg.norm(target)
     overlap_deficit = 1.0 - abs(np.vdot(svecs[:, root], tnorm))
 
-    sweep = decompose_state(psi, ctx.ref, part, ctx.basis)
-    heff_d = downfold_ducc(ctx.H, sweep.sigma_ext, ctx.ref, part)
+    sweep = ctx.sweep()
+    heff_d = ctx.ducc_hamiltonian()
     dvals, _ = heff_d.eigensystem()
     ducc_delta = abs(float(dvals[0]) - e_fci)
 
@@ -416,12 +435,10 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 
 
 def task_imagtime(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
-    part = ctx.need_partition()
     p = task_params("imagtime", params)
     dtau, tol = p["dtau"], p["tol"]
-    vals, vecs = ctx.ground_state()
-    sweep = decompose_state(vecs[:, 0], ctx.ref, part, ctx.basis)
-    heff = downfold_ducc(ctx.H, sweep.sigma_ext, ctx.ref, part)
+    heff = ctx.ducc_hamiltonian()
+    vals, _ = ctx.ground_state()
     rng = ctx.rng("imagtime")
     c0 = rng.normal(size=heff.dim) + 1j * rng.normal(size=heff.dim)
     res = imaginary_evolve(heff, c0, dtau=dtau, tol=tol)

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IntermediateNormalizationError, SectorMismatchError
 from .fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
@@ -65,15 +64,36 @@ def deexcitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
     return excitation_matrix(amps, basis).T
 
 
+def exp_nilpotent(T: np.ndarray, V: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """e^T V as the terminating series sum_n T^n V / n!.
+
+    ``T`` must move every determinant up (excitation) or down (de-excitation)
+    the excitation-rank ladder of height min(N, M-N), so T^n V is exactly zero
+    from n = ladder + 1 on: products of structural zeros stay exact zeros.
+    Raises ArithmeticError if the series has not ended by then, e.g. for an
+    amplitude set holding the rank-0 (identity) signature.
+    """
+    ladder = min(basis.N, basis.M - basis.N)
+    out = np.array(V, dtype=complex)
+    term = out
+    for n in range(1, ladder + 2):
+        term = (T @ term) / n
+        if not term.any():
+            return out
+        out = out + term
+    raise ArithmeticError(f"series of a non-nilpotent matrix did not end by n={ladder + 1}")
+
+
 def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis,
                     c0_tol: float = 1e-12) -> Amplitudes:
     """Extract T with e^T |ref> = psi / <ref|psi> exactly.
 
     Rank-by-rank recursion: the coefficient of a rank-k determinant in
     e^T|ref> is the rank-k amplitude (times a phase) plus disconnected
-    products of lower ranks; the products are obtained by exponentiating
-    the lower-rank amplitude matrix rather than by hand-coded
-    antisymmetrized sums, so one code path covers every rank.
+    products of lower ranks; the products are obtained by applying the
+    terminating series of the lower-rank amplitude matrix to the reference
+    (:func:`exp_nilpotent`) rather than by hand-coded antisymmetrized sums,
+    so one code path covers every rank.
     """
     if len(psi) != basis.size:
         raise SectorMismatchError("state vector length does not match basis")
@@ -89,7 +109,7 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis,
     max_rank = min(ref.N, ref.M - ref.N)
     for k in range(1, max_rank + 1):
         if entries:
-            low = scipy.linalg.expm(excitation_matrix(Amplitudes(entries), basis)) @ e_ref
+            low = exp_nilpotent(excitation_matrix(Amplitudes(entries), basis), e_ref, basis)
         else:
             low = e_ref
         for sig in enumerate_signatures(ref):

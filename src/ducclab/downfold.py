@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .cluster import Amplitudes, excitation_matrix
+from .cluster import Amplitudes, excitation_matrix, exp_nilpotent
 from .errors import OperatorPropertyError
 from .fock import (DetClass, Determinant, FockBasis, SpinOrbitalPartition,
                    classify_sector)
@@ -110,7 +109,11 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
             raise OperatorPropertyError(f"internal signature {sig} in external amplitude set")
     cas = cas_indices(ref, part, H.basis)
     T = excitation_matrix(t_ext, H.basis)
-    sub = scipy.linalg.expm(-T)[cas] @ H.matrix @ scipy.linalg.expm(T)[:, cas]
+    cols = np.eye(H.basis.size)[:, cas]
+    # e^{T}[:, cas] and e^{-T}[cas, :] = (e^{-T^T}[:, cas])^T: CAS columns only
+    right = exp_nilpotent(T, cols, H.basis)
+    left = exp_nilpotent(-T.T, cols, H.basis).T
+    sub = left @ (H.matrix @ right)
     return EffectiveHamiltonian(sub, cas, H.basis, "sescc", hermitian=False)
 
 

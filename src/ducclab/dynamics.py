@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .cluster import Amplitudes, build_projectors, deexcitation_matrix, excitation_matrix
+from .cluster import (Amplitudes, build_projectors, deexcitation_matrix,
+                      excitation_matrix, exp_nilpotent)
 from .downfold import EffectiveHamiltonian, cas_indices, ducc_projection
 from .errors import NormDriftError, OperatorPropertyError
 from .fock import Determinant, FockBasis, SpinOrbitalPartition
@@ -360,10 +361,7 @@ def evaluate_sescc_lagrangian(H: QOperator, t_int: Amplitudes, t_ext: Amplitudes
     Li = deexcitation_matrix(lam_int, basis)
     Le = deexcitation_matrix(lam_ext, basis)
     eye = np.eye(basis.size)
-    eTi = scipy.linalg.expm(Ti)
-    eTe = scipy.linalg.expm(Te)
-    eTim = scipy.linalg.expm(-Ti)
-    eTem = scipy.linalg.expm(-Te)
+    eTi, eTe, eTim, eTem = (exp_nilpotent(a, eye, basis) for a in (Ti, Te, -Ti, -Te))
 
     ket = eTe @ (eTi @ phi)
     bra1 = phi.conj() @ (eye + Li + Le)

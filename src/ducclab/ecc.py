@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix
+from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
 from .fock import Determinant, FockBasis
 from .operators import QOperator
 
@@ -47,6 +47,14 @@ def _matrices(cfg: EccConfiguration, basis: FockBasis):
     }
 
 
+def _exponentials(m: dict, basis: FockBasis):
+    """e^{X_int}, e^{X_ext}, e^{T_int}, e^{T_ext}, e^{-T_int}, e^{-T_ext} as
+    terminating series: every one of these matrices is nilpotent."""
+    eye = np.eye(basis.size)
+    return tuple(exp_nilpotent(a, eye, basis)
+                 for a in (m["Xi"], m["Xe"], m["Ti"], m["Te"], -m["Ti"], -m["Te"]))
+
+
 def eval_ldt_forms(cfg: EccConfiguration, ref: Determinant,
                    basis: FockBasis) -> tuple[complex, complex, complex]:
     """Time-derivative Lagrangian piece along three routes.
@@ -61,12 +69,7 @@ def eval_ldt_forms(cfg: EccConfiguration, ref: Determinant,
     """
     m = _matrices(cfg, basis)
     phi = basis.unit_vector(basis.index_of(ref))
-    eXi = scipy.linalg.expm(m["Xi"])
-    eXe = scipy.linalg.expm(m["Xe"])
-    eTi = scipy.linalg.expm(m["Ti"])
-    eTe = scipy.linalg.expm(m["Te"])
-    eTim = scipy.linalg.expm(-m["Ti"])
-    eTem = scipy.linalg.expm(-m["Te"])
+    eXi, eXe, eTi, eTe, eTim, eTem = _exponentials(m, basis)
 
     ket = eTe @ (eTi @ phi)
     v1 = 1j * (phi.conj() @ (eXi @ (eXe @ (eTim @ (eTem @ ((m["dTe"] + m["dTi"]) @ ket))))))
@@ -93,12 +96,7 @@ def eval_lh_forms(cfg: EccConfiguration, H: QOperator,
     basis = H.basis
     m = _matrices(cfg, basis)
     phi = basis.unit_vector(basis.index_of(ref))
-    eXi = scipy.linalg.expm(m["Xi"])
-    eXe = scipy.linalg.expm(m["Xe"])
-    eTi = scipy.linalg.expm(m["Ti"])
-    eTe = scipy.linalg.expm(m["Te"])
-    eTim = scipy.linalg.expm(-m["Ti"])
-    eTem = scipy.linalg.expm(-m["Te"])
+    eXi, eXe, eTi, eTe, eTim, eTem = _exponentials(m, basis)
 
     w1 = phi.conj() @ (eXi @ (eXe @ (eTim @ (eTem @ (H.matrix @ (eTe @ (eTi @ phi)))))))
 

@@ -5,9 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ducclab
+from ducclab import cli
 from ducclab.cli import main
+from ducclab.errors import CasSupportError
 
 
 def write_config(tmp_path, **overrides):
@@ -243,3 +246,50 @@ class TestRun:
         report = read_report(tmp_path)
         checks = report["tasks"][0]["results"]["checks"]
         assert all(checks.values())
+
+
+GROUND_PIPELINE = [{"name": n} for n in ("fci", "cluster", "sweep", "downfold", "imagtime")]
+
+
+def count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestGroundStagesOncePerRun:
+    def test_work_budget(self, tmp_path, monkeypatch):
+        calls = {"expm": 0}
+        for name in ("decompose_state", "cluster_analyze", "downfold_ducc"):
+            count_calls(monkeypatch, cli, name, calls)
+        count_calls(monkeypatch, scipy.linalg, "expm", calls)
+        assert main(["run", str(write_config(tmp_path, tasks=GROUND_PIPELINE))]) == 0
+        # one DUCC Hamiltonian of the sweep, one of the lowest-order generator
+        assert calls == {"decompose_state": 1, "cluster_analyze": 1,
+                         "downfold_ducc": 2, "expm": 0}
+
+    def test_imagtime_independent_of_task_list(self, tmp_path):
+        alone = write_config(tmp_path, tasks=[{"name": "imagtime"}])
+        assert main(["run", str(alone), "--output", str(tmp_path / "a")]) == 0
+        full = write_config(tmp_path, tasks=GROUND_PIPELINE)
+        assert main(["run", str(full), "--output", str(tmp_path / "b")]) == 0
+        ta = json.loads((tmp_path / "a" / "report.json").read_text())["tasks"]
+        tb = json.loads((tmp_path / "b" / "report.json").read_text())["tasks"]
+        assert ta[0]["results"] == tb[-1]["results"]
+        assert ((tmp_path / "a" / "imagtime_flow.csv").read_bytes()
+                == (tmp_path / "b" / "imagtime_flow.csv").read_bytes())
+
+    def test_failed_stage_fails_every_task_that_needs_it(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def broken(*args, **kwargs):
+            calls["decompose_state"] = calls.get("decompose_state", 0) + 1
+            raise CasSupportError("injected")
+        monkeypatch.setattr(cli, "decompose_state", broken)
+        path = write_config(tmp_path, tasks=[{"name": "sweep"}, {"name": "downfold"}])
+        assert main(["run", str(path)]) == 1
+        assert [t["status"] for t in read_report(tmp_path)["tasks"]] == ["failed", "failed"]
+        assert calls == {"decompose_state": 2}   # a stage that raised is not cached

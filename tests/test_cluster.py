@@ -75,6 +75,42 @@ class TestClusterAnalyze:
         assert np.linalg.norm(pq @ resid) < 1e-9
 
 
+class TestExpNilpotent:
+    @staticmethod
+    def generators(basis, ref, part, rng, scale):
+        """Excitation matrices of every rank (all, internal, external) and
+        the de-excitation transposes."""
+        for kind in ("any", "internal", "external"):
+            amps = dl.random_amplitudes(ref, rng, part, kind, scale)
+            yield dl.excitation_matrix(amps, basis)
+            yield -dl.excitation_matrix(amps, basis)
+            yield dl.deexcitation_matrix(amps, basis)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_matches_expm(self, m8_basis, m8_ref, m8_part, scale):
+        rng = np.random.default_rng(5)
+        vec = rng.normal(size=m8_basis.size) + 1j * rng.normal(size=m8_basis.size)
+        cols = np.eye(m8_basis.size)[:, dl.cas_indices(m8_ref, m8_part, m8_basis)]
+        for T in self.generators(m8_basis, m8_ref, m8_part, rng, scale):
+            dense = scipy.linalg.expm(T)
+            for V in (vec, cols):
+                got = dl.exp_nilpotent(T, V, m8_basis)
+                want = dense @ V
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_zero_generator_returns_input(self, m6_basis):
+        v = np.arange(m6_basis.size, dtype=complex)
+        out = dl.exp_nilpotent(np.zeros((m6_basis.size,) * 2), v, m6_basis)
+        assert np.array_equal(out, v)
+
+    def test_rank_zero_amplitude_raises(self, m6_basis, m6_ref):
+        amps = dl.Amplitudes({sig: 0.1 for sig in dl.enumerate_signatures(
+            m6_ref, include_identity=True)})
+        e_ref = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
+        with pytest.raises(ArithmeticError):
+            dl.exp_nilpotent(dl.excitation_matrix(amps, m6_basis), e_ref, m6_basis)
+
+
 class TestSplitAmplitudes:
     def _amps(self, ref, rng):
         return dl.random_amplitudes(ref, rng, scale=0.2)
