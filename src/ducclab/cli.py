@@ -69,6 +69,13 @@ TASK_PARAMS = {
 }
 #: sub-task defaults of verify-all, below the user's nested parameters
 VERIFY_ALL_DEFAULTS = {"propagate": {"dt": 0.02, "nsteps": 50}, "ecc": {"n_configs": 10}}
+#: per task: result -> largest value that keeps the task's numbers meaningful
+RESIDUAL_BOUNDS = {
+    "cluster": {"cc_residual": 1e-9, "roundtrip_residual": 1e-9},
+    "sweep": {"reconstruction_residual": 1e-9},
+    "downfold": {"sescc_delta_e": 1e-9, "ducc_delta_e": 1e-9},
+    "propagate": {"max_decomposition_residual": 1e-9},
+}
 
 
 @dataclass
@@ -491,7 +498,7 @@ def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     results: dict = {}
     files: list[str] = []
     for name in VERIFY_ALL_TASKS:
-        sub_results, sub_files = TASKS[name](ctx, verify_all_params(params, name))
+        sub_results, sub_files = run_task(ctx, name, verify_all_params(params, name))
         results[name] = sub_results
         files.extend(sub_files)
 
@@ -538,6 +545,15 @@ def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     return results, files
 
 
+def run_task(ctx: RunContext, name: str, params: dict) -> tuple[dict, list[str]]:
+    """Run one task and fail it when a result breaches its residual bound."""
+    results, files = TASKS[name](ctx, params)
+    for key, bound in RESIDUAL_BOUNDS.get(name, {}).items():
+        if not results[key] <= bound:   # NaN fails too
+            raise DuccLabError(f"{name}: {key} = {results[key]:.3e} exceeds {bound:.0e}")
+    return results, files
+
+
 TASKS = {
     "fci": task_fci,
     "cluster": task_cluster,
@@ -565,7 +581,7 @@ def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
 
     def execute(name, params):
         try:
-            results, files = TASKS[name](ctx, params)
+            results, files = run_task(ctx, name, params)
             return {"name": name, "status": "ok", "results": results,
                     "files": [os.path.basename(f) for f in files]}
         except (DuccLabError, np.linalg.LinAlgError, ValueError,

@@ -35,6 +35,7 @@ external and internal generators of the product decomposition
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,9 +149,14 @@ def _check_sweep_ordering(part: SpinOrbitalPartition):
             "sweep ordering requires all virt_inactive indices above virt_active")
 
 
+@lru_cache(maxsize=16)
 def sweep_targets(ref: Determinant, part: SpinOrbitalPartition,
-                  basis: FockBasis) -> tuple[list, list, list]:
-    """Ordered sweep-1, sweep-2 and sweep-3 target lists of (signature, index)."""
+                  basis: FockBasis) -> tuple[tuple, tuple, tuple]:
+    """Ordered sweep-1, sweep-2 and sweep-3 target tuples of (signature, index).
+
+    Memoised per ``(ref, part, basis)``: a trajectory reuses one result for
+    every state.  The basis keys by identity, the other two by value.
+    """
     _check_sweep_ordering(part)
     classes = classify_sector(basis, ref, part)
     sweep1 = {mu: [] for mu in part.occ_inactive}
@@ -165,7 +171,7 @@ def sweep_targets(ref: Determinant, part: SpinOrbitalPartition,
             sweep1[sig.occ[0]].append((sig, j))  # smallest hole is inactive
         else:
             sweep2[sig.virt[-1]].append((sig, j))  # largest particle is inactive
-    ordered = lambda groups, keys: [sd for k in keys for sd in _sorted_group(groups[k])]
+    ordered = lambda groups, keys: tuple(sd for k in keys for sd in _sorted_group(groups[k]))
     return (ordered(sweep1, part.occ_inactive),
             ordered(sweep2, reversed(part.virt_inactive)),
             ordered(sweep3, part.occ_active))

@@ -248,6 +248,22 @@ class TestRun:
         assert all(checks.values())
 
 
+def test_residual_gates_fail_meaningless_tasks(tmp_path, capsys):
+    # the ground state of Hubbard L=5, N=5 is a degenerate S_z doublet, and
+    # eigh returns a mix with almost no reference weight: the cluster
+    # amplitudes blow up and SES-CC misses the FCI energy
+    path = write_config(tmp_path, system={"kind": "hubbard", "L": 5, "t": 1.0, "U": 4.0},
+                        electrons=5, partition={"auto_homo_lumo": [2, 2]},
+                        tasks=[{"name": "fci"}, {"name": "cluster"}, {"name": "downfold"}])
+    assert main(["run", str(path)]) == 1
+    tasks = read_report(tmp_path)["tasks"]
+    assert [t["status"] for t in tasks] == ["ok", "failed", "failed"]
+    assert "cc_residual" in tasks[1]["error"] and "exceeds 1e-09" in tasks[1]["error"]
+    assert "sescc_delta_e" in tasks[2]["error"]
+    err = capsys.readouterr().err
+    assert "task cluster failed" in err and "task downfold failed" in err
+
+
 GROUND_PIPELINE = [{"name": n} for n in ("fci", "cluster", "sweep", "downfold", "imagtime")]
 
 

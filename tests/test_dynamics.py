@@ -4,6 +4,7 @@ import scipy.linalg
 
 import ducclab as dl
 from ducclab.errors import NormDriftError, OperatorPropertyError
+from ducclab.sweeps import sweep_targets
 
 from conftest import random_state
 
@@ -182,6 +183,29 @@ class TestDecomposeTrajectory:
         traj = dl.decompose_trajectory(traj, dimer_ref, dimer_part)
         deltas = np.array([d.delta for d in traj.decompositions])
         assert np.abs(np.diff(deltas)).max() < np.pi
+
+
+class TestDecomposeTrajectoryWorkBudget:
+    def test_no_schur_and_one_target_table(self, monkeypatch):
+        calls = {"schur": 0}
+        schur = scipy.linalg.schur
+
+        def counted(*args, **kwargs):
+            calls["schur"] += 1
+            return schur(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        basis = dl.build_basis(6, 3)
+        part = dl.homo_lumo_partition(6, 3, 1, 1)
+        ref = part.reference()
+        H = dl.build_hubbard(3, 1.0, 4.0, basis)
+        traj = dl.propagate_full(H, basis.unit_vector(basis.index_of(ref)), 0.05, 6)
+        sweep_targets.cache_clear()
+        traj = dl.decompose_trajectory(traj, ref, part)
+        assert calls == {"schur": 0}
+        # two sweeps per state, one target computation per trajectory
+        assert sweep_targets.cache_info().misses == 1
+        assert sweep_targets.cache_info().hits == 2 * len(traj.times) - 1
+        assert max(d.residual for d in traj.decompositions) < 1e-12
 
 
 class TestPropagateInternal:

@@ -5,6 +5,7 @@ import scipy.linalg
 import ducclab as dl
 from ducclab.errors import (BranchCutError, InvalidDimensionError,
                             OperatorPropertyError, SectorMismatchError)
+from ducclab.operators import eigh_direct_sum
 
 
 def random_anti_hermitian(basis, rng, scale=0.5):
@@ -161,8 +162,64 @@ class TestLogmUnitary:
             dl.logm_unitary(dl.QOperator(2.0 * np.eye(dimer_basis.size), dimer_basis))
 
 
+def bfs_blocks(A):
+    """Reference block search: one breadth-first search per block."""
+    adj = (A != 0) | (A != 0).T
+    unseen = np.ones(len(A), dtype=bool)
+    blocks = []
+    for i in range(len(A)):
+        if not unseen[i]:
+            continue
+        members = np.zeros(len(A), dtype=bool)
+        members[i] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
+def same_blocks(found, expected):
+    return (len(found) == len(expected)
+            and all(np.array_equal(f, e) for f, e in zip(found, expected)))
+
+
+class TestDirectSumBlocks:
+    """direct_sum_blocks returns the breadth-first blocks, in the same order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("density", [0.005, 0.02, 0.06])
+    def test_random_sparse_patterns(self, seed, density):
+        rng = np.random.default_rng(seed)
+        n = 80
+        A = np.where(rng.random((n, n)) < density, rng.normal(size=(n, n)), 0.0)
+        A = A + A.T
+        assert same_blocks(dl.direct_sum_blocks(A), bfs_blocks(A))
+
+    def test_long_path(self):
+        n = 60
+        A = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        perm = np.random.default_rng(7).permutation(n)
+        for mat in (A, A[np.ix_(perm, perm)]):
+            found = dl.direct_sum_blocks(mat)
+            assert same_blocks(found, bfs_blocks(mat))
+            assert len(found) == 1
+
+    def test_zero_matrix_gives_singletons(self):
+        found = dl.direct_sum_blocks(np.zeros((7, 7), dtype=complex))
+        assert same_blocks(found, [np.array([i]) for i in range(7)])
+
+    def test_dense_matrix_is_one_block(self):
+        A = np.random.default_rng(8).normal(size=(9, 9)) + 1.0
+        assert same_blocks(dl.direct_sum_blocks(A), [np.arange(9)])
+
+
 class TestBlockwiseLogm:
-    """logm_unitary Schur-factors each block of the exact-zero pattern."""
+    """logm_unitary and eigh_direct_sum work on the blocks of the exact-zero
+    pattern, with equal-size blocks stacked into one Cayley-transform solve
+    and one eigh."""
 
     @staticmethod
     def permuted_direct_sum(blocks, rng):
@@ -177,18 +234,51 @@ class TestBlockwiseLogm:
         g = 0.5 * (a - a.conj().T)
         return scipy.linalg.expm(g * (scale / np.linalg.norm(g, 2)))
 
+    @staticmethod
+    def unitary_with_angles(rng, angles):
+        n = len(angles)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return (q * np.exp(1j * np.asarray(angles))) @ q.conj().T
+
+    @staticmethod
+    def schur_log(U):
+        T, Z = scipy.linalg.schur(U, output="complex")
+        whole = (Z * np.log(np.diag(T))) @ Z.conj().T
+        return 0.5 * (whole - whole.conj().T)
+
     def test_direct_sum_matches_whole_matrix_schur(self, m6_basis):
         rng = np.random.default_rng(31)
         blocks = [self.random_unitary(rng, n) for n in (9, 6, 4, 1)]
         U, perm = self.permuted_direct_sum(blocks, rng)
         found = sorted(sorted(perm[b].tolist()) for b in dl.direct_sum_blocks(U))
         assert [len(b) for b in sorted(found, key=len)] == [1, 4, 6, 9]
-        T, Z = scipy.linalg.schur(U, output="complex")
-        whole = (Z * np.log(np.diag(T))) @ Z.conj().T
-        whole = 0.5 * (whole - whole.conj().T)
         L = dl.logm_unitary(dl.QOperator(U, m6_basis))
-        assert np.abs(L.matrix - whole).max() < 1e-13
+        assert np.abs(L.matrix - self.schur_log(U)).max() < 1e-13
         assert np.abs(scipy.linalg.expm(L.matrix) - U).max() < 1e-12
+
+    def test_stacked_equal_size_blocks_match_schur(self, m6_basis):
+        rng = np.random.default_rng(33)
+        blocks = [self.random_unitary(rng, n) for n in (4, 4, 4, 2, 2, 2, 1, 1)]
+        U, _ = self.permuted_direct_sum(blocks, rng)
+        L = dl.logm_unitary(dl.QOperator(U, m6_basis))
+        assert np.abs(L.matrix - self.schur_log(U)).max() < 1e-13
+
+    def test_degenerate_eigenangles(self, m6_basis):
+        rng = np.random.default_rng(34)
+        angles = [0.7, 0.7, 0.7, -1.2, -1.2, 2.0, 0.0, 0.0, 0.0, 0.0]
+        blocks = [self.unitary_with_angles(rng, angles) for _ in range(2)]
+        U, _ = self.permuted_direct_sum(blocks, rng)
+        L = dl.logm_unitary(dl.QOperator(U, m6_basis))
+        assert np.abs(L.matrix - self.schur_log(U)).max() < 1e-13
+
+    def test_eigenangle_near_the_cut(self, m6_basis):
+        rng = np.random.default_rng(35)
+        theta = 2 * np.arccos(0.5e-3)   # |1 + e^{i theta}| = 1e-3
+        blocks = [self.unitary_with_angles(rng, [theta, 0.4, -2.0, 1.1, -0.3])
+                  for _ in range(4)]
+        U, _ = self.permuted_direct_sum(blocks, rng)
+        L = dl.logm_unitary(dl.QOperator(U, m6_basis))
+        assert np.abs(L.matrix - self.schur_log(U)).max() < 1e-12
 
     def test_branch_cut_in_one_small_block(self, m6_basis):
         rng = np.random.default_rng(32)
@@ -196,6 +286,36 @@ class TestBlockwiseLogm:
         U, _ = self.permuted_direct_sum([self.random_unitary(rng, 18), flip], rng)
         with pytest.raises(BranchCutError):
             dl.logm_unitary(dl.QOperator(U, m6_basis))
+
+    def test_branch_cut_in_one_block_of_a_stack(self, m6_basis):
+        rng = np.random.default_rng(36)
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        blocks = [self.random_unitary(rng, 2) for _ in range(9)]
+        blocks.insert(4, flip)
+        U, _ = self.permuted_direct_sum(blocks, rng)
+        with pytest.raises(BranchCutError):
+            dl.logm_unitary(dl.QOperator(U, m6_basis))
+
+    def test_branch_cut_within_tolerance(self, m6_basis):
+        rng = np.random.default_rng(37)
+        theta = 2 * np.arccos(0.5e-11)   # |1 + e^{i theta}| = 1e-11
+        blocks = [self.unitary_with_angles(rng, [theta, 0.3, -0.8]),
+                  self.unitary_with_angles(rng, [0.5, 1.0, -2.0])]
+        U, _ = self.permuted_direct_sum(blocks + [np.eye(14)], rng)
+        with pytest.raises(BranchCutError):
+            dl.logm_unitary(dl.QOperator(U, m6_basis))
+
+    def test_eigh_direct_sum_with_repeated_block_sizes(self):
+        rng = np.random.default_rng(38)
+        blocks = []
+        for n in (5, 3, 3, 5, 3, 1, 1):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            blocks.append(a + a.conj().T)
+        A, _ = self.permuted_direct_sum(blocks, rng)
+        w, V = eigh_direct_sum(A)
+        assert np.abs(A @ V - V * w).max() < 1e-12
+        assert np.abs(V.conj().T @ V - np.eye(len(A))).max() < 1e-13
+        assert np.allclose(np.sort(w), np.linalg.eigvalsh(A), atol=1e-12)
 
 
 class TestCommutator:
