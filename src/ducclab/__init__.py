@@ -23,8 +23,9 @@ from .dynamics import (Trajectory, build_heff_td, decompose_trajectory,
                        evaluate_sescc_lagrangian, grid_provider, heff_grid,
                        propagate_full, propagate_internal, sigma_dot_grid,
                        trajectory_to_csv)
-from .ecc import (EccConfiguration, action_deviation, eval_ecc_action_integrand,
-                  eval_ldt_forms, eval_lh_forms, x_int_ext_bch)
+from .ecc import (EccConfiguration, EccMatrices, action_deviation,
+                  eval_ecc_action_integrand, eval_ldt_forms, eval_lh_forms,
+                  x_int_ext_bch)
 from .errors import (BranchCutError, CasSupportError, ConfigError,
                      ConvergenceError, DuccLabError, IntermediateNormalizationError,
                      InvalidDimensionError, NormDriftError, OperatorPropertyError,

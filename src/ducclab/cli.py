@@ -36,7 +36,7 @@ from .downfold import (cas_indices, downfold_ducc, downfold_sescc,
 from .dynamics import (Trajectory, decompose_trajectory, evaluate_lagrangians,
                        evaluate_sescc_lagrangian, grid_provider, heff_grid,
                        propagate_full, propagate_internal, trajectory_to_csv)
-from .ecc import (EccConfiguration, action_deviation, eval_ldt_forms,
+from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
                   eval_lh_forms, x_int_ext_bch)
 from .errors import ConfigError, DuccLabError
 from .fock import (DetClass, SpinOrbitalPartition, build_basis, classify_sector,
@@ -476,10 +476,11 @@ def task_ecc(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
             dt_int=random_amplitudes(ctx.ref, rng, part, "internal", scale),
             dt_ext=random_amplitudes(ctx.ref, rng, part, "external", scale),
         )
-        v1, v2, v4 = eval_ldt_forms(cfg, ctx.ref, ctx.basis)
-        w1, w2 = eval_lh_forms(cfg, ctx.H, ctx.ref)
+        m = EccMatrices.build(cfg, ctx.basis)
+        v1, v2, v4 = eval_ldt_forms(m, ctx.ref)
+        w1, w2 = eval_lh_forms(m, ctx.H, ctx.ref)
         _, act_dev = action_deviation(v1, v4, w1, w2)
-        direct, series, _ = x_int_ext_bch(cfg, ctx.basis)
+        direct, series, _ = x_int_ext_bch(m)
         max_v = max(max_v, abs(v1 - v2))
         max_w = max(max_w, abs(w1 - w2))
         max_act = max(max_act, act_dev)

@@ -4,7 +4,9 @@ splitting, lowest-order anti-Hermitian generators, active-space projectors.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,21 +66,28 @@ def deexcitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
     return excitation_matrix(amps, basis).T
 
 
-def exp_nilpotent(T: np.ndarray, V: np.ndarray, basis: FockBasis) -> np.ndarray:
+def exp_nilpotent(T: np.ndarray | Callable[[np.ndarray], np.ndarray], V: np.ndarray,
+                  basis: FockBasis, rtol: float = 0.0) -> np.ndarray:
     """e^T V as the terminating series sum_n T^n V / n!.
 
-    ``T`` must move every determinant up (excitation) or down (de-excitation)
-    the excitation-rank ladder of height min(N, M-N), so T^n V is exactly zero
-    from n = ladder + 1 on: products of structural zeros stay exact zeros.
-    Raises ArithmeticError if the series has not ended by then, e.g. for an
-    amplitude set holding the rank-0 (identity) signature.
+    ``T`` is a matrix or the linear map ``W -> T W``.  It must move every
+    determinant up (excitation) or down (de-excitation) the excitation-rank
+    ladder of height min(N, M-N), so T^n V is exactly zero from
+    n = ladder + 1 on: products of structural zeros stay exact zeros.
+    With ``rtol > 0``, ``T`` need only be nilpotent up to round-off, as a
+    similarity transform ``e^A X e^-A`` of a nilpotent ``X`` is; the series
+    then ends at the first term whose norm is at most ``rtol`` times that of
+    the partial sum.  Raises ArithmeticError if the series has not ended by
+    n = ladder + 1, e.g. for an amplitude set holding the rank-0 (identity)
+    signature.
     """
+    apply = T if callable(T) else T.__matmul__
     ladder = min(basis.N, basis.M - basis.N)
     out = np.array(V, dtype=complex)
     term = out
     for n in range(1, ladder + 2):
-        term = (T @ term) / n
-        if not term.any():
+        term = apply(term) / n
+        if np.linalg.norm(term) <= rtol * np.linalg.norm(out):
             return out
         out = out + term
     raise ArithmeticError(f"series of a non-nilpotent matrix did not end by n={ladder + 1}")
@@ -159,6 +168,19 @@ def build_projectors(ref: Determinant, basis: FockBasis,
                       Q_ext=proj(DetClass.EXTERNAL))
 
 
+@lru_cache(maxsize=64)
+def _amplitude_signatures(ref: Determinant, part: SpinOrbitalPartition | None,
+                          kind: str, max_rank: int | None
+                          ) -> tuple[ExcitationSignature, ...]:
+    """The signatures of :func:`enumerate_signatures` that ``kind`` keeps,
+    in its order."""
+    sigs = enumerate_signatures(ref, max_rank=max_rank)
+    if kind == "any":
+        return tuple(sigs)
+    internal = kind == "internal"
+    return tuple(sig for sig in sigs if part.is_internal_signature(sig) == internal)
+
+
 def random_amplitudes(ref: Determinant, rng: np.random.Generator,
                       part: SpinOrbitalPartition | None = None,
                       kind: str = "any", scale: float = 0.1,
@@ -167,18 +189,13 @@ def random_amplitudes(ref: Determinant, rng: np.random.Generator,
     """Random amplitude set for property tests and verification batteries.
 
     kind: 'any', 'internal' or 'external' (the latter two need ``part``).
-    Magnitudes are uniform in [-scale, scale] per quadrature component.
+    Magnitudes are uniform in [-scale, scale] per quadrature component,
+    drawn signature by signature (real part, then imaginary part) in
+    :func:`enumerate_signatures` order.
     """
     if kind not in ("any", "internal", "external"):
         raise ValueError(f"unknown amplitude kind {kind!r}")
-    entries = {}
-    for sig in enumerate_signatures(ref, max_rank=max_rank):
-        if kind != "any":
-            internal = part.is_internal_signature(sig)
-            if (kind == "internal") != internal:
-                continue
-        val = rng.uniform(-scale, scale)
-        if not real:
-            val = val + 1j * rng.uniform(-scale, scale)
-        entries[sig] = complex(val)
-    return Amplitudes(entries)
+    sigs = _amplitude_signatures(ref, part, kind, max_rank)
+    draws = rng.uniform(-scale, scale, size=(len(sigs), 1 if real else 2))
+    vals = draws[:, 0] if real else draws[:, 0] + 1j * draws[:, 1]
+    return Amplitudes(dict(zip(sigs, map(complex, vals))))

@@ -1,13 +1,23 @@
-"""Matrix-level checks of the extended-coupled-cluster functional identities.
+"""Checks of the extended-coupled-cluster functional identities.
 
 The bra is parametrized as <ref| e^{X} e^{-T} with X a de-excitation and T
 an excitation operator, both split into internal and external parts.  The
 time-derivative and energy pieces of the action integrand each admit two or
 three algebraically equivalent forms; evaluating them along independent
-matrix routes verifies the operator identities numerically.  Connected-part
+routes verifies the operator identities numerically.  Connected-part
 restrictions are never taken in isolation: the similarity-transformed
-operators are evaluated as full products, which agree inside the bracketed
+operators are applied as full products, which agree inside the bracketed
 expectation values.
+
+Every bracket <ref| ... |ref> is a chain of matrix-vector products, and no
+``dim x dim`` exponential is formed.  A ket factor e^{A} is applied by the
+terminating series of :func:`exp_nilpotent`; a bra factor <ref| e^{A} is
+the transpose of e^{A^T} |ref>, and A^T is again a nilpotent excitation
+matrix.  The routes stay independent: w2 applies e^{+-X^int_ext}, with
+X^int_ext = e^{T_int} X_ext e^{-T_int}, by its own series in X^int_ext,
+never as e^{T_int} e^{+-X_ext} e^{-T_int}, which is the identity that
+w1 = w2 tests.  :func:`x_int_ext_bch` compares matrices, so it alone stays
+matrix-level.
 """
 
 from __future__ import annotations
@@ -16,11 +26,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
 from .fock import Determinant, FockBasis
 from .operators import QOperator
+
+#: relative size of the first dropped term of the e^{+-X^int_ext} series,
+#: which is nilpotent only up to round-off
+X_INT_EXT_RTOL = 1e-14
 
 
 @dataclass
@@ -36,79 +49,90 @@ class EccConfiguration:
     dt_ext: Amplitudes
 
 
-def _matrices(cfg: EccConfiguration, basis: FockBasis):
-    return {
-        "Ti": excitation_matrix(cfg.t_int, basis),
-        "Te": excitation_matrix(cfg.t_ext, basis),
-        "Xi": deexcitation_matrix(cfg.x_int, basis),
-        "Xe": deexcitation_matrix(cfg.x_ext, basis),
-        "dTi": excitation_matrix(cfg.dt_int, basis),
-        "dTe": excitation_matrix(cfg.dt_ext, basis),
-    }
+@dataclass(frozen=True, eq=False)
+class EccMatrices:
+    """The six amplitude matrices of one configuration over ``basis``,
+    built once and shared by the bracket routes and the series check."""
+
+    Ti: np.ndarray
+    Te: np.ndarray
+    Xi: np.ndarray
+    Xe: np.ndarray
+    dTi: np.ndarray
+    dTe: np.ndarray
+    basis: FockBasis
+
+    @classmethod
+    def build(cls, cfg: EccConfiguration, basis: FockBasis) -> "EccMatrices":
+        return cls(Ti=excitation_matrix(cfg.t_int, basis),
+                   Te=excitation_matrix(cfg.t_ext, basis),
+                   Xi=deexcitation_matrix(cfg.x_int, basis),
+                   Xe=deexcitation_matrix(cfg.x_ext, basis),
+                   dTi=excitation_matrix(cfg.dt_int, basis),
+                   dTe=excitation_matrix(cfg.dt_ext, basis),
+                   basis=basis)
+
+    def exp(self, A: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """e^{A} v for a nilpotent amplitude matrix ``A``."""
+        return exp_nilpotent(A, v, self.basis)
+
+    def exp_x_int_ext(self, sign: int, v: np.ndarray) -> np.ndarray:
+        """e^{sign X^int_ext} v by the series in X^int_ext, one application
+        being e^{T_int} (X_ext (e^{-T_int} w))."""
+        x = lambda w: sign * self.exp(self.Ti, self.Xe @ self.exp(-self.Ti, w))
+        return exp_nilpotent(x, v, self.basis, rtol=X_INT_EXT_RTOL)
 
 
-def _exponentials(m: dict, basis: FockBasis):
-    """e^{X_int}, e^{X_ext}, e^{T_int}, e^{T_ext}, e^{-T_int}, e^{-T_ext} as
-    terminating series: every one of these matrices is nilpotent."""
-    eye = np.eye(basis.size)
-    return tuple(exp_nilpotent(a, eye, basis)
-                 for a in (m["Xi"], m["Xe"], m["Ti"], m["Te"], -m["Ti"], -m["Te"]))
-
-
-def eval_ldt_forms(cfg: EccConfiguration, ref: Determinant,
-                   basis: FockBasis) -> tuple[complex, complex, complex]:
+def eval_ldt_forms(m: EccMatrices, ref: Determinant) -> tuple[complex, complex, complex]:
     """Time-derivative Lagrangian piece along three routes.
 
     v1: single product, the derivative expanded exactly through the
         commutativity of excitation operators.
     v2: split into an external-velocity term and an internal-derivative term.
     v4: the B-operator route, B = e^{T_int} (e^{X_ext} dT_ext) e^{-T_int}
-        evaluated with the full (unrestricted) product.
+        applied factor by factor as the full (unrestricted) product.
     v1 == v2 is an identity; |v4 - v1| is reported by callers as the
     connectedness deviation.
     """
-    m = _matrices(cfg, basis)
-    phi = basis.unit_vector(basis.index_of(ref))
-    eXi, eXe, eTi, eTe, eTim, eTem = _exponentials(m, basis)
+    phi = m.basis.unit_vector(ref)
+    u = m.exp(m.Ti, phi)                         # e^{T_int} |ref>
+    ket = m.exp(m.Te, u)
+    bra_xi = m.exp(m.Xi.T, phi)                  # <ref| e^{X_int}
+    bra_xixe = m.exp(m.Xe.T, bra_xi)             # <ref| e^{X_int} e^{X_ext}
+    bra_xitim = m.exp(-m.Ti.T, bra_xi)           # <ref| e^{X_int} e^{-T_int}
+    bra_all = m.exp(-m.Te.T, m.exp(-m.Ti.T, bra_xixe))
 
-    ket = eTe @ (eTi @ phi)
-    v1 = 1j * (phi.conj() @ (eXi @ (eXe @ (eTim @ (eTem @ ((m["dTe"] + m["dTi"]) @ ket))))))
-
-    v2 = (1j * (phi.conj() @ (eXi @ (eXe @ (m["dTe"] @ phi))))
-          + 1j * (phi.conj() @ (eXi @ (eTim @ (m["dTi"] @ (eTi @ phi))))))
-
-    b_full = eTi @ (eXe @ m["dTe"]) @ eTim
-    v4 = (1j * (phi.conj() @ (eXi @ (eTim @ (b_full @ (eTi @ phi)))))
-          + 1j * (phi.conj() @ (eXi @ (eTim @ (m["dTi"] @ (eTi @ phi))))))
+    v1 = 1j * (bra_all @ (m.dTe @ ket + m.dTi @ ket))
+    internal = 1j * (bra_xitim @ (m.dTi @ u))
+    v2 = 1j * (bra_xixe @ (m.dTe @ phi)) + internal
+    b_full_u = m.exp(m.Ti, m.exp(m.Xe, m.dTe @ m.exp(-m.Ti, u)))
+    v4 = 1j * (bra_xitim @ b_full_u) + internal
     return complex(v1), complex(v2), complex(v4)
 
 
-def eval_lh_forms(cfg: EccConfiguration, H: QOperator,
+def eval_lh_forms(m: EccMatrices, H: QOperator,
                   ref: Determinant) -> tuple[complex, complex]:
     """Energy Lagrangian piece along two routes.
 
     w1: direct product of all six exponentials around H.
     w2: via the doubly transformed Hamiltonian
         e^{X^int_ext} e^{-T_ext} H e^{T_ext} e^{-X^int_ext}
-        with X^int_ext = e^{T_int} X_ext e^{-T_int}.
+        with X^int_ext = e^{T_int} X_ext e^{-T_int}, applied factor by factor.
     Equal by similarity-transform algebra.
     """
-    basis = H.basis
-    m = _matrices(cfg, basis)
-    phi = basis.unit_vector(basis.index_of(ref))
-    eXi, eXe, eTi, eTe, eTim, eTem = _exponentials(m, basis)
+    phi = m.basis.unit_vector(ref)
+    u = m.exp(m.Ti, phi)
+    bra_xi = m.exp(m.Xi.T, phi)
+    bra_all = m.exp(-m.Te.T, m.exp(-m.Ti.T, m.exp(m.Xe.T, bra_xi)))
+    w1 = bra_all @ (H.matrix @ m.exp(m.Te, u))
 
-    w1 = phi.conj() @ (eXi @ (eXe @ (eTim @ (eTem @ (H.matrix @ (eTe @ (eTi @ phi)))))))
-
-    x_int_ext = eTi @ m["Xe"] @ eTim
-    eX = scipy.linalg.expm(x_int_ext)
-    eXm = scipy.linalg.expm(-x_int_ext)
-    h_ecc = eX @ (eTem @ H.matrix @ eTe) @ eXm
-    w2 = phi.conj() @ (eXi @ (eTim @ (h_ecc @ (eTi @ phi))))
+    h_ecc_u = m.exp_x_int_ext(+1, m.exp(-m.Te, H.matrix @ m.exp(
+        m.Te, m.exp_x_int_ext(-1, u))))
+    w2 = m.exp(-m.Ti.T, bra_xi) @ h_ecc_u
     return complex(w1), complex(w2)
 
 
-def x_int_ext_bch(cfg: EccConfiguration, basis: FockBasis,
+def x_int_ext_bch(m: EccMatrices,
                   max_terms: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Similarity-transformed external de-excitation two ways.
 
@@ -118,9 +142,8 @@ def x_int_ext_bch(cfg: EccConfiguration, basis: FockBasis,
     excitation-rank ladder except for the single de-excitation drop, and the
     ladder height R = min(N, M-N) caps the commutator depth at 3R.
     """
-    Ti = excitation_matrix(cfg.t_int, basis)
-    Xe = deexcitation_matrix(cfg.x_ext, basis)
-    direct = scipy.linalg.expm(Ti) @ Xe @ scipy.linalg.expm(-Ti)
+    Ti, Xe, basis = m.Ti, m.Xe, m.basis
+    direct = exp_nilpotent(Ti, Xe, basis) @ exp_nilpotent(-Ti, np.eye(basis.size), basis)
     ladder = min(basis.N, basis.M - basis.N)
     cap = max_terms if max_terms is not None else 3 * ladder + 2
     # cancellation roundoff keeps dead terms from being exact zeros
@@ -152,6 +175,7 @@ def eval_ecc_action_integrand(cfg: EccConfiguration, H: QOperator,
                               ref: Determinant) -> tuple[complex, float]:
     """:func:`action_deviation` of the forms of :func:`eval_ldt_forms` and
     :func:`eval_lh_forms`."""
-    v1, _, v4 = eval_ldt_forms(cfg, ref, H.basis)
-    w1, w2 = eval_lh_forms(cfg, H, ref)
+    m = EccMatrices.build(cfg, H.basis)
+    v1, _, v4 = eval_ldt_forms(m, ref)
+    w1, w2 = eval_lh_forms(m, H, ref)
     return action_deviation(v1, v4, w1, w2)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -320,6 +321,7 @@ def classify_determinant(det: Determinant, ref: Determinant,
     return DetClass.EXTERNAL
 
 
+@lru_cache(maxsize=4096)
 def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All determinant pairs coupled by E_sig, for the whole basis at once:
@@ -327,6 +329,9 @@ def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
 
     Vectorised :func:`apply_excitation`: the operators act in the same
     order, each contributing the parity of the occupied orbitals below it.
+    Memoised per ``(sig, basis)``, the basis keyed by identity; every caller
+    shares one result, so its arrays are read-only.  4096 entries hold every
+    signature of the sectors up to M=14 (3431 at M=14, N=7).
     """
     occ, virt = _mask(sig.occ), _mask(sig.virt)
     masks = basis.mask_array
@@ -340,7 +345,10 @@ def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
         parity += np.bitwise_count(m & ((1 << p) - 1))
         m = m | (1 << p)
     highs = np.searchsorted(masks, m)
-    return lows, highs, 1.0 - 2.0 * (parity & 1)
+    table = (lows, highs, 1.0 - 2.0 * (parity & 1))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def classify_sector(basis: FockBasis, ref: Determinant,

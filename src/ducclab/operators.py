@@ -15,6 +15,7 @@ form is needed anywhere.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import combinations
 
@@ -349,13 +350,23 @@ def eigh_direct_sum(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def _stacked_unitarity_defect(stacks) -> float:
+    """:meth:`QOperator.unitarity_defect` of a direct sum, from its
+    ``(count, k, k)`` block stacks: ``U U^+ - I`` is exactly zero between
+    blocks, so its Frobenius norm is that of the block defects."""
+    return math.sqrt(sum(
+        np.linalg.norm(B @ B.conj().swapaxes(1, 2) - np.eye(B.shape[1])) ** 2
+        for B in stacks))
+
+
 def logm_unitary(U: QOperator, unitary_tol: float = 1e-10,
                  branch_tol: float = 1e-10) -> QOperator:
     """Principal logarithm of a unitary operator, returned anti-Hermitian.
 
     The log of a direct sum is the direct sum of the logs, so the work runs
     over the blocks of :func:`direct_sum_blocks`, with the blocks of one
-    size stacked.  The Cayley transform ``C = i (I+U)^-1 (I-U)`` of a block
+    size stacked; the unitarity check reads the same stacks, before any
+    solve.  The Cayley transform ``C = i (I+U)^-1 (I-U)`` of a block
     is Hermitian, and it maps an eigenvalue ``lam = e^{i theta}`` of ``U``
     to the eigenvalue ``t = tan(theta/2)``.  One stacked solve and one
     stacked ``eigh`` of the Hermitian part of ``C`` thus give an eigenbasis
@@ -377,12 +388,12 @@ def logm_unitary(U: QOperator, unitary_tol: float = 1e-10,
     A = U.matrix
     if not np.all(np.isfinite(A)):
         raise OperatorPropertyError("logm input has non-finite entries")
-    defect = U.unitarity_defect()
+    stacks = [(idx, stack, A[stack]) for idx, stack in _size_stacks(direct_sum_blocks(A))]
+    defect = _stacked_unitarity_defect([B for _, _, B in stacks])
     if defect > unitary_tol:
         raise OperatorPropertyError(f"logm input not unitary (defect {defect:.3e})")
     L = np.zeros_like(A)
-    for idx, stack in _size_stacks(direct_sum_blocks(A)):
-        B = A[stack]
+    for idx, stack, B in stacks:
         eye = np.eye(idx.shape[1])
         try:
             S = np.linalg.solve(eye + B, eye - B)   # C = i S

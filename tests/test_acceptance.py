@@ -229,9 +229,10 @@ def test_criterion_8_ecc_identities(m6_basis, m6_ref, m6_part):
         cfg = dl.EccConfiguration(mk("internal"), mk("external"),
                                   mk("internal"), mk("external"),
                                   mk("internal"), mk("external"))
-        v1, v2, _ = dl.eval_ldt_forms(cfg, m6_ref, m6_basis)
-        w1, w2 = dl.eval_lh_forms(cfg, H, m6_ref)
-        direct, series, _ = dl.x_int_ext_bch(cfg, m6_basis)
+        m = dl.EccMatrices.build(cfg, m6_basis)
+        v1, v2, _ = dl.eval_ldt_forms(m, m6_ref)
+        w1, w2 = dl.eval_lh_forms(m, H, m6_ref)
+        direct, series, _ = dl.x_int_ext_bch(m)
         worst_v = max(worst_v, abs(v1 - v2))
         worst_w = max(worst_w, abs(w1 - w2))
         worst_bch = max(worst_bch, float(np.abs(direct - series).max()))

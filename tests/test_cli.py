@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import ducclab
-from ducclab import cli
+from ducclab import cli, ecc
 from ducclab.cli import main
 from ducclab.errors import CasSupportError
 
@@ -309,3 +309,16 @@ class TestGroundStagesOncePerRun:
         assert main(["run", str(path)]) == 1
         assert [t["status"] for t in read_report(tmp_path)["tasks"]] == ["failed", "failed"]
         assert calls == {"decompose_state": 2}   # a stage that raised is not cached
+
+
+class TestEccVectorChains:
+    def test_work_budget(self, tmp_path, monkeypatch):
+        # one set of six amplitude matrices per configuration, no dense exponential
+        calls = {"expm": 0}
+        for name in ("excitation_matrix", "deexcitation_matrix"):
+            count_calls(monkeypatch, ecc, name, calls)
+        count_calls(monkeypatch, scipy.linalg, "expm", calls)
+        path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3}])
+        assert main(["run", str(path)]) == 0
+        assert calls == {"excitation_matrix": 12, "deexcitation_matrix": 6, "expm": 0}
+        assert read_report(tmp_path)["tasks"][0]["results"]["max_lh_deviation"] < 1e-12

@@ -184,3 +184,36 @@ class TestProjectors:
         assert (np.trace(projs.Q_int.matrix) + np.trace(projs.Q_ext.matrix)).real \
             == m8_basis.size - 1
         assert np.abs(projs.P.matrix @ projs.Q_int.matrix).max() == 0.0
+
+
+def _random_amplitudes_by_enumeration(ref, rng, part=None, kind="any", scale=0.1,
+                                      max_rank=None, real=False):
+    """Signature-by-signature draw over a fresh enumeration, the reference
+    for the memoised table of :func:`dl.random_amplitudes`."""
+    entries = {}
+    for sig in dl.enumerate_signatures(ref, max_rank=max_rank):
+        if kind != "any" and (kind == "internal") != part.is_internal_signature(sig):
+            continue
+        val = rng.uniform(-scale, scale)
+        if not real:
+            val = val + 1j * rng.uniform(-scale, scale)
+        entries[sig] = complex(val)
+    return dl.Amplitudes(entries)
+
+
+@pytest.mark.parametrize("M,N,window", [(6, 3, (1, 2)), (8, 4, (2, 2)), (10, 4, (2, 2))])
+def test_random_amplitudes_bit_identical_to_enumeration(M, N, window):
+    part = dl.homo_lumo_partition(M, N, *window)
+    ref = part.reference()
+    new, old = np.random.default_rng(M), np.random.default_rng(M)
+    for kind in ("any", "internal", "external"):
+        for real in (False, True):
+            for max_rank in (None, 1, 2):
+                for _ in range(2):   # the second call reads the memoised table
+                    a = dl.random_amplitudes(ref, new, part, kind, 0.3, max_rank, real)
+                    b = _random_amplitudes_by_enumeration(ref, old, part, kind, 0.3,
+                                                          max_rank, real)
+                    assert list(a.entries) == list(b.entries)
+                    assert [(t.real.hex(), t.imag.hex()) for t in a.entries.values()] \
+                        == [(t.real.hex(), t.imag.hex()) for t in b.entries.values()]
+    assert new.uniform() == old.uniform()   # both streams consumed alike

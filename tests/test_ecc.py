@@ -16,6 +16,84 @@ def zero_amps():
     return dl.Amplitudes({})
 
 
+def dense_ldt_forms(cfg, ref, basis):
+    """v1, v2, v4 from dense dim x dim exponentials: the reference for the
+    matrix-vector chains of :func:`dl.eval_ldt_forms`."""
+    m = dl.EccMatrices.build(cfg, basis)
+    phi = basis.unit_vector(basis.index_of(ref))
+    eXi, eXe, eTi, eTe, eTim, eTem = dense_exponentials(m)
+    ket = eTe @ (eTi @ phi)
+    v1 = 1j * (phi.conj() @ (eXi @ (eXe @ (eTim @ (eTem @ ((m.dTe + m.dTi) @ ket))))))
+    v2 = (1j * (phi.conj() @ (eXi @ (eXe @ (m.dTe @ phi))))
+          + 1j * (phi.conj() @ (eXi @ (eTim @ (m.dTi @ (eTi @ phi))))))
+    b_full = eTi @ (eXe @ m.dTe) @ eTim
+    v4 = (1j * (phi.conj() @ (eXi @ (eTim @ (b_full @ (eTi @ phi)))))
+          + 1j * (phi.conj() @ (eXi @ (eTim @ (m.dTi @ (eTi @ phi))))))
+    return complex(v1), complex(v2), complex(v4)
+
+
+def dense_lh_forms(cfg, H, ref):
+    """w1, w2 from dense exponentials, e^{+-X^int_ext} by scipy.linalg.expm:
+    the reference for the chains of :func:`dl.eval_lh_forms`."""
+    basis = H.basis
+    m = dl.EccMatrices.build(cfg, basis)
+    phi = basis.unit_vector(basis.index_of(ref))
+    eXi, eXe, eTi, eTe, eTim, eTem = dense_exponentials(m)
+    w1 = phi.conj() @ (eXi @ (eXe @ (eTim @ (eTem @ (H.matrix @ (eTe @ (eTi @ phi)))))))
+    x_int_ext = eTi @ m.Xe @ eTim
+    h_ecc = (scipy.linalg.expm(x_int_ext) @ (eTem @ H.matrix @ eTe)
+             @ scipy.linalg.expm(-x_int_ext))
+    w2 = phi.conj() @ (eXi @ (eTim @ (h_ecc @ (eTi @ phi))))
+    return complex(w1), complex(w2)
+
+
+def dense_exponentials(m):
+    eye = np.eye(m.basis.size)
+    return tuple(dl.exp_nilpotent(a, eye, m.basis)
+                 for a in (m.Xi, m.Xe, m.Ti, m.Te, -m.Ti, -m.Te))
+
+
+@pytest.mark.parametrize("fixture", ["m6", "m8"])
+@pytest.mark.parametrize("scale", [0.1, 0.5])
+class TestChainsMatchDenseProducts:
+    @staticmethod
+    def system(request, fixture):
+        return tuple(request.getfixturevalue(f"{fixture}_{name}")
+                     for name in ("basis", "ref", "part"))
+
+    def test_ldt_and_lh_forms(self, request, fixture, scale):
+        basis, ref, part = self.system(request, fixture)
+        rng = np.random.default_rng(40)
+        for _ in range(3):
+            H = dl.random_hermitian_hamiltonian(basis, rng)
+            cfg = random_cfg(ref, part, rng, scale)
+            m = dl.EccMatrices.build(cfg, basis)
+            got = dl.eval_ldt_forms(m, ref) + dl.eval_lh_forms(m, H, ref)
+            want = dense_ldt_forms(cfg, ref, basis) + dense_lh_forms(cfg, H, ref)
+            assert np.abs(np.subtract(got, want)).max() < 1e-12
+
+    def test_x_int_ext_series_matches_expm(self, request, fixture, scale):
+        basis, ref, part = self.system(request, fixture)
+        rng = np.random.default_rng(41)
+        m = dl.EccMatrices.build(random_cfg(ref, part, rng, scale), basis)
+        eye = np.eye(basis.size)
+        x = dl.exp_nilpotent(m.Ti, m.Xe, basis) @ dl.exp_nilpotent(-m.Ti, eye, basis)
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        for sign in (1, -1):
+            want = scipy.linalg.expm(sign * x) @ v
+            got = m.exp_x_int_ext(sign, v)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_series_of_non_nilpotent_map_raises(m6_basis, m6_ref, m6_part):
+    m = dl.EccMatrices.build(random_cfg(m6_ref, m6_part, np.random.default_rng(42)),
+                             m6_basis)
+    shifted = lambda w: m.Xe @ w + 0.3 * w   # X_ext + 0.3 I is not nilpotent
+    v = m6_basis.unit_vector(m6_ref)
+    with pytest.raises(ArithmeticError):
+        dl.exp_nilpotent(shifted, v, m6_basis, rtol=dl.ecc.X_INT_EXT_RTOL)
+
+
 class TestLdtForms:
     def test_no_deexcitations(self, m6_basis, m6_ref, m6_part):
         # with X = 0 every route reduces to i<ref|e^{-T} dT e^{T}|ref>
@@ -23,7 +101,7 @@ class TestLdtForms:
         cfg = random_cfg(m6_ref, m6_part, rng)
         cfg.x_int = zero_amps()
         cfg.x_ext = zero_amps()
-        v1, v2, v4 = dl.eval_ldt_forms(cfg, m6_ref, m6_basis)
+        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(cfg, m6_basis), m6_ref)
         t_all = dl.excitation_matrix(cfg.t_int, m6_basis) \
             + dl.excitation_matrix(cfg.t_ext, m6_basis)
         dt_all = dl.excitation_matrix(cfg.dt_int, m6_basis) \
@@ -39,14 +117,14 @@ class TestLdtForms:
         cfg = random_cfg(m6_ref, m6_part, rng)
         cfg.dt_int = zero_amps()
         cfg.dt_ext = zero_amps()
-        v1, v2, v4 = dl.eval_ldt_forms(cfg, m6_ref, m6_basis)
+        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(cfg, m6_basis), m6_ref)
         assert abs(v1) < 1e-14 and abs(v2) < 1e-14 and abs(v4) < 1e-14
 
     @pytest.mark.parametrize("seed", range(5))
     def test_forms_agree(self, m6_basis, m6_ref, m6_part, seed):
         rng = np.random.default_rng(seed)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        v1, v2, v4 = dl.eval_ldt_forms(cfg, m6_ref, m6_basis)
+        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(cfg, m6_basis), m6_ref)
         assert abs(v1 - v2) < 1e-10
         assert abs(v4 - v1) < 1e-10  # full-product B carries no deviation
 
@@ -57,7 +135,7 @@ class TestLhForms:
         H = dl.random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
         cfg.x_ext = zero_amps()
-        w1, w2 = dl.eval_lh_forms(cfg, H, m6_ref)
+        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
         assert abs(w1 - w2) < 1e-12
 
     def test_no_internal_excitation(self, m6_basis, m6_ref, m6_part):
@@ -65,7 +143,7 @@ class TestLhForms:
         H = dl.random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
         cfg.t_int = zero_amps()  # X^int_ext collapses onto X_ext
-        w1, w2 = dl.eval_lh_forms(cfg, H, m6_ref)
+        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
         assert abs(w1 - w2) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
@@ -73,7 +151,7 @@ class TestLhForms:
         rng = np.random.default_rng(seed + 10)
         H = dl.random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        w1, w2 = dl.eval_lh_forms(cfg, H, m6_ref)
+        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
         assert abs(w1 - w2) < 1e-10
 
 
@@ -94,7 +172,7 @@ class TestActionIntegrand:
         cfg.dt_int = zero_amps()
         cfg.dt_ext = zero_amps()
         value, _ = dl.eval_ecc_action_integrand(cfg, H, m6_ref)
-        _, w2 = dl.eval_lh_forms(cfg, H, m6_ref)
+        _, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
         assert abs(value - (-w2)) < 1e-13
 
     @pytest.mark.parametrize("seed", range(5))
@@ -128,6 +206,6 @@ class TestOperatorAlgebra:
     def test_bch_series_terminates_and_matches(self, m6_basis, m6_ref, m6_part, seed):
         rng = np.random.default_rng(seed + 30)
         cfg = random_cfg(m6_ref, m6_part, rng, scale=0.5)
-        direct, series, n_terms = dl.x_int_ext_bch(cfg, m6_basis)
+        direct, series, n_terms = dl.x_int_ext_bch(dl.EccMatrices.build(cfg, m6_basis))
         assert np.abs(direct - series).max() < 1e-12
         assert n_terms <= 3 * min(m6_basis.N, m6_basis.M - m6_basis.N) + 2

@@ -236,3 +236,19 @@ class TestDeterminantTable:
             assert np.array_equal(build(amps, basis), expected)
         assert np.array_equal(dl.deexcitation_matrix(amps, basis),
                               dl.excitation_matrix(amps, basis).T)
+
+    def test_pair_table_memoised_and_read_only(self, m8_basis, m8_ref):
+        sigs = list(dl.enumerate_signatures(m8_ref, include_identity=True))
+        first = [dl.excitation_pairs(sig, m8_basis) for sig in sigs]
+        for sig, table in zip(sigs, first):
+            again = dl.excitation_pairs(dl.ExcitationSignature(sig.occ, sig.virt), m8_basis)
+            assert all(a is b for a, b in zip(again, table))
+            fresh = dl.excitation_pairs.__wrapped__(sig, m8_basis)
+            for cached, computed in zip(table, fresh):
+                assert np.array_equal(cached, computed) and cached.dtype == computed.dtype
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[...] = 0
+        # a new basis object is a new key: no table leaks across bases
+        other = dl.build_basis(8, 4)
+        assert dl.excitation_pairs(sigs[1], other)[0] is not first[1][0]

@@ -5,7 +5,7 @@ import scipy.linalg
 import ducclab as dl
 from ducclab.errors import (BranchCutError, InvalidDimensionError,
                             OperatorPropertyError, SectorMismatchError)
-from ducclab.operators import eigh_direct_sum
+from ducclab.operators import _size_stacks, _stacked_unitarity_defect, eigh_direct_sum
 
 
 def random_anti_hermitian(basis, rng, scale=0.5):
@@ -304,6 +304,27 @@ class TestBlockwiseLogm:
         U, _ = self.permuted_direct_sum(blocks + [np.eye(14)], rng)
         with pytest.raises(BranchCutError):
             dl.logm_unitary(dl.QOperator(U, m6_basis))
+
+    def test_blockwise_unitarity_defect_matches_dense(self, m6_basis):
+        rng = np.random.default_rng(39)
+        blocks = [self.random_unitary(rng, n) for n in (6, 4, 4, 3, 2, 1)]
+        blocks[2] = blocks[2] * 1.01   # a defect well above round-off
+        U, _ = self.permuted_direct_sum(blocks, rng)
+        stacks = [U[stack] for _, stack in _size_stacks(dl.direct_sum_blocks(U))]
+        dense = dl.QOperator(U, m6_basis).unitarity_defect()
+        assert dense > 1e-2
+        assert abs(_stacked_unitarity_defect(stacks) - dense) < 1e-14
+
+    def test_non_unitary_block_refused_before_any_solve(self, m6_basis, monkeypatch):
+        rng = np.random.default_rng(40)
+        blocks = [self.random_unitary(rng, n) for n in (5, 5, 3, 2, 2, 2, 1)]
+        blocks[4] = blocks[4] + 1e-8 * rng.normal(size=(2, 2))
+        U, _ = self.permuted_direct_sum(blocks, rng)
+        solves = []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a))
+        with pytest.raises(OperatorPropertyError, match="not unitary"):
+            dl.logm_unitary(dl.QOperator(U, m6_basis))
+        assert solves == []
 
     def test_eigh_direct_sum_with_repeated_block_sizes(self):
         rng = np.random.default_rng(38)
