@@ -11,37 +11,32 @@ real and imaginary time.
 
 __version__ = "0.1.0"
 
-from .cluster import (Amplitudes, Projectors, build_projectors, cluster_analyze,
-                      deexcitation_matrix, excitation_matrix, exp_nilpotent,
-                      random_amplitudes, sigma_lowest_order, split_amplitudes)
-from .downfold import (EffectiveHamiltonian, cas_ci, cas_eigensolve, cas_indices,
+from .cluster import (Amplitudes, cluster_analyze, deexcitation_matrix,
+                      excitation_matrix, exp_nilpotent, random_amplitudes,
+                      sigma_lowest_order, split_amplitudes)
+from .downfold import (EffectiveHamiltonian, cas_eigensolve, cas_indices,
                        downfold_ducc, downfold_sescc, ducc_projection,
                        effective_matrix_dump, effective_to_dict, match_root,
                        write_effective_json)
 from .dynamics import (Trajectory, build_heff_td, decompose_trajectory,
-                       dexp_series, dexp_tail_ratio, evaluate_lagrangians,
-                       evaluate_sescc_lagrangian, grid_provider, heff_grid,
+                       evaluate_lagrangians, evaluate_sescc_lagrangian, heff_grid,
                        propagate_full, propagate_internal, sigma_dot_grid,
                        trajectory_to_csv)
-from .ecc import (EccConfiguration, EccMatrices, action_deviation,
-                  eval_ecc_action_integrand, eval_ldt_forms, eval_lh_forms,
-                  x_int_ext_bch)
+from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
+                  eval_lh_forms, x_int_ext_bch)
 from .errors import (BranchCutError, CasSupportError, ConfigError,
                      ConvergenceError, DuccLabError, IntermediateNormalizationError,
                      InvalidDimensionError, NormDriftError, OperatorPropertyError,
                      OrderingViolationError, SectorMismatchError)
 from .fock import (Determinant, DetClass, ExcitationSignature, FockBasis,
-                   SpinOrbitalPartition, apply_deexcitation, apply_excitation,
-                   aufbau_reference, build_basis, classify_determinant,
-                   classify_sector, enumerate_signatures, excitation_pairs,
-                   holes_and_particles, homo_lumo_partition, signature_between)
+                   SpinOrbitalPartition, apply_excitation, aufbau_reference,
+                   build_basis, classify_sector, enumerate_signatures,
+                   excitation_pairs, holes_and_particles, homo_lumo_partition,
+                   signature_between)
 from .imagtime import (FlowResult, ImaginaryFlowState, imaginary_evolve,
-                       imaginary_step, imaginary_step_nonstationary,
-                       initial_flow_state, write_flow_log)
+                       imaginary_step, initial_flow_state, write_flow_log)
 from .operators import (IntegralSet, QOperator, build_hubbard, build_pairing,
-                        commutator, direct_sum_blocks, expm, hamiltonian_from_integrals,
-                        hubbard_integrals, logm_unitary,
-                        random_hermitian_hamiltonian, read_fcidump)
+                        direct_sum_blocks, hamiltonian_from_integrals, logm_unitary,
+                        read_fcidump)
 from .sweeps import (RotationStep, SweepResult, decompose_state, extract_sigmas,
-                     rotation_for_target, rotation_generator, rotation_unitary,
-                     sweep_external, sweep_internal)
+                     rotation_for_target, sweep_external, sweep_internal)

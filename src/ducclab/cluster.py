@@ -1,5 +1,5 @@
 """Cluster amplitudes: extraction from exact states, internal/external
-splitting, lowest-order anti-Hermitian generators, active-space projectors.
+splitting, lowest-order anti-Hermitian generators, random amplitude sets.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntermediateNormalizationError, SectorMismatchError
-from .fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
-                   SpinOrbitalPartition, apply_excitation, classify_sector,
-                   enumerate_signatures, excitation_pairs)
+from .fock import (Determinant, ExcitationSignature, FockBasis,
+                   SpinOrbitalPartition, apply_excitation, enumerate_signatures,
+                   excitation_pairs)
 from .operators import QOperator
 
 
@@ -43,9 +43,6 @@ class Amplitudes:
 
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(t) ** 2 for t in self.entries.values())))
-
-    def scaled(self, factor: complex) -> "Amplitudes":
-        return Amplitudes({sig: factor * t for sig, t in self.entries.items()})
 
 
 def excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
@@ -93,8 +90,11 @@ def exp_nilpotent(T: np.ndarray | Callable[[np.ndarray], np.ndarray], V: np.ndar
     raise ArithmeticError(f"series of a non-nilpotent matrix did not end by n={ladder + 1}")
 
 
-def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis,
-                    c0_tol: float = 1e-12) -> Amplitudes:
+#: smallest reference coefficient |<ref|psi>| intermediate normalisation accepts
+C0_TOL = 1e-12
+
+
+def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Amplitudes:
     """Extract T with e^T |ref> = psi / <ref|psi> exactly.
 
     Rank-by-rank recursion: the coefficient of a rank-k determinant in
@@ -108,9 +108,9 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis,
         raise SectorMismatchError("state vector length does not match basis")
     i0 = basis.index_of(ref)
     c0 = psi[i0]
-    if abs(c0) < c0_tol:
+    if abs(c0) < C0_TOL:
         raise IntermediateNormalizationError(
-            f"reference coefficient {abs(c0):.3e} below {c0_tol:.0e}")
+            f"reference coefficient {abs(c0):.3e} below {C0_TOL:.0e}")
     c = np.asarray(psi, dtype=complex) / c0
     e_ref = basis.unit_vector(i0)
 
@@ -146,26 +146,6 @@ def sigma_lowest_order(tpart: Amplitudes, basis: FockBasis) -> QOperator:
     """Lowest-order anti-Hermitian generator T - T+."""
     m = excitation_matrix(tpart, basis)
     return QOperator(m - m.conj().T, basis)
-
-
-@dataclass
-class Projectors:
-    """Diagonal 0/1 projectors onto reference, internal and external spaces.
-
-    P + Q_int + Q_ext is the identity and pairwise products vanish.
-    """
-
-    P: QOperator
-    Q_int: QOperator
-    Q_ext: QOperator
-
-
-def build_projectors(ref: Determinant, basis: FockBasis,
-                     part: SpinOrbitalPartition) -> Projectors:
-    classes = classify_sector(basis, ref, part)
-    proj = lambda cls: QOperator(np.diag((classes == cls).astype(complex)), basis)
-    return Projectors(P=proj(DetClass.REFERENCE), Q_int=proj(DetClass.INTERNAL),
-                      Q_ext=proj(DetClass.EXTERNAL))
 
 
 @lru_cache(maxsize=64)

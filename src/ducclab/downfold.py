@@ -61,35 +61,52 @@ class EffectiveHamiltonian:
         return self._eig
 
 
+#: largest anti-Hermiticity defect ``||X + X^+||_F`` of a generator or velocity
+ANTI_TOL = 1e-10
+
+
+def exp_dexp(sigma: np.ndarray, sigma_dot: np.ndarray | None,
+             rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray | None]:
+    """Columns ``rows`` of e^{sigma}, and the ``rows`` block of ``A(sigma,
+    sigma_dot)`` with ``d/dt e^{sigma} = e^{sigma} A`` (None without
+    ``sigma_dot``), from one eigendecomposition.
+
+    The Hermitian ``i sigma = V diag(mu) V^+`` (block by block,
+    :func:`ducclab.operators.eigh_direct_sum`) gives ``e^{sigma} = V
+    diag(e^{-i mu}) V^+`` and the Daleckii-Krein form ``A = V [(V^+
+    sigma_dot V) o phi] V^+``, ``phi_jk = (1 - e^{-z})/z`` at ``z = -i
+    (mu_j - mu_k)`` (``phi = 1`` on degenerate pairs), which sums the
+    commutator series ``sum_k (-1)^k/(k+1)! ad_sigma^k sigma_dot``.  Raises
+    :class:`OperatorPropertyError` when an input is not anti-Hermitian
+    within :data:`ANTI_TOL`.
+    """
+    for a, name in ((sigma, "sigma"), (sigma_dot, "sigma_dot")):
+        defect = 0.0 if a is None else float(np.linalg.norm(a + a.conj().T))
+        if defect > ANTI_TOL:
+            raise OperatorPropertyError(f"{name} not anti-Hermitian (defect {defect:.3e})")
+    mu, V = eigh_direct_sum(1j * sigma)
+    v = V[rows]
+    R = V @ (np.exp(-1j * mu)[:, None] * v.conj().T)
+    if sigma_dot is None:
+        return R, None
+    d = mu[:, None] - mu[None, :]
+    # (1 - e^{-z})/z at z = -i d equals e^{i d/2} sin(d/2)/(d/2)
+    phi = np.exp(0.5j * d) * np.sinc(d / (2 * np.pi))
+    return R, v @ ((V.conj().T @ sigma_dot @ V) * phi) @ v.conj().T
+
+
 def ducc_projection(H: QOperator, sigma: QOperator, cas: np.ndarray,
-                    sigma_dot: QOperator | None = None,
-                    anti_tol: float = 1e-10) -> np.ndarray:
+                    sigma_dot: QOperator | None = None) -> np.ndarray:
     """CAS block of e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot), Hermitian.
 
-    One eigendecomposition of the Hermitian ``i sigma = V diag(mu) V^+``
-    (block by block, :func:`ducclab.operators.eigh_direct_sum`) gives both
-    terms in closed form.  With ``R = e^{sigma}[:, cas] = V (e^{-i mu} o
-    V[cas]^+)`` the transformed block is ``R^+ H R``.  ``A`` is the
-    derivative of the exponential map, ``d/dt e^{sigma} = e^{sigma} A``,
-    in its Daleckii-Krein form ``A = V [(V^+ sigma_dot V) o phi] V^+`` with
-    ``phi_jk = (1 - e^{-z})/z`` at ``z = -i (mu_j - mu_k)`` (``phi = 1`` on
-    degenerate pairs).  Without ``sigma_dot`` only the transformed block is
-    returned.
+    With the CAS columns ``R`` of e^{sigma} and the CAS block of ``A`` from
+    :func:`exp_dexp`, this is ``R^+ H R - i A``; without ``sigma_dot``, only
+    ``R^+ H R``.
     """
-    for op, name in ((sigma, "sigma"), (sigma_dot, "sigma_dot")):
-        defect = 0.0 if op is None else op.anti_hermiticity_defect()
-        if defect > anti_tol:
-            raise OperatorPropertyError(f"{name} not anti-Hermitian (defect {defect:.3e})")
-    mu, V = eigh_direct_sum(1j * sigma.matrix)
-    v_cas = V[cas]
-    R = V @ (np.exp(-1j * mu)[:, None] * v_cas.conj().T)
+    R, A = exp_dexp(sigma.matrix, None if sigma_dot is None else sigma_dot.matrix, cas)
     sub = R.conj().T @ H.matrix @ R
-    if sigma_dot is not None:
-        d = mu[:, None] - mu[None, :]
-        # (1 - e^{-z})/z at z = -i d equals e^{i d/2} sin(d/2)/(d/2)
-        phi = np.exp(0.5j * d) * np.sinc(d / (2 * np.pi))
-        inner = (V.conj().T @ sigma_dot.matrix @ V) * phi
-        sub = sub - 1j * (v_cas @ inner @ v_cas.conj().T)
+    if A is not None:
+        sub = sub - 1j * A
     defect = float(np.linalg.norm(sub - sub.conj().T))
     if defect > 1e-10 * max(1.0, float(np.linalg.norm(sub))):
         raise OperatorPropertyError(
@@ -118,23 +135,12 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
 
 
 def downfold_ducc(H: QOperator, sigma_ext: QOperator, ref: Determinant,
-                  part: SpinOrbitalPartition, anti_tol: float = 1e-10,
+                  part: SpinOrbitalPartition,
                   source: str = "ducc") -> EffectiveHamiltonian:
     """(P+Q_int) e^{-sigma_ext} H e^{sigma_ext} (P+Q_int), Hermitian on CAS."""
     cas = cas_indices(ref, part, H.basis)
-    sub = ducc_projection(H, sigma_ext, cas, anti_tol=anti_tol)
+    sub = ducc_projection(H, sigma_ext, cas)
     return EffectiveHamiltonian(sub, cas, H.basis, source, hermitian=True)
-
-
-def cas_ci(H: QOperator, ref: Determinant,
-           part: SpinOrbitalPartition) -> EffectiveHamiltonian:
-    """Bare CAS-CI Hamiltonian (no transformation), Hermitian for Hermitian H."""
-    cas = cas_indices(ref, part, H.basis)
-    sub = H.matrix[np.ix_(cas, cas)]
-    hermitian = float(np.linalg.norm(sub - sub.conj().T)) <= 1e-10
-    if hermitian:
-        sub = 0.5 * (sub + sub.conj().T)
-    return EffectiveHamiltonian(sub, cas, H.basis, "cas-ci", hermitian=hermitian)
 
 
 def cas_eigensolve(heff: EffectiveHamiltonian):

@@ -6,30 +6,30 @@ coefficients under the time-dependent Hermitian effective Hamiltonian
 (P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int),
 built from the external generator and its velocity.  The velocity term is
 the derivative of the exponential map, evaluated in closed form from one
-eigendecomposition of the generator (:func:`ducclab.downfold.ducc_projection`);
-the commutator series :func:`dexp_series` and its tail certificate stay as
-the independent reference.  hbar = 1.
+eigendecomposition of the generator (:func:`ducclab.downfold.exp_dexp`),
+which the Lagrangian evaluators share.  The commutator series that it sums
+is kept in ``tests/oracles.py`` as the independent reference.  hbar = 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .cluster import (Amplitudes, build_projectors, deexcitation_matrix,
-                      excitation_matrix, exp_nilpotent)
-from .downfold import EffectiveHamiltonian, cas_indices, ducc_projection
+from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
+from .downfold import EffectiveHamiltonian, cas_indices, ducc_projection, exp_dexp
 from .errors import NormDriftError, OperatorPropertyError
-from .fock import Determinant, FockBasis, SpinOrbitalPartition
+from .fock import (DetClass, Determinant, FockBasis, SpinOrbitalPartition,
+                   classify_sector)
 from .operators import QOperator
 from .sweeps import decompose_state
 
-#: Default truncation order of the derivative-of-exponential series.
-DEFAULT_SERIES_ORDER = 12
+#: Largest per-step norm drift of the RK4 integrator: the generator is
+#: Hermitian, so the exact flow preserves the norm.
+DRIFT_TOL = 1e-6
 
 
 @dataclass
@@ -56,9 +56,6 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    def state(self, k: int) -> np.ndarray:
-        return self.states[k]
-
 
 def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
                    nsteps: int) -> Trajectory:
@@ -83,70 +80,8 @@ def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
     return Trajectory(times, states, H.basis)
 
 
-# -- derivative of the exponential map ---------------------------------------
-
-
-def _dexp_terms(X: np.ndarray, Xdot: np.ndarray, K: int):
-    """Terms (-1)^k/(k+1)! I_k with I_0 = Xdot, I_k = [X, I_{k-1}]."""
-    Ik = Xdot
-    yield Ik
-    for k in range(1, K + 1):
-        Ik = X @ Ik - Ik @ X
-        yield (-1) ** k / math.factorial(k + 1) * Ik
-
-
-def _dexp_np(X: np.ndarray, Xdot: np.ndarray, K: int) -> np.ndarray:
-    A = np.zeros_like(Xdot)
-    for term in _dexp_terms(X, Xdot, K):
-        A = A + term
-    return A
-
-
-#: Tail-norm certificate threshold: ||term_K|| / ||A|| must fall below this.
-TAIL_CERTIFICATE = 1e-12
-_K_CAP = 80
-
-
-def _dexp_certified(X: np.ndarray, Xdot: np.ndarray, K_min: int) -> np.ndarray:
-    """Series sum extended past K_min until the last term certifies
-    convergence (factorial decay makes this cheap)."""
-    A = np.zeros_like(Xdot)
-    last = 0.0
-    for k, term in enumerate(_dexp_terms(X, Xdot, _K_CAP)):
-        A = A + term
-        last = float(np.linalg.norm(term))
-        if k >= K_min and last <= TAIL_CERTIFICATE * max(np.linalg.norm(A), 1e-300):
-            return A
-    raise OperatorPropertyError(
-        f"derivative-of-exponential series not certified by order {_K_CAP} "
-        f"(last term norm {last:.3e})")
-
-
-def dexp_series(X: QOperator, Xdot: QOperator, K: int = DEFAULT_SERIES_ORDER) -> QOperator:
-    """A(X, Xdot) with d/dt e^{X(t)} = e^{X} A: truncated commutator series
-    sum_{k=0..K} (-1)^k/(k+1)! ad_X^k Xdot.
-
-    Anti-Hermitian whenever X and Xdot are.
-    """
-    if K < 0:
-        raise ValueError("series order K must be >= 0")
-    return QOperator(_dexp_np(X.matrix, Xdot.matrix, K), X.basis)
-
-
-def dexp_tail_ratio(X: QOperator, Xdot: QOperator,
-                    K: int = DEFAULT_SERIES_ORDER) -> float:
-    """Norm of the K-th series term over the norm of the sum: a cheap
-    convergence certificate (factorial decay makes it fall fast)."""
-    terms = list(_dexp_terms(X.matrix, Xdot.matrix, K))
-    total = np.linalg.norm(sum(terms))
-    if total == 0.0:
-        return 0.0
-    return float(np.linalg.norm(terms[-1]) / total)
-
-
 def build_heff_td(H: QOperator, sigma_ext: QOperator, sigma_ext_dot: QOperator,
-                  ref: Determinant, part: SpinOrbitalPartition,
-                  anti_tol: float = 1e-10) -> EffectiveHamiltonian:
+                  ref: Determinant, part: SpinOrbitalPartition) -> EffectiveHamiltonian:
     """Time-dependent downfolded Hamiltonian
     (P+Q_int){ e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot) }(P+Q_int),
     where e^{sigma} A = d/dt e^{sigma}.
@@ -154,12 +89,11 @@ def build_heff_td(H: QOperator, sigma_ext: QOperator, sigma_ext_dot: QOperator,
     Both terms come from one eigendecomposition of the anti-Hermitian
     generator: the transformed Hamiltonian as ``R^+ H R`` with the CAS
     columns ``R`` of e^{sigma}, and A in the closed Daleckii-Krein form
-    (see :func:`ducclab.downfold.ducc_projection`), which sums the series
-    :func:`dexp_series` exactly.  Hermitian, since -iA is Hermitian for
-    anti-Hermitian A.
+    (see :func:`ducclab.downfold.exp_dexp`).  Hermitian, since -iA is
+    Hermitian for anti-Hermitian A.
     """
     cas = cas_indices(ref, part, H.basis)
-    sub = ducc_projection(H, sigma_ext, cas, sigma_ext_dot, anti_tol=anti_tol)
+    sub = ducc_projection(H, sigma_ext, cas, sigma_ext_dot)
     return EffectiveHamiltonian(sub, cas, H.basis, "ducc-td", hermitian=True)
 
 
@@ -244,46 +178,25 @@ def heff_grid(H: QOperator, traj: Trajectory, ref: Determinant,
     return out
 
 
-def grid_provider(times: np.ndarray, heffs: Sequence[EffectiveHamiltonian]
-                  ) -> Callable[[float], np.ndarray]:
-    """Callable t -> CAS matrix. Exact at grid nodes, linear in between."""
-    mats = [h.matrix for h in heffs]
-    t0 = float(times[0])
-    dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
-
-    def provider(t: float) -> np.ndarray:
-        x = (t - t0) / dt
-        k = int(round(x))
-        if 0 <= k < len(mats) and abs(x - k) < 1e-8:
-            return mats[k]
-        lo = int(np.floor(x))
-        lo = min(max(lo, 0), len(mats) - 2)
-        w = x - lo
-        return (1 - w) * mats[lo] + w * mats[lo + 1]
-
-    return provider
-
-
-def propagate_internal(heff_provider: Callable[[float], np.ndarray],
-                       c0: np.ndarray, dt: float, nsteps: int,
-                       renormalize: bool = False,
-                       drift_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def propagate_internal(heffs: Sequence[np.ndarray], c0: np.ndarray, dt: float,
+                       nsteps: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step classical RK4 for i dc/dt = Heff(t) c.
 
-    The provider is evaluated at the step midpoint for the internal stages.
-    A per-step norm drift beyond ``drift_tol`` raises (the generator is
-    Hermitian, so the exact flow is norm-preserving).
+    ``heffs`` holds Heff on the half-step grid t_j = j dt/2, j = 0..2 nsteps:
+    step k reads ``heffs[2k]`` at its start, ``heffs[2k+1]`` at its midpoint
+    for the internal stages, and ``heffs[2k+2]`` at its end.  A per-step
+    norm drift beyond :data:`DRIFT_TOL` raises :class:`NormDriftError`.
     """
+    if len(heffs) != 2 * nsteps + 1:
+        raise ValueError(f"need 2 * nsteps + 1 = {2 * nsteps + 1} half-step "
+                         f"matrices, got {len(heffs)}")
     c = np.asarray(c0, dtype=complex).copy()
     dim = c.shape[0]
     out = np.empty((nsteps + 1, dim), dtype=complex)
     out[0] = c
     times = dt * np.arange(nsteps + 1)
     for k in range(nsteps):
-        t = times[k]
-        h0 = heff_provider(t)
-        hm = heff_provider(t + 0.5 * dt)
-        h1 = heff_provider(t + dt)
+        h0, hm, h1 = heffs[2 * k:2 * k + 3]
         norm_before = np.linalg.norm(c)
         k1 = -1j * (h0 @ c)
         k2 = -1j * (hm @ (c + 0.5 * dt * k1))
@@ -291,10 +204,8 @@ def propagate_internal(heff_provider: Callable[[float], np.ndarray],
         k4 = -1j * (h1 @ (c + dt * k3))
         c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         drift = abs(np.linalg.norm(c) - norm_before)
-        if drift > drift_tol:
-            raise NormDriftError(f"norm drift {drift:.3e} at step {k} exceeds {drift_tol:.0e}")
-        if renormalize:
-            c = c / np.linalg.norm(c)
+        if drift > DRIFT_TOL:
+            raise NormDriftError(f"norm drift {drift:.3e} at step {k} exceeds {DRIFT_TOL:.0e}")
         out[k + 1] = c
     return times, out
 
@@ -304,25 +215,25 @@ def propagate_internal(heff_provider: Callable[[float], np.ndarray],
 
 def evaluate_lagrangians(H: QOperator, sigma_int: QOperator, sigma_ext: QOperator,
                          sigma_int_dot: QOperator, sigma_ext_dot: QOperator,
-                         ref: Determinant, part: SpinOrbitalPartition,
-                         K: int = DEFAULT_SERIES_ORDER) -> tuple[complex, complex, complex]:
+                         ref: Determinant, part: SpinOrbitalPartition
+                         ) -> tuple[complex, complex, complex]:
     """Three assembly routes of the double-unitary Lagrangian
     <ref| e^{-s_int} e^{-s_ext} (i d/dt - H) e^{s_ext} e^{s_int} |ref>.
 
-    L_a: raw form, both exponential derivatives via the series.
+    L_a: raw form, with both exponential derivatives.
     L_b: transformed form with the external velocity operator split off.
     L_c: effective-Hamiltonian form with active-space projectors inserted.
     All three agree identically for active-space-preserving internal
     generators; computing them independently cross-checks the plumbing.
+    Every route takes e^{s}, its adjoint e^{-s} and A(s, s_dot) from one
+    :func:`ducclab.downfold.exp_dexp` per generator: they differ in assembly only.
     """
     basis = H.basis
     phi = basis.unit_vector(basis.index_of(ref))
-    Ai = _dexp_np(sigma_int.matrix, sigma_int_dot.matrix, K)
-    Ae = _dexp_np(sigma_ext.matrix, sigma_ext_dot.matrix, K)
-    Ue = scipy.linalg.expm(sigma_ext.matrix)
-    Uem = scipy.linalg.expm(-sigma_ext.matrix)
-    Ui = scipy.linalg.expm(sigma_int.matrix)
-    Uim = scipy.linalg.expm(-sigma_int.matrix)
+    Ui, Ai = exp_dexp(sigma_int.matrix, sigma_int_dot.matrix, slice(None))
+    Ue, Ae = exp_dexp(sigma_ext.matrix, sigma_ext_dot.matrix, slice(None))
+    Uim = Ui.conj().T
+    Uem = Ue.conj().T
 
     ket_i = Ui @ phi
     # raw: d/dt (e^{s_ext} e^{s_int}) = e^{s_ext} A_ext e^{s_int} + e^{s_ext} e^{s_int} A_int
@@ -333,9 +244,9 @@ def evaluate_lagrangians(H: QOperator, sigma_int: QOperator, sigma_ext: QOperato
     ddt_int = Ui @ (Ai @ phi)
     l_b = phi.conj() @ (Uim @ (1j * ddt_int - (hbar - 1j * Ae) @ ket_i))
 
-    projs = build_projectors(ref, basis, part)
-    pq = projs.P.matrix + projs.Q_int.matrix
-    heff_full = pq @ (hbar - 1j * Ae) @ pq
+    # (P + Q_int) X (P + Q_int): the rows and columns of the CAS determinants
+    pq = classify_sector(basis, ref, part) != DetClass.EXTERNAL
+    heff_full = np.where(np.outer(pq, pq), hbar - 1j * Ae, 0.0)
     l_c = phi.conj() @ (Uim @ (1j * ddt_int - heff_full @ ket_i))
     return complex(l_a), complex(l_b), complex(l_c)
 

@@ -132,8 +132,7 @@ def eval_lh_forms(m: EccMatrices, H: QOperator,
     return complex(w1), complex(w2)
 
 
-def x_int_ext_bch(m: EccMatrices,
-                  max_terms: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+def x_int_ext_bch(m: EccMatrices) -> tuple[np.ndarray, np.ndarray, int]:
     """Similarity-transformed external de-excitation two ways.
 
     Returns (direct product e^{T_int} X_ext e^{-T_int}, terminating nested-
@@ -145,7 +144,7 @@ def x_int_ext_bch(m: EccMatrices,
     Ti, Xe, basis = m.Ti, m.Xe, m.basis
     direct = exp_nilpotent(Ti, Xe, basis) @ exp_nilpotent(-Ti, np.eye(basis.size), basis)
     ladder = min(basis.N, basis.M - basis.N)
-    cap = max_terms if max_terms is not None else 3 * ladder + 2
+    cap = 3 * ladder + 2
     # cancellation roundoff keeps dead terms from being exact zeros
     dead = 1e-14 * max(1.0, float(np.abs(Xe).max(initial=0.0)))
     series = np.zeros_like(Xe)
@@ -169,13 +168,3 @@ def action_deviation(v1: complex, v4: complex, w1: complex,
     single-product evaluation (v1 - w1)."""
     assembled = v4 - w2
     return complex(assembled), float(abs(assembled - (v1 - w1)))
-
-
-def eval_ecc_action_integrand(cfg: EccConfiguration, H: QOperator,
-                              ref: Determinant) -> tuple[complex, float]:
-    """:func:`action_deviation` of the forms of :func:`eval_ldt_forms` and
-    :func:`eval_lh_forms`."""
-    m = EccMatrices.build(cfg, H.basis)
-    v1, _, v4 = eval_ldt_forms(m, ref)
-    w1, w2 = eval_lh_forms(m, H, ref)
-    return action_deviation(v1, v4, w1, w2)

@@ -60,9 +60,6 @@ class Determinant:
     def N(self) -> int:
         return self.occupation.bit_count()
 
-    def is_occupied(self, p: int) -> bool:
-        return bool(self.occupation >> p & 1)
-
     def occupied(self) -> tuple[int, ...]:
         return tuple(p for p in range(self.M) if self.occupation >> p & 1)
 
@@ -221,9 +218,6 @@ class FockBasis:
         v[self.index_of(det) if isinstance(det, Determinant) else det] = 1.0
         return v
 
-    def same_sector(self, other: "FockBasis") -> bool:
-        return self.M == other.M and self.N == other.N
-
 
 def build_basis(M: int, N: int) -> FockBasis:
     """All N-electron determinants over M spin orbitals (desk-scale guarded)."""
@@ -278,16 +272,6 @@ def apply_excitation(sig: ExcitationSignature,
     return Determinant(mask, det.M), sign
 
 
-def apply_deexcitation(sig: ExcitationSignature,
-                       det: Determinant) -> tuple[Determinant, int] | None:
-    """Apply the adjoint string ``a+_{i1}..a+_{ik} a_{ak}..a_{a1}``."""
-    res = apply_operator_string(det.occupation, sig.occ, tuple(reversed(sig.virt)))
-    if res is None:
-        return None
-    mask, sign = res
-    return Determinant(mask, det.M), sign
-
-
 def holes_and_particles(ref: Determinant,
                         det: Determinant) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orbitals occupied in ref but not det (holes) and vice versa (particles)."""
@@ -301,24 +285,6 @@ def signature_between(ref: Determinant, det: Determinant) -> ExcitationSignature
     """The unique signature with ``apply_excitation(sig, ref) -> det`` (up to phase)."""
     holes, parts = holes_and_particles(ref, det)
     return ExcitationSignature(holes, parts)
-
-
-def classify_determinant(det: Determinant, ref: Determinant,
-                         part: SpinOrbitalPartition) -> DetClass:
-    """Reference / internal / external classification of ``det`` w.r.t. the
-    active space.
-
-    Internal means every hole lies in ``occ_active`` and every particle in
-    ``virt_active``; anything touching an inactive orbital is external.
-    """
-    if det.M != ref.M or det.N != ref.N or part.M != ref.M:
-        raise SectorMismatchError("determinant, reference and partition disagree on sector")
-    if det.occupation == ref.occupation:
-        return DetClass.REFERENCE
-    holes, parts = holes_and_particles(ref, det)
-    if set(holes) <= set(part.occ_active) and set(parts) <= set(part.virt_active):
-        return DetClass.INTERNAL
-    return DetClass.EXTERNAL
 
 
 @lru_cache(maxsize=4096)
@@ -353,8 +319,13 @@ def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
 
 def classify_sector(basis: FockBasis, ref: Determinant,
                     part: SpinOrbitalPartition) -> np.ndarray:
-    """:func:`classify_determinant` of every basis determinant, as an
-    object array of :class:`DetClass` in basis order."""
+    """Reference / internal / external class of every basis determinant
+    with respect to the active space, as an object array of
+    :class:`DetClass` in basis order.
+
+    Internal means every hole lies in ``occ_active`` and every particle in
+    ``virt_active``; anything touching an inactive orbital is external.
+    """
     if basis.M != ref.M or basis.N != ref.N or part.M != ref.M:
         raise SectorMismatchError("basis, reference and partition disagree on sector")
     masks = basis.mask_array

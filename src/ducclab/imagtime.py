@@ -10,10 +10,9 @@ first-order flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .downfold import EffectiveHamiltonian
 from .errors import ConvergenceError, OperatorPropertyError
@@ -52,6 +51,8 @@ def imaginary_step(state: ImaginaryFlowState, heff: EffectiveHamiltonian,
 
     The shift is the energy of the incoming state; with exponential
     stepping it only rescales the norm, so descent monotonicity is exact.
+    A tau-dependent generator is followed by passing, at every step, its
+    value at ``state.tau``.
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
@@ -92,26 +93,6 @@ def imaginary_evolve(heff: EffectiveHamiltonian, c0: np.ndarray,
         if abs(energy - prev_energy) < tol:
             return FlowResult(energy, state.c_int, history)
     raise ConvergenceError(f"imaginary-time flow not converged in {max_steps} steps")
-
-
-def imaginary_step_nonstationary(state: ImaginaryFlowState,
-                                 heff_provider: Callable[[float], EffectiveHamiltonian],
-                                 dtau: float) -> ImaginaryFlowState:
-    """Shifted descent step under a tau-dependent generator.
-
-    As the provider's generator stops changing this coincides with
-    :func:`imaginary_step` for the stationary operator.
-    """
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
-    heff = heff_provider(state.tau)
-    if not heff.hermitian:
-        raise OperatorPropertyError("provider returned a non-Hermitian generator")
-    c = state.c_int
-    s = _rayleigh(heff.matrix, c)
-    c1 = scipy.linalg.expm(-dtau * (heff.matrix - s * np.eye(heff.dim))) @ c
-    c1 = c1 / np.linalg.norm(c1)
-    return ImaginaryFlowState(state.tau + dtau, c1, s)
 
 
 def write_flow_log(history, path):

@@ -20,10 +20,8 @@ import re
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (BranchCutError, InvalidDimensionError,
-                     OperatorPropertyError, SectorMismatchError)
+from .errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
 from .fock import FockBasis, apply_operator_string
 
 #: term = (coefficient, creators, annihilators) in operator-string order,
@@ -85,35 +83,6 @@ class QOperator:
     def dagger(self) -> "QOperator":
         return QOperator(self.matrix.conj().T, self.basis)
 
-    def _check_same_basis(self, other: "QOperator"):
-        if not self.basis.same_sector(other.basis):
-            raise SectorMismatchError("operators live on different Fock sectors")
-
-    def __add__(self, other: "QOperator") -> "QOperator":
-        self._check_same_basis(other)
-        return QOperator(self.matrix + other.matrix, self.basis)
-
-    def __sub__(self, other: "QOperator") -> "QOperator":
-        self._check_same_basis(other)
-        return QOperator(self.matrix - other.matrix, self.basis)
-
-    def __neg__(self) -> "QOperator":
-        return QOperator(-self.matrix, self.basis)
-
-    def __mul__(self, scalar) -> "QOperator":
-        return QOperator(self.matrix * scalar, self.basis)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if isinstance(other, QOperator):
-            self._check_same_basis(other)
-            return QOperator(self.matrix @ other.matrix, self.basis)
-        return self.matrix @ other
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
 
@@ -131,12 +100,6 @@ class QOperator:
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return self.hermiticity_defect() <= tol
-
-    def is_anti_hermitian(self, tol: float = 1e-10) -> bool:
-        return self.anti_hermiticity_defect() <= tol
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        return self.unitarity_defect() <= tol
 
     def __repr__(self):
         return f"QOperator(dim={self.basis.size}, M={self.basis.M}, N={self.basis.N})"
@@ -243,22 +206,6 @@ def build_hubbard(L: int, t: float, U: float, basis: FockBasis) -> QOperator:
     return QOperator.from_terms(terms, basis)
 
 
-def hubbard_integrals(L: int, t: float, U: float) -> IntegralSet:
-    """The same Hubbard chain expressed as an IntegralSet (cross-check path)."""
-    M = 2 * L
-    h = np.zeros((M, M), dtype=complex)
-    for i in range(L - 1):
-        for sp in (0, 1):
-            p, q = 2 * i + sp, 2 * (i + 1) + sp
-            h[p, q] = h[q, p] = -t
-    chem = np.zeros((M, M, M, M), dtype=complex)
-    for i in range(L):
-        up, dn = 2 * i, 2 * i + 1
-        chem[up, up, dn, dn] = U
-        chem[dn, dn, up, up] = U
-    return IntegralSet.from_chemist(h, chem)
-
-
 def build_pairing(levels: int, g: float, basis: FockBasis,
                   spacing: float = 1.0) -> QOperator:
     """Picket-fence pairing model: doubly degenerate levels eps_p = p*spacing
@@ -275,29 +222,6 @@ def build_pairing(levels: int, g: float, basis: FockBasis,
         for q in range(levels):
             terms.append((-g, (2 * p, 2 * p + 1), (2 * q + 1, 2 * q)))
     return QOperator.from_terms(terms, basis)
-
-
-def random_hermitian_hamiltonian(basis: FockBasis, rng: np.random.Generator,
-                                 spread: float = 1.0,
-                                 coupling: float = 0.3) -> QOperator:
-    """Random Hermitian sector Hamiltonian whose ground state is dominated by
-    the lowest-mask (aufbau) determinant.
-
-    A rising diagonal keeps the reference coefficient large enough for
-    cluster analysis; ``coupling`` scales a dense Hermitian perturbation.
-    """
-    dim = basis.size
-    diag = spread * np.arange(dim, dtype=float)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    mat = np.diag(diag).astype(complex) + coupling * 0.5 * (a + a.conj().T)
-    return QOperator(mat, basis)
-
-
-def expm(X: QOperator) -> QOperator:
-    """Matrix exponential (scaling-and-squaring Pade)."""
-    if not np.all(np.isfinite(X.matrix)):
-        raise OperatorPropertyError("expm input has non-finite entries")
-    return QOperator(scipy.linalg.expm(X.matrix), X.basis)
 
 
 def direct_sum_blocks(A: np.ndarray) -> list[np.ndarray]:
@@ -359,8 +283,13 @@ def _stacked_unitarity_defect(stacks) -> float:
         for B in stacks))
 
 
-def logm_unitary(U: QOperator, unitary_tol: float = 1e-10,
-                 branch_tol: float = 1e-10) -> QOperator:
+#: largest unitarity defect :func:`logm_unitary` accepts
+UNITARY_TOL = 1e-10
+#: smallest distance ``|lam + 1|`` of an eigenvalue from the branch cut
+BRANCH_TOL = 1e-10
+
+
+def logm_unitary(U: QOperator) -> QOperator:
     """Principal logarithm of a unitary operator, returned anti-Hermitian.
 
     The log of a direct sum is the direct sum of the logs, so the work runs
@@ -371,9 +300,10 @@ def logm_unitary(U: QOperator, unitary_tol: float = 1e-10,
     to the eigenvalue ``t = tan(theta/2)``.  One stacked solve and one
     stacked ``eigh`` of the Hermitian part of ``C`` thus give an eigenbasis
     ``Z``, and ``log U = Z log(Z^+ U Z) Z^+``.  Raises
-    :class:`BranchCutError` when an eigenvalue sits within ``branch_tol`` of
-    the branch cut at -1 (``|lam+1| = 2/sqrt(1+t^2)``), or when ``I+U`` is
-    exactly singular, where the principal logarithm is ambiguous.
+    :class:`BranchCutError` when an eigenvalue sits within
+    :data:`BRANCH_TOL` of the branch cut at -1 (``|lam+1| =
+    2/sqrt(1+t^2)``), or when ``I+U`` is exactly singular, where the
+    principal logarithm is ambiguous.
 
     ``C`` has norm ``2/min|1+lam|``, so near the cut ``Z`` diagonalises
     ``U`` only up to an off-diagonal residual of order ``eps/|1+lam|``.
@@ -390,7 +320,7 @@ def logm_unitary(U: QOperator, unitary_tol: float = 1e-10,
         raise OperatorPropertyError("logm input has non-finite entries")
     stacks = [(idx, stack, A[stack]) for idx, stack in _size_stacks(direct_sum_blocks(A))]
     defect = _stacked_unitarity_defect([B for _, _, B in stacks])
-    if defect > unitary_tol:
+    if defect > UNITARY_TOL:
         raise OperatorPropertyError(f"logm input not unitary (defect {defect:.3e})")
     L = np.zeros_like(A)
     for idx, stack, B in stacks:
@@ -404,7 +334,7 @@ def logm_unitary(U: QOperator, unitary_tol: float = 1e-10,
         S *= 0.5j   # the Hermitian part of C
         t, Z = np.linalg.eigh(S)
         del S   # one block-sized array fewer at the peak below
-        if (2.0 / np.hypot(1.0, t)).min() < branch_tol:
+        if (2.0 / np.hypot(1.0, t)).min() < BRANCH_TOL:
             raise BranchCutError("unitary has an eigenvalue at -1; principal log undefined")
         # log of D = Z^+ B Z = diag(e^{i theta}) + E to first order in the
         # small E: i theta on the diagonal, E_jk times the divided difference
@@ -422,13 +352,6 @@ def logm_unitary(U: QOperator, unitary_tol: float = 1e-10,
         L[stack] = Z @ D @ Zh
     L = 0.5 * (L - L.conj().T)  # exact log of unitary input is anti-Hermitian
     return QOperator(L, U.basis)
-
-
-def commutator(A: QOperator, B: QOperator) -> QOperator:
-    """[A, B] = AB - BA."""
-    if not A.basis.same_sector(B.basis):
-        raise SectorMismatchError("commutator arguments live on different sectors")
-    return QOperator(A.matrix @ B.matrix - B.matrix @ A.matrix, A.basis)
 
 
 # -- FCIDUMP-style ingestion -----------------------------------------------

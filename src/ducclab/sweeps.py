@@ -50,6 +50,8 @@ from .operators import QOperator, eigh_direct_sum, logm_unitary
 ZERO_TOL = 1e-14
 #: A previously eliminated coefficient re-growing past this trips the monitor.
 REGROWTH_TOL = 1e-10
+#: Largest external norm of a state that sweep 3 accepts as CAS-supported.
+SUPPORT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,24 +89,6 @@ def _apply_rotation(step: RotationStep, pairs, *arrays):
         ph = phases if lo.ndim == 1 else phases[:, None]
         arr[lows] = c * lo - np.conj(eip) * ph * s * hi
         arr[highs] = eip * ph * s * lo + c * hi
-
-
-def rotation_generator(step: RotationStep, basis: FockBasis) -> QOperator:
-    """Dense anti-Hermitian generator of the rotation (for provenance checks)."""
-    lows, highs, phases = excitation_pairs(step.signature, basis)
-    g = np.zeros((basis.size, basis.size), dtype=complex)
-    eip = np.exp(1j * step.phase)
-    g[highs, lows] += step.angle * eip * phases
-    g[lows, highs] -= step.angle * np.conj(eip) * phases
-    return QOperator(g, basis)
-
-
-def rotation_unitary(step: RotationStep, basis: FockBasis) -> QOperator:
-    """Dense unitary of one rotation, assembled pairwise (equals
-    expm(rotation_generator))."""
-    u = np.eye(basis.size, dtype=complex)
-    _apply_rotation(step, excitation_pairs(step.signature, basis), u)
-    return QOperator(u, basis)
 
 
 def rotation_for_target(state: np.ndarray, target: Determinant,
@@ -177,15 +161,15 @@ def sweep_targets(ref: Determinant, part: SpinOrbitalPartition,
             ordered(sweep3, part.occ_active))
 
 
-def _run_targets(state, omegas, targets, ref, basis, check, eliminated):
-    """Eliminate targets in order, accumulating rotations into the matrices
-    of ``omegas`` and recording steps. ``eliminated`` holds indices whose
+def _run_targets(state, omega, targets, ref, basis, check, eliminated):
+    """Eliminate targets in order, accumulating rotations into the matrix
+    ``omega`` and recording steps. ``eliminated`` holds indices whose
     coefficients must stay dead."""
     steps = []
     for sig, j in targets:
         step = rotation_for_target(state, basis.determinant(j), ref, basis)
         if step.angle != 0.0:
-            _apply_rotation(step, excitation_pairs(sig, basis), state, *omegas)
+            _apply_rotation(step, excitation_pairs(sig, basis), state, omega)
             steps.append(step)
         eliminated.append(j)
         if check and eliminated:
@@ -199,17 +183,12 @@ def _run_targets(state, omegas, targets, ref, basis, check, eliminated):
 
 @dataclass
 class ExternalSweep:
-    """Sweeps 1-2: accumulated unitaries and the CAS-supported state."""
+    """Sweeps 1-2: their accumulated unitary and the CAS-supported state."""
 
-    omega1: QOperator
-    omega2: QOperator
+    omega12: QOperator
     psi_act: np.ndarray
     steps1: list[RotationStep]
     steps2: list[RotationStep]
-
-    @property
-    def omega12(self) -> QOperator:
-        return self.omega2 @ self.omega1
 
 
 @dataclass
@@ -223,8 +202,7 @@ class InternalSweep:
 class SweepResult:
     """Full decomposition psi = e^{sigma_ext} e^{sigma_int} |ref>."""
 
-    omega1: QOperator
-    omega2: QOperator
+    omega12: QOperator
     omega3: QOperator
     sigma_ext: QOperator
     sigma_int: QOperator
@@ -234,10 +212,6 @@ class SweepResult:
     steps2: list[RotationStep]
     steps3: list[RotationStep]
     psi_act: np.ndarray
-
-    @property
-    def omega12(self) -> QOperator:
-        return self.omega2 @ self.omega1
 
 
 def sweep_external(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
@@ -250,31 +224,28 @@ def sweep_external(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition
     if abs(psi[basis.index_of(ref)]) < 1e-14:
         raise IntermediateNormalizationError("state has (numerically) zero reference overlap")
     state = np.array(psi, dtype=complex)
-    dim = basis.size
-    om1 = np.eye(dim, dtype=complex)
-    om2 = np.eye(dim, dtype=complex)
+    om12 = np.eye(basis.size, dtype=complex)
     targets1, targets2, _ = sweep_targets(ref, part, basis)
     eliminated: list[int] = []
-    steps1 = _run_targets(state, [om1], targets1, ref, basis, check, eliminated)
-    steps2 = _run_targets(state, [om2], targets2, ref, basis, check, eliminated)
-    return ExternalSweep(QOperator(om1, basis), QOperator(om2, basis),
-                         state, steps1, steps2)
+    steps1 = _run_targets(state, om12, targets1, ref, basis, check, eliminated)
+    steps2 = _run_targets(state, om12, targets2, ref, basis, check, eliminated)
+    return ExternalSweep(QOperator(om12, basis), state, steps1, steps2)
 
 
 def sweep_internal(psi_act: np.ndarray, ref: Determinant,
                    part: SpinOrbitalPartition, basis: FockBasis,
-                   check: bool = True, support_tol: float = 1e-10) -> InternalSweep:
+                   check: bool = True) -> InternalSweep:
     """Rotate a CAS-supported state onto e^{i delta}|ref> with internal
     generators only."""
     proj_ext = classify_sector(basis, ref, part) == DetClass.EXTERNAL
     ext_norm = float(np.linalg.norm(psi_act[proj_ext]))
-    if ext_norm > support_tol:
+    if ext_norm > SUPPORT_TOL:
         raise CasSupportError(
-            f"state has external support {ext_norm:.3e} (tol {support_tol:.0e})")
+            f"state has external support {ext_norm:.3e} (tol {SUPPORT_TOL:.0e})")
     state = np.array(psi_act, dtype=complex)
     om3 = np.eye(basis.size, dtype=complex)
     eliminated: list[int] = []
-    steps3 = _run_targets(state, [om3], sweep_targets(ref, part, basis)[2],
+    steps3 = _run_targets(state, om3, sweep_targets(ref, part, basis)[2],
                           ref, basis, check, eliminated)
     c_ref = state[basis.index_of(ref)]
     delta = float(np.angle(c_ref))
@@ -312,7 +283,7 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
         recon = V @ (np.exp(-1j * mu) * (V.conj().T @ recon))
     residual = float(np.linalg.norm(recon - psi_n))
     return SweepResult(
-        omega1=ext.omega1, omega2=ext.omega2, omega3=intr.omega3,
+        omega12=ext.omega12, omega3=intr.omega3,
         sigma_ext=sigma_ext, sigma_int=sigma_int, delta=intr.delta,
         residual=residual, steps1=ext.steps1, steps2=ext.steps2,
         steps3=intr.steps3, psi_act=ext.psi_act)

@@ -63,3 +63,14 @@ def random_state(basis, rng, ref=None, min_ref_weight=0.3):
         psi[i0] += min_ref_weight * np.exp(1j * np.angle(psi[i0])) * 3
         psi /= np.linalg.norm(psi)
     return psi
+
+
+def count_calls(monkeypatch, module, name, calls):
+    """Replace ``module.name`` for the test by a wrapper that counts its
+    calls in ``calls[name]``."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)

@@ -12,6 +12,8 @@ from ducclab import cli, ecc
 from ducclab.cli import main
 from ducclab.errors import CasSupportError
 
+from conftest import count_calls
+
 
 def write_config(tmp_path, **overrides):
     cfg = {
@@ -141,6 +143,36 @@ def test_import_leaves_scipy_sparse_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+SCIPY_LINALG_IMPORTERS = """
+import builtins, sys
+seen = set()
+real_import = builtins.__import__
+
+def recording_import(name, globals=None, locals=None, fromlist=(), level=0):
+    importer = (globals or {}).get("__name__", "")
+    if importer.startswith("ducclab") and (
+            name.startswith("scipy.linalg")
+            or (name == "scipy" and "linalg" in (fromlist or ()))):
+        seen.add(importer)
+    return real_import(name, globals, locals, fromlist, level)
+
+builtins.__import__ = recording_import
+import ducclab
+print(sorted(seen))
+"""
+
+
+def test_only_the_full_space_oracle_imports_scipy_linalg():
+    # every other kernel is spectral or a terminating series; the dense
+    # expm of the full-space propagator is the one scipy.linalg call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SCIPY_LINALG_IMPORTERS],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['ducclab.dynamics']"
+
+
 class TestRun:
     def test_fci_ground_energy(self, tmp_path):
         path = write_config(tmp_path)
@@ -265,15 +297,6 @@ def test_residual_gates_fail_meaningless_tasks(tmp_path, capsys):
 
 
 GROUND_PIPELINE = [{"name": n} for n in ("fci", "cluster", "sweep", "downfold", "imagtime")]
-
-
-def count_calls(monkeypatch, module, name, calls):
-    fn = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls[name] = calls.get(name, 0) + 1
-        return fn(*args, **kwargs)
-    monkeypatch.setattr(module, name, counted)
 
 
 class TestGroundStagesOncePerRun:

@@ -6,6 +6,7 @@ import ducclab as dl
 from ducclab.errors import IntermediateNormalizationError
 
 from conftest import random_state
+from oracles import build_projectors, random_hermitian_hamiltonian
 
 
 class TestClusterAnalyze:
@@ -45,7 +46,7 @@ class TestClusterAnalyze:
         # T from an exact eigenstate solves the projected equations:
         # Q e^{-T} H e^{T} |ref> = 0 and the reference expectation is E
         rng = np.random.default_rng(11)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs = np.linalg.eigh(H.matrix)
         amps = dl.cluster_analyze(vecs[:, 0], m8_ref, m8_basis)
         tmat = dl.excitation_matrix(amps, m8_basis)
@@ -60,7 +61,7 @@ class TestClusterAnalyze:
         # with exact T = T_int + T_ext the partially transformed equations
         # hold on the reference-plus-internal block
         rng = np.random.default_rng(12)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs = np.linalg.eigh(H.matrix)
         amps = dl.cluster_analyze(vecs[:, 0], m8_ref, m8_basis)
         t_int, t_ext = dl.split_amplitudes(amps, m8_part)
@@ -70,7 +71,7 @@ class TestClusterAnalyze:
         hbar_ext = scipy.linalg.expm(-me) @ H.matrix @ scipy.linalg.expm(me)
         ket = scipy.linalg.expm(mi) @ e_ref
         resid = hbar_ext @ ket - vals[0] * ket
-        projs = dl.build_projectors(m8_ref, m8_basis, m8_part)
+        projs = build_projectors(m8_ref, m8_basis, m8_part)
         pq = projs.P.matrix + projs.Q_int.matrix
         assert np.linalg.norm(pq @ resid) < 1e-9
 
@@ -168,16 +169,16 @@ class TestSigmaLowestOrder:
 class TestProjectors:
     def test_full_active_space(self, m6_basis, m6_ref):
         part = dl.homo_lumo_partition(6, 3, 3, 3)
-        projs = dl.build_projectors(m6_ref, m6_basis, part)
+        projs = build_projectors(m6_ref, m6_basis, part)
         assert projs.Q_ext.norm() == 0.0
 
     def test_empty_active_space(self, m6_basis, m6_ref):
         part = dl.homo_lumo_partition(6, 3, 0, 0)
-        projs = dl.build_projectors(m6_ref, m6_basis, part)
+        projs = build_projectors(m6_ref, m6_basis, part)
         assert projs.Q_int.norm() == 0.0
 
     def test_resolution_of_identity(self, m8_basis, m8_ref, m8_part):
-        projs = dl.build_projectors(m8_ref, m8_basis, m8_part)
+        projs = build_projectors(m8_ref, m8_basis, m8_part)
         total = projs.P.matrix + projs.Q_int.matrix + projs.Q_ext.matrix
         assert np.allclose(total, np.eye(m8_basis.size))
         assert np.trace(projs.P.matrix).real == 1.0

@@ -5,7 +5,10 @@ import pytest
 import scipy.linalg
 
 import ducclab as dl
+from ducclab.downfold import exp_dexp
 from ducclab.errors import OperatorPropertyError
+
+from oracles import _dexp_certified, cas_ci, random_hermitian_hamiltonian
 
 
 def exact_split(H, ref, basis, part, root=0):
@@ -17,14 +20,14 @@ def exact_split(H, ref, basis, part, root=0):
 class TestSesccDownfold:
     def test_zero_amplitudes_give_cas_ci(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(0)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         heff = dl.downfold_sescc(H, dl.Amplitudes({}), m8_ref, m8_part)
-        bare = dl.cas_ci(H, m8_ref, m8_part)
+        bare = cas_ci(H, m8_ref, m8_part)
         assert np.allclose(heff.matrix, bare.matrix)
 
     def test_exact_external_amplitudes_reproduce_fci(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(1)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs, (t_int, t_ext) = exact_split(H, m8_ref, m8_basis, m8_part)
         heff = dl.downfold_sescc(H, t_ext, m8_ref, m8_part)
         target = heff.restrict(scipy.linalg.expm(
@@ -39,7 +42,7 @@ class TestSesccDownfold:
 
     def test_internal_signature_rejected(self, m8_ref, m8_part, m8_basis):
         rng = np.random.default_rng(2)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         bad = dl.random_amplitudes(m8_ref, rng, m8_part, "internal", 0.1)
         with pytest.raises(OperatorPropertyError):
             dl.downfold_sescc(H, bad, m8_ref, m8_part)
@@ -48,15 +51,15 @@ class TestSesccDownfold:
 class TestDuccDownfold:
     def test_zero_generator_gives_cas_ci(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(3)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         heff = dl.downfold_ducc(H, dl.QOperator.zero(m8_basis), m8_ref, m8_part)
-        bare = dl.cas_ci(H, m8_ref, m8_part)
+        bare = cas_ci(H, m8_ref, m8_part)
         assert heff.hermitian
         assert np.allclose(heff.matrix, bare.matrix)
 
     def test_exact_generator_reproduces_fci(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(4)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs = np.linalg.eigh(H.matrix)
         res = dl.decompose_state(vecs[:, 0], m8_ref, m8_part, m8_basis)
         heff = dl.downfold_ducc(H, res.sigma_ext, m8_ref, m8_part)
@@ -69,7 +72,7 @@ class TestDuccDownfold:
 
     def test_hermitian_for_any_anti_hermitian_input(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(5)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         sigma = dl.sigma_lowest_order(
             dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.3), m8_basis)
         heff = dl.downfold_ducc(H, sigma, m8_ref, m8_part)
@@ -78,7 +81,7 @@ class TestDuccDownfold:
 
     def test_non_anti_hermitian_rejected(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(6)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         with pytest.raises(OperatorPropertyError):
             dl.downfold_ducc(H, dl.QOperator.identity(m8_basis), m8_ref, m8_part)
 
@@ -86,7 +89,7 @@ class TestDuccDownfold:
         # sigma ~ T_ext - T_ext+ improves as the active space absorbs more
         # of the correlation
         rng = np.random.default_rng(7)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs = np.linalg.eigh(H.matrix)
         amps = dl.cluster_analyze(vecs[:, 0], m8_ref, m8_basis)
         errors = []
@@ -102,7 +105,7 @@ class TestDuccDownfold:
 
     def test_similarity_invariance_of_full_spectrum(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(8)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         sigma = dl.sigma_lowest_order(
             dl.random_amplitudes(m6_ref, rng, m6_part, "external", 0.2), m6_basis)
         u = scipy.linalg.expm(sigma.matrix)
@@ -134,9 +137,8 @@ class TestDuccProjection:
 
     @pytest.mark.parametrize("sigma", _generator_cases())
     def test_matches_expm_and_dexp_series(self, m6_basis, m6_ref, m6_part, sigma):
-        from ducclab.dynamics import _dexp_certified
         rng = np.random.default_rng(12)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         sigma_dot = _anti_hermitian(rng, 20, 0.7)
         cas = dl.cas_indices(m6_ref, m6_part, m6_basis)
         ix = np.ix_(cas, cas)
@@ -157,11 +159,32 @@ class TestDuccProjection:
             dl.ducc_projection(H, dl.QOperator.zero(m6_basis), cas, H)
 
 
+class TestExpDexp:
+    """The exponential and dexp kernel shared by the DUCC projection and the
+    Lagrangian evaluators, against dense ``expm`` and the certified
+    commutator series."""
+
+    @pytest.mark.parametrize("sigma", _generator_cases())
+    def test_matches_expm_and_dexp_series(self, sigma):
+        sigma_dot = _anti_hermitian(np.random.default_rng(13), 20, 0.7)
+        expm = scipy.linalg.expm(sigma)
+        series = _dexp_certified(sigma, sigma_dot, 12)
+        rel = lambda a, b: np.linalg.norm(a - b) / np.linalg.norm(b)
+        U, A = exp_dexp(sigma, sigma_dot, slice(None))
+        assert rel(U, expm) < 1e-12
+        assert rel(A, series) < 1e-12
+        rows = np.array([0, 3, 4, 11])
+        R, A_rows = exp_dexp(sigma, sigma_dot, rows)
+        assert rel(R, expm[:, rows]) < 1e-12
+        assert rel(A_rows, series[np.ix_(rows, rows)]) < 1e-12
+        assert exp_dexp(sigma, None, rows)[1] is None
+
+
 class TestCasEigensolve:
     def test_empty_active_space_scalar(self, m8_basis, m8_ref):
         part = dl.homo_lumo_partition(8, 4, 0, 0)
         rng = np.random.default_rng(9)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs, (t_int, t_ext) = exact_split(H, m8_ref, m8_basis, part)
         heff = dl.downfold_sescc(H, t_ext, m8_ref, part)
         assert heff.dim == 1
@@ -203,7 +226,7 @@ class TestExport:
         assert data["residuals"]["reconstruction"] < 1e-9
 
     def test_matrix_dump(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
-        heff = dl.cas_ci(dimer_H, dimer_ref, dimer_part)
+        heff = cas_ci(dimer_H, dimer_ref, dimer_part)
         text = dl.effective_matrix_dump(heff)
         lines = text.strip().splitlines()
         assert lines[0].startswith("&HEFF DIM=2")
@@ -219,7 +242,7 @@ class TestExport:
 
     def test_lift_restrict(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(10)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
-        heff = dl.cas_ci(H, m8_ref, m8_part)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
+        heff = cas_ci(H, m8_ref, m8_part)
         c = rng.normal(size=heff.dim) + 1j * rng.normal(size=heff.dim)
         assert np.allclose(heff.restrict(heff.lift(c)), c)

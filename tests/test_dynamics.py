@@ -3,10 +3,13 @@ import pytest
 import scipy.linalg
 
 import ducclab as dl
+from ducclab import downfold
 from ducclab.errors import NormDriftError, OperatorPropertyError
 from ducclab.sweeps import sweep_targets
 
-from conftest import random_state
+from conftest import count_calls, random_state
+from oracles import (build_projectors, cas_ci, dexp_series, dexp_tail_ratio,
+                     random_hermitian_hamiltonian)
 
 
 def anti_hermitian_path(basis, ref, rng, norm=0.35):
@@ -64,14 +67,14 @@ class TestDexpSeries:
     def test_zero_velocity(self, m6_basis, m6_ref):
         rng = np.random.default_rng(0)
         X = dl.sigma_lowest_order(dl.random_amplitudes(m6_ref, rng, scale=0.3), m6_basis)
-        A = dl.dexp_series(X, dl.QOperator.zero(m6_basis), 8)
+        A = dexp_series(X, dl.QOperator.zero(m6_basis), 8)
         assert A.norm() == 0.0
 
     def test_order_zero_is_velocity(self, m6_basis, m6_ref):
         rng = np.random.default_rng(1)
         X = dl.sigma_lowest_order(dl.random_amplitudes(m6_ref, rng, scale=0.3), m6_basis)
         Xd = dl.sigma_lowest_order(dl.random_amplitudes(m6_ref, rng, scale=0.3), m6_basis)
-        A = dl.dexp_series(X, Xd, 0)
+        A = dexp_series(X, Xd, 0)
         assert np.allclose(A.matrix, Xd.matrix)
 
     def test_commuting_exact_at_order_zero(self, m6_basis):
@@ -79,7 +82,7 @@ class TestDexpSeries:
         d = rng.normal(size=m6_basis.size)
         X = dl.QOperator(1j * np.diag(d), m6_basis)
         Xd = dl.QOperator(0.5j * np.diag(d), m6_basis)  # commutes with X
-        A = dl.dexp_series(X, Xd, 0)
+        A = dexp_series(X, Xd, 0)
         fd = 1e-6
         lhs = (scipy.linalg.expm(X.matrix + fd * Xd.matrix)
                - scipy.linalg.expm(X.matrix - fd * Xd.matrix)) / (2 * fd)
@@ -94,7 +97,7 @@ class TestDexpSeries:
         ref_norm = np.linalg.norm(fd)
         errs = []
         for K in range(13):
-            A = dl.dexp_series(dl.QOperator(X(t0), m6_basis),
+            A = dexp_series(dl.QOperator(X(t0), m6_basis),
                                dl.QOperator(Xd(t0), m6_basis), K)
             assert A.anti_hermiticity_defect() < 1e-12
             errs.append(np.linalg.norm(ex @ A.matrix - fd) / ref_norm)
@@ -107,7 +110,7 @@ class TestDexpSeries:
     def test_tail_ratio_certificate(self, m6_basis, m6_ref):
         rng = np.random.default_rng(4)
         X, Xd = anti_hermitian_path(m6_basis, m6_ref, rng, norm=0.25)
-        ratio = dl.dexp_tail_ratio(dl.QOperator(X(0.0), m6_basis),
+        ratio = dexp_tail_ratio(dl.QOperator(X(0.0), m6_basis),
                                    dl.QOperator(Xd(0.0), m6_basis), 12)
         assert ratio < 1e-12
 
@@ -115,7 +118,7 @@ class TestDexpSeries:
 class TestBuildHeffTd:
     def test_zero_velocity_reduces_to_static(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(5)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         sigma = dl.sigma_lowest_order(
             dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.2), m8_basis)
         td = dl.build_heff_td(H, sigma, dl.QOperator.zero(m8_basis), m8_ref, m8_part)
@@ -124,7 +127,7 @@ class TestBuildHeffTd:
 
     def test_zero_generator_keeps_velocity_term(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(6)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         D = dl.sigma_lowest_order(
             dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.2), m8_basis)
         td = dl.build_heff_td(H, dl.QOperator.zero(m8_basis), D, m8_ref, m8_part)
@@ -134,7 +137,7 @@ class TestBuildHeffTd:
 
     def test_hermitian_on_random_inputs(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(7)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         s = dl.sigma_lowest_order(
             dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.3), m8_basis)
         sd = dl.sigma_lowest_order(
@@ -210,10 +213,10 @@ class TestDecomposeTrajectoryWorkBudget:
 
 class TestPropagateInternal:
     def test_time_independent_phase_evolution(self, dimer_H, dimer_ref, dimer_part):
-        heff = dl.cas_ci(dimer_H, dimer_ref, dimer_part)
+        heff = cas_ci(dimer_H, dimer_ref, dimer_part)
         vals, vecs = heff.eigensystem()
         c0 = vecs[:, 0]
-        times, cs = dl.propagate_internal(lambda t: heff.matrix, c0, 0.01, 200)
+        times, cs = dl.propagate_internal([heff.matrix] * 401, c0, 0.01, 200)
         expected = np.exp(-1j * vals[0] * times[-1]) * c0
         assert np.linalg.norm(cs[-1] - expected) < 1e-8
 
@@ -226,9 +229,8 @@ class TestPropagateInternal:
             fine = dl.propagate_full(H, psi0, dt / 2, 2 * nsteps)
             fine = dl.decompose_trajectory(fine, dimer_ref, dimer_part)
             heffs = dl.heff_grid(H, fine, dimer_ref, dimer_part, fd_order=4)
-            provider = dl.grid_provider(fine.times, heffs)
-            _, cs = dl.propagate_internal(provider, fine.decompositions[0].c_int,
-                                          dt, nsteps)
+            _, cs = dl.propagate_internal([h.matrix for h in heffs],
+                                          fine.decompositions[0].c_int, dt, nsteps)
             return max(np.linalg.norm(cs[k] - fine.decompositions[2 * k].c_int)
                        for k in range(nsteps + 1))
 
@@ -237,11 +239,18 @@ class TestPropagateInternal:
         assert d1 < 1e-5
         assert d1 / d2 > 10.0  # ~16x for a 4th-order scheme
 
+    @pytest.mark.parametrize("count", [0, 8, 10])
+    def test_half_grid_length_checked(self, dimer_H, dimer_ref, dimer_part, count):
+        # four steps read the 2 * 4 + 1 half-step matrices
+        heff = cas_ci(dimer_H, dimer_ref, dimer_part)
+        with pytest.raises(ValueError, match="2 \\* nsteps \\+ 1 = 9"):
+            dl.propagate_internal([heff.matrix] * count, np.array([1.0, 0.0]), 0.1, 4)
+
     def test_norm_drift_guard(self, dimer_part, dimer_H, dimer_ref):
-        heff = dl.cas_ci(dimer_H, dimer_ref, dimer_part)
+        heff = cas_ci(dimer_H, dimer_ref, dimer_part)
         c0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(NormDriftError):
-            dl.propagate_internal(lambda t: heff.matrix, c0, 2.5, 4)
+            dl.propagate_internal([heff.matrix] * 9, c0, 2.5, 4)
 
 
 class TestSigmaDotGrid:
@@ -273,7 +282,7 @@ class TestLagrangians:
 
     def test_static_zero_generators(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(8)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         zero = dl.QOperator.zero(m6_basis)
         la, lb, lc = dl.evaluate_lagrangians(H, zero, zero, zero, zero,
                                              m6_ref, m6_part)
@@ -284,7 +293,7 @@ class TestLagrangians:
 
     def test_no_external_generator(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(9)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         zero = dl.QOperator.zero(m6_basis)
         si, _, dsi, _ = self._sigmas(m6_basis, m6_ref, m6_part, rng)
         la, lb, lc = dl.evaluate_lagrangians(H, si, zero, dsi, zero, m6_ref, m6_part)
@@ -294,9 +303,23 @@ class TestLagrangians:
     @pytest.mark.parametrize("seed", range(4))
     def test_mutual_agreement(self, m6_basis, m6_ref, m6_part, seed):
         rng = np.random.default_rng(seed)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         si, se, dsi, dse = self._sigmas(m6_basis, m6_ref, m6_part, rng)
-        la, lb, lc = dl.evaluate_lagrangians(H, si, se, dsi, dse, m6_ref, m6_part, K=12)
+        la, lb, lc = dl.evaluate_lagrangians(H, si, se, dsi, dse, m6_ref, m6_part)
+        assert abs(la - lb) < 1e-9
+        assert abs(la - lc) < 1e-9
+
+    def test_work_budget(self, monkeypatch, m6_basis, m6_ref, m6_part):
+        # e^{+-sigma} and A(sigma, sigma_dot) from one eigh per generator,
+        # and no dense exponential
+        calls = {"expm": 0}
+        count_calls(monkeypatch, scipy.linalg, "expm", calls)
+        count_calls(monkeypatch, downfold, "eigh_direct_sum", calls)
+        rng = np.random.default_rng(14)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
+        si, se, dsi, dse = self._sigmas(m6_basis, m6_ref, m6_part, rng)
+        la, lb, lc = dl.evaluate_lagrangians(H, si, se, dsi, dse, m6_ref, m6_part)
+        assert calls == {"expm": 0, "eigh_direct_sum": 2}
         assert abs(la - lb) < 1e-9
         assert abs(la - lc) < 1e-9
 
@@ -322,7 +345,7 @@ class TestLagrangians:
             dl.QOperator(sig_e[k], dimer_basis),
             dl.QOperator(0.5 * (dot_i[k] - dot_i[k].conj().T), dimer_basis),
             dl.QOperator(0.5 * (dot_e[k] - dot_e[k].conj().T), dimer_basis),
-            dimer_ref, dimer_part, K=30)
+            dimer_ref, dimer_part)
         assert abs(deltas).max() >= 0.0  # deltas smooth enough for differencing
         assert abs(lc.imag) < 1e-8
 
@@ -333,7 +356,7 @@ class TestSesccLagrangian:
 
     def test_reduces_without_lambda_and_ext(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(10)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         zero = dl.Amplitudes({})
         ti = self._amps(m6_ref, m6_part, rng, "internal")
         dti = self._amps(m6_ref, m6_part, rng, "internal")
@@ -349,7 +372,7 @@ class TestSesccLagrangian:
 
     def test_static_forms_equal(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(11)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         zero = dl.Amplitudes({})
         f1, f2 = dl.evaluate_sescc_lagrangian(
             H, self._amps(m6_ref, m6_part, rng, "internal"),
@@ -362,7 +385,7 @@ class TestSesccLagrangian:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_forms_equal(self, m6_basis, m6_ref, m6_part, seed):
         rng = np.random.default_rng(seed + 20)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         f1, f2 = dl.evaluate_sescc_lagrangian(
             H, self._amps(m6_ref, m6_part, rng, "internal"),
             self._amps(m6_ref, m6_part, rng, "external"),
@@ -381,7 +404,7 @@ class TestSesccLagrangian:
             self._amps(m8_ref, m8_part, rng, "internal", 0.5), m8_basis)
         e_ref = m8_basis.unit_vector(m8_basis.index_of(m8_ref))
         vec = dte @ (scipy.linalg.expm(ti) @ e_ref)
-        projs = dl.build_projectors(m8_ref, m8_basis, m8_part)
+        projs = build_projectors(m8_ref, m8_basis, m8_part)
         assert np.linalg.norm((projs.P.matrix + projs.Q_int.matrix) @ vec) < 1e-13
 
 
@@ -393,7 +416,7 @@ class TestTdSesccKet:
         psi0 = np.linalg.eigh(
             dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
         e_ref = dimer_basis.unit_vector(dimer_basis.index_of(dimer_ref))
-        projs = dl.build_projectors(dimer_ref, dimer_basis, dimer_part)
+        projs = build_projectors(dimer_ref, dimer_basis, dimer_part)
         pq = projs.P.matrix + projs.Q_int.matrix
 
         def ket_and_heff(t):

@@ -4,6 +4,8 @@ import scipy.linalg
 
 import ducclab as dl
 
+from oracles import eval_ecc_action_integrand, random_hermitian_hamiltonian
+
 
 def random_cfg(ref, part, rng, scale=0.1):
     mk = lambda kind: dl.random_amplitudes(ref, rng, part, kind, scale)
@@ -65,7 +67,7 @@ class TestChainsMatchDenseProducts:
         basis, ref, part = self.system(request, fixture)
         rng = np.random.default_rng(40)
         for _ in range(3):
-            H = dl.random_hermitian_hamiltonian(basis, rng)
+            H = random_hermitian_hamiltonian(basis, rng)
             cfg = random_cfg(ref, part, rng, scale)
             m = dl.EccMatrices.build(cfg, basis)
             got = dl.eval_ldt_forms(m, ref) + dl.eval_lh_forms(m, H, ref)
@@ -132,7 +134,7 @@ class TestLdtForms:
 class TestLhForms:
     def test_no_external_deexcitation(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(2)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
         cfg.x_ext = zero_amps()
         w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
@@ -140,7 +142,7 @@ class TestLhForms:
 
     def test_no_internal_excitation(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(3)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
         cfg.t_int = zero_amps()  # X^int_ext collapses onto X_ext
         w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
@@ -149,7 +151,7 @@ class TestLhForms:
     @pytest.mark.parametrize("seed", range(5))
     def test_forms_agree(self, m6_basis, m6_ref, m6_part, seed):
         rng = np.random.default_rng(seed + 10)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
         w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
         assert abs(w1 - w2) < 1e-10
@@ -158,29 +160,29 @@ class TestLhForms:
 class TestActionIntegrand:
     def test_all_zero_amplitudes(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(4)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = dl.EccConfiguration(*(zero_amps() for _ in range(6)))
-        value, dev = dl.eval_ecc_action_integrand(cfg, H, m6_ref)
+        value, dev = eval_ecc_action_integrand(cfg, H, m6_ref)
         e_ref = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
         assert abs(value - (-(e_ref.conj() @ (H.matrix @ e_ref)))) < 1e-12
         assert dev < 1e-14
 
     def test_static_configuration_is_minus_energy_form(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(5)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
         cfg.dt_int = zero_amps()
         cfg.dt_ext = zero_amps()
-        value, _ = dl.eval_ecc_action_integrand(cfg, H, m6_ref)
+        value, _ = eval_ecc_action_integrand(cfg, H, m6_ref)
         _, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
         assert abs(value - (-w2)) < 1e-13
 
     @pytest.mark.parametrize("seed", range(5))
     def test_deviation_small_for_full_product(self, m6_basis, m6_ref, m6_part, seed):
         rng = np.random.default_rng(seed + 20)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        _, dev = dl.eval_ecc_action_integrand(cfg, H, m6_ref)
+        _, dev = eval_ecc_action_integrand(cfg, H, m6_ref)
         assert dev < 1e-10
 
 

@@ -4,6 +4,8 @@ import pytest
 import ducclab as dl
 from ducclab.errors import ConvergenceError, OperatorPropertyError
 
+from oracles import _dexp_certified
+
 
 def two_level(e0=0.0, e1=1.0):
     return dl.EffectiveHamiltonian(np.diag([e0, e1]).astype(complex),
@@ -115,17 +117,6 @@ class TestImaginaryEvolve:
 
 
 class TestNonstationary:
-    def test_constant_provider_matches_stationary(self):
-        heff = two_level(0.0, 2.0)
-        c0 = np.array([0.6, 0.8])
-        s1 = dl.initial_flow_state(c0, heff)
-        s2 = dl.initial_flow_state(c0, heff)
-        for _ in range(15):
-            s1 = dl.imaginary_step(s1, heff, 0.1)
-            s2 = dl.imaginary_step_nonstationary(s2, lambda tau: heff, 0.1)
-        assert np.linalg.norm(s1.c_int - s2.c_int) < 1e-12
-        assert s1.shift == pytest.approx(s2.shift)
-
     def test_decaying_schedule_reaches_stationary_limit(self, dimer_basis, dimer_H,
                                                         dimer_ref, dimer_part):
         rng = np.random.default_rng(2)
@@ -144,11 +135,10 @@ class TestNonstationary:
         state = dl.initial_flow_state(np.array([1.0, 0.3]), provider(0.0))
         a_norms = []
         for _ in range(350):
-            from ducclab.dynamics import _dexp_certified
             a_norms.append(np.linalg.norm(_dexp_certified(
                 sweep.sigma_ext.matrix + np.exp(-state.tau) * pert.matrix,
                 -np.exp(-state.tau) * pert.matrix, 12)))
-            state = dl.imaginary_step_nonstationary(state, provider, 0.1)
+            state = dl.imaginary_step(state, provider(state.tau), 0.1)
         heff_stat = dl.downfold_ducc(dimer_H, sweep.sigma_ext, dimer_ref, dimer_part)
         stat = dl.imaginary_evolve(heff_stat, np.array([1.0, 0.3]), dtau=0.1,
                                    tol=1e-12)

@@ -7,6 +7,8 @@ import scipy.linalg
 
 import ducclab as dl
 
+from oracles import random_hermitian_hamiltonian
+
 
 class TestExcitedStateDecomposition:
     def test_ducc_reproduces_excited_energy(self, m8_basis, m8_ref, m8_part):
@@ -14,7 +16,7 @@ class TestExcitedStateDecomposition:
         # overlap; the matching root is found by eigenvector overlap, not by
         # energy ordering
         rng = np.random.default_rng(123)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs = np.linalg.eigh(H.matrix)
         k = 1
         assert abs(vecs[m8_basis.index_of(m8_ref), k]) > 1e-3
@@ -31,7 +33,7 @@ class TestExcitedStateDecomposition:
 
     def test_sescc_reproduces_excited_energy(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(123)
-        H = dl.random_hermitian_hamiltonian(m8_basis, rng)
+        H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs = np.linalg.eigh(H.matrix)
         k = 1
         amps = dl.cluster_analyze(vecs[:, k], m8_ref, m8_basis)
@@ -52,7 +54,7 @@ class TestDeskScaleCeiling:
         ref = dl.aufbau_reference(10, 5)
         part = dl.homo_lumo_partition(10, 5, 2, 2)
         rng = np.random.default_rng(7)
-        H = dl.random_hermitian_hamiltonian(basis, rng)
+        H = random_hermitian_hamiltonian(basis, rng)
         vals, vecs = np.linalg.eigh(H.matrix)
         res = dl.decompose_state(vecs[:, 0], ref, part, basis)
         assert res.residual < 1e-9
@@ -99,7 +101,7 @@ class TestActiveSpaceEdges:
         # nothing external to do and the downfolded operator is H itself
         part = dl.homo_lumo_partition(6, 3, no, nv)
         rng = np.random.default_rng(17)
-        H = dl.random_hermitian_hamiltonian(m6_basis, rng)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
         vals, vecs = np.linalg.eigh(H.matrix)
         res = dl.decompose_state(vecs[:, 0], m6_ref, part, m6_basis)
         assert res.residual < 1e-9

@@ -7,6 +7,8 @@ from ducclab.errors import CasSupportError, OrderingViolationError
 from ducclab.sweeps import sweep_targets
 
 from conftest import random_state
+from oracles import (build_projectors, classify_determinant, rotation_generator,
+                     rotation_unitary)
 
 
 class TestRotationForTarget:
@@ -55,20 +57,20 @@ class TestRotationForTarget:
 class TestRotationUnitary:
     def test_matches_generator_exponential(self, m6_basis):
         step = dl.RotationStep((0, 2), (3, 5), angle=0.47, phase=1.1)
-        direct = dl.rotation_unitary(step, m6_basis)
-        via_expm = scipy.linalg.expm(dl.rotation_generator(step, m6_basis).matrix)
+        direct = rotation_unitary(step, m6_basis)
+        via_expm = scipy.linalg.expm(rotation_generator(step, m6_basis).matrix)
         assert np.abs(direct.matrix - via_expm).max() < 1e-12
         assert direct.unitarity_defect() < 1e-13
 
     def test_generator_anti_hermitian(self, m6_basis):
         step = dl.RotationStep((1,), (4,), angle=0.3, phase=-0.4)
-        assert dl.rotation_generator(step, m6_basis).anti_hermiticity_defect() == 0.0
+        assert rotation_generator(step, m6_basis).anti_hermiticity_defect() == 0.0
 
 
 class TestSweepExternal:
     def test_cas_state_untouched(self, m8_basis, m8_ref, m8_part):
         # a state already supported on the active block needs no rotations
-        projs = dl.build_projectors(m8_ref, m8_basis, m8_part)
+        projs = build_projectors(m8_ref, m8_basis, m8_part)
         rng = np.random.default_rng(0)
         psi = random_state(m8_basis, rng, ref=m8_ref)
         psi = (projs.P.matrix + projs.Q_int.matrix) @ psi
@@ -80,7 +82,7 @@ class TestSweepExternal:
     def test_hubbard_ground_state(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
         psi = np.linalg.eigh(dimer_H.matrix)[1][:, 0]
         res = dl.sweep_external(psi, dimer_ref, dimer_part, dimer_basis)
-        projs = dl.build_projectors(dimer_ref, dimer_basis, dimer_part)
+        projs = build_projectors(dimer_ref, dimer_basis, dimer_part)
         assert np.linalg.norm(projs.Q_ext.matrix @ res.psi_act) < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
@@ -88,10 +90,9 @@ class TestSweepExternal:
         rng = np.random.default_rng(seed)
         psi = random_state(m8_basis, rng, ref=m8_ref)
         res = dl.sweep_external(psi, m8_ref, m8_part, m8_basis)
-        projs = dl.build_projectors(m8_ref, m8_basis, m8_part)
+        projs = build_projectors(m8_ref, m8_basis, m8_part)
         assert np.linalg.norm(projs.Q_ext.matrix @ res.psi_act) < 1e-10
-        assert res.omega1.unitarity_defect() < 1e-12
-        assert res.omega2.unitarity_defect() < 1e-12
+        assert res.omega12.unitarity_defect() < 1e-12
         # norm is preserved by the unitary sweeps
         assert np.linalg.norm(res.psi_act) == pytest.approx(1.0, abs=1e-12)
 
@@ -116,7 +117,7 @@ class TestSweepExternal:
             assert sig.virt[-1] in virt_inact
         assert len(t1) + len(t2) == sum(
             1 for d in m8_basis
-            if dl.classify_determinant(d, m8_ref, m8_part) is dl.DetClass.EXTERNAL)
+            if classify_determinant(d, m8_ref, m8_part) is dl.DetClass.EXTERNAL)
 
 
 class TestSweepInternal:
@@ -136,7 +137,7 @@ class TestSweepInternal:
 
     def test_random_cas_state(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(1)
-        projs = dl.build_projectors(m8_ref, m8_basis, m8_part)
+        projs = build_projectors(m8_ref, m8_basis, m8_part)
         psi = (projs.P.matrix + projs.Q_int.matrix) @ random_state(m8_basis, rng, m8_ref)
         psi /= np.linalg.norm(psi)
         res = dl.sweep_internal(psi, m8_ref, m8_part, m8_basis)
@@ -161,9 +162,9 @@ class TestExtractSigmas:
 
     def test_single_rotation_recovers_generator(self, m6_basis):
         step = dl.RotationStep((0, 1), (3, 4), angle=0.4, phase=0.2)
-        omega = dl.rotation_unitary(step, m6_basis)
+        omega = rotation_unitary(step, m6_basis)
         s_ext, _ = dl.extract_sigmas(omega, dl.QOperator.identity(m6_basis), 0.0)
-        gen = dl.rotation_generator(step, m6_basis)
+        gen = rotation_generator(step, m6_basis)
         # omega^{-1} = exp(-g), so the log is the negated generator
         assert np.abs(s_ext.matrix + gen.matrix).max() < 1e-12
 
@@ -209,7 +210,7 @@ class TestDecomposeState:
         res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
         ket = scipy.linalg.expm(res.sigma_int.matrix) @ m8_basis.unit_vector(
             m8_basis.index_of(m8_ref))
-        projs = dl.build_projectors(m8_ref, m8_basis, m8_part)
+        projs = build_projectors(m8_ref, m8_basis, m8_part)
         assert np.linalg.norm(projs.Q_ext.matrix @ ket) < 1e-12
 
     def test_no_reintroduction_monitor_clean(self, m6_basis, m6_ref):
@@ -274,5 +275,5 @@ class TestDecomposeState:
         state = psi.astype(complex).copy()
         omega = np.eye(dimer_basis.size, dtype=complex)
         with pytest.raises(OrderingViolationError):
-            _run_targets(state, [omega], occ_keyed, dimer_ref, dimer_basis,
+            _run_targets(state, omega, occ_keyed, dimer_ref, dimer_basis,
                          check=True, eliminated=[])
