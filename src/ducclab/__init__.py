@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 from .cluster import (Amplitudes, cluster_analyze, deexcitation_matrix,
                       excitation_matrix, exp_nilpotent, random_amplitudes,
                       sigma_lowest_order, split_amplitudes)
-from .downfold import (EffectiveHamiltonian, cas_eigensolve, cas_indices,
-                       downfold_ducc, downfold_sescc, ducc_projection,
-                       effective_matrix_dump, effective_to_dict, match_root,
-                       write_effective_json)
+from .downfold import (EffectiveHamiltonian, cas_eigensolve, downfold_ducc,
+                       downfold_sescc, ducc_projection, effective_matrix_dump,
+                       effective_to_dict, match_root, write_effective_json)
 from .dynamics import (Trajectory, build_heff_td, decompose_trajectory,
                        evaluate_lagrangians, evaluate_sescc_lagrangian, heff_grid,
                        propagate_full, propagate_internal, sigma_dot_grid,
@@ -28,15 +27,15 @@ from .errors import (BranchCutError, CasSupportError, ConfigError,
                      ConvergenceError, DuccLabError, IntermediateNormalizationError,
                      InvalidDimensionError, NormDriftError, OperatorPropertyError,
                      OrderingViolationError, SectorMismatchError)
-from .fock import (Determinant, DetClass, ExcitationSignature, FockBasis,
-                   SpinOrbitalPartition, apply_excitation, aufbau_reference,
-                   build_basis, classify_sector, enumerate_signatures,
-                   excitation_pairs, holes_and_particles, homo_lumo_partition,
-                   signature_between)
+from .fock import (Determinant, DetClass, DeterminantTable, ExcitationSignature,
+                   FockBasis, SpinOrbitalPartition, aufbau_reference, build_basis,
+                   determinant_table, enumerate_signatures, excitation_pairs,
+                   homo_lumo_partition)
 from .imagtime import (FlowResult, ImaginaryFlowState, imaginary_evolve,
                        imaginary_step, initial_flow_state, write_flow_log)
 from .operators import (IntegralSet, QOperator, build_hubbard, build_pairing,
-                        direct_sum_blocks, hamiltonian_from_integrals, logm_unitary,
+                        direct_sum_blocks, hamiltonian_from_integrals,
+                        hubbard_integrals, logm_unitary, pairing_integrals,
                         read_fcidump)
 from .sweeps import (RotationStep, SweepResult, decompose_state, extract_sigmas,
                      rotation_for_target, sweep_external, sweep_internal)

@@ -31,19 +31,19 @@ import scipy
 from . import __version__
 from .cluster import (cluster_analyze, excitation_matrix, exp_nilpotent,
                       random_amplitudes, sigma_lowest_order, split_amplitudes)
-from .downfold import (cas_indices, downfold_ducc, downfold_sescc,
-                       effective_matrix_dump, match_root, write_effective_json)
+from .downfold import (downfold_ducc, downfold_sescc, effective_matrix_dump,
+                       match_root, write_effective_json)
 from .dynamics import (Trajectory, decompose_trajectory, evaluate_lagrangians,
                        evaluate_sescc_lagrangian, heff_grid, propagate_full,
                        propagate_internal, trajectory_to_csv)
 from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
                   eval_lh_forms, x_int_ext_bch)
 from .errors import ConfigError, DuccLabError
-from .fock import (DetClass, SpinOrbitalPartition, build_basis, classify_sector,
+from .fock import (DetClass, SpinOrbitalPartition, build_basis, determinant_table,
                    homo_lumo_partition)
 from .imagtime import imaginary_evolve, write_flow_log
-from .operators import (QOperator, build_hubbard, build_pairing,
-                        hamiltonian_from_integrals, read_fcidump)
+from .operators import (IntegralSet, QOperator, hamiltonian_from_integrals,
+                        hubbard_integrals, pairing_integrals, read_fcidump)
 from .sweeps import decompose_state
 
 VERIFY_ALL_TASKS = ("fci", "cluster", "sweep", "downfold", "propagate", "imagtime", "ecc")
@@ -163,6 +163,17 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _model_integrals(sys_cfg: dict, interacting: bool = True) -> IntegralSet:
+    """Integral set of a hubbard or pairing system; without ``interacting``,
+    the same set with ``U`` or ``g`` set to 0."""
+    if sys_cfg["kind"] == "hubbard":
+        U = float(sys_cfg["U"]) if interacting else 0.0
+        return hubbard_integrals(int(sys_cfg["L"]), float(sys_cfg["t"]), U)
+    g = float(sys_cfg["g"]) if interacting else 0.0
+    return pairing_integrals(int(sys_cfg["levels"]), g,
+                             spacing=float(sys_cfg.get("spacing", 1.0)))
+
+
 def _build_system(cfg: dict):
     sys_cfg = cfg.get("system")
     if not isinstance(sys_cfg, dict) or "kind" not in sys_cfg:
@@ -171,16 +182,9 @@ def _build_system(cfg: dict):
     if not isinstance(nelec, int) or nelec < 0:
         raise ConfigError("config needs a non-negative integer 'electrons'")
     kind = sys_cfg["kind"]
+    if kind not in ("hubbard", "pairing", "fcidump"):
+        raise ConfigError(f"unknown system kind {kind!r}")
     try:
-        if kind == "hubbard":
-            L, t, U = int(sys_cfg["L"]), float(sys_cfg["t"]), float(sys_cfg["U"])
-            basis = build_basis(2 * L, nelec)
-            return basis, build_hubbard(L, t, U, basis)
-        if kind == "pairing":
-            levels, g = int(sys_cfg["levels"]), float(sys_cfg["g"])
-            spacing = float(sys_cfg.get("spacing", 1.0))
-            basis = build_basis(2 * levels, nelec)
-            return basis, build_pairing(levels, g, basis, spacing=spacing)
         if kind == "fcidump":
             path = sys_cfg["path"]
             if not os.path.isabs(path):
@@ -190,12 +194,16 @@ def _build_system(cfg: dict):
                 raise ConfigError(
                     f"FCIDUMP NELEC={file_nelec} != config electrons={nelec}")
             basis = build_basis(ints.M, nelec)
-            return basis, hamiltonian_from_integrals(ints, basis)
+        else:
+            # the basis guards the orbital count before the integrals exist
+            basis = build_basis(2 * int(sys_cfg["L" if kind == "hubbard" else "levels"]),
+                                nelec)
+            ints = _model_integrals(sys_cfg)
+        return basis, hamiltonian_from_integrals(ints, basis)
     except KeyError as exc:
         raise ConfigError(f"system.{exc.args[0]} missing for kind={kind!r}") from exc
     except (OSError, TypeError, ValueError, IndexError, DuccLabError) as exc:
         raise ConfigError(f"system ({kind}): {exc}") from exc
-    raise ConfigError(f"unknown system kind {kind!r}")
 
 
 def _build_partition(cfg: dict, M: int, N: int) -> SpinOrbitalPartition | None:
@@ -336,7 +344,7 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     part = ctx.need_partition()
     res = ctx.sweep()
-    external = classify_sector(ctx.basis, ctx.ref, part) == DetClass.EXTERNAL
+    external = determinant_table(ctx.basis, ctx.ref).classes(part) == DetClass.EXTERNAL
     cas_support = float(np.linalg.norm(res.psi_act[external]))
     return {
         "reconstruction_residual": res.residual,
@@ -395,7 +403,6 @@ def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 
 
 def _initial_state(ctx: RunContext, kind: str) -> np.ndarray:
-    sys_cfg = ctx.config["system"]
     if kind == "reference":
         # quench: the reference determinant is never an eigenstate of an
         # interacting H, and keeps a large reference overlap along the way
@@ -403,11 +410,8 @@ def _initial_state(ctx: RunContext, kind: str) -> np.ndarray:
     if kind == "ground":
         return ctx.ground_state()[1][:, 0]
     # noninteracting-ground, which _check_task admits for hubbard and pairing only
-    if sys_cfg["kind"] == "hubbard":
-        h0 = build_hubbard(int(sys_cfg["L"]), float(sys_cfg["t"]), 0.0, ctx.basis)
-    else:
-        h0 = build_pairing(int(sys_cfg["levels"]), 0.0, ctx.basis,
-                           spacing=float(sys_cfg.get("spacing", 1.0)))
+    h0 = hamiltonian_from_integrals(
+        _model_integrals(ctx.config["system"], interacting=False), ctx.basis)
     return np.linalg.eigh(h0.matrix)[1][:, 0]
 
 
@@ -431,7 +435,7 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 
     energies = np.array([(s.conj() @ (ctx.H.matrix @ s)).real for s in fine.states])
     norms = np.array([np.linalg.norm(s) for s in fine.states])
-    cas = cas_indices(ctx.ref, part, ctx.basis)
+    cas = determinant_table(ctx.basis, ctx.ref).cas(part)
     coarse_idx = np.arange(0, len(fine.times), 2)
     coarse = Trajectory(fine.times[coarse_idx], fine.states[coarse_idx], ctx.basis,
                         [fine.decompositions[k] for k in coarse_idx])

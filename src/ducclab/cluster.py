@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import IntermediateNormalizationError, SectorMismatchError
 from .fock import (Determinant, ExcitationSignature, FockBasis,
-                   SpinOrbitalPartition, apply_excitation, enumerate_signatures,
+                   SpinOrbitalPartition, determinant_table, enumerate_signatures,
                    excitation_pairs)
 from .operators import QOperator
 
@@ -106,29 +106,26 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Ampl
     """
     if len(psi) != basis.size:
         raise SectorMismatchError("state vector length does not match basis")
-    i0 = basis.index_of(ref)
-    c0 = psi[i0]
+    table = determinant_table(basis, ref)
+    c0 = psi[table.ref_index]
     if abs(c0) < C0_TOL:
         raise IntermediateNormalizationError(
             f"reference coefficient {abs(c0):.3e} below {C0_TOL:.0e}")
     c = np.asarray(psi, dtype=complex) / c0
-    e_ref = basis.unit_vector(i0)
+    e_ref = basis.unit_vector(table.ref_index)
 
     entries: dict[ExcitationSignature, complex] = {}
-    max_rank = min(ref.N, ref.M - ref.N)
-    for k in range(1, max_rank + 1):
+    ranks = table.ranks[table.order]
+    for k in range(1, min(ref.N, ref.M - ref.N) + 1):
         if entries:
             low = exp_nilpotent(excitation_matrix(Amplitudes(entries), basis), e_ref, basis)
         else:
             low = e_ref
-        for sig in enumerate_signatures(ref):
-            if sig.rank != k:
-                continue
-            det, ph = apply_excitation(sig, ref)
-            idx = basis.index_of(det)
-            t = (c[idx] - low[idx]) / ph
+        rows = table.order[ranks == k]
+        amps = (c[rows] - low[rows]) / table.phases[rows]
+        for j, t in zip(rows.tolist(), amps.tolist()):
             if t != 0:
-                entries[sig] = complex(t)
+                entries[table.signatures[j]] = t
     return Amplitudes(entries)
 
 

@@ -16,17 +16,8 @@ import numpy as np
 
 from .cluster import Amplitudes, excitation_matrix, exp_nilpotent
 from .errors import OperatorPropertyError
-from .fock import (DetClass, Determinant, FockBasis, SpinOrbitalPartition,
-                   classify_sector)
+from .fock import Determinant, FockBasis, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, eigh_direct_sum
-
-
-def cas_indices(ref: Determinant, part: SpinOrbitalPartition,
-                basis: FockBasis) -> np.ndarray:
-    """Parent-basis indices of the CAS sub-basis: reference first, internal
-    determinants after in parent order."""
-    internal = np.flatnonzero(classify_sector(basis, ref, part) == DetClass.INTERNAL)
-    return np.concatenate(([basis.index_of(ref)], internal))
 
 
 @dataclass
@@ -124,7 +115,7 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
     for sig, _ in t_ext:
         if part.is_internal_signature(sig):
             raise OperatorPropertyError(f"internal signature {sig} in external amplitude set")
-    cas = cas_indices(ref, part, H.basis)
+    cas = determinant_table(H.basis, ref).cas(part)
     T = excitation_matrix(t_ext, H.basis)
     cols = np.eye(H.basis.size)[:, cas]
     # e^{T}[:, cas] and e^{-T}[cas, :] = (e^{-T^T}[:, cas])^T: CAS columns only
@@ -138,7 +129,7 @@ def downfold_ducc(H: QOperator, sigma_ext: QOperator, ref: Determinant,
                   part: SpinOrbitalPartition,
                   source: str = "ducc") -> EffectiveHamiltonian:
     """(P+Q_int) e^{-sigma_ext} H e^{sigma_ext} (P+Q_int), Hermitian on CAS."""
-    cas = cas_indices(ref, part, H.basis)
+    cas = determinant_table(H.basis, ref).cas(part)
     sub = ducc_projection(H, sigma_ext, cas)
     return EffectiveHamiltonian(sub, cas, H.basis, source, hermitian=True)
 
@@ -177,8 +168,7 @@ def match_root(heff: EffectiveHamiltonian, target_cas: np.ndarray) -> int:
 
 
 def effective_to_dict(heff: EffectiveHamiltonian,
-                      part: SpinOrbitalPartition | None = None,
-                      residuals: dict | None = None) -> dict:
+                      part: SpinOrbitalPartition | None = None) -> dict:
     """JSON-serializable dump: dense matrix plus metadata."""
     out = {
         "source": heff.source,
@@ -197,16 +187,13 @@ def effective_to_dict(heff: EffectiveHamiltonian,
             "virt_active": list(part.virt_active),
             "virt_inactive": list(part.virt_inactive),
         }
-    if residuals:
-        out["residuals"] = residuals
     return out
 
 
 def write_effective_json(heff: EffectiveHamiltonian, path,
-                         part: SpinOrbitalPartition | None = None,
-                         residuals: dict | None = None):
+                         part: SpinOrbitalPartition | None = None):
     with open(path, "w") as fh:
-        json.dump(effective_to_dict(heff, part, residuals), fh, indent=2, sort_keys=True)
+        json.dump(effective_to_dict(heff, part), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

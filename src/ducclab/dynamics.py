@@ -20,10 +20,10 @@ import numpy as np
 import scipy.linalg
 
 from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
-from .downfold import EffectiveHamiltonian, cas_indices, ducc_projection, exp_dexp
+from .downfold import EffectiveHamiltonian, ducc_projection, exp_dexp
 from .errors import NormDriftError, OperatorPropertyError
 from .fock import (DetClass, Determinant, FockBasis, SpinOrbitalPartition,
-                   classify_sector)
+                   determinant_table)
 from .operators import QOperator
 from .sweeps import decompose_state
 
@@ -92,7 +92,7 @@ def build_heff_td(H: QOperator, sigma_ext: QOperator, sigma_ext_dot: QOperator,
     (see :func:`ducclab.downfold.exp_dexp`).  Hermitian, since -iA is
     Hermitian for anti-Hermitian A.
     """
-    cas = cas_indices(ref, part, H.basis)
+    cas = determinant_table(H.basis, ref).cas(part)
     sub = ducc_projection(H, sigma_ext, cas, sigma_ext_dot)
     return EffectiveHamiltonian(sub, cas, H.basis, "ducc-td", hermitian=True)
 
@@ -101,17 +101,16 @@ def build_heff_td(H: QOperator, sigma_ext: QOperator, sigma_ext_dot: QOperator,
 
 
 def decompose_trajectory(traj: Trajectory, ref: Determinant,
-                         part: SpinOrbitalPartition,
-                         check: bool = True) -> Trajectory:
+                         part: SpinOrbitalPartition) -> Trajectory:
     """Sweep-decompose every stored state; the global phase delta(t) is
     unwrapped continuously across steps so the generators stay smooth."""
     basis = traj.basis
-    cas = cas_indices(ref, part, basis)
+    cas = determinant_table(basis, ref).cas(part)
     decos: list[TimeDecomposition] = []
     prev_delta = None
     e_ref = basis.unit_vector(basis.index_of(ref))
     for k in range(len(traj.times)):
-        res = decompose_state(traj.states[k], ref, part, basis, check=check)
+        res = decompose_state(traj.states[k], ref, part, basis)
         delta = res.delta
         if prev_delta is not None:
             delta += 2 * np.pi * round((prev_delta - delta) / (2 * np.pi))
@@ -245,7 +244,7 @@ def evaluate_lagrangians(H: QOperator, sigma_int: QOperator, sigma_ext: QOperato
     l_b = phi.conj() @ (Uim @ (1j * ddt_int - (hbar - 1j * Ae) @ ket_i))
 
     # (P + Q_int) X (P + Q_int): the rows and columns of the CAS determinants
-    pq = classify_sector(basis, ref, part) != DetClass.EXTERNAL
+    pq = determinant_table(basis, ref).classes(part) != DetClass.EXTERNAL
     heff_full = np.where(np.outer(pq, pq), hbar - 1j * Ae, 0.0)
     l_c = phi.conj() @ (Uim @ (1j * ddt_int - heff_full @ ket_i))
     return complex(l_a), complex(l_b), complex(l_c)

@@ -229,75 +229,19 @@ def aufbau_reference(M: int, N: int) -> Determinant:
     return Determinant((1 << N) - 1, M)
 
 
-def _lower_count(mask: int, p: int) -> int:
-    return (mask & ((1 << p) - 1)).bit_count()
-
-
-def apply_operator_string(mask: int, creators: tuple[int, ...],
-                          annihilators: tuple[int, ...]) -> tuple[int, int] | None:
-    """Apply ``a+_{c1}..a+_{cm} a_{x1}..a_{xn}`` to an occupation mask.
-
-    Tuples are given in operator-string order; the rightmost operator acts
-    first.  Returns ``(new_mask, sign)`` or ``None`` when the string
-    annihilates the state.
-    """
-    sign = 1
-    for p in reversed(annihilators):
-        if not mask >> p & 1:
-            return None
-        if _lower_count(mask, p) & 1:
-            sign = -sign
-        mask &= ~(1 << p)
-    for p in reversed(creators):
-        if mask >> p & 1:
-            return None
-        if _lower_count(mask, p) & 1:
-            sign = -sign
-        mask |= 1 << p
-    return mask, sign
-
-
-def apply_excitation(sig: ExcitationSignature,
-                     det: Determinant) -> tuple[Determinant, int] | None:
-    """Apply the excitation ``a+_{a1}..a+_{ak} a_{ik}..a_{i1}`` to ``det``.
-
-    Returns ``(new_determinant, phase)`` with phase +-1, or ``None`` if any
-    annihilated orbital is empty or any created orbital is filled.  The
-    rank-0 signature returns ``(det, +1)``.
-    """
-    res = apply_operator_string(det.occupation, sig.virt, tuple(reversed(sig.occ)))
-    if res is None:
-        return None
-    mask, sign = res
-    return Determinant(mask, det.M), sign
-
-
-def holes_and_particles(ref: Determinant,
-                        det: Determinant) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orbitals occupied in ref but not det (holes) and vice versa (particles)."""
-    holes = ref.occupation & ~det.occupation
-    parts = det.occupation & ~ref.occupation
-    to_tuple = lambda m: tuple(p for p in range(ref.M) if m >> p & 1)
-    return to_tuple(holes), to_tuple(parts)
-
-
-def signature_between(ref: Determinant, det: Determinant) -> ExcitationSignature:
-    """The unique signature with ``apply_excitation(sig, ref) -> det`` (up to phase)."""
-    holes, parts = holes_and_particles(ref, det)
-    return ExcitationSignature(holes, parts)
-
-
 @lru_cache(maxsize=4096)
 def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All determinant pairs coupled by E_sig, for the whole basis at once:
     (low indices ascending, high indices, phases of <high|E_sig|low>).
 
-    Vectorised :func:`apply_excitation`: the operators act in the same
-    order, each contributing the parity of the occupied orbitals below it.
-    Memoised per ``(sig, basis)``, the basis keyed by identity; every caller
-    shares one result, so its arrays are read-only.  4096 entries hold every
-    signature of the sectors up to M=14 (3431 at M=14, N=7).
+    The annihilators act in ascending, then the creators in descending
+    index order, each contributing the parity of the occupied orbitals below
+    it, as the module conventions state; the scalar string algebra this
+    vectorises is the reference in ``tests/oracles.py``.  Memoised per
+    ``(sig, basis)``, the basis keyed by identity; every caller shares one
+    result, so its arrays are read-only.  4096 entries hold every signature
+    of the sectors up to M=14 (3431 at M=14, N=7).
     """
     occ, virt = _mask(sig.occ), _mask(sig.virt)
     masks = basis.mask_array
@@ -317,25 +261,71 @@ def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
     return table
 
 
-def classify_sector(basis: FockBasis, ref: Determinant,
-                    part: SpinOrbitalPartition) -> np.ndarray:
-    """Reference / internal / external class of every basis determinant
-    with respect to the active space, as an object array of
-    :class:`DetClass` in basis order.
+class DeterminantTable:
+    """How every determinant of a basis relates to one reference.
 
-    Internal means every hole lies in ``occ_active`` and every particle in
-    ``virt_active``; anything touching an inactive orbital is external.
+    Row ``j`` holds the signature ``signatures[j]`` with ``E_sig |ref> =
+    phases[j] |det_j>``, its rank, and the hole and particle masks of
+    ``det_j`` against ``ref``; the reference row holds the identity, phase
+    +1, rank 0.  ``order`` lists the rows in ``(rank, occ, virt)`` order,
+    the order of :func:`enumerate_signatures` with the identity first.  The
+    class and CAS order of every row follow per partition from the masks
+    (:meth:`classes`, :meth:`cas`).  The row arrays are read-only: one table
+    is shared per ``(basis, ref)`` (:func:`determinant_table`).
     """
-    if basis.M != ref.M or basis.N != ref.N or part.M != ref.M:
-        raise SectorMismatchError("basis, reference and partition disagree on sector")
-    masks = basis.mask_array
-    holes = ref.occupation & ~masks
-    parts = masks & ~ref.occupation
-    internal = ((holes & ~_mask(part.occ_active) == 0)
-                & (parts & ~_mask(part.virt_active) == 0))
-    classes = np.where(internal, DetClass.INTERNAL, DetClass.EXTERNAL)
-    classes[masks == ref.occupation] = DetClass.REFERENCE
-    return classes
+
+    def __init__(self, basis: FockBasis, ref: Determinant):
+        if basis.M != ref.M or basis.N != ref.N:
+            raise SectorMismatchError("basis and reference disagree on sector")
+        self.basis, self.ref = basis, ref
+        self.ref_index = basis.index_of(ref)
+        masks, r = basis.mask_array, ref.occupation
+        self.holes, self.particles = r & ~masks, masks & ~r
+        # E_sig annihilates the holes ascending from ref, then creates the
+        # particles descending on the remaining occupation r & masks
+        parity = np.zeros(basis.size, dtype=np.int64)
+        for p in range(basis.M):
+            below = (1 << p) - 1
+            parity += (self.holes >> p & 1) * (
+                (r & below).bit_count() - np.bitwise_count(self.holes & below))
+            parity += (self.particles >> p & 1) * np.bitwise_count(r & masks & below)
+        self.phases = 1.0 - 2.0 * (parity & 1)
+        self.ranks = np.bitwise_count(self.holes).astype(np.int64)
+        bits = lambda m: tuple(p for p in range(basis.M) if m >> p & 1)
+        self.signatures = tuple(ExcitationSignature(bits(h), bits(q)) for h, q
+                                in zip(self.holes.tolist(), self.particles.tolist()))
+        self.order = np.array(sorted(range(basis.size), key=lambda j: (
+            self.ranks[j], self.signatures[j].occ, self.signatures[j].virt)), dtype=np.int64)
+        for arr in (self.holes, self.particles, self.phases, self.ranks, self.order):
+            arr.flags.writeable = False
+
+    def classes(self, part: SpinOrbitalPartition) -> np.ndarray:
+        """Reference / internal / external :class:`DetClass` of every row.
+
+        Internal means every hole lies in ``occ_active`` and every particle
+        in ``virt_active``; anything touching an inactive orbital is
+        external.
+        """
+        if part.M != self.ref.M:
+            raise SectorMismatchError("partition and reference disagree on sector")
+        internal = ((self.holes & ~_mask(part.occ_active) == 0)
+                    & (self.particles & ~_mask(part.virt_active) == 0))
+        classes = np.where(internal, DetClass.INTERNAL, DetClass.EXTERNAL)
+        classes[self.ref_index] = DetClass.REFERENCE
+        return classes
+
+    def cas(self, part: SpinOrbitalPartition) -> np.ndarray:
+        """Rows of the CAS sub-basis: the reference first, then the internal
+        determinants in basis order."""
+        internal = np.flatnonzero(self.classes(part) == DetClass.INTERNAL)
+        return np.concatenate(([self.ref_index], internal))
+
+
+@lru_cache(maxsize=16)
+def determinant_table(basis: FockBasis, ref: Determinant) -> DeterminantTable:
+    """The :class:`DeterminantTable` of ``(basis, ref)``, memoised: the
+    basis keys by identity, the reference by value."""
+    return DeterminantTable(basis, ref)
 
 
 def enumerate_signatures(ref: Determinant, max_rank: int | None = None,

@@ -5,6 +5,12 @@ dimension is capped by the desk-scale guard in :mod:`ducclab.fock`, so
 Hamiltonians, exponentials and logarithms are ordinary LAPACK-sized
 problems.  hbar = 1 throughout.
 
+Every Hamiltonian is an :class:`IntegralSet` -- the Hubbard chain and the
+pairing model as well as FCIDUMP input -- and one Slater-Condon build,
+:func:`hamiltonian_from_integrals`, turns it into a sector matrix.  The
+build loops over the annihilated orbital or pair and vectorises over the
+basis masks and the created orbitals or pairs.
+
 The sweep unitaries and their generators are direct sums of many small
 blocks.  :func:`direct_sum_blocks` finds the blocks of a matrix's exact-zero
 pattern, and :func:`eigh_direct_sum` and :func:`logm_unitary` stack the
@@ -22,21 +28,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
-from .fock import FockBasis, apply_operator_string
-
-#: term = (coefficient, creators, annihilators) in operator-string order,
-#: i.e. coefficient * a+_{c1}..a+_{cm} a_{x1}..a_{xn}.
-Term = tuple[complex, tuple[int, ...], tuple[int, ...]]
+from .fock import FockBasis
 
 
 class QOperator:
-    """A many-body operator as a dense complex matrix over a FockBasis.
+    """A many-body operator as a dense complex matrix over a FockBasis."""
 
-    Optionally carries the second-quantized term list it was built from.
-    """
-
-    def __init__(self, matrix: np.ndarray, basis: FockBasis,
-                 terms: tuple[Term, ...] | None = None):
+    def __init__(self, matrix: np.ndarray, basis: FockBasis):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidDimensionError(f"operator matrix must be square, got {matrix.shape}")
@@ -45,7 +43,6 @@ class QOperator:
                 f"matrix dimension {matrix.shape[0]} != basis size {basis.size}")
         self.matrix = matrix
         self.basis = basis
-        self.terms = terms
 
     # -- constructors ------------------------------------------------------
 
@@ -56,27 +53,6 @@ class QOperator:
     @classmethod
     def identity(cls, basis: FockBasis) -> "QOperator":
         return cls(np.eye(basis.size, dtype=complex), basis)
-
-    @classmethod
-    def from_terms(cls, terms, basis: FockBasis) -> "QOperator":
-        """Assemble the matrix of a second-quantized term list.
-
-        Each term is applied literally to every basis determinant with
-        fermionic phases, so the stored matrix always equals the sum of the
-        term applications.
-        """
-        mat = np.zeros((basis.size, basis.size), dtype=complex)
-        terms = tuple((complex(c), tuple(cr), tuple(an)) for c, cr, an in terms)
-        for coeff, creators, annihilators in terms:
-            if coeff == 0:
-                continue
-            for j, mask in enumerate(basis.masks):
-                res = apply_operator_string(mask, creators, annihilators)
-                if res is None:
-                    continue
-                new_mask, sign = res
-                mat[basis.index_of(new_mask), j] += coeff * sign
-        return cls(mat, basis, terms=terms)
 
     # -- algebra -----------------------------------------------------------
 
@@ -146,82 +122,106 @@ class IntegralSet:
         return cls(one_body, v, core_energy)
 
 
+def _add_strings(mat: np.ndarray, masks: np.ndarray, annihilated: tuple[int, ...],
+                 created: np.ndarray, coeffs: np.ndarray):
+    """``mat += sum_c coeffs[c] a+_{created[c]} a_{annihilated}`` over the
+    basis of ascending ``masks``.
+
+    ``annihilated`` is ascending and acts first, lowest index first; each
+    row of ``created`` is ascending and acts highest index first, so the
+    string is ``a+_{c1}..a+_{ck} a_{xk}..a_{x1}``.  Vectorised over the
+    basis columns and the rows of ``created``: every pair of them reaches
+    its own matrix element, so one fancy-index add is exact.  Strings with
+    a zero coefficient are skipped: they add nothing, and the determinants
+    they reach need not lie in the basis.
+    """
+    nonzero = np.flatnonzero(coeffs)
+    created, coeffs = created[nonzero], coeffs[nonzero]
+    ann = sum(1 << x for x in annihilated)
+    cols = np.flatnonzero(masks & ann == ann)
+    m = masks[cols]
+    parity = np.zeros(cols.size, dtype=np.int64)
+    for x in annihilated:
+        parity += np.bitwise_count(m & ((1 << x) - 1))
+        m = m & ~(1 << x)
+    jj, cc = np.nonzero(m[:, None] & (1 << created).sum(axis=1) == 0)
+    new, parity = m[jj], parity[jj]
+    for p in created[cc].T[::-1]:
+        parity = parity + np.bitwise_count(new & ((1 << p) - 1))
+        new = new | (1 << p)
+    mat[np.searchsorted(masks, new), cols[jj]] += coeffs[cc] * (1.0 - 2.0 * (parity & 1))
+
+
 def hamiltonian_from_integrals(ints: IntegralSet, basis: FockBasis) -> QOperator:
-    """Dense sector Hamiltonian built by applying every integral term with
-    fermionic phases."""
+    """Dense sector Hamiltonian of an integral set (Slater-Condon rules).
+
+    One pass per annihilated orbital ``q`` of ``sum h[p,q] a+_p a_q``, then
+    one per annihilated pair ``r < s`` of ``sum_{p<q} <pq||rs> a+_p a+_q a_s
+    a_r``, in ascending order: every matrix element sums its terms in the
+    order of a per-determinant application of the same strings.
+    """
     if ints.M != basis.M:
         raise InvalidDimensionError(
             f"integral orbital count {ints.M} != basis orbital count {basis.M}")
-    dim = basis.size
-    M = basis.M
-    h = ints.one_body
-    v = ints.two_body
-    mat = np.zeros((dim, dim), dtype=complex)
-    for j, mask in enumerate(basis.masks):
-        occ = [p for p in range(M) if mask >> p & 1]
-        mat[j, j] += ints.core_energy
-        # one-body: sum_pq h[p,q] a+_p a_q
-        for q in occ:
-            m1, s1 = apply_operator_string(mask, (), (q,))
-            for p in range(M):
-                if h[p, q] == 0 or m1 >> p & 1:
-                    continue
-                m2, s2 = apply_operator_string(m1, (p,), ())
-                mat[basis.index_of(m2), j] += h[p, q] * s1 * s2
-        # two-body: sum_{p<q, r<s} <pq||rs> a+_p a+_q a_s a_r
-        for ri in range(len(occ)):
-            r = occ[ri]
-            m1, s1 = apply_operator_string(mask, (), (r,))
-            for si in range(ri + 1, len(occ)):
-                s = occ[si]
-                m2, s2 = apply_operator_string(m1, (), (s,))
-                empty = [p for p in range(M) if not m2 >> p & 1]
-                for p, q in combinations(empty, 2):
-                    val = v[p, q, r, s]
-                    if val == 0:
-                        continue
-                    m3, s3 = apply_operator_string(m2, (q,), ())
-                    m4, s4 = apply_operator_string(m3, (p,), ())
-                    mat[basis.index_of(m4), j] += val * s1 * s2 * s3 * s4
+    M, masks = basis.M, basis.mask_array
+    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    mat[np.diag_indices(basis.size)] += ints.core_energy
+    orbitals = np.arange(M)[:, None]
+    for q in range(M):
+        _add_strings(mat, masks, (q,), orbitals, ints.one_body[:, q])
+    pairs = np.array(list(combinations(range(M), 2)), dtype=np.int64).reshape(-1, 2)
+    for r, s in pairs.tolist():
+        _add_strings(mat, masks, (r, s), pairs, ints.two_body[pairs[:, 0], pairs[:, 1], r, s])
     return QOperator(mat, basis)
 
 
-def build_hubbard(L: int, t: float, U: float, basis: FockBasis) -> QOperator:
-    """Open-boundary Hubbard chain, H = -t sum (c+ c + h.c.) + U sum n_up n_dn.
-
-    Spin orbital p = 2*site + spin (spin 0 = up, 1 = down).  Built by direct
-    term application, independently of the integral pathway.
-    """
-    if basis.M != 2 * L:
-        raise InvalidDimensionError(f"basis has M={basis.M} orbitals, expected 2L={2 * L}")
-    terms: list[Term] = []
+def hubbard_integrals(L: int, t: float, U: float) -> IntegralSet:
+    """Open-boundary Hubbard chain, H = -t sum (c+ c + h.c.) + U sum n_up n_dn,
+    as an IntegralSet.  Spin orbital p = 2*site + spin (spin 0 = up, 1 = down)."""
+    M = 2 * L
+    h = np.zeros((M, M), dtype=complex)
     for i in range(L - 1):
         for sp in (0, 1):
             p, q = 2 * i + sp, 2 * (i + 1) + sp
-            terms.append((-t, (p,), (q,)))
-            terms.append((-t, (q,), (p,)))
+            h[p, q] = h[q, p] = -t
+    chem = np.zeros((M, M, M, M), dtype=complex)
     for i in range(L):
         up, dn = 2 * i, 2 * i + 1
-        terms.append((U, (up, dn), (dn, up)))  # a+_up a+_dn a_dn a_up = n_up n_dn
-    return QOperator.from_terms(terms, basis)
+        chem[up, up, dn, dn] = U
+        chem[dn, dn, up, up] = U
+    return IntegralSet.from_chemist(h, chem)
+
+
+def pairing_integrals(levels: int, g: float, spacing: float = 1.0) -> IntegralSet:
+    """Picket-fence pairing model as an IntegralSet: doubly degenerate levels
+    eps_p = p*spacing and H = sum eps_p n_p - g sum_{pq} P+_p P_q with
+    P+_p = a+_{p,up} a+_{p,dn}, spin orbital 2*p + spin."""
+    M = 2 * levels
+    h = np.zeros((M, M), dtype=complex)
+    v = np.zeros((M, M, M, M), dtype=complex)
+    for p in range(levels):
+        h[2 * p, 2 * p] = h[2 * p + 1, 2 * p + 1] = spacing * p
+        for q in range(levels):
+            for (a, b), s1 in (((2 * p, 2 * p + 1), 1), ((2 * p + 1, 2 * p), -1)):
+                for (c, d), s2 in (((2 * q, 2 * q + 1), 1), ((2 * q + 1, 2 * q), -1)):
+                    v[a, b, c, d] = -g * s1 * s2
+    return IntegralSet(h, v)
+
+
+def build_hubbard(L: int, t: float, U: float, basis: FockBasis) -> QOperator:
+    """Sector matrix of :func:`hubbard_integrals`."""
+    if basis.M != 2 * L:
+        raise InvalidDimensionError(f"basis has M={basis.M} orbitals, expected 2L={2 * L}")
+    return hamiltonian_from_integrals(hubbard_integrals(L, t, U), basis)
 
 
 def build_pairing(levels: int, g: float, basis: FockBasis,
                   spacing: float = 1.0) -> QOperator:
-    """Picket-fence pairing model: doubly degenerate levels eps_p = p*spacing
-    and H = sum eps_p n_p - g sum_{pq} P+_p P_q with P+_p = a+_{p,up} a+_{p,dn}."""
+    """Sector matrix of :func:`pairing_integrals`."""
     if basis.M != 2 * levels:
         raise InvalidDimensionError(
             f"basis has M={basis.M} orbitals, expected 2*levels={2 * levels}")
-    terms: list[Term] = []
-    for p in range(levels):
-        for sp in (0, 1):
-            orb = 2 * p + sp
-            terms.append((spacing * p, (orb,), (orb,)))
-    for p in range(levels):
-        for q in range(levels):
-            terms.append((-g, (2 * p, 2 * p + 1), (2 * q + 1, 2 * q)))
-    return QOperator.from_terms(terms, basis)
+    return hamiltonian_from_integrals(pairing_integrals(levels, g, spacing), basis)
 
 
 def direct_sum_blocks(A: np.ndarray) -> list[np.ndarray]:

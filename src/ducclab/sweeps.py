@@ -41,9 +41,9 @@ import numpy as np
 
 from .errors import (CasSupportError, IntermediateNormalizationError,
                      InvalidDimensionError, OrderingViolationError)
-from .fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
-                   SpinOrbitalPartition, apply_excitation, classify_sector,
-                   excitation_pairs, signature_between)
+from .fock import (DetClass, Determinant, DeterminantTable, ExcitationSignature,
+                   FockBasis, SpinOrbitalPartition, determinant_table,
+                   excitation_pairs)
 from .operators import QOperator, eigh_direct_sum, logm_unitary
 
 #: Coefficients with magnitude below this are treated as already eliminated.
@@ -91,21 +91,20 @@ def _apply_rotation(step: RotationStep, pairs, *arrays):
         arr[highs] = eip * ph * s * lo + c * hi
 
 
-def rotation_for_target(state: np.ndarray, target: Determinant,
-                        ref: Determinant, basis: FockBasis) -> RotationStep:
-    """Angle and phase that zero <target|state> against the de-excited
-    partner (the reference for full-signature sweeps).
+def rotation_for_target(state: np.ndarray, j: int,
+                        table: DeterminantTable) -> RotationStep:
+    """Angle and phase that zero the coefficient of row ``j`` of ``table``
+    against the reference.
 
-    With c = <target|state>, c' = <partner|state> and ph the fermionic sign
-    of the generator matrix element, the rotated target coefficient is
+    With c = <det_j|state>, c' = <ref|state> and ph the fermionic sign of
+    the generator matrix element, the rotated target coefficient is
     ``e^{i phi} ph sin(t) c' + cos(t) c``; it vanishes for
     ``e^{i phi} tan(t) = -c / (ph c')``.
     """
-    sig = signature_between(ref, target)
-    det2, ph = apply_excitation(sig, ref)
-    assert det2.occupation == target.occupation
-    c_t = complex(state[basis.index_of(target)])
-    c_p = complex(state[basis.index_of(ref)])
+    sig = table.signatures[j]
+    ph = float(table.phases[j])
+    c_t = complex(state[j])
+    c_p = complex(state[table.ref_index])
     if abs(c_t) <= ZERO_TOL:
         return RotationStep(sig.occ, sig.virt, 0.0, 0.0)
     if abs(c_p) <= ZERO_TOL:
@@ -113,10 +112,6 @@ def rotation_for_target(state: np.ndarray, target: Determinant,
         return RotationStep(sig.occ, sig.virt, np.pi / 2, float(np.angle(-ph * c_t)))
     z = -c_t / (ph * c_p)
     return RotationStep(sig.occ, sig.virt, float(np.arctan(abs(z))), float(np.angle(z)))
-
-
-def _sorted_group(items):
-    return sorted(items, key=lambda sd: (sd[0].rank, sd[0].occ, sd[0].virt))
 
 
 def _check_sweep_ordering(part: SpinOrbitalPartition):
@@ -134,50 +129,48 @@ def _check_sweep_ordering(part: SpinOrbitalPartition):
 
 
 @lru_cache(maxsize=16)
-def sweep_targets(ref: Determinant, part: SpinOrbitalPartition,
-                  basis: FockBasis) -> tuple[tuple, tuple, tuple]:
-    """Ordered sweep-1, sweep-2 and sweep-3 target tuples of (signature, index).
+def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
+                  ) -> tuple[tuple, tuple, tuple]:
+    """Ordered sweep-1, sweep-2 and sweep-3 target tuples of (signature, row).
 
-    Memoised per ``(ref, part, basis)``: a trajectory reuses one result for
-    every state.  The basis keys by identity, the other two by value.
+    Each group is ordered by its key (the smallest hole for sweeps 1 and 3,
+    the largest particle, descending, for sweep 2) and by (rank, occ, virt)
+    inside.  Memoised per ``(table, part)``: a trajectory reuses one result
+    for every state.  The table keys by identity, the partition by value.
     """
     _check_sweep_ordering(part)
-    classes = classify_sector(basis, ref, part)
-    sweep1 = {mu: [] for mu in part.occ_inactive}
-    sweep2 = {al: [] for al in part.virt_inactive}
-    sweep3 = {i: [] for i in part.occ_active}
-    occ_inact = set(part.occ_inactive)
-    for j in np.flatnonzero(classes != DetClass.REFERENCE).tolist():
-        sig = signature_between(ref, basis.determinant(j))
-        if classes[j] is DetClass.INTERNAL:
-            sweep3[sig.occ[0]].append((sig, j))
-        elif set(sig.occ) & occ_inact:
-            sweep1[sig.occ[0]].append((sig, j))  # smallest hole is inactive
-        else:
-            sweep2[sig.virt[-1]].append((sig, j))  # largest particle is inactive
-    ordered = lambda groups, keys: tuple(sd for k in keys for sd in _sorted_group(groups[k]))
-    return (ordered(sweep1, part.occ_inactive),
-            ordered(sweep2, reversed(part.virt_inactive)),
-            ordered(sweep3, part.occ_active))
+    rows = table.order
+    classes = table.classes(part)[rows]
+    holes, particles = table.holes[rows], table.particles[rows]
+    smallest_hole = np.bitwise_count((holes & -holes) - 1)
+    largest_particle = np.frexp(particles)[1]   # its index + 1
+    external = classes == DetClass.EXTERNAL
+    has_inactive_hole = holes & sum(1 << p for p in part.occ_inactive) != 0
+
+    def group(select, key):
+        ordered = rows[select][np.argsort(key[select], kind="stable")]
+        return tuple((table.signatures[j], j) for j in ordered.tolist())
+    return (group(external & has_inactive_hole, smallest_hole),
+            group(external & ~has_inactive_hole, -largest_particle),
+            group(classes == DetClass.INTERNAL, smallest_hole))
 
 
-def _run_targets(state, omega, targets, ref, basis, check, eliminated):
+def _run_targets(state, omega, targets, table, eliminated):
     """Eliminate targets in order, accumulating rotations into the matrix
-    ``omega`` and recording steps. ``eliminated`` holds indices whose
+    ``omega`` and recording steps. ``eliminated`` holds rows whose
     coefficients must stay dead."""
     steps = []
     for sig, j in targets:
-        step = rotation_for_target(state, basis.determinant(j), ref, basis)
+        step = rotation_for_target(state, j, table)
         if step.angle != 0.0:
-            _apply_rotation(step, excitation_pairs(sig, basis), state, omega)
+            _apply_rotation(step, excitation_pairs(sig, table.basis), state, omega)
             steps.append(step)
         eliminated.append(j)
-        if check and eliminated:
-            worst = float(np.abs(state[eliminated]).max())
-            if worst > REGROWTH_TOL:
-                raise OrderingViolationError(
-                    f"eliminated coefficient re-grew to {worst:.3e} "
-                    f"while processing target {sig}")
+        worst = float(np.abs(state[eliminated]).max())
+        if worst > REGROWTH_TOL:
+            raise OrderingViolationError(
+                f"eliminated coefficient re-grew to {worst:.3e} "
+                f"while processing target {sig}")
     return steps
 
 
@@ -215,40 +208,38 @@ class SweepResult:
 
 
 def sweep_external(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
-                   basis: FockBasis, check: bool = True) -> ExternalSweep:
+                   basis: FockBasis) -> ExternalSweep:
     """Rotate away all external determinants; every generator is external.
 
     Raises OrderingViolationError if an already-eliminated coefficient
     re-grows (which would indicate a broken elimination order).
     """
-    if abs(psi[basis.index_of(ref)]) < 1e-14:
+    table = determinant_table(basis, ref)
+    if abs(psi[table.ref_index]) < 1e-14:
         raise IntermediateNormalizationError("state has (numerically) zero reference overlap")
     state = np.array(psi, dtype=complex)
     om12 = np.eye(basis.size, dtype=complex)
-    targets1, targets2, _ = sweep_targets(ref, part, basis)
+    targets1, targets2, _ = sweep_targets(table, part)
     eliminated: list[int] = []
-    steps1 = _run_targets(state, om12, targets1, ref, basis, check, eliminated)
-    steps2 = _run_targets(state, om12, targets2, ref, basis, check, eliminated)
+    steps1 = _run_targets(state, om12, targets1, table, eliminated)
+    steps2 = _run_targets(state, om12, targets2, table, eliminated)
     return ExternalSweep(QOperator(om12, basis), state, steps1, steps2)
 
 
 def sweep_internal(psi_act: np.ndarray, ref: Determinant,
-                   part: SpinOrbitalPartition, basis: FockBasis,
-                   check: bool = True) -> InternalSweep:
+                   part: SpinOrbitalPartition, basis: FockBasis) -> InternalSweep:
     """Rotate a CAS-supported state onto e^{i delta}|ref> with internal
     generators only."""
-    proj_ext = classify_sector(basis, ref, part) == DetClass.EXTERNAL
+    table = determinant_table(basis, ref)
+    proj_ext = table.classes(part) == DetClass.EXTERNAL
     ext_norm = float(np.linalg.norm(psi_act[proj_ext]))
     if ext_norm > SUPPORT_TOL:
         raise CasSupportError(
             f"state has external support {ext_norm:.3e} (tol {SUPPORT_TOL:.0e})")
     state = np.array(psi_act, dtype=complex)
     om3 = np.eye(basis.size, dtype=complex)
-    eliminated: list[int] = []
-    steps3 = _run_targets(state, om3, sweep_targets(ref, part, basis)[2],
-                          ref, basis, check, eliminated)
-    c_ref = state[basis.index_of(ref)]
-    delta = float(np.angle(c_ref))
+    steps3 = _run_targets(state, om3, sweep_targets(table, part)[2], table, [])
+    delta = float(np.angle(state[table.ref_index]))
     return InternalSweep(QOperator(om3, basis), delta, steps3)
 
 
@@ -267,14 +258,14 @@ def extract_sigmas(omega12: QOperator, omega3: QOperator, delta: float
 
 
 def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
-                    basis: FockBasis, check: bool = True) -> SweepResult:
+                    basis: FockBasis) -> SweepResult:
     """Full pipeline: sweeps, generator extraction, reconstruction residual."""
     nrm = float(np.linalg.norm(psi))
     if nrm == 0.0:
         raise IntermediateNormalizationError("cannot decompose the zero vector")
     psi_n = np.asarray(psi, dtype=complex) / nrm
-    ext = sweep_external(psi_n, ref, part, basis, check=check)
-    intr = sweep_internal(ext.psi_act, ref, part, basis, check=check)
+    ext = sweep_external(psi_n, ref, part, basis)
+    intr = sweep_internal(ext.psi_act, ref, part, basis)
     sigma_ext, sigma_int = extract_sigmas(ext.omega12, intr.omega3, intr.delta)
     recon = basis.unit_vector(basis.index_of(ref))
     for sigma in (sigma_int, sigma_ext):

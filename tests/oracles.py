@@ -4,28 +4,32 @@ Each is the independent, slower or more literal counterpart of a kernel in
 ``ducclab``: the truncated and certified commutator series of the derivative
 of the exponential map (against the closed form of
 :func:`ducclab.downfold.exp_dexp`), dense rotation generators and
-unitaries, per-determinant classification and de-excitation, dense
-projectors, a reference-dominated random Hamiltonian, the Hubbard chain as
-an integral set, the bare CAS-CI Hamiltonian and the assembled ECC action
-integrand.
+unitaries, the scalar fermion string algebra (operator strings, excitations,
+de-excitations, holes and particles, signatures, classification) that the
+determinant tables vectorise, the sweep target order built from it, dense
+projectors, the per-determinant Hamiltonian builders (term lists applied
+literally, and integrals applied by Slater-Condon rules) against the
+vectorised :func:`ducclab.operators.hamiltonian_from_integrals`, a
+reference-dominated random Hamiltonian, the bare CAS-CI Hamiltonian and the
+assembled ECC action integrand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from ducclab.downfold import EffectiveHamiltonian, cas_indices
+from ducclab.downfold import EffectiveHamiltonian
 from ducclab.ecc import (EccConfiguration, EccMatrices, action_deviation,
                          eval_ldt_forms, eval_lh_forms)
-from ducclab.errors import OperatorPropertyError, SectorMismatchError
+from ducclab.errors import InvalidDimensionError, OperatorPropertyError, SectorMismatchError
 from ducclab.fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
-                          SpinOrbitalPartition, apply_operator_string,
-                          classify_sector, excitation_pairs, holes_and_particles)
+                          SpinOrbitalPartition, determinant_table, excitation_pairs)
 from ducclab.operators import IntegralSet, QOperator
-from ducclab.sweeps import RotationStep, _apply_rotation
+from ducclab.sweeps import RotationStep, _apply_rotation, _check_sweep_ordering
 
 # -- derivative of the exponential map ---------------------------------------
 
@@ -115,6 +119,64 @@ def rotation_unitary(step: RotationStep, basis: FockBasis) -> QOperator:
 # -- determinants ------------------------------------------------------------
 
 
+def _lower_count(mask: int, p: int) -> int:
+    return (mask & ((1 << p) - 1)).bit_count()
+
+
+def apply_operator_string(mask: int, creators: tuple[int, ...],
+                          annihilators: tuple[int, ...]) -> tuple[int, int] | None:
+    """Apply ``a+_{c1}..a+_{cm} a_{x1}..a_{xn}`` to an occupation mask.
+
+    Tuples are given in operator-string order; the rightmost operator acts
+    first.  Returns ``(new_mask, sign)`` or ``None`` when the string
+    annihilates the state.
+    """
+    sign = 1
+    for p in reversed(annihilators):
+        if not mask >> p & 1:
+            return None
+        if _lower_count(mask, p) & 1:
+            sign = -sign
+        mask &= ~(1 << p)
+    for p in reversed(creators):
+        if mask >> p & 1:
+            return None
+        if _lower_count(mask, p) & 1:
+            sign = -sign
+        mask |= 1 << p
+    return mask, sign
+
+
+def apply_excitation(sig: ExcitationSignature,
+                     det: Determinant) -> tuple[Determinant, int] | None:
+    """Apply the excitation ``a+_{a1}..a+_{ak} a_{ik}..a_{i1}`` to ``det``.
+
+    Returns ``(new_determinant, phase)`` with phase +-1, or ``None`` if any
+    annihilated orbital is empty or any created orbital is filled.  The
+    rank-0 signature returns ``(det, +1)``.
+    """
+    res = apply_operator_string(det.occupation, sig.virt, tuple(reversed(sig.occ)))
+    if res is None:
+        return None
+    mask, sign = res
+    return Determinant(mask, det.M), sign
+
+
+def holes_and_particles(ref: Determinant,
+                        det: Determinant) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orbitals occupied in ref but not det (holes) and vice versa (particles)."""
+    holes = ref.occupation & ~det.occupation
+    parts = det.occupation & ~ref.occupation
+    to_tuple = lambda m: tuple(p for p in range(ref.M) if m >> p & 1)
+    return to_tuple(holes), to_tuple(parts)
+
+
+def signature_between(ref: Determinant, det: Determinant) -> ExcitationSignature:
+    """The unique signature with ``apply_excitation(sig, ref) -> det`` (up to phase)."""
+    holes, parts = holes_and_particles(ref, det)
+    return ExcitationSignature(holes, parts)
+
+
 def apply_deexcitation(sig: ExcitationSignature,
                        det: Determinant) -> tuple[Determinant, int] | None:
     """Apply the adjoint string ``a+_{i1}..a+_{ik} a_{ak}..a_{a1}``."""
@@ -157,10 +219,39 @@ class Projectors:
 
 def build_projectors(ref: Determinant, basis: FockBasis,
                      part: SpinOrbitalPartition) -> Projectors:
-    classes = classify_sector(basis, ref, part)
+    classes = determinant_table(basis, ref).classes(part)
     proj = lambda cls: QOperator(np.diag((classes == cls).astype(complex)), basis)
     return Projectors(P=proj(DetClass.REFERENCE), Q_int=proj(DetClass.INTERNAL),
                       Q_ext=proj(DetClass.EXTERNAL))
+
+
+def scalar_sweep_targets(ref: Determinant, part: SpinOrbitalPartition,
+                  basis: FockBasis) -> tuple[tuple, tuple, tuple]:
+    """Ordered sweep-1, sweep-2 and sweep-3 target tuples of (signature,
+    index), determinant by determinant: the scalar counterpart of
+    :func:`ducclab.sweeps.sweep_targets`."""
+    _check_sweep_ordering(part)
+    sweep1 = {mu: [] for mu in part.occ_inactive}
+    sweep2 = {al: [] for al in part.virt_inactive}
+    sweep3 = {i: [] for i in part.occ_active}
+    occ_inact = set(part.occ_inactive)
+    for j, det in enumerate(basis):
+        cls = classify_determinant(det, ref, part)
+        if cls is DetClass.REFERENCE:
+            continue
+        sig = signature_between(ref, det)
+        if cls is DetClass.INTERNAL:
+            sweep3[sig.occ[0]].append((sig, j))
+        elif set(sig.occ) & occ_inact:
+            sweep1[sig.occ[0]].append((sig, j))  # smallest hole is inactive
+        else:
+            sweep2[sig.virt[-1]].append((sig, j))  # largest particle is inactive
+    ordered = lambda groups, keys: tuple(
+        sd for k in keys
+        for sd in sorted(groups[k], key=lambda sd: (sd[0].rank, sd[0].occ, sd[0].virt)))
+    return (ordered(sweep1, part.occ_inactive),
+            ordered(sweep2, reversed(part.virt_inactive)),
+            ordered(sweep3, part.occ_active))
 
 
 # -- Hamiltonians ------------------------------------------------------------
@@ -182,26 +273,105 @@ def random_hermitian_hamiltonian(basis: FockBasis, rng: np.random.Generator,
     return QOperator(mat, basis)
 
 
-def hubbard_integrals(L: int, t: float, U: float) -> IntegralSet:
-    """The same Hubbard chain expressed as an IntegralSet (cross-check path)."""
-    M = 2 * L
-    h = np.zeros((M, M), dtype=complex)
+#: term = (coefficient, creators, annihilators) in operator-string order,
+#: i.e. coefficient * a+_{c1}..a+_{cm} a_{x1}..a_{xn}.
+Term = tuple[complex, tuple[int, ...], tuple[int, ...]]
+
+
+def hamiltonian_from_terms(terms, basis: FockBasis) -> QOperator:
+    """Assemble the matrix of a second-quantized term list.
+
+    Each term is applied literally to every basis determinant with
+    fermionic phases, so the stored matrix always equals the sum of the
+    term applications.
+    """
+    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    terms = tuple((complex(c), tuple(cr), tuple(an)) for c, cr, an in terms)
+    for coeff, creators, annihilators in terms:
+        if coeff == 0:
+            continue
+        for j, mask in enumerate(basis.masks):
+            res = apply_operator_string(mask, creators, annihilators)
+            if res is None:
+                continue
+            new_mask, sign = res
+            mat[basis.index_of(new_mask), j] += coeff * sign
+    return QOperator(mat, basis)
+
+
+def hubbard_terms(L: int, t: float, U: float) -> list[Term]:
+    """Open-boundary Hubbard chain, H = -t sum (c+ c + h.c.) + U sum n_up n_dn,
+    as a term list; spin orbital p = 2*site + spin."""
+    terms: list[Term] = []
     for i in range(L - 1):
         for sp in (0, 1):
             p, q = 2 * i + sp, 2 * (i + 1) + sp
-            h[p, q] = h[q, p] = -t
-    chem = np.zeros((M, M, M, M), dtype=complex)
+            terms.append((-t, (p,), (q,)))
+            terms.append((-t, (q,), (p,)))
     for i in range(L):
         up, dn = 2 * i, 2 * i + 1
-        chem[up, up, dn, dn] = U
-        chem[dn, dn, up, up] = U
-    return IntegralSet.from_chemist(h, chem)
+        terms.append((U, (up, dn), (dn, up)))  # a+_up a+_dn a_dn a_up = n_up n_dn
+    return terms
+
+
+def pairing_terms(levels: int, g: float, spacing: float = 1.0) -> list[Term]:
+    """Picket-fence pairing model, H = sum eps_p n_p - g sum_{pq} P+_p P_q
+    with eps_p = p*spacing and P+_p = a+_{p,up} a+_{p,dn}, as a term list."""
+    terms: list[Term] = []
+    for p in range(levels):
+        for sp in (0, 1):
+            orb = 2 * p + sp
+            terms.append((spacing * p, (orb,), (orb,)))
+    for p in range(levels):
+        for q in range(levels):
+            terms.append((-g, (2 * p, 2 * p + 1), (2 * q + 1, 2 * q)))
+    return terms
+
+
+def scalar_hamiltonian_from_integrals(ints: IntegralSet, basis: FockBasis) -> QOperator:
+    """Dense sector Hamiltonian built by applying every integral term with
+    fermionic phases, determinant by determinant."""
+    if ints.M != basis.M:
+        raise InvalidDimensionError(
+            f"integral orbital count {ints.M} != basis orbital count {basis.M}")
+    dim = basis.size
+    M = basis.M
+    h = ints.one_body
+    v = ints.two_body
+    mat = np.zeros((dim, dim), dtype=complex)
+    for j, mask in enumerate(basis.masks):
+        occ = [p for p in range(M) if mask >> p & 1]
+        mat[j, j] += ints.core_energy
+        # one-body: sum_pq h[p,q] a+_p a_q
+        for q in occ:
+            m1, s1 = apply_operator_string(mask, (), (q,))
+            for p in range(M):
+                if h[p, q] == 0 or m1 >> p & 1:
+                    continue
+                m2, s2 = apply_operator_string(m1, (p,), ())
+                mat[basis.index_of(m2), j] += h[p, q] * s1 * s2
+        # two-body: sum_{p<q, r<s} <pq||rs> a+_p a+_q a_s a_r
+        for ri in range(len(occ)):
+            r = occ[ri]
+            m1, s1 = apply_operator_string(mask, (), (r,))
+            for si in range(ri + 1, len(occ)):
+                s = occ[si]
+                m2, s2 = apply_operator_string(m1, (), (s,))
+                empty = [p for p in range(M) if not m2 >> p & 1]
+                for p, q in combinations(empty, 2):
+                    val = v[p, q, r, s]
+                    if val == 0:
+                        continue
+                    m3, s3 = apply_operator_string(m2, (q,), ())
+                    m4, s4 = apply_operator_string(m3, (p,), ())
+                    mat[basis.index_of(m4), j] += val * s1 * s2 * s3 * s4
+    return QOperator(mat, basis)
 
 
 def cas_ci(H: QOperator, ref: Determinant,
            part: SpinOrbitalPartition) -> EffectiveHamiltonian:
     """Bare CAS-CI Hamiltonian (no transformation), Hermitian for Hermitian H."""
-    cas = cas_indices(ref, part, H.basis)
+    cas = determinant_table(H.basis, ref).cas(part)
     sub = H.matrix[np.ix_(cas, cas)]
     hermitian = float(np.linalg.norm(sub - sub.conj().T)) <= 1e-10
     if hermitian:

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ from ducclab.cli import main
 from ducclab.errors import CasSupportError
 
 from conftest import count_calls
+from oracles import hamiltonian_from_terms, hubbard_terms, pairing_terms
 
 
 def write_config(tmp_path, **overrides):
@@ -75,9 +78,12 @@ DIMER_FCIDUMP = ["&FCI NORB=4,NELEC=2,MS2=0,", "&END", "-1.0 1 3 0 0", "-1.0 2 4
     (None, {"electrons": 5}),
     (None, {"system": {"kind": "hubbard", "L": "x", "t": 1.0, "U": 4.0}}),
     (None, {"system": {"kind": "hubbard", "L": None, "t": 1.0, "U": 4.0}}),
+    # refused by the orbital-count guard before any integral array exists
+    (None, {"system": {"kind": "hubbard", "L": 10**6, "t": 1.0, "U": 4.0}}),
+    (None, {"system": {"kind": "pairing", "levels": 10**6, "g": 0.5}}),
 ], ids=["index-beyond-norb", "zero-index-would-wrap", "zero-index-two-electron",
         "non-numeric-value", "missing-fcidump", "electrons-above-M", "non-integer-L",
-        "null-L"])
+        "null-L", "oversized-L", "oversized-levels"])
 def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, overrides):
     if fcidump is not None:
         (tmp_path / "FCIDUMP").write_text("\n".join(fcidump) + "\n")
@@ -128,6 +134,42 @@ def test_noninteracting_start_needs_model_system(tmp_path, capsys):
                                 "initial": "noninteracting-ground"}])
     assert main(["validate", str(path)]) == 2
     assert "hubbard/pairing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system,electrons,terms", [
+    ({"kind": "hubbard", "L": 2, "t": 0.8, "U": 4.0}, 2, hubbard_terms(2, 0.8, 0.0)),
+    ({"kind": "pairing", "levels": 3, "g": 0.4, "spacing": 0.7}, 2,
+     pairing_terms(3, 0.0, 0.7)),
+], ids=["hubbard", "pairing"])
+def test_noninteracting_start_is_the_free_ground_state(tmp_path, system, electrons, terms):
+    # the interacting model's integral set with U or g set to 0, against the
+    # term list of the free model applied determinant by determinant
+    cfg = cli.load_config(str(write_config(
+        tmp_path, system=system, electrons=electrons,
+        tasks=[{"name": "propagate", "nsteps": 4, "initial": "noninteracting-ground"}])))
+    ctx = cli.build_context(cfg, str(tmp_path / "out"), seed=1)
+    psi0 = cli._initial_state(ctx, "noninteracting-ground")
+    vals, vecs = np.linalg.eigh(hamiltonian_from_terms(terms, ctx.basis).matrix)
+    assert vals[1] - vals[0] > 1e-3   # a non-degenerate free ground state
+    assert abs(abs(np.vdot(vecs[:, 0], psi0)) - 1.0) < 1e-12
+    assert not np.allclose(abs(np.vdot(ctx.ground_state()[1][:, 0], psi0)), 1.0)
+
+
+SCALAR_FERMION_ALGEBRA = ("apply_operator_string", "apply_excitation",
+                          "signature_between", "holes_and_particles")
+
+
+def test_one_determinant_layer():
+    # the determinant tables are the package's one fermion algebra: the
+    # scalar string helpers and the term-list builder live in tests/oracles.py
+    modules = [ducclab] + [importlib.import_module(f"ducclab.{m.name}")
+                           for m in pkgutil.iter_modules(ducclab.__path__)]
+    bound = [f"{mod.__name__}.{name}" for mod in modules
+             for name in SCALAR_FERMION_ALGEBRA if hasattr(mod, name)]
+    assert bound == []
+    H = ducclab.build_hubbard(2, 1.0, 4.0, ducclab.build_basis(4, 2))
+    assert not hasattr(ducclab.QOperator, "from_terms")
+    assert not hasattr(H, "terms")
 
 
 def test_import_leaves_scipy_sparse_unloaded():

@@ -131,7 +131,7 @@ class TestBuildHeffTd:
         D = dl.sigma_lowest_order(
             dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.2), m8_basis)
         td = dl.build_heff_td(H, dl.QOperator.zero(m8_basis), D, m8_ref, m8_part)
-        cas = dl.cas_indices(m8_ref, m8_part, m8_basis)
+        cas = dl.determinant_table(m8_basis, m8_ref).cas(m8_part)
         expected = (H.matrix - 1j * D.matrix)[np.ix_(cas, cas)]
         assert np.abs(td.matrix - expected).max() < 1e-12
 
@@ -171,7 +171,7 @@ class TestDecomposeTrajectory:
         H = dl.build_hubbard(2, 1.0, 2.0, dimer_basis)
         traj = dl.propagate_full(H, psi0, 0.02, 50)
         traj = dl.decompose_trajectory(traj, dimer_ref, dimer_part)
-        cas = dl.cas_indices(dimer_ref, dimer_part, dimer_basis)
+        cas = dl.determinant_table(dimer_basis, dimer_ref).cas(dimer_part)
         for k, d in enumerate(traj.decompositions):
             assert d.residual < 1e-8
             lifted = np.zeros(dimer_basis.size, dtype=complex)
@@ -449,7 +449,7 @@ class TestTrajectoryCsv:
                                    dimer_ref, dimer_part):
         psi0 = np.linalg.eigh(dimer_H.matrix)[1][:, 0]
         traj = dl.propagate_full(dimer_H, psi0, 0.05, 4)
-        cas = dl.cas_indices(dimer_ref, dimer_part, dimer_basis)
+        cas = dl.determinant_table(dimer_basis, dimer_ref).cas(dimer_part)
         path = tmp_path / "traj.csv"
         eigs = [np.linalg.eigvalsh(dimer_H.matrix[np.ix_(cas, cas)])] * len(traj.times)
         dl.trajectory_to_csv(traj, dimer_H, cas, path, heff_eigs=eigs)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import ducclab as dl
 from ducclab.errors import InvalidDimensionError, SectorMismatchError
 
-from oracles import apply_deexcitation, classify_determinant
+from oracles import (apply_deexcitation, apply_excitation, classify_determinant,
+                     signature_between)
 
 
 class TestBuildBasis:
@@ -43,25 +44,25 @@ class TestApplyExcitation:
         # occ=(0) -> virt=(2) on |1100> gives |0110> with phase -1
         sig = dl.ExcitationSignature((0,), (2,))
         det = dl.Determinant(0b0011, 4)
-        new, ph = dl.apply_excitation(sig, det)
+        new, ph = apply_excitation(sig, det)
         assert new.bitstring() == "0110"
         assert ph == -1
 
     def test_annihilating_empty_orbital(self):
         sig = dl.ExcitationSignature((0,), (2,))
         det = dl.Determinant(0b0110, 4)  # orbital 0 empty
-        assert dl.apply_excitation(sig, det) is None
+        assert apply_excitation(sig, det) is None
 
     def test_creating_filled_orbital(self):
         sig = dl.ExcitationSignature((0,), (1,))
         det = dl.Determinant(0b0011, 4)
-        assert dl.apply_excitation(sig, det) is None
+        assert apply_excitation(sig, det) is None
 
     def test_identity_rank0(self):
         sig = dl.ExcitationSignature((), ())
         for mask in (0b0011, 0b1010):
             det = dl.Determinant(mask, 4)
-            new, ph = dl.apply_excitation(sig, det)
+            new, ph = apply_excitation(sig, det)
             assert new == det and ph == 1
 
     @settings(max_examples=60, deadline=None)
@@ -78,7 +79,7 @@ class TestApplyExcitation:
         virt = tuple(sorted(data.draw(st.sets(
             st.sampled_from(det.virtuals()), min_size=k, max_size=k))))
         sig = dl.ExcitationSignature(occ, virt)
-        up = dl.apply_excitation(sig, det)
+        up = apply_excitation(sig, det)
         assert up is not None
         excited, ph_up = up
         down = apply_deexcitation(sig, excited)
@@ -100,9 +101,9 @@ class TestSignatures:
     def test_signature_between(self):
         ref = dl.Determinant(0b0011, 4)
         det = dl.Determinant(0b1010, 4)
-        sig = dl.signature_between(ref, det)
+        sig = signature_between(ref, det)
         assert sig.occ == (0,) and sig.virt == (3,)
-        new, _ = dl.apply_excitation(sig, ref)
+        new, _ = apply_excitation(sig, ref)
         assert new == det
 
     def test_enumeration_count(self):
@@ -142,13 +143,13 @@ class TestClassify:
     def test_internal_hole_active_particle_active(self):
         part = dl.homo_lumo_partition(4, 2, 1, 1)
         ref = part.reference()
-        det, _ = dl.apply_excitation(dl.ExcitationSignature((1,), (2,)), ref)
+        det, _ = apply_excitation(dl.ExcitationSignature((1,), (2,)), ref)
         assert classify_determinant(det, ref, part) is dl.DetClass.INTERNAL
 
     def test_inactive_hole_is_external(self):
         part = dl.homo_lumo_partition(4, 2, 1, 1)
         ref = part.reference()
-        det, _ = dl.apply_excitation(dl.ExcitationSignature((0,), (2,)), ref)
+        det, _ = apply_excitation(dl.ExcitationSignature((0,), (2,)), ref)
         assert classify_determinant(det, ref, part) is dl.DetClass.EXTERNAL
 
     def test_sector_mismatch(self, m8_part, m8_ref):
@@ -200,7 +201,7 @@ class TestDeterminantTable:
         for sig in dl.enumerate_signatures(ref, include_identity=True):
             expected = []
             for j, det in enumerate(basis):
-                res = dl.apply_excitation(sig, det)
+                res = apply_excitation(sig, det)
                 if res is not None:
                     expected.append((j, basis.index_of(res[0]), res[1]))
             lows, highs, phases = dl.excitation_pairs(sig, basis)
@@ -212,14 +213,54 @@ class TestDeterminantTable:
     ])
     def test_classify_sector_matches_classify_determinant(self, m8_basis, part):
         ref = part.reference()
-        classes = dl.classify_sector(m8_basis, ref, part)
+        classes = dl.determinant_table(m8_basis, ref).classes(part)
         assert classes.tolist() == [classify_determinant(det, ref, part)
                                     for det in m8_basis]
         assert len(set(classes.tolist())) == 3
 
     def test_classify_sector_mismatch(self, m8_part):
         with pytest.raises(SectorMismatchError):
-            dl.classify_sector(dl.build_basis(8, 3), m8_part.reference(), m8_part)
+            dl.determinant_table(dl.build_basis(8, 3), m8_part.reference())
+        with pytest.raises(SectorMismatchError):
+            dl.determinant_table(dl.build_basis(6, 4), dl.aufbau_reference(6, 4)).classes(m8_part)
+
+    @pytest.mark.parametrize("M,N,part", [
+        (6, 3, None),
+        (8, 4, dl.homo_lumo_partition(8, 4, 2, 2)),
+        (10, 5, dl.homo_lumo_partition(10, 5, 1, 3)),
+        (8, 4, dl.SpinOrbitalPartition((1,), (0, 3, 6), (2, 5), (4, 7), allow_arbitrary=True)),
+        (10, 4, dl.SpinOrbitalPartition((0, 8), (2, 5), (1, 3), (4, 6, 7, 9),
+                                        allow_arbitrary=True)),
+    ])
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_reference_table_matches_scalar_oracles(self, M, N, part, interleaved):
+        basis = dl.build_basis(M, N)
+        ref = _interleaved_reference(M, N) if interleaved else dl.aufbau_reference(M, N)
+        if part is not None and interleaved:
+            # the partition's own (non-aufbau) reference
+            ref = part.reference()
+        table = dl.determinant_table(basis, ref)
+        assert table is dl.determinant_table(basis, dl.Determinant(ref.occupation, M))
+        assert table.ref_index == basis.index_of(ref)
+        phases = []
+        for j, det in enumerate(basis):
+            sig = signature_between(ref, det)
+            assert table.signatures[j] == sig
+            new, ph = apply_excitation(sig, ref)
+            assert new == det
+            phases.append(ph)
+        assert np.array_equal(table.phases, np.array(phases, dtype=float))
+        assert np.array_equal(table.ranks, [sig.rank for sig in table.signatures])
+        enumerated = list(dl.enumerate_signatures(ref, include_identity=True))
+        assert [table.signatures[j] for j in table.order] == enumerated
+        for arr in (table.holes, table.particles, table.phases, table.ranks, table.order):
+            assert not arr.flags.writeable
+        if part is None:
+            return
+        classes = [classify_determinant(det, ref, part) for det in basis]
+        assert table.classes(part).tolist() == classes
+        internal = [j for j, cls in enumerate(classes) if cls is dl.DetClass.INTERNAL]
+        assert np.array_equal(table.cas(part), [basis.index_of(ref)] + internal)
 
     @pytest.mark.parametrize("M,N", [(6, 3), (8, 4)])
     def test_matrices_match_scalar_loops(self, M, N):
@@ -227,7 +268,7 @@ class TestDeterminantTable:
         ref = _interleaved_reference(M, N)
         amps = dl.random_amplitudes(ref, np.random.default_rng(M))
         amps.entries[dl.ExcitationSignature((), ())] = 0.3 - 0.2j
-        for build, apply in ((dl.excitation_matrix, dl.apply_excitation),
+        for build, apply in ((dl.excitation_matrix, apply_excitation),
                              (dl.deexcitation_matrix, apply_deexcitation)):
             expected = np.zeros((basis.size, basis.size), dtype=complex)
             for sig, t in amps:

@@ -6,7 +6,8 @@ import ducclab as dl
 from ducclab.errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
 from ducclab.operators import _size_stacks, _stacked_unitarity_defect, eigh_direct_sum
 
-from oracles import hubbard_integrals, random_hermitian_hamiltonian
+from oracles import (hamiltonian_from_terms, hubbard_terms, pairing_terms,
+                     random_hermitian_hamiltonian, scalar_hamiltonian_from_integrals)
 
 
 def random_anti_hermitian(basis, rng, scale=0.5):
@@ -33,11 +34,35 @@ class TestHamiltonianFromIntegrals:
         assert np.allclose(H.matrix, expected)
 
     def test_hubbard_cross_check(self, dimer_basis):
-        # direct term application vs integral ingestion: identical matrices
-        direct = dl.build_hubbard(2, 1.0, 4.0, dimer_basis)
-        via_ints = dl.hamiltonian_from_integrals(hubbard_integrals(2, 1.0, 4.0),
-                                                 dimer_basis)
-        assert np.allclose(direct.matrix, via_ints.matrix, atol=1e-13)
+        # direct term application, the per-determinant integral build and the
+        # vectorised one: identical matrices, element by element
+        for L, t, U in ((2, 1.0, 4.0), (3, 0.7, 2.3), (4, 1.0, 0.0), (5, 0.37, 5.9),
+                        (6, 1.3, 0.61)):
+            basis = dimer_basis if L == 2 else dl.build_basis(2 * L, L)
+            H = dl.build_hubbard(L, t, U, basis)
+            direct = hamiltonian_from_terms(hubbard_terms(L, t, U), basis)
+            assert np.array_equal(H.matrix, direct.matrix)
+            ints = dl.hubbard_integrals(L, t, U)
+            assert np.array_equal(H.matrix, dl.hamiltonian_from_integrals(ints, basis).matrix)
+            assert np.array_equal(H.matrix,
+                                  scalar_hamiltonian_from_integrals(ints, basis).matrix)
+
+    @pytest.mark.parametrize("M,N", [(4, 2), (6, 3), (8, 3), (10, 5), (12, 4)])
+    def test_matches_per_determinant_reference(self, M, N):
+        # random complex antisymmetrised integrals with a core energy
+        rng = np.random.default_rng([M, N])
+        z = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        h = z(M, M)
+        h = h + h.conj().T
+        v = z(M, M, M, M)
+        v = v - v.transpose(1, 0, 2, 3)
+        v = v - v.transpose(0, 1, 3, 2)
+        v = v + v.transpose(2, 3, 0, 1).conj()
+        ints = dl.IntegralSet(h, v, core_energy=rng.normal())
+        basis = dl.build_basis(M, N)
+        H = dl.hamiltonian_from_integrals(ints, basis)
+        assert np.array_equal(H.matrix, scalar_hamiltonian_from_integrals(ints, basis).matrix)
+        assert H.hermiticity_defect() < 1e-10
 
     def test_dimension_mismatch(self, dimer_basis):
         ints = dl.IntegralSet(np.zeros((6, 6)), np.zeros((6, 6, 6, 6)))
@@ -77,30 +102,31 @@ class TestBuildHubbard:
         with pytest.raises(InvalidDimensionError):
             dl.build_hubbard(2, 1.0, 1.0, m6_basis)
 
-    def test_terms_recorded(self, dimer_H):
-        assert dimer_H.terms is not None
-        rebuilt = dl.QOperator.from_terms(dimer_H.terms, dimer_H.basis)
-        assert np.allclose(rebuilt.matrix, dimer_H.matrix)
-
 
 class TestPairing:
     def test_matches_integral_construction(self):
-        basis = dl.build_basis(6, 2)
-        levels, g = 3, 0.37
-        direct = dl.build_pairing(levels, g, basis)
-        M = 2 * levels
-        h = np.zeros((M, M), dtype=complex)
-        for p in range(levels):
-            h[2 * p, 2 * p] = h[2 * p + 1, 2 * p + 1] = float(p)
-        v = np.zeros((M, M, M, M), dtype=complex)
-        for p in range(levels):
-            for q in range(levels):
-                up_p, dn_p, up_q, dn_q = 2 * p, 2 * p + 1, 2 * q, 2 * q + 1
-                for (a, b), s1 in (((up_p, dn_p), 1), ((dn_p, up_p), -1)):
-                    for (c, d), s2 in (((up_q, dn_q), 1), ((dn_q, up_q), -1)):
-                        v[a, b, c, d] = -g * s1 * s2
-        via_ints = dl.hamiltonian_from_integrals(dl.IntegralSet(h, v), basis)
-        assert np.allclose(direct.matrix, via_ints.matrix, atol=1e-13)
+        for levels, N, g, spacing in ((3, 2, 0.37, 1.0), (3, 2, 0.41, 0.7),
+                                      (4, 4, 0.23, 1.3), (5, 4, 1.1, 0.35)):
+            basis = dl.build_basis(2 * levels, N)
+            direct = dl.build_pairing(levels, g, basis, spacing=spacing)
+            M = 2 * levels
+            h = np.zeros((M, M), dtype=complex)
+            for p in range(levels):
+                h[2 * p, 2 * p] = h[2 * p + 1, 2 * p + 1] = spacing * p
+            v = np.zeros((M, M, M, M), dtype=complex)
+            for p in range(levels):
+                for q in range(levels):
+                    up_p, dn_p, up_q, dn_q = 2 * p, 2 * p + 1, 2 * q, 2 * q + 1
+                    for (a, b), s1 in (((up_p, dn_p), 1), ((dn_p, up_p), -1)):
+                        for (c, d), s2 in (((up_q, dn_q), 1), ((dn_q, up_q), -1)):
+                            v[a, b, c, d] = -g * s1 * s2
+            ints = dl.IntegralSet(h, v)
+            # exact: the vectorised build of these integrals, the
+            # per-determinant one and the applied term list, bit for bit
+            for other in (dl.hamiltonian_from_integrals(ints, basis),
+                          scalar_hamiltonian_from_integrals(ints, basis),
+                          hamiltonian_from_terms(pairing_terms(levels, g, spacing), basis)):
+                assert np.array_equal(direct.matrix, other.matrix)
 
     def test_seniority_zero_ground(self):
         # attractive pairing keeps the ground state in the paired sector
@@ -344,7 +370,7 @@ class TestIntegralValidation:
 
 class TestFcidump:
     def test_round_trip(self, tmp_path, dimer_basis):
-        ints = hubbard_integrals(2, 1.0, 4.0)
+        ints = dl.hubbard_integrals(2, 1.0, 4.0)
         lines = ["&FCI NORB=4,NELEC=2,MS2=0,", " ISYM=1,", "&END"]
         M = ints.M
         h = np.zeros((M, M))
@@ -368,7 +394,7 @@ class TestFcidump:
         assert read.core_energy == 0.5
         H_file = dl.hamiltonian_from_integrals(read, dimer_basis)
         H_ref = dl.hamiltonian_from_integrals(
-            hubbard_integrals(2, 1.0, 4.0), dimer_basis)
+            dl.hubbard_integrals(2, 1.0, 4.0), dimer_basis)
         assert np.allclose(H_file.matrix, H_ref.matrix + 0.5 * np.eye(dimer_basis.size),
                            atol=1e-12)
 

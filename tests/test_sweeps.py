@@ -7,24 +7,26 @@ from ducclab.errors import CasSupportError, OrderingViolationError
 from ducclab.sweeps import sweep_targets
 
 from conftest import random_state
-from oracles import (build_projectors, classify_determinant, rotation_generator,
-                     rotation_unitary)
+from oracles import (apply_excitation, build_projectors, classify_determinant,
+                     rotation_generator, rotation_unitary, scalar_sweep_targets)
 
 
 class TestRotationForTarget:
     def test_zero_coefficient_gives_identity(self, m6_basis, m6_ref):
         state = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
         target = m6_basis.determinant(m6_basis.size - 1)
-        step = dl.rotation_for_target(state, target, m6_ref, m6_basis)
+        step = dl.rotation_for_target(state, m6_basis.index_of(target),
+                                      dl.determinant_table(m6_basis, m6_ref))
         assert step.angle == 0.0
 
     def test_real_two_determinant_state(self, m6_basis, m6_ref):
         sig = dl.ExcitationSignature((2,), (3,))
-        det, ph = dl.apply_excitation(sig, m6_ref)
+        det, ph = apply_excitation(sig, m6_ref)
         c0, c1 = 0.9, 0.4
         state = c0 * m6_basis.unit_vector(m6_basis.index_of(m6_ref)) \
             + c1 * m6_basis.unit_vector(m6_basis.index_of(det))
-        step = dl.rotation_for_target(state, det, m6_ref, m6_basis)
+        step = dl.rotation_for_target(state, m6_basis.index_of(det),
+                                      dl.determinant_table(m6_basis, m6_ref))
         assert step.angle == pytest.approx(np.arctan(c1 / c0))
         rotated = state.copy()
         from ducclab.sweeps import _apply_rotation
@@ -34,19 +36,21 @@ class TestRotationForTarget:
 
     def test_complex_coefficient(self, m6_basis, m6_ref):
         sig = dl.ExcitationSignature((1,), (4,))
-        det, _ = dl.apply_excitation(sig, m6_ref)
+        det, _ = apply_excitation(sig, m6_ref)
         state = 0.9 * m6_basis.unit_vector(m6_basis.index_of(m6_ref)) \
             + 0.3j * m6_basis.unit_vector(m6_basis.index_of(det))
-        step = dl.rotation_for_target(state, det, m6_ref, m6_basis)
+        step = dl.rotation_for_target(state, m6_basis.index_of(det),
+                                      dl.determinant_table(m6_basis, m6_ref))
         from ducclab.sweeps import _apply_rotation
         _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
         assert abs(state[m6_basis.index_of(det)]) < 1e-14
 
     def test_empty_partner_quarter_turn(self, m6_basis, m6_ref):
         sig = dl.ExcitationSignature((1,), (4,))
-        det, _ = dl.apply_excitation(sig, m6_ref)
+        det, _ = apply_excitation(sig, m6_ref)
         state = 0.7j * m6_basis.unit_vector(m6_basis.index_of(det))
-        step = dl.rotation_for_target(state, det, m6_ref, m6_basis)
+        step = dl.rotation_for_target(state, m6_basis.index_of(det),
+                                      dl.determinant_table(m6_basis, m6_ref))
         assert step.angle == pytest.approx(np.pi / 2)
         from ducclab.sweeps import _apply_rotation
         _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
@@ -106,18 +110,32 @@ class TestSweepExternal:
 
     def test_ordering_keys(self, m8_basis, m8_ref, m8_part):
         # sweep-1 groups carry an inactive hole as smallest index; sweep-2
-        # groups carry an inactive particle as largest index
-        t1, t2, _ = sweep_targets(m8_ref, m8_part, m8_basis)
-        occ_inact = set(m8_part.occ_inactive)
-        virt_inact = set(m8_part.virt_inactive)
-        for sig, _ in t1:
-            assert sig.occ[0] in occ_inact
-        for sig, _ in t2:
-            assert not (set(sig.occ) & occ_inact)
-            assert sig.virt[-1] in virt_inact
-        assert len(t1) + len(t2) == sum(
-            1 for d in m8_basis
-            if classify_determinant(d, m8_ref, m8_part) is dl.DetClass.EXTERNAL)
+        # groups carry an inactive particle as largest index; the table-driven
+        # order equals the determinant-by-determinant one, also for non-aufbau
+        # references and arbitrary (but sweep-ordered) partitions
+        interleaved = dl.SpinOrbitalPartition((0,), (2, 4, 5), (1, 3), (6, 7),
+                                              allow_arbitrary=True)
+        dimer_arbitrary = dl.SpinOrbitalPartition((0,), (2,), (1,), (3,),
+                                                  allow_arbitrary=True)
+        cases = [(m8_basis, m8_ref, m8_part),
+                 (m8_basis, interleaved.reference(), interleaved),
+                 (dl.build_basis(4, 2), dimer_arbitrary.reference(), dimer_arbitrary),
+                 (dl.build_basis(10, 5), dl.aufbau_reference(10, 5),
+                  dl.homo_lumo_partition(10, 5, 2, 1))]
+        for basis, ref, part in cases:
+            targets = sweep_targets(dl.determinant_table(basis, ref), part)
+            assert targets == scalar_sweep_targets(ref, part, basis)
+            t1, t2, _ = targets
+            occ_inact = set(part.occ_inactive)
+            virt_inact = set(part.virt_inactive)
+            for sig, _ in t1:
+                assert sig.occ[0] in occ_inact
+            for sig, _ in t2:
+                assert not (set(sig.occ) & occ_inact)
+                assert sig.virt[-1] in virt_inact
+            assert len(t1) + len(t2) == sum(
+                1 for d in basis
+                if classify_determinant(d, ref, part) is dl.DetClass.EXTERNAL)
 
 
 class TestSweepInternal:
@@ -128,7 +146,7 @@ class TestSweepInternal:
         assert res.delta == 0.0
 
     def test_two_determinant_cas_state(self, dimer_basis, dimer_ref, dimer_part):
-        det, _ = dl.apply_excitation(dl.ExcitationSignature((1,), (2,)), dimer_ref)
+        det, _ = apply_excitation(dl.ExcitationSignature((1,), (2,)), dimer_ref)
         psi = (dimer_basis.unit_vector(dimer_basis.index_of(dimer_ref))
                + dimer_basis.unit_vector(dimer_basis.index_of(det))) / np.sqrt(2)
         res = dl.sweep_internal(psi, dimer_ref, dimer_part, dimer_basis)
@@ -221,7 +239,7 @@ class TestDecomposeState:
             for seed in range(5):
                 rng = np.random.default_rng(100 * no + 10 * nv + seed)
                 psi = random_state(m6_basis, rng, ref=m6_ref)
-                res = dl.decompose_state(psi, m6_ref, part, m6_basis, check=True)
+                res = dl.decompose_state(psi, m6_ref, part, m6_basis)
                 assert res.residual < 1e-9
 
     def test_arbitrary_partition_with_ordered_classes(self, dimer_basis):
@@ -232,7 +250,7 @@ class TestDecomposeState:
         ref = part.reference()
         rng = np.random.default_rng(21)
         psi = random_state(dimer_basis, rng, ref=ref)
-        res = dl.decompose_state(psi, ref, part, dimer_basis, check=True)
+        res = dl.decompose_state(psi, ref, part, dimer_basis)
         assert res.residual < 1e-10
 
     def test_order_violating_partition_rejected(self, dimer_basis):
@@ -261,19 +279,19 @@ class TestDecomposeState:
         psi = random_state(dimer_basis, rng, ref=dimer_ref)
 
         # package order succeeds
-        res = dl.decompose_state(psi, dimer_ref, part, dimer_basis, check=True)
+        res = dl.decompose_state(psi, dimer_ref, part, dimer_basis)
         assert res.residual < 1e-10
 
         # occupied-keyed (smallest-hole ascending) order re-grows a zeroed
         # coefficient: replaying it through the monitored runner trips the
         # ordering check
         from ducclab.sweeps import _run_targets
-        t1, t2, _ = sweep_targets(dimer_ref, part, dimer_basis)
+        table = dl.determinant_table(dimer_basis, dimer_ref)
+        t1, t2, _ = sweep_targets(table, part)
         assert not t1
         occ_keyed = sorted(t2, key=lambda sd: (sd[0].occ[0], sd[0].rank, sd[0].occ,
                                                sd[0].virt))
         state = psi.astype(complex).copy()
         omega = np.eye(dimer_basis.size, dtype=complex)
         with pytest.raises(OrderingViolationError):
-            _run_targets(state, omega, occ_keyed, dimer_ref, dimer_basis,
-                         check=True, eliminated=[])
+            _run_targets(state, omega, occ_keyed, table, eliminated=[])
