@@ -121,7 +121,12 @@ class RunContext:
         return self._cache[key]
 
     def ground_state(self):
-        return self._stage("ground", lambda: tuple(np.linalg.eigh(self.H.matrix)))
+        """FCI eigenpairs, every nonzero <ref|psi> turned real and positive."""
+        def compute():
+            vals, vecs = np.linalg.eigh(self.H.matrix)
+            c = vecs[self.basis.index_of(self.ref)]
+            return vals, vecs * np.divide(c.conj(), abs(c), out=np.ones_like(c), where=c != 0)
+        return self._stage("ground", compute)
 
     def amplitudes(self):
         return self._stage("amplitudes", lambda: cluster_analyze(
@@ -350,8 +355,8 @@ def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
         "reconstruction_residual": res.residual,
         "external_support_after": cas_support,
         "delta": res.delta,
-        "omega12_unitarity_defect": res.omega12.unitarity_defect(),
-        "omega3_unitarity_defect": res.omega3.unitarity_defect(),
+        "omega12_unitarity_defect": res.omega12_defect,
+        "omega3_unitarity_defect": res.omega3_defect,
         "sigma_ext_antihermiticity": res.sigma_ext.anti_hermiticity_defect(),
         "rotations": len(res.steps1) + len(res.steps2) + len(res.steps3),
     }, []

@@ -17,7 +17,7 @@ import numpy as np
 from .cluster import Amplitudes, excitation_matrix, exp_nilpotent
 from .errors import OperatorPropertyError
 from .fock import Determinant, FockBasis, SpinOrbitalPartition, determinant_table
-from .operators import QOperator, eigh_direct_sum
+from .operators import QOperator, check_anti_hermitian, eigh_direct_sum
 
 
 @dataclass
@@ -52,10 +52,6 @@ class EffectiveHamiltonian:
         return self._eig
 
 
-#: largest anti-Hermiticity defect ``||X + X^+||_F`` of a generator or velocity
-ANTI_TOL = 1e-10
-
-
 def exp_dexp(sigma: np.ndarray, sigma_dot: np.ndarray | None,
              rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray | None]:
     """Columns ``rows`` of e^{sigma}, and the ``rows`` block of ``A(sigma,
@@ -69,12 +65,11 @@ def exp_dexp(sigma: np.ndarray, sigma_dot: np.ndarray | None,
     (mu_j - mu_k)`` (``phi = 1`` on degenerate pairs), which sums the
     commutator series ``sum_k (-1)^k/(k+1)! ad_sigma^k sigma_dot``.  Raises
     :class:`OperatorPropertyError` when an input is not anti-Hermitian
-    within :data:`ANTI_TOL`.
+    within :data:`ducclab.operators.ANTI_TOL`.
     """
-    for a, name in ((sigma, "sigma"), (sigma_dot, "sigma_dot")):
-        defect = 0.0 if a is None else float(np.linalg.norm(a + a.conj().T))
-        if defect > ANTI_TOL:
-            raise OperatorPropertyError(f"{name} not anti-Hermitian (defect {defect:.3e})")
+    check_anti_hermitian(sigma, "sigma")
+    if sigma_dot is not None:
+        check_anti_hermitian(sigma_dot, "sigma_dot")
     mu, V = eigh_direct_sum(1j * sigma)
     v = V[rows]
     R = V @ (np.exp(-1j * mu)[:, None] * v.conj().T)

@@ -16,7 +16,7 @@ blocks.  :func:`direct_sum_blocks` finds the blocks of a matrix's exact-zero
 pattern, and :func:`eigh_direct_sum` and :func:`logm_unitary` stack the
 blocks of each size into one batched LAPACK call.  The unitary log goes
 through the Hermitian eigenproblem of the Cayley transform, so no Schur
-form is needed anywhere.
+form is needed anywhere; :func:`exp_anti_hermitian` needs no factorisation.
 """
 
 from __future__ import annotations
@@ -69,13 +69,6 @@ class QOperator:
 
     def anti_hermiticity_defect(self) -> float:
         return float(np.linalg.norm(self.matrix + self.matrix.conj().T))
-
-    def unitarity_defect(self) -> float:
-        eye = np.eye(self.basis.size)
-        return float(np.linalg.norm(self.matrix @ self.matrix.conj().T - eye))
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return self.hermiticity_defect() <= tol
 
     def __repr__(self):
         return f"QOperator(dim={self.basis.size}, M={self.basis.M}, N={self.basis.N})"
@@ -275,9 +268,9 @@ def eigh_direct_sum(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacked_unitarity_defect(stacks) -> float:
-    """:meth:`QOperator.unitarity_defect` of a direct sum, from its
-    ``(count, k, k)`` block stacks: ``U U^+ - I`` is exactly zero between
-    blocks, so its Frobenius norm is that of the block defects."""
+    """``||U U^+ - I||_F`` of a direct sum, from its ``(count, k, k)`` block
+    stacks: ``U U^+ - I`` is exactly zero between blocks, so its Frobenius
+    norm is that of the block defects."""
     return math.sqrt(sum(
         np.linalg.norm(B @ B.conj().swapaxes(1, 2) - np.eye(B.shape[1])) ** 2
         for B in stacks))
@@ -289,8 +282,9 @@ UNITARY_TOL = 1e-10
 BRANCH_TOL = 1e-10
 
 
-def logm_unitary(U: QOperator) -> QOperator:
-    """Principal logarithm of a unitary operator, returned anti-Hermitian.
+def logm_unitary(U: QOperator) -> tuple[QOperator, float]:
+    """Principal logarithm of a unitary operator, returned anti-Hermitian,
+    and the unitarity defect ``||U U^+ - I||_F`` that it checked.
 
     The log of a direct sum is the direct sum of the logs, so the work runs
     over the blocks of :func:`direct_sum_blocks`, with the blocks of one
@@ -351,7 +345,40 @@ def logm_unitary(U: QOperator) -> QOperator:
         D[:, diag, diag] = 1j * theta
         L[stack] = Z @ D @ Zh
     L = 0.5 * (L - L.conj().T)  # exact log of unitary input is anti-Hermitian
-    return QOperator(L, U.basis)
+    return QOperator(L, U.basis), defect
+
+
+#: largest anti-Hermiticity defect ``||X + X^+||_F`` of a generator or velocity
+ANTI_TOL = 1e-10
+
+
+def check_anti_hermitian(a: np.ndarray, name: str):
+    """Refuse an ``a`` that is not anti-Hermitian within :data:`ANTI_TOL`."""
+    defect = float(np.linalg.norm(a + a.conj().T))
+    if not defect <= ANTI_TOL:
+        raise OperatorPropertyError(f"{name} not anti-Hermitian (defect {defect:.3e})")
+
+
+def exp_anti_hermitian(S: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """e^{S} V for an anti-Hermitian ``S`` by a scaled, truncated Taylor
+    series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)): ``s =
+    max(1, ceil(||S||_1))`` substeps e^{S/s}, each summed to the first order
+    ``m`` whose remainder bound ``b^{m+1}/(m+1)! e^b`` is at most 2^-53, where
+    ``b = ||S||_1 / s`` bounds ``||S/s||_2`` because ``S`` is normal."""
+    check_anti_hermitian(S, "generator")
+    norm1 = float(np.abs(S).sum(axis=0).max(initial=0.0))
+    s = max(1, math.ceil(norm1))
+    b = norm1 / s
+    m, bound = 0, b * math.exp(b)
+    while bound > 2.0 ** -53:
+        m, bound = m + 1, bound * b / (m + 2)
+    out = np.array(V, dtype=complex)
+    for _ in range(s):
+        term = out
+        for k in range(1, m + 1):
+            term = (S @ term) / (s * k)
+            out = out + term
+    return out
 
 
 # -- FCIDUMP-style ingestion -----------------------------------------------

@@ -44,7 +44,7 @@ from .errors import (CasSupportError, IntermediateNormalizationError,
 from .fock import (DetClass, Determinant, DeterminantTable, ExcitationSignature,
                    FockBasis, SpinOrbitalPartition, determinant_table,
                    excitation_pairs)
-from .operators import QOperator, eigh_direct_sum, logm_unitary
+from .operators import QOperator, exp_anti_hermitian, logm_unitary
 
 #: Coefficients with magnitude below this are treated as already eliminated.
 ZERO_TOL = 1e-14
@@ -197,6 +197,8 @@ class SweepResult:
 
     omega12: QOperator
     omega3: QOperator
+    omega12_defect: float
+    omega3_defect: float
     sigma_ext: QOperator
     sigma_int: QOperator
     delta: float
@@ -244,17 +246,17 @@ def sweep_internal(psi_act: np.ndarray, ref: Determinant,
 
 
 def extract_sigmas(omega12: QOperator, omega3: QOperator, delta: float
-                   ) -> tuple[QOperator, QOperator]:
-    """Anti-Hermitian generators from the accumulated unitaries.
+                   ) -> tuple[QOperator, QOperator, float, float]:
+    """Anti-Hermitian generators from the accumulated unitaries, and their
+    unitarity defects as :func:`logm_unitary` checks them on the adjoints.
 
     sigma_ext = log(omega12^-1); sigma_int = log(omega3^-1) + i delta,
     the global phase being carried by the internal generator.
     """
-    sigma_ext = logm_unitary(omega12.dagger())
-    sigma_int = logm_unitary(omega3.dagger())
-    eye = np.eye(omega3.basis.size)
-    sigma_int = QOperator(sigma_int.matrix + 1j * delta * eye, omega3.basis)
-    return sigma_ext, sigma_int
+    sigma_ext, d12 = logm_unitary(omega12.dagger())
+    log3, d3 = logm_unitary(omega3.dagger())
+    sigma_int = QOperator(log3.matrix + 1j * delta * np.eye(omega3.basis.size), omega3.basis)
+    return sigma_ext, sigma_int, d12, d3
 
 
 def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
@@ -266,15 +268,14 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
     psi_n = np.asarray(psi, dtype=complex) / nrm
     ext = sweep_external(psi_n, ref, part, basis)
     intr = sweep_internal(ext.psi_act, ref, part, basis)
-    sigma_ext, sigma_int = extract_sigmas(ext.omega12, intr.omega3, intr.delta)
-    recon = basis.unit_vector(basis.index_of(ref))
-    for sigma in (sigma_int, sigma_ext):
-        # e^{sigma} v through i sigma = V diag(mu) V^+, independent of the omegas
-        mu, V = eigh_direct_sum(1j * sigma.matrix)
-        recon = V @ (np.exp(-1j * mu) * (V.conj().T @ recon))
+    sigma_ext, sigma_int, d12, d3 = extract_sigmas(ext.omega12, intr.omega3, intr.delta)
+    # psi rebuilt from the generators alone by the certified series
+    recon = exp_anti_hermitian(sigma_ext.matrix, exp_anti_hermitian(
+        sigma_int.matrix, basis.unit_vector(basis.index_of(ref))))
     residual = float(np.linalg.norm(recon - psi_n))
     return SweepResult(
         omega12=ext.omega12, omega3=intr.omega3,
+        omega12_defect=d12, omega3_defect=d3,
         sigma_ext=sigma_ext, sigma_int=sigma_int, delta=intr.delta,
         residual=residual, steps1=ext.steps1, steps2=ext.steps2,
         steps3=intr.steps3, psi_act=ext.psi_act)

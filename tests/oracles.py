@@ -4,10 +4,11 @@ Each is the independent, slower or more literal counterpart of a kernel in
 ``ducclab``: the truncated and certified commutator series of the derivative
 of the exponential map (against the closed form of
 :func:`ducclab.downfold.exp_dexp`), dense rotation generators and
-unitaries, the scalar fermion string algebra (operator strings, excitations,
-de-excitations, holes and particles, signatures, classification) that the
-determinant tables vectorise, the sweep target order built from it, dense
-projectors, the per-determinant Hamiltonian builders (term lists applied
+unitaries and their dense unitarity defect, the scalar fermion string
+algebra (operator strings, excitations, de-excitations, holes and
+particles, signatures, classification) that the determinant tables
+vectorise, the sweep target order built from it, dense projectors, the
+per-determinant Hamiltonian builders (term lists applied
 literally, and integrals applied by Slater-Condon rules) against the
 vectorised :func:`ducclab.operators.hamiltonian_from_integrals`, a
 reference-dominated random Hamiltonian, the bare CAS-CI Hamiltonian and the
@@ -114,6 +115,12 @@ def rotation_unitary(step: RotationStep, basis: FockBasis) -> QOperator:
     u = np.eye(basis.size, dtype=complex)
     _apply_rotation(step, excitation_pairs(step.signature, basis), u)
     return QOperator(u, basis)
+
+
+def unitarity_defect(U: QOperator) -> float:
+    """``||U U^+ - I||_F`` from the whole dense product (against the
+    block-wise defect that :func:`ducclab.operators.logm_unitary` checks)."""
+    return float(np.linalg.norm(U.matrix @ U.matrix.conj().T - np.eye(U.basis.size)))
 
 
 # -- determinants ------------------------------------------------------------

@@ -204,15 +204,15 @@ print(sorted(seen))
 """
 
 
-def test_only_the_full_space_oracle_imports_scipy_linalg():
-    # every other kernel is spectral or a terminating series; the dense
-    # expm of the full-space propagator is the one scipy.linalg call
+def test_no_module_imports_scipy_linalg():
+    # every kernel is spectral or a series on numpy alone, the full-space
+    # propagator included: no run pays for importing scipy.linalg
     src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", SCIPY_LINALG_IMPORTERS],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "['ducclab.dynamics']"
+    assert out.stdout.strip() == "[]"
 
 
 class TestRun:
@@ -336,6 +336,47 @@ def test_residual_gates_fail_meaningless_tasks(tmp_path, capsys):
     assert "sescc_delta_e" in tasks[2]["error"]
     err = capsys.readouterr().err
     assert "task cluster failed" in err and "task downfold failed" in err
+
+
+def write_seeded_fcidump(path, M, N, seed):
+    """A random real FCIDUMP whose one-body diagonal dominates, so that the
+    aufbau determinant carries most of a gapped ground state."""
+    rng = np.random.default_rng([seed, M, N])
+    pairs = [(i, j) for i in range(1, M + 1) for j in range(1, i + 1)]
+    lines = [f"&FCI NORB={M},NELEC={N},MS2=0,", "&END"]
+    for a, (i, j) in enumerate(pairs):
+        lines += [f"{0.02 * rng.standard_normal():.16e} {i} {j} {k} {l}"
+                  for k, l in pairs[:a + 1]]
+    for i, j in pairs:
+        val = 0.5 * (i - 1) - 1.0 if i == j else 0.05 * rng.standard_normal()
+        lines.append(f"{val:.16e} {i} {j} 0 0")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("system", ["dimer", "fcidump"])
+def test_sweep_delta_independent_of_eigenvector_phase(tmp_path, monkeypatch, system):
+    # the ground state is turned so that <ref|psi> is real and positive:
+    # the global phase delta reads 0 whatever phase the eigensolver returns
+    overrides = {}
+    if system == "fcidump":
+        write_seeded_fcidump(tmp_path / "FCIDUMP", 8, 4, seed=5)
+        overrides = {"system": {"kind": "fcidump", "path": "FCIDUMP"}, "electrons": 4,
+                     "partition": {"auto_homo_lumo": [2, 2]}}
+    path = write_config(tmp_path, tasks=[{"name": "sweep"}], **overrides)
+    eigh = np.linalg.eigh
+    results = []
+    for k, phase in enumerate((1.0, -1.0, np.exp(0.7j))):
+        def turned(a, *args, **kwargs):
+            w, v = eigh(a, *args, **kwargs)
+            return w, (v * phase if np.ndim(a) == 2 else v)
+        monkeypatch.setattr(np.linalg, "eigh", turned)
+        assert main(["run", str(path), "--output", str(tmp_path / str(k))]) == 0
+        report = json.loads((tmp_path / str(k) / "report.json").read_text())
+        results.append(report["tasks"][0]["results"])
+    for res in results:
+        assert abs(res["delta"]) < 1e-12
+        assert res["reconstruction_residual"] < 1e-12
+    assert len({r["rotations"] for r in results}) == 1
 
 
 GROUND_PIPELINE = [{"name": n} for n in ("fci", "cluster", "sweep", "downfold", "imagtime")]

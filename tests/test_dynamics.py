@@ -39,6 +39,19 @@ class TestPropagateFull:
             expected = np.exp(-1j * vals[0] * t) * vecs[:, 0]
             assert np.linalg.norm(traj.states[k] - expected) < 1e-12
 
+    def test_matches_expm_stepping(self, m6_basis):
+        # one eigh for the whole grid against repeated dense expm steps
+        rng = np.random.default_rng(15)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
+        psi = random_state(m6_basis, rng)
+        dt, nsteps = 0.05, 30
+        traj = dl.propagate_full(H, psi, dt, nsteps)
+        u_dt = scipy.linalg.expm(-1j * dt * H.matrix)
+        for k in range(nsteps + 1):
+            assert np.linalg.norm(traj.states[k] - psi) < 1e-12
+            psi = u_dt @ psi
+        assert np.array_equal(traj.times, dt * np.arange(nsteps + 1))
+
     def test_zero_hamiltonian_constant(self, dimer_basis):
         H = dl.QOperator.zero(dimer_basis)
         psi0 = random_state(dimer_basis, np.random.default_rng(0))

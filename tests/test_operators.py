@@ -4,10 +4,12 @@ import scipy.linalg
 
 import ducclab as dl
 from ducclab.errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
-from ducclab.operators import _size_stacks, _stacked_unitarity_defect, eigh_direct_sum
+from ducclab.operators import (_size_stacks, _stacked_unitarity_defect, eigh_direct_sum,
+                               exp_anti_hermitian)
 
 from oracles import (hamiltonian_from_terms, hubbard_terms, pairing_terms,
-                     random_hermitian_hamiltonian, scalar_hamiltonian_from_integrals)
+                     random_hermitian_hamiltonian, scalar_hamiltonian_from_integrals,
+                     unitarity_defect)
 
 
 def random_anti_hermitian(basis, rng, scale=0.5):
@@ -143,16 +145,19 @@ class TestPairing:
 
 class TestLogmUnitary:
     def test_identity(self, dimer_basis):
-        L = dl.logm_unitary(dl.QOperator.identity(dimer_basis))
+        L, _ = dl.logm_unitary(dl.QOperator.identity(dimer_basis))
         assert np.allclose(L.matrix, 0.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_round_trip(self, m6_basis, seed):
         rng = np.random.default_rng(seed)
         X = random_anti_hermitian(m6_basis, rng, scale=2.5)  # spectral radius < pi
-        L = dl.logm_unitary(dl.QOperator(scipy.linalg.expm(X.matrix), m6_basis))
+        U = dl.QOperator(scipy.linalg.expm(X.matrix), m6_basis)
+        L, defect = dl.logm_unitary(U)
         assert np.linalg.norm(L.matrix - X.matrix) < 1e-9
         assert L.anti_hermiticity_defect() < 1e-12
+        # the defect it checked is the one the dense product gives
+        assert abs(defect - unitarity_defect(U)) < 1e-14
 
     def test_branch_cut(self, dimer_basis):
         mat = np.eye(dimer_basis.size, dtype=complex)
@@ -255,7 +260,7 @@ class TestBlockwiseLogm:
         U, perm = self.permuted_direct_sum(blocks, rng)
         found = sorted(sorted(perm[b].tolist()) for b in dl.direct_sum_blocks(U))
         assert [len(b) for b in sorted(found, key=len)] == [1, 4, 6, 9]
-        L = dl.logm_unitary(dl.QOperator(U, m6_basis))
+        L, _ = dl.logm_unitary(dl.QOperator(U, m6_basis))
         assert np.abs(L.matrix - self.schur_log(U)).max() < 1e-13
         assert np.abs(scipy.linalg.expm(L.matrix) - U).max() < 1e-12
 
@@ -263,7 +268,7 @@ class TestBlockwiseLogm:
         rng = np.random.default_rng(33)
         blocks = [self.random_unitary(rng, n) for n in (4, 4, 4, 2, 2, 2, 1, 1)]
         U, _ = self.permuted_direct_sum(blocks, rng)
-        L = dl.logm_unitary(dl.QOperator(U, m6_basis))
+        L, _ = dl.logm_unitary(dl.QOperator(U, m6_basis))
         assert np.abs(L.matrix - self.schur_log(U)).max() < 1e-13
 
     def test_degenerate_eigenangles(self, m6_basis):
@@ -271,7 +276,7 @@ class TestBlockwiseLogm:
         angles = [0.7, 0.7, 0.7, -1.2, -1.2, 2.0, 0.0, 0.0, 0.0, 0.0]
         blocks = [self.unitary_with_angles(rng, angles) for _ in range(2)]
         U, _ = self.permuted_direct_sum(blocks, rng)
-        L = dl.logm_unitary(dl.QOperator(U, m6_basis))
+        L, _ = dl.logm_unitary(dl.QOperator(U, m6_basis))
         assert np.abs(L.matrix - self.schur_log(U)).max() < 1e-13
 
     def test_eigenangle_near_the_cut(self, m6_basis):
@@ -280,7 +285,7 @@ class TestBlockwiseLogm:
         blocks = [self.unitary_with_angles(rng, [theta, 0.4, -2.0, 1.1, -0.3])
                   for _ in range(4)]
         U, _ = self.permuted_direct_sum(blocks, rng)
-        L = dl.logm_unitary(dl.QOperator(U, m6_basis))
+        L, _ = dl.logm_unitary(dl.QOperator(U, m6_basis))
         assert np.abs(L.matrix - self.schur_log(U)).max() < 1e-12
 
     def test_branch_cut_in_one_small_block(self, m6_basis):
@@ -314,7 +319,7 @@ class TestBlockwiseLogm:
         blocks[2] = blocks[2] * 1.01   # a defect well above round-off
         U, _ = self.permuted_direct_sum(blocks, rng)
         stacks = [U[stack] for _, stack in _size_stacks(dl.direct_sum_blocks(U))]
-        dense = dl.QOperator(U, m6_basis).unitarity_defect()
+        dense = unitarity_defect(dl.QOperator(U, m6_basis))
         assert dense > 1e-2
         assert abs(_stacked_unitarity_defect(stacks) - dense) < 1e-14
 
@@ -340,6 +345,45 @@ class TestBlockwiseLogm:
         assert np.abs(A @ V - V * w).max() < 1e-12
         assert np.abs(V.conj().T @ V - np.eye(len(A))).max() < 1e-13
         assert np.allclose(np.sort(w), np.linalg.eigvalsh(A), atol=1e-12)
+
+
+class TestExpAntiHermitian:
+    """e^{S} V by the certified Taylor series, against ``scipy.linalg.expm``."""
+
+    @staticmethod
+    def block_diagonal(rng, norm1):
+        """A random anti-Hermitian direct sum with ``||S||_1 = norm1``."""
+        blocks = []
+        for n in (6, 4, 4, 1):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            blocks.append(0.5 * (a - a.conj().T))
+        S = scipy.linalg.block_diag(*blocks)
+        return S * (norm1 / np.abs(S).sum(axis=0).max())
+
+    @pytest.mark.parametrize("ncols", [1, 4])
+    @pytest.mark.parametrize("norm1", [0.0, 0.3, 1.0, 5.0, 40.0])
+    def test_matches_expm(self, norm1, ncols):
+        # 40 takes 40 substeps of the series
+        rng = np.random.default_rng([int(10 * norm1), ncols])
+        S = self.block_diagonal(rng, norm1)
+        assert np.abs(S).sum(axis=0).max() == pytest.approx(norm1)
+        V = rng.normal(size=(len(S), ncols)) + 1j * rng.normal(size=(len(S), ncols))
+        V = V[:, 0] if ncols == 1 else V
+        want = scipy.linalg.expm(S) @ V
+        got = exp_anti_hermitian(S, V)
+        assert got.shape == V.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_zero_generator_returns_the_vectors(self):
+        V = np.arange(6.0).reshape(3, 2) + 1j
+        assert np.array_equal(exp_anti_hermitian(np.zeros((3, 3)), V), V)
+
+    @pytest.mark.parametrize("S", [np.eye(3), np.diag([1j, 1j, np.nan])],
+                             ids=["hermitian", "non-finite"])
+    def test_non_anti_hermitian_rejected(self, S):
+        # the same anti-Hermiticity check as downfold.exp_dexp
+        with pytest.raises(OperatorPropertyError, match="not anti-Hermitian"):
+            exp_anti_hermitian(S, np.ones(3))
 
 
 class TestCommutator:

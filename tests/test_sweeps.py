@@ -6,9 +6,10 @@ import ducclab as dl
 from ducclab.errors import CasSupportError, OrderingViolationError
 from ducclab.sweeps import sweep_targets
 
-from conftest import random_state
+from conftest import count_calls, random_state
 from oracles import (apply_excitation, build_projectors, classify_determinant,
-                     rotation_generator, rotation_unitary, scalar_sweep_targets)
+                     rotation_generator, rotation_unitary, scalar_sweep_targets,
+                     unitarity_defect)
 
 
 class TestRotationForTarget:
@@ -64,7 +65,7 @@ class TestRotationUnitary:
         direct = rotation_unitary(step, m6_basis)
         via_expm = scipy.linalg.expm(rotation_generator(step, m6_basis).matrix)
         assert np.abs(direct.matrix - via_expm).max() < 1e-12
-        assert direct.unitarity_defect() < 1e-13
+        assert unitarity_defect(direct) < 1e-13
 
     def test_generator_anti_hermitian(self, m6_basis):
         step = dl.RotationStep((1,), (4,), angle=0.3, phase=-0.4)
@@ -96,7 +97,7 @@ class TestSweepExternal:
         res = dl.sweep_external(psi, m8_ref, m8_part, m8_basis)
         projs = build_projectors(m8_ref, m8_basis, m8_part)
         assert np.linalg.norm(projs.Q_ext.matrix @ res.psi_act) < 1e-10
-        assert res.omega12.unitarity_defect() < 1e-12
+        assert unitarity_defect(res.omega12) < 1e-12
         # norm is preserved by the unitary sweeps
         assert np.linalg.norm(res.psi_act) == pytest.approx(1.0, abs=1e-12)
 
@@ -174,14 +175,14 @@ class TestSweepInternal:
 class TestExtractSigmas:
     def test_identity_maps_to_zero(self, m6_basis):
         eye = dl.QOperator.identity(m6_basis)
-        s_ext, s_int = dl.extract_sigmas(eye, eye, 0.0)
+        s_ext, s_int, _, _ = dl.extract_sigmas(eye, eye, 0.0)
         assert s_ext.norm() == 0.0
         assert s_int.norm() == 0.0
 
     def test_single_rotation_recovers_generator(self, m6_basis):
         step = dl.RotationStep((0, 1), (3, 4), angle=0.4, phase=0.2)
         omega = rotation_unitary(step, m6_basis)
-        s_ext, _ = dl.extract_sigmas(omega, dl.QOperator.identity(m6_basis), 0.0)
+        s_ext, *_ = dl.extract_sigmas(omega, dl.QOperator.identity(m6_basis), 0.0)
         gen = rotation_generator(step, m6_basis)
         # omega^{-1} = exp(-g), so the log is the negated generator
         assert np.abs(s_ext.matrix + gen.matrix).max() < 1e-12
@@ -189,7 +190,7 @@ class TestExtractSigmas:
     def test_phase_absorbed_into_internal(self, m6_basis):
         eye = dl.QOperator.identity(m6_basis)
         delta = 0.7
-        _, s_int = dl.extract_sigmas(eye, eye, delta)
+        _, s_int, _, _ = dl.extract_sigmas(eye, eye, delta)
         assert np.allclose(s_int.matrix, 1j * delta * np.eye(m6_basis.size))
         assert s_int.anti_hermiticity_defect() < 1e-14
 
@@ -216,11 +217,48 @@ class TestDecomposeState:
         extract = sweeps.extract_sigmas
 
         def perturbed(omega12, omega3, delta):
-            sigma_ext, sigma_int = extract(omega12, omega3, delta)
-            return dl.QOperator(sigma_ext.matrix + kick, m8_basis), sigma_int
+            sigma_ext, *rest = extract(omega12, omega3, delta)
+            return dl.QOperator(sigma_ext.matrix + kick, m8_basis), *rest
 
         monkeypatch.setattr(sweeps, "extract_sigmas", perturbed)
         assert dl.decompose_state(psi, m8_ref, m8_part, m8_basis).residual > 1e-8
+
+    def test_work_budget(self, m8_basis, m8_ref, m8_part, monkeypatch):
+        # the residual comes from the certified series: the only eigh calls
+        # of a decomposition are the stacked Cayley ones of logm_unitary
+        import ducclab.sweeps as sweeps
+        from ducclab import operators
+        eigh, logm = np.linalg.eigh, sweeps.logm_unitary
+        calls = {"eigh": 0, "eigh_in_logm": 0}
+        inside = []
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            calls["eigh_in_logm"] += bool(inside)
+            return eigh(*args, **kwargs)
+
+        def counted_logm(U):
+            inside.append(U)
+            try:
+                return logm(U)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(sweeps, "logm_unitary", counted_logm)
+        count_calls(monkeypatch, operators, "eigh_direct_sum", calls)
+        psi = random_state(m8_basis, np.random.default_rng(11), ref=m8_ref)
+        res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
+        assert res.residual < 1e-12
+        assert calls["eigh"] == calls["eigh_in_logm"] > 0
+        assert "eigh_direct_sum" not in calls
+        assert not hasattr(sweeps, "eigh_direct_sum")
+
+    def test_reported_defects_are_those_of_the_omegas(self, m8_basis, m8_ref, m8_part):
+        psi = random_state(m8_basis, np.random.default_rng(12), ref=m8_ref)
+        res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
+        for defect, omega in ((res.omega12_defect, res.omega12),
+                              (res.omega3_defect, res.omega3)):
+            assert abs(defect - unitarity_defect(omega)) < 1e-14
 
     def test_internal_generator_preserves_cas(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(7)
