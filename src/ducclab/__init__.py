@@ -37,5 +37,4 @@ from .operators import (IntegralSet, QOperator, build_hubbard, build_pairing,
                         direct_sum_blocks, hamiltonian_from_integrals,
                         hubbard_integrals, logm_unitary, pairing_integrals,
                         read_fcidump)
-from .sweeps import (RotationStep, SweepResult, decompose_state, extract_sigmas,
-                     rotation_for_target, sweep_external, sweep_internal)
+from .sweeps import RotationStep, SweepResult, decompose_state, rotation_for_target

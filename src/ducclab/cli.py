@@ -168,24 +168,61 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def config_int(value, what: str, minimum: int | None = None) -> int:
+    """An integer config value, checked rather than truncated: an integral
+    number such as 2.0 is that integer; a bool, a non-integral number or a
+    value below ``minimum`` is a :class:`ConfigError`."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{what}={value!r} is not an integer")
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what}={value!r} is not an integer") from None
+    if minimum is not None and out < minimum:
+        raise ConfigError(f"{what}={value!r} must be >= {minimum}")
+    return out
+
+
+def config_float(value, what: str) -> float:
+    """A finite float config value, else a :class:`ConfigError`."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what}={value!r} is not float") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{what}={value!r} must be finite")
+    return out
+
+
+def run_settings(cfg: dict, output: str | None, seed: int | None) -> tuple[str | None, int]:
+    """Output directory and seed of a command: the command-line values, else
+    the config's ``output_dir`` (None if absent) and ``seed`` (default 0).
+    The config's values are checked also when overridden, so that
+    ``validate`` and ``run`` refuse the same configs."""
+    outdir = cfg.get("output_dir")
+    if outdir is not None and not isinstance(outdir, str):
+        raise ConfigError(f"output_dir={outdir!r} is not a string")
+    config_seed = config_int(cfg.get("seed", 0), "seed", minimum=0)
+    return output or outdir, config_seed if seed is None else config_int(seed, "seed", minimum=0)
+
+
 def _model_integrals(sys_cfg: dict, interacting: bool = True) -> IntegralSet:
     """Integral set of a hubbard or pairing system; without ``interacting``,
     the same set with ``U`` or ``g`` set to 0."""
+    num = lambda key: config_float(sys_cfg[key], f"system.{key}")
     if sys_cfg["kind"] == "hubbard":
-        U = float(sys_cfg["U"]) if interacting else 0.0
-        return hubbard_integrals(int(sys_cfg["L"]), float(sys_cfg["t"]), U)
-    g = float(sys_cfg["g"]) if interacting else 0.0
-    return pairing_integrals(int(sys_cfg["levels"]), g,
-                             spacing=float(sys_cfg.get("spacing", 1.0)))
+        U = num("U") if interacting else 0.0
+        return hubbard_integrals(config_int(sys_cfg["L"], "system.L"), num("t"), U)
+    g = num("g") if interacting else 0.0
+    spacing = config_float(sys_cfg.get("spacing", 1.0), "system.spacing")
+    return pairing_integrals(config_int(sys_cfg["levels"], "system.levels"), g, spacing)
 
 
 def _build_system(cfg: dict):
     sys_cfg = cfg.get("system")
     if not isinstance(sys_cfg, dict) or "kind" not in sys_cfg:
         raise ConfigError("config needs system.kind")
-    nelec = cfg.get("electrons")
-    if not isinstance(nelec, int) or nelec < 0:
-        raise ConfigError("config needs a non-negative integer 'electrons'")
+    nelec = config_int(cfg.get("electrons"), "electrons", minimum=0)
     kind = sys_cfg["kind"]
     if kind not in ("hubbard", "pairing", "fcidump"):
         raise ConfigError(f"unknown system kind {kind!r}")
@@ -201,8 +238,8 @@ def _build_system(cfg: dict):
             basis = build_basis(ints.M, nelec)
         else:
             # the basis guards the orbital count before the integrals exist
-            basis = build_basis(2 * int(sys_cfg["L" if kind == "hubbard" else "levels"]),
-                                nelec)
+            key = "L" if kind == "hubbard" else "levels"
+            basis = build_basis(2 * config_int(sys_cfg[key], f"system.{key}"), nelec)
             ints = _model_integrals(sys_cfg)
         return basis, hamiltonian_from_integrals(ints, basis)
     except KeyError as exc:
@@ -219,7 +256,7 @@ def _build_partition(cfg: dict, M: int, N: int) -> SpinOrbitalPartition | None:
         raise ConfigError("partition must be an object")
     if "auto_homo_lumo" in pcfg:
         try:
-            no, nv = (int(x) for x in pcfg["auto_homo_lumo"])
+            no, nv = (config_int(x, "auto_homo_lumo") for x in pcfg["auto_homo_lumo"])
         except (TypeError, ValueError) as exc:
             raise ConfigError("auto_homo_lumo needs two integers") from exc
         try:
@@ -231,9 +268,9 @@ def _build_partition(cfg: dict, M: int, N: int) -> SpinOrbitalPartition | None:
         raise ConfigError(f"explicit partition needs keys {keys}")
     try:
         return SpinOrbitalPartition(
-            *(tuple(int(p) for p in pcfg[k]) for k in keys),
+            *(tuple(config_int(p, k) for p in pcfg[k]) for k in keys),
             allow_arbitrary=bool(pcfg.get("allow_arbitrary", False)))
-    except DuccLabError as exc:
+    except (TypeError, DuccLabError) as exc:   # TypeError: an index list not a list
         raise ConfigError(str(exc)) from exc
 
 
@@ -246,12 +283,10 @@ def task_params(name: str, params: dict) -> dict:
     out = {}
     for key, (kind, default, (ok, domain)) in TASK_PARAMS.get(name, {}).items():
         raw = params.get(key, default)
-        try:
-            value = kind(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"task {name}: {key}={raw!r} is not {kind.__name__}") from None
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"task {name}: {key}={raw!r} must be finite")
+        if kind is str:
+            value = raw
+        else:
+            value = (config_int if kind is int else config_float)(raw, f"task {name}: {key}")
         if not ok(value):
             raise ConfigError(f"task {name}: {key}={raw!r} must be {domain}")
         out[key] = value
@@ -350,15 +385,15 @@ def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     part = ctx.need_partition()
     res = ctx.sweep()
     external = determinant_table(ctx.basis, ctx.ref).classes(part) == DetClass.EXTERNAL
-    cas_support = float(np.linalg.norm(res.psi_act[external]))
+    sigma = res.sigma_ext
     return {
         "reconstruction_residual": res.residual,
-        "external_support_after": cas_support,
+        "external_support_after": float(np.linalg.norm(res.psi_act[external])),
         "delta": res.delta,
         "omega12_unitarity_defect": res.omega12_defect,
         "omega3_unitarity_defect": res.omega3_defect,
-        "sigma_ext_antihermiticity": res.sigma_ext.anti_hermiticity_defect(),
-        "rotations": len(res.steps1) + len(res.steps2) + len(res.steps3),
+        "sigma_ext_antihermiticity": float(np.linalg.norm(sigma + sigma.conj().T)),
+        "rotations": res.rotations,
     }, []
 
 
@@ -441,10 +476,8 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     energies = np.array([(s.conj() @ (ctx.H.matrix @ s)).real for s in fine.states])
     norms = np.array([np.linalg.norm(s) for s in fine.states])
     cas = determinant_table(ctx.basis, ctx.ref).cas(part)
-    coarse_idx = np.arange(0, len(fine.times), 2)
-    coarse = Trajectory(fine.times[coarse_idx], fine.states[coarse_idx], ctx.basis,
-                        [fine.decompositions[k] for k in coarse_idx])
-    eigs = [np.linalg.eigvalsh(heffs[k].matrix) for k in coarse_idx]
+    coarse = Trajectory(fine.times[::2], fine.states[::2], ctx.basis)
+    eigs = [np.linalg.eigvalsh(h.matrix) for h in heffs[::2]]
     path = ctx.path("trajectory.csv")
     trajectory_to_csv(coarse, ctx.H, cas, path, heff_eigs=eigs)
     return {
@@ -522,25 +555,14 @@ def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 
     part = ctx.need_partition()
     rng = ctx.rng("verify-all")
-    sig_i = sigma_lowest_order(random_amplitudes(ctx.ref, rng, part, "internal", 0.1),
-                               ctx.basis)
-    sig_e = sigma_lowest_order(random_amplitudes(ctx.ref, rng, part, "external", 0.1),
-                               ctx.basis)
-    dsig_i = sigma_lowest_order(random_amplitudes(ctx.ref, rng, part, "internal", 0.1),
-                                ctx.basis)
-    dsig_e = sigma_lowest_order(random_amplitudes(ctx.ref, rng, part, "external", 0.1),
-                                ctx.basis)
-    la, lb, lc = evaluate_lagrangians(ctx.H, sig_i, sig_e, dsig_i, dsig_e,
-                                      ctx.ref, part)
+    # arguments are drawn left to right: internal, external, internal, ...
+    amps = lambda kind: random_amplitudes(ctx.ref, rng, part, kind, 0.1)
+    sigma = lambda kind: sigma_lowest_order(amps(kind), ctx.basis)
+    la, lb, lc = evaluate_lagrangians(ctx.H, sigma("internal"), sigma("external"),
+                                      sigma("internal"), sigma("external"), ctx.ref, part)
     f1, f2 = evaluate_sescc_lagrangian(
-        ctx.H,
-        random_amplitudes(ctx.ref, rng, part, "internal", 0.1),
-        random_amplitudes(ctx.ref, rng, part, "external", 0.1),
-        random_amplitudes(ctx.ref, rng, part, "internal", 0.1),
-        random_amplitudes(ctx.ref, rng, part, "external", 0.1),
-        random_amplitudes(ctx.ref, rng, part, "internal", 0.1),
-        random_amplitudes(ctx.ref, rng, part, "external", 0.1),
-        ctx.ref)
+        ctx.H, amps("internal"), amps("external"), amps("internal"), amps("external"),
+        amps("internal"), amps("external"), ctx.ref)
     results["lagrangians"] = {
         "ducc_max_mutual_deviation": max(abs(la - lb), abs(la - lc), abs(lb - lc)),
         "bivariational_deviation": abs(f1 - f2),
@@ -633,21 +655,20 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, help="override the config seed")
     p_val = sub.add_parser("validate", help="parse and validate a config file")
     p_val.add_argument("config")
+    p_val.set_defaults(output=None, seed=None)
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
+        outdir, seed = run_settings(cfg, args.output, args.seed)
         if args.command == "validate":
-            build_context(cfg, outdir=cfg.get("output_dir", "."),
-                          seed=int(cfg.get("seed", 0)))
+            build_context(cfg, outdir=outdir or ".", seed=seed)
             print("config ok")
             return 0
-        outdir = args.output or cfg.get("output_dir")
         if not outdir:
             raise ConfigError("no output directory (config output_dir or --output)")
         if not os.path.isabs(outdir):
             outdir = os.path.join(cfg["_config_dir"], outdir)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         _, code = run(cfg, outdir, seed)
         return code
     except ConfigError as exc:

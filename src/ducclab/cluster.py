@@ -14,7 +14,6 @@ from .errors import IntermediateNormalizationError, SectorMismatchError
 from .fock import (Determinant, ExcitationSignature, FockBasis,
                    SpinOrbitalPartition, determinant_table, enumerate_signatures,
                    excitation_pairs)
-from .operators import QOperator
 
 
 @dataclass
@@ -139,10 +138,10 @@ def split_amplitudes(T: Amplitudes, part: SpinOrbitalPartition
     return Amplitudes(t_int), Amplitudes(t_ext)
 
 
-def sigma_lowest_order(tpart: Amplitudes, basis: FockBasis) -> QOperator:
+def sigma_lowest_order(tpart: Amplitudes, basis: FockBasis) -> np.ndarray:
     """Lowest-order anti-Hermitian generator T - T+."""
     m = excitation_matrix(tpart, basis)
-    return QOperator(m - m.conj().T, basis)
+    return m - m.conj().T
 
 
 @lru_cache(maxsize=64)

@@ -81,15 +81,15 @@ def exp_dexp(sigma: np.ndarray, sigma_dot: np.ndarray | None,
     return R, v @ ((V.conj().T @ sigma_dot @ V) * phi) @ v.conj().T
 
 
-def ducc_projection(H: QOperator, sigma: QOperator, cas: np.ndarray,
-                    sigma_dot: QOperator | None = None) -> np.ndarray:
+def ducc_projection(H: QOperator, sigma: np.ndarray, cas: np.ndarray,
+                    sigma_dot: np.ndarray | None = None) -> np.ndarray:
     """CAS block of e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot), Hermitian.
 
     With the CAS columns ``R`` of e^{sigma} and the CAS block of ``A`` from
     :func:`exp_dexp`, this is ``R^+ H R - i A``; without ``sigma_dot``, only
     ``R^+ H R``.
     """
-    R, A = exp_dexp(sigma.matrix, None if sigma_dot is None else sigma_dot.matrix, cas)
+    R, A = exp_dexp(sigma, sigma_dot, cas)
     sub = R.conj().T @ H.matrix @ R
     if A is not None:
         sub = sub - 1j * A
@@ -120,7 +120,7 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
     return EffectiveHamiltonian(sub, cas, H.basis, "sescc", hermitian=False)
 
 
-def downfold_ducc(H: QOperator, sigma_ext: QOperator, ref: Determinant,
+def downfold_ducc(H: QOperator, sigma_ext: np.ndarray, ref: Determinant,
                   part: SpinOrbitalPartition,
                   source: str = "ducc") -> EffectiveHamiltonian:
     """(P+Q_int) e^{-sigma_ext} H e^{sigma_ext} (P+Q_int), Hermitian on CAS."""

@@ -34,11 +34,10 @@ DRIFT_TOL = 1e-6
 @dataclass
 class TimeDecomposition:
     """Per-time sweep products: external generator, CAS coefficients of the
-    internal state, global phase, reconstruction residual."""
+    internal state e^{sigma_int}|ref>, reconstruction residual."""
 
-    sigma_ext: QOperator
+    sigma_ext: np.ndarray
     c_int: np.ndarray
-    delta: float
     residual: float
 
 
@@ -77,7 +76,7 @@ def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
     return Trajectory(times, states, H.basis)
 
 
-def build_heff_td(H: QOperator, sigma_ext: QOperator, sigma_ext_dot: QOperator,
+def build_heff_td(H: QOperator, sigma_ext: np.ndarray, sigma_ext_dot: np.ndarray,
                   ref: Determinant, part: SpinOrbitalPartition) -> EffectiveHamiltonian:
     """Time-dependent downfolded Hamiltonian
     (P+Q_int){ e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot) }(P+Q_int),
@@ -99,24 +98,13 @@ def build_heff_td(H: QOperator, sigma_ext: QOperator, sigma_ext_dot: QOperator,
 
 def decompose_trajectory(traj: Trajectory, ref: Determinant,
                          part: SpinOrbitalPartition) -> Trajectory:
-    """Sweep-decompose every stored state; the global phase delta(t) is
-    unwrapped continuously across steps so the generators stay smooth."""
-    basis = traj.basis
-    cas = determinant_table(basis, ref).cas(part)
-    decos: list[TimeDecomposition] = []
-    prev_delta = None
-    e_ref = basis.unit_vector(basis.index_of(ref))
-    for k in range(len(traj.times)):
-        res = decompose_state(traj.states[k], ref, part, basis)
-        delta = res.delta
-        if prev_delta is not None:
-            delta += 2 * np.pi * round((prev_delta - delta) / (2 * np.pi))
-        prev_delta = delta
-        c_full = np.exp(1j * delta) * (res.omega3.matrix.conj().T @ e_ref)
-        decos.append(TimeDecomposition(
-            sigma_ext=res.sigma_ext, c_int=c_full[cas],
-            delta=delta, residual=res.residual))
-    return Trajectory(traj.times, traj.states, basis, decompositions=decos)
+    """Sweep-decompose every stored state."""
+    cas = determinant_table(traj.basis, ref).cas(part)
+    decos = []
+    for psi in traj.states:
+        res = decompose_state(psi, ref, part, traj.basis)
+        decos.append(TimeDecomposition(res.sigma_ext, res.psi_act[cas], res.residual))
+    return Trajectory(traj.times, traj.states, traj.basis, decompositions=decos)
 
 
 def sigma_dot_grid(sigmas: Sequence[np.ndarray], dt: float,
@@ -160,18 +148,14 @@ def sigma_dot_grid(sigmas: Sequence[np.ndarray], dt: float,
 def heff_grid(H: QOperator, traj: Trajectory, ref: Determinant,
               part: SpinOrbitalPartition,
               fd_order: int = 2) -> list[EffectiveHamiltonian]:
-    """Time-dependent effective Hamiltonians on the trajectory's grid, with
-    the generator velocity obtained by differencing the sweep output."""
-    if traj.decompositions is None:
-        traj = decompose_trajectory(traj, ref, part)
-    sigmas = [d.sigma_ext.matrix for d in traj.decompositions]
+    """Time-dependent effective Hamiltonians on the grid of a decomposed
+    trajectory (:func:`decompose_trajectory`), with the generator velocity
+    obtained by differencing the sweep output."""
+    sigmas = [d.sigma_ext for d in traj.decompositions]
     dots = sigma_dot_grid(sigmas, traj.dt, order=fd_order)
-    out = []
-    for sig, dot in zip(sigmas, dots):
-        dot = 0.5 * (dot - dot.conj().T)  # differencing noise breaks anti-hermiticity
-        out.append(build_heff_td(H, QOperator(sig, traj.basis),
-                                 QOperator(dot, traj.basis), ref, part))
-    return out
+    # differencing noise breaks anti-hermiticity
+    return [build_heff_td(H, sig, 0.5 * (dot - dot.conj().T), ref, part)
+            for sig, dot in zip(sigmas, dots)]
 
 
 def propagate_internal(heffs: Sequence[np.ndarray], c0: np.ndarray, dt: float,
@@ -209,8 +193,8 @@ def propagate_internal(heffs: Sequence[np.ndarray], c0: np.ndarray, dt: float,
 # -- Lagrangian evaluators ----------------------------------------------------
 
 
-def evaluate_lagrangians(H: QOperator, sigma_int: QOperator, sigma_ext: QOperator,
-                         sigma_int_dot: QOperator, sigma_ext_dot: QOperator,
+def evaluate_lagrangians(H: QOperator, sigma_int: np.ndarray, sigma_ext: np.ndarray,
+                         sigma_int_dot: np.ndarray, sigma_ext_dot: np.ndarray,
                          ref: Determinant, part: SpinOrbitalPartition
                          ) -> tuple[complex, complex, complex]:
     """Three assembly routes of the double-unitary Lagrangian
@@ -226,8 +210,8 @@ def evaluate_lagrangians(H: QOperator, sigma_int: QOperator, sigma_ext: QOperato
     """
     basis = H.basis
     phi = basis.unit_vector(basis.index_of(ref))
-    Ui, Ai = exp_dexp(sigma_int.matrix, sigma_int_dot.matrix, slice(None))
-    Ue, Ae = exp_dexp(sigma_ext.matrix, sigma_ext_dot.matrix, slice(None))
+    Ui, Ai = exp_dexp(sigma_int, sigma_int_dot, slice(None))
+    Ue, Ae = exp_dexp(sigma_ext, sigma_ext_dot, slice(None))
     Uim = Ui.conj().T
     Uem = Ue.conj().T
 
@@ -286,24 +270,18 @@ def evaluate_sescc_lagrangian(H: QOperator, t_int: Amplitudes, t_ext: Amplitudes
 
 
 def trajectory_to_csv(traj: Trajectory, H: QOperator, cas: np.ndarray, path,
-                      heff_eigs: Sequence[np.ndarray] | None = None):
-    """CSV dump: time, energy expectation, norm, active-space weight, and
-    optionally the per-root effective-Hamiltonian eigenvalues.
+                      heff_eigs: Sequence[np.ndarray]):
+    """CSV dump: time, energy expectation, norm, active-space weight and the
+    per-root effective-Hamiltonian eigenvalues.
 
     Floats are written with 17 significant digits for bit-exact re-reading.
     """
-    g = lambda x: format(float(x), ".17g")
     header = ["time", "energy", "norm", "cas_weight"]
-    if heff_eigs is not None:
-        header += [f"heff_eig_{r}" for r in range(len(heff_eigs[0]))]
+    header += [f"heff_eig_{r}" for r in range(len(heff_eigs[0]))]
     lines = [",".join(header)]
-    for k in range(len(traj.times)):
-        psi = traj.states[k]
+    for t, psi, eigs in zip(traj.times, traj.states, heff_eigs, strict=True):
         energy = (psi.conj() @ (H.matrix @ psi)).real
-        row = [g(traj.times[k]), g(energy), g(np.linalg.norm(psi)),
-               g(np.linalg.norm(psi[cas]))]
-        if heff_eigs is not None:
-            row += [g(e) for e in heff_eigs[k]]
-        lines.append(",".join(row))
+        row = [t, energy, np.linalg.norm(psi), np.linalg.norm(psi[cas]), *eigs]
+        lines.append(",".join(format(float(x), ".17g") for x in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

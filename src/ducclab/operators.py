@@ -32,7 +32,9 @@ from .fock import FockBasis
 
 
 class QOperator:
-    """A many-body operator as a dense complex matrix over a FockBasis."""
+    """A Hamiltonian as a dense complex matrix tied to its FockBasis.
+
+    Generators, unitaries and velocities are plain ``np.ndarray``s."""
 
     def __init__(self, matrix: np.ndarray, basis: FockBasis):
         matrix = np.asarray(matrix, dtype=complex)
@@ -44,34 +46,8 @@ class QOperator:
         self.matrix = matrix
         self.basis = basis
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, basis: FockBasis) -> "QOperator":
-        return cls(np.zeros((basis.size, basis.size), dtype=complex), basis)
-
-    @classmethod
-    def identity(cls, basis: FockBasis) -> "QOperator":
-        return cls(np.eye(basis.size, dtype=complex), basis)
-
-    # -- algebra -----------------------------------------------------------
-
-    def dagger(self) -> "QOperator":
-        return QOperator(self.matrix.conj().T, self.basis)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-    # -- property checks ---------------------------------------------------
-
     def hermiticity_defect(self) -> float:
         return float(np.linalg.norm(self.matrix - self.matrix.conj().T))
-
-    def anti_hermiticity_defect(self) -> float:
-        return float(np.linalg.norm(self.matrix + self.matrix.conj().T))
-
-    def __repr__(self):
-        return f"QOperator(dim={self.basis.size}, M={self.basis.M}, N={self.basis.N})"
 
 
 class IntegralSet:
@@ -89,6 +65,8 @@ class IntegralSet:
         M = h.shape[0]
         if h.shape != (M, M) or v.shape != (M, M, M, M):
             raise InvalidDimensionError("integral arrays have inconsistent shapes")
+        if not (np.isfinite(h).all() and np.isfinite(v).all() and math.isfinite(core_energy)):
+            raise OperatorPropertyError("integrals have non-finite entries")
         scale = max(1.0, float(np.abs(h).max(initial=0.0)), float(np.abs(v).max(initial=0.0)))
         if np.linalg.norm(h - h.conj().T) > 1e-10 * scale:
             raise OperatorPropertyError("one-body integrals are not Hermitian")
@@ -282,8 +260,8 @@ UNITARY_TOL = 1e-10
 BRANCH_TOL = 1e-10
 
 
-def logm_unitary(U: QOperator) -> tuple[QOperator, float]:
-    """Principal logarithm of a unitary operator, returned anti-Hermitian,
+def logm_unitary(U: np.ndarray) -> tuple[np.ndarray, float]:
+    """Principal logarithm of a unitary matrix, returned anti-Hermitian,
     and the unitarity defect ``||U U^+ - I||_F`` that it checked.
 
     The log of a direct sum is the direct sum of the logs, so the work runs
@@ -309,14 +287,14 @@ def logm_unitary(U: QOperator) -> tuple[QOperator, float]:
     1e-3, 1e-5 and 1e-7).  The sweep unitaries of the Hubbard L=5 quench
     stay far from the cut: their smallest ``|1+lam|`` is 1.85.
     """
-    A = U.matrix
-    if not np.all(np.isfinite(A)):
+    U = np.asarray(U, dtype=complex)
+    if not np.all(np.isfinite(U)):
         raise OperatorPropertyError("logm input has non-finite entries")
-    stacks = [(idx, stack, A[stack]) for idx, stack in _size_stacks(direct_sum_blocks(A))]
+    stacks = [(idx, stack, U[stack]) for idx, stack in _size_stacks(direct_sum_blocks(U))]
     defect = _stacked_unitarity_defect([B for _, _, B in stacks])
     if defect > UNITARY_TOL:
         raise OperatorPropertyError(f"logm input not unitary (defect {defect:.3e})")
-    L = np.zeros_like(A)
+    L = np.zeros_like(U)
     for idx, stack, B in stacks:
         eye = np.eye(idx.shape[1])
         try:
@@ -345,7 +323,7 @@ def logm_unitary(U: QOperator) -> tuple[QOperator, float]:
         D[:, diag, diag] = 1j * theta
         L[stack] = Z @ D @ Zh
     L = 0.5 * (L - L.conj().T)  # exact log of unitary input is anti-Hermitian
-    return QOperator(L, U.basis), defect
+    return L, defect
 
 
 #: largest anti-Hermiticity defect ``||X + X^+||_F`` of a generator or velocity
@@ -428,6 +406,8 @@ def read_fcidump(path) -> tuple[IntegralSet, int]:
                 raise OperatorPropertyError(f"malformed FCIDUMP line: {line!r}")
             continue
         val = float(parts[0].replace("D", "E").replace("d", "e"))
+        if not math.isfinite(val):
+            raise OperatorPropertyError(f"non-finite FCIDUMP value: {line!r}")
         i, j, k, l = idx = tuple(int(x) for x in parts[1:])
         used = idx if k or l else idx[:2] if i or j else ()
         if not all(1 <= x <= norb for x in used):

@@ -44,7 +44,7 @@ from .errors import (CasSupportError, IntermediateNormalizationError,
 from .fock import (DetClass, Determinant, DeterminantTable, ExcitationSignature,
                    FockBasis, SpinOrbitalPartition, determinant_table,
                    excitation_pairs)
-from .operators import QOperator, exp_anti_hermitian, logm_unitary
+from .operators import exp_anti_hermitian, logm_unitary
 
 #: Coefficients with magnitude below this are treated as already eliminated.
 ZERO_TOL = 1e-14
@@ -155,127 +155,84 @@ def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
             group(classes == DetClass.INTERNAL, smallest_hole))
 
 
-def _run_targets(state, omega, targets, table, eliminated):
+def _run_targets(state, omega, targets, table, eliminated) -> int:
     """Eliminate targets in order, accumulating rotations into the matrix
-    ``omega`` and recording steps. ``eliminated`` holds rows whose
-    coefficients must stay dead."""
-    steps = []
+    ``omega``; returns the number of rotations applied. ``eliminated`` holds
+    rows whose coefficients must stay dead."""
+    rotations = 0
     for sig, j in targets:
         step = rotation_for_target(state, j, table)
         if step.angle != 0.0:
             _apply_rotation(step, excitation_pairs(sig, table.basis), state, omega)
-            steps.append(step)
+            rotations += 1
         eliminated.append(j)
         worst = float(np.abs(state[eliminated]).max())
         if worst > REGROWTH_TOL:
             raise OrderingViolationError(
                 f"eliminated coefficient re-grew to {worst:.3e} "
                 f"while processing target {sig}")
-    return steps
-
-
-@dataclass
-class ExternalSweep:
-    """Sweeps 1-2: their accumulated unitary and the CAS-supported state."""
-
-    omega12: QOperator
-    psi_act: np.ndarray
-    steps1: list[RotationStep]
-    steps2: list[RotationStep]
-
-
-@dataclass
-class InternalSweep:
-    omega3: QOperator
-    delta: float
-    steps3: list[RotationStep]
+    return rotations
 
 
 @dataclass
 class SweepResult:
-    """Full decomposition psi = e^{sigma_ext} e^{sigma_int} |ref>."""
+    """Full decomposition psi = e^{sigma_ext} e^{sigma_int} |ref>.
 
-    omega12: QOperator
-    omega3: QOperator
-    omega12_defect: float
-    omega3_defect: float
-    sigma_ext: QOperator
-    sigma_int: QOperator
+    ``psi_act`` is the CAS-supported state e^{sigma_int}|ref> left by sweeps
+    1-2, ``delta`` the phase of e^{i delta}|ref> left by sweep 3,
+    ``rotations`` the number of elementary rotations of all three sweeps,
+    and the defects those that :func:`logm_unitary` checked on the adjoints
+    of the accumulated unitaries omega12 (sweeps 1-2) and omega3 (sweep 3).
+    """
+
+    sigma_ext: np.ndarray
+    sigma_int: np.ndarray
+    psi_act: np.ndarray
     delta: float
     residual: float
-    steps1: list[RotationStep]
-    steps2: list[RotationStep]
-    steps3: list[RotationStep]
-    psi_act: np.ndarray
-
-
-def sweep_external(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
-                   basis: FockBasis) -> ExternalSweep:
-    """Rotate away all external determinants; every generator is external.
-
-    Raises OrderingViolationError if an already-eliminated coefficient
-    re-grows (which would indicate a broken elimination order).
-    """
-    table = determinant_table(basis, ref)
-    if abs(psi[table.ref_index]) < 1e-14:
-        raise IntermediateNormalizationError("state has (numerically) zero reference overlap")
-    state = np.array(psi, dtype=complex)
-    om12 = np.eye(basis.size, dtype=complex)
-    targets1, targets2, _ = sweep_targets(table, part)
-    eliminated: list[int] = []
-    steps1 = _run_targets(state, om12, targets1, table, eliminated)
-    steps2 = _run_targets(state, om12, targets2, table, eliminated)
-    return ExternalSweep(QOperator(om12, basis), state, steps1, steps2)
-
-
-def sweep_internal(psi_act: np.ndarray, ref: Determinant,
-                   part: SpinOrbitalPartition, basis: FockBasis) -> InternalSweep:
-    """Rotate a CAS-supported state onto e^{i delta}|ref> with internal
-    generators only."""
-    table = determinant_table(basis, ref)
-    proj_ext = table.classes(part) == DetClass.EXTERNAL
-    ext_norm = float(np.linalg.norm(psi_act[proj_ext]))
-    if ext_norm > SUPPORT_TOL:
-        raise CasSupportError(
-            f"state has external support {ext_norm:.3e} (tol {SUPPORT_TOL:.0e})")
-    state = np.array(psi_act, dtype=complex)
-    om3 = np.eye(basis.size, dtype=complex)
-    steps3 = _run_targets(state, om3, sweep_targets(table, part)[2], table, [])
-    delta = float(np.angle(state[table.ref_index]))
-    return InternalSweep(QOperator(om3, basis), delta, steps3)
-
-
-def extract_sigmas(omega12: QOperator, omega3: QOperator, delta: float
-                   ) -> tuple[QOperator, QOperator, float, float]:
-    """Anti-Hermitian generators from the accumulated unitaries, and their
-    unitarity defects as :func:`logm_unitary` checks them on the adjoints.
-
-    sigma_ext = log(omega12^-1); sigma_int = log(omega3^-1) + i delta,
-    the global phase being carried by the internal generator.
-    """
-    sigma_ext, d12 = logm_unitary(omega12.dagger())
-    log3, d3 = logm_unitary(omega3.dagger())
-    sigma_int = QOperator(log3.matrix + 1j * delta * np.eye(omega3.basis.size), omega3.basis)
-    return sigma_ext, sigma_int, d12, d3
+    rotations: int
+    omega12_defect: float
+    omega3_defect: float
 
 
 def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
                     basis: FockBasis) -> SweepResult:
-    """Full pipeline: sweeps, generator extraction, reconstruction residual."""
+    """Sweeps, generator extraction and reconstruction residual of ``psi``.
+
+    Sweeps 1-2 rotate away every external determinant into the unitary
+    omega12; sweep 3 rotates the CAS-supported remainder onto e^{i delta}
+    |ref> into omega3.  Then sigma_ext = log(omega12^+) and sigma_int =
+    log(omega3^+) + i delta, the global phase being carried by the internal
+    generator.  Raises OrderingViolationError if an already-eliminated
+    coefficient re-grows (a broken elimination order), and CasSupportError
+    if sweeps 1-2 leave external support.
+    """
     nrm = float(np.linalg.norm(psi))
     if nrm == 0.0:
         raise IntermediateNormalizationError("cannot decompose the zero vector")
     psi_n = np.asarray(psi, dtype=complex) / nrm
-    ext = sweep_external(psi_n, ref, part, basis)
-    intr = sweep_internal(ext.psi_act, ref, part, basis)
-    sigma_ext, sigma_int, d12, d3 = extract_sigmas(ext.omega12, intr.omega3, intr.delta)
+    table = determinant_table(basis, ref)
+    if abs(psi_n[table.ref_index]) < 1e-14:
+        raise IntermediateNormalizationError("state has (numerically) zero reference overlap")
+    targets1, targets2, targets3 = sweep_targets(table, part)
+    psi_act = psi_n.copy()
+    omega12 = np.eye(basis.size, dtype=complex)
+    rotations = _run_targets(psi_act, omega12, targets1 + targets2, table, [])
+    ext_norm = float(np.linalg.norm(psi_act[table.classes(part) == DetClass.EXTERNAL]))
+    if ext_norm > SUPPORT_TOL:
+        raise CasSupportError(
+            f"state has external support {ext_norm:.3e} (tol {SUPPORT_TOL:.0e})")
+    state = psi_act.copy()
+    omega3 = np.eye(basis.size, dtype=complex)
+    rotations += _run_targets(state, omega3, targets3, table, [])
+    delta = float(np.angle(state[table.ref_index]))
+    sigma_ext, d12 = logm_unitary(omega12.conj().T)
+    log3, d3 = logm_unitary(omega3.conj().T)
+    sigma_int = log3 + 1j * delta * np.eye(basis.size)
     # psi rebuilt from the generators alone by the certified series
-    recon = exp_anti_hermitian(sigma_ext.matrix, exp_anti_hermitian(
-        sigma_int.matrix, basis.unit_vector(basis.index_of(ref))))
-    residual = float(np.linalg.norm(recon - psi_n))
+    recon = exp_anti_hermitian(sigma_ext, exp_anti_hermitian(
+        sigma_int, basis.unit_vector(table.ref_index)))
     return SweepResult(
-        omega12=ext.omega12, omega3=intr.omega3,
-        omega12_defect=d12, omega3_defect=d3,
-        sigma_ext=sigma_ext, sigma_int=sigma_int, delta=intr.delta,
-        residual=residual, steps1=ext.steps1, steps2=ext.steps2,
-        steps3=intr.steps3, psi_act=ext.psi_act)
+        sigma_ext=sigma_ext, sigma_int=sigma_int, psi_act=psi_act, delta=delta,
+        residual=float(np.linalg.norm(recon - psi_n)), rotations=rotations,
+        omega12_defect=d12, omega3_defect=d3)

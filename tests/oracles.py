@@ -74,7 +74,7 @@ def _dexp_certified(X: np.ndarray, Xdot: np.ndarray, K_min: int) -> np.ndarray:
         f"(last term norm {last:.3e})")
 
 
-def dexp_series(X: QOperator, Xdot: QOperator, K: int = DEFAULT_SERIES_ORDER) -> QOperator:
+def dexp_series(X: np.ndarray, Xdot: np.ndarray, K: int = DEFAULT_SERIES_ORDER) -> np.ndarray:
     """A(X, Xdot) with d/dt e^{X(t)} = e^{X} A: truncated commutator series
     sum_{k=0..K} (-1)^k/(k+1)! ad_X^k Xdot.
 
@@ -82,14 +82,14 @@ def dexp_series(X: QOperator, Xdot: QOperator, K: int = DEFAULT_SERIES_ORDER) ->
     """
     if K < 0:
         raise ValueError("series order K must be >= 0")
-    return QOperator(_dexp_np(X.matrix, Xdot.matrix, K), X.basis)
+    return _dexp_np(X, Xdot, K)
 
 
-def dexp_tail_ratio(X: QOperator, Xdot: QOperator,
+def dexp_tail_ratio(X: np.ndarray, Xdot: np.ndarray,
                     K: int = DEFAULT_SERIES_ORDER) -> float:
     """Norm of the K-th series term over the norm of the sum: a cheap
     convergence certificate (factorial decay makes it fall fast)."""
-    terms = list(_dexp_terms(X.matrix, Xdot.matrix, K))
+    terms = list(_dexp_terms(X, Xdot, K))
     total = np.linalg.norm(sum(terms))
     if total == 0.0:
         return 0.0
@@ -99,28 +99,33 @@ def dexp_tail_ratio(X: QOperator, Xdot: QOperator,
 # -- sweeps ------------------------------------------------------------------
 
 
-def rotation_generator(step: RotationStep, basis: FockBasis) -> QOperator:
+def rotation_generator(step: RotationStep, basis: FockBasis) -> np.ndarray:
     """Dense anti-Hermitian generator of the rotation (for provenance checks)."""
     lows, highs, phases = excitation_pairs(step.signature, basis)
     g = np.zeros((basis.size, basis.size), dtype=complex)
     eip = np.exp(1j * step.phase)
     g[highs, lows] += step.angle * eip * phases
     g[lows, highs] -= step.angle * np.conj(eip) * phases
-    return QOperator(g, basis)
+    return g
 
 
-def rotation_unitary(step: RotationStep, basis: FockBasis) -> QOperator:
+def rotation_unitary(step: RotationStep, basis: FockBasis) -> np.ndarray:
     """Dense unitary of one rotation, assembled pairwise (equals
     expm(rotation_generator))."""
     u = np.eye(basis.size, dtype=complex)
     _apply_rotation(step, excitation_pairs(step.signature, basis), u)
-    return QOperator(u, basis)
+    return u
 
 
-def unitarity_defect(U: QOperator) -> float:
+def unitarity_defect(U: np.ndarray) -> float:
     """``||U U^+ - I||_F`` from the whole dense product (against the
     block-wise defect that :func:`ducclab.operators.logm_unitary` checks)."""
-    return float(np.linalg.norm(U.matrix @ U.matrix.conj().T - np.eye(U.basis.size)))
+    return float(np.linalg.norm(U @ U.conj().T - np.eye(len(U))))
+
+
+def anti_hermiticity_defect(X: np.ndarray) -> float:
+    """``||X + X^+||_F``, zero for a generator or velocity."""
+    return float(np.linalg.norm(X + X.conj().T))
 
 
 # -- determinants ------------------------------------------------------------
@@ -219,15 +224,15 @@ class Projectors:
     P + Q_int + Q_ext is the identity and pairwise products vanish.
     """
 
-    P: QOperator
-    Q_int: QOperator
-    Q_ext: QOperator
+    P: np.ndarray
+    Q_int: np.ndarray
+    Q_ext: np.ndarray
 
 
 def build_projectors(ref: Determinant, basis: FockBasis,
                      part: SpinOrbitalPartition) -> Projectors:
     classes = determinant_table(basis, ref).classes(part)
-    proj = lambda cls: QOperator(np.diag((classes == cls).astype(complex)), basis)
+    proj = lambda cls: np.diag((classes == cls).astype(complex))
     return Projectors(P=proj(DetClass.REFERENCE), Q_int=proj(DetClass.INTERNAL),
                       Q_ext=proj(DetClass.EXTERNAL))
 

@@ -81,9 +81,24 @@ DIMER_FCIDUMP = ["&FCI NORB=4,NELEC=2,MS2=0,", "&END", "-1.0 1 3 0 0", "-1.0 2 4
     # refused by the orbital-count guard before any integral array exists
     (None, {"system": {"kind": "hubbard", "L": 10**6, "t": 1.0, "U": 4.0}}),
     (None, {"system": {"kind": "pairing", "levels": 10**6, "g": 0.5}}),
+    # integers are checked, not truncated
+    (None, {"system": {"kind": "hubbard", "L": 2.7, "t": 1.0, "U": 4.0}}),
+    (None, {"electrons": True}),
+    (None, {"partition": {"auto_homo_lumo": [1.9, 1]}}),
+    (None, {"partition": {"occ_inactive": [], "occ_active": 1, "virt_active": [2],
+                          "virt_inactive": [3]}}),
+    # integrals are finite, checked before any arithmetic touches them
+    (DIMER_FCIDUMP + ["nan 1 1 0 0"], {}),
+    (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": float("inf")}}),
+    (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": float("nan")}}),
+    (None, {"seed": "abc"}),
+    (None, {"seed": -3}),
+    (None, {"output_dir": 5}),
 ], ids=["index-beyond-norb", "zero-index-would-wrap", "zero-index-two-electron",
         "non-numeric-value", "missing-fcidump", "electrons-above-M", "non-integer-L",
-        "null-L", "oversized-L", "oversized-levels"])
+        "null-L", "oversized-L", "oversized-levels", "non-integral-L", "bool-electrons",
+        "non-integral-window", "non-list-partition", "nan-fcidump-value", "infinite-U", "nan-U",
+        "non-numeric-seed", "negative-seed", "non-string-output-dir"])
 def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, overrides):
     if fcidump is not None:
         (tmp_path / "FCIDUMP").write_text("\n".join(fcidump) + "\n")
@@ -114,17 +129,42 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, ove
     {"name": "verify-all", "propagate": {"nsteps": 1}},
     {"name": "verify-all", "imagtime": {"dtau": -0.1}},
     {"name": "verify-all", "ecc": "many"},
+    {"name": "propagate", "nsteps": 20.9},
+    {"name": "fci", "nroots": True},
 ], ids=["dt-negative", "dt-zero", "dt-non-numeric", "dt-infinite", "nsteps-negative",
         "fd-order-3", "too-few-points-order-4", "too-few-points-order-2",
         "unknown-initial", "dtau-zero", "tol-negative", "ecc-no-configs",
         "nroots-non-numeric", "verify-all-dt", "verify-all-nsteps", "verify-all-dtau",
-        "verify-all-params-not-object"])
+        "verify-all-params-not-object", "nsteps-non-integral", "nroots-bool"])
 def test_bad_task_parameter_is_config_error(tmp_path, capsys, command, task):
     assert main([command, str(write_config(tmp_path, tasks=[task]))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    assert main(["run", str(write_config(tmp_path)), "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_are_integers(tmp_path):
+    # 2.0 is the integer 2 in every integer field: the same report as ints
+    reports = []
+    for name, num in (("int", int), ("float", float)):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        path = write_config(workdir, system={"kind": "hubbard", "L": num(2), "t": 1.0, "U": 4.0},
+                            electrons=num(2), partition={"auto_homo_lumo": [num(1), num(1)]},
+                            tasks=[{"name": "fci", "nroots": num(2)}], seed=num(3))
+        assert main(["run", str(path)]) == 0
+        report = read_report(workdir)
+        reports.append((report["seed"], report["tasks"]))
+    assert reports[0] == reports[1]
 
 
 def test_noninteracting_start_needs_model_system(tmp_path, capsys):

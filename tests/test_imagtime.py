@@ -127,17 +127,16 @@ class TestNonstationary:
             dimer_basis)
 
         def provider(tau):
-            s = dl.QOperator(sweep.sigma_ext.matrix + np.exp(-tau) * pert.matrix,
-                             dimer_basis)
-            sd = dl.QOperator(-np.exp(-tau) * pert.matrix, dimer_basis)
+            s = sweep.sigma_ext + np.exp(-tau) * pert
+            sd = -np.exp(-tau) * pert
             return dl.build_heff_td(dimer_H, s, sd, dimer_ref, dimer_part)
 
         state = dl.initial_flow_state(np.array([1.0, 0.3]), provider(0.0))
         a_norms = []
         for _ in range(350):
             a_norms.append(np.linalg.norm(_dexp_certified(
-                sweep.sigma_ext.matrix + np.exp(-state.tau) * pert.matrix,
-                -np.exp(-state.tau) * pert.matrix, 12)))
+                sweep.sigma_ext + np.exp(-state.tau) * pert,
+                -np.exp(-state.tau) * pert, 12)))
             state = dl.imaginary_step(state, provider(state.tau), 0.1)
         heff_stat = dl.downfold_ducc(dimer_H, sweep.sigma_ext, dimer_ref, dimer_part)
         stat = dl.imaginary_evolve(heff_stat, np.array([1.0, 0.3]), dtau=0.1,

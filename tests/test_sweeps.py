@@ -3,13 +3,14 @@ import pytest
 import scipy.linalg
 
 import ducclab as dl
+import ducclab.sweeps as sweeps
 from ducclab.errors import CasSupportError, OrderingViolationError
 from ducclab.sweeps import sweep_targets
 
 from conftest import count_calls, random_state
-from oracles import (apply_excitation, build_projectors, classify_determinant,
-                     rotation_generator, rotation_unitary, scalar_sweep_targets,
-                     unitarity_defect)
+from oracles import (anti_hermiticity_defect, apply_excitation, build_projectors,
+                     classify_determinant, rotation_generator, rotation_unitary,
+                     scalar_sweep_targets, unitarity_defect)
 
 
 class TestRotationForTarget:
@@ -63,50 +64,78 @@ class TestRotationUnitary:
     def test_matches_generator_exponential(self, m6_basis):
         step = dl.RotationStep((0, 2), (3, 5), angle=0.47, phase=1.1)
         direct = rotation_unitary(step, m6_basis)
-        via_expm = scipy.linalg.expm(rotation_generator(step, m6_basis).matrix)
-        assert np.abs(direct.matrix - via_expm).max() < 1e-12
+        via_expm = scipy.linalg.expm(rotation_generator(step, m6_basis))
+        assert np.abs(direct - via_expm).max() < 1e-12
         assert unitarity_defect(direct) < 1e-13
 
     def test_generator_anti_hermitian(self, m6_basis):
         step = dl.RotationStep((1,), (4,), angle=0.3, phase=-0.4)
-        assert rotation_generator(step, m6_basis).anti_hermiticity_defect() == 0.0
+        assert anti_hermiticity_defect(rotation_generator(step, m6_basis)) == 0.0
+
+
+@pytest.fixture
+def sweep_steps(monkeypatch):
+    """The rotations of each sweep run of the decompositions in a test, in
+    order: for one decomposition, sweeps 1-2 (accumulated into omega12),
+    then sweep 3 (into omega3)."""
+    runs = []
+    run_targets, apply_rotation = sweeps._run_targets, sweeps._apply_rotation
+
+    def run(*args):
+        runs.append([])
+        return run_targets(*args)
+
+    def apply(step, *args):
+        runs[-1].append(step)
+        return apply_rotation(step, *args)
+    monkeypatch.setattr(sweeps, "_run_targets", run)
+    monkeypatch.setattr(sweeps, "_apply_rotation", apply)
+    return runs
 
 
 class TestSweepExternal:
-    def test_cas_state_untouched(self, m8_basis, m8_ref, m8_part):
+    """Sweeps 1-2 of :func:`ducclab.decompose_state`."""
+
+    def test_cas_state_untouched(self, m8_basis, m8_ref, m8_part, sweep_steps):
         # a state already supported on the active block needs no rotations
         projs = build_projectors(m8_ref, m8_basis, m8_part)
         rng = np.random.default_rng(0)
         psi = random_state(m8_basis, rng, ref=m8_ref)
-        psi = (projs.P.matrix + projs.Q_int.matrix) @ psi
+        psi = (projs.P + projs.Q_int) @ psi
         psi /= np.linalg.norm(psi)
-        res = dl.sweep_external(psi, m8_ref, m8_part, m8_basis)
-        assert np.allclose(res.omega12.matrix, np.eye(m8_basis.size))
-        assert not res.steps1 and not res.steps2
+        res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
+        assert sweep_steps[0] == []
+        assert np.abs(res.sigma_ext).max() == 0.0
+        assert np.allclose(res.psi_act, psi)
 
     def test_hubbard_ground_state(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
         psi = np.linalg.eigh(dimer_H.matrix)[1][:, 0]
-        res = dl.sweep_external(psi, dimer_ref, dimer_part, dimer_basis)
+        res = dl.decompose_state(psi, dimer_ref, dimer_part, dimer_basis)
         projs = build_projectors(dimer_ref, dimer_basis, dimer_part)
-        assert np.linalg.norm(projs.Q_ext.matrix @ res.psi_act) < 1e-12
+        assert np.linalg.norm(projs.Q_ext @ res.psi_act) < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_state_m8(self, m8_basis, m8_ref, m8_part, seed):
         rng = np.random.default_rng(seed)
         psi = random_state(m8_basis, rng, ref=m8_ref)
-        res = dl.sweep_external(psi, m8_ref, m8_part, m8_basis)
+        res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
         projs = build_projectors(m8_ref, m8_basis, m8_part)
-        assert np.linalg.norm(projs.Q_ext.matrix @ res.psi_act) < 1e-10
-        assert unitarity_defect(res.omega12) < 1e-12
+        assert np.linalg.norm(projs.Q_ext @ res.psi_act) < 1e-10
+        assert res.omega12_defect < 1e-12
         # norm is preserved by the unitary sweeps
         assert np.linalg.norm(res.psi_act) == pytest.approx(1.0, abs=1e-12)
 
-    def test_generator_provenance(self, m8_basis, m8_ref, m8_part):
+    def test_generator_provenance(self, m8_basis, m8_ref, m8_part, sweep_steps):
         rng = np.random.default_rng(9)
         psi = random_state(m8_basis, rng, ref=m8_ref)
-        res = dl.sweep_external(psi, m8_ref, m8_part, m8_basis)
-        assert res.steps1 and res.steps2
-        for step in res.steps1 + res.steps2:
+        res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
+        steps12, steps3 = sweep_steps
+        assert res.rotations == len(steps12) + len(steps3)
+        # sweep 1 rotates determinants with an inactive hole, sweep 2 the rest
+        inactive_hole = [bool(set(step.occ) & set(m8_part.occ_inactive))
+                         for step in steps12]
+        assert any(inactive_hole) and not all(inactive_hole)
+        for step in steps12:
             assert not m8_part.is_internal_signature(step.signature)
 
     def test_ordering_keys(self, m8_basis, m8_ref, m8_part):
@@ -140,59 +169,80 @@ class TestSweepExternal:
 
 
 class TestSweepInternal:
+    """Sweep 3 of :func:`ducclab.decompose_state`."""
+
     def test_reference_is_fixed_point(self, m6_basis, m6_ref, m6_part):
         psi = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
-        res = dl.sweep_internal(psi, m6_ref, m6_part, m6_basis)
-        assert np.allclose(res.omega3.matrix, np.eye(m6_basis.size))
+        res = dl.decompose_state(psi, m6_ref, m6_part, m6_basis)
+        assert res.rotations == 0
         assert res.delta == 0.0
+        assert np.array_equal(res.psi_act, psi)
 
-    def test_two_determinant_cas_state(self, dimer_basis, dimer_ref, dimer_part):
+    def test_two_determinant_cas_state(self, dimer_basis, dimer_ref, dimer_part,
+                                       sweep_steps):
         det, _ = apply_excitation(dl.ExcitationSignature((1,), (2,)), dimer_ref)
         psi = (dimer_basis.unit_vector(dimer_basis.index_of(dimer_ref))
                + dimer_basis.unit_vector(dimer_basis.index_of(det))) / np.sqrt(2)
-        res = dl.sweep_internal(psi, dimer_ref, dimer_part, dimer_basis)
-        assert len(res.steps3) == 1
-        assert abs(res.steps3[0].angle) == pytest.approx(np.pi / 4)
+        dl.decompose_state(psi, dimer_ref, dimer_part, dimer_basis)
+        _, steps3 = sweep_steps
+        assert len(steps3) == 1
+        assert abs(steps3[0].angle) == pytest.approx(np.pi / 4)
 
-    def test_random_cas_state(self, m8_basis, m8_ref, m8_part):
+    def test_random_cas_state(self, m8_basis, m8_ref, m8_part, sweep_steps):
         rng = np.random.default_rng(1)
         projs = build_projectors(m8_ref, m8_basis, m8_part)
-        psi = (projs.P.matrix + projs.Q_int.matrix) @ random_state(m8_basis, rng, m8_ref)
+        psi = (projs.P + projs.Q_int) @ random_state(m8_basis, rng, m8_ref)
         psi /= np.linalg.norm(psi)
-        res = dl.sweep_internal(psi, m8_ref, m8_part, m8_basis)
-        final = res.omega3.matrix @ psi
+        res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
+        assert np.abs(res.sigma_ext).max() == 0.0
+        # omega3 = e^{-(sigma_int - i delta)} takes psi onto the reference
+        log3 = res.sigma_int - 1j * res.delta * np.eye(m8_basis.size)
+        final = scipy.linalg.expm(-log3) @ psi
         assert abs(final[m8_basis.index_of(m8_ref)]) == pytest.approx(1.0, abs=1e-10)
-        for step in res.steps3:
+        _, steps3 = sweep_steps
+        for step in steps3:
             assert m8_part.is_internal_signature(step.signature)
 
-    def test_external_support_rejected(self, m8_basis, m8_ref, m8_part):
+    def test_external_support_rejected(self, m8_basis, m8_ref, m8_part, monkeypatch):
+        # sweeps 1-2 emptied of targets leave the external support to sweep 3
+        targets = sweeps.sweep_targets
+        monkeypatch.setattr(sweeps, "sweep_targets",
+                            lambda table, part: ((), ()) + targets(table, part)[2:])
         rng = np.random.default_rng(2)
         psi = random_state(m8_basis, rng, ref=m8_ref)  # full support
         with pytest.raises(CasSupportError):
-            dl.sweep_internal(psi, m8_ref, m8_part, m8_basis)
+            dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
 
 
 class TestExtractSigmas:
-    def test_identity_maps_to_zero(self, m6_basis):
-        eye = dl.QOperator.identity(m6_basis)
-        s_ext, s_int, _, _ = dl.extract_sigmas(eye, eye, 0.0)
-        assert s_ext.norm() == 0.0
-        assert s_int.norm() == 0.0
+    """The generators that :func:`ducclab.decompose_state` takes as logs of
+    the sweep unitaries."""
 
-    def test_single_rotation_recovers_generator(self, m6_basis):
+    def test_identity_maps_to_zero(self, m6_basis, m6_ref, m6_part):
+        psi = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
+        res = dl.decompose_state(psi, m6_ref, m6_part, m6_basis)
+        assert np.linalg.norm(res.sigma_ext) == 0.0
+        assert np.linalg.norm(res.sigma_int) == 0.0
+
+    def test_single_rotation_recovers_generator(self, m6_basis, m6_ref, m6_part):
         step = dl.RotationStep((0, 1), (3, 4), angle=0.4, phase=0.2)
+        assert set(step.occ) & set(m6_part.occ_inactive)   # a sweep-1 rotation
         omega = rotation_unitary(step, m6_basis)
-        s_ext, *_ = dl.extract_sigmas(omega, dl.QOperator.identity(m6_basis), 0.0)
+        # psi = omega^{-1}|ref> = e^{-g}|ref>: the sweep finds omega again,
+        # and log(omega^{-1}) is the negated generator
+        psi = omega.conj().T @ m6_basis.unit_vector(m6_basis.index_of(m6_ref))
+        res = dl.decompose_state(psi, m6_ref, m6_part, m6_basis)
         gen = rotation_generator(step, m6_basis)
-        # omega^{-1} = exp(-g), so the log is the negated generator
-        assert np.abs(s_ext.matrix + gen.matrix).max() < 1e-12
+        assert np.abs(res.sigma_ext + gen).max() < 1e-12
 
-    def test_phase_absorbed_into_internal(self, m6_basis):
-        eye = dl.QOperator.identity(m6_basis)
+    def test_phase_absorbed_into_internal(self, m6_basis, m6_ref, m6_part):
         delta = 0.7
-        _, s_int, _, _ = dl.extract_sigmas(eye, eye, delta)
-        assert np.allclose(s_int.matrix, 1j * delta * np.eye(m6_basis.size))
-        assert s_int.anti_hermiticity_defect() < 1e-14
+        psi = np.exp(1j * delta) * m6_basis.unit_vector(m6_basis.index_of(m6_ref))
+        res = dl.decompose_state(psi, m6_ref, m6_part, m6_basis)
+        assert res.delta == pytest.approx(delta)
+        assert np.linalg.norm(res.sigma_ext) == 0.0
+        assert np.allclose(res.sigma_int, 1j * delta * np.eye(m6_basis.size))
+        assert anti_hermiticity_defect(res.sigma_int) < 1e-14
 
 
 class TestDecomposeState:
@@ -202,31 +252,30 @@ class TestDecomposeState:
         psi = random_state(m8_basis, rng, ref=m8_ref)
         res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
         assert res.residual < 1e-9
-        assert res.sigma_ext.anti_hermiticity_defect() < 1e-12
-        assert res.sigma_int.anti_hermiticity_defect() < 1e-12
+        assert anti_hermiticity_defect(res.sigma_ext) < 1e-12
+        assert anti_hermiticity_defect(res.sigma_int) < 1e-12
 
     def test_residual_detects_perturbed_generator(self, m8_basis, m8_ref, m8_part,
                                                   monkeypatch):
         # the residual rebuilds psi from the returned generators alone, so a
-        # 1e-6 error in sigma_ext must show
-        import ducclab.sweeps as sweeps
+        # 1e-6 error in sigma_ext, the log of the first unitary, must show
         rng = np.random.default_rng(8)
         psi = random_state(m8_basis, rng, ref=m8_ref)
         a = rng.normal(size=(m8_basis.size,) * 2) + 1j * rng.normal(size=(m8_basis.size,) * 2)
         kick = 1e-6 * 0.5 * (a - a.conj().T) / np.linalg.norm(a - a.conj().T, 2)
-        extract = sweeps.extract_sigmas
+        logm, logs = sweeps.logm_unitary, []
 
-        def perturbed(omega12, omega3, delta):
-            sigma_ext, *rest = extract(omega12, omega3, delta)
-            return dl.QOperator(sigma_ext.matrix + kick, m8_basis), *rest
+        def perturbed(U):
+            log, defect = logm(U)
+            logs.append(log)
+            return (log + kick if len(logs) == 1 else log), defect
 
-        monkeypatch.setattr(sweeps, "extract_sigmas", perturbed)
+        monkeypatch.setattr(sweeps, "logm_unitary", perturbed)
         assert dl.decompose_state(psi, m8_ref, m8_part, m8_basis).residual > 1e-8
 
     def test_work_budget(self, m8_basis, m8_ref, m8_part, monkeypatch):
         # the residual comes from the certified series: the only eigh calls
         # of a decomposition are the stacked Cayley ones of logm_unitary
-        import ducclab.sweeps as sweeps
         from ducclab import operators
         eigh, logm = np.linalg.eigh, sweeps.logm_unitary
         calls = {"eigh": 0, "eigh_in_logm": 0}
@@ -253,21 +302,29 @@ class TestDecomposeState:
         assert "eigh_direct_sum" not in calls
         assert not hasattr(sweeps, "eigh_direct_sum")
 
-    def test_reported_defects_are_those_of_the_omegas(self, m8_basis, m8_ref, m8_part):
+    def test_reported_defects_are_those_of_the_omegas(self, m8_basis, m8_ref, m8_part,
+                                                      monkeypatch):
+        logm, adjoints = sweeps.logm_unitary, []
+
+        def recording(U):
+            adjoints.append(U)
+            return logm(U)
+        monkeypatch.setattr(sweeps, "logm_unitary", recording)
         psi = random_state(m8_basis, np.random.default_rng(12), ref=m8_ref)
         res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
-        for defect, omega in ((res.omega12_defect, res.omega12),
-                              (res.omega3_defect, res.omega3)):
-            assert abs(defect - unitarity_defect(omega)) < 1e-14
+        omega12_adjoint, omega3_adjoint = adjoints
+        for defect, adjoint in ((res.omega12_defect, omega12_adjoint),
+                                (res.omega3_defect, omega3_adjoint)):
+            assert abs(defect - unitarity_defect(adjoint)) < 1e-14
 
     def test_internal_generator_preserves_cas(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(7)
         psi = random_state(m8_basis, rng, ref=m8_ref)
         res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
-        ket = scipy.linalg.expm(res.sigma_int.matrix) @ m8_basis.unit_vector(
+        ket = scipy.linalg.expm(res.sigma_int) @ m8_basis.unit_vector(
             m8_basis.index_of(m8_ref))
         projs = build_projectors(m8_ref, m8_basis, m8_part)
-        assert np.linalg.norm(projs.Q_ext.matrix @ ket) < 1e-12
+        assert np.linalg.norm(projs.Q_ext @ ket) < 1e-12
 
     def test_no_reintroduction_monitor_clean(self, m6_basis, m6_ref):
         # the monitor is on by default; a batch of random states across
@@ -300,7 +357,7 @@ class TestDecomposeState:
         rng = np.random.default_rng(22)
         psi = random_state(dimer_basis, rng, ref=ref)
         with pytest.raises(InvalidDimensionError):
-            dl.sweep_external(psi, ref, part, dimer_basis)
+            dl.decompose_state(psi, ref, part, dimer_basis)
 
     def test_occupied_keyed_second_sweep_regrows(self, dimer_basis, dimer_ref):
         """Keying the second sweep on the smallest hole re-populates an
