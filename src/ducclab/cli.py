@@ -184,8 +184,10 @@ def config_int(value, what: str, minimum: int | None = None) -> int:
 
 
 def config_float(value, what: str) -> float:
-    """A finite float config value, else a :class:`ConfigError`."""
+    """A finite float config value (not a bool), else a :class:`ConfigError`."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what}={value!r} is not float") from None

@@ -17,7 +17,7 @@ import numpy as np
 from .cluster import Amplitudes, excitation_matrix, exp_nilpotent
 from .errors import OperatorPropertyError
 from .fock import Determinant, FockBasis, SpinOrbitalPartition, determinant_table
-from .operators import QOperator, check_anti_hermitian, eigh_direct_sum
+from .operators import QOperator, exp_anti_hermitian
 
 
 @dataclass
@@ -52,47 +52,23 @@ class EffectiveHamiltonian:
         return self._eig
 
 
-def exp_dexp(sigma: np.ndarray, sigma_dot: np.ndarray | None,
-             rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray | None]:
-    """Columns ``rows`` of e^{sigma}, and the ``rows`` block of ``A(sigma,
-    sigma_dot)`` with ``d/dt e^{sigma} = e^{sigma} A`` (None without
-    ``sigma_dot``), from one eigendecomposition.
-
-    The Hermitian ``i sigma = V diag(mu) V^+`` (block by block,
-    :func:`ducclab.operators.eigh_direct_sum`) gives ``e^{sigma} = V
-    diag(e^{-i mu}) V^+`` and the Daleckii-Krein form ``A = V [(V^+
-    sigma_dot V) o phi] V^+``, ``phi_jk = (1 - e^{-z})/z`` at ``z = -i
-    (mu_j - mu_k)`` (``phi = 1`` on degenerate pairs), which sums the
-    commutator series ``sum_k (-1)^k/(k+1)! ad_sigma^k sigma_dot``.  Raises
-    :class:`OperatorPropertyError` when an input is not anti-Hermitian
-    within :data:`ducclab.operators.ANTI_TOL`.
-    """
-    check_anti_hermitian(sigma, "sigma")
-    if sigma_dot is not None:
-        check_anti_hermitian(sigma_dot, "sigma_dot")
-    mu, V = eigh_direct_sum(1j * sigma)
-    v = V[rows]
-    R = V @ (np.exp(-1j * mu)[:, None] * v.conj().T)
-    if sigma_dot is None:
-        return R, None
-    d = mu[:, None] - mu[None, :]
-    # (1 - e^{-z})/z at z = -i d equals e^{i d/2} sin(d/2)/(d/2)
-    phi = np.exp(0.5j * d) * np.sinc(d / (2 * np.pi))
-    return R, v @ ((V.conj().T @ sigma_dot @ V) * phi) @ v.conj().T
-
-
 def ducc_projection(H: QOperator, sigma: np.ndarray, cas: np.ndarray,
                     sigma_dot: np.ndarray | None = None) -> np.ndarray:
     """CAS block of e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot), Hermitian.
 
-    With the CAS columns ``R`` of e^{sigma} and the CAS block of ``A`` from
-    :func:`exp_dexp`, this is ``R^+ H R - i A``; without ``sigma_dot``, only
-    ``R^+ H R``.
+    One series action on the CAS unit columns
+    (:func:`ducclab.operators.exp_anti_hermitian`) gives the CAS columns ``R``
+    of e^{sigma} and, with ``sigma_dot``, those of ``L = e^{sigma} A``; the
+    CAS block of ``A = e^{-sigma} L`` is then ``R^+ L[:, cas]``, and the
+    result ``R^+ H R - i A`` (without ``sigma_dot``, only ``R^+ H R``).
     """
-    R, A = exp_dexp(sigma, sigma_dot, cas)
-    sub = R.conj().T @ H.matrix @ R
-    if A is not None:
-        sub = sub - 1j * A
+    cols = np.eye(len(sigma), dtype=complex)[:, cas]
+    if sigma_dot is None:
+        R = exp_anti_hermitian(sigma, cols)
+        sub = R.conj().T @ H.matrix @ R
+    else:
+        R, L = exp_anti_hermitian(sigma, cols, sigma_dot)
+        sub = R.conj().T @ H.matrix @ R - 1j * (R.conj().T @ L)
     defect = float(np.linalg.norm(sub - sub.conj().T))
     if defect > 1e-10 * max(1.0, float(np.linalg.norm(sub))):
         raise OperatorPropertyError(

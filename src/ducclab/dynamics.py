@@ -5,10 +5,10 @@ eigendecomposition of H.  The downfolded side propagates active-space
 coefficients under the time-dependent Hermitian effective Hamiltonian
 (P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int),
 built from the external generator and its velocity.  The velocity term is
-the derivative of the exponential map, evaluated in closed form from one
-eigendecomposition of the generator (:func:`ducclab.downfold.exp_dexp`),
-which the Lagrangian evaluators share.  The commutator series that it sums
-is kept in ``tests/oracles.py`` as the independent reference.  hbar = 1.
+the derivative of the exponential map; it and the exponential come from one
+certified Taylor action on vectors (:func:`ducclab.operators.exp_anti_hermitian`),
+here and in the Lagrangian evaluators.  The commutator series it sums is kept
+in ``tests/oracles.py`` as the independent reference.  hbar = 1.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
-from .downfold import EffectiveHamiltonian, ducc_projection, exp_dexp
+from .downfold import EffectiveHamiltonian, ducc_projection
 from .errors import NormDriftError, OperatorPropertyError
 from .fock import (DetClass, Determinant, FockBasis, SpinOrbitalPartition,
                    determinant_table)
-from .operators import QOperator
+from .operators import QOperator, exp_anti_hermitian
 from .sweeps import decompose_state
 
 #: Largest per-step norm drift of the RK4 integrator: the generator is
@@ -82,11 +82,10 @@ def build_heff_td(H: QOperator, sigma_ext: np.ndarray, sigma_ext_dot: np.ndarray
     (P+Q_int){ e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot) }(P+Q_int),
     where e^{sigma} A = d/dt e^{sigma}.
 
-    Both terms come from one eigendecomposition of the anti-Hermitian
-    generator: the transformed Hamiltonian as ``R^+ H R`` with the CAS
-    columns ``R`` of e^{sigma}, and A in the closed Daleckii-Krein form
-    (see :func:`ducclab.downfold.exp_dexp`).  Hermitian, since -iA is
-    Hermitian for anti-Hermitian A.
+    Both terms come from one series action on the CAS unit columns (see
+    :func:`ducclab.downfold.ducc_projection`): the transformed Hamiltonian
+    as ``R^+ H R`` with the CAS columns ``R`` of e^{sigma}, and the CAS
+    block of A.  Hermitian, since -iA is Hermitian for anti-Hermitian A.
     """
     cas = determinant_table(H.basis, ref).cas(part)
     sub = ducc_projection(H, sigma_ext, cas, sigma_ext_dot)
@@ -205,29 +204,30 @@ def evaluate_lagrangians(H: QOperator, sigma_int: np.ndarray, sigma_ext: np.ndar
     L_c: effective-Hamiltonian form with active-space projectors inserted.
     All three agree identically for active-space-preserving internal
     generators; computing them independently cross-checks the plumbing.
-    Every route takes e^{s}, its adjoint e^{-s} and A(s, s_dot) from one
-    :func:`ducclab.downfold.exp_dexp` per generator: they differ in assembly only.
+    Every route reads the vectors of one series action per generator
+    (:func:`ducclab.operators.exp_anti_hermitian`): ``d/dt e^{s} x = L x``,
+    ``A x = e^{-s} L x`` and ``<y| e^{-s} = (e^{s} y)^+``.  They differ in
+    assembly only.
     """
     basis = H.basis
     phi = basis.unit_vector(basis.index_of(ref))
-    Ui, Ai = exp_dexp(sigma_int, sigma_int_dot, slice(None))
-    Ue, Ae = exp_dexp(sigma_ext, sigma_ext_dot, slice(None))
-    Uim = Ui.conj().T
-    Uem = Ue.conj().T
-
-    ket_i = Ui @ phi
-    # raw: d/dt (e^{s_ext} e^{s_int}) = e^{s_ext} A_ext e^{s_int} + e^{s_ext} e^{s_int} A_int
-    ddt_full = Ue @ (Ae @ ket_i) + Ue @ (Ui @ (Ai @ phi))
-    l_a = phi.conj() @ (Uim @ (Uem @ (1j * ddt_full - H.matrix @ (Ue @ ket_i))))
-
-    hbar = Uem @ H.matrix @ Ue
-    ddt_int = Ui @ (Ai @ phi)
-    l_b = phi.conj() @ (Uim @ (1j * ddt_int - (hbar - 1j * Ae) @ ket_i))
-
-    # (P + Q_int) X (P + Q_int): the rows and columns of the CAS determinants
+    # the (P + Q_int) projector: the CAS determinants
     pq = determinant_table(basis, ref).classes(part) != DetClass.EXTERNAL
-    heff_full = np.where(np.outer(pq, pq), hbar - 1j * Ae, 0.0)
-    l_c = phi.conj() @ (Uim @ (1j * ddt_int - heff_full @ ket_i))
+    ket_i, ddt_int = exp_anti_hermitian(sigma_int, phi, sigma_int_dot)
+    ket_i_pq = np.where(pq, ket_i, 0.0)
+    U, L = exp_anti_hermitian(sigma_ext, np.stack([ket_i, ddt_int, ket_i_pq], axis=1),
+                              sigma_ext_dot)
+    ket, ket_pq = U[:, 0], U[:, 2]
+
+    # raw: d/dt (e^{s_ext} e^{s_int}) = L_ext e^{s_int} + e^{s_ext} L_int
+    ddt_full = L[:, 0] + U[:, 1]
+    l_a = ket.conj() @ (1j * ddt_full - H.matrix @ ket)
+
+    # transformed: (hbar - i A_ext) e^{s_int}|phi> with hbar = e^{-s_ext} H e^{s_ext}
+    l_b = 1j * (ket_i.conj() @ ddt_int) - ket.conj() @ (H.matrix @ ket - 1j * L[:, 0])
+
+    # effective: (P + Q_int) (hbar - i A_ext) (P + Q_int) on the same ket
+    l_c = 1j * (ket_i.conj() @ ddt_int) - ket_pq.conj() @ (H.matrix @ ket_pq - 1j * L[:, 2])
     return complex(l_a), complex(l_b), complex(l_c)
 
 

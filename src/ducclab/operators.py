@@ -11,12 +11,12 @@ pairing model as well as FCIDUMP input -- and one Slater-Condon build,
 build loops over the annihilated orbital or pair and vectorises over the
 basis masks and the created orbitals or pairs.
 
-The sweep unitaries and their generators are direct sums of many small
-blocks.  :func:`direct_sum_blocks` finds the blocks of a matrix's exact-zero
-pattern, and :func:`eigh_direct_sum` and :func:`logm_unitary` stack the
-blocks of each size into one batched LAPACK call.  The unitary log goes
-through the Hermitian eigenproblem of the Cayley transform, so no Schur
-form is needed anywhere; :func:`exp_anti_hermitian` needs no factorisation.
+The sweep unitaries are direct sums of many small blocks.
+:func:`direct_sum_blocks` finds the blocks of a matrix's exact-zero pattern,
+and :func:`logm_unitary` takes the log of the blocks of each size in one
+batched Hermitian eigenproblem of the Cayley transform, with no Schur form.
+Every exponential, and its derivative, is one certified Taylor action on
+vectors, :func:`exp_anti_hermitian`, with no factorisation.
 """
 
 from __future__ import annotations
@@ -232,19 +232,6 @@ def _size_stacks(blocks):
         yield idx, (idx[:, :, None], idx[:, None, :])
 
 
-def eigh_direct_sum(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a Hermitian matrix over the blocks of
-    :func:`direct_sum_blocks`: ``A = V diag(w) V^+`` with ``V`` unitary and
-    zero between blocks.  Blocks of equal size go through one stacked
-    ``np.linalg.eigh`` call.  The eigenvalues come grouped by block, not
-    sorted."""
-    w = np.empty(len(A))
-    V = np.zeros_like(A, dtype=complex)
-    for idx, stack in _size_stacks(direct_sum_blocks(A)):
-        w[idx], V[stack] = np.linalg.eigh(A[stack])
-    return w, V
-
-
 def _stacked_unitarity_defect(stacks) -> float:
     """``||U U^+ - I||_F`` of a direct sum, from its ``(count, k, k)`` block
     stacks: ``U U^+ - I`` is exactly zero between blocks, so its Frobenius
@@ -337,26 +324,56 @@ def check_anti_hermitian(a: np.ndarray, name: str):
         raise OperatorPropertyError(f"{name} not anti-Hermitian (defect {defect:.3e})")
 
 
-def exp_anti_hermitian(S: np.ndarray, V: np.ndarray) -> np.ndarray:
+#: largest generator 1-norm :func:`exp_anti_hermitian` accepts: it takes
+#: ceil(||S||_1) substeps.  A principal log has ||S||_2 <= pi, and sigma_int
+#: adds |delta| <= pi, so a sweep generator has ||S||_1 <= 2 pi sqrt(n), about
+#: 713 at the largest sector the orbital-count guard admits (n = 12870).
+MAX_GENERATOR_NORM1 = 1e3
+
+
+def exp_anti_hermitian(S: np.ndarray, V: np.ndarray, E: np.ndarray | None = None):
     """e^{S} V for an anti-Hermitian ``S`` by a scaled, truncated Taylor
     series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)): ``s =
-    max(1, ceil(||S||_1))`` substeps e^{S/s}, each summed to the first order
-    ``m`` whose remainder bound ``b^{m+1}/(m+1)! e^b`` is at most 2^-53, where
-    ``b = ||S||_1 / s`` bounds ``||S/s||_2`` because ``S`` is normal."""
+    max(1, ceil(||S||_1))`` substeps, each summed to the first order ``m``
+    whose remainder bound ``b^{m+1}/(m+1)! e^b`` is at most 2^-53, where
+    ``b = ||S||_1 / s`` bounds ``||S/s||_2`` because ``S`` is normal.
+
+    With an anti-Hermitian direction ``E`` (a velocity), returns ``(e^{S}
+    V, L V)`` with the Frechet derivative ``L = e^{S} A(S, E)``, ``d/dt
+    e^{S} = L(S, dS/dt)``: the same series on ``M = [[S, eps E], [0, S]]``
+    maps ``[0; V]`` to ``[eps L V; e^{S} V]`` (Van Loan, IEEE TAC 23, 395
+    (1978)).  ``L`` is linear in ``E``, and the power of two ``eps`` with
+    ``eps ||E||_1 < s`` scales exactly, so ``s`` stays that of e^{S} and ``b =
+    (||S||_1 + eps ||E||_1) / s`` bounds ``||M/s||_2``.  Refuses ``||S||_1``
+    above :data:`MAX_GENERATOR_NORM1`.
+    """
     check_anti_hermitian(S, "generator")
     norm1 = float(np.abs(S).sum(axis=0).max(initial=0.0))
+    if norm1 > MAX_GENERATOR_NORM1:
+        raise OperatorPropertyError(
+            f"generator 1-norm {norm1:.3e} exceeds {MAX_GENERATOR_NORM1:.0e}")
     s = max(1, math.ceil(norm1))
     b = norm1 / s
+    if E is not None:
+        check_anti_hermitian(E, "sigma_dot")
+        norm1_e = float(np.abs(E).sum(axis=0).max(initial=0.0))
+        eps = math.ldexp(1.0, -max(0, math.frexp(norm1_e / s)[1]))
+        E = eps * E
+        b += eps * norm1_e / s
     m, bound = 0, b * math.exp(b)
     while bound > 2.0 ** -53:
         m, bound = m + 1, bound * b / (m + 2)
     out = np.array(V, dtype=complex)
+    top = np.zeros_like(out)
     for _ in range(s):
-        term = out
+        term, top_term = out, top
         for k in range(1, m + 1):
+            if E is not None:
+                top_term = (S @ top_term + E @ term) / (s * k)
+                top = top + top_term
             term = (S @ term) / (s * k)
             out = out + term
-    return out
+    return out if E is None else (out, top / eps)
 
 
 # -- FCIDUMP-style ingestion -----------------------------------------------

@@ -2,8 +2,8 @@
 
 Each is the independent, slower or more literal counterpart of a kernel in
 ``ducclab``: the truncated and certified commutator series of the derivative
-of the exponential map (against the closed form of
-:func:`ducclab.downfold.exp_dexp`), dense rotation generators and
+of the exponential map (against the augmented Taylor action of
+:func:`ducclab.operators.exp_anti_hermitian`), dense rotation generators and
 unitaries and their dense unitarity defect, the scalar fermion string
 algebra (operator strings, excitations, de-excitations, holes and
 particles, signatures, classification) that the determinant tables

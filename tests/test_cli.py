@@ -94,11 +94,16 @@ DIMER_FCIDUMP = ["&FCI NORB=4,NELEC=2,MS2=0,", "&END", "-1.0 1 3 0 0", "-1.0 2 4
     (None, {"seed": "abc"}),
     (None, {"seed": -3}),
     (None, {"output_dir": 5}),
+    # floats are not bools
+    (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": True}}),
+    (None, {"tasks": [{"name": "propagate", "dt": True}]}),
+    (None, {"tasks": [{"name": "imagtime", "tol": False}]}),
 ], ids=["index-beyond-norb", "zero-index-would-wrap", "zero-index-two-electron",
         "non-numeric-value", "missing-fcidump", "electrons-above-M", "non-integer-L",
         "null-L", "oversized-L", "oversized-levels", "non-integral-L", "bool-electrons",
         "non-integral-window", "non-list-partition", "nan-fcidump-value", "infinite-U", "nan-U",
-        "non-numeric-seed", "negative-seed", "non-string-output-dir"])
+        "non-numeric-seed", "negative-seed", "non-string-output-dir", "bool-U", "bool-dt",
+        "bool-tol"])
 def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, overrides):
     if fcidump is not None:
         (tmp_path / "FCIDUMP").write_text("\n".join(fcidump) + "\n")
@@ -365,7 +370,8 @@ class TestRun:
 def test_residual_gates_fail_meaningless_tasks(tmp_path, capsys):
     # the ground state of Hubbard L=5, N=5 is a degenerate S_z doublet, and
     # eigh returns a mix with almost no reference weight: the cluster
-    # amplitudes blow up and SES-CC misses the FCI energy
+    # amplitudes blow up and SES-CC misses the FCI energy; before that is
+    # checked, downfold refuses the 1-norm of the lowest-order DUCC generator
     path = write_config(tmp_path, system={"kind": "hubbard", "L": 5, "t": 1.0, "U": 4.0},
                         electrons=5, partition={"auto_homo_lumo": [2, 2]},
                         tasks=[{"name": "fci"}, {"name": "cluster"}, {"name": "downfold"}])
@@ -373,9 +379,24 @@ def test_residual_gates_fail_meaningless_tasks(tmp_path, capsys):
     tasks = read_report(tmp_path)["tasks"]
     assert [t["status"] for t in tasks] == ["ok", "failed", "failed"]
     assert "cc_residual" in tasks[1]["error"] and "exceeds 1e-09" in tasks[1]["error"]
-    assert "sescc_delta_e" in tasks[2]["error"]
+    assert "generator 1-norm" in tasks[2]["error"]
     err = capsys.readouterr().err
     assert "task cluster failed" in err and "task downfold failed" in err
+
+
+@pytest.mark.parametrize("value", [10.0, float("nan")], ids=["10x", "nan"])
+@pytest.mark.parametrize("task,key", [(task, key) for task, bounds in cli.RESIDUAL_BOUNDS.items()
+                                      for key in bounds])
+def test_every_residual_bound_fails_its_task(tmp_path, monkeypatch, task, key, value):
+    # each bound, whatever the eigensolver returns: the task reports its
+    # result at ten times the bound, or NaN, and run_task refuses it
+    bound = cli.RESIDUAL_BOUNDS[task][key]
+    results = {k: 0.0 for k in cli.RESIDUAL_BOUNDS[task]}
+    results[key] = value * bound
+    monkeypatch.setitem(cli.TASKS, task, lambda ctx, params: (results, []))
+    ctx = cli.build_context(json.loads(write_config(tmp_path).read_text()), str(tmp_path), 0)
+    with pytest.raises(ducclab.DuccLabError, match=f"^{task}: {key} = .* exceeds"):
+        cli.run_task(ctx, task, {})
 
 
 def write_seeded_fcidump(path, M, N, seed):

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 import ducclab as dl
-from ducclab.downfold import exp_dexp
 from ducclab.errors import OperatorPropertyError
+from ducclab.operators import exp_anti_hermitian
 
 from oracles import _dexp_certified, cas_ci, random_hermitian_hamiltonian
 
@@ -132,7 +132,7 @@ def _generator_cases():
 
 
 class TestDuccProjection:
-    """The closed-form projection against dense ``expm`` and the certified
+    """The series projection against dense ``expm`` and the certified
     commutator series."""
 
     @pytest.mark.parametrize("sigma", _generator_cases())
@@ -159,23 +159,53 @@ class TestDuccProjection:
 
 class TestExpDexp:
     """The exponential and dexp kernel shared by the DUCC projection and the
-    Lagrangian evaluators, against dense ``expm`` and the certified
-    commutator series."""
+    Lagrangian evaluators, ``exp_anti_hermitian(sigma, V, sigma_dot)``,
+    against dense ``expm`` of ``[[sigma, sigma_dot], [0, sigma]]``, whose
+    blocks are e^{sigma} and L = e^{sigma} A, and the certified commutator
+    series of A."""
+
+    @staticmethod
+    def check(sigma, sigma_dot, V):
+        n = len(sigma)
+        aug = scipy.linalg.expm(np.block([[sigma, sigma_dot], [np.zeros_like(sigma), sigma]]))
+        expm = scipy.linalg.expm(sigma)
+        rel = lambda a, b: np.linalg.norm(a - b) / np.linalg.norm(b)
+        U, L = exp_anti_hermitian(sigma, V, sigma_dot)
+        assert rel(U, expm @ V) < 1e-12
+        assert rel(L, aug[:n, n:] @ V) < 1e-12
+        assert rel(expm.conj().T @ L, _dexp_certified(sigma, sigma_dot, 12) @ V) < 1e-12
+        return U, L
 
     @pytest.mark.parametrize("sigma", _generator_cases())
     def test_matches_expm_and_dexp_series(self, sigma):
         sigma_dot = _anti_hermitian(np.random.default_rng(13), 20, 0.7)
-        expm = scipy.linalg.expm(sigma)
-        series = _dexp_certified(sigma, sigma_dot, 12)
-        rel = lambda a, b: np.linalg.norm(a - b) / np.linalg.norm(b)
-        U, A = exp_dexp(sigma, sigma_dot, slice(None))
-        assert rel(U, expm) < 1e-12
-        assert rel(A, series) < 1e-12
-        rows = np.array([0, 3, 4, 11])
-        R, A_rows = exp_dexp(sigma, sigma_dot, rows)
-        assert rel(R, expm[:, rows]) < 1e-12
-        assert rel(A_rows, series[np.ix_(rows, rows)]) < 1e-12
-        assert exp_dexp(sigma, None, rows)[1] is None
+        self.check(sigma, sigma_dot, np.eye(20))
+        self.check(sigma, sigma_dot, np.eye(20)[:, [0, 3, 4, 11]])
+
+    def test_zero_generator(self):
+        # e^0 = I and L(0, E) = E: the series ends after one term
+        sigma_dot = _anti_hermitian(np.random.default_rng(14), 20, 3.0)
+        V = np.eye(20)[:, [1, 7]]
+        U, L = self.check(np.zeros((20, 20)), sigma_dot, V)
+        assert np.array_equal(U, V)
+        assert np.allclose(L, sigma_dot @ V, rtol=0, atol=1e-15)
+
+    def test_fast_velocity_leaves_the_series_unchanged(self):
+        # ||sigma_dot||_1 >> ||sigma||_1: the direction is scaled by a power
+        # of two, so the substeps and order are those of e^{sigma} alone and
+        # a power-of-two faster velocity scales L exactly
+        rng = np.random.default_rng(15)
+        sigma, sigma_dot = _anti_hermitian(rng, 20, 0.5), _anti_hermitian(rng, 20, 1e4)
+        V = np.eye(20)[:, [0, 5]]
+        U, L = self.check(sigma, sigma_dot, V)
+        U2, L2 = exp_anti_hermitian(sigma, V, 1024 * sigma_dot)
+        assert np.array_equal(U2, U)
+        assert np.array_equal(L2, 1024 * L)
+
+    def test_rejects_non_anti_hermitian_direction(self):
+        sigma = _anti_hermitian(np.random.default_rng(16), 20, 0.5)
+        with pytest.raises(OperatorPropertyError, match="sigma_dot"):
+            exp_anti_hermitian(sigma, np.eye(20), sigma + np.eye(20))
 
 
 class TestCasEigensolve:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import ducclab as dl
-from ducclab import downfold
+from ducclab import dynamics
 from ducclab.errors import NormDriftError, OperatorPropertyError
 from ducclab.sweeps import sweep_targets
 
@@ -312,16 +312,17 @@ class TestLagrangians:
         assert abs(la - lc) < 1e-9
 
     def test_work_budget(self, monkeypatch, m6_basis, m6_ref, m6_part):
-        # e^{+-sigma} and A(sigma, sigma_dot) from one eigh per generator,
-        # and no dense exponential
-        calls = {"expm": 0}
+        # every exponential and its derivative from one series action per
+        # generator: no eigendecomposition and no dense exponential
+        calls = {"eigh": 0, "expm": 0}
+        count_calls(monkeypatch, np.linalg, "eigh", calls)
         count_calls(monkeypatch, scipy.linalg, "expm", calls)
-        count_calls(monkeypatch, downfold, "eigh_direct_sum", calls)
+        count_calls(monkeypatch, dynamics, "exp_anti_hermitian", calls)
         rng = np.random.default_rng(14)
         H = random_hermitian_hamiltonian(m6_basis, rng)
         si, se, dsi, dse = self._sigmas(m6_basis, m6_ref, m6_part, rng)
         la, lb, lc = dl.evaluate_lagrangians(H, si, se, dsi, dse, m6_ref, m6_part)
-        assert calls == {"expm": 0, "eigh_direct_sum": 2}
+        assert calls == {"eigh": 0, "expm": 0, "exp_anti_hermitian": 2}
         assert abs(la - lb) < 1e-9
         assert abs(la - lc) < 1e-9
 

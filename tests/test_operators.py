@@ -4,7 +4,7 @@ import scipy.linalg
 
 import ducclab as dl
 from ducclab.errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
-from ducclab.operators import (_size_stacks, _stacked_unitarity_defect, eigh_direct_sum,
+from ducclab.operators import (MAX_GENERATOR_NORM1, _size_stacks, _stacked_unitarity_defect,
                                exp_anti_hermitian)
 
 from oracles import (anti_hermiticity_defect, hamiltonian_from_terms, hubbard_terms,
@@ -225,9 +225,8 @@ class TestDirectSumBlocks:
 
 
 class TestBlockwiseLogm:
-    """logm_unitary and eigh_direct_sum work on the blocks of the exact-zero
-    pattern, with equal-size blocks stacked into one Cayley-transform solve
-    and one eigh."""
+    """logm_unitary works on the blocks of the exact-zero pattern, with
+    equal-size blocks stacked into one Cayley-transform solve and one eigh."""
 
     @staticmethod
     def permuted_direct_sum(blocks, rng):
@@ -334,18 +333,6 @@ class TestBlockwiseLogm:
             dl.logm_unitary(U)
         assert solves == []
 
-    def test_eigh_direct_sum_with_repeated_block_sizes(self):
-        rng = np.random.default_rng(38)
-        blocks = []
-        for n in (5, 3, 3, 5, 3, 1, 1):
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            blocks.append(a + a.conj().T)
-        A, _ = self.permuted_direct_sum(blocks, rng)
-        w, V = eigh_direct_sum(A)
-        assert np.abs(A @ V - V * w).max() < 1e-12
-        assert np.abs(V.conj().T @ V - np.eye(len(A))).max() < 1e-13
-        assert np.allclose(np.sort(w), np.linalg.eigvalsh(A), atol=1e-12)
-
 
 class TestExpAntiHermitian:
     """e^{S} V by the certified Taylor series, against ``scipy.linalg.expm``."""
@@ -381,9 +368,21 @@ class TestExpAntiHermitian:
     @pytest.mark.parametrize("S", [np.eye(3), np.diag([1j, 1j, np.nan])],
                              ids=["hermitian", "non-finite"])
     def test_non_anti_hermitian_rejected(self, S):
-        # the same anti-Hermiticity check as downfold.exp_dexp
         with pytest.raises(OperatorPropertyError, match="not anti-Hermitian"):
             exp_anti_hermitian(S, np.ones(3))
+
+    @pytest.mark.parametrize("norm1", [1.001 * MAX_GENERATOR_NORM1, 6.7e18])
+    def test_generator_norm_gate(self, norm1):
+        # the series would take ceil(norm1) substeps; 6.7e18 is the norm of
+        # the lowest-order generator on the degenerate Hubbard L=5 root
+        S = self.block_diagonal(np.random.default_rng(3), norm1)
+        with pytest.raises(OperatorPropertyError, match="generator 1-norm .* exceeds"):
+            exp_anti_hermitian(S, np.ones(len(S)), S)
+
+    def test_generator_norm_at_the_gate_is_accepted(self):
+        S = self.block_diagonal(np.random.default_rng(4), MAX_GENERATOR_NORM1)
+        V = np.ones(len(S)) / np.sqrt(len(S))
+        assert np.linalg.norm(exp_anti_hermitian(S, V)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCommutator:
