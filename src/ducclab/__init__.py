@@ -17,10 +17,9 @@ from .cluster import (Amplitudes, cluster_analyze, deexcitation_matrix,
 from .downfold import (EffectiveHamiltonian, cas_eigensolve, downfold_ducc,
                        downfold_sescc, ducc_projection, effective_matrix_dump,
                        effective_to_dict, match_root, write_effective_json)
-from .dynamics import (Trajectory, build_heff_td, decompose_trajectory,
-                       evaluate_lagrangians, evaluate_sescc_lagrangian, heff_grid,
-                       propagate_full, propagate_internal, sigma_dot_grid,
-                       trajectory_to_csv)
+from .dynamics import (QuenchStudy, downfolded_quench, evaluate_lagrangians,
+                       evaluate_sescc_lagrangian, propagate_full, propagate_internal,
+                       sigma_dot_grid, trajectory_to_csv)
 from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
                   eval_lh_forms, x_int_ext_bch)
 from .errors import (BranchCutError, CasSupportError, ConfigError,

@@ -33,9 +33,8 @@ from .cluster import (cluster_analyze, excitation_matrix, exp_nilpotent,
                       random_amplitudes, sigma_lowest_order, split_amplitudes)
 from .downfold import (downfold_ducc, downfold_sescc, effective_matrix_dump,
                        match_root, write_effective_json)
-from .dynamics import (Trajectory, decompose_trajectory, evaluate_lagrangians,
-                       evaluate_sescc_lagrangian, heff_grid, propagate_full,
-                       propagate_internal, trajectory_to_csv)
+from .dynamics import (downfolded_quench, evaluate_lagrangians,
+                       evaluate_sescc_lagrangian, trajectory_to_csv)
 from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
                   eval_lh_forms, x_int_ext_bch)
 from .errors import ConfigError, DuccLabError
@@ -268,10 +267,13 @@ def _build_partition(cfg: dict, M: int, N: int) -> SpinOrbitalPartition | None:
     keys = ("occ_inactive", "occ_active", "virt_active", "virt_inactive")
     if not all(k in pcfg for k in keys):
         raise ConfigError(f"explicit partition needs keys {keys}")
+    allow_arbitrary = pcfg.get("allow_arbitrary", False)
+    if not isinstance(allow_arbitrary, bool):
+        raise ConfigError(f"allow_arbitrary={allow_arbitrary!r} is not a bool")
     try:
         return SpinOrbitalPartition(
             *(tuple(config_int(p, k) for p in pcfg[k]) for k in keys),
-            allow_arbitrary=bool(pcfg.get("allow_arbitrary", False)))
+            allow_arbitrary=allow_arbitrary)
     except (TypeError, DuccLabError) as exc:   # TypeError: an index list not a list
         raise ConfigError(str(exc)) from exc
 
@@ -466,30 +468,18 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     dt, nsteps, fd_order = p["dt"], p["nsteps"], p["fd_order"]
     psi0 = _initial_state(ctx, p["initial"])
 
-    # oracle on the half grid so stage values of the coarse integrator are exact
-    fine = propagate_full(ctx.H, psi0, dt / 2, 2 * nsteps)
-    fine = decompose_trajectory(fine, ctx.ref, part)
-    heffs = heff_grid(ctx.H, fine, ctx.ref, part, fd_order=fd_order)
-    c0 = fine.decompositions[0].c_int
-    _, cs = propagate_internal([h.matrix for h in heffs], c0, dt, nsteps)
-    devs = [float(np.linalg.norm(cs[k] - fine.decompositions[2 * k].c_int))
-            for k in range(nsteps + 1)]
-
-    energies = np.array([(s.conj() @ (ctx.H.matrix @ s)).real for s in fine.states])
-    norms = np.array([np.linalg.norm(s) for s in fine.states])
-    cas = determinant_table(ctx.basis, ctx.ref).cas(part)
-    coarse = Trajectory(fine.times[::2], fine.states[::2], ctx.basis)
-    eigs = [np.linalg.eigvalsh(h.matrix) for h in heffs[::2]]
+    study = downfolded_quench(ctx.H, psi0, dt, nsteps, ctx.ref, part, fd_order)
+    devs = study.rk4_deviation
     path = ctx.path("trajectory.csv")
-    trajectory_to_csv(coarse, ctx.H, cas, path, heff_eigs=eigs)
+    trajectory_to_csv(study, path)
     return {
         "dt": dt,
         "nsteps": nsteps,
-        "max_consistency_deviation": max(devs),
-        "final_consistency_deviation": devs[-1],
-        "energy_drift": float(np.abs(energies - energies[0]).max()),
-        "norm_drift": float(np.abs(norms - 1.0).max()),
-        "max_decomposition_residual": max(d.residual for d in fine.decompositions),
+        "max_consistency_deviation": float(devs.max()),
+        "final_consistency_deviation": float(devs[-1]),
+        "energy_drift": float(np.abs(study.energies - study.energies[0]).max()),
+        "norm_drift": float(np.abs(study.norms - 1.0).max()),
+        "max_decomposition_residual": float(study.residuals.max()),
     }, [path]
 
 

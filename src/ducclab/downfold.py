@@ -27,19 +27,13 @@ class EffectiveHamiltonian:
     matrix: np.ndarray
     cas: np.ndarray              # parent-basis indices, reference first
     basis: FockBasis             # parent basis
-    source: str                  # 'sescc' | 'ducc' | 'ducc-td'
+    source: str                  # 'sescc' | 'ducc' | 'ducc-lowest-order'
     hermitian: bool
     _eig: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def lift(self, c: np.ndarray) -> np.ndarray:
-        """Embed a CAS vector into the parent sector."""
-        full = np.zeros(self.basis.size, dtype=complex)
-        full[self.cas] = c
-        return full
 
     def restrict(self, psi: np.ndarray) -> np.ndarray:
         """CAS components of a parent-sector vector."""

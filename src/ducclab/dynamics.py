@@ -14,15 +14,14 @@ in ``tests/oracles.py`` as the independent reference.  hbar = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
-from .downfold import EffectiveHamiltonian, ducc_projection
+from .downfold import ducc_projection
 from .errors import NormDriftError, OperatorPropertyError
-from .fock import (DetClass, Determinant, FockBasis, SpinOrbitalPartition,
-                   determinant_table)
+from .fock import DetClass, Determinant, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, exp_anti_hermitian
 from .sweeps import decompose_state
 
@@ -31,33 +30,9 @@ from .sweeps import decompose_state
 DRIFT_TOL = 1e-6
 
 
-@dataclass
-class TimeDecomposition:
-    """Per-time sweep products: external generator, CAS coefficients of the
-    internal state e^{sigma_int}|ref>, reconstruction residual."""
-
-    sigma_ext: np.ndarray
-    c_int: np.ndarray
-    residual: float
-
-
-@dataclass
-class Trajectory:
-    """Stored states of a unitary evolution on a uniform time grid."""
-
-    times: np.ndarray
-    states: np.ndarray            # shape (n_times, dim)
-    basis: FockBasis
-    decompositions: list[TimeDecomposition] | None = None
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-
 def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
-                   nsteps: int) -> Trajectory:
-    """Exact full-space evolution: state(t_k) = exp(-i H t_k) psi0.
+                   nsteps: int) -> np.ndarray:
+    """Exact full-space evolution: row k is exp(-i H t_k) psi0, t_k = k dt.
 
     H must be Hermitian and time-independent: one ``eigh`` H = V diag(w) V^+
     gives every state as V e^{-i w t_k} V^+ psi0, the whole grid in one
@@ -72,94 +47,66 @@ def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
     psi = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
     w, V = np.linalg.eigh(H.matrix)
     times = dt * np.arange(nsteps + 1)
-    states = (np.exp(-1j * np.outer(times, w)) * (V.conj().T @ psi)) @ V.T
-    return Trajectory(times, states, H.basis)
+    return (np.exp(-1j * np.outer(times, w)) * (V.conj().T @ psi)) @ V.T
 
 
-def build_heff_td(H: QOperator, sigma_ext: np.ndarray, sigma_ext_dot: np.ndarray,
-                  ref: Determinant, part: SpinOrbitalPartition) -> EffectiveHamiltonian:
-    """Time-dependent downfolded Hamiltonian
-    (P+Q_int){ e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot) }(P+Q_int),
-    where e^{sigma} A = d/dt e^{sigma}.
-
-    Both terms come from one series action on the CAS unit columns (see
-    :func:`ducclab.downfold.ducc_projection`): the transformed Hamiltonian
-    as ``R^+ H R`` with the CAS columns ``R`` of e^{sigma}, and the CAS
-    block of A.  Hermitian, since -iA is Hermitian for anti-Hermitian A.
-    """
-    cas = determinant_table(H.basis, ref).cas(part)
-    sub = ducc_projection(H, sigma_ext, cas, sigma_ext_dot)
-    return EffectiveHamiltonian(sub, cas, H.basis, "ducc-td", hermitian=True)
+#: Finite-difference stencils of the first derivative (Fornberg, Math. Comp.
+#: 51, 699 (1988)), per order: the divisor of the step, the one-sided rows of
+#: the first grid points and the central row, in integer weights.
+FD_STENCILS = {
+    2: (2, ((-3, 4, -1),), (-1, 0, 1)),
+    4: (12, ((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1)), (1, -8, 0, 8, -1)),
+}
 
 
-# -- trajectory decomposition -------------------------------------------------
-
-
-def decompose_trajectory(traj: Trajectory, ref: Determinant,
-                         part: SpinOrbitalPartition) -> Trajectory:
-    """Sweep-decompose every stored state."""
-    cas = determinant_table(traj.basis, ref).cas(part)
-    decos = []
-    for psi in traj.states:
-        res = decompose_state(psi, ref, part, traj.basis)
-        decos.append(TimeDecomposition(res.sigma_ext, res.psi_act[cas], res.residual))
-    return Trajectory(traj.times, traj.states, traj.basis, decompositions=decos)
-
-
-def sigma_dot_grid(sigmas: Sequence[np.ndarray], dt: float,
-                   order: int = 2) -> list[np.ndarray]:
-    """Finite-difference velocities of a matrix-valued grid function.
-
-    Central differences in the interior, one-sided stencils of matching
-    order at the endpoints.  order in {2, 4}.
-    """
-    n = len(sigmas)
-    if order not in (2, 4):
-        raise ValueError("finite-difference order must be 2 or 4")
-    need = order + 1
-    if n < need:
-        raise ValueError(f"need at least {need} grid points for order {order}")
-    f = sigmas
-    out: list[np.ndarray] = []
-    for k in range(n):
-        if order == 2:
-            if k == 0:
-                d = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dt)
-            elif k == n - 1:
-                d = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dt)
-            else:
-                d = (f[k + 1] - f[k - 1]) / (2 * dt)
-        else:
-            if k == 0:
-                d = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * dt)
-            elif k == 1:
-                d = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * dt)
-            elif k == n - 2:
-                d = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * dt)
-            elif k == n - 1:
-                d = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * dt)
-            else:
-                d = (f[k - 2] - 8 * f[k - 1] + 8 * f[k + 1] - f[k + 2]) / (12 * dt)
-        out.append(d)
+def _apply_stencil(weights: Sequence[int], window: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_i w_i f_i, left to right, each term as a stencil is written by
+    hand: +-f_i for a unit weight, a later term added or subtracted as
+    |w_i| f_i.  A complex product by -1 or by a negative weight can flip the
+    sign of a zero part, so the result keeps the signed zeros of the
+    written stencil."""
+    terms = [(w, f) for w, f in zip(weights, window) if w]
+    (w0, f0), rest = terms[0], terms[1:]
+    out = f0 if w0 == 1 else -f0 if w0 == -1 else w0 * f0
+    for w, f in rest:
+        term = f if abs(w) == 1 else abs(w) * f
+        out = out + term if w > 0 else out - term
     return out
 
 
-def heff_grid(H: QOperator, traj: Trajectory, ref: Determinant,
-              part: SpinOrbitalPartition,
-              fd_order: int = 2) -> list[EffectiveHamiltonian]:
-    """Time-dependent effective Hamiltonians on the grid of a decomposed
-    trajectory (:func:`decompose_trajectory`), with the generator velocity
-    obtained by differencing the sweep output."""
-    sigmas = [d.sigma_ext for d in traj.decompositions]
-    dots = sigma_dot_grid(sigmas, traj.dt, order=fd_order)
-    # differencing noise breaks anti-hermiticity
-    return [build_heff_td(H, sig, 0.5 * (dot - dot.conj().T), ref, part)
-            for sig, dot in zip(sigmas, dots)]
+def sigma_dot_grid(sigmas: Sequence[np.ndarray], dt: float,
+                   order: int = 2) -> Iterator[np.ndarray]:
+    """Finite-difference velocities of a matrix-valued grid function, one at
+    a time from left to right.
+
+    Central differences in the interior, one-sided stencils of matching
+    order at the endpoints (:data:`FD_STENCILS`); a right-end velocity is
+    minus the left-end stencil on the reversed window.  order in {2, 4}.
+    """
+    if order not in FD_STENCILS:
+        raise ValueError("finite-difference order must be 2 or 4")
+    n = len(sigmas)
+    if n < order + 1:
+        raise ValueError(f"need at least {order + 1} grid points for order {order}")
+    divisor, ends, centre = FD_STENCILS[order]
+    half = len(ends)
+
+    def velocity(k: int) -> np.ndarray:
+        if k < half:
+            d = _apply_stencil(ends[k], sigmas[:order + 1])
+        elif k >= n - half:
+            d = _apply_stencil([-w for w in ends[n - 1 - k]],
+                               [sigmas[n - 1 - i] for i in range(order + 1)])
+        else:
+            d = _apply_stencil(centre, sigmas[k - half:k + half + 1])
+        return d / (divisor * dt)
+    return (velocity(k) for k in range(n))
 
 
 def propagate_internal(heffs: Sequence[np.ndarray], c0: np.ndarray, dt: float,
-                       nsteps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step classical RK4 for i dc/dt = Heff(t) c.
+                       nsteps: int) -> np.ndarray:
+    """Fixed-step classical RK4 for i dc/dt = Heff(t) c; row k of the result
+    is c(t_k), t_k = k dt.
 
     ``heffs`` holds Heff on the half-step grid t_j = j dt/2, j = 0..2 nsteps:
     step k reads ``heffs[2k]`` at its start, ``heffs[2k+1]`` at its midpoint
@@ -173,7 +120,6 @@ def propagate_internal(heffs: Sequence[np.ndarray], c0: np.ndarray, dt: float,
     dim = c.shape[0]
     out = np.empty((nsteps + 1, dim), dtype=complex)
     out[0] = c
-    times = dt * np.arange(nsteps + 1)
     for k in range(nsteps):
         h0, hm, h1 = heffs[2 * k:2 * k + 3]
         norm_before = np.linalg.norm(c)
@@ -186,7 +132,72 @@ def propagate_internal(heffs: Sequence[np.ndarray], c0: np.ndarray, dt: float,
         if drift > DRIFT_TOL:
             raise NormDriftError(f"norm drift {drift:.3e} at step {k} exceeds {DRIFT_TOL:.0e}")
         out[k + 1] = c
-    return times, out
+    return out
+
+
+# -- the downfolded-quench study ----------------------------------------------
+
+
+@dataclass
+class QuenchStudy:
+    """Exact and downfolded sides of one quench, as plain arrays.
+
+    Rows ``j`` of the exact-side arrays belong to the half-step grid
+    t_j = j dt/2, j = 0..2 nsteps; rows ``k`` of ``c_rk4`` to the whole-step
+    grid t_k = k dt, which is t_{2k} of the half grid.
+    """
+
+    dt: float                 # whole step
+    cas: np.ndarray           # parent-basis indices of the CAS, reference first
+    states: np.ndarray        # (2n+1, dim) exact states
+    energies: np.ndarray      # (2n+1,) <psi|H|psi>
+    norms: np.ndarray         # (2n+1,)
+    sigma_ext: np.ndarray     # (2n+1, dim, dim) external generators of the sweep
+    c_int: np.ndarray         # (2n+1, ncas) CAS coefficients of e^{sigma_int}|ref>
+    residuals: np.ndarray     # (2n+1,) sweep reconstruction residuals
+    heffs: np.ndarray         # (2n+1, ncas, ncas) Heff(t_j)
+    c_rk4: np.ndarray         # (n+1, ncas) RK4 coefficients under Heff
+
+    @property
+    def rk4_deviation(self) -> np.ndarray:
+        """|c_rk4(t_k) - c_int(t_k)| on the whole-step grid."""
+        return np.linalg.norm(self.c_rk4 - self.c_int[::2], axis=1)
+
+
+def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
+                      ref: Determinant, part: SpinOrbitalPartition,
+                      fd_order: int) -> QuenchStudy:
+    """The time-dependent downfolding checked on one quench from ``psi0``.
+
+    The exact states on the half-step grid (:func:`propagate_full`, so that
+    the RK4 stage values are exact) are sweep-decomposed
+    (:func:`ducclab.sweeps.decompose_state`); the external generators are
+    differenced in time (:func:`sigma_dot_grid`) into
+    Heff(t) = (P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int)
+    (:func:`ducclab.downfold.ducc_projection`), and the CAS coefficients of
+    the first state are propagated under Heff by :func:`propagate_internal`.
+    Every velocity is used and dropped at once: the generator stack is the
+    only array of dim x dim matrices.
+    """
+    states = propagate_full(H, psi0, dt / 2, 2 * nsteps)
+    cas = determinant_table(H.basis, ref).cas(part)
+    npts, dim = states.shape
+    sigma_ext = np.empty((npts, dim, dim), dtype=complex)
+    c_int = np.empty((npts, len(cas)), dtype=complex)
+    residuals = np.empty(npts)
+    for j, psi in enumerate(states):
+        res = decompose_state(psi, ref, part, H.basis)
+        sigma_ext[j], c_int[j], residuals[j] = res.sigma_ext, res.psi_act[cas], res.residual
+    heffs = np.empty((npts, len(cas), len(cas)), dtype=complex)
+    for j, dot in enumerate(sigma_dot_grid(sigma_ext, dt / 2, order=fd_order)):
+        # differencing noise breaks anti-hermiticity
+        heffs[j] = ducc_projection(H, sigma_ext[j], cas, 0.5 * (dot - dot.conj().T))
+    return QuenchStudy(
+        dt=dt, cas=cas, states=states,
+        energies=np.array([(s.conj() @ (H.matrix @ s)).real for s in states]),
+        norms=np.array([np.linalg.norm(s) for s in states]),
+        sigma_ext=sigma_ext, c_int=c_int, residuals=residuals, heffs=heffs,
+        c_rk4=propagate_internal(heffs, c_int[0], dt, nsteps))
 
 
 # -- Lagrangian evaluators ----------------------------------------------------
@@ -269,19 +280,19 @@ def evaluate_sescc_lagrangian(H: QOperator, t_int: Amplitudes, t_ext: Amplitudes
 # -- export -------------------------------------------------------------------
 
 
-def trajectory_to_csv(traj: Trajectory, H: QOperator, cas: np.ndarray, path,
-                      heff_eigs: Sequence[np.ndarray]):
-    """CSV dump: time, energy expectation, norm, active-space weight and the
-    per-root effective-Hamiltonian eigenvalues.
+def trajectory_to_csv(study: QuenchStudy, path):
+    """CSV dump on the whole-step grid: time, energy expectation, norm,
+    active-space weight and the eigenvalues of Heff(t_k).
 
     Floats are written with 17 significant digits for bit-exact re-reading.
     """
     header = ["time", "energy", "norm", "cas_weight"]
-    header += [f"heff_eig_{r}" for r in range(len(heff_eigs[0]))]
+    header += [f"heff_eig_{r}" for r in range(len(study.cas))]
     lines = [",".join(header)]
-    for t, psi, eigs in zip(traj.times, traj.states, heff_eigs, strict=True):
-        energy = (psi.conj() @ (H.matrix @ psi)).real
-        row = [t, energy, np.linalg.norm(psi), np.linalg.norm(psi[cas]), *eigs]
+    for k, j in enumerate(range(0, len(study.states), 2)):
+        row = [study.dt * k, study.energies[j], study.norms[j],
+               np.linalg.norm(study.states[j, study.cas]),
+               *np.linalg.eigvalsh(study.heffs[j])]
         lines.append(",".join(format(float(x), ".17g") for x in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

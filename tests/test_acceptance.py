@@ -138,13 +138,9 @@ def test_criterion_5_td_consistency(dimer_basis, dimer_ref, dimer_part):
     psi0 = np.linalg.eigh(dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
 
     def max_dev(dt, nsteps):
-        fine = dl.propagate_full(H, psi0, dt / 2, 2 * nsteps)
-        fine = dl.decompose_trajectory(fine, dimer_ref, dimer_part)
-        heffs = dl.heff_grid(H, fine, dimer_ref, dimer_part, fd_order=4)
-        _, cs = dl.propagate_internal([h.matrix for h in heffs],
-                                      fine.decompositions[0].c_int, dt, nsteps)
-        return max(np.linalg.norm(cs[k] - fine.decompositions[2 * k].c_int)
-                   for k in range(nsteps + 1))
+        study = dl.downfolded_quench(H, psi0, dt, nsteps, dimer_ref, dimer_part,
+                                     fd_order=4)
+        return study.rk4_deviation.max()
 
     dev = max_dev(0.01, 500)
     dev_half = max_dev(0.005, 1000)

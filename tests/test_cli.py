@@ -98,12 +98,17 @@ DIMER_FCIDUMP = ["&FCI NORB=4,NELEC=2,MS2=0,", "&END", "-1.0 1 3 0 0", "-1.0 2 4
     (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": True}}),
     (None, {"tasks": [{"name": "propagate", "dt": True}]}),
     (None, {"tasks": [{"name": "imagtime", "tol": False}]}),
+    # an out-of-order partition is admitted by a bool only
+    (None, {"partition": {"occ_inactive": [], "occ_active": [0, 2], "virt_active": [1],
+                          "virt_inactive": [3], "allow_arbitrary": "no"}}),
+    (None, {"partition": {"occ_inactive": [], "occ_active": [0, 2], "virt_active": [1],
+                          "virt_inactive": [3], "allow_arbitrary": 1}}),
 ], ids=["index-beyond-norb", "zero-index-would-wrap", "zero-index-two-electron",
         "non-numeric-value", "missing-fcidump", "electrons-above-M", "non-integer-L",
         "null-L", "oversized-L", "oversized-levels", "non-integral-L", "bool-electrons",
         "non-integral-window", "non-list-partition", "nan-fcidump-value", "infinite-U", "nan-U",
         "non-numeric-seed", "negative-seed", "non-string-output-dir", "bool-U", "bool-dt",
-        "bool-tol"])
+        "bool-tol", "string-allow-arbitrary", "int-allow-arbitrary"])
 def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, overrides):
     if fcidump is not None:
         (tmp_path / "FCIDUMP").write_text("\n".join(fcidump) + "\n")
@@ -328,8 +333,20 @@ class TestRun:
         prop = report["tasks"][0]["results"]
         assert prop["max_consistency_deviation"] < 1e-5
         assert prop["norm_drift"] < 1e-10
-        assert (tmp_path / "out" / "trajectory.csv").exists()
         assert (tmp_path / "out" / "imagtime_flow.csv").exists()
+        # every field of the trajectory reads back to the study's value
+        ctx = cli.build_context(cli.load_config(str(path)), str(tmp_path / "out"), seed=3)
+        study = ducclab.downfolded_quench(ctx.H, cli._initial_state(ctx, "reference"),
+                                          0.02, 40, ctx.ref, ctx.part, fd_order=4)
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "time,energy,norm,cas_weight,heff_eig_0,heff_eig_1"
+        assert len(lines) == 1 + 41
+        for k, line in enumerate(lines[1:]):
+            psi = study.states[2 * k]
+            expected = [0.02 * k, study.energies[2 * k], study.norms[2 * k],
+                        np.linalg.norm(psi[study.cas]),
+                        *np.linalg.eigvalsh(study.heffs[2 * k])]
+            assert [float(x) for x in line.split(",")] == expected
 
     def test_pairing_system(self, tmp_path):
         path = write_config(

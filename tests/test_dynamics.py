@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,7 @@ from ducclab.sweeps import sweep_targets
 
 from conftest import count_calls, random_state
 from oracles import (anti_hermiticity_defect, build_projectors, cas_ci, dexp_series,
-                     dexp_tail_ratio, random_hermitian_hamiltonian)
+                     dexp_tail_ratio, random_hermitian_hamiltonian, sigma_dot_written)
 
 
 def anti_hermitian_path(basis, ref, rng, norm=0.35):
@@ -34,10 +36,10 @@ def anti_hermitian_path(basis, ref, rng, norm=0.35):
 class TestPropagateFull:
     def test_eigenstate_phase_only(self, dimer_H):
         vals, vecs = np.linalg.eigh(dimer_H.matrix)
-        traj = dl.propagate_full(dimer_H, vecs[:, 0], 0.05, 40)
-        for k, t in enumerate(traj.times):
-            expected = np.exp(-1j * vals[0] * t) * vecs[:, 0]
-            assert np.linalg.norm(traj.states[k] - expected) < 1e-12
+        states = dl.propagate_full(dimer_H, vecs[:, 0], 0.05, 40)
+        for k, psi in enumerate(states):
+            expected = np.exp(-1j * vals[0] * 0.05 * k) * vecs[:, 0]
+            assert np.linalg.norm(psi - expected) < 1e-12
 
     def test_matches_expm_stepping(self, m6_basis):
         # one eigh for the whole grid against repeated dense expm steps
@@ -45,27 +47,26 @@ class TestPropagateFull:
         H = random_hermitian_hamiltonian(m6_basis, rng)
         psi = random_state(m6_basis, rng)
         dt, nsteps = 0.05, 30
-        traj = dl.propagate_full(H, psi, dt, nsteps)
+        states = dl.propagate_full(H, psi, dt, nsteps)
+        assert states.shape == (nsteps + 1, m6_basis.size)
         u_dt = scipy.linalg.expm(-1j * dt * H.matrix)
         for k in range(nsteps + 1):
-            assert np.linalg.norm(traj.states[k] - psi) < 1e-12
+            assert np.linalg.norm(states[k] - psi) < 1e-12
             psi = u_dt @ psi
-        assert np.array_equal(traj.times, dt * np.arange(nsteps + 1))
 
     def test_zero_hamiltonian_constant(self, dimer_basis):
         H = dl.QOperator(np.zeros((dimer_basis.size,) * 2), dimer_basis)
         psi0 = random_state(dimer_basis, np.random.default_rng(0))
-        traj = dl.propagate_full(H, psi0, 0.1, 10)
-        assert np.allclose(traj.states, traj.states[0])
+        states = dl.propagate_full(H, psi0, 0.1, 10)
+        assert np.allclose(states, states[0])
 
     def test_energy_conservation_long_run(self, dimer_basis, dimer_H):
         psi0 = np.linalg.eigh(
             dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
-        traj = dl.propagate_full(dimer_H, psi0, 0.01, 1000)
-        energies = np.array([(s.conj() @ (dimer_H.matrix @ s)).real
-                             for s in traj.states])
+        states = dl.propagate_full(dimer_H, psi0, 0.01, 1000)
+        energies = np.array([(s.conj() @ (dimer_H.matrix @ s)).real for s in states])
         assert np.abs(energies - energies[0]).max() < 1e-10
-        norms = np.linalg.norm(traj.states, axis=1)
+        norms = np.linalg.norm(states, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-10
 
     def test_non_hermitian_rejected(self, dimer_basis):
@@ -126,24 +127,27 @@ class TestDexpSeries:
 
 
 class TestBuildHeffTd:
+    """Heff(t): :func:`ducc_projection` of a generator and its velocity."""
+
     def test_zero_velocity_reduces_to_static(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(5)
         H = random_hermitian_hamiltonian(m8_basis, rng)
         sigma = dl.sigma_lowest_order(
             dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.2), m8_basis)
-        td = dl.build_heff_td(H, sigma, np.zeros_like(sigma), m8_ref, m8_part)
+        cas = dl.determinant_table(m8_basis, m8_ref).cas(m8_part)
+        td = dl.ducc_projection(H, sigma, cas, np.zeros_like(sigma))
         static = dl.downfold_ducc(H, sigma, m8_ref, m8_part)
-        assert np.abs(td.matrix - static.matrix).max() < 1e-12
+        assert np.abs(td - static.matrix).max() < 1e-12
 
     def test_zero_generator_keeps_velocity_term(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(6)
         H = random_hermitian_hamiltonian(m8_basis, rng)
         D = dl.sigma_lowest_order(
             dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.2), m8_basis)
-        td = dl.build_heff_td(H, np.zeros_like(D), D, m8_ref, m8_part)
         cas = dl.determinant_table(m8_basis, m8_ref).cas(m8_part)
+        td = dl.ducc_projection(H, np.zeros_like(D), cas, D)
         expected = (H.matrix - 1j * D)[np.ix_(cas, cas)]
-        assert np.abs(td.matrix - expected).max() < 1e-12
+        assert np.abs(td - expected).max() < 1e-12
 
     def test_hermitian_on_random_inputs(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(7)
@@ -152,42 +156,42 @@ class TestBuildHeffTd:
             dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.3), m8_basis)
         sd = dl.sigma_lowest_order(
             dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.3), m8_basis)
-        td = dl.build_heff_td(H, s, sd, m8_ref, m8_part)
-        assert np.linalg.norm(td.matrix - td.matrix.conj().T) < 1e-10
+        cas = dl.determinant_table(m8_basis, m8_ref).cas(m8_part)
+        td = dl.ducc_projection(H, s, cas, sd)
+        assert np.linalg.norm(td - td.conj().T) < 1e-10
 
 
 class TestDecomposeTrajectory:
+    """The sweep side of :func:`downfolded_quench` on the half-step grid."""
+
     def test_stationary_state_has_constant_generator(self, dimer_basis, dimer_H,
                                                      dimer_ref, dimer_part):
         vals, vecs = np.linalg.eigh(dimer_H.matrix)
-        traj = dl.propagate_full(dimer_H, vecs[:, 0], 0.05, 20)
-        traj = dl.decompose_trajectory(traj, dimer_ref, dimer_part)
-        s0 = traj.decompositions[0].sigma_ext
-        for d in traj.decompositions[1:]:
-            assert np.abs(d.sigma_ext - s0).max() < 1e-8
+        study = dl.downfolded_quench(dimer_H, vecs[:, 0], 0.1, 10, dimer_ref,
+                                     dimer_part, fd_order=4)
+        assert np.abs(study.sigma_ext - study.sigma_ext[0]).max() < 1e-8
 
     def test_t0_matches_static_sweep(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
         psi0 = np.linalg.eigh(
             dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
-        traj = dl.propagate_full(dimer_H, psi0, 0.02, 5)
-        traj = dl.decompose_trajectory(traj, dimer_ref, dimer_part)
+        study = dl.downfolded_quench(dimer_H, psi0, 0.04, 3, dimer_ref, dimer_part,
+                                     fd_order=4)
         static = dl.decompose_state(psi0, dimer_ref, dimer_part, dimer_basis)
-        assert np.abs(traj.decompositions[0].sigma_ext
-                      - static.sigma_ext).max() < 1e-12
+        assert np.abs(study.sigma_ext[0] - static.sigma_ext).max() < 1e-12
 
     def test_per_step_reconstruction(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
         psi0 = np.linalg.eigh(
             dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
         H = dl.build_hubbard(2, 1.0, 2.0, dimer_basis)
-        traj = dl.propagate_full(H, psi0, 0.02, 50)
-        traj = dl.decompose_trajectory(traj, dimer_ref, dimer_part)
-        cas = dl.determinant_table(dimer_basis, dimer_ref).cas(dimer_part)
-        for k, d in enumerate(traj.decompositions):
-            assert d.residual < 1e-8
+        study = dl.downfolded_quench(H, psi0, 0.04, 25, dimer_ref, dimer_part,
+                                     fd_order=4)
+        assert len(study.states) == 51
+        assert study.residuals.max() < 1e-8
+        for psi, sigma, c in zip(study.states, study.sigma_ext, study.c_int,
+                                 strict=True):
             lifted = np.zeros(dimer_basis.size, dtype=complex)
-            lifted[cas] = d.c_int
-            recon = scipy.linalg.expm(d.sigma_ext) @ lifted
-            assert np.linalg.norm(recon - traj.states[k]) < 1e-8
+            lifted[study.cas] = c
+            assert np.linalg.norm(scipy.linalg.expm(sigma) @ lifted - psi) < 1e-8
 
 
 class TestDecomposeTrajectoryWorkBudget:
@@ -203,14 +207,14 @@ class TestDecomposeTrajectoryWorkBudget:
         part = dl.homo_lumo_partition(6, 3, 1, 1)
         ref = part.reference()
         H = dl.build_hubbard(3, 1.0, 4.0, basis)
-        traj = dl.propagate_full(H, basis.unit_vector(basis.index_of(ref)), 0.05, 6)
         sweep_targets.cache_clear()
-        traj = dl.decompose_trajectory(traj, ref, part)
+        study = dl.downfolded_quench(H, basis.unit_vector(basis.index_of(ref)), 0.02, 3,
+                                     ref, part, fd_order=4)
         assert calls == {"schur": 0}
-        # one decomposition per state, one target computation per trajectory
+        # one decomposition per state, one target computation per quench
         assert sweep_targets.cache_info().misses == 1
-        assert sweep_targets.cache_info().hits == len(traj.times) - 1
-        assert max(d.residual for d in traj.decompositions) < 1e-12
+        assert sweep_targets.cache_info().hits == len(study.states) - 1
+        assert study.residuals.max() < 1e-12
 
 
 class TestPropagateInternal:
@@ -218,8 +222,9 @@ class TestPropagateInternal:
         heff = cas_ci(dimer_H, dimer_ref, dimer_part)
         vals, vecs = heff.eigensystem()
         c0 = vecs[:, 0]
-        times, cs = dl.propagate_internal([heff.matrix] * 401, c0, 0.01, 200)
-        expected = np.exp(-1j * vals[0] * times[-1]) * c0
+        cs = dl.propagate_internal([heff.matrix] * 401, c0, 0.01, 200)
+        assert cs.shape == (201, 2)
+        expected = np.exp(-1j * vals[0] * 0.01 * 200) * c0
         assert np.linalg.norm(cs[-1] - expected) < 1e-8
 
     def test_td_consistency_and_fourth_order(self, dimer_basis, dimer_ref, dimer_part):
@@ -228,13 +233,9 @@ class TestPropagateInternal:
             dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
 
         def max_dev(dt, nsteps):
-            fine = dl.propagate_full(H, psi0, dt / 2, 2 * nsteps)
-            fine = dl.decompose_trajectory(fine, dimer_ref, dimer_part)
-            heffs = dl.heff_grid(H, fine, dimer_ref, dimer_part, fd_order=4)
-            _, cs = dl.propagate_internal([h.matrix for h in heffs],
-                                          fine.decompositions[0].c_int, dt, nsteps)
-            return max(np.linalg.norm(cs[k] - fine.decompositions[2 * k].c_int)
-                       for k in range(nsteps + 1))
+            study = dl.downfolded_quench(H, psi0, dt, nsteps, dimer_ref, dimer_part,
+                                         fd_order=4)
+            return study.rk4_deviation.max()
 
         d1 = max_dev(0.02, 100)
         d2 = max_dev(0.01, 200)
@@ -274,6 +275,18 @@ class TestSigmaDotGrid:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             dl.sigma_dot_grid([np.eye(2)] * 3, 0.1, order=4)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_bit_identical_to_written_stencils(self, order):
+        # parts drawn from signed zeros and units: a plain weighted sum gets
+        # the sign of a zero part wrong on most of these grids
+        rng = np.random.default_rng(16)
+        parts = np.array([0.0, -0.0, 1.0, -1.0, 0.37])
+        for n in range(order + 1, 42):
+            f = rng.choice(parts, size=(n, 4, 4)).astype(complex)
+            f.imag = rng.choice(parts, size=(n, 4, 4))
+            got = np.array(list(dl.sigma_dot_grid(f, 0.1, order=order)))
+            assert got.tobytes() == np.array(sigma_dot_written(f, 0.1, order)).tobytes()
 
 
 class TestLagrangians:
@@ -332,16 +345,14 @@ class TestLagrangians:
         H = dl.build_hubbard(2, 1.0, 2.0, dimer_basis)
         psi0 = np.linalg.eigh(
             dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
-        traj = dl.propagate_full(H, psi0, 0.005, 8)
-        traj = dl.decompose_trajectory(traj, dimer_ref, dimer_part)
-        sig_e = [d.sigma_ext for d in traj.decompositions]
-        dot_e = dl.sigma_dot_grid(sig_e, traj.dt, order=4)
-        # internal generator and velocity from the full decomposition chain
-        sweeps = [dl.decompose_state(traj.states[k], dimer_ref, dimer_part,
-                                     dimer_basis) for k in range(len(traj.times))]
+        states = dl.propagate_full(H, psi0, 0.005, 8)
+        sweeps = [dl.decompose_state(psi, dimer_ref, dimer_part, dimer_basis)
+                  for psi in states]
         deltas = np.array([s.delta for s in sweeps])
+        sig_e = [s.sigma_ext for s in sweeps]
         sig_i = [s.sigma_int for s in sweeps]
-        dot_i = dl.sigma_dot_grid(sig_i, traj.dt, order=4)
+        dot_e = list(dl.sigma_dot_grid(sig_e, 0.005, order=4))
+        dot_i = list(dl.sigma_dot_grid(sig_i, 0.005, order=4))
         k = 4
         _, _, lc = dl.evaluate_lagrangians(
             H, sig_i[k], sig_e[k], 0.5 * (dot_i[k] - dot_i[k].conj().T),
@@ -444,16 +455,34 @@ class TestTdSesccKet:
         assert r1 / r2 > 3.5  # O(dt^2)
 
 
+class TestDownfoldedQuench:
+    def test_peak_memory_is_the_generator_stack(self):
+        # the velocities are streamed: no second grid of dim x dim matrices
+        basis = dl.build_basis(8, 4)
+        part = dl.homo_lumo_partition(8, 4, 2, 2)
+        ref = part.reference()
+        H = dl.build_hubbard(4, 1.0, 4.0, basis)
+        psi0 = basis.unit_vector(basis.index_of(ref))
+        tracemalloc.start()
+        try:
+            study = dl.downfolded_quench(H, psi0, 0.02, 20, ref, part, fd_order=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert study.sigma_ext.shape == (41, 70, 70)
+        assert peak <= 1.5 * study.sigma_ext.nbytes
+
+
 class TestTrajectoryCsv:
     def test_columns_and_precision(self, tmp_path, dimer_basis, dimer_H,
                                    dimer_ref, dimer_part):
         psi0 = np.linalg.eigh(dimer_H.matrix)[1][:, 0]
-        traj = dl.propagate_full(dimer_H, psi0, 0.05, 4)
-        cas = dl.determinant_table(dimer_basis, dimer_ref).cas(dimer_part)
+        study = dl.downfolded_quench(dimer_H, psi0, 0.05, 4, dimer_ref, dimer_part,
+                                     fd_order=4)
         path = tmp_path / "traj.csv"
-        eigs = [np.linalg.eigvalsh(dimer_H.matrix[np.ix_(cas, cas)])] * len(traj.times)
-        dl.trajectory_to_csv(traj, dimer_H, cas, path, heff_eigs=eigs)
+        dl.trajectory_to_csv(study, path)
         lines = path.read_text().strip().splitlines()
+        assert len(lines) == 1 + 5
         header = lines[0].split(",")
         assert header[:4] == ["time", "energy", "norm", "cas_weight"]
         assert header[4] == "heff_eig_0"

@@ -126,10 +126,13 @@ class TestNonstationary:
             dl.random_amplitudes(dimer_ref, rng, dimer_part, "external", 0.1),
             dimer_basis)
 
+        cas = dl.determinant_table(dimer_basis, dimer_ref).cas(dimer_part)
+
         def provider(tau):
             s = sweep.sigma_ext + np.exp(-tau) * pert
             sd = -np.exp(-tau) * pert
-            return dl.build_heff_td(dimer_H, s, sd, dimer_ref, dimer_part)
+            return dl.EffectiveHamiltonian(dl.ducc_projection(dimer_H, s, cas, sd), cas,
+                                           dimer_basis, "ducc", hermitian=True)
 
         state = dl.initial_flow_state(np.array([1.0, 0.3]), provider(0.0))
         a_norms = []
