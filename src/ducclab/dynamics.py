@@ -50,57 +50,43 @@ def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
     return (np.exp(-1j * np.outer(times, w)) * (V.conj().T @ psi)) @ V.T
 
 
-#: Finite-difference stencils of the first derivative (Fornberg, Math. Comp.
-#: 51, 699 (1988)), per order: the divisor of the step, the one-sided rows of
-#: the first grid points and the central row, in integer weights.
-FD_STENCILS = {
-    2: (2, ((-3, 4, -1),), (-1, 0, 1)),
-    4: (12, ((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1)), (1, -8, 0, 8, -1)),
-}
-
-
-def _apply_stencil(weights: Sequence[int], window: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_i w_i f_i, left to right, each term as a stencil is written by
-    hand: +-f_i for a unit weight, a later term added or subtracted as
-    |w_i| f_i.  A complex product by -1 or by a negative weight can flip the
-    sign of a zero part, so the result keeps the signed zeros of the
-    written stencil."""
-    terms = [(w, f) for w, f in zip(weights, window) if w]
-    (w0, f0), rest = terms[0], terms[1:]
-    out = f0 if w0 == 1 else -f0 if w0 == -1 else w0 * f0
-    for w, f in rest:
-        term = f if abs(w) == 1 else abs(w) * f
-        out = out + term if w > 0 else out - term
-    return out
-
-
 def sigma_dot_grid(sigmas: Sequence[np.ndarray], dt: float,
                    order: int = 2) -> Iterator[np.ndarray]:
     """Finite-difference velocities of a matrix-valued grid function, one at
     a time from left to right.
 
     Central differences in the interior, one-sided stencils of matching
-    order at the endpoints (:data:`FD_STENCILS`); a right-end velocity is
-    minus the left-end stencil on the reversed window.  order in {2, 4}.
+    order at the endpoints.  order in {2, 4}.
     """
-    if order not in FD_STENCILS:
-        raise ValueError("finite-difference order must be 2 or 4")
     n = len(sigmas)
-    if n < order + 1:
-        raise ValueError(f"need at least {order + 1} grid points for order {order}")
-    divisor, ends, centre = FD_STENCILS[order]
-    half = len(ends)
+    if order not in (2, 4):
+        raise ValueError("finite-difference order must be 2 or 4")
+    need = order + 1
+    if n < need:
+        raise ValueError(f"need at least {need} grid points for order {order}")
 
-    def velocity(k: int) -> np.ndarray:
-        if k < half:
-            d = _apply_stencil(ends[k], sigmas[:order + 1])
-        elif k >= n - half:
-            d = _apply_stencil([-w for w in ends[n - 1 - k]],
-                               [sigmas[n - 1 - i] for i in range(order + 1)])
-        else:
-            d = _apply_stencil(centre, sigmas[k - half:k + half + 1])
-        return d / (divisor * dt)
-    return (velocity(k) for k in range(n))
+    def velocities(f: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        for k in range(n):
+            if order == 2:
+                if k == 0:
+                    d = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dt)
+                elif k == n - 1:
+                    d = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dt)
+                else:
+                    d = (f[k + 1] - f[k - 1]) / (2 * dt)
+            else:
+                if k == 0:
+                    d = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * dt)
+                elif k == 1:
+                    d = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * dt)
+                elif k == n - 2:
+                    d = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * dt)
+                elif k == n - 1:
+                    d = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * dt)
+                else:
+                    d = (f[k - 2] - 8 * f[k - 1] + 8 * f[k + 1] - f[k + 2]) / (12 * dt)
+            yield d
+    return velocities(sigmas)
 
 
 def propagate_internal(heffs: Sequence[np.ndarray], c0: np.ndarray, dt: float,

