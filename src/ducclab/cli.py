@@ -37,7 +37,8 @@ from .dynamics import (downfolded_quench, evaluate_lagrangians,
                        evaluate_sescc_lagrangian, trajectory_to_csv)
 from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
                   eval_lh_forms, x_int_ext_bch)
-from .errors import ConfigError, DuccLabError
+from .errors import (ConfigError, DuccLabError, IntermediateNormalizationError,
+                     OperatorPropertyError)
 from .fock import (DetClass, SpinOrbitalPartition, build_basis, determinant_table,
                    homo_lumo_partition)
 from .imagtime import imaginary_evolve, write_flow_log
@@ -88,6 +89,12 @@ VERIFY_ALL_CHECKS = {
     "ecc_identities": ("ecc", ("max_ldt_deviation", "max_lh_deviation"), 1e-10),
     "lagrangian_equivalence": ("lagrangians", ("ducc_max_mutual_deviation",), 1e-9),
 }
+#: smallest FCI gap E1 - E0 of an analysed ground root: below it the root is
+#: degenerate and the eigensolver returns an arbitrary mix of its states
+MIN_GROUND_GAP = 1e-8
+#: smallest reference weight |<ref|psi0>|^2 of an analysed ground root: below
+#: it intermediate normalisation divides by round-off
+MIN_REFERENCE_WEIGHT = 1e-8
 
 
 @dataclass
@@ -119,22 +126,52 @@ class RunContext:
             self._cache[key] = compute()
         return self._cache[key]
 
-    def ground_state(self):
-        """FCI eigenpairs, every nonzero <ref|psi> turned real and positive."""
+    def ground_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """FCI spectrum and ground vector, its nonzero <ref|psi0> turned
+        real and positive.
+
+        Every system the CLI builds is real, so this is one real ``eigh``
+        (an ``OperatorPropertyError`` names a nonzero ``max |Im H|``); the
+        ground vector is then real too, and the phase fix an exact sign.
+        """
         def compute():
-            vals, vecs = np.linalg.eigh(self.H.matrix)
-            c = vecs[self.basis.index_of(self.ref)]
-            return vals, vecs * np.divide(c.conj(), abs(c), out=np.ones_like(c), where=c != 0)
+            H = self.H.matrix
+            if H.imag.any():
+                raise OperatorPropertyError(
+                    f"FCI needs a real Hamiltonian: max |Im H| = {np.abs(H.imag).max():.3e}")
+            vals, vecs = np.linalg.eigh(H.real)
+            psi0 = vecs[:, 0].copy()
+            c0 = psi0[self.basis.index_of(self.ref)]
+            if c0 != 0:
+                psi0 *= np.conj(c0) / abs(c0)
+            return vals, psi0
         return self._stage("ground", compute)
+
+    def ground_vector(self) -> np.ndarray:
+        """The ground vector of :meth:`ground_state`, refused where an
+        analysis of it means nothing: a degenerate root (gap below
+        :data:`MIN_GROUND_GAP`; a one-determinant basis has no gap) or a
+        reference weight below :data:`MIN_REFERENCE_WEIGHT`."""
+        vals, psi0 = self.ground_state()
+        if len(vals) > 1 and vals[1] - vals[0] < MIN_GROUND_GAP:
+            raise OperatorPropertyError(
+                f"degenerate ground root: gap E1 - E0 = {vals[1] - vals[0]:.3e} "
+                f"below {MIN_GROUND_GAP:.0e}")
+        weight = abs(psi0[self.basis.index_of(self.ref)]) ** 2
+        if weight < MIN_REFERENCE_WEIGHT:
+            raise IntermediateNormalizationError(
+                f"reference weight |<ref|psi0>|^2 = {weight:.3e} below "
+                f"{MIN_REFERENCE_WEIGHT:.0e}")
+        return psi0
 
     def amplitudes(self):
         return self._stage("amplitudes", lambda: cluster_analyze(
-            self.ground_state()[1][:, 0], self.ref, self.basis))
+            self.ground_vector(), self.ref, self.basis))
 
     def sweep(self):
         part = self.need_partition()
         return self._stage("sweep", lambda: decompose_state(
-            self.ground_state()[1][:, 0], self.ref, part, self.basis))
+            self.ground_vector(), self.ref, part, self.basis))
 
     def ducc_hamiltonian(self):
         part = self.need_partition()
@@ -359,8 +396,8 @@ def task_fci(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
 
 
 def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
-    vals, vecs = ctx.ground_state()
-    psi = vecs[:, 0]
+    vals, _ = ctx.ground_state()
+    psi = ctx.ground_vector()
     amps = ctx.amplitudes()
     tmat = excitation_matrix(amps, ctx.basis)
     e_ref = ctx.basis.unit_vector(ctx.basis.index_of(ctx.ref))
@@ -452,7 +489,7 @@ def _initial_state(ctx: RunContext, kind: str) -> np.ndarray:
         # interacting H, and keeps a large reference overlap along the way
         return ctx.basis.unit_vector(ctx.basis.index_of(ctx.ref))
     if kind == "ground":
-        return ctx.ground_state()[1][:, 0]
+        return ctx.ground_vector()
     # noninteracting-ground, which _check_task admits for hubbard and pairing only
     h0 = hamiltonian_from_integrals(
         _model_integrals(ctx.config["system"], interacting=False), ctx.basis)

@@ -1,9 +1,11 @@
 """Many-body operators as dense matrices over a Fock-sector basis.
 
-Everything is correctness-first dense complex linear algebra: the sector
-dimension is capped by the desk-scale guard in :mod:`ducclab.fock`, so
-Hamiltonians, exponentials and logarithms are ordinary LAPACK-sized
-problems.  hbar = 1 throughout.
+Everything is correctness-first dense linear algebra: the sector dimension
+is capped by the desk-scale guard in :mod:`ducclab.fock`, so Hamiltonians,
+exponentials and logarithms are ordinary LAPACK-sized problems.  hbar = 1
+throughout.  Matrices are stored complex; the stationary pipeline solves a
+real Hamiltonian, as every Hubbard, pairing and FCIDUMP system is, in real
+arithmetic, while generators, logarithms and propagation stay complex.
 
 Every Hamiltonian is an :class:`IntegralSet` -- the Hubbard chain and the
 pairing model as well as FCIDUMP input -- and one Slater-Condon build,

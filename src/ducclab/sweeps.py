@@ -75,17 +75,25 @@ def _apply_rotation(step: RotationStep, pairs, *arrays):
     On each coupled pair (low, high) with phase ph the unitary acts as
         low'  =  cos(t)        * low - e^{-i phi} ph sin(t) * high
         high' =  e^{i phi} ph sin(t) * low + cos(t)         * high
-    and as the identity elsewhere.
+    and as the identity elsewhere.  Real arrays take a phase of 0 or pi,
+    as :func:`rotation_for_target` gives for a real state, and e^{i phi} is
+    then an exact +-1 (``np.exp(1j * np.pi)`` has an imaginary part of
+    1.2e-16), so they stay real.
     """
     lows, highs, phases = pairs
     if lows.size == 0 or step.angle == 0.0:
         return
     c = np.cos(step.angle)
     s = np.sin(step.angle)
-    eip = np.exp(1j * step.phase)
+    if any(np.iscomplexobj(arr) for arr in arrays):
+        eip = np.exp(1j * step.phase)
+    elif step.phase in (0.0, np.pi):
+        eip = 1.0 if step.phase == 0.0 else -1.0
+    else:
+        raise ValueError(f"a real rotation needs phase 0 or pi, got {step.phase!r}")
     for arr in arrays:
-        lo = arr[lows].copy()
-        hi = arr[highs].copy()
+        lo = arr[lows]
+        hi = arr[highs]
         ph = phases if lo.ndim == 1 else phases[:, None]
         arr[lows] = c * lo - np.conj(eip) * ph * s * hi
         arr[highs] = eip * ph * s * lo + c * hi
@@ -99,12 +107,15 @@ def rotation_for_target(state: np.ndarray, j: int,
     With c = <det_j|state>, c' = <ref|state> and ph the fermionic sign of
     the generator matrix element, the rotated target coefficient is
     ``e^{i phi} ph sin(t) c' + cos(t) c``; it vanishes for
-    ``e^{i phi} tan(t) = -c / (ph c')``.
+    ``e^{i phi} tan(t) = -c / (ph c')``.  A real state is divided in real
+    arithmetic, so its phase is exactly 0 or pi: complex division can leave
+    a -0.0 imaginary part, where ``np.angle`` returns -pi.
     """
     sig = table.signatures[j]
     ph = float(table.phases[j])
-    c_t = complex(state[j])
-    c_p = complex(state[table.ref_index])
+    scalar = complex if np.iscomplexobj(state) else float
+    c_t = scalar(state[j])
+    c_p = scalar(state[table.ref_index])
     if abs(c_t) <= ZERO_TOL:
         return RotationStep(sig.occ, sig.virt, 0.0, 0.0)
     if abs(c_p) <= ZERO_TOL:
@@ -203,27 +214,30 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
     omega12; sweep 3 rotates the CAS-supported remainder onto e^{i delta}
     |ref> into omega3.  Then sigma_ext = log(omega12^+) and sigma_int =
     log(omega3^+) + i delta, the global phase being carried by the internal
-    generator.  Raises OrderingViolationError if an already-eliminated
+    generator.  A real ``psi`` is swept in float64: ``psi_act``, omega12 and
+    omega3 stay real and delta is exactly 0 or pi; a complex one in
+    complex128.  Raises OrderingViolationError if an already-eliminated
     coefficient re-grows (a broken elimination order), and CasSupportError
     if sweeps 1-2 leave external support.
     """
+    psi = np.asarray(psi)
     nrm = float(np.linalg.norm(psi))
     if nrm == 0.0:
         raise IntermediateNormalizationError("cannot decompose the zero vector")
-    psi_n = np.asarray(psi, dtype=complex) / nrm
+    psi_n = np.asarray(psi, dtype=np.result_type(psi, np.float64)) / nrm
     table = determinant_table(basis, ref)
     if abs(psi_n[table.ref_index]) < 1e-14:
         raise IntermediateNormalizationError("state has (numerically) zero reference overlap")
     targets1, targets2, targets3 = sweep_targets(table, part)
     psi_act = psi_n.copy()
-    omega12 = np.eye(basis.size, dtype=complex)
+    omega12 = np.eye(basis.size, dtype=psi_n.dtype)
     rotations = _run_targets(psi_act, omega12, targets1 + targets2, table, [])
     ext_norm = float(np.linalg.norm(psi_act[table.classes(part) == DetClass.EXTERNAL]))
     if ext_norm > SUPPORT_TOL:
         raise CasSupportError(
             f"state has external support {ext_norm:.3e} (tol {SUPPORT_TOL:.0e})")
     state = psi_act.copy()
-    omega3 = np.eye(basis.size, dtype=complex)
+    omega3 = np.eye(basis.size, dtype=psi_n.dtype)
     rotations += _run_targets(state, omega3, targets3, table, [])
     delta = float(np.angle(state[table.ref_index]))
     sigma_ext, d12 = logm_unitary(omega12.conj().T)

@@ -65,12 +65,13 @@ def random_state(basis, rng, ref=None, min_ref_weight=0.3):
     return psi
 
 
-def count_calls(monkeypatch, module, name, calls):
+def count_calls(monkeypatch, module, name, calls, key=None):
     """Replace ``module.name`` for the test by a wrapper that counts its
-    calls in ``calls[name]``."""
+    calls in ``calls[name]``, or with ``key`` in ``calls[key(*args, **kwargs)]``."""
     fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls[name] = calls.get(name, 0) + 1
+        k = name if key is None else key(*args, **kwargs)
+        calls[k] = calls.get(k, 0) + 1
         return fn(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)

@@ -202,7 +202,7 @@ def test_noninteracting_start_is_the_free_ground_state(tmp_path, system, electro
     vals, vecs = np.linalg.eigh(hamiltonian_from_terms(terms, ctx.basis).matrix)
     assert vals[1] - vals[0] > 1e-3   # a non-degenerate free ground state
     assert abs(abs(np.vdot(vecs[:, 0], psi0)) - 1.0) < 1e-12
-    assert not np.allclose(abs(np.vdot(ctx.ground_state()[1][:, 0], psi0)), 1.0)
+    assert not np.allclose(abs(np.vdot(ctx.ground_vector(), psi0)), 1.0)
 
 
 SCALAR_FERMION_ALGEBRA = ("apply_operator_string", "apply_excitation",
@@ -385,20 +385,66 @@ class TestRun:
 
 
 def test_residual_gates_fail_meaningless_tasks(tmp_path, capsys):
-    # the ground state of Hubbard L=5, N=5 is a degenerate S_z doublet, and
-    # eigh returns a mix with almost no reference weight: the cluster
-    # amplitudes blow up and SES-CC misses the FCI energy; before that is
-    # checked, downfold refuses the 1-norm of the lowest-order DUCC generator
+    # the ground root of Hubbard L=5, N=5 is a degenerate S_z doublet, of
+    # which eigh returns an arbitrary mix: fci reports the spectrum, while
+    # cluster and downfold refuse the gap before they analyse the mix (the
+    # residual and generator-norm gates are tested on their own)
     path = write_config(tmp_path, system={"kind": "hubbard", "L": 5, "t": 1.0, "U": 4.0},
                         electrons=5, partition={"auto_homo_lumo": [2, 2]},
                         tasks=[{"name": "fci"}, {"name": "cluster"}, {"name": "downfold"}])
     assert main(["run", str(path)]) == 1
     tasks = read_report(tmp_path)["tasks"]
     assert [t["status"] for t in tasks] == ["ok", "failed", "failed"]
-    assert "cc_residual" in tasks[1]["error"] and "exceeds 1e-09" in tasks[1]["error"]
-    assert "generator 1-norm" in tasks[2]["error"]
+    gap = tasks[0]["results"]["roots"][1] - tasks[0]["results"]["roots"][0]
+    assert gap < cli.MIN_GROUND_GAP
+    for task in tasks[1:]:
+        assert "degenerate ground root: gap E1 - E0 = " in task["error"]
+        assert f"below {cli.MIN_GROUND_GAP:.0e}" in task["error"]
     err = capsys.readouterr().err
     assert "task cluster failed" in err and "task downfold failed" in err
+
+
+def test_reference_weight_gate(tmp_path):
+    # Hubbard L=6, N=6 in the site basis: a gapped ground root (0.401) whose
+    # aufbau reference weight of 1.4e-10 leaves intermediate normalisation
+    # dividing by round-off; cluster names the weight, not its residual
+    path = write_config(tmp_path, system={"kind": "hubbard", "L": 6, "t": 1.0, "U": 4.0},
+                        electrons=6, partition=None,
+                        tasks=[{"name": "fci"}, {"name": "cluster"}])
+    assert main(["run", str(path)]) == 1
+    fci, cluster = read_report(tmp_path)["tasks"]
+    assert fci["status"] == "ok" and cluster["status"] == "failed"
+    assert fci["results"]["roots"][1] - fci["results"]["roots"][0] > 0.4
+    assert "reference weight |<ref|psi0>|^2 = 1.357e-10 below" in cluster["error"]
+    assert f"below {cli.MIN_REFERENCE_WEIGHT:.0e}" in cluster["error"]
+
+
+def test_one_determinant_basis_has_no_gap_to_check(tmp_path):
+    path = write_config(tmp_path, system={"kind": "hubbard", "L": 1, "t": 1.0, "U": 4.0},
+                        electrons=2, partition=None,
+                        tasks=[{"name": "fci"}, {"name": "cluster"}])
+    assert main(["run", str(path)]) == 0
+    fci, cluster = read_report(tmp_path)["tasks"]
+    assert fci["results"]["roots"] == [4.0]
+    assert cluster["results"]["cc_residual"] == 0.0
+
+
+def test_complex_hamiltonian_is_refused(tmp_path, monkeypatch, capsys):
+    # every system the CLI builds is real; an imaginary part fails fci with
+    # exit 1 rather than being dropped by the real eigensolver
+    build = cli.hamiltonian_from_integrals
+
+    def complex_h(ints, basis):
+        H = build(ints, basis)
+        H.matrix[0, 1] += 1e-3j
+        H.matrix[1, 0] -= 1e-3j
+        return H
+    monkeypatch.setattr(cli, "hamiltonian_from_integrals", complex_h)
+    assert main(["run", str(write_config(tmp_path))]) == 1
+    task, = read_report(tmp_path)["tasks"]
+    assert task["status"] == "failed"
+    assert task["error"] == ("OperatorPropertyError: FCI needs a real Hamiltonian: "
+                             "max |Im H| = 1.000e-03")
 
 
 @pytest.mark.parametrize("value", [10.0, float("nan")], ids=["10x", "nan"])
@@ -493,6 +539,23 @@ class TestGroundStagesOncePerRun:
         assert main(["run", str(path)]) == 1
         assert [t["status"] for t in read_report(tmp_path)["tasks"]] == ["failed", "failed"]
         assert calls == {"decompose_state": 2}   # a stage that raised is not cached
+
+
+def test_stationary_pipeline_solves_fci_in_real_arithmetic(tmp_path, monkeypatch):
+    # dim 70, CAS dim 4: the FCI eigh is real; only the stacked Cayley
+    # eigh of logm_unitary, shape (1, 70, 70) here, stays complex
+    write_seeded_fcidump(tmp_path / "FCIDUMP", 8, 4, seed=5)
+    path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"},
+                        electrons=4, partition={"auto_homo_lumo": [2, 2]},
+                        tasks=GROUND_PIPELINE)
+    calls = {}
+    count_calls(monkeypatch, np.linalg, "eigh", calls,
+                key=lambda a, *args, **kwargs: (a.dtype.kind, a.shape))
+    assert main(["run", str(path)]) == 0
+    assert calls[("f", (70, 70))] == 1
+    assert ("c", (70, 70)) not in calls
+    sweep = read_report(tmp_path)["tasks"][2]["results"]
+    assert sweep["delta"] in (0.0, np.pi)
 
 
 class TestEccVectorChains:

@@ -59,6 +59,30 @@ class TestRotationForTarget:
         assert abs(state[m6_basis.index_of(det)]) < 1e-14
         assert abs(state[m6_basis.index_of(m6_ref)]) == pytest.approx(0.7)
 
+    def test_real_state_phase_is_exactly_pi(self, m6_basis, m6_ref):
+        # c = -0.3 against c' = -0.5 ph: z = -c / (ph c') = -0.6, for which
+        # complex division leaves a -0.0 imaginary part and np.angle -pi
+        sig = dl.ExcitationSignature((2,), (3,))
+        det, _ = apply_excitation(sig, m6_ref)
+        table = dl.determinant_table(m6_basis, m6_ref)
+        j = m6_basis.index_of(det)
+        state = np.zeros(m6_basis.size)
+        state[j], state[table.ref_index] = -0.3, -0.5 * table.phases[j]
+        assert np.angle(-complex(-0.3) / (table.phases[j] * complex(state[table.ref_index]))) \
+            == -np.pi
+        step = dl.rotation_for_target(state, j, table)
+        assert step.phase == np.pi
+        sweeps._apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
+        assert state.dtype == np.float64
+        assert abs(state[j]) < 1e-16
+        assert abs(state[table.ref_index]) == pytest.approx(np.hypot(0.3, 0.5))
+
+    def test_real_rotation_refuses_a_complex_phase(self, m6_basis):
+        step = dl.RotationStep((2,), (3,), angle=0.3, phase=0.5)
+        with pytest.raises(ValueError, match="phase 0 or pi"):
+            sweeps._apply_rotation(step, dl.excitation_pairs(step.signature, m6_basis),
+                                   np.ones(m6_basis.size))
+
 
 class TestRotationUnitary:
     def test_matches_generator_exponential(self, m6_basis):
@@ -254,6 +278,31 @@ class TestDecomposeState:
         assert res.residual < 1e-9
         assert anti_hermiticity_defect(res.sigma_ext) < 1e-12
         assert anti_hermiticity_defect(res.sigma_int) < 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_real_state_matches_complex_arithmetic(self, m8_basis, m8_ref, m8_part,
+                                                   monkeypatch, seed, sign):
+        # a real state is swept in float64, its global phase exactly 0 or pi
+        psi = np.random.default_rng(seed).normal(size=m8_basis.size)
+        psi[m8_basis.index_of(m8_ref)] += 2.0
+        psi *= sign
+        logm, accumulated = sweeps.logm_unitary, []
+
+        def recording(U):
+            accumulated.append(U.dtype)
+            return logm(U)
+        monkeypatch.setattr(sweeps, "logm_unitary", recording)
+        real = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
+        cplx = dl.decompose_state(psi.astype(complex), m8_ref, m8_part, m8_basis)
+        assert real.psi_act.dtype == np.float64 and cplx.psi_act.dtype == complex
+        assert accumulated == [np.float64, np.float64, complex, complex]
+        assert real.delta == (0.0 if sign > 0 else np.pi)
+        assert abs(real.delta - abs(cplx.delta)) < 1e-13
+        assert np.abs(real.sigma_ext - cplx.sigma_ext).max() < 1e-13
+        assert np.abs(real.sigma_int - cplx.sigma_int).max() < 1e-13
+        assert abs(real.residual - cplx.residual) < 1e-13
+        assert real.rotations == cplx.rotations
 
     def test_residual_detects_perturbed_generator(self, m8_basis, m8_ref, m8_part,
                                                   monkeypatch):
