@@ -97,6 +97,17 @@ MIN_GROUND_GAP = 1e-8
 MIN_REFERENCE_WEIGHT = 1e-8
 
 
+def _check_ground_gap(vals: np.ndarray, what: str = "ground"):
+    """Refuse a spectrum ``vals`` (ascending) whose lowest root is degenerate:
+    a gap ``E1 - E0`` below :data:`MIN_GROUND_GAP` fails its task with an
+    ``OperatorPropertyError`` naming the gap.  A one-root spectrum has no
+    gap to check."""
+    if len(vals) > 1 and vals[1] - vals[0] < MIN_GROUND_GAP:
+        raise OperatorPropertyError(
+            f"degenerate {what} root: gap E1 - E0 = {vals[1] - vals[0]:.3e} "
+            f"below {MIN_GROUND_GAP:.0e}")
+
+
 @dataclass
 class RunContext:
     """Everything a task needs: system, partition, reference, output sink.
@@ -153,10 +164,7 @@ class RunContext:
         :data:`MIN_GROUND_GAP`; a one-determinant basis has no gap) or a
         reference weight below :data:`MIN_REFERENCE_WEIGHT`."""
         vals, psi0 = self.ground_state()
-        if len(vals) > 1 and vals[1] - vals[0] < MIN_GROUND_GAP:
-            raise OperatorPropertyError(
-                f"degenerate ground root: gap E1 - E0 = {vals[1] - vals[0]:.3e} "
-                f"below {MIN_GROUND_GAP:.0e}")
+        _check_ground_gap(vals)
         weight = abs(psi0[self.basis.index_of(self.ref)]) ** 2
         if weight < MIN_REFERENCE_WEIGHT:
             raise IntermediateNormalizationError(
@@ -493,7 +501,9 @@ def _initial_state(ctx: RunContext, kind: str) -> np.ndarray:
     # noninteracting-ground, which _check_task admits for hubbard and pairing only
     h0 = hamiltonian_from_integrals(
         _model_integrals(ctx.config["system"], interacting=False), ctx.basis)
-    return np.linalg.eigh(h0.matrix)[1][:, 0]
+    vals, vecs = np.linalg.eigh(h0.matrix)
+    _check_ground_gap(vals, "noninteracting ground")
+    return vecs[:, 0]
 
 
 def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:

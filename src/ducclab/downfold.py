@@ -46,6 +46,14 @@ class EffectiveHamiltonian:
         return self._eig
 
 
+def _unit_columns(n: int, cas: np.ndarray, dtype) -> np.ndarray:
+    """The ``n x len(cas)`` columns ``cas`` of the n x n identity, without
+    forming it; in Fortran order, as ``np.eye(n)[:, cas]`` is."""
+    cols = np.zeros((n, len(cas)), dtype=dtype, order="F")
+    cols[cas, np.arange(len(cas))] = 1.0
+    return cols
+
+
 def ducc_projection(H: QOperator, sigma: np.ndarray, cas: np.ndarray,
                     sigma_dot: np.ndarray | None = None) -> np.ndarray:
     """CAS block of e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot), Hermitian.
@@ -56,7 +64,7 @@ def ducc_projection(H: QOperator, sigma: np.ndarray, cas: np.ndarray,
     CAS block of ``A = e^{-sigma} L`` is then ``R^+ L[:, cas]``, and the
     result ``R^+ H R - i A`` (without ``sigma_dot``, only ``R^+ H R``).
     """
-    cols = np.eye(len(sigma), dtype=complex)[:, cas]
+    cols = _unit_columns(len(sigma), cas, complex)
     if sigma_dot is None:
         R = exp_anti_hermitian(sigma, cols)
         sub = R.conj().T @ H.matrix @ R
@@ -82,7 +90,7 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
             raise OperatorPropertyError(f"internal signature {sig} in external amplitude set")
     cas = determinant_table(H.basis, ref).cas(part)
     T = excitation_matrix(t_ext, H.basis)
-    cols = np.eye(H.basis.size)[:, cas]
+    cols = _unit_columns(H.basis.size, cas, float)
     # e^{T}[:, cas] and e^{-T}[cas, :] = (e^{-T^T}[:, cas])^T: CAS columns only
     right = exp_nilpotent(T, cols, H.basis)
     left = exp_nilpotent(-T.T, cols, H.basis).T
@@ -102,12 +110,15 @@ def downfold_ducc(H: QOperator, sigma_ext: np.ndarray, ref: Determinant,
 def cas_eigensolve(heff: EffectiveHamiltonian):
     """Full spectrum of the effective Hamiltonian.
 
-    Hermitian path: real ascending eigenvalues, orthonormal eigenvectors.
-    Non-Hermitian path: complex eigenvalues sorted by real part, right
-    eigenvectors normalized to unit 2-norm.
+    Hermitian path: real ascending eigenvalues, orthonormal eigenvectors;
+    a matrix whose imaginary part is exactly zero (the DUCC Hamiltonian of a
+    real ground state) is solved in real arithmetic.  Non-Hermitian path:
+    complex eigenvalues sorted by real part, right eigenvectors normalized
+    to unit 2-norm.
     """
     if heff.hermitian:
-        vals, vecs = np.linalg.eigh(heff.matrix)
+        mat = heff.matrix
+        vals, vecs = np.linalg.eigh(mat if mat.imag.any() else mat.real)
         return vals, vecs
     vals, vecs = np.linalg.eig(heff.matrix)
     order = np.argsort(vals.real, kind="stable")

@@ -3,9 +3,11 @@
 Everything is correctness-first dense linear algebra: the sector dimension
 is capped by the desk-scale guard in :mod:`ducclab.fock`, so Hamiltonians,
 exponentials and logarithms are ordinary LAPACK-sized problems.  hbar = 1
-throughout.  Matrices are stored complex; the stationary pipeline solves a
-real Hamiltonian, as every Hubbard, pairing and FCIDUMP system is, in real
-arithmetic, while generators, logarithms and propagation stay complex.
+throughout.  Hamiltonians are stored complex; the stationary pipeline
+solves a real Hamiltonian, as every Hubbard, pairing and FCIDUMP system is,
+in real arithmetic: the logarithm of a real sweep unitary is real, and the
+series applies a real generator as a real product.  Propagation stays
+complex.
 
 Every Hamiltonian is an :class:`IntegralSet` -- the Hubbard chain and the
 pairing model as well as FCIDUMP input -- and one Slater-Condon build,
@@ -16,7 +18,9 @@ basis masks and the created orbitals or pairs.
 The sweep unitaries are direct sums of many small blocks.
 :func:`direct_sum_blocks` finds the blocks of a matrix's exact-zero pattern,
 and :func:`logm_unitary` takes the log of the blocks of each size in one
-batched Hermitian eigenproblem of the Cayley transform, with no Schur form.
+batched symmetric or Hermitian eigenproblem, with no Schur form: of
+``(2I - Q - Q^T)/4`` for a real orthogonal stack, of the Cayley transform
+for a complex one.
 Every exponential, and its derivative, is one certified Taylor action on
 vectors, :func:`exp_anti_hermitian`, with no factorisation.
 """
@@ -222,16 +226,16 @@ def direct_sum_blocks(A: np.ndarray) -> list[np.ndarray]:
 
 
 def _size_stacks(blocks):
-    """Group equal-size blocks: for each size ``k``, the ``(count, k)``
-    index array and the fancy index ``(idx[:, :, None], idx[:, None, :])``
-    that reads or writes the blocks of a matrix as one ``(count, k, k)``
-    stack."""
+    """Group equal-size blocks: for each size ``k``, with the ``(count, k)``
+    index array ``idx`` of its blocks, the fancy index ``(idx[:, :, None],
+    idx[:, None, :])`` that reads or writes the blocks of a matrix as one
+    ``(count, k, k)`` stack."""
     by_size: dict[int, list] = {}
     for b in blocks:
         by_size.setdefault(len(b), []).append(b)
     for group in by_size.values():
         idx = np.array(group)
-        yield idx, (idx[:, :, None], idx[:, None, :])
+        yield idx[:, :, None], idx[:, None, :]
 
 
 def _stacked_unitarity_defect(stacks) -> float:
@@ -247,70 +251,129 @@ def _stacked_unitarity_defect(stacks) -> float:
 UNITARY_TOL = 1e-10
 #: smallest distance ``|lam + 1|`` of an eigenvalue from the branch cut
 BRANCH_TOL = 1e-10
+#: smallest ``|lam + 1|`` of a real block stack that takes the real
+#: logarithm; nearer the cut its error grows as eps/|lam + 1|, and the stack
+#: takes the Cayley path, whose error stays at the Schur level
+REAL_LOG_MIN_DISTANCE = 1.0
+
+_BRANCH_CUT = "unitary has an eigenvalue at -1; principal log undefined"
+
+
+def _cayley_log(B: np.ndarray) -> np.ndarray:
+    """Principal log of a ``(count, k, k)`` stack of complex unitary blocks.
+
+    The Cayley transform ``C = i (I+B)^-1 (I-B)`` of a block is Hermitian,
+    and it maps an eigenvalue ``lam = e^{i theta}`` of ``B`` to the
+    eigenvalue ``t = tan(theta/2)``.  One stacked solve and one stacked
+    ``eigh`` of the Hermitian part of ``C`` thus give an eigenbasis ``Z``,
+    and ``log B = Z log(Z^+ B Z) Z^+``; ``|1+lam| = 2/sqrt(1+t^2)`` is
+    checked against :data:`BRANCH_TOL`.
+
+    ``C`` has norm ``2/min|1+lam|``, so near the cut ``Z`` diagonalises
+    ``B`` only up to an off-diagonal residual of order ``eps/|1+lam|``.
+    Taking ``Z diag(2i arctan t) Z^+`` alone passes that residual on: at
+    ``|1+lam| = 1e-3`` it errs by up to 1.2e-12, at 1e-5 by 1e-10, where a
+    Schur-form log errs by 4e-15.  The log of ``Z^+ B Z`` is therefore taken
+    to first order in its off-diagonal part (Daleckii-Krein divided
+    differences), which brings the error back to the Schur level (3e-15 at
+    1e-3, 1e-5 and 1e-7).
+    """
+    eye = np.eye(B.shape[1])
+    try:
+        S = np.linalg.solve(eye + B, eye - B)   # C = i S
+    except np.linalg.LinAlgError:
+        raise BranchCutError(_BRANCH_CUT) from None
+    S -= S.conj().swapaxes(1, 2)
+    S *= 0.5j   # the Hermitian part of C
+    t, Z = np.linalg.eigh(S)
+    del S   # one block-sized array fewer at the peak below
+    if (2.0 / np.hypot(1.0, t)).min() < BRANCH_TOL:
+        raise BranchCutError(_BRANCH_CUT)
+    # log of D = Z^+ B Z = diag(e^{i theta}) + E to first order in the
+    # small E: i theta on the diagonal, E_jk times the divided difference
+    # i (theta_j - theta_k) / (e^{i theta_j} - e^{i theta_k})
+    #   = e^{-i (theta_j + theta_k)/2} / sinc((theta_j - theta_k)/2)
+    # off it, with sinc(x) = sin(x)/x (np.sinc takes x/pi)
+    Zh = Z.conj().swapaxes(1, 2)
+    D = Zh @ B @ Z
+    theta = np.angle(np.diagonal(D, axis1=1, axis2=2))
+    half = np.exp(-0.5j * theta)
+    D *= half[:, :, None] * half[:, None, :]
+    D /= np.sinc((theta[:, :, None] - theta[:, None, :]) / (2 * np.pi))
+    diag = np.arange(B.shape[1])
+    D[:, diag, diag] = 1j * theta
+    return Z @ D @ Zh
+
+
+def _orthogonal_log(Q: np.ndarray) -> np.ndarray | None:
+    """Principal log of a ``(count, k, k)`` stack of real orthogonal blocks
+    in real arithmetic, or None when an eigenvalue lies nearer than
+    :data:`REAL_LOG_MIN_DISTANCE` to -1.
+
+    An eigenvalue pair ``e^{+-i theta}`` of ``Q`` spans a real plane on
+    which ``P = (2I - Q - Q^T)/4`` is ``x^2 = sin^2(theta/2)`` times the
+    identity and ``K = (Q - Q^T)/2`` is ``sin(theta)`` times a rotation by
+    pi/2, so ``log Q = theta/sin(theta) K`` there.  One real ``eigh`` of
+    ``P`` gives its eigenvectors ``v_j``; ``s_j = ||K v_j|| = |sin theta_j|``
+    and ``cos theta_j = 1 - 2 x_j^2`` give ``|theta_j|`` by ``atan2``, and
+    ``log Q = K V diag(theta/s) V^T`` (``theta/s = 1`` where ``s = 0``).  The
+    distance of ``lam_j`` from the cut is ``|1 + lam_j| = 2 sin((pi -
+    |theta_j|)/2)``.
+    """
+    Qt = Q.swapaxes(1, 2)
+    K = 0.5 * (Q - Qt)
+    P = -0.25 * (Q + Qt)
+    diag = np.arange(Q.shape[1])
+    P[:, diag, diag] += 0.5
+    x2, V = np.linalg.eigh(P)
+    KV = K @ V
+    s = np.linalg.norm(KV, axis=1)
+    c = 1.0 - 2.0 * x2
+    distance = (2.0 * np.sin(0.5 * np.arctan2(s, -c))).min()
+    if distance < BRANCH_TOL:
+        raise BranchCutError(_BRANCH_CUT)
+    if distance < REAL_LOG_MIN_DISTANCE:
+        return None
+    ratio = np.divide(np.arctan2(s, c), s, out=np.ones_like(s), where=s > 0)
+    KV *= ratio[:, None, :]
+    return KV @ V.swapaxes(1, 2)
 
 
 def logm_unitary(U: np.ndarray) -> tuple[np.ndarray, float]:
-    """Principal logarithm of a unitary matrix, returned anti-Hermitian,
-    and the unitarity defect ``||U U^+ - I||_F`` that it checked.
+    """Principal logarithm of a unitary matrix, returned anti-Hermitian and
+    of the dtype of ``U`` (real for a real orthogonal ``U``), and the
+    unitarity defect ``||U U^+ - I||_F`` that it checked.
 
     The log of a direct sum is the direct sum of the logs, so the work runs
     over the blocks of :func:`direct_sum_blocks`, with the blocks of one
     size stacked; the unitarity check reads the same stacks, before any
-    solve.  The Cayley transform ``C = i (I+U)^-1 (I-U)`` of a block
-    is Hermitian, and it maps an eigenvalue ``lam = e^{i theta}`` of ``U``
-    to the eigenvalue ``t = tan(theta/2)``.  One stacked solve and one
-    stacked ``eigh`` of the Hermitian part of ``C`` thus give an eigenbasis
-    ``Z``, and ``log U = Z log(Z^+ U Z) Z^+``.  Raises
-    :class:`BranchCutError` when an eigenvalue sits within
-    :data:`BRANCH_TOL` of the branch cut at -1 (``|lam+1| =
-    2/sqrt(1+t^2)``), or when ``I+U`` is exactly singular, where the
-    principal logarithm is ambiguous.
-
-    ``C`` has norm ``2/min|1+lam|``, so near the cut ``Z`` diagonalises
-    ``U`` only up to an off-diagonal residual of order ``eps/|1+lam|``.
-    Taking ``Z diag(2i arctan t) Z^+`` alone passes that residual on: at
-    ``|1+lam| = 1e-3`` it errs by up to 1.2e-12, at 1e-5 by 1e-10, where a
-    Schur-form log errs by 4e-15.  The log of ``Z^+ U Z`` is therefore taken
-    to first order in its off-diagonal part (Daleckii-Krein divided
-    differences), which brings the error back to the Schur level (3e-15 at
-    1e-3, 1e-5 and 1e-7).  The sweep unitaries of the Hubbard L=5 quench
-    stay far from the cut: their smallest ``|1+lam|`` is 1.85.
+    solve or ``eigh``.  A complex stack takes the Cayley transform
+    (:func:`_cayley_log`).  A real stack takes one real ``eigh``
+    (:func:`_orthogonal_log`); its error grows as ``eps/|1+lam|`` near the
+    cut (up to 8e-13 in ``expm(L) - U`` at ``|1+lam| = 1e-3``, where the
+    Cayley path stays below 1.4e-15), so a real stack whose smallest
+    ``|1+lam|`` is below :data:`REAL_LOG_MIN_DISTANCE` takes the Cayley path
+    on a complex copy and keeps its real part.  Raises :class:`BranchCutError` when an
+    eigenvalue sits within :data:`BRANCH_TOL` of the branch cut at -1, or
+    when ``I+U`` is exactly singular, where the principal logarithm is
+    ambiguous.  The sweep unitaries stay far from the cut: the smallest
+    ``|1+lam|`` is 1.85 on the Hubbard L=5 quench and 1.97 on the seeded
+    M=12 ground state of the benchmark.
     """
-    U = np.asarray(U, dtype=complex)
+    U = np.asarray(U, dtype=np.result_type(U, np.float64))
     if not np.all(np.isfinite(U)):
         raise OperatorPropertyError("logm input has non-finite entries")
-    stacks = [(idx, stack, U[stack]) for idx, stack in _size_stacks(direct_sum_blocks(U))]
-    defect = _stacked_unitarity_defect([B for _, _, B in stacks])
+    stacks = [(stack, U[stack]) for stack in _size_stacks(direct_sum_blocks(U))]
+    defect = _stacked_unitarity_defect([B for _, B in stacks])
     if defect > UNITARY_TOL:
         raise OperatorPropertyError(f"logm input not unitary (defect {defect:.3e})")
+    real = not np.iscomplexobj(U)
     L = np.zeros_like(U)
-    for idx, stack, B in stacks:
-        eye = np.eye(idx.shape[1])
-        try:
-            S = np.linalg.solve(eye + B, eye - B)   # C = i S
-        except np.linalg.LinAlgError:
-            raise BranchCutError(
-                "unitary has an eigenvalue at -1; principal log undefined") from None
-        S -= S.conj().swapaxes(1, 2)
-        S *= 0.5j   # the Hermitian part of C
-        t, Z = np.linalg.eigh(S)
-        del S   # one block-sized array fewer at the peak below
-        if (2.0 / np.hypot(1.0, t)).min() < BRANCH_TOL:
-            raise BranchCutError("unitary has an eigenvalue at -1; principal log undefined")
-        # log of D = Z^+ B Z = diag(e^{i theta}) + E to first order in the
-        # small E: i theta on the diagonal, E_jk times the divided difference
-        # i (theta_j - theta_k) / (e^{i theta_j} - e^{i theta_k})
-        #   = e^{-i (theta_j + theta_k)/2} / sinc((theta_j - theta_k)/2)
-        # off it, with sinc(x) = sin(x)/x (np.sinc takes x/pi)
-        Zh = Z.conj().swapaxes(1, 2)
-        D = Zh @ B @ Z
-        theta = np.angle(np.diagonal(D, axis1=1, axis2=2))
-        half = np.exp(-0.5j * theta)
-        D *= half[:, :, None] * half[:, None, :]
-        D /= np.sinc((theta[:, :, None] - theta[:, None, :]) / (2 * np.pi))
-        diag = np.arange(idx.shape[1])
-        D[:, diag, diag] = 1j * theta
-        L[stack] = Z @ D @ Zh
+    for stack, B in stacks:
+        log = _orthogonal_log(B) if real else None
+        if log is None:
+            log = _cayley_log(B.astype(complex, copy=False))
+        L[stack] = log.real if real else log
     L = 0.5 * (L - L.conj().T)  # exact log of unitary input is anti-Hermitian
     return L, defect
 
@@ -371,11 +434,23 @@ def exp_anti_hermitian(S: np.ndarray, V: np.ndarray, E: np.ndarray | None = None
         term, top_term = out, top
         for k in range(1, m + 1):
             if E is not None:
-                top_term = (S @ top_term + E @ term) / (s * k)
+                top_term = (_matmul(S, top_term) + _matmul(E, term)) / (s * k)
                 top = top + top_term
-            term = (S @ term) / (s * k)
+            term = _matmul(S, term) / (s * k)
             out = out + term
     return out if E is None else (out, top / eps)
+
+
+def _matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``A @ X`` for a complex ``X``.  A real ``A`` acts on the float view of
+    ``X``, whose rows hold the real and imaginary parts side by side: one
+    real product, where numpy's mixed real-complex product costs as much as
+    two complex ones."""
+    if np.iscomplexobj(A):
+        return A @ X
+    X = np.ascontiguousarray(X)
+    cols = X if X.ndim == 2 else X[:, None]
+    return (A @ cols.view(np.float64)).view(complex).reshape(X.shape)
 
 
 # -- FCIDUMP-style ingestion -----------------------------------------------

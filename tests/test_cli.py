@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -203,6 +204,22 @@ def test_noninteracting_start_is_the_free_ground_state(tmp_path, system, electro
     assert vals[1] - vals[0] > 1e-3   # a non-degenerate free ground state
     assert abs(abs(np.vdot(vecs[:, 0], psi0)) - 1.0) < 1e-12
     assert not np.allclose(abs(np.vdot(ctx.ground_vector(), psi0)), 1.0)
+
+
+def test_degenerate_noninteracting_start_is_refused(tmp_path, capsys):
+    # the free Hubbard L=5, N=5 ground root is a doublet (gap 3.6e-15): the
+    # start would be whichever mix of it eigh returns, so propagate refuses it
+    path = write_config(tmp_path, system={"kind": "hubbard", "L": 5, "t": 1.0, "U": 4.0},
+                        electrons=5, partition={"auto_homo_lumo": [2, 2]},
+                        tasks=[{"name": "propagate", "nsteps": 2,
+                                "initial": "noninteracting-ground"}])
+    assert main(["run", str(path)]) == 1
+    (task,) = read_report(tmp_path)["tasks"]
+    assert task["status"] == "failed"
+    gap = re.search(r"degenerate noninteracting ground root: gap E1 - E0 = (\S+) below "
+                    + f"{cli.MIN_GROUND_GAP:.0e}", task["error"])
+    assert gap and float(gap.group(1)) < cli.MIN_GROUND_GAP
+    assert "task propagate failed" in capsys.readouterr().err
 
 
 SCALAR_FERMION_ALGEBRA = ("apply_operator_string", "apply_excitation",
@@ -542,8 +559,9 @@ class TestGroundStagesOncePerRun:
 
 
 def test_stationary_pipeline_solves_fci_in_real_arithmetic(tmp_path, monkeypatch):
-    # dim 70, CAS dim 4: the FCI eigh is real; only the stacked Cayley
-    # eigh of logm_unitary, shape (1, 70, 70) here, stays complex
+    # dim 70, CAS dim 6: every eigh is real -- the FCI, the stacked block
+    # eighs of logm_unitary on the two sweep unitaries (omega12 is one
+    # (1, 70, 70) block) and the two DUCC Hamiltonians -- and no Cayley solve
     write_seeded_fcidump(tmp_path / "FCIDUMP", 8, 4, seed=5)
     path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"},
                         electrons=4, partition={"auto_homo_lumo": [2, 2]},
@@ -551,9 +569,13 @@ def test_stationary_pipeline_solves_fci_in_real_arithmetic(tmp_path, monkeypatch
     calls = {}
     count_calls(monkeypatch, np.linalg, "eigh", calls,
                 key=lambda a, *args, **kwargs: (a.dtype.kind, a.shape))
+    count_calls(monkeypatch, np.linalg, "solve", calls)
     assert main(["run", str(path)]) == 0
     assert calls[("f", (70, 70))] == 1
-    assert ("c", (70, 70)) not in calls
+    assert calls[("f", (1, 70, 70))] == 1
+    assert calls[("f", (6, 6))] == 2
+    assert "solve" not in calls
+    assert [key for key in calls if key[0] != "f"] == []
     sweep = read_report(tmp_path)["tasks"][2]["results"]
     assert sweep["delta"] in (0.0, np.pi)
 

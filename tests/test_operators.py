@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import ducclab as dl
+from ducclab import operators
 from ducclab.errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
 from ducclab.operators import (MAX_GENERATOR_NORM1, _size_stacks, _stacked_unitarity_defect,
                                exp_anti_hermitian)
@@ -226,7 +227,9 @@ class TestDirectSumBlocks:
 
 class TestBlockwiseLogm:
     """logm_unitary works on the blocks of the exact-zero pattern, with
-    equal-size blocks stacked into one Cayley-transform solve and one eigh."""
+    equal-size blocks stacked into one eigh: of ``(2I - Q - Q^T)/4`` for a
+    real orthogonal stack, after one Cayley-transform solve for a complex
+    one or a real one with an eigenvalue nearer than 1 to -1."""
 
     @staticmethod
     def permuted_direct_sum(blocks, rng):
@@ -242,10 +245,41 @@ class TestBlockwiseLogm:
         return scipy.linalg.expm(g * (scale / np.linalg.norm(g, 2)))
 
     @staticmethod
+    def random_orthogonal(rng, n, scale=2.0):
+        """e^g for a random real antisymmetric g of 2-norm ``scale`` (the
+        identity for n = 1): its eigenangles reach ``scale``, so at 2.0 every
+        ``|1+lam| >= 2 cos(1) = 1.08`` and the real route is taken."""
+        a = rng.normal(size=(n, n))
+        g = 0.5 * (a - a.T)
+        return scipy.linalg.expm(g * (scale / (np.linalg.norm(g, 2) or 1.0)))
+
+    @staticmethod
     def unitary_with_angles(rng, angles):
         n = len(angles)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         return (q * np.exp(1j * np.asarray(angles))) @ q.conj().T
+
+    @staticmethod
+    def orthogonal_with_angles(rng, angles, n):
+        """Real orthogonal n x n with one eigenvalue pair e^{+-i angle} per
+        angle and +1 for the rest."""
+        D = np.eye(n)
+        for j, t in enumerate(angles):
+            D[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[np.cos(t), -np.sin(t)],
+                                                   [np.sin(t), np.cos(t)]]
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        return q @ D @ q.T
+
+    @staticmethod
+    def record_cayley(monkeypatch):
+        """The shapes of the block stacks that take the Cayley path."""
+        shapes, cayley = [], operators._cayley_log
+
+        def recording(B):
+            shapes.append(B.shape)
+            return cayley(B)
+        monkeypatch.setattr(operators, "_cayley_log", recording)
+        return shapes
 
     @staticmethod
     def schur_log(U):
@@ -253,32 +287,58 @@ class TestBlockwiseLogm:
         whole = (Z * np.log(np.diag(T))) @ Z.conj().T
         return 0.5 * (whole - whole.conj().T)
 
-    def test_direct_sum_matches_whole_matrix_schur(self):
+    # complex blocks; real blocks on the real route; real blocks whose
+    # eigenangles reach 2.5 (|1+lam| = 0.63), which take the Cayley path
+    # except the 1 x 1 ones (the identity)
+    KINDS = (("complex", random_unitary, {}), ("real", random_orthogonal, {}),
+             ("real near the cut", random_orthogonal, {"scale": 2.5}))
+
+    def test_direct_sum_matches_whole_matrix_schur(self, monkeypatch):
         rng = np.random.default_rng(31)
-        blocks = [self.random_unitary(rng, n) for n in (9, 6, 4, 1)]
-        U, perm = self.permuted_direct_sum(blocks, rng)
-        found = sorted(sorted(perm[b].tolist()) for b in dl.direct_sum_blocks(U))
-        assert [len(b) for b in sorted(found, key=len)] == [1, 4, 6, 9]
-        L, _ = dl.logm_unitary(U)
-        assert np.abs(L - self.schur_log(U)).max() < 1e-13
-        assert np.abs(scipy.linalg.expm(L) - U).max() < 1e-12
+        cayley = self.record_cayley(monkeypatch)
+        for kind, make, kw in self.KINDS:
+            cayley.clear()
+            blocks = [make(rng, n, **kw) for n in (9, 6, 4, 1)]
+            U, perm = self.permuted_direct_sum(blocks, rng)
+            found = sorted(sorted(perm[b].tolist()) for b in dl.direct_sum_blocks(U))
+            assert [len(b) for b in sorted(found, key=len)] == [1, 4, 6, 9]
+            L, _ = dl.logm_unitary(U)
+            assert L.dtype == U.dtype
+            assert len(cayley) == {"complex": 4, "real": 0, "real near the cut": 3}[kind]
+            assert np.abs(L - self.schur_log(U)).max() < 1e-13
+            assert np.abs(scipy.linalg.expm(L) - U).max() < 1e-12
 
-    def test_stacked_equal_size_blocks_match_schur(self):
+    def test_stacked_equal_size_blocks_match_schur(self, monkeypatch):
         rng = np.random.default_rng(33)
-        blocks = [self.random_unitary(rng, n) for n in (4, 4, 4, 2, 2, 2, 1, 1)]
-        U, _ = self.permuted_direct_sum(blocks, rng)
-        L, _ = dl.logm_unitary(U)
-        assert np.abs(L - self.schur_log(U)).max() < 1e-13
+        cayley = self.record_cayley(monkeypatch)
+        for kind, make, kw in self.KINDS:
+            cayley.clear()
+            blocks = [make(rng, n, **kw) for n in (4, 4, 4, 2, 2, 2, 1, 1)]
+            U, _ = self.permuted_direct_sum(blocks, rng)
+            L, _ = dl.logm_unitary(U)
+            assert L.dtype == U.dtype
+            assert sorted(cayley) == {"complex": [(2, 1, 1), (3, 2, 2), (3, 4, 4)], "real": [],
+                                      "real near the cut": [(3, 2, 2), (3, 4, 4)]}[kind]
+            assert np.abs(L - self.schur_log(U)).max() < 1e-13
 
-    def test_degenerate_eigenangles(self):
+    def test_degenerate_eigenangles(self, monkeypatch):
         rng = np.random.default_rng(34)
         angles = [0.7, 0.7, 0.7, -1.2, -1.2, 2.0, 0.0, 0.0, 0.0, 0.0]
         blocks = [self.unitary_with_angles(rng, angles) for _ in range(2)]
         U, _ = self.permuted_direct_sum(blocks, rng)
         L, _ = dl.logm_unitary(U)
         assert np.abs(L - self.schur_log(U)).max() < 1e-13
+        # real: repeated planes, and the +-1.2 pairs of two planes share
+        # one eigenvalue of (2I - Q - Q^T)/4
+        cayley = self.record_cayley(monkeypatch)
+        blocks = [self.orthogonal_with_angles(rng, [0.7, 0.7, -1.2, 1.2, 2.0], 14)
+                  for _ in range(2)]
+        Q, _ = self.permuted_direct_sum(blocks, rng)
+        L, _ = dl.logm_unitary(Q)
+        assert L.dtype == np.float64 and cayley == []
+        assert np.abs(L - self.schur_log(Q)).max() < 1e-13
 
-    def test_eigenangle_near_the_cut(self):
+    def test_eigenangle_near_the_cut(self, monkeypatch):
         rng = np.random.default_rng(35)
         theta = 2 * np.arccos(0.5e-3)   # |1 + e^{i theta}| = 1e-3
         blocks = [self.unitary_with_angles(rng, [theta, 0.4, -2.0, 1.1, -0.3])
@@ -286,22 +346,64 @@ class TestBlockwiseLogm:
         U, _ = self.permuted_direct_sum(blocks, rng)
         L, _ = dl.logm_unitary(U)
         assert np.abs(L - self.schur_log(U)).max() < 1e-12
+        # a real stack this near the cut takes the Cayley path
+        cayley = self.record_cayley(monkeypatch)
+        blocks = [self.orthogonal_with_angles(rng, [theta, 0.4, -2.0], 7) for _ in range(4)]
+        Q, _ = self.permuted_direct_sum(blocks, rng)
+        L, _ = dl.logm_unitary(Q)
+        assert L.dtype == np.float64 and cayley == [(4, 7, 7)]
+        assert np.abs(L - self.schur_log(Q)).max() < 1e-12
+
+    @pytest.mark.parametrize("distance", [1.5, 0.5])
+    def test_real_log_matches_complex_input_across_the_handover(self, monkeypatch, distance):
+        # |1+lam| = 1.5: the real route, equal to the Cayley log to round-off;
+        # 0.5: the Cayley path on a complex copy, whose real part it returns
+        rng = np.random.default_rng(41)
+        theta = 2 * np.arccos(distance / 2)
+        blocks = [self.orthogonal_with_angles(rng, [theta, 0.4, -1.0], 7) for _ in range(3)]
+        Q, _ = self.permuted_direct_sum(blocks, rng)
+        Lc, defect_c = dl.logm_unitary(Q.astype(complex))
+        cayley = self.record_cayley(monkeypatch)
+        L, defect = dl.logm_unitary(Q)
+        assert L.dtype == np.float64
+        assert cayley == ([] if distance > operators.REAL_LOG_MIN_DISTANCE else [(3, 7, 7)])
+        assert abs(defect - defect_c) < 1e-15
+        if cayley:
+            assert np.array_equal(L, Lc.real)
+        else:
+            assert np.abs(L - Lc).max() < 1e-14
+
+    @pytest.mark.parametrize("distance", [1.0, 1e-1, 1e-3, 1e-5])
+    def test_real_log_no_further_from_q_than_the_cayley_log(self, distance):
+        # the real formula errs by eps/|1+lam| (8e-13 in expm(L) - Q at
+        # 1e-3): the handover keeps the Cayley accuracy near the cut
+        rng = np.random.default_rng(42)
+        theta = 2 * np.arccos(distance / 2)
+        Q = scipy.linalg.block_diag(*(self.orthogonal_with_angles(rng, [theta, 0.4, -1.0], 7)
+                                      for _ in range(8)))
+        L, _ = dl.logm_unitary(Q)
+        Lc, _ = dl.logm_unitary(Q.astype(complex))
+        error = np.abs(scipy.linalg.expm(L) - Q).max()
+        assert error <= np.abs(scipy.linalg.expm(Lc.real) - Q).max()
+        assert error < 1e-14
 
     def test_branch_cut_in_one_small_block(self):
         rng = np.random.default_rng(32)
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # eigenvalues +1, -1
-        U, _ = self.permuted_direct_sum([self.random_unitary(rng, 18), flip], rng)
-        with pytest.raises(BranchCutError):
-            dl.logm_unitary(U)
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalues +1, -1
+        for make, dtype in ((self.random_unitary, complex), (self.random_orthogonal, float)):
+            U, _ = self.permuted_direct_sum([make(rng, 18), flip.astype(dtype)], rng)
+            with pytest.raises(BranchCutError):
+                dl.logm_unitary(U)
 
     def test_branch_cut_in_one_block_of_a_stack(self):
         rng = np.random.default_rng(36)
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        blocks = [self.random_unitary(rng, 2) for _ in range(9)]
-        blocks.insert(4, flip)
-        U, _ = self.permuted_direct_sum(blocks, rng)
-        with pytest.raises(BranchCutError):
-            dl.logm_unitary(U)
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for make, dtype in ((self.random_unitary, complex), (self.random_orthogonal, float)):
+            blocks = [make(rng, 2) for _ in range(9)]
+            blocks.insert(4, flip.astype(dtype))
+            U, _ = self.permuted_direct_sum(blocks, rng)
+            with pytest.raises(BranchCutError):
+                dl.logm_unitary(U)
 
     def test_branch_cut_within_tolerance(self):
         rng = np.random.default_rng(37)
@@ -311,38 +413,46 @@ class TestBlockwiseLogm:
         U, _ = self.permuted_direct_sum(blocks + [np.eye(14)], rng)
         with pytest.raises(BranchCutError):
             dl.logm_unitary(U)
+        blocks = [self.orthogonal_with_angles(rng, [theta, 0.3], 5),
+                  self.orthogonal_with_angles(rng, [0.5, 1.0], 5)]
+        Q, _ = self.permuted_direct_sum(blocks + [np.eye(14)], rng)
+        with pytest.raises(BranchCutError):
+            dl.logm_unitary(Q)
 
     def test_blockwise_unitarity_defect_matches_dense(self):
         rng = np.random.default_rng(39)
         blocks = [self.random_unitary(rng, n) for n in (6, 4, 4, 3, 2, 1)]
         blocks[2] = blocks[2] * 1.01   # a defect well above round-off
         U, _ = self.permuted_direct_sum(blocks, rng)
-        stacks = [U[stack] for _, stack in _size_stacks(dl.direct_sum_blocks(U))]
+        stacks = [U[stack] for stack in _size_stacks(dl.direct_sum_blocks(U))]
         dense = unitarity_defect(U)
         assert dense > 1e-2
         assert abs(_stacked_unitarity_defect(stacks) - dense) < 1e-14
 
     def test_non_unitary_block_refused_before_any_solve(self, monkeypatch):
         rng = np.random.default_rng(40)
-        blocks = [self.random_unitary(rng, n) for n in (5, 5, 3, 2, 2, 2, 1)]
-        blocks[4] = blocks[4] + 1e-8 * rng.normal(size=(2, 2))
-        U, _ = self.permuted_direct_sum(blocks, rng)
-        solves = []
-        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a))
-        with pytest.raises(OperatorPropertyError, match="not unitary"):
-            dl.logm_unitary(U)
-        assert solves == []
+        calls = []
+        for name in ("solve", "eigh"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name: calls.append(name))
+        for make in (self.random_unitary, self.random_orthogonal):
+            blocks = [make(rng, n) for n in (5, 5, 3, 2, 2, 2, 1)]
+            blocks[4] = blocks[4] + 1e-8 * rng.normal(size=(2, 2))
+            U, _ = self.permuted_direct_sum(blocks, rng)
+            with pytest.raises(OperatorPropertyError, match="not unitary"):
+                dl.logm_unitary(U)
+        assert calls == []
 
 
 class TestExpAntiHermitian:
     """e^{S} V by the certified Taylor series, against ``scipy.linalg.expm``."""
 
     @staticmethod
-    def block_diagonal(rng, norm1):
-        """A random anti-Hermitian direct sum with ``||S||_1 = norm1``."""
+    def block_diagonal(rng, norm1, real=False):
+        """A random anti-Hermitian (with ``real``, real antisymmetric) direct
+        sum with ``||S||_1 = norm1``."""
         blocks = []
         for n in (6, 4, 4, 1):
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            a = rng.normal(size=(n, n)) + (0 if real else 1j * rng.normal(size=(n, n)))
             blocks.append(0.5 * (a - a.conj().T))
         S = scipy.linalg.block_diag(*blocks)
         return S * (norm1 / np.abs(S).sum(axis=0).max())
@@ -360,6 +470,23 @@ class TestExpAntiHermitian:
         got = exp_anti_hermitian(S, V)
         assert got.shape == V.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("ncols", [1, 4])
+    def test_real_generator_matches_complex(self, ncols):
+        # a real S acts on the float view of the complex vectors, here a
+        # strided view of unit columns, with and without a real velocity
+        rng = np.random.default_rng([11, ncols])
+        S = self.block_diagonal(rng, 5.0, real=True)
+        E = self.block_diagonal(rng, 2.0, real=True)
+        W = rng.normal(size=(len(S), 2 * ncols)) + 1j * rng.normal(size=(len(S), 2 * ncols))
+        V = (W / np.linalg.norm(W, axis=0))[:, ::2]
+        V = V[:, 0] if ncols == 1 else V
+        got = exp_anti_hermitian(S, V)
+        assert got.dtype == complex and got.shape == V.shape
+        assert np.abs(got - exp_anti_hermitian(S.astype(complex), V)).max() < 1e-15
+        for g, w in zip(exp_anti_hermitian(S, V, E),
+                        exp_anti_hermitian(S.astype(complex), V, E.astype(complex))):
+            assert np.abs(g - w).max() < 1e-15
 
     def test_zero_generator_returns_the_vectors(self):
         V = np.arange(6.0).reshape(3, 2) + 1j

@@ -324,7 +324,7 @@ class TestDecomposeState:
 
     def test_work_budget(self, m8_basis, m8_ref, m8_part, monkeypatch):
         # the residual comes from the certified series: the only eigh calls
-        # of a decomposition are the stacked Cayley ones of logm_unitary
+        # of a decomposition are the stacked block ones of logm_unitary
         eigh, logm = np.linalg.eigh, sweeps.logm_unitary
         calls = {"eigh": 0, "eigh_in_logm": 0}
         inside = []
