@@ -4,7 +4,9 @@ The full-space propagation is the oracle: every state from one
 eigendecomposition of H.  The downfolded side propagates active-space
 coefficients under the time-dependent Hermitian effective Hamiltonian
 (P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int),
-built from the external generator and its velocity.  The velocity term is
+built from the external generator and its velocity, in one streaming pass
+over the time grid that holds only the generators a finite-difference
+stencil can still reach (:func:`downfolded_quench`).  The velocity term is
 the derivative of the exponential map; it and the exponential come from one
 certified Taylor action on vectors (:func:`ducclab.operators.exp_anti_hermitian`),
 here and in the Lagrangian evaluators.  The commutator series it sums is kept
@@ -138,7 +140,6 @@ class QuenchStudy:
     states: np.ndarray        # (2n+1, dim) exact states
     energies: np.ndarray      # (2n+1,) <psi|H|psi>
     norms: np.ndarray         # (2n+1,)
-    sigma_ext: np.ndarray     # (2n+1, dim, dim) external generators of the sweep
     c_int: np.ndarray         # (2n+1, ncas) CAS coefficients of e^{sigma_int}|ref>
     residuals: np.ndarray     # (2n+1,) sweep reconstruction residuals
     heffs: np.ndarray         # (2n+1, ncas, ncas) Heff(t_j)
@@ -148,6 +149,29 @@ class QuenchStudy:
     def rk4_deviation(self) -> np.ndarray:
         """|c_rk4(t_k) - c_int(t_k)| on the whole-step grid."""
         return np.linalg.norm(self.c_rk4 - self.c_int[::2], axis=1)
+
+
+class _GeneratorWindow:
+    """A read-only sequence of ``size`` generators that computes them in
+    grid order, by ``generator(j)``, when first read and keeps only the
+    ``keep`` newest: a stencil of order ``keep - 1`` read left to right
+    (:func:`sigma_dot_grid`) never reaches further back."""
+
+    def __init__(self, size: int, keep: int, generator):
+        self._size, self._keep, self._generator = size, keep, generator
+        self._alive: dict[int, np.ndarray] = {}
+        self._newest = -1
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        j = range(self._size)[j]
+        while self._newest < j:
+            self._newest += 1
+            self._alive[self._newest] = self._generator(self._newest)
+            self._alive.pop(self._newest - self._keep, None)
+        return self._alive[j]
 
 
 def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
@@ -162,18 +186,23 @@ def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
     Heff(t) = (P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int)
     (:func:`ducclab.downfold.ducc_projection`), and the CAS coefficients of
     the first state are propagated under Heff by :func:`propagate_internal`.
-    Every velocity is used and dropped at once: the generator stack is the
-    only array of dim x dim matrices.
+    One pass runs over the grid: a state is decomposed when the stencil
+    first reaches it and its generator dropped once no stencil can, so at
+    most ``fd_order + 1`` generators are alive, whatever ``nsteps``; a
+    projection at t_j can thus fail before a decomposition beyond it.
     """
     states = propagate_full(H, psi0, dt / 2, 2 * nsteps)
     cas = determinant_table(H.basis, ref).cas(part)
-    npts, dim = states.shape
-    sigma_ext = np.empty((npts, dim, dim), dtype=complex)
+    npts = len(states)
     c_int = np.empty((npts, len(cas)), dtype=complex)
     residuals = np.empty(npts)
-    for j, psi in enumerate(states):
-        res = decompose_state(psi, ref, part, H.basis)
-        sigma_ext[j], c_int[j], residuals[j] = res.sigma_ext, res.psi_act[cas], res.residual
+
+    def generator(j: int) -> np.ndarray:
+        res = decompose_state(states[j], ref, part, H.basis)
+        c_int[j], residuals[j] = res.psi_act[cas], res.residual
+        return res.sigma_ext
+
+    sigma_ext = _GeneratorWindow(npts, fd_order + 1, generator)
     heffs = np.empty((npts, len(cas), len(cas)), dtype=complex)
     for j, dot in enumerate(sigma_dot_grid(sigma_ext, dt / 2, order=fd_order)):
         # differencing noise breaks anti-hermiticity
@@ -182,7 +211,7 @@ def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
         dt=dt, cas=cas, states=states,
         energies=np.array([(s.conj() @ (H.matrix @ s)).real for s in states]),
         norms=np.array([np.linalg.norm(s) for s in states]),
-        sigma_ext=sigma_ext, c_int=c_int, residuals=residuals, heffs=heffs,
+        c_int=c_int, residuals=residuals, heffs=heffs,
         c_rk4=propagate_internal(heffs, c_int[0], dt, nsteps))
 
 

@@ -429,16 +429,23 @@ def exp_anti_hermitian(S: np.ndarray, V: np.ndarray, E: np.ndarray | None = None
     while bound > 2.0 ** -53:
         m, bound = m + 1, bound * b / (m + 2)
     out = np.array(V, dtype=complex)
-    top = np.zeros_like(out)
+    if E is not None:
+        # the columns [top | bottom] of the augmented vectors: each order
+        # takes one product of S over both halves, plus E on the bottom
+        cols = out.reshape(len(out), -1)
+        c = cols.shape[1]
+        out = np.concatenate([np.zeros_like(cols), cols], axis=1)
     for _ in range(s):
-        term, top_term = out, top
+        term = out
         for k in range(1, m + 1):
+            nxt = _matmul(S, term)
             if E is not None:
-                top_term = (_matmul(S, top_term) + _matmul(E, term)) / (s * k)
-                top = top + top_term
-            term = _matmul(S, term) / (s * k)
+                nxt[:, :c] += _matmul(E, term[:, c:])
+            term = nxt / (s * k)
             out = out + term
-    return out if E is None else (out, top / eps)
+    if E is None:
+        return out
+    return out[:, c:].reshape(np.shape(V)), (out[:, :c] / eps).reshape(np.shape(V))
 
 
 def _matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -166,18 +166,23 @@ def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
             group(classes == DetClass.INTERNAL, smallest_hole))
 
 
-def _run_targets(state, omega, targets, table, eliminated) -> int:
+def _run_targets(state, omega, targets, table) -> int:
     """Eliminate targets in order, accumulating rotations into the matrix
-    ``omega``; returns the number of rotations applied. ``eliminated`` holds
-    rows whose coefficients must stay dead."""
+    ``omega``; returns the number of rotations applied.  Every eliminated
+    row must stay dead: a rotation can re-grow only the rows it touches, so
+    only the dead rows among those are checked."""
     rotations = 0
+    dead = np.zeros(len(state), dtype=bool)
     for sig, j in targets:
         step = rotation_for_target(state, j, table)
-        if step.angle != 0.0:
-            _apply_rotation(step, excitation_pairs(sig, table.basis), state, omega)
-            rotations += 1
-        eliminated.append(j)
-        worst = float(np.abs(state[eliminated]).max())
+        dead[j] = True
+        if step.angle == 0.0:
+            continue
+        pairs = excitation_pairs(sig, table.basis)
+        _apply_rotation(step, pairs, state, omega)
+        rotations += 1
+        touched = np.concatenate(pairs[:2])
+        worst = float(np.abs(state[touched[dead[touched]]]).max(initial=0.0))
         if worst > REGROWTH_TOL:
             raise OrderingViolationError(
                 f"eliminated coefficient re-grew to {worst:.3e} "
@@ -191,19 +196,26 @@ class SweepResult:
 
     ``psi_act`` is the CAS-supported state e^{sigma_int}|ref> left by sweeps
     1-2, ``delta`` the phase of e^{i delta}|ref> left by sweep 3,
+    ``sigma_int_rotation`` the internal generator without that phase,
     ``rotations`` the number of elementary rotations of all three sweeps,
     and the defects those that :func:`logm_unitary` checked on the adjoints
     of the accumulated unitaries omega12 (sweeps 1-2) and omega3 (sweep 3).
     """
 
     sigma_ext: np.ndarray
-    sigma_int: np.ndarray
+    sigma_int_rotation: np.ndarray
     psi_act: np.ndarray
     delta: float
     residual: float
     rotations: int
     omega12_defect: float
     omega3_defect: float
+
+    @property
+    def sigma_int(self) -> np.ndarray:
+        """The internal generator log(omega3^+) + i delta I, built on request."""
+        n = len(self.sigma_int_rotation)
+        return self.sigma_int_rotation + 1j * self.delta * np.eye(n)
 
 
 def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
@@ -214,9 +226,12 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
     omega12; sweep 3 rotates the CAS-supported remainder onto e^{i delta}
     |ref> into omega3.  Then sigma_ext = log(omega12^+) and sigma_int =
     log(omega3^+) + i delta, the global phase being carried by the internal
-    generator.  A real ``psi`` is swept in float64: ``psi_act``, omega12 and
-    omega3 stay real and delta is exactly 0 or pi; a complex one in
-    complex128.  Raises OrderingViolationError if an already-eliminated
+    generator.  ``i delta I`` commutes with log(omega3^+), so the residual
+    rebuilds psi as e^{sigma_ext} e^{log(omega3^+)} e^{i delta}|ref>, with
+    no dense ``i delta I`` and no series over its norm.  A real ``psi`` is
+    swept in float64: ``psi_act``, omega12 and omega3 stay real and delta
+    is exactly 0 or pi, with the phase e^{i delta} an exact +-1; a complex
+    one in complex128.  Raises OrderingViolationError if an already-eliminated
     coefficient re-grows (a broken elimination order), and CasSupportError
     if sweeps 1-2 leave external support.
     """
@@ -231,22 +246,22 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
     targets1, targets2, targets3 = sweep_targets(table, part)
     psi_act = psi_n.copy()
     omega12 = np.eye(basis.size, dtype=psi_n.dtype)
-    rotations = _run_targets(psi_act, omega12, targets1 + targets2, table, [])
+    rotations = _run_targets(psi_act, omega12, targets1 + targets2, table)
     ext_norm = float(np.linalg.norm(psi_act[table.classes(part) == DetClass.EXTERNAL]))
     if ext_norm > SUPPORT_TOL:
         raise CasSupportError(
             f"state has external support {ext_norm:.3e} (tol {SUPPORT_TOL:.0e})")
     state = psi_act.copy()
     omega3 = np.eye(basis.size, dtype=psi_n.dtype)
-    rotations += _run_targets(state, omega3, targets3, table, [])
-    delta = float(np.angle(state[table.ref_index]))
+    rotations += _run_targets(state, omega3, targets3, table)
+    c_ref = state[table.ref_index]
+    delta = float(np.angle(c_ref))
     sigma_ext, d12 = logm_unitary(omega12.conj().T)
     log3, d3 = logm_unitary(omega3.conj().T)
-    sigma_int = log3 + 1j * delta * np.eye(basis.size)
     # psi rebuilt from the generators alone by the certified series
     recon = exp_anti_hermitian(sigma_ext, exp_anti_hermitian(
-        sigma_int, basis.unit_vector(table.ref_index)))
+        log3, c_ref / abs(c_ref) * basis.unit_vector(table.ref_index)))
     return SweepResult(
-        sigma_ext=sigma_ext, sigma_int=sigma_int, psi_act=psi_act, delta=delta,
+        sigma_ext=sigma_ext, sigma_int_rotation=log3, psi_act=psi_act, delta=delta,
         residual=float(np.linalg.norm(recon - psi_n)), rotations=rotations,
         omega12_defect=d12, omega3_defect=d3)

@@ -239,17 +239,30 @@ def test_one_determinant_layer():
     assert not hasattr(H, "terms")
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse costs start-up time and memory on every run
+def loaded_modules(module: str, prefix: str) -> str:
+    """The modules named ``prefix...`` that importing ``module`` loads, in a
+    fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ducclab; print(sorted(m for m in sys.modules "
-         "if m.startswith('scipy.sparse')))"],
+         f"import sys, {module}; print(sorted(m for m in sys.modules "
+         f"if m.startswith({prefix!r})))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse costs start-up time and memory on every run
+    assert loaded_modules("ducclab", "scipy.sparse") == "[]"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # importing scipy.linalg, even only its BLAS wrappers, costs every run
+    # about 0.25 s of start-up on a 2-vCPU machine; no module may load it,
+    # directly or through another package
+    assert loaded_modules("ducclab.cli", "scipy.linalg") == "[]"
 
 
 SCIPY_LINALG_IMPORTERS = """

@@ -169,7 +169,10 @@ class TestDecomposeTrajectory:
         vals, vecs = np.linalg.eigh(dimer_H.matrix)
         study = dl.downfolded_quench(dimer_H, vecs[:, 0], 0.1, 10, dimer_ref,
                                      dimer_part, fd_order=4)
-        assert np.abs(study.sigma_ext - study.sigma_ext[0]).max() < 1e-8
+        sigma_ext = np.array([dl.decompose_state(psi, dimer_ref, dimer_part,
+                                                 dimer_basis).sigma_ext
+                              for psi in study.states])
+        assert np.abs(sigma_ext - sigma_ext[0]).max() < 1e-8
 
     def test_t0_matches_static_sweep(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
         psi0 = np.linalg.eigh(
@@ -177,7 +180,8 @@ class TestDecomposeTrajectory:
         study = dl.downfolded_quench(dimer_H, psi0, 0.04, 3, dimer_ref, dimer_part,
                                      fd_order=4)
         static = dl.decompose_state(psi0, dimer_ref, dimer_part, dimer_basis)
-        assert np.abs(study.sigma_ext[0] - static.sigma_ext).max() < 1e-12
+        first = dl.decompose_state(study.states[0], dimer_ref, dimer_part, dimer_basis)
+        assert np.abs(first.sigma_ext - static.sigma_ext).max() < 1e-12
 
     def test_per_step_reconstruction(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
         psi0 = np.linalg.eigh(
@@ -187,8 +191,8 @@ class TestDecomposeTrajectory:
                                      fd_order=4)
         assert len(study.states) == 51
         assert study.residuals.max() < 1e-8
-        for psi, sigma, c in zip(study.states, study.sigma_ext, study.c_int,
-                                 strict=True):
+        for psi, c in zip(study.states, study.c_int, strict=True):
+            sigma = dl.decompose_state(psi, dimer_ref, dimer_part, dimer_basis).sigma_ext
             lifted = np.zeros(dimer_basis.size, dtype=complex)
             lifted[study.cas] = c
             assert np.linalg.norm(scipy.linalg.expm(sigma) @ lifted - psi) < 1e-8
@@ -462,21 +466,30 @@ class TestTdSesccKet:
 
 
 class TestDownfoldedQuench:
-    def test_peak_memory_is_the_generator_stack(self):
-        # the velocities are streamed: no second grid of dim x dim matrices
+    def test_peak_memory_does_not_grow_with_nsteps(self):
+        # the generators are streamed: only the fd_order + 1 that a stencil
+        # can still reach are alive, whatever the number of steps
         basis = dl.build_basis(8, 4)
         part = dl.homo_lumo_partition(8, 4, 2, 2)
         ref = part.reference()
         H = dl.build_hubbard(4, 1.0, 4.0, basis)
         psi0 = basis.unit_vector(basis.index_of(ref))
-        tracemalloc.start()
-        try:
-            study = dl.downfolded_quench(H, psi0, 0.02, 20, ref, part, fd_order=4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert study.sigma_ext.shape == (41, 70, 70)
-        assert peak <= 1.5 * study.sigma_ext.nbytes
+        peaks, studies = [], []
+        for nsteps in (20, 80):
+            tracemalloc.start()
+            try:
+                studies.append(dl.downfolded_quench(H, psi0, 0.02, nsteps, ref, part,
+                                                    fd_order=4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        generator = basis.size ** 2 * np.dtype(complex).itemsize
+        assert peaks[1] < 41 * generator
+        # the (2n+1)- and (n+1)-row arrays grow with nsteps; nothing else may
+        # grow by as much as one generator
+        rows = [sum(a.nbytes for a in (s.states, s.c_int, s.heffs, s.c_rk4))
+                for s in studies]
+        assert peaks[1] - peaks[0] < generator + rows[1] - rows[0]
 
 
 class TestTrajectoryCsv:

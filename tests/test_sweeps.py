@@ -434,4 +434,4 @@ class TestDecomposeState:
         state = psi.astype(complex).copy()
         omega = np.eye(dimer_basis.size, dtype=complex)
         with pytest.raises(OrderingViolationError):
-            _run_targets(state, omega, occ_keyed, table, eliminated=[])
+            _run_targets(state, omega, occ_keyed, table)
