@@ -31,8 +31,8 @@ import scipy
 from . import __version__
 from .cluster import (cluster_analyze, excitation_matrix, exp_nilpotent,
                       random_amplitudes, sigma_lowest_order, split_amplitudes)
-from .downfold import (downfold_ducc, downfold_sescc, effective_matrix_dump,
-                       match_root, write_effective_json)
+from .downfold import (EffectiveHamiltonian, downfold_ducc, downfold_sescc, ducc_projection,
+                       effective_matrix_dump, match_root, unit_columns, write_effective_json)
 from .dynamics import (downfolded_quench, evaluate_lagrangians,
                        evaluate_sescc_lagrangian, trajectory_to_csv)
 from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
@@ -42,14 +42,15 @@ from .errors import (ConfigError, DuccLabError, IntermediateNormalizationError,
 from .fock import (DetClass, SpinOrbitalPartition, build_basis, determinant_table,
                    homo_lumo_partition)
 from .imagtime import imaginary_evolve, write_flow_log
-from .operators import (IntegralSet, QOperator, hamiltonian_from_integrals,
+from .operators import (IntegralSet, QOperator, exp_anti_hermitian, hamiltonian_from_integrals,
                         hubbard_integrals, pairing_integrals, read_fcidump)
-from .sweeps import decompose_state
+from .sweeps import decompose_state, replay
 
 VERIFY_ALL_TASKS = ("fci", "cluster", "sweep", "downfold", "propagate", "imagtime", "ecc")
 #: the per-task RNG stream is keyed on the index into this tuple
 TASK_NAMES = VERIFY_ALL_TASKS + ("verify-all",)
 INITIAL_STATES = ("reference", "ground", "noninteracting-ground")
+CONFIG_KEYS = ("system", "electrons", "partition", "tasks", "output_dir", "seed")
 
 _positive = (lambda v: v > 0, "> 0")
 #: per task: parameter -> (type, default, (domain predicate, domain text));
@@ -58,8 +59,7 @@ TASK_PARAMS = {
     "fci": {"nroots": (int, 6, (lambda v: v >= 1, ">= 1"))},
     "propagate": {
         "dt": (float, 0.02, _positive),
-        "nsteps": (int, 100, (lambda v: v >= 0, ">= 0")),
-        "fd_order": (int, 4, (lambda v: v in (2, 4), "2 or 4")),
+        "nsteps": (int, 100, (lambda v: v >= 2, ">= 2 for the velocity stencil")),
         "initial": (str, "reference", (lambda v: v in INITIAL_STATES,
                                        f"one of {INITIAL_STATES}")),
     },
@@ -72,7 +72,7 @@ VERIFY_ALL_DEFAULTS = {"propagate": {"dt": 0.02, "nsteps": 50}, "ecc": {"n_confi
 #: per task: result -> largest value that keeps the task's numbers meaningful
 RESIDUAL_BOUNDS = {
     "cluster": {"cc_residual": 1e-9, "roundtrip_residual": 1e-9},
-    "sweep": {"reconstruction_residual": 1e-9},
+    "sweep": {"reconstruction_residual": 1e-9, "generator_column_deviation": 1e-9},
     "downfold": {"sescc_delta_e": 1e-9, "ducc_delta_e": 1e-9},
     "propagate": {"max_decomposition_residual": 1e-9},
 }
@@ -181,10 +181,18 @@ class RunContext:
         return self._stage("sweep", lambda: decompose_state(
             self.ground_vector(), self.ref, part, self.basis))
 
+    def cas_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """CAS indices, and the CAS columns of e^{sigma_ext}: the sweep's
+        record replayed on the CAS unit columns, in the swept state's dtype."""
+        sweep = self.sweep()
+        cas = determinant_table(self.basis, self.ref).cas(self.need_partition())
+        return cas, replay(sweep.record, unit_columns(self.basis.size, cas, sweep.psi_act.dtype))
+
     def ducc_hamiltonian(self):
-        part = self.need_partition()
-        return self._stage("ducc", lambda: downfold_ducc(
-            self.H, self.sweep().sigma_ext, self.ref, part))
+        def compute():
+            cas, R = self.cas_columns()
+            return EffectiveHamiltonian(ducc_projection(self.H, R), cas, self.basis, "ducc", True)
+        return self._stage("ducc", compute)
 
     def need_partition(self) -> SpinOrbitalPartition:
         if self.part is None:
@@ -329,6 +337,7 @@ def task_params(name: str, params: dict) -> dict:
     Raises ConfigError for any value the task cannot run with, so that
     ``validate`` and ``run`` reject the same configs.
     """
+    _check_keys(params, ("name", *TASK_PARAMS.get(name, {})), f"task {name}")
     out = {}
     for key, (kind, default, (ok, domain)) in TASK_PARAMS.get(name, {}).items():
         raw = params.get(key, default)
@@ -339,11 +348,14 @@ def task_params(name: str, params: dict) -> dict:
         if not ok(value):
             raise ConfigError(f"task {name}: {key}={raw!r} must be {domain}")
         out[key] = value
-    if name == "propagate" and 2 * out["nsteps"] < out["fd_order"]:
-        # the velocity stencil runs on the 2 * nsteps + 1 half-step grid points
-        raise ConfigError(f"task propagate: nsteps={out['nsteps']} is too few "
-                          f"for fd_order={out['fd_order']}")
     return out
+
+
+def _check_keys(obj: dict, known, what: str):
+    """Refuse a key outside ``known``; a key starting with ``_`` is internal."""
+    unknown = [k for k in obj if k not in known and not k.startswith("_")]
+    if unknown:
+        raise ConfigError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def verify_all_params(params: dict, name: str) -> dict:
@@ -357,6 +369,7 @@ def verify_all_params(params: dict, name: str) -> dict:
 
 def _check_task(cfg: dict, name: str, params: dict):
     if name == "verify-all":
+        _check_keys(params, ("name", *VERIFY_ALL_TASKS), "task verify-all")
         for sub in VERIFY_ALL_TASKS:
             _check_task(cfg, sub, verify_all_params(params, sub))
         return
@@ -366,6 +379,7 @@ def _check_task(cfg: dict, name: str, params: dict):
 
 
 def build_context(cfg: dict, outdir: str, seed: int) -> RunContext:
+    _check_keys(cfg, CONFIG_KEYS, "config")
     basis, H = _build_system(cfg)
     part = _build_partition(cfg, basis.M, basis.N)
     if part is not None:
@@ -434,14 +448,15 @@ def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     part = ctx.need_partition()
     res = ctx.sweep()
     external = determinant_table(ctx.basis, ctx.ref).classes(part) == DetClass.EXTERNAL
-    sigma = res.sigma_ext
+    cas, R = ctx.cas_columns()
+    series = exp_anti_hermitian(res.sigma_ext, unit_columns(ctx.basis.size, cas, float))
     return {
         "reconstruction_residual": res.residual,
         "external_support_after": float(np.linalg.norm(res.psi_act[external])),
         "delta": res.delta,
         "omega12_unitarity_defect": res.omega12_defect,
         "omega3_unitarity_defect": res.omega3_defect,
-        "sigma_ext_antihermiticity": float(np.linalg.norm(sigma + sigma.conj().T)),
+        "generator_column_deviation": float(np.linalg.norm(series - R)),
         "rotations": res.rotations,
     }, []
 
@@ -512,10 +527,10 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     Hamiltonian and compared per step against the sweep decomposition."""
     part = ctx.need_partition()
     p = task_params("propagate", params)
-    dt, nsteps, fd_order = p["dt"], p["nsteps"], p["fd_order"]
+    dt, nsteps = p["dt"], p["nsteps"]
     psi0 = _initial_state(ctx, p["initial"])
 
-    study = downfolded_quench(ctx.H, psi0, dt, nsteps, ctx.ref, part, fd_order)
+    study = downfolded_quench(ctx.H, psi0, dt, nsteps, ctx.ref, part)
     devs = study.rk4_deviation
     path = ctx.path("trajectory.csv")
     trajectory_to_csv(study, path)

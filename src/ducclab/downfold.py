@@ -2,9 +2,9 @@
 
 Two flavours: the similarity-transformed, generally non-Hermitian one built
 from external excitation amplitudes, and the unitarily transformed Hermitian
-one built from an anti-Hermitian external generator.  Both act on the CAS
-sub-basis ordered reference-first, then internal determinants in parent
-basis order.
+one built on the CAS columns of e^{sigma_ext}, replayed from a sweep record
+or summed from a generator.  Both act on the CAS sub-basis ordered
+reference-first, then internal determinants in parent basis order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class EffectiveHamiltonian:
         return self._eig
 
 
-def _unit_columns(n: int, cas: np.ndarray, dtype) -> np.ndarray:
+def unit_columns(n: int, cas: np.ndarray, dtype) -> np.ndarray:
     """The ``n x len(cas)`` columns ``cas`` of the n x n identity, without
     forming it; in Fortran order, as ``np.eye(n)[:, cas]`` is."""
     cols = np.zeros((n, len(cas)), dtype=dtype, order="F")
@@ -54,23 +54,15 @@ def _unit_columns(n: int, cas: np.ndarray, dtype) -> np.ndarray:
     return cols
 
 
-def ducc_projection(H: QOperator, sigma: np.ndarray, cas: np.ndarray,
-                    sigma_dot: np.ndarray | None = None) -> np.ndarray:
-    """CAS block of e^{-sigma} H e^{sigma} - i A(sigma, sigma_dot), Hermitian.
-
-    One series action on the CAS unit columns
-    (:func:`ducclab.operators.exp_anti_hermitian`) gives the CAS columns ``R``
-    of e^{sigma} and, with ``sigma_dot``, those of ``L = e^{sigma} A``; the
-    CAS block of ``A = e^{-sigma} L`` is then ``R^+ L[:, cas]``, and the
-    result ``R^+ H R - i A`` (without ``sigma_dot``, only ``R^+ H R``).
-    """
-    cols = _unit_columns(len(sigma), cas, complex)
-    if sigma_dot is None:
-        R = exp_anti_hermitian(sigma, cols)
-        sub = R.conj().T @ H.matrix @ R
-    else:
-        R, L = exp_anti_hermitian(sigma, cols, sigma_dot)
-        sub = R.conj().T @ H.matrix @ R - 1j * (R.conj().T @ L)
+def ducc_projection(H: QOperator, R: np.ndarray,
+                    A: np.ndarray | None = None) -> np.ndarray:
+    """CAS block ``R^+ H R - i A`` of e^{-sigma} H e^{sigma} - i e^{-sigma}
+    d/dt e^{sigma}, from the CAS columns ``R`` of e^{sigma} and, optionally,
+    the anti-Hermitian CAS block ``A = R^+ dR/dt``; refused unless Hermitian
+    within round-off."""
+    sub = R.conj().T @ H.matrix @ R
+    if A is not None:
+        sub = sub - 1j * A
     defect = float(np.linalg.norm(sub - sub.conj().T))
     if defect > 1e-10 * max(1.0, float(np.linalg.norm(sub))):
         raise OperatorPropertyError(
@@ -90,7 +82,7 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
             raise OperatorPropertyError(f"internal signature {sig} in external amplitude set")
     cas = determinant_table(H.basis, ref).cas(part)
     T = excitation_matrix(t_ext, H.basis)
-    cols = _unit_columns(H.basis.size, cas, float)
+    cols = unit_columns(H.basis.size, cas, float)
     # e^{T}[:, cas] and e^{-T}[cas, :] = (e^{-T^T}[:, cas])^T: CAS columns only
     right = exp_nilpotent(T, cols, H.basis)
     left = exp_nilpotent(-T.T, cols, H.basis).T
@@ -101,10 +93,11 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
 def downfold_ducc(H: QOperator, sigma_ext: np.ndarray, ref: Determinant,
                   part: SpinOrbitalPartition,
                   source: str = "ducc") -> EffectiveHamiltonian:
-    """(P+Q_int) e^{-sigma_ext} H e^{sigma_ext} (P+Q_int), Hermitian on CAS."""
+    """(P+Q_int) e^{-sigma_ext} H e^{sigma_ext} (P+Q_int), Hermitian on CAS,
+    on the CAS columns of e^{sigma_ext} from :func:`exp_anti_hermitian`."""
     cas = determinant_table(H.basis, ref).cas(part)
-    sub = ducc_projection(H, sigma_ext, cas)
-    return EffectiveHamiltonian(sub, cas, H.basis, source, hermitian=True)
+    R = exp_anti_hermitian(sigma_ext, unit_columns(H.basis.size, cas, complex))
+    return EffectiveHamiltonian(ducc_projection(H, R), cas, H.basis, source, hermitian=True)
 
 
 def cas_eigensolve(heff: EffectiveHamiltonian):

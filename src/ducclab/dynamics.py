@@ -4,13 +4,11 @@ The full-space propagation is the oracle: every state from one
 eigendecomposition of H.  The downfolded side propagates active-space
 coefficients under the time-dependent Hermitian effective Hamiltonian
 (P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int),
-built from the external generator and its velocity, in one streaming pass
-over the time grid that holds only the generators a finite-difference
-stencil can still reach (:func:`downfolded_quench`).  The velocity term is
-the derivative of the exponential map; it and the exponential come from one
-certified Taylor action on vectors (:func:`ducclab.operators.exp_anti_hermitian`),
-here and in the Lagrangian evaluators.  The commutator series it sums is kept
-in ``tests/oracles.py`` as the independent reference.  hbar = 1.
+which needs only the CAS columns of e^{sigma_ext}, the sweep's rotation
+record replayed (:func:`ducclab.sweeps.replay`), and their velocity, a
+stencil over the time grid (:func:`downfolded_quench`).  The Lagrangian
+evaluators take the exponential and its derivative from one certified Taylor
+action on vectors (:func:`ducclab.operators.exp_anti_hermitian`).  hbar = 1.
 """
 
 from __future__ import annotations
@@ -21,11 +19,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
-from .downfold import ducc_projection
+from .downfold import ducc_projection, unit_columns
 from .errors import NormDriftError, OperatorPropertyError
 from .fock import DetClass, Determinant, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, exp_anti_hermitian
-from .sweeps import decompose_state
+from .sweeps import replay, sweep_external
 
 #: Largest per-step norm drift of the RK4 integrator: the generator is
 #: Hermitian, so the exact flow preserves the norm.
@@ -37,9 +35,9 @@ def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
     """Exact full-space evolution: row k is exp(-i H t_k) psi0, t_k = k dt.
 
     H must be Hermitian and time-independent: one ``eigh`` H = V diag(w) V^+
-    gives every state as V e^{-i w t_k} V^+ psi0, the whole grid in one
-    product, with no error that grows step by step (Moler & Van Loan, SIAM
-    Rev. 45, 3 (2003)).  The initial state is normalized.
+    gives every state as V e^{-i w t_k} V^+ psi0, with no error that grows
+    step by step (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), row by row into
+    the one array returned.  The initial state is normalized.
     """
     if not H.hermiticity_defect() <= 1e-10:
         raise OperatorPropertyError(
@@ -48,46 +46,32 @@ def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
         raise ValueError("need dt > 0 and nsteps >= 0")
     psi = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
     w, V = np.linalg.eigh(H.matrix)
-    times = dt * np.arange(nsteps + 1)
-    return (np.exp(-1j * np.outer(times, w)) * (V.conj().T @ psi)) @ V.T
+    coeffs = V.conj().T @ psi
+    states = np.empty((nsteps + 1, len(psi)), dtype=complex)
+    for k, t in enumerate(dt * np.arange(nsteps + 1)):
+        np.matmul(V, np.exp(-1j * (t * w)) * coeffs, out=states[k])
+    return states
 
 
-def sigma_dot_grid(sigmas: Sequence[np.ndarray], dt: float,
-                   order: int = 2) -> Iterator[np.ndarray]:
-    """Finite-difference velocities of a matrix-valued grid function, one at
-    a time from left to right.
+#: fourth-order first-derivative weights (times 12 dt) over five consecutive
+#: grid points, by the position of the differentiated point among them
+_STENCILS = ((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1), (1, -8, 0, 8, -1),
+             (-1, 6, -18, 10, 3), (3, -16, 36, -48, 25))
 
-    Central differences in the interior, one-sided stencils of matching
-    order at the endpoints.  order in {2, 4}.
-    """
+
+def sigma_dot_grid(sigmas: Sequence[np.ndarray], dt: float) -> Iterator[np.ndarray]:
+    """Fourth-order finite-difference velocities of an array-valued grid
+    function on at least five points, one at a time from left to right:
+    central differences inside, one-sided stencils next to either end."""
     n = len(sigmas)
-    if order not in (2, 4):
-        raise ValueError("finite-difference order must be 2 or 4")
-    need = order + 1
-    if n < need:
-        raise ValueError(f"need at least {need} grid points for order {order}")
+    if n < 5:
+        raise ValueError("need at least 5 grid points for the fourth-order stencil")
 
     def velocities(f: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         for k in range(n):
-            if order == 2:
-                if k == 0:
-                    d = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dt)
-                elif k == n - 1:
-                    d = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dt)
-                else:
-                    d = (f[k + 1] - f[k - 1]) / (2 * dt)
-            else:
-                if k == 0:
-                    d = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * dt)
-                elif k == 1:
-                    d = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * dt)
-                elif k == n - 2:
-                    d = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * dt)
-                elif k == n - 1:
-                    d = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * dt)
-                else:
-                    d = (f[k - 2] - 8 * f[k - 1] + 8 * f[k + 1] - f[k + 2]) / (12 * dt)
-            yield d
+            first = min(max(k - 2, 0), n - 5)
+            yield sum(w * f[first + i] for i, w in enumerate(_STENCILS[k - first])
+                      if w) / (12 * dt)
     return velocities(sigmas)
 
 
@@ -141,7 +125,7 @@ class QuenchStudy:
     energies: np.ndarray      # (2n+1,) <psi|H|psi>
     norms: np.ndarray         # (2n+1,)
     c_int: np.ndarray         # (2n+1, ncas) CAS coefficients of e^{sigma_int}|ref>
-    residuals: np.ndarray     # (2n+1,) sweep reconstruction residuals
+    residuals: np.ndarray     # (2n+1,) ||R c_int - psi||, R = e^{sigma_ext}[:, cas]
     heffs: np.ndarray         # (2n+1, ncas, ncas) Heff(t_j)
     c_rk4: np.ndarray         # (n+1, ncas) RK4 coefficients under Heff
 
@@ -151,14 +135,13 @@ class QuenchStudy:
         return np.linalg.norm(self.c_rk4 - self.c_int[::2], axis=1)
 
 
-class _GeneratorWindow:
-    """A read-only sequence of ``size`` generators that computes them in
-    grid order, by ``generator(j)``, when first read and keeps only the
-    ``keep`` newest: a stencil of order ``keep - 1`` read left to right
-    (:func:`sigma_dot_grid`) never reaches further back."""
+class _GridWindow:
+    """A read-only sequence of ``size`` arrays that computes them in grid
+    order, by ``compute(j)``, when first read and keeps only the five newest:
+    the stencil of :func:`sigma_dot_grid`, read left to right, needs no more."""
 
-    def __init__(self, size: int, keep: int, generator):
-        self._size, self._keep, self._generator = size, keep, generator
+    def __init__(self, size: int, compute):
+        self._size, self._compute = size, compute
         self._alive: dict[int, np.ndarray] = {}
         self._newest = -1
 
@@ -169,27 +152,24 @@ class _GeneratorWindow:
         j = range(self._size)[j]
         while self._newest < j:
             self._newest += 1
-            self._alive[self._newest] = self._generator(self._newest)
-            self._alive.pop(self._newest - self._keep, None)
+            self._alive[self._newest] = self._compute(self._newest)
+            self._alive.pop(self._newest - 5, None)
         return self._alive[j]
 
 
 def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
-                      ref: Determinant, part: SpinOrbitalPartition,
-                      fd_order: int) -> QuenchStudy:
+                      ref: Determinant, part: SpinOrbitalPartition) -> QuenchStudy:
     """The time-dependent downfolding checked on one quench from ``psi0``.
 
     The exact states on the half-step grid (:func:`propagate_full`, so that
-    the RK4 stage values are exact) are sweep-decomposed
-    (:func:`ducclab.sweeps.decompose_state`); the external generators are
-    differenced in time (:func:`sigma_dot_grid`) into
-    Heff(t) = (P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int)
-    (:func:`ducclab.downfold.ducc_projection`), and the CAS coefficients of
-    the first state are propagated under Heff by :func:`propagate_internal`.
-    One pass runs over the grid: a state is decomposed when the stencil
-    first reaches it and its generator dropped once no stencil can, so at
-    most ``fd_order + 1`` generators are alive, whatever ``nsteps``; a
-    projection at t_j can thus fail before a decomposition beyond it.
+    the RK4 stage values are exact) are swept (:func:`ducclab.sweeps.sweep_external`),
+    each record replayed into the CAS columns ``R`` of e^{sigma_ext}, and the
+    blocks ``R`` differenced in time (:func:`sigma_dot_grid`) into Heff(t) =
+    R^+ H R - i A, ``A`` the anti-Hermitian part of ``R^+ dR/dt``.  The CAS
+    coefficients of the first state are propagated under Heff
+    (:func:`propagate_internal`); a state's residual is ``||R c_int - psi||``.
+    A state is swept when the stencil first reaches it and its block dropped
+    once no stencil can: at most five ``dim x ncas`` blocks are alive.
     """
     states = propagate_full(H, psi0, dt / 2, 2 * nsteps)
     cas = determinant_table(H.basis, ref).cas(part)
@@ -197,16 +177,19 @@ def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
     c_int = np.empty((npts, len(cas)), dtype=complex)
     residuals = np.empty(npts)
 
-    def generator(j: int) -> np.ndarray:
-        res = decompose_state(states[j], ref, part, H.basis)
-        c_int[j], residuals[j] = res.psi_act[cas], res.residual
-        return res.sigma_ext
+    def columns(j: int) -> np.ndarray:
+        record, psi_act = sweep_external(states[j], ref, part, H.basis)
+        R = replay(record, unit_columns(H.basis.size, cas, complex))
+        c_int[j] = psi_act[cas]
+        residuals[j] = np.linalg.norm(R @ c_int[j] - states[j])
+        return R
 
-    sigma_ext = _GeneratorWindow(npts, fd_order + 1, generator)
+    R = _GridWindow(npts, columns)
     heffs = np.empty((npts, len(cas), len(cas)), dtype=complex)
-    for j, dot in enumerate(sigma_dot_grid(sigma_ext, dt / 2, order=fd_order)):
+    for j, dot in enumerate(sigma_dot_grid(R, dt / 2)):
+        A = R[j].conj().T @ dot
         # differencing noise breaks anti-hermiticity
-        heffs[j] = ducc_projection(H, sigma_ext[j], cas, 0.5 * (dot - dot.conj().T))
+        heffs[j] = ducc_projection(H, R[j], 0.5 * (A - A.conj().T))
     return QuenchStudy(
         dt=dt, cas=cas, states=states,
         energies=np.array([(s.conj() @ (H.matrix @ s)).real for s in states]),

@@ -15,14 +15,14 @@ pairing model as well as FCIDUMP input -- and one Slater-Condon build,
 build loops over the annihilated orbital or pair and vectorises over the
 basis masks and the created orbitals or pairs.
 
-The sweep unitaries are direct sums of many small blocks.
+The sweep unitaries are direct sums of many small blocks; their log is the
+sweep's generator certificate (the downfolding replays the sweep's record).
 :func:`direct_sum_blocks` finds the blocks of a matrix's exact-zero pattern,
 and :func:`logm_unitary` takes the log of the blocks of each size in one
 batched symmetric or Hermitian eigenproblem, with no Schur form: of
 ``(2I - Q - Q^T)/4`` for a real orthogonal stack, of the Cayley transform
-for a complex one.
-Every exponential, and its derivative, is one certified Taylor action on
-vectors, :func:`exp_anti_hermitian`, with no factorisation.
+for a complex one.  Every exponential of a generator, and its derivative,
+is one certified Taylor action on vectors, :func:`exp_anti_hermitian`.
 """
 
 from __future__ import annotations

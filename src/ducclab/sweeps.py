@@ -27,9 +27,11 @@ lose all inactive particles and become an internal determinant that is
 never eliminated; the ordering monitor below would trip on it.
 
 Sweeps 1 and 2 use only external signatures, sweep 3 only internal ones,
-so the logarithms of the accumulated unitaries provide the anti-Hermitian
-external and internal generators of the product decomposition
-``psi = e^{sigma_ext} e^{sigma_int} |ref>``.
+so the logarithms of their unitaries provide the anti-Hermitian external
+and internal generators of ``psi = e^{sigma_ext} e^{sigma_int} |ref>``.
+A sweep returns its rotation record, not a dense unitary: :func:`replay`
+applies the recorded product's adjoint to any columns, such as the CAS
+columns of e^{sigma_ext} a downfolded Hamiltonian needs, with no logarithm.
 """
 
 from __future__ import annotations
@@ -69,34 +71,34 @@ class RotationStep:
         return ExcitationSignature(self.occ, self.virt)
 
 
-def _apply_rotation(step: RotationStep, pairs, *arrays):
-    """Left-multiply vectors/matrices in place by the rotation unitary.
+def _apply_rotation(step: RotationStep, pairs, arr, inverse: bool = False):
+    """Left-multiply a vector or matrix in place by the rotation unitary, or
+    with ``inverse`` by its adjoint (the same rotation by ``-angle``).
 
     On each coupled pair (low, high) with phase ph the unitary acts as
         low'  =  cos(t)        * low - e^{-i phi} ph sin(t) * high
         high' =  e^{i phi} ph sin(t) * low + cos(t)         * high
-    and as the identity elsewhere.  Real arrays take a phase of 0 or pi,
+    and as the identity elsewhere.  A real array takes a phase of 0 or pi,
     as :func:`rotation_for_target` gives for a real state, and e^{i phi} is
     then an exact +-1 (``np.exp(1j * np.pi)`` has an imaginary part of
-    1.2e-16), so they stay real.
+    1.2e-16), so it stays real.
     """
     lows, highs, phases = pairs
     if lows.size == 0 or step.angle == 0.0:
         return
     c = np.cos(step.angle)
-    s = np.sin(step.angle)
-    if any(np.iscomplexobj(arr) for arr in arrays):
+    s = -np.sin(step.angle) if inverse else np.sin(step.angle)
+    if np.iscomplexobj(arr):
         eip = np.exp(1j * step.phase)
     elif step.phase in (0.0, np.pi):
         eip = 1.0 if step.phase == 0.0 else -1.0
     else:
         raise ValueError(f"a real rotation needs phase 0 or pi, got {step.phase!r}")
-    for arr in arrays:
-        lo = arr[lows]
-        hi = arr[highs]
-        ph = phases if lo.ndim == 1 else phases[:, None]
-        arr[lows] = c * lo - np.conj(eip) * ph * s * hi
-        arr[highs] = eip * ph * s * lo + c * hi
+    lo = arr[lows]
+    hi = arr[highs]
+    ph = phases if lo.ndim == 1 else phases[:, None]
+    arr[lows] = c * lo - np.conj(eip) * ph * s * hi
+    arr[highs] = eip * ph * s * lo + c * hi
 
 
 def rotation_for_target(state: np.ndarray, j: int,
@@ -166,12 +168,12 @@ def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
             group(classes == DetClass.INTERNAL, smallest_hole))
 
 
-def _run_targets(state, omega, targets, table) -> int:
-    """Eliminate targets in order, accumulating rotations into the matrix
-    ``omega``; returns the number of rotations applied.  Every eliminated
-    row must stay dead: a rotation can re-grow only the rows it touches, so
-    only the dead rows among those are checked."""
-    rotations = 0
+def _run_targets(state, targets, table) -> list:
+    """Eliminate targets in order, rotating ``state`` in place; returns the
+    rotation record, each applied rotation with its coupled pairs.  Every
+    eliminated row must stay dead: a rotation can re-grow only the rows it
+    touches, so only the dead rows among those are checked."""
+    record = []
     dead = np.zeros(len(state), dtype=bool)
     for sig, j in targets:
         step = rotation_for_target(state, j, table)
@@ -179,31 +181,68 @@ def _run_targets(state, omega, targets, table) -> int:
         if step.angle == 0.0:
             continue
         pairs = excitation_pairs(sig, table.basis)
-        _apply_rotation(step, pairs, state, omega)
-        rotations += 1
+        _apply_rotation(step, pairs, state)
+        record.append((step, pairs))
         touched = np.concatenate(pairs[:2])
         worst = float(np.abs(state[touched[dead[touched]]]).max(initial=0.0))
         if worst > REGROWTH_TOL:
             raise OrderingViolationError(
                 f"eliminated coefficient re-grew to {worst:.3e} "
                 f"while processing target {sig}")
-    return rotations
+    return record
+
+
+def replay(record: list, cols: np.ndarray) -> np.ndarray:
+    """``omega^+ @ cols`` in place for the product omega of the recorded
+    rotations (``e^{sigma_ext} @ cols`` for the record of sweeps 1-2): the
+    inverse rotations in reverse order.  Returns ``cols``."""
+    for step, pairs in reversed(record):
+        _apply_rotation(step, pairs, cols, inverse=True)
+    return cols
+
+
+def _sweep_external(psi, table: DeterminantTable, part: SpinOrbitalPartition, targets):
+    """Normalised ``psi``, record of sweeps 1-2 over ``targets`` and ``psi_act``."""
+    psi = np.asarray(psi)
+    nrm = float(np.linalg.norm(psi))
+    if nrm == 0.0:
+        raise IntermediateNormalizationError("cannot decompose the zero vector")
+    psi_n = np.asarray(psi, dtype=np.result_type(psi, np.float64)) / nrm
+    if abs(psi_n[table.ref_index]) < 1e-14:
+        raise IntermediateNormalizationError("state has (numerically) zero reference overlap")
+    psi_act = psi_n.copy()
+    record = _run_targets(psi_act, targets[0] + targets[1], table)
+    ext_norm = float(np.linalg.norm(psi_act[table.classes(part) == DetClass.EXTERNAL]))
+    if ext_norm > SUPPORT_TOL:
+        raise CasSupportError(
+            f"state has external support {ext_norm:.3e} (tol {SUPPORT_TOL:.0e})")
+    return psi_n, record, psi_act
+
+
+def sweep_external(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
+                   basis: FockBasis) -> tuple[list, np.ndarray]:
+    """Sweeps 1-2 of :func:`decompose_state` on the vector alone: their
+    rotation record, which :func:`replay` turns into columns of
+    e^{sigma_ext}, and ``psi_act``; raises as :func:`decompose_state`."""
+    table = determinant_table(basis, ref)
+    return _sweep_external(psi, table, part, sweep_targets(table, part))[1:]
 
 
 @dataclass
 class SweepResult:
     """Full decomposition psi = e^{sigma_ext} e^{sigma_int} |ref>.
 
-    ``psi_act`` is the CAS-supported state e^{sigma_int}|ref> left by sweeps
-    1-2, ``delta`` the phase of e^{i delta}|ref> left by sweep 3,
-    ``sigma_int_rotation`` the internal generator without that phase,
-    ``rotations`` the number of elementary rotations of all three sweeps,
-    and the defects those that :func:`logm_unitary` checked on the adjoints
-    of the accumulated unitaries omega12 (sweeps 1-2) and omega3 (sweep 3).
+    ``record`` holds the rotations of sweeps 1-2 (:func:`replay`), ``psi_act``
+    the CAS-supported state e^{sigma_int}|ref> they leave, ``delta`` the
+    phase of e^{i delta}|ref> left by sweep 3, ``sigma_int_rotation`` the
+    internal generator without that phase, ``rotations`` the number of
+    rotations of all three sweeps, and the defects those that
+    :func:`logm_unitary` checked on omega12^+ (sweeps 1-2) and omega3^+.
     """
 
     sigma_ext: np.ndarray
     sigma_int_rotation: np.ndarray
+    record: list
     psi_act: np.ndarray
     delta: float
     residual: float
@@ -220,48 +259,29 @@ class SweepResult:
 
 def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
                     basis: FockBasis) -> SweepResult:
-    """Sweeps, generator extraction and reconstruction residual of ``psi``.
+    """Sweeps, generators and reconstruction residual of ``psi``.
 
-    Sweeps 1-2 rotate away every external determinant into the unitary
-    omega12; sweep 3 rotates the CAS-supported remainder onto e^{i delta}
-    |ref> into omega3.  Then sigma_ext = log(omega12^+) and sigma_int =
-    log(omega3^+) + i delta, the global phase being carried by the internal
-    generator.  ``i delta I`` commutes with log(omega3^+), so the residual
-    rebuilds psi as e^{sigma_ext} e^{log(omega3^+)} e^{i delta}|ref>, with
-    no dense ``i delta I`` and no series over its norm.  A real ``psi`` is
-    swept in float64: ``psi_act``, omega12 and omega3 stay real and delta
-    is exactly 0 or pi, with the phase e^{i delta} an exact +-1; a complex
-    one in complex128.  Raises OrderingViolationError if an already-eliminated
-    coefficient re-grows (a broken elimination order), and CasSupportError
-    if sweeps 1-2 leave external support.
-    """
-    psi = np.asarray(psi)
-    nrm = float(np.linalg.norm(psi))
-    if nrm == 0.0:
-        raise IntermediateNormalizationError("cannot decompose the zero vector")
-    psi_n = np.asarray(psi, dtype=np.result_type(psi, np.float64)) / nrm
+    Sweeps 1-2 rotate away every external determinant, sweep 3 the CAS
+    remainder onto e^{i delta}|ref>; their records replayed on the identity
+    give omega12^+ and omega3^+, sigma_ext = log(omega12^+) and sigma_int =
+    log(omega3^+) + i delta.  The residual rebuilds psi from the generators
+    alone, e^{i delta} as a scalar: ``i delta I`` commutes with log(omega3^+).
+    A real ``psi`` is swept in float64, delta then exactly 0 or pi.
+    Raises OrderingViolationError if an eliminated coefficient re-grows (a
+    broken elimination order), CasSupportError if sweeps 1-2 leave external
+    support."""
     table = determinant_table(basis, ref)
-    if abs(psi_n[table.ref_index]) < 1e-14:
-        raise IntermediateNormalizationError("state has (numerically) zero reference overlap")
-    targets1, targets2, targets3 = sweep_targets(table, part)
-    psi_act = psi_n.copy()
-    omega12 = np.eye(basis.size, dtype=psi_n.dtype)
-    rotations = _run_targets(psi_act, omega12, targets1 + targets2, table)
-    ext_norm = float(np.linalg.norm(psi_act[table.classes(part) == DetClass.EXTERNAL]))
-    if ext_norm > SUPPORT_TOL:
-        raise CasSupportError(
-            f"state has external support {ext_norm:.3e} (tol {SUPPORT_TOL:.0e})")
+    targets = sweep_targets(table, part)
+    psi_n, record, psi_act = _sweep_external(psi, table, part, targets)
     state = psi_act.copy()
-    omega3 = np.eye(basis.size, dtype=psi_n.dtype)
-    rotations += _run_targets(state, omega3, targets3, table)
+    record3 = _run_targets(state, targets[2], table)
     c_ref = state[table.ref_index]
-    delta = float(np.angle(c_ref))
-    sigma_ext, d12 = logm_unitary(omega12.conj().T)
-    log3, d3 = logm_unitary(omega3.conj().T)
+    sigma_ext, d12 = logm_unitary(replay(record, np.eye(basis.size, dtype=psi_n.dtype)))
+    log3, d3 = logm_unitary(replay(record3, np.eye(basis.size, dtype=psi_n.dtype)))
     # psi rebuilt from the generators alone by the certified series
     recon = exp_anti_hermitian(sigma_ext, exp_anti_hermitian(
         log3, c_ref / abs(c_ref) * basis.unit_vector(table.ref_index)))
     return SweepResult(
-        sigma_ext=sigma_ext, sigma_int_rotation=log3, psi_act=psi_act, delta=delta,
-        residual=float(np.linalg.norm(recon - psi_n)), rotations=rotations,
-        omega12_defect=d12, omega3_defect=d3)
+        sigma_ext=sigma_ext, sigma_int_rotation=log3, record=record, psi_act=psi_act,
+        delta=float(np.angle(c_ref)), residual=float(np.linalg.norm(recon - psi_n)),
+        rotations=len(record) + len(record3), omega12_defect=d12, omega3_defect=d3)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ducclab as dl
+from ducclab.operators import exp_anti_hermitian
 
 
 @pytest.fixture(scope="session")
@@ -75,3 +76,14 @@ def count_calls(monkeypatch, module, name, calls, key=None):
         calls[k] = calls.get(k, 0) + 1
         return fn(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
+
+
+def td_projection(H, sigma, cas, sigma_dot=None):
+    """:func:`ducclab.ducc_projection` on the CAS columns ``R`` of e^{sigma}
+    and, with ``sigma_dot``, the CAS block ``R^+ L`` of e^{-sigma} d/dt
+    e^{sigma}, both from one series action."""
+    cols = np.eye(len(sigma))[:, cas]
+    if sigma_dot is None:
+        return dl.ducc_projection(H, exp_anti_hermitian(sigma, cols))
+    R, L = exp_anti_hermitian(sigma, cols, sigma_dot)
+    return dl.ducc_projection(H, R, R.conj().T @ L)

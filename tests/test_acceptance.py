@@ -138,8 +138,7 @@ def test_criterion_5_td_consistency(dimer_basis, dimer_ref, dimer_part):
     psi0 = np.linalg.eigh(dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
 
     def max_dev(dt, nsteps):
-        study = dl.downfolded_quench(H, psi0, dt, nsteps, dimer_ref, dimer_part,
-                                     fd_order=4)
+        study = dl.downfolded_quench(H, psi0, dt, nsteps, dimer_ref, dimer_part)
         return study.rk4_deviation.max()
 
     dev = max_dev(0.01, 500)

@@ -155,6 +155,36 @@ def test_bad_task_parameter_is_config_error(tmp_path, capsys, command, task):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides,message", [
+    ({"sytem_typo": 1, "tasks": [{"name": "propagate", "n_steps": 3, "dtt": 0.5}]},
+     "config: unknown key(s) 'sytem_typo'"),
+    ({"tasks": [{"name": "propagate", "n_steps": 3, "dtt": 0.5}]},
+     "task propagate: unknown key(s) 'n_steps', 'dtt'"),
+    ({"tasks": [{"name": "propagate", "nsteps": 4, "fd_order": 4}]},
+     "task propagate: unknown key(s) 'fd_order'"),
+    ({"tasks": [{"name": "sweep", "nsteps": 4}]}, "task sweep: unknown key(s) 'nsteps'"),
+    ({"tasks": [{"name": "verify-all", "propagte": {"nsteps": 4}}]},
+     "task verify-all: unknown key(s) 'propagte'"),
+    ({"tasks": [{"name": "verify-all", "propagate": {"n_steps": 4}}]},
+     "task propagate: unknown key(s) 'n_steps'"),
+], ids=["top-level", "task-entry", "stale-fd-order", "task-without-params",
+        "verify-all-entry", "verify-all-sub-task"])
+def test_unknown_key_is_config_error(tmp_path, capsys, command, overrides, message):
+    assert main([command, str(write_config(tmp_path, **overrides))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_underscore_keys_are_internal(tmp_path, capsys):
+    path = write_config(tmp_path, _comment="x",
+                        tasks=[{"name": "fci", "_why": 1},
+                               {"name": "verify-all", "_n": 2, "propagate": {"_x": 3}}])
+    assert main(["validate", str(path)]) == 0
+    assert "config ok" in capsys.readouterr().out
+
+
 def test_negative_seed_override_is_config_error(tmp_path, capsys):
     assert main(["run", str(write_config(tmp_path)), "--seed", "-3"]) == 2
     err = capsys.readouterr().err
@@ -367,7 +397,7 @@ class TestRun:
         # every field of the trajectory reads back to the study's value
         ctx = cli.build_context(cli.load_config(str(path)), str(tmp_path / "out"), seed=3)
         study = ducclab.downfolded_quench(ctx.H, cli._initial_state(ctx, "reference"),
-                                          0.02, 40, ctx.ref, ctx.part, fd_order=4)
+                                          0.02, 40, ctx.ref, ctx.part)
         lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "time,energy,norm,cas_weight,heff_eig_0,heff_eig_1"
         assert len(lines) == 1 + 41
@@ -533,19 +563,37 @@ def test_sweep_delta_independent_of_eigenvector_phase(tmp_path, monkeypatch, sys
     assert len({r["rotations"] for r in results}) == 1
 
 
+def test_generator_column_deviation_ties_the_generator_to_the_replay(tmp_path, monkeypatch):
+    # the sweep task checks e^{sigma_ext}[:, cas] against the replayed
+    # columns the downfolding reads: a replay that drops a rotation fails it
+    path = write_config(tmp_path, tasks=[{"name": "sweep"}, {"name": "downfold"}])
+    assert main(["run", str(path)]) == 0
+    sweep, downfold = read_report(tmp_path)["tasks"]
+    assert sweep["results"]["generator_column_deviation"] < 1e-13
+    assert downfold["results"]["ducc_delta_e"] < 1e-13
+    replay = cli.replay
+    monkeypatch.setattr(cli, "replay", lambda record, cols: replay(record[1:], cols))
+    assert main(["run", str(path)]) == 1
+    sweep, downfold = read_report(tmp_path)["tasks"]
+    assert sweep["error"].startswith("DuccLabError: sweep: generator_column_deviation = ")
+    assert downfold["error"].startswith("DuccLabError: downfold: ducc_delta_e = ")
+
+
 GROUND_PIPELINE = [{"name": n} for n in ("fci", "cluster", "sweep", "downfold", "imagtime")]
 
 
 class TestGroundStagesOncePerRun:
     def test_work_budget(self, tmp_path, monkeypatch):
         calls = {"expm": 0}
-        for name in ("decompose_state", "cluster_analyze", "downfold_ducc"):
+        for name in ("decompose_state", "cluster_analyze", "downfold_ducc",
+                     "ducc_projection"):
             count_calls(monkeypatch, cli, name, calls)
         count_calls(monkeypatch, scipy.linalg, "expm", calls)
         assert main(["run", str(write_config(tmp_path, tasks=GROUND_PIPELINE))]) == 0
-        # one DUCC Hamiltonian of the sweep, one of the lowest-order generator
+        # one DUCC Hamiltonian of the sweep's replayed columns, one of the
+        # lowest-order generator
         assert calls == {"decompose_state": 1, "cluster_analyze": 1,
-                         "downfold_ducc": 2, "expm": 0}
+                         "downfold_ducc": 1, "ducc_projection": 1, "expm": 0}
 
     def test_imagtime_independent_of_task_list(self, tmp_path):
         alone = write_config(tmp_path, tasks=[{"name": "imagtime"}])

@@ -8,6 +8,7 @@ import ducclab as dl
 from ducclab.errors import OperatorPropertyError
 from ducclab.operators import exp_anti_hermitian
 
+from conftest import td_projection
 from oracles import _dexp_certified, cas_ci, random_hermitian_hamiltonian
 
 
@@ -146,15 +147,16 @@ class TestDuccProjection:
         vel = -1j * _dexp_certified(sigma, sigma_dot, 12)[ix]
         zero_H = dl.QOperator(np.zeros((m6_basis.size,) * 2), m6_basis)
         rel = lambda a, b: np.linalg.norm(a - b) / np.linalg.norm(b)
-        assert rel(dl.ducc_projection(H, sigma, cas), hbar) < 1e-12
-        assert rel(dl.ducc_projection(zero_H, sigma, cas, sigma_dot), vel) < 1e-12
-        assert rel(dl.ducc_projection(H, sigma, cas, sigma_dot), hbar + vel) < 1e-12
+        assert rel(td_projection(H, sigma, cas), hbar) < 1e-12
+        assert rel(td_projection(zero_H, sigma, cas, sigma_dot), vel) < 1e-12
+        assert rel(td_projection(H, sigma, cas, sigma_dot), hbar + vel) < 1e-12
 
     def test_rejects_non_anti_hermitian_velocity(self, m6_basis, m6_ref, m6_part):
+        # a Hermitian velocity block makes R^+ H R - i A non-Hermitian
         cas = dl.determinant_table(m6_basis, m6_ref).cas(m6_part)
         eye = np.eye(m6_basis.size)
-        with pytest.raises(OperatorPropertyError, match="sigma_dot"):
-            dl.ducc_projection(dl.QOperator(eye, m6_basis), np.zeros_like(eye), cas, eye)
+        with pytest.raises(OperatorPropertyError, match="non-Hermitian"):
+            dl.ducc_projection(dl.QOperator(eye, m6_basis), eye[:, cas], np.eye(len(cas)))
 
 
 class TestExpDexp:

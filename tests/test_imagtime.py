@@ -4,6 +4,7 @@ import pytest
 import ducclab as dl
 from ducclab.errors import ConvergenceError, OperatorPropertyError
 
+from conftest import td_projection
 from oracles import _dexp_certified
 
 
@@ -131,7 +132,7 @@ class TestNonstationary:
         def provider(tau):
             s = sweep.sigma_ext + np.exp(-tau) * pert
             sd = -np.exp(-tau) * pert
-            return dl.EffectiveHamiltonian(dl.ducc_projection(dimer_H, s, cas, sd), cas,
+            return dl.EffectiveHamiltonian(td_projection(dimer_H, s, cas, sd), cas,
                                            dimer_basis, "ducc", hermitian=True)
 
         state = dl.initial_flow_state(np.array([1.0, 0.3]), provider(0.0))

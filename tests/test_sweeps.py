@@ -100,20 +100,16 @@ class TestRotationUnitary:
 @pytest.fixture
 def sweep_steps(monkeypatch):
     """The rotations of each sweep run of the decompositions in a test, in
-    order: for one decomposition, sweeps 1-2 (accumulated into omega12),
-    then sweep 3 (into omega3)."""
+    order: for one decomposition, sweeps 1-2 (the record of omega12), then
+    sweep 3 (that of omega3)."""
     runs = []
-    run_targets, apply_rotation = sweeps._run_targets, sweeps._apply_rotation
+    run_targets = sweeps._run_targets
 
     def run(*args):
-        runs.append([])
-        return run_targets(*args)
-
-    def apply(step, *args):
-        runs[-1].append(step)
-        return apply_rotation(step, *args)
+        record = run_targets(*args)
+        runs.append([step for step, _ in record])
+        return record
     monkeypatch.setattr(sweeps, "_run_targets", run)
-    monkeypatch.setattr(sweeps, "_apply_rotation", apply)
     return runs
 
 
@@ -432,6 +428,40 @@ class TestDecomposeState:
         occ_keyed = sorted(t2, key=lambda sd: (sd[0].occ[0], sd[0].rank, sd[0].occ,
                                                sd[0].virt))
         state = psi.astype(complex).copy()
-        omega = np.eye(dimer_basis.size, dtype=complex)
         with pytest.raises(OrderingViolationError):
-            _run_targets(state, omega, occ_keyed, table)
+            _run_targets(state, occ_keyed, table)
+
+
+class TestReplay:
+    """The rotation record of sweeps 1-2 replayed on columns: the columns of
+    e^{sigma_ext} = omega12^+, with no logarithm or series."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_columns_of_exp_sigma_ext(self, m8_basis, m8_ref, m8_part, real):
+        psi = random_state(m8_basis, np.random.default_rng(31), ref=m8_ref)
+        psi = psi.real if real else psi
+        res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
+        cas = dl.determinant_table(m8_basis, m8_ref).cas(m8_part)
+        cols = np.eye(m8_basis.size, dtype=psi.dtype)[:, cas]
+        R = sweeps.replay(res.record, cols.copy())
+        assert R.dtype == psi.dtype
+        assert np.abs(R - scipy.linalg.expm(res.sigma_ext)[:, cas]).max() < 1e-12
+        # replayed on psi_act, the record takes it back to psi
+        back = sweeps.replay(res.record, res.psi_act.copy())
+        assert np.abs(back - psi / np.linalg.norm(psi)).max() < 1e-14
+
+    def test_sweep_external_is_sweeps_one_and_two(self, m8_basis, m8_ref, m8_part):
+        psi = random_state(m8_basis, np.random.default_rng(32), ref=m8_ref)
+        res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
+        record, psi_act = sweeps.sweep_external(psi, m8_ref, m8_part, m8_basis)
+        assert [step for step, _ in record] == [step for step, _ in res.record]
+        assert np.array_equal(psi_act, res.psi_act)
+
+    def test_sweep_external_checks(self, m8_basis, m8_ref, m8_part):
+        from ducclab.errors import IntermediateNormalizationError
+        with pytest.raises(IntermediateNormalizationError, match="zero vector"):
+            sweeps.sweep_external(np.zeros(m8_basis.size), m8_ref, m8_part, m8_basis)
+        psi = np.zeros(m8_basis.size)
+        psi[m8_basis.size - 1] = 1.0
+        with pytest.raises(IntermediateNormalizationError, match="reference overlap"):
+            sweeps.sweep_external(psi, m8_ref, m8_part, m8_basis)
