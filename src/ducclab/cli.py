@@ -51,6 +51,8 @@ VERIFY_ALL_TASKS = ("fci", "cluster", "sweep", "downfold", "propagate", "imagtim
 TASK_NAMES = VERIFY_ALL_TASKS + ("verify-all",)
 INITIAL_STATES = ("reference", "ground", "noninteracting-ground")
 CONFIG_KEYS = ("system", "electrons", "partition", "tasks", "output_dir", "seed")
+SYSTEM_KEYS = {"hubbard": ("kind", "L", "t", "U"), "pairing": ("kind", "levels", "g", "spacing"),
+               "fcidump": ("kind", "path")}
 
 _positive = (lambda v: v > 0, "> 0")
 #: per task: parameter -> (type, default, (domain predicate, domain text));
@@ -278,8 +280,9 @@ def _build_system(cfg: dict):
         raise ConfigError("config needs system.kind")
     nelec = config_int(cfg.get("electrons"), "electrons", minimum=0)
     kind = sys_cfg["kind"]
-    if kind not in ("hubbard", "pairing", "fcidump"):
+    if not isinstance(kind, str) or kind not in SYSTEM_KEYS:
         raise ConfigError(f"unknown system kind {kind!r}")
+    _check_keys(sys_cfg, SYSTEM_KEYS[kind], "system")
     try:
         if kind == "fcidump":
             path = sys_cfg["path"]
@@ -309,6 +312,7 @@ def _build_partition(cfg: dict, M: int, N: int) -> SpinOrbitalPartition | None:
     if not isinstance(pcfg, dict):
         raise ConfigError("partition must be an object")
     if "auto_homo_lumo" in pcfg:
+        _check_keys(pcfg, ("auto_homo_lumo",), "partition")
         try:
             no, nv = (config_int(x, "auto_homo_lumo") for x in pcfg["auto_homo_lumo"])
         except (TypeError, ValueError) as exc:
@@ -318,6 +322,7 @@ def _build_partition(cfg: dict, M: int, N: int) -> SpinOrbitalPartition | None:
         except DuccLabError as exc:
             raise ConfigError(str(exc)) from exc
     keys = ("occ_inactive", "occ_active", "virt_active", "virt_inactive")
+    _check_keys(pcfg, (*keys, "allow_arbitrary"), "partition")
     if not all(k in pcfg for k in keys):
         raise ConfigError(f"explicit partition needs keys {keys}")
     allow_arbitrary = pcfg.get("allow_arbitrary", False)

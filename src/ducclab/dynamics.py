@@ -6,9 +6,10 @@ coefficients under the time-dependent Hermitian effective Hamiltonian
 (P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int),
 which needs only the CAS columns of e^{sigma_ext}, the sweep's rotation
 record replayed (:func:`ducclab.sweeps.replay`), and their velocity, a
-stencil over the time grid (:func:`downfolded_quench`).  The Lagrangian
-evaluators take the exponential and its derivative from one certified Taylor
-action on vectors (:func:`ducclab.operators.exp_anti_hermitian`).  hbar = 1.
+stencil over the time grid (:func:`downfolded_quench`), swept and replayed
+a batch of grid points at a time.  The Lagrangian evaluators take the
+exponential and its derivative from one certified Taylor action on vectors
+(:func:`ducclab.operators.exp_anti_hermitian`).  hbar = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
 from .downfold import ducc_projection, unit_columns
-from .errors import NormDriftError, OperatorPropertyError
+from .errors import DuccLabError, NormDriftError, OperatorPropertyError
 from .fock import DetClass, Determinant, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, exp_anti_hermitian
 from .sweeps import replay, sweep_external
@@ -136,25 +137,25 @@ class QuenchStudy:
 
 
 class _GridWindow:
-    """A read-only sequence of ``size`` arrays that computes them in grid
-    order, by ``compute(j)``, when first read and keeps only the five newest:
-    the stencil of :func:`sigma_dot_grid`, read left to right, needs no more."""
+    """A read-only sequence of ``size`` arrays computed in grid order when
+    first read, a batch at a time: ``compute(j)`` gives those of consecutive
+    points from ``j``.  Only the newest batch and the four points before it
+    are kept: the stencil of :func:`sigma_dot_grid`, read in order, needs no more."""
 
     def __init__(self, size: int, compute):
         self._size, self._compute = size, compute
-        self._alive: dict[int, np.ndarray] = {}
-        self._newest = -1
+        self._first, self._alive = 0, []   # the arrays of points _first, _first + 1, ...
 
     def __len__(self) -> int:
         return self._size
 
     def __getitem__(self, j: int) -> np.ndarray:
         j = range(self._size)[j]
-        while self._newest < j:
-            self._newest += 1
-            self._alive[self._newest] = self._compute(self._newest)
-            self._alive.pop(self._newest - 5, None)
-        return self._alive[j]
+        while j >= self._first + len(self._alive):
+            kept = self._alive[-4:]
+            self._first += len(self._alive) - len(kept)
+            self._alive = kept + self._compute(self._first + len(kept))
+        return self._alive[j - self._first]
 
 
 def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
@@ -168,25 +169,39 @@ def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
     R^+ H R - i A, ``A`` the anti-Hermitian part of ``R^+ dR/dt``.  The CAS
     coefficients of the first state are propagated under Heff
     (:func:`propagate_internal`); a state's residual is ``||R c_int - psi||``.
-    A state is swept when the stencil first reaches it and its block dropped
-    once no stencil can: at most five ``dim x ncas`` blocks are alive.
+    Batches of ``max(1, dim // ncas)`` consecutive states are swept and
+    replayed in one pass over the targets when the stencil first reaches
+    them: a batch's columns hold at most dim^2 entries, H's size (twice while
+    split into blocks), beside four older blocks.  A failing sweep names the
+    time of its first failing state.
     """
     states = propagate_full(H, psi0, dt / 2, 2 * nsteps)
+    dim = H.basis.size
     cas = determinant_table(H.basis, ref).cas(part)
-    npts = len(states)
-    c_int = np.empty((npts, len(cas)), dtype=complex)
+    npts, ncas = len(states), len(cas)
+    width = max(1, dim // ncas)
+    c_int = np.empty((npts, ncas), dtype=complex)
     residuals = np.empty(npts)
 
-    def columns(j: int) -> np.ndarray:
-        record, psi_act = sweep_external(states[j], ref, part, H.basis)
-        R = replay(record, unit_columns(H.basis.size, cas, complex))
-        c_int[j] = psi_act[cas]
-        residuals[j] = np.linalg.norm(R @ c_int[j] - states[j])
-        return R
+    def columns(first: int) -> list[np.ndarray]:
+        batch = states[first:first + width]
+        try:
+            record, psi_act = sweep_external(batch.T, ref, part, H.basis)
+        except DuccLabError as exc:
+            if getattr(exc, "state", None) is None:
+                raise
+            j = first + exc.state
+            raise type(exc)(f"grid time t_{j} = {j * dt / 2:.6g}: {exc}") from exc
+        units = unit_columns(dim, cas, complex)[..., None]
+        cols = replay(record, np.repeat(units, len(batch), axis=2))
+        c_int[first:first + len(batch)] = psi_act[cas].T
+        # one Fortran-ordered block per point, as a single state's replay gives
+        return [np.asfortranarray(cols[..., b]) for b in range(len(batch))]
 
     R = _GridWindow(npts, columns)
-    heffs = np.empty((npts, len(cas), len(cas)), dtype=complex)
+    heffs = np.empty((npts, ncas, ncas), dtype=complex)
     for j, dot in enumerate(sigma_dot_grid(R, dt / 2)):
+        residuals[j] = np.linalg.norm(R[j] @ c_int[j] - states[j])
         A = R[j].conj().T @ dot
         # differencing noise breaks anti-hermiticity
         heffs[j] = ducc_projection(H, R[j], 0.5 * (A - A.conj().T))

@@ -32,6 +32,11 @@ and internal generators of ``psi = e^{sigma_ext} e^{sigma_int} |ref>``.
 A sweep returns its rotation record, not a dense unitary: :func:`replay`
 applies the recorded product's adjoint to any columns, such as the CAS
 columns of e^{sigma_ext} a downfolded Hamiltonian needs, with no logarithm.
+
+Sweeps 1-2 and :func:`replay` also take a ``(dim, B)`` stack of states and
+``(dim, ncas, B)`` columns: the targets are the same for every state, so the
+stack takes each rotation at once, column b by its own angle and phase.
+Every check holds per state; a failing stack names its first failing column.
 """
 
 from __future__ import annotations
@@ -59,12 +64,13 @@ SUPPORT_TOL = 1e-10
 @dataclass(frozen=True)
 class RotationStep:
     """One elementary rotation: generator
-    ``angle * (e^{i phase} E_{occ}^{virt} - e^{-i phase} E^{occ}_{virt})``."""
+    ``angle * (e^{i phase} E_{occ}^{virt} - e^{-i phase} E^{occ}_{virt})``;
+    for a stack of states ``angle`` and ``phase`` are ``(B,)`` arrays."""
 
     occ: tuple[int, ...]
     virt: tuple[int, ...]
-    angle: float
-    phase: float
+    angle: float | np.ndarray
+    phase: float | np.ndarray
 
     @property
     def signature(self) -> ExcitationSignature:
@@ -72,31 +78,31 @@ class RotationStep:
 
 
 def _apply_rotation(step: RotationStep, pairs, arr, inverse: bool = False):
-    """Left-multiply a vector or matrix in place by the rotation unitary, or
-    with ``inverse`` by its adjoint (the same rotation by ``-angle``).
+    """Left-multiply an array in place by the rotation unitary, or with
+    ``inverse`` by its adjoint (the same rotation by ``-angle``).
 
     On each coupled pair (low, high) with phase ph the unitary acts as
         low'  =  cos(t)        * low - e^{-i phi} ph sin(t) * high
         high' =  e^{i phi} ph sin(t) * low + cos(t)         * high
-    and as the identity elsewhere.  A real array takes a phase of 0 or pi,
-    as :func:`rotation_for_target` gives for a real state, and e^{i phi} is
-    then an exact +-1 (``np.exp(1j * np.pi)`` has an imaginary part of
-    1.2e-16), so it stays real.
+    and as the identity elsewhere.  A batched step acts on the trailing
+    axis of ``arr``, entry b on ``arr[..., b]``.  A real array takes phases
+    of 0 or pi, as :func:`rotation_for_target` gives for a real state, and
+    e^{i phi} is then an exact +-1 (``np.exp(1j * np.pi)`` has an imaginary
+    part of 1.2e-16), so it stays real.
     """
     lows, highs, phases = pairs
-    if lows.size == 0 or step.angle == 0.0:
+    if lows.size == 0 or not np.count_nonzero(step.angle):
         return
     c = np.cos(step.angle)
     s = -np.sin(step.angle) if inverse else np.sin(step.angle)
     if np.iscomplexobj(arr):
         eip = np.exp(1j * step.phase)
-    elif step.phase in (0.0, np.pi):
-        eip = 1.0 if step.phase == 0.0 else -1.0
-    else:
+    elif np.count_nonzero((step.phase != 0.0) & (step.phase != np.pi)):
         raise ValueError(f"a real rotation needs phase 0 or pi, got {step.phase!r}")
-    lo = arr[lows]
-    hi = arr[highs]
-    ph = phases if lo.ndim == 1 else phases[:, None]
+    else:
+        eip = 1.0 - 2.0 * (step.phase == np.pi)
+    lo, hi = arr[lows], arr[highs]
+    ph = phases.reshape(phases.shape + (1,) * (lo.ndim - 1))
     arr[lows] = c * lo - np.conj(eip) * ph * s * hi
     arr[highs] = eip * ph * s * lo + c * hi
 
@@ -104,27 +110,38 @@ def _apply_rotation(step: RotationStep, pairs, arr, inverse: bool = False):
 def rotation_for_target(state: np.ndarray, j: int,
                         table: DeterminantTable) -> RotationStep:
     """Angle and phase that zero the coefficient of row ``j`` of ``table``
-    against the reference.
+    against the reference, for one state or each column of a stack.
 
     With c = <det_j|state>, c' = <ref|state> and ph the fermionic sign of
     the generator matrix element, the rotated target coefficient is
     ``e^{i phi} ph sin(t) c' + cos(t) c``; it vanishes for
-    ``e^{i phi} tan(t) = -c / (ph c')``.  A real state is divided in real
-    arithmetic, so its phase is exactly 0 or pi: complex division can leave
-    a -0.0 imaginary part, where ``np.angle`` returns -pi.
+    ``e^{i phi} tan(t) = -c / (ph c')``, a zero c taking the identity.  A
+    real state is divided in real arithmetic, so its phase is exactly 0 or
+    pi: complex division can leave a -0.0 imaginary part, where ``np.angle``
+    returns -pi.  A state takes the same array arithmetic alone as stacked.
     """
     sig = table.signatures[j]
-    ph = float(table.phases[j])
-    scalar = complex if np.iscomplexobj(state) else float
-    c_t = scalar(state[j])
-    c_p = scalar(state[table.ref_index])
-    if abs(c_t) <= ZERO_TOL:
-        return RotationStep(sig.occ, sig.virt, 0.0, 0.0)
-    if abs(c_p) <= ZERO_TOL:
-        # partner empty: a quarter turn moves |c_t| onto the partner
-        return RotationStep(sig.occ, sig.virt, np.pi / 2, float(np.angle(-ph * c_t)))
-    z = -c_t / (ph * c_p)
-    return RotationStep(sig.occ, sig.virt, float(np.arctan(abs(z))), float(np.angle(z)))
+    ph = table.phases[j]
+    c_t, c_p = state[[j, table.ref_index]].reshape(2, -1)
+    # partner empty: a quarter turn moves |c_t| onto it, at the phase of -ph c_t
+    quarter = np.abs(c_p) <= ZERO_TOL
+    z = -c_t / (ph * np.where(quarter, 1.0, c_p))
+    live = np.abs(c_t) > ZERO_TOL
+    angle = np.where(live, np.where(quarter, np.pi / 2, np.arctan(np.abs(z))), 0.0)
+    phase = np.where(live, np.angle(z), 0.0)
+    if state.ndim == 1:
+        return RotationStep(sig.occ, sig.virt, float(angle[0]), float(phase[0]))
+    return RotationStep(sig.occ, sig.virt, angle, phase)
+
+
+def _refuse(bad, error, message):
+    """Raise ``error(message(b))`` for the first state b where ``bad`` holds:
+    ``b = ()`` for one state, else a stack column, also kept as ``error.state``."""
+    if np.count_nonzero(bad):
+        b = np.unravel_index(np.argmax(bad), np.shape(bad))
+        exc = error(message(b) + (f" (stack column {b[0]})" if b else ""))
+        exc.state = int(b[0]) if b else None
+        raise exc
 
 
 def _check_sweep_ordering(part: SpinOrbitalPartition):
@@ -169,59 +186,63 @@ def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
 
 
 def _run_targets(state, targets, table) -> list:
-    """Eliminate targets in order, rotating ``state`` in place; returns the
-    rotation record, each applied rotation with its coupled pairs.  Every
+    """Eliminate targets in order, rotating ``state`` (one state or a stack)
+    in place; returns the rotation record, each applied rotation with its
+    coupled pairs.  A target that is zero in every state is skipped.  Every
     eliminated row must stay dead: a rotation can re-grow only the rows it
-    touches, so only the dead rows among those are checked."""
+    touches, so only the dead rows among those are checked, per state."""
     record = []
     dead = np.zeros(len(state), dtype=bool)
     for sig, j in targets:
         step = rotation_for_target(state, j, table)
         dead[j] = True
-        if step.angle == 0.0:
+        if not np.count_nonzero(step.angle):
             continue
         pairs = excitation_pairs(sig, table.basis)
         _apply_rotation(step, pairs, state)
         record.append((step, pairs))
         touched = np.concatenate(pairs[:2])
-        worst = float(np.abs(state[touched[dead[touched]]]).max(initial=0.0))
-        if worst > REGROWTH_TOL:
-            raise OrderingViolationError(
-                f"eliminated coefficient re-grew to {worst:.3e} "
-                f"while processing target {sig}")
+        worst = np.abs(state[touched[dead[touched]]]).max(axis=0, initial=0.0)
+        _refuse(worst > REGROWTH_TOL, OrderingViolationError, lambda b: (
+            f"eliminated coefficient re-grew to {worst[b]:.3e} "
+            f"while processing target {sig}"))
     return record
 
 
 def replay(record: list, cols: np.ndarray) -> np.ndarray:
     """``omega^+ @ cols`` in place for the product omega of the recorded
     rotations (``e^{sigma_ext} @ cols`` for the record of sweeps 1-2): the
-    inverse rotations in reverse order.  Returns ``cols``."""
+    inverse rotations in reverse order.  A stack's record acts on columns
+    with the stack's trailing axis, ``(dim, ncas, B)``.  Returns ``cols``."""
     for step, pairs in reversed(record):
         _apply_rotation(step, pairs, cols, inverse=True)
     return cols
 
 
 def _sweep_external(psi, table: DeterminantTable, part: SpinOrbitalPartition, targets):
-    """Normalised ``psi``, record of sweeps 1-2 over ``targets`` and ``psi_act``."""
+    """Normalised ``psi``, record of sweeps 1-2 over ``targets`` and ``psi_act``
+    for one state or a ``(dim, B)`` stack, every check per state."""
     psi = np.asarray(psi)
-    nrm = float(np.linalg.norm(psi))
-    if nrm == 0.0:
-        raise IntermediateNormalizationError("cannot decompose the zero vector")
+    # each norm from a contiguous copy of its state: the same alone or stacked
+    rows = np.ascontiguousarray(psi.T).reshape(-1, len(psi))
+    nrm = np.array([np.linalg.norm(row) for row in rows]).reshape(psi.shape[1:])
+    _refuse(nrm == 0.0, IntermediateNormalizationError,
+            lambda b: "cannot decompose the zero vector")
     psi_n = np.asarray(psi, dtype=np.result_type(psi, np.float64)) / nrm
-    if abs(psi_n[table.ref_index]) < 1e-14:
-        raise IntermediateNormalizationError("state has (numerically) zero reference overlap")
-    psi_act = psi_n.copy()
+    _refuse(np.abs(psi_n[table.ref_index]) < 1e-14, IntermediateNormalizationError,
+            lambda b: "state has (numerically) zero reference overlap")
+    psi_act = np.array(psi_n, order="C")
     record = _run_targets(psi_act, targets[0] + targets[1], table)
-    ext_norm = float(np.linalg.norm(psi_act[table.classes(part) == DetClass.EXTERNAL]))
-    if ext_norm > SUPPORT_TOL:
-        raise CasSupportError(
-            f"state has external support {ext_norm:.3e} (tol {SUPPORT_TOL:.0e})")
+    ext_norm = np.linalg.norm(psi_act[table.classes(part) == DetClass.EXTERNAL], axis=0)
+    _refuse(ext_norm > SUPPORT_TOL, CasSupportError, lambda b: (
+        f"state has external support {ext_norm[b]:.3e} (tol {SUPPORT_TOL:.0e})"))
     return psi_n, record, psi_act
 
 
 def sweep_external(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition,
                    basis: FockBasis) -> tuple[list, np.ndarray]:
-    """Sweeps 1-2 of :func:`decompose_state` on the vector alone: their
+    """Sweeps 1-2 of :func:`decompose_state` on the vector alone, or on each
+    column of a ``(dim, B)`` stack in one pass over the targets: their
     rotation record, which :func:`replay` turns into columns of
     e^{sigma_ext}, and ``psi_act``; raises as :func:`decompose_state`."""
     table = determinant_table(basis, ref)

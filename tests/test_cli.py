@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import ducclab
-from ducclab import cli, ecc
+from ducclab import cli, dynamics, ecc
 from ducclab.cli import main
 from ducclab.errors import CasSupportError
 
@@ -168,8 +168,20 @@ def test_bad_task_parameter_is_config_error(tmp_path, capsys, command, task):
      "task verify-all: unknown key(s) 'propagte'"),
     ({"tasks": [{"name": "verify-all", "propagate": {"n_steps": 4}}]},
      "task propagate: unknown key(s) 'n_steps'"),
+    ({"system": {"kind": "pairing", "levels": 2, "g": 0.4, "spacng": 0.5}},
+     "system: unknown key(s) 'spacng'"),
+    ({"system": {"kind": "fcidump", "path": "FCIDUMP", "U": 4.0}},
+     "system: unknown key(s) 'U'"),
+    ({"partition": {"auto_homo_lumo": [1, 1], "allow_arbitary": True}},
+     "partition: unknown key(s) 'allow_arbitary'"),
+    ({"partition": {"occ_inactive": [], "occ_active": [0], "virt_active": [2],
+                    "virt_inactive": [3], "allow_arbitary": True}},
+     "partition: unknown key(s) 'allow_arbitary'"),
+    ({"partition": {"auto_homo_lumo": [1, 1], "allow_arbitrary": True}},
+     "partition: unknown key(s) 'allow_arbitrary'"),
 ], ids=["top-level", "task-entry", "stale-fd-order", "task-without-params",
-        "verify-all-entry", "verify-all-sub-task"])
+        "verify-all-entry", "verify-all-sub-task", "system-key", "system-key-of-other-kind",
+        "partition-key", "explicit-partition-key", "auto-partition-with-explicit-key"])
 def test_unknown_key_is_config_error(tmp_path, capsys, command, overrides, message):
     assert main([command, str(write_config(tmp_path, **overrides))]) == 2
     err = capsys.readouterr().err
@@ -179,6 +191,8 @@ def test_unknown_key_is_config_error(tmp_path, capsys, command, overrides, messa
 
 def test_underscore_keys_are_internal(tmp_path, capsys):
     path = write_config(tmp_path, _comment="x",
+                        system={"kind": "hubbard", "L": 2, "t": 1.0, "U": 4.0, "_src": "x"},
+                        partition={"auto_homo_lumo": [1, 1], "_note": 1},
                         tasks=[{"name": "fci", "_why": 1},
                                {"name": "verify-all", "_n": 2, "propagate": {"_x": 3}}])
     assert main(["validate", str(path)]) == 0
@@ -577,6 +591,24 @@ def test_generator_column_deviation_ties_the_generator_to_the_replay(tmp_path, m
     sweep, downfold = read_report(tmp_path)["tasks"]
     assert sweep["error"].startswith("DuccLabError: sweep: generator_column_deviation = ")
     assert downfold["error"].startswith("DuccLabError: downfold: ducc_delta_e = ")
+
+
+def test_quench_failure_names_its_grid_time(tmp_path, monkeypatch):
+    # half-grid states 4 and 5 share the sweep batch of points 3-5 (width
+    # 6 // 2 on the dimer); without their reference component the batch
+    # fails, and the report names the first of them by its time
+    propagate_full = dynamics.propagate_full
+
+    def without_reference(H, psi0, dt, nsteps):
+        states = propagate_full(H, psi0, dt, nsteps)
+        states[[4, 5], np.argmax(np.abs(psi0))] = 0.0
+        return states
+    monkeypatch.setattr(dynamics, "propagate_full", without_reference)
+    path = write_config(tmp_path, tasks=[{"name": "propagate", "dt": 0.02, "nsteps": 5}])
+    assert main(["run", str(path)]) == 1
+    error = read_report(tmp_path)["tasks"][0]["error"]
+    assert error.startswith("IntermediateNormalizationError: grid time t_4 = 0.04: ")
+    assert "zero reference overlap" in error
 
 
 GROUND_PIPELINE = [{"name": n} for n in ("fci", "cluster", "sweep", "downfold", "imagtime")]

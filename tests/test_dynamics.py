@@ -15,6 +15,13 @@ from oracles import (anti_hermiticity_defect, build_projectors, cas_ci, dexp_ser
                      dexp_tail_ratio, random_hermitian_hamiltonian)
 
 
+def quench_batches(H, study) -> int:
+    """Number of batches :func:`ducclab.downfolded_quench` sweeps the grid
+    in: ``dim // ncas`` consecutive points each."""
+    width = max(1, H.basis.size // len(study.cas))
+    return -(-len(study.states) // width)
+
+
 def anti_hermitian_path(basis, ref, rng, norm=0.35):
     """Quadratic-in-time anti-Hermitian path X(t) and its derivative, with
     each coefficient operator scaled to a given spectral norm."""
@@ -233,8 +240,9 @@ class TestDecomposeTrajectoryWorkBudget:
         study = dl.downfolded_quench(H, H.basis.unit_vector(H.basis.index_of(ref)), 0.02, 3,
                                      ref, part)
         assert schur_calls == {"schur": 0}
+        # one target computation per trajectory, one lookup per batch
         assert sweep_targets.cache_info().misses == 1
-        assert sweep_targets.cache_info().hits == len(study.states) - 1
+        assert sweep_targets.cache_info().hits == quench_batches(H, study) - 1
         assert study.residuals.max() < 1e-12
 
 
@@ -281,6 +289,71 @@ class TestQuenchFromReplayedColumns:
         d1, d2 = max_difference(0.01, 10), max_difference(0.005, 20)
         assert d1 < 1e-7
         assert d1 / d2 > 10.0
+
+
+class TestQuenchBatches:
+    """:func:`downfolded_quench` sweeps and replays its grid states in
+    batches of ``dim // ncas`` consecutive points, one pass over the targets
+    per batch, with the numbers of one sweep and replay per state."""
+
+    @pytest.mark.parametrize("system,batches", [("hubbard-l4", 4), ("dimer", 14)])
+    def test_equals_a_per_state_loop(self, monkeypatch, system, batches):
+        if system == "dimer":
+            basis = dl.build_basis(4, 2)
+            part = dl.homo_lumo_partition(4, 2, 1, 1)
+            H = dl.build_hubbard(2, 1.0, 4.0, basis)
+            psi0 = np.linalg.eigh(dl.build_hubbard(2, 1.0, 0.0, basis).matrix)[1][:, 0]
+        else:
+            basis = dl.build_basis(8, 4)
+            part = dl.homo_lumo_partition(8, 4, 2, 2)
+            H = dl.build_hubbard(4, 1.0, 4.0, basis)
+            psi0 = basis.unit_vector(basis.index_of(part.reference()))
+        ref, dt = part.reference(), 0.02
+        blocks = []
+        projection = dynamics.ducc_projection
+
+        def recorded(H, R, A=None):
+            blocks.append(R.copy())
+            return projection(H, R, A)
+        monkeypatch.setattr(dynamics, "ducc_projection", recorded)
+        study = dl.downfolded_quench(H, psi0, dt, 20, ref, part)
+        assert quench_batches(H, study) == batches
+
+        cols = downfold.unit_columns(basis.size, study.cas, complex)
+        Rs, c_int, residuals = [], [], []
+        for psi in study.states:
+            record, psi_act = sweeps_module.sweep_external(psi, ref, part, basis)
+            Rs.append(sweeps_module.replay(record, cols.copy()))
+            c_int.append(psi_act[study.cas])
+            residuals.append(np.linalg.norm(Rs[-1] @ c_int[-1] - psi))
+        heffs = []
+        for R, dot in zip(Rs, dl.sigma_dot_grid(Rs, dt / 2), strict=True):
+            A = R.conj().T @ dot
+            heffs.append(projection(H, R, 0.5 * (A - A.conj().T)))
+        assert np.abs(np.array(blocks) - np.array(Rs)).max() < 1e-14
+        assert np.abs(study.c_int - np.array(c_int)).max() < 1e-14
+        assert np.abs(study.residuals - np.array(residuals)).max() < 1e-14
+        assert np.abs(study.heffs - np.array(heffs)).max() < 1e-14
+
+    def test_rotation_kernel_runs_once_per_batch(self, monkeypatch):
+        # one rotation per target and batch, for the sweep and the replay
+        # alike, not one per target and state
+        calls = {}
+        count_calls(monkeypatch, sweeps_module, "rotation_for_target", calls)
+        count_calls(monkeypatch, sweeps_module, "_apply_rotation", calls,
+                    key=lambda *args, inverse=False: "replay" if inverse else "sweep")
+        basis = dl.build_basis(6, 3)
+        part = dl.homo_lumo_partition(6, 3, 1, 1)
+        ref = part.reference()
+        H = dl.build_hubbard(3, 1.0, 4.0, basis)
+        study = dl.downfolded_quench(H, basis.unit_vector(basis.index_of(ref)), 0.02, 3,
+                                     ref, part)
+        t1, t2, _ = sweep_targets(dl.determinant_table(basis, ref), part)
+        budget = quench_batches(H, study) * len(t1 + t2)
+        assert len(study.states) > quench_batches(H, study)
+        assert calls["rotation_for_target"] <= budget
+        assert 0 < calls["sweep"] <= budget
+        assert 0 < calls["replay"] <= budget
 
 
 class TestPropagateInternal:

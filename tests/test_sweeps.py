@@ -465,3 +465,59 @@ class TestReplay:
         psi[m8_basis.size - 1] = 1.0
         with pytest.raises(IntermediateNormalizationError, match="reference overlap"):
             sweeps.sweep_external(psi, m8_ref, m8_part, m8_basis)
+
+
+class TestStack:
+    """Sweeps 1-2 and the replay on a ``(dim, B)`` stack of states: one pass
+    over the targets for the stack, state b taking its own rotations."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_equals_one_call_per_state(self, m8_basis, m8_ref, m8_part, real):
+        rng = np.random.default_rng(33)
+        stack = np.stack([random_state(m8_basis, rng, ref=m8_ref) for _ in range(4)], axis=1)
+        # a CAS-supported state among them: no rotations of its own
+        cas = dl.determinant_table(m8_basis, m8_ref).cas(m8_part)
+        stack[np.setdiff1d(np.arange(m8_basis.size), cas), 2] = 0.0
+        stack = stack.real if real else stack
+        record, psi_act = sweeps.sweep_external(stack, m8_ref, m8_part, m8_basis)
+        assert psi_act.dtype == stack.dtype
+        cols = np.repeat(np.eye(m8_basis.size, dtype=stack.dtype)[:, cas, None], 4, axis=2)
+        R = sweeps.replay(record, cols)
+        assert R.dtype == stack.dtype
+        for b, psi in enumerate(stack.T):
+            single, act = sweeps.sweep_external(psi, m8_ref, m8_part, m8_basis)
+            steps = {step.signature: step for step, _ in single}
+            for step, _ in record:
+                alone = steps.pop(step.signature, None)
+                assert step.angle[b] == (0.0 if alone is None else alone.angle)
+                assert step.phase[b] == (0.0 if alone is None else alone.phase)
+            assert steps == {}
+            assert np.array_equal(psi_act[:, b], act)
+            alone = sweeps.replay(single, np.eye(m8_basis.size, dtype=psi.dtype)[:, cas])
+            assert np.abs(R[..., b] - alone).max() < 1e-15
+        if real:
+            for step, _ in record:
+                assert np.all((step.phase == 0.0) | (step.phase == np.pi))
+
+    def test_zero_overlap_state_fails_its_stack(self, m8_basis, m8_ref, m8_part):
+        from ducclab.errors import IntermediateNormalizationError
+        rng = np.random.default_rng(34)
+        stack = np.stack([random_state(m8_basis, rng, ref=m8_ref) for _ in range(3)], axis=1)
+        stack[m8_basis.index_of(m8_ref), 1] = 0.0
+        with pytest.raises(IntermediateNormalizationError,
+                           match="zero reference overlap .stack column 1.") as info:
+            sweeps.sweep_external(stack, m8_ref, m8_part, m8_basis)
+        assert info.value.state == 1
+
+    def test_occupied_keyed_order_fails_a_stack(self, dimer_basis, dimer_ref):
+        # the order of test_occupied_keyed_second_sweep_regrows on a stack
+        part = dl.SpinOrbitalPartition((), (0, 1), (2,), (3,))
+        table = dl.determinant_table(dimer_basis, dimer_ref)
+        _, t2, _ = sweep_targets(table, part)
+        occ_keyed = sorted(t2, key=lambda sd: (sd[0].occ[0], sd[0].rank, sd[0].occ,
+                                               sd[0].virt))
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_state(dimer_basis, rng, ref=dimer_ref) for _ in range(3)],
+                         axis=1)
+        with pytest.raises(OrderingViolationError, match="stack column"):
+            sweeps._run_targets(stack, occ_keyed, table)
