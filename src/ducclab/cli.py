@@ -143,16 +143,11 @@ class RunContext:
         """FCI spectrum and ground vector, its nonzero <ref|psi0> turned
         real and positive.
 
-        Every system the CLI builds is real, so this is one real ``eigh``
-        (an ``OperatorPropertyError`` names a nonzero ``max |Im H|``); the
-        ground vector is then real too, and the phase fix an exact sign.
+        One ``eigh`` in the dtype of H: every system the CLI builds is real,
+        so its ground vector is real too, and the phase fix an exact sign.
         """
         def compute():
-            H = self.H.matrix
-            if H.imag.any():
-                raise OperatorPropertyError(
-                    f"FCI needs a real Hamiltonian: max |Im H| = {np.abs(H.imag).max():.3e}")
-            vals, vecs = np.linalg.eigh(H.real)
+            vals, vecs = np.linalg.eigh(self.H.matrix)
             psi0 = vecs[:, 0].copy()
             c0 = psi0[self.basis.index_of(self.ref)]
             if c0 != 0:
@@ -432,7 +427,7 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     c0 = psi[ctx.basis.index_of(ctx.ref)]
     roundtrip = float(np.linalg.norm(recon - psi / c0))
     # e^{-T} H e^{T} |ref>, never forming the similarity-transformed matrix
-    hbar_ref = exp_nilpotent(-tmat, ctx.H.matrix @ recon, ctx.basis)
+    hbar_ref = exp_nilpotent(-tmat, ctx.H @ recon, ctx.basis)
     energy = complex(e_ref.conj() @ hbar_ref)
     residual = float(np.linalg.norm(hbar_ref - energy * e_ref))
     results = {

@@ -60,7 +60,7 @@ def ducc_projection(H: QOperator, R: np.ndarray,
     d/dt e^{sigma}, from the CAS columns ``R`` of e^{sigma} and, optionally,
     the anti-Hermitian CAS block ``A = R^+ dR/dt``; refused unless Hermitian
     within round-off."""
-    sub = R.conj().T @ H.matrix @ R
+    sub = R.conj().T @ (H @ R)
     if A is not None:
         sub = sub - 1j * A
     defect = float(np.linalg.norm(sub - sub.conj().T))
@@ -86,7 +86,7 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
     # e^{T}[:, cas] and e^{-T}[cas, :] = (e^{-T^T}[:, cas])^T: CAS columns only
     right = exp_nilpotent(T, cols, H.basis)
     left = exp_nilpotent(-T.T, cols, H.basis).T
-    sub = left @ (H.matrix @ right)
+    sub = left @ (H @ right)
     return EffectiveHamiltonian(sub, cas, H.basis, "sescc", hermitian=False)
 
 

@@ -23,7 +23,7 @@ from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nil
 from .downfold import ducc_projection, unit_columns
 from .errors import DuccLabError, NormDriftError, OperatorPropertyError
 from .fock import DetClass, Determinant, SpinOrbitalPartition, determinant_table
-from .operators import QOperator, exp_anti_hermitian
+from .operators import QOperator, _matmul, exp_anti_hermitian
 from .sweeps import replay, sweep_external
 
 #: Largest per-step norm drift of the RK4 integrator: the generator is
@@ -35,10 +35,10 @@ def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
                    nsteps: int) -> np.ndarray:
     """Exact full-space evolution: row k is exp(-i H t_k) psi0, t_k = k dt.
 
-    H must be Hermitian and time-independent: one ``eigh`` H = V diag(w) V^+
-    gives every state as V e^{-i w t_k} V^+ psi0, with no error that grows
-    step by step (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), row by row into
-    the one array returned.  The initial state is normalized.
+    H must be Hermitian and time-independent: one ``eigh`` H = V diag(w) V^+,
+    real for a real H, gives every state as V e^{-i w t_k} V^+ psi0, with no
+    error that grows step by step (Moler & Van Loan, SIAM Rev. 45, 3 (2003)),
+    row by row into the one array returned.  The initial state is normalized.
     """
     if not H.hermiticity_defect() <= 1e-10:
         raise OperatorPropertyError(
@@ -47,10 +47,10 @@ def propagate_full(H: QOperator, psi0: np.ndarray, dt: float,
         raise ValueError("need dt > 0 and nsteps >= 0")
     psi = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
     w, V = np.linalg.eigh(H.matrix)
-    coeffs = V.conj().T @ psi
+    coeffs = _matmul(V.conj().T, psi)
     states = np.empty((nsteps + 1, len(psi)), dtype=complex)
     for k, t in enumerate(dt * np.arange(nsteps + 1)):
-        np.matmul(V, np.exp(-1j * (t * w)) * coeffs, out=states[k])
+        states[k] = _matmul(V, np.exp(-1j * (t * w)) * coeffs)
     return states
 
 
@@ -207,7 +207,7 @@ def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
         heffs[j] = ducc_projection(H, R[j], 0.5 * (A - A.conj().T))
     return QuenchStudy(
         dt=dt, cas=cas, states=states,
-        energies=np.array([(s.conj() @ (H.matrix @ s)).real for s in states]),
+        energies=np.array([(s.conj() @ (H @ s)).real for s in states]),
         norms=np.array([np.linalg.norm(s) for s in states]),
         c_int=c_int, residuals=residuals, heffs=heffs,
         c_rk4=propagate_internal(heffs, c_int[0], dt, nsteps))
@@ -245,13 +245,13 @@ def evaluate_lagrangians(H: QOperator, sigma_int: np.ndarray, sigma_ext: np.ndar
 
     # raw: d/dt (e^{s_ext} e^{s_int}) = L_ext e^{s_int} + e^{s_ext} L_int
     ddt_full = L[:, 0] + U[:, 1]
-    l_a = ket.conj() @ (1j * ddt_full - H.matrix @ ket)
+    l_a = ket.conj() @ (1j * ddt_full - H @ ket)
 
     # transformed: (hbar - i A_ext) e^{s_int}|phi> with hbar = e^{-s_ext} H e^{s_ext}
-    l_b = 1j * (ket_i.conj() @ ddt_int) - ket.conj() @ (H.matrix @ ket - 1j * L[:, 0])
+    l_b = 1j * (ket_i.conj() @ ddt_int) - ket.conj() @ (H @ ket - 1j * L[:, 0])
 
     # effective: (P + Q_int) (hbar - i A_ext) (P + Q_int) on the same ket
-    l_c = 1j * (ket_i.conj() @ ddt_int) - ket_pq.conj() @ (H.matrix @ ket_pq - 1j * L[:, 2])
+    l_c = 1j * (ket_i.conj() @ ddt_int) - ket_pq.conj() @ (H @ ket_pq - 1j * L[:, 2])
     return complex(l_a), complex(l_b), complex(l_c)
 
 
@@ -280,9 +280,9 @@ def evaluate_sescc_lagrangian(H: QOperator, t_int: Amplitudes, t_ext: Amplitudes
 
     ket = eTe @ (eTi @ phi)
     bra1 = phi.conj() @ (eye + Li + Le)
-    form1 = bra1 @ (eTim @ (eTem @ (1j * ((dTe + dTi) @ ket) - H.matrix @ ket)))
+    form1 = bra1 @ (eTim @ (eTem @ (1j * ((dTe + dTi) @ ket) - H @ ket)))
 
-    hbar = eTem @ H.matrix @ eTe
+    hbar = eTem @ (H @ eTe)
     ket_i = eTi @ phi
     inner = 1j * (dTi @ ket_i) - hbar @ ket_i
     term1 = (phi.conj() @ (eye + Li)) @ (eTim @ inner)

@@ -124,9 +124,9 @@ def eval_lh_forms(m: EccMatrices, H: QOperator,
     u = m.exp(m.Ti, phi)
     bra_xi = m.exp(m.Xi.T, phi)
     bra_all = m.exp(-m.Te.T, m.exp(-m.Ti.T, m.exp(m.Xe.T, bra_xi)))
-    w1 = bra_all @ (H.matrix @ m.exp(m.Te, u))
+    w1 = bra_all @ (H @ m.exp(m.Te, u))
 
-    h_ecc_u = m.exp_x_int_ext(+1, m.exp(-m.Te, H.matrix @ m.exp(
+    h_ecc_u = m.exp_x_int_ext(+1, m.exp(-m.Te, H @ m.exp(
         m.Te, m.exp_x_int_ext(-1, u))))
     w2 = m.exp(-m.Ti.T, bra_xi) @ h_ecc_u
     return complex(w1), complex(w2)

@@ -2,9 +2,8 @@
 
 Shifted steepest-descent evolution of active-space coefficients,
 c(tau+dtau) = N exp(-dtau (Heff - S)) c(tau) with the shift S recomputed
-each step as the instantaneous energy of the normalized state.  Exponential
-(exact) stepping is the default; an explicit-Euler mode mirrors the literal
-first-order flow.
+each step as the instantaneous energy of the normalized state, stepped
+exactly through the eigensystem of Heff.
 """
 
 from __future__ import annotations
@@ -46,11 +45,11 @@ def initial_flow_state(c0: np.ndarray, heff: EffectiveHamiltonian) -> ImaginaryF
 
 
 def imaginary_step(state: ImaginaryFlowState, heff: EffectiveHamiltonian,
-                   dtau: float, explicit_euler: bool = False) -> ImaginaryFlowState:
+                   dtau: float) -> ImaginaryFlowState:
     """One shifted descent step followed by renormalization.
 
-    The shift is the energy of the incoming state; with exponential
-    stepping it only rescales the norm, so descent monotonicity is exact.
+    The step is exponential, so the shift, the energy of the incoming
+    state, only rescales the norm, and descent monotonicity is exact.
     A tau-dependent generator is followed by passing, at every step, its
     value at ``state.tau``.
     """
@@ -60,19 +59,15 @@ def imaginary_step(state: ImaginaryFlowState, heff: EffectiveHamiltonian,
         raise OperatorPropertyError("imaginary-time flow needs a Hermitian generator")
     c = state.c_int
     s = _rayleigh(heff.matrix, c)
-    if explicit_euler:
-        c1 = c - dtau * (heff.matrix @ c - s * c)
-    else:
-        vals, vecs = heff.eigensystem()  # cached on the operator
-        c1 = vecs @ (np.exp(-dtau * (vals - s)) * (vecs.conj().T @ c))
+    vals, vecs = heff.eigensystem()  # cached on the operator
+    c1 = vecs @ (np.exp(-dtau * (vals - s)) * (vecs.conj().T @ c))
     c1 = c1 / np.linalg.norm(c1)
     return ImaginaryFlowState(state.tau + dtau, c1, s)
 
 
 def imaginary_evolve(heff: EffectiveHamiltonian, c0: np.ndarray,
                      dtau: float = 0.1, tol: float = 1e-10,
-                     max_steps: int = 100_000,
-                     explicit_euler: bool = False) -> FlowResult:
+                     max_steps: int = 100_000) -> FlowResult:
     """Iterate the stationary flow until successive shifts agree within tol.
 
     Converges to the lowest eigenpair the start vector overlaps; a start
@@ -86,7 +81,7 @@ def imaginary_evolve(heff: EffectiveHamiltonian, c0: np.ndarray,
     history.append((state.tau, energy, resid))
     for _ in range(max_steps):
         prev_energy = energy
-        state = imaginary_step(state, heff, dtau, explicit_euler=explicit_euler)
+        state = imaginary_step(state, heff, dtau)
         energy = _rayleigh(heff.matrix, state.c_int)
         resid = float(np.linalg.norm(heff.matrix @ state.c_int - energy * state.c_int))
         history.append((state.tau, energy, resid))

@@ -3,11 +3,11 @@
 Everything is correctness-first dense linear algebra: the sector dimension
 is capped by the desk-scale guard in :mod:`ducclab.fock`, so Hamiltonians,
 exponentials and logarithms are ordinary LAPACK-sized problems.  hbar = 1
-throughout.  Hamiltonians are stored complex; the stationary pipeline
-solves a real Hamiltonian, as every Hubbard, pairing and FCIDUMP system is,
-in real arithmetic: the logarithm of a real sweep unitary is real, and the
-series applies a real generator as a real product.  Propagation stays
-complex.
+throughout.  Integrals and Hamiltonians keep the dtype of their data, float64
+for every Hubbard, pairing and FCIDUMP system; ``H @ X`` applies H, a real H
+acting on a complex ``X`` as one real product.  The stationary pipeline of a
+real H runs in real arithmetic (the log of a real sweep unitary is real, and
+so is the series product of a real generator); propagation stays complex.
 
 Every Hamiltonian is an :class:`IntegralSet` -- the Hubbard chain and the
 pairing model as well as FCIDUMP input -- and one Slater-Condon build,
@@ -34,16 +34,22 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
-from .fock import FockBasis
+from .fock import MAX_ORBITALS, FockBasis
+
+
+def _inexact(a) -> np.ndarray:
+    """``a`` as a float64 array, or a complex one when its entries are."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, np.float64), copy=False)
 
 
 class QOperator:
-    """A Hamiltonian as a dense complex matrix tied to its FockBasis.
-
+    """A Hamiltonian as a dense matrix tied to its FockBasis, float64 unless
+    its entries are complex; ``H @ X`` applies it (:func:`_matmul`).
     Generators, unitaries and velocities are plain ``np.ndarray``s."""
 
     def __init__(self, matrix: np.ndarray, basis: FockBasis):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = _inexact(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidDimensionError(f"operator matrix must be square, got {matrix.shape}")
         if matrix.shape[0] != basis.size:
@@ -51,6 +57,9 @@ class QOperator:
                 f"matrix dimension {matrix.shape[0]} != basis size {basis.size}")
         self.matrix = matrix
         self.basis = basis
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        return _matmul(self.matrix, X)
 
     def hermiticity_defect(self) -> float:
         return float(np.linalg.norm(self.matrix - self.matrix.conj().T))
@@ -66,8 +75,8 @@ class IntegralSet:
 
     def __init__(self, one_body: np.ndarray, two_body: np.ndarray,
                  core_energy: float = 0.0):
-        h = np.asarray(one_body, dtype=complex)
-        v = np.asarray(two_body, dtype=complex)
+        h = _inexact(one_body)
+        v = _inexact(two_body)
         M = h.shape[0]
         if h.shape != (M, M) or v.shape != (M, M, M, M):
             raise InvalidDimensionError("integral arrays have inconsistent shapes")
@@ -93,8 +102,7 @@ class IntegralSet:
 
         <pq|rs> = (pr|qs), so <pq||rs> = (pr|qs) - (ps|qr).
         """
-        chem = np.asarray(two_body_chem, dtype=complex)
-        phys = chem.transpose(0, 2, 1, 3)
+        phys = np.asarray(two_body_chem).transpose(0, 2, 1, 3)
         v = phys - phys.transpose(0, 1, 3, 2)
         return cls(one_body, v, core_energy)
 
@@ -141,7 +149,7 @@ def hamiltonian_from_integrals(ints: IntegralSet, basis: FockBasis) -> QOperator
         raise InvalidDimensionError(
             f"integral orbital count {ints.M} != basis orbital count {basis.M}")
     M, masks = basis.M, basis.mask_array
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    mat = np.zeros((basis.size, basis.size), np.result_type(ints.one_body, ints.two_body))
     mat[np.diag_indices(basis.size)] += ints.core_energy
     orbitals = np.arange(M)[:, None]
     for q in range(M):
@@ -156,12 +164,12 @@ def hubbard_integrals(L: int, t: float, U: float) -> IntegralSet:
     """Open-boundary Hubbard chain, H = -t sum (c+ c + h.c.) + U sum n_up n_dn,
     as an IntegralSet.  Spin orbital p = 2*site + spin (spin 0 = up, 1 = down)."""
     M = 2 * L
-    h = np.zeros((M, M), dtype=complex)
+    h = np.zeros((M, M))
     for i in range(L - 1):
         for sp in (0, 1):
             p, q = 2 * i + sp, 2 * (i + 1) + sp
             h[p, q] = h[q, p] = -t
-    chem = np.zeros((M, M, M, M), dtype=complex)
+    chem = np.zeros((M, M, M, M))
     for i in range(L):
         up, dn = 2 * i, 2 * i + 1
         chem[up, up, dn, dn] = U
@@ -174,8 +182,8 @@ def pairing_integrals(levels: int, g: float, spacing: float = 1.0) -> IntegralSe
     eps_p = p*spacing and H = sum eps_p n_p - g sum_{pq} P+_p P_q with
     P+_p = a+_{p,up} a+_{p,dn}, spin orbital 2*p + spin."""
     M = 2 * levels
-    h = np.zeros((M, M), dtype=complex)
-    v = np.zeros((M, M, M, M), dtype=complex)
+    h = np.zeros((M, M))
+    v = np.zeros((M, M, M, M))
     for p in range(levels):
         h[2 * p, 2 * p] = h[2 * p + 1, 2 * p + 1] = spacing * p
         for q in range(levels):
@@ -360,7 +368,7 @@ def logm_unitary(U: np.ndarray) -> tuple[np.ndarray, float]:
     ``|1+lam|`` is 1.85 on the Hubbard L=5 quench and 1.97 on the seeded
     M=12 ground state of the benchmark.
     """
-    U = np.asarray(U, dtype=np.result_type(U, np.float64))
+    U = _inexact(U)
     if not np.all(np.isfinite(U)):
         raise OperatorPropertyError("logm input has non-finite entries")
     stacks = [(stack, U[stack]) for stack in _size_stacks(direct_sum_blocks(U))]
@@ -449,11 +457,11 @@ def exp_anti_hermitian(S: np.ndarray, V: np.ndarray, E: np.ndarray | None = None
 
 
 def _matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``A @ X`` for a complex ``X``.  A real ``A`` acts on the float view of
-    ``X``, whose rows hold the real and imaginary parts side by side: one
-    real product, where numpy's mixed real-complex product costs as much as
-    two complex ones."""
-    if np.iscomplexobj(A):
+    """``A @ X``; a real ``A`` acts on a complex ``X`` through the float view
+    of ``X``, whose rows hold the real and imaginary parts side by side: one
+    real product, where numpy's mixed product first casts ``A`` to a complex
+    copy and costs as much as two complex ones."""
+    if np.iscomplexobj(A) or not np.iscomplexobj(X):
         return A @ X
     X = np.ascontiguousarray(X)
     cols = X if X.ndim == 2 else X[:, None]
@@ -472,9 +480,9 @@ def read_fcidump(path) -> tuple[IntegralSet, int]:
     Data lines are ``value i j k l`` with 1-based indices: ``i j k l`` a
     chemist two-electron integral (ij|kl), ``i j 0 0`` a one-electron
     integral, ``0 0 0 0`` the core energy; any other index pattern, or an
-    index beyond NORB, is rejected.  The header is validated for NORB/NELEC
-    and otherwise ignored.  Real eightfold permutational symmetry is applied
-    to two-electron entries.
+    index beyond NORB, is rejected.  Of the header only NORB, refused above
+    ``MAX_ORBITALS`` before any array exists, and NELEC are read.
+    Real eightfold permutational symmetry is applied to two-electron entries.
 
     Returns the IntegralSet and the NELEC declared in the header.
     """
@@ -484,6 +492,8 @@ def read_fcidump(path) -> tuple[IntegralSet, int]:
     if m is None:
         raise OperatorPropertyError("FCIDUMP header lacks NORB")
     norb = int(m.group(1))
+    if norb > MAX_ORBITALS:
+        raise InvalidDimensionError(f"FCIDUMP NORB={norb} exceeds {MAX_ORBITALS} orbitals")
     m = _FCIDUMP_NELEC.search(text)
     nelec = int(m.group(1)) if m else -1
 
@@ -497,8 +507,8 @@ def read_fcidump(path) -> tuple[IntegralSet, int]:
         # single-line header: skip the first line
         start = 1
 
-    h = np.zeros((norb, norb), dtype=complex)
-    chem = np.zeros((norb, norb, norb, norb), dtype=complex)
+    h = np.zeros((norb, norb))
+    chem = np.zeros((norb, norb, norb, norb))
     core = 0.0
     for line in lines[start:]:
         parts = line.split()

@@ -5,6 +5,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,21 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, ove
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_fcidump_norb_above_the_orbital_cap_is_refused_before_allocating(tmp_path, capsys):
+    # NORB=40 would take 164 MB of integral arrays before the basis refused it
+    (tmp_path / "FCIDUMP").write_text("&FCI NORB=40,NELEC=2,&END\n0.5 0 0 0 0\n")
+    path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"}, partition=None)
+    tracemalloc.start()
+    try:
+        code = main(["validate", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "NORB=40" in capsys.readouterr().err
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -503,22 +519,28 @@ def test_one_determinant_basis_has_no_gap_to_check(tmp_path):
     assert cluster["results"]["cc_residual"] == 0.0
 
 
-def test_complex_hamiltonian_is_refused(tmp_path, monkeypatch, capsys):
-    # every system the CLI builds is real; an imaginary part fails fci with
-    # exit 1 rather than being dropped by the real eigensolver
+def test_complex_hamiltonian_is_solved_in_complex_arithmetic(tmp_path, monkeypatch):
+    # a complex Hermitian H keeps its imaginary part: fci takes one complex
+    # eigh and reports that matrix's ground energy, 8.8e-8 below the real one
     build = cli.hamiltonian_from_integrals
+    built = []
 
     def complex_h(ints, basis):
         H = build(ints, basis)
-        H.matrix[0, 1] += 1e-3j
-        H.matrix[1, 0] -= 1e-3j
-        return H
+        E = np.zeros_like(H.matrix)
+        E[0, 1] = 1.0
+        built.append(ducclab.QOperator(H.matrix + 1e-3j * (E - E.T), basis))
+        return built[-1]
     monkeypatch.setattr(cli, "hamiltonian_from_integrals", complex_h)
-    assert main(["run", str(write_config(tmp_path))]) == 1
-    task, = read_report(tmp_path)["tasks"]
-    assert task["status"] == "failed"
-    assert task["error"] == ("OperatorPropertyError: FCI needs a real Hamiltonian: "
-                             "max |Im H| = 1.000e-03")
+    calls = {}
+    count_calls(monkeypatch, np.linalg, "eigh", calls,
+                key=lambda a, *args, **kwargs: (a.dtype.kind, a.shape))
+    assert main(["run", str(write_config(tmp_path))]) == 0
+    assert calls == {("c", (6, 6)): 1}
+    energy = read_report(tmp_path)["tasks"][0]["results"]["ground_energy"]
+    (H,) = built
+    assert abs(energy - np.linalg.eigvalsh(H.matrix)[0]) < 1e-12
+    assert np.linalg.eigvalsh(H.matrix.real)[0] - energy > 5e-8
 
 
 @pytest.mark.parametrize("value", [10.0, float("nan")], ids=["10x", "nan"])
@@ -671,6 +693,20 @@ def test_stationary_pipeline_solves_fci_in_real_arithmetic(tmp_path, monkeypatch
     assert [key for key in calls if key[0] != "f"] == []
     sweep = read_report(tmp_path)["tasks"][2]["results"]
     assert sweep["delta"] in (0.0, np.pi)
+
+
+@pytest.mark.parametrize("initial", ["reference", "noninteracting-ground"])
+def test_quench_of_a_real_hamiltonian_solves_it_in_real_arithmetic(tmp_path, monkeypatch,
+                                                                   initial):
+    # the Hubbard dimer is real: the quench's full-space eigh, and that of
+    # the free start, are real ones
+    calls = {}
+    count_calls(monkeypatch, np.linalg, "eigh", calls,
+                key=lambda a, *args, **kwargs: (a.dtype.kind, a.shape))
+    path = write_config(tmp_path, tasks=[{"name": "propagate", "nsteps": 4,
+                                          "initial": initial}])
+    assert main(["run", str(path)]) == 0
+    assert calls == {("f", (6, 6)): 1 if initial == "reference" else 2}
 
 
 class TestEccVectorChains:

@@ -583,7 +583,8 @@ class TestTdSesccKet:
 
 class TestDownfoldedQuench:
     def test_peak_memory_does_not_grow_with_nsteps(self):
-        # the column blocks are streamed: only the five that the stencil
+        # the column blocks are streamed: only one batch of dim // ncas
+        # blocks (70 // 6 = 11 here) and the four earlier blocks the stencil
         # can still reach are alive, whatever the number of steps
         basis = dl.build_basis(8, 4)
         part = dl.homo_lumo_partition(8, 4, 2, 2)

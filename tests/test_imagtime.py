@@ -52,16 +52,6 @@ class TestImaginaryStep:
         evals = np.linalg.eigvalsh(heff.matrix)
         assert all(evals[0] - 1e-12 <= s <= evals[-1] + 1e-12 for s in shifts)
 
-    def test_explicit_euler_mode(self):
-        heff = two_level(0.0, 1.0)
-        state = dl.initial_flow_state(np.array([0.8, 0.6]), heff)
-        dtau = 0.01
-        new = dl.imaginary_step(state, heff, dtau, explicit_euler=True)
-        s = state.shift
-        expected = state.c_int - dtau * (heff.matrix @ state.c_int - s * state.c_int)
-        expected /= np.linalg.norm(expected)
-        assert np.linalg.norm(new.c_int - expected) < 1e-14
-
     def test_dtau_guard(self):
         heff = two_level()
         state = dl.initial_flow_state(np.array([1.0, 0.0]), heff)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -64,8 +66,19 @@ class TestHamiltonianFromIntegrals:
         ints = dl.IntegralSet(h, v, core_energy=rng.normal())
         basis = dl.build_basis(M, N)
         H = dl.hamiltonian_from_integrals(ints, basis)
+        assert H.matrix.dtype == np.complex128
         assert np.array_equal(H.matrix, scalar_hamiltonian_from_integrals(ints, basis).matrix)
         assert H.hermiticity_defect() < 1e-10
+
+    def test_real_systems_are_float64(self, tmp_path, dimer_basis):
+        # Hubbard, pairing and FCIDUMP integrals are real, and so are their
+        # arrays and the sector matrix they build
+        fcidump = tmp_path / "FCIDUMP"
+        fcidump.write_text("&FCI NORB=4,NELEC=2,&END\n0.3 1 1 2 2\n-1.0 1 3 0 0\n0.5 0 0 0 0\n")
+        for ints in (dl.hubbard_integrals(2, 1.0, 4.0), dl.pairing_integrals(2, 0.4),
+                     dl.read_fcidump(fcidump)[0]):
+            assert ints.one_body.dtype == ints.two_body.dtype == np.float64
+            assert dl.hamiltonian_from_integrals(ints, dimer_basis).matrix.dtype == np.float64
 
     def test_dimension_mismatch(self, dimer_basis):
         ints = dl.IntegralSet(np.zeros((6, 6)), np.zeros((6, 6, 6, 6)))
@@ -84,6 +97,26 @@ class TestHamiltonianFromIntegrals:
         chem = chem + chem.transpose(2, 3, 0, 1)
         H = dl.hamiltonian_from_integrals(dl.IntegralSet.from_chemist(h, chem), m6_basis)
         assert H.hermiticity_defect() < 1e-10
+
+
+class TestApply:
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "columns"])
+    def test_real_hamiltonian_on_complex_vectors(self, shape):
+        # one real product on the float view of X: the values of the complex
+        # product, without the complex copy of H that numpy's mixed product makes
+        basis = dl.build_basis(10, 5)
+        H = dl.build_hubbard(5, 1.0, 4.0, basis)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(basis.size, *shape)) + 1j * rng.normal(size=(basis.size, *shape))
+        X /= np.linalg.norm(X, axis=0)
+        tracemalloc.start()
+        try:
+            HX = H @ X
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(HX - H.matrix.astype(complex) @ X).max() < 1e-15
+        assert peak < H.matrix.nbytes
 
 
 class TestBuildHubbard:

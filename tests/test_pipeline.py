@@ -1,5 +1,5 @@
 """Cross-cutting pipeline checks beyond single modules: excited roots,
-larger sectors, a three-site chain, and the explicit-Euler flow flag."""
+larger sectors and a three-site chain."""
 
 import numpy as np
 import pytest
@@ -112,16 +112,3 @@ class TestActiveSpaceEdges:
             assert heff.dim == m6_basis.size
             assert np.linalg.norm(res.sigma_ext) < 1e-12
         assert abs(heff.eigensystem()[0][0] - vals[0]) < 1e-9
-
-
-class TestExplicitEulerFlow:
-    def test_converges_to_ground_for_small_steps(self):
-        rng = np.random.default_rng(1)
-        mat = rng.normal(size=(4, 4))
-        heff = dl.EffectiveHamiltonian((mat + mat.T).astype(complex) / 2,
-                                       np.arange(4), dl.build_basis(4, 1),
-                                       "ducc", hermitian=True)
-        evals = np.linalg.eigvalsh(heff.matrix)
-        res = dl.imaginary_evolve(heff, rng.normal(size=4), dtau=0.01,
-                                  tol=1e-13, explicit_euler=True)
-        assert res.energy == pytest.approx(evals[0], abs=1e-9)
