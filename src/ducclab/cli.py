@@ -466,11 +466,11 @@ def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     vals, _ = ctx.ground_state()
     e_fci = float(vals[0])
 
-    t_int, t_ext = split_amplitudes(ctx.amplitudes(), part)
+    _, t_ext = split_amplitudes(ctx.amplitudes(), part)
     heff_s = downfold_sescc(ctx.H, t_ext, ctx.ref, part)
-    target = heff_s.restrict(exp_nilpotent(
-        excitation_matrix(t_int, ctx.basis),
-        ctx.basis.unit_vector(ctx.basis.index_of(ctx.ref)), ctx.basis))
+    # on the CAS rows psi / c0 is e^{T_int}|ref>: no external excitation
+    # string lands there; the root match and the overlap normalise
+    target = heff_s.restrict(ctx.ground_vector())
     svals, svecs = heff_s.eigensystem()
     root = match_root(heff_s, target)
     sescc_delta = abs(complex(svals[root]).real - e_fci)

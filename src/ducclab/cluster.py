@@ -14,11 +14,12 @@ from .errors import IntermediateNormalizationError, SectorMismatchError
 from .fock import (Determinant, ExcitationSignature, FockBasis,
                    SpinOrbitalPartition, determinant_table, enumerate_signatures,
                    excitation_pairs)
+from .operators import _inexact
 
 
 @dataclass
 class Amplitudes:
-    """Rank-indexed map from excitation signatures to complex amplitudes.
+    """Rank-indexed map from excitation signatures to real or complex amplitudes.
 
     Holds excitation sets (T and its internal/external parts) as well as
     de-excitation sets (Lambda, X) -- the latter are simply applied in
@@ -38,7 +39,7 @@ class Amplitudes:
         return iter(self.entries.items())
 
     def __getitem__(self, sig: ExcitationSignature) -> complex:
-        return self.entries.get(sig, 0.0 + 0.0j)
+        return self.entries.get(sig, 0.0)
 
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(t) ** 2 for t in self.entries.values())))
@@ -46,8 +47,8 @@ class Amplitudes:
 
 def excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
     """Matrix of sum_sig t_sig E_sig over the basis (rank 0 contributes the
-    identity)."""
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    identity), float64 unless an amplitude is complex."""
+    mat = np.zeros((basis.size, basis.size), dtype=_inexact(list(amps.entries.values())).dtype)
     for sig, t in amps:
         if t != 0:
             lows, highs, phases = excitation_pairs(sig, basis)
@@ -75,11 +76,11 @@ def exp_nilpotent(T: np.ndarray | Callable[[np.ndarray], np.ndarray], V: np.ndar
     then ends at the first term whose norm is at most ``rtol`` times that of
     the partial sum.  Raises ArithmeticError if the series has not ended by
     n = ladder + 1, e.g. for an amplitude set holding the rank-0 (identity)
-    signature.
+    signature.  The result has the dtype of ``T @ V`` (of its terms for a map).
     """
     apply = T if callable(T) else T.__matmul__
     ladder = min(basis.N, basis.M - basis.N)
-    out = np.array(V, dtype=complex)
+    out = np.array(V, dtype=np.result_type(V) if callable(T) else np.result_type(T, V))
     term = out
     for n in range(1, ladder + 2):
         term = apply(term) / n
@@ -110,7 +111,7 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Ampl
     if abs(c0) < C0_TOL:
         raise IntermediateNormalizationError(
             f"reference coefficient {abs(c0):.3e} below {C0_TOL:.0e}")
-    c = np.asarray(psi, dtype=complex) / c0
+    c = np.asarray(psi) / c0
     e_ref = basis.unit_vector(table.ref_index)
 
     entries: dict[ExcitationSignature, complex] = {}
@@ -167,11 +168,12 @@ def random_amplitudes(ref: Determinant, rng: np.random.Generator,
     kind: 'any', 'internal' or 'external' (the latter two need ``part``).
     Magnitudes are uniform in [-scale, scale] per quadrature component,
     drawn signature by signature (real part, then imaginary part) in
-    :func:`enumerate_signatures` order.
+    :func:`enumerate_signatures` order; a ``real`` set draws only the real
+    parts and holds floats.
     """
     if kind not in ("any", "internal", "external"):
         raise ValueError(f"unknown amplitude kind {kind!r}")
     sigs = _amplitude_signatures(ref, part, kind, max_rank)
     draws = rng.uniform(-scale, scale, size=(len(sigs), 1 if real else 2))
     vals = draws[:, 0] if real else draws[:, 0] + 1j * draws[:, 1]
-    return Amplitudes(dict(zip(sigs, map(complex, vals))))
+    return Amplitudes(dict(zip(sigs, vals.tolist())))

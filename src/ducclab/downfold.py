@@ -37,7 +37,7 @@ class EffectiveHamiltonian:
 
     def restrict(self, psi: np.ndarray) -> np.ndarray:
         """CAS components of a parent-sector vector."""
-        return np.asarray(psi, dtype=complex)[self.cas]
+        return np.asarray(psi)[self.cas]
 
     def eigensystem(self):
         """Cached full spectrum (see :func:`cas_eigensolve`)."""
@@ -96,23 +96,20 @@ def downfold_ducc(H: QOperator, sigma_ext: np.ndarray, ref: Determinant,
     """(P+Q_int) e^{-sigma_ext} H e^{sigma_ext} (P+Q_int), Hermitian on CAS,
     on the CAS columns of e^{sigma_ext} from :func:`exp_anti_hermitian`."""
     cas = determinant_table(H.basis, ref).cas(part)
-    R = exp_anti_hermitian(sigma_ext, unit_columns(H.basis.size, cas, complex))
+    R = exp_anti_hermitian(sigma_ext, unit_columns(H.basis.size, cas, float))
     return EffectiveHamiltonian(ducc_projection(H, R), cas, H.basis, source, hermitian=True)
 
 
 def cas_eigensolve(heff: EffectiveHamiltonian):
     """Full spectrum of the effective Hamiltonian.
 
-    Hermitian path: real ascending eigenvalues, orthonormal eigenvectors;
-    a matrix whose imaginary part is exactly zero (the DUCC Hamiltonian of a
-    real ground state) is solved in real arithmetic.  Non-Hermitian path:
-    complex eigenvalues sorted by real part, right eigenvectors normalized
-    to unit 2-norm.
+    Both paths solve in the dtype of the matrix, real for a real ground
+    state.  Hermitian path: real ascending eigenvalues, orthonormal
+    eigenvectors.  Non-Hermitian path: eigenvalues sorted by real part,
+    right eigenvectors normalized to unit 2-norm.
     """
     if heff.hermitian:
-        mat = heff.matrix
-        vals, vecs = np.linalg.eigh(mat if mat.imag.any() else mat.real)
-        return vals, vecs
+        return np.linalg.eigh(heff.matrix)
     vals, vecs = np.linalg.eig(heff.matrix)
     order = np.argsort(vals.real, kind="stable")
     vals = vals[order]

@@ -7,9 +7,10 @@ coefficients under the time-dependent Hermitian effective Hamiltonian
 which needs only the CAS columns of e^{sigma_ext}, the sweep's rotation
 record replayed (:func:`ducclab.sweeps.replay`), and their velocity, a
 stencil over the time grid (:func:`downfolded_quench`), swept and replayed
-a batch of grid points at a time.  The Lagrangian evaluators take the
-exponential and its derivative from one certified Taylor action on vectors
-(:func:`ducclab.operators.exp_anti_hermitian`).  hbar = 1.
+a batch of grid points at a time.  The Lagrangian evaluators act on vectors
+only, by one certified Taylor action per generator and its derivative
+(:func:`ducclab.operators.exp_anti_hermitian`) or, for e^{+-T}, by the
+series of :class:`ducclab.ecc.EccMatrices`.  hbar = 1.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
+from .cluster import Amplitudes
 from .downfold import ducc_projection, unit_columns
+from .ecc import EccConfiguration, EccMatrices
 from .errors import DuccLabError, NormDriftError, OperatorPropertyError
 from .fock import DetClass, Determinant, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, _matmul, exp_anti_hermitian
@@ -265,28 +267,24 @@ def evaluate_sescc_lagrangian(H: QOperator, t_int: Amplitudes, t_ext: Amplitudes
     form1 evaluates the single expression directly; form2 evaluates the
     split into an internal block and an external-coupling block.  Equality
     is a pure operator identity (excitation operators commute and external
-    excitations leave the active block).
+    excitations leave the active block).  The six sets are those of an
+    :class:`ducclab.ecc.EccConfiguration`, Lambda in the de-excitation
+    slots, and every exponential acts on vectors (:meth:`EccMatrices.exp`).
     """
-    basis = H.basis
-    phi = basis.unit_vector(basis.index_of(ref))
-    Ti = excitation_matrix(t_int, basis)
-    Te = excitation_matrix(t_ext, basis)
-    dTi = excitation_matrix(dt_int, basis)
-    dTe = excitation_matrix(dt_ext, basis)
-    Li = deexcitation_matrix(lam_int, basis)
-    Le = deexcitation_matrix(lam_ext, basis)
-    eye = np.eye(basis.size)
-    eTi, eTe, eTim, eTem = (exp_nilpotent(a, eye, basis) for a in (Ti, Te, -Ti, -Te))
+    m = EccMatrices.build(EccConfiguration(t_int, t_ext, lam_int, lam_ext, dt_int, dt_ext),
+                          H.basis)
+    phi = H.basis.unit_vector(ref)
+    ket_i = m.exp(m.Ti, phi)                     # e^{T_int} |ref>
+    ket = m.exp(m.Te, ket_i)
+    h_ket = H @ ket
+    bra_li, bra_le = phi + m.Xi.T @ phi, m.Xe.T @ phi    # <ref|(1 + L_int), <ref|L_ext
+    form1 = (bra_li + bra_le) @ m.exp(-m.Ti, m.exp(
+        -m.Te, 1j * (m.dTe @ ket + m.dTi @ ket) - h_ket))
 
-    ket = eTe @ (eTi @ phi)
-    bra1 = phi.conj() @ (eye + Li + Le)
-    form1 = bra1 @ (eTim @ (eTem @ (1j * ((dTe + dTi) @ ket) - H @ ket)))
-
-    hbar = eTem @ (H @ eTe)
-    ket_i = eTi @ phi
-    inner = 1j * (dTi @ ket_i) - hbar @ ket_i
-    term1 = (phi.conj() @ (eye + Li)) @ (eTim @ inner)
-    term2 = (phi.conj() @ Le) @ (eTim @ (1j * (dTe @ ket_i) + inner))
+    # hbar e^{T_int}|ref>, hbar = e^{-T_ext} H e^{T_ext}, is e^{-T_ext} H ket
+    inner = 1j * (m.dTi @ ket_i) - m.exp(-m.Te, h_ket)
+    term1 = bra_li @ m.exp(-m.Ti, inner)
+    term2 = bra_le @ m.exp(-m.Ti, 1j * (m.dTe @ ket_i) + inner)
     return complex(form1), complex(term1 + term2)
 
 

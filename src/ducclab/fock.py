@@ -214,7 +214,7 @@ class FockBasis:
         return self.dets[i]
 
     def unit_vector(self, det: Determinant | int) -> np.ndarray:
-        v = np.zeros(self.size, dtype=complex)
+        v = np.zeros(self.size)
         v[self.index_of(det) if isinstance(det, Determinant) else det] = 1.0
         return v
 

@@ -418,7 +418,8 @@ def exp_anti_hermitian(S: np.ndarray, V: np.ndarray, E: np.ndarray | None = None
     (1978)).  ``L`` is linear in ``E``, and the power of two ``eps`` with
     ``eps ||E||_1 < s`` scales exactly, so ``s`` stays that of e^{S} and ``b =
     (||S||_1 + eps ||E||_1) / s`` bounds ``||M/s||_2``.  Refuses ``||S||_1``
-    above :data:`MAX_GENERATOR_NORM1`.
+    above :data:`MAX_GENERATOR_NORM1`.  The results have the dtype of ``S``,
+    ``V`` and ``E`` together, real for a real generator on real vectors.
     """
     check_anti_hermitian(S, "generator")
     norm1 = float(np.abs(S).sum(axis=0).max(initial=0.0))
@@ -436,7 +437,7 @@ def exp_anti_hermitian(S: np.ndarray, V: np.ndarray, E: np.ndarray | None = None
     m, bound = 0, b * math.exp(b)
     while bound > 2.0 ** -53:
         m, bound = m + 1, bound * b / (m + 2)
-    out = np.array(V, dtype=complex)
+    out = np.array(V, dtype=np.result_type(S, V, *(() if E is None else (E,))))
     if E is not None:
         # the columns [top | bottom] of the augmented vectors: each order
         # takes one product of S over both halves, plus E on the bottom

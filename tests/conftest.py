@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import ducclab as dl
 from ducclab.operators import exp_anti_hermitian
+
+# every @given test draws the examples derived from its own source, so that
+# the suite runs the same inputs each time; timing is left to the suite
+settings.register_profile("ducclab", derandomize=True, deadline=None)
+settings.load_profile("ducclab")
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ducclab
 from ducclab import cli, dynamics, ecc
@@ -558,9 +560,10 @@ def test_every_residual_bound_fails_its_task(tmp_path, monkeypatch, task, key, v
         cli.run_task(ctx, task, {})
 
 
-def write_seeded_fcidump(path, M, N, seed):
+def write_seeded_fcidump(path, M, N, seed, coupling=0.05):
     """A random real FCIDUMP whose one-body diagonal dominates, so that the
-    aufbau determinant carries most of a gapped ground state."""
+    aufbau determinant carries most of a gapped ground state; a larger
+    off-diagonal one-body ``coupling`` weakens that dominance."""
     rng = np.random.default_rng([seed, M, N])
     pairs = [(i, j) for i in range(1, M + 1) for j in range(1, i + 1)]
     lines = [f"&FCI NORB={M},NELEC={N},MS2=0,", "&END"]
@@ -568,7 +571,7 @@ def write_seeded_fcidump(path, M, N, seed):
         lines += [f"{0.02 * rng.standard_normal():.16e} {i} {j} {k} {l}"
                   for k, l in pairs[:a + 1]]
     for i, j in pairs:
-        val = 0.5 * (i - 1) - 1.0 if i == j else 0.05 * rng.standard_normal()
+        val = 0.5 * (i - 1) - 1.0 if i == j else coupling * rng.standard_normal()
         lines.append(f"{val:.16e} {i} {j} 0 0")
     path.write_text("\n".join(lines) + "\n")
 
@@ -676,21 +679,33 @@ class TestGroundStagesOncePerRun:
 def test_stationary_pipeline_solves_fci_in_real_arithmetic(tmp_path, monkeypatch):
     # dim 70, CAS dim 6: every eigh is real -- the FCI, the stacked block
     # eighs of logm_unitary on the two sweep unitaries (omega12 is one
-    # (1, 70, 70) block) and the two DUCC Hamiltonians -- and no Cayley solve
+    # (1, 70, 70) block) and the two DUCC Hamiltonians -- and no Cayley solve;
+    # the amplitudes of the real ground state are real, and so are every
+    # amplitude matrix and the SES-CC Hamiltonian, whose eig is the only one
     write_seeded_fcidump(tmp_path / "FCIDUMP", 8, 4, seed=5)
     path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"},
                         electrons=4, partition={"auto_homo_lumo": [2, 2]},
                         tasks=GROUND_PIPELINE)
-    calls = {}
+    calls, eigs, dtypes = {}, {}, []
     count_calls(monkeypatch, np.linalg, "eigh", calls,
                 key=lambda a, *args, **kwargs: (a.dtype.kind, a.shape))
+    count_calls(monkeypatch, np.linalg, "eig", eigs,
+                key=lambda a, *args, **kwargs: (a.dtype.kind, a.shape))
     count_calls(monkeypatch, np.linalg, "solve", calls)
+    for module in (ducclab.cluster, ducclab.downfold, cli):
+        def recorded(*args, build=module.excitation_matrix):
+            mat = build(*args)
+            dtypes.append(mat.dtype)
+            return mat
+        monkeypatch.setattr(module, "excitation_matrix", recorded)
     assert main(["run", str(path)]) == 0
     assert calls[("f", (70, 70))] == 1
     assert calls[("f", (1, 70, 70))] == 1
     assert calls[("f", (6, 6))] == 2
     assert "solve" not in calls
     assert [key for key in calls if key[0] != "f"] == []
+    assert eigs == {("f", (6, 6)): 1}
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
     sweep = read_report(tmp_path)["tasks"][2]["results"]
     assert sweep["delta"] in (0.0, np.pi)
 
@@ -720,3 +735,39 @@ class TestEccVectorChains:
         assert main(["run", str(path)]) == 0
         assert calls == {"excitation_matrix": 12, "deexcitation_matrix": 6, "expm": 0}
         assert read_report(tmp_path)["tasks"][0]["results"]["max_lh_deviation"] < 1e-12
+
+
+#: every task, sized so that one run of all of them takes a fraction of a second
+BATTERY_PARAMS = {"propagate": {"nsteps": 4}, "ecc": {"n_configs": 2}}
+#: the error types a failed task may name
+BATTERY_ERRORS = {"LinAlgError"} | {
+    name for name, obj in vars(ducclab.errors).items()
+    if isinstance(obj, type) and issubclass(obj, ducclab.DuccLabError)}
+
+
+@settings(max_examples=24)
+@given(system=st.sampled_from([(4, 2), (6, 2), (6, 3), (8, 4)]),
+       window=st.sampled_from([[1, 1], [2, 2], [1, 2]]),
+       coupling=st.sampled_from([0.05, 0.3, 1.0, 3.0]), seed=st.integers(0, 3))
+def test_randomized_battery(tmp_path_factory, system, window, coupling, seed):
+    # random real FCIDUMPs through every task: the run exits 0 or 1, a failed
+    # task names a package error or a LinAlgError, and an ok one keeps its bounds
+    tmp_path = tmp_path_factory.mktemp("battery")
+    M, N = system
+    write_seeded_fcidump(tmp_path / "FCIDUMP", M, N, seed, coupling)
+    tasks = [{"name": name, **BATTERY_PARAMS.get(name, {})} for name in cli.VERIFY_ALL_TASKS]
+    tasks.append({"name": "verify-all", **BATTERY_PARAMS})
+    path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"},
+                        electrons=N, partition={"auto_homo_lumo": window}, tasks=tasks)
+    code = main(["run", str(path)])
+    reports = read_report(tmp_path)["tasks"]
+    assert code == int(any(t["status"] != "ok" for t in reports))
+    for task in reports:
+        if task["status"] != "ok":
+            assert task["error"].split(":")[0] in BATTERY_ERRORS, task["error"]
+            continue
+        nested = task["results"] if task["name"] == "verify-all" else {
+            task["name"]: task["results"]}
+        for name, results in nested.items():
+            for key, bound in cli.RESIDUAL_BOUNDS.get(name, {}).items():
+                assert results[key] <= bound, (name, key)

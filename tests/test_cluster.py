@@ -21,7 +21,7 @@ class TestClusterAnalyze:
         det, ph = apply_excitation(sig, m6_ref)
         c0, c1 = 0.8, 0.3 + 0.2j
         psi = c0 * m6_basis.unit_vector(m6_basis.index_of(m6_ref))
-        psi += c1 * ph * m6_basis.unit_vector(m6_basis.index_of(det))
+        psi = psi + c1 * ph * m6_basis.unit_vector(m6_basis.index_of(det))
         amps = dl.cluster_analyze(psi, m6_ref, m6_basis)
         assert amps[sig] == pytest.approx(c1 / c0)
         assert sum(1 for _, t in amps if abs(t) > 1e-14) == 1

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import ducclab as dl
-from ducclab import downfold, dynamics
+from ducclab import downfold, dynamics, ecc
 from ducclab import sweeps as sweeps_module
 from ducclab.errors import NormDriftError, OperatorPropertyError
 from ducclab.sweeps import sweep_targets
@@ -531,6 +531,18 @@ class TestSesccLagrangian:
             self._amps(m6_ref, m6_part, rng, "internal"),
             self._amps(m6_ref, m6_part, rng, "external"), m6_ref)
         assert abs(f1 - f2) < 1e-10
+
+    def test_exponentials_act_on_vectors(self, monkeypatch, m6_basis, m6_ref, m6_part):
+        # every factor e^{+-T} of both routes acts on a vector, through the
+        # configuration's amplitude matrices: no dim x dim exponential
+        rng = np.random.default_rng(24)
+        H = random_hermitian_hamiltonian(m6_basis, rng)
+        calls = {}
+        count_calls(monkeypatch, ecc, "exp_nilpotent", calls,
+                    key=lambda T, V, *args, **kwargs: np.ndim(V))
+        dl.evaluate_sescc_lagrangian(H, *(self._amps(m6_ref, m6_part, rng, kind)
+                                          for kind in ("internal", "external") * 3), m6_ref)
+        assert calls == {1: 7}
 
     def test_external_velocity_leaves_cas(self, m8_basis, m8_ref, m8_part):
         # (P+Q_int) dT_ext e^{T_int} |ref> = 0 for any amplitude sets
