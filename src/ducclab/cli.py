@@ -91,6 +91,9 @@ VERIFY_ALL_CHECKS = {
     "ecc_identities": ("ecc", ("max_ldt_deviation", "max_lh_deviation"), 1e-10),
     "lagrangian_equivalence": ("lagrangians", ("ducc_max_mutual_deviation",), 1e-9),
 }
+#: the errors that fail a task (or, in ``downfold``, its lowest-order estimate)
+#: instead of the run
+TASK_ERRORS = (DuccLabError, np.linalg.LinAlgError, ValueError, ArithmeticError)
 #: smallest FCI gap E1 - E0 of an analysed ground root: below it the root is
 #: degenerate and the eigensolver returns an arbitrary mix of its states
 MIN_GROUND_GAP = 1e-8
@@ -115,9 +118,9 @@ class RunContext:
     """Everything a task needs: system, partition, reference, output sink.
 
     The ground-state stages (FCI eigenpairs, cluster amplitudes, sweep
-    decomposition, DUCC Hamiltonian) are deterministic functions of the
-    system, so each is computed once per run and shared by every task; a
-    stage that raises is not cached.
+    decomposition, its replayed CAS columns, DUCC Hamiltonian) are
+    deterministic functions of the system, so each is computed once per run
+    and shared by every task; a stage that raises is not cached.
     """
 
     config: dict
@@ -181,9 +184,12 @@ class RunContext:
     def cas_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """CAS indices, and the CAS columns of e^{sigma_ext}: the sweep's
         record replayed on the CAS unit columns, in the swept state's dtype."""
-        sweep = self.sweep()
-        cas = determinant_table(self.basis, self.ref).cas(self.need_partition())
-        return cas, replay(sweep.record, unit_columns(self.basis.size, cas, sweep.psi_act.dtype))
+        def compute():
+            sweep = self.sweep()
+            cas = determinant_table(self.basis, self.ref).cas(self.need_partition())
+            return cas, replay(sweep.record,
+                               unit_columns(self.basis.size, cas, sweep.psi_act.dtype))
+        return self._stage("cas_columns", compute)
 
     def ducc_hamiltonian(self):
         def compute():
@@ -482,9 +488,16 @@ def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     dvals, _ = heff_d.eigensystem()
     ducc_delta = abs(float(dvals[0]) - e_fci)
 
-    sigma_low = sigma_lowest_order(t_ext, ctx.basis)
-    heff_low = downfold_ducc(ctx.H, sigma_low, ctx.ref, part, source="ducc-lowest-order")
-    lvals, _ = heff_low.eigensystem()
+    # the lowest-order energy is an estimate, not an exactness claim: one it
+    # cannot form is a null with the reason, and the exact results stand
+    try:
+        sigma_low = sigma_lowest_order(t_ext, ctx.basis)
+        heff_low = downfold_ducc(ctx.H, sigma_low, ctx.ref, part, source="ducc-lowest-order")
+        lvals, _ = heff_low.eigensystem()
+        lowest = {"ducc_lowest_order_delta_e": abs(float(lvals[0]) - e_fci)}
+    except TASK_ERRORS as exc:
+        lowest = {"ducc_lowest_order_delta_e": None,
+                  "ducc_lowest_order_error": f"{type(exc).__name__}: {exc}"}
 
     files = []
     for heff, name in ((heff_s, "heff_sescc.json"), (heff_d, "heff_ducc.json")):
@@ -501,7 +514,7 @@ def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
         "sescc_delta_e": sescc_delta,
         "sescc_overlap_deficit": float(overlap_deficit),
         "ducc_delta_e": ducc_delta,
-        "ducc_lowest_order_delta_e": abs(float(lvals[0]) - e_fci),
+        **lowest,
         "sweep_residual": sweep.residual,
     }, files
 
@@ -669,8 +682,7 @@ def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
             results, files = run_task(ctx, name, params)
             return {"name": name, "status": "ok", "results": results,
                     "files": [os.path.basename(f) for f in files]}
-        except (DuccLabError, np.linalg.LinAlgError, ValueError,
-                ArithmeticError) as exc:
+        except TASK_ERRORS as exc:
             return {"name": name, "status": "failed", "results": {},
                     "files": [], "error": f"{type(exc).__name__}: {exc}"}
 

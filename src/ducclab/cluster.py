@@ -45,14 +45,26 @@ class Amplitudes:
         return float(np.sqrt(sum(abs(t) ** 2 for t in self.entries.values())))
 
 
+def amplitude_pairs(amps: Amplitudes, basis: FockBasis
+                    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nonzero entries of sum_sig t_sig E_sig over the basis, signature
+    by signature: (lows, highs, t_sig * phases) from the memoised
+    :func:`ducclab.fock.excitation_pairs` of each nonzero amplitude.  Within
+    a signature no low and no high repeats, and a pair fixes its signature,
+    so no pair repeats across signatures either."""
+    return [(lows, highs, t * phases) for sig, t in amps if t != 0
+            for lows, highs, phases in (excitation_pairs(sig, basis),)]
+
+
 def excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
     """Matrix of sum_sig t_sig E_sig over the basis (rank 0 contributes the
-    identity), float64 unless an amplitude is complex."""
+    identity), float64 unless an amplitude is complex, filled by one scatter
+    of the concatenated :func:`amplitude_pairs`."""
     mat = np.zeros((basis.size, basis.size), dtype=_inexact(list(amps.entries.values())).dtype)
-    for sig, t in amps:
-        if t != 0:
-            lows, highs, phases = excitation_pairs(sig, basis)
-            mat[highs, lows] += t * phases
+    pairs = amplitude_pairs(amps, basis)
+    if pairs:
+        lows, highs, vals = map(np.concatenate, zip(*pairs))
+        mat[highs, lows] += vals   # += onto zeros: a zero imaginary part stays +0
     return mat
 
 
@@ -71,12 +83,16 @@ def exp_nilpotent(T: np.ndarray | Callable[[np.ndarray], np.ndarray], V: np.ndar
     determinant up (excitation) or down (de-excitation) the excitation-rank
     ladder of height min(N, M-N), so T^n V is exactly zero from
     n = ladder + 1 on: products of structural zeros stay exact zeros.
-    With ``rtol > 0``, ``T`` need only be nilpotent up to round-off, as a
-    similarity transform ``e^A X e^-A`` of a nilpotent ``X`` is; the series
-    then ends at the first term whose norm is at most ``rtol`` times that of
-    the partial sum.  Raises ArithmeticError if the series has not ended by
-    n = ladder + 1, e.g. for an amplitude set holding the rank-0 (identity)
-    signature.  The result has the dtype of ``T @ V`` (of its terms for a map).
+    A map may also multiply its argument from the right by such a matrix,
+    ``W -> W A``, which is nilpotent on the same ladder.  With ``rtol == 0``
+    the series ends at the first term that is exactly zero (a NaN or inf
+    term never is).  With ``rtol > 0``, ``T`` need only be nilpotent up to
+    round-off, as a similarity transform ``e^A X e^-A`` of a nilpotent ``X``
+    is; the series then ends at the first term whose norm is at most
+    ``rtol`` times that of the partial sum.  Raises ArithmeticError if the
+    series has not ended by n = ladder + 1, e.g. for an amplitude set
+    holding the rank-0 (identity) signature.  The result has the dtype of
+    ``T @ V`` (of its terms for a map).
     """
     apply = T if callable(T) else T.__matmul__
     ladder = min(basis.N, basis.M - basis.N)
@@ -84,7 +100,8 @@ def exp_nilpotent(T: np.ndarray | Callable[[np.ndarray], np.ndarray], V: np.ndar
     term = out
     for n in range(1, ladder + 2):
         term = apply(term) / n
-        if np.linalg.norm(term) <= rtol * np.linalg.norm(out):
+        if (not term.any() if rtol == 0
+                else np.linalg.norm(term) <= rtol * np.linalg.norm(out)):
             return out
         out = out + term
     raise ArithmeticError(f"series of a non-nilpotent matrix did not end by n={ladder + 1}")

@@ -16,8 +16,10 @@ the transpose of e^{A^T} |ref>, and A^T is again a nilpotent excitation
 matrix.  The routes stay independent: w2 applies e^{+-X^int_ext}, with
 X^int_ext = e^{T_int} X_ext e^{-T_int}, by its own series in X^int_ext,
 never as e^{T_int} e^{+-X_ext} e^{-T_int}, which is the identity that
-w1 = w2 tests.  :func:`x_int_ext_bch` compares matrices, so it alone stays
-matrix-level.
+w1 = w2 tests.  :func:`x_int_ext_bch` compares matrices, so it alone acts
+on ``dim x dim`` arrays; it applies T_int, which never changes an inactive
+orbital's occupation and so has few nonzeros, from its pair lists on
+either side, and forms no exponential of it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import Amplitudes, deexcitation_matrix, excitation_matrix, exp_nilpotent
+from .cluster import (Amplitudes, amplitude_pairs, deexcitation_matrix, excitation_matrix,
+                      exp_nilpotent)
 from .fock import Determinant, FockBasis
 from .operators import QOperator
 
@@ -52,7 +55,8 @@ class EccConfiguration:
 @dataclass(frozen=True, eq=False)
 class EccMatrices:
     """The six amplitude matrices of one configuration over ``basis``,
-    built once and shared by the bracket routes and the series check."""
+    built once and shared by the bracket routes and the series check, and
+    the amplitudes of ``Ti``, whose pair lists the series check applies."""
 
     Ti: np.ndarray
     Te: np.ndarray
@@ -61,6 +65,7 @@ class EccMatrices:
     dTi: np.ndarray
     dTe: np.ndarray
     basis: FockBasis
+    t_int: Amplitudes
 
     @classmethod
     def build(cls, cfg: EccConfiguration, basis: FockBasis) -> "EccMatrices":
@@ -70,7 +75,7 @@ class EccMatrices:
                    Xe=deexcitation_matrix(cfg.x_ext, basis),
                    dTi=excitation_matrix(cfg.dt_int, basis),
                    dTe=excitation_matrix(cfg.dt_ext, basis),
-                   basis=basis)
+                   basis=basis, t_int=cfg.t_int)
 
     def exp(self, A: np.ndarray, v: np.ndarray) -> np.ndarray:
         """e^{A} v for a nilpotent amplitude matrix ``A``."""
@@ -132,17 +137,38 @@ def eval_lh_forms(m: EccMatrices, H: QOperator,
     return complex(w1), complex(w2)
 
 
+def _apply_pairs(pairs: list, X: np.ndarray, right: bool = False) -> np.ndarray:
+    """``A @ X``, or ``X @ A`` with ``right``, for the amplitude operator A
+    of ``pairs`` (:func:`amplitude_pairs`): per signature, whose lows and
+    highs are each unique, one gather of rows and one scatter.  ``X @ A``
+    is ``(A^T X^T)^T``, and the pairs of A^T are those of A with lows and
+    highs swapped."""
+    if right:
+        return _apply_pairs([(highs, lows, vals) for lows, highs, vals in pairs], X.T).T
+    Y = np.zeros(X.shape, np.result_type(X, *(vals for _, _, vals in pairs)))
+    for lows, highs, vals in pairs:
+        Y[highs] += vals[:, None] * X[lows]
+    return Y
+
+
 def x_int_ext_bch(m: EccMatrices) -> tuple[np.ndarray, np.ndarray, int]:
     """Similarity-transformed external de-excitation two ways.
 
     Returns (direct product e^{T_int} X_ext e^{-T_int}, terminating nested-
     commutator series sum_n ad_{T_int}^n(X_ext)/n!, number of series terms).
+    T_int acts from its pair lists (:func:`amplitude_pairs`) on the left or
+    the right of a ``dim x dim`` array, never as a dense matrix: the direct
+    product is the left series e^{T_int} X_ext followed by the right series
+    of e^{-T_int}, and the commutators are T_int Y - Y T_int.
     The series terminates: every surviving operator path climbs the
     excitation-rank ladder except for the single de-excitation drop, and the
     ladder height R = min(N, M-N) caps the commutator depth at 3R.
     """
-    Ti, Xe, basis = m.Ti, m.Xe, m.basis
-    direct = exp_nilpotent(Ti, Xe, basis) @ exp_nilpotent(-Ti, np.eye(basis.size), basis)
+    Xe, basis = m.Xe, m.basis
+    pairs = amplitude_pairs(m.t_int, basis)
+    left = lambda Y: _apply_pairs(pairs, Y)
+    right = lambda Y: _apply_pairs(pairs, Y, right=True)
+    direct = exp_nilpotent(lambda Y: -right(Y), exp_nilpotent(left, Xe, basis), basis)
     ladder = min(basis.N, basis.M - basis.N)
     cap = 3 * ladder + 2
     # cancellation roundoff keeps dead terms from being exact zeros
@@ -153,7 +179,7 @@ def x_int_ext_bch(m: EccMatrices) -> tuple[np.ndarray, np.ndarray, int]:
     while True:
         series = series + term / math.factorial(n)
         n += 1
-        term = Ti @ term - term @ Ti
+        term = left(term) - right(term)
         if float(np.abs(term).max(initial=0.0)) <= dead:
             break
         if n > cap:

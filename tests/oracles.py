@@ -11,8 +11,9 @@ vectorise, the sweep target order built from it, dense projectors, the
 per-determinant Hamiltonian builders (term lists applied
 literally, and integrals applied by Slater-Condon rules) against the
 vectorised :func:`ducclab.operators.hamiltonian_from_integrals`, a
-reference-dominated random Hamiltonian, the bare CAS-CI Hamiltonian and the
-assembled ECC action integrand.
+reference-dominated random Hamiltonian, the bare CAS-CI Hamiltonian, the
+per-signature amplitude matrix, the assembled ECC action integrand and the
+dense-matrix similarity transform of X_ext by T_int.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from itertools import combinations
 
 import numpy as np
 
+from ducclab.cluster import Amplitudes, exp_nilpotent
 from ducclab.downfold import EffectiveHamiltonian
 from ducclab.ecc import (EccConfiguration, EccMatrices, action_deviation,
                          eval_ldt_forms, eval_lh_forms)
 from ducclab.errors import InvalidDimensionError, OperatorPropertyError, SectorMismatchError
 from ducclab.fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
                           SpinOrbitalPartition, determinant_table, excitation_pairs)
-from ducclab.operators import IntegralSet, QOperator
+from ducclab.operators import IntegralSet, QOperator, _inexact
 from ducclab.sweeps import RotationStep, _apply_rotation, _check_sweep_ordering
 
 # -- derivative of the exponential map ---------------------------------------
@@ -391,7 +393,41 @@ def cas_ci(H: QOperator, ref: Determinant,
     return EffectiveHamiltonian(sub, cas, H.basis, "cas-ci", hermitian=hermitian)
 
 
+# -- amplitude matrices ----------------------------------------------------------
+
+
+def per_signature_excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
+    """Matrix of sum_sig t_sig E_sig, one scatter per nonzero amplitude:
+    the reference for the single scatter of
+    :func:`ducclab.cluster.excitation_matrix`."""
+    mat = np.zeros((basis.size, basis.size), dtype=_inexact(list(amps.entries.values())).dtype)
+    for sig, t in amps:
+        if t != 0:
+            lows, highs, phases = excitation_pairs(sig, basis)
+            mat[highs, lows] += t * phases
+    return mat
+
+
 # -- extended coupled cluster --------------------------------------------------
+
+
+def dense_x_int_ext_bch(m: EccMatrices) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`ducclab.ecc.x_int_ext_bch` from the dense matrix ``m.Ti``: the
+    product of e^{T_int} X_ext with the dense e^{-T_int}, and the commutator
+    series by dense products."""
+    Ti, Xe, basis = m.Ti, m.Xe, m.basis
+    direct = exp_nilpotent(Ti, Xe, basis) @ exp_nilpotent(-Ti, np.eye(basis.size), basis)
+    cap = 3 * min(basis.N, basis.M - basis.N) + 2
+    dead = 1e-14 * max(1.0, float(np.abs(Xe).max(initial=0.0)))
+    series, term, n = np.zeros_like(Xe), Xe.copy(), 0
+    while True:
+        series = series + term / math.factorial(n)
+        n += 1
+        term = Ti @ term - term @ Ti
+        if float(np.abs(term).max(initial=0.0)) <= dead:
+            return direct, series, n
+        if n > cap:
+            raise ArithmeticError(f"nested-commutator series did not terminate by n={cap}")
 
 
 def eval_ecc_action_integrand(cfg: EccConfiguration, H: QOperator,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ducclab
-from ducclab import cli, dynamics, ecc
+from ducclab import cli, dynamics, ecc, sweeps
 from ducclab.cli import main
 from ducclab.errors import CasSupportError
 
@@ -618,6 +618,30 @@ def test_generator_column_deviation_ties_the_generator_to_the_replay(tmp_path, m
     assert downfold["error"].startswith("DuccLabError: downfold: ducc_delta_e = ")
 
 
+def test_downfold_reports_an_unformed_lowest_order_estimate_as_null(tmp_path):
+    # the lowest-order generator of this ground state has 1-norm 9.9e4,
+    # beyond what exp_anti_hermitian accepts: the estimate is a null with
+    # the reason, and the exact SES-CC and DUCC results stand
+    write_seeded_fcidump(tmp_path / "FCIDUMP", 8, 4, seed=1, coupling=1.0)
+    path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"},
+                        electrons=4, partition={"auto_homo_lumo": [1, 1]},
+                        tasks=[{"name": "downfold"}])
+    assert main(["run", str(path)]) == 0
+    res = read_report(tmp_path)["tasks"][0]["results"]
+    assert res["ducc_lowest_order_delta_e"] is None
+    assert res["ducc_lowest_order_error"] == (
+        "OperatorPropertyError: generator 1-norm 9.907e+04 exceeds 1e+03")
+    assert res["ducc_delta_e"] < 1e-13 and res["sescc_delta_e"] < 1e-12
+
+
+def test_downfold_reports_a_formed_lowest_order_estimate_alone(tmp_path):
+    path = write_config(tmp_path, tasks=[{"name": "downfold"}])
+    assert main(["run", str(path)]) == 0
+    res = read_report(tmp_path)["tasks"][0]["results"]
+    assert 0 < res["ducc_lowest_order_delta_e"] < 1.0
+    assert "ducc_lowest_order_error" not in res
+
+
 def test_quench_failure_names_its_grid_time(tmp_path, monkeypatch):
     # half-grid states 4 and 5 share the sweep batch of points 3-5 (width
     # 6 // 2 on the dimer); without their reference component the batch
@@ -651,6 +675,16 @@ class TestGroundStagesOncePerRun:
         # lowest-order generator
         assert calls == {"decompose_state": 1, "cluster_analyze": 1,
                          "downfold_ducc": 1, "ducc_projection": 1, "expm": 0}
+
+    def test_cas_columns_replayed_once(self, tmp_path, monkeypatch):
+        # two replays of decompose_state (sigma_ext and the third sweep) and
+        # one of the CAS columns, which sweep and downfold share
+        calls = {}
+        for module in (sweeps, cli):
+            count_calls(monkeypatch, module, "replay", calls)
+        tasks = [{"name": n} for n in ("fci", "sweep", "downfold")]
+        assert main(["run", str(write_config(tmp_path, tasks=tasks))]) == 0
+        assert calls == {"replay": 3}
 
     def test_imagtime_independent_of_task_list(self, tmp_path):
         alone = write_config(tmp_path, tasks=[{"name": "imagtime"}])

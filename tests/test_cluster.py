@@ -7,7 +7,7 @@ from ducclab.errors import IntermediateNormalizationError
 
 from conftest import random_state
 from oracles import (anti_hermiticity_defect, apply_excitation, build_projectors,
-                     random_hermitian_hamiltonian)
+                     per_signature_excitation_matrix, random_hermitian_hamiltonian)
 
 
 class TestClusterAnalyze:
@@ -105,12 +105,63 @@ class TestExpNilpotent:
         out = dl.exp_nilpotent(np.zeros((m6_basis.size,) * 2), v, m6_basis)
         assert np.array_equal(out, v)
 
+    def test_right_map_matches_expm(self, m8_basis, m8_ref, m8_part):
+        # W -> W A climbs the same ladder from the other side
+        rng = np.random.default_rng(6)
+        V = rng.normal(size=(m8_basis.size,) * 2)
+        for A in self.generators(m8_basis, m8_ref, m8_part, rng, 0.5):
+            got = dl.exp_nilpotent(lambda W: W @ A, V, m8_basis)
+            want = V @ scipy.linalg.expm(A)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_nan_never_ends_the_series(self, m6_basis, m6_ref, row):
+        # a NaN term is not a zero one, wherever the NaN enters
+        T = dl.excitation_matrix(dl.random_amplitudes(m6_ref, np.random.default_rng(8)),
+                                 m6_basis)
+        v = m6_basis.unit_vector(m6_ref)
+        v[row] = np.nan
+        with pytest.raises(ArithmeticError):
+            dl.exp_nilpotent(T, v, m6_basis)
+
     def test_rank_zero_amplitude_raises(self, m6_basis, m6_ref):
         amps = dl.Amplitudes({sig: 0.1 for sig in dl.enumerate_signatures(
             m6_ref, include_identity=True)})
         e_ref = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
         with pytest.raises(ArithmeticError):
             dl.exp_nilpotent(dl.excitation_matrix(amps, m6_basis), e_ref, m6_basis)
+
+
+class TestExcitationMatrix:
+    @staticmethod
+    def amplitude_set(kind, ref, rng):
+        real = dl.random_amplitudes(ref, rng, scale=0.5, real=True)
+        sigs = list(real.entries)
+        return {
+            "real": real,
+            "complex": dl.random_amplitudes(ref, rng, scale=0.5),
+            # a complex amplitude with a zero imaginary part, against a
+            # phase -1, gives -0.0, which a sum onto zeros turns into +0.0
+            "complex-real-parts": dl.Amplitudes({sig: complex(t) for sig, t in real}),
+            "zero-valued": dl.Amplitudes(dict.fromkeys(sigs, 0.0)),
+            "some-zero": dl.Amplitudes({sig: (t if k % 3 else 0j) for k, (sig, t)
+                                        in enumerate(dl.random_amplitudes(ref, rng))}),
+            "empty": dl.Amplitudes({}),
+            # the rank-0 signature's pairs are the diagonal
+            "with-identity": dl.Amplitudes({sig: 0.25 for sig in dl.enumerate_signatures(
+                ref, max_rank=1, include_identity=True)}),
+        }[kind]
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "complex-real-parts",
+                                      "zero-valued", "some-zero", "empty", "with-identity"])
+    def test_one_scatter_matches_per_signature_scatters(self, m8_basis, m8_ref, kind):
+        # the concatenated pairs fill the matrix bit for bit as the loop
+        # of one scatter per signature does, in the same dtype
+        amps = self.amplitude_set(kind, m8_ref, np.random.default_rng(3))
+        got = dl.excitation_matrix(amps, m8_basis)
+        want = per_signature_excitation_matrix(amps, m8_basis)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSplitAmplitudes:

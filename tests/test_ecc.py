@@ -4,7 +4,7 @@ import scipy.linalg
 
 import ducclab as dl
 
-from oracles import eval_ecc_action_integrand, random_hermitian_hamiltonian
+from oracles import dense_x_int_ext_bch, eval_ecc_action_integrand, random_hermitian_hamiltonian
 
 
 def random_cfg(ref, part, rng, scale=0.1):
@@ -211,3 +211,41 @@ class TestOperatorAlgebra:
         direct, series, n_terms = dl.x_int_ext_bch(dl.EccMatrices.build(cfg, m6_basis))
         assert np.abs(direct - series).max() < 1e-12
         assert n_terms <= 3 * min(m6_basis.N, m6_basis.M - m6_basis.N) + 2
+
+
+class TestXIntExtBchFromPairLists:
+    """:func:`dl.x_int_ext_bch` applies T_int from its pair lists: the dense
+    products of the same formulas are its reference."""
+
+    @pytest.mark.parametrize("M,N,window", [(6, 3, (2, 2)), (6, 3, (1, 2)),
+                                            (8, 4, (2, 2)), (8, 4, (1, 2))])
+    def test_matches_dense_products(self, M, N, window):
+        basis = dl.build_basis(M, N)
+        part = dl.homo_lumo_partition(M, N, *window)
+        rng = np.random.default_rng(50)
+        for _ in range(2):
+            m = dl.EccMatrices.build(random_cfg(part.reference(), part, rng, 0.5), basis)
+            got, want = dl.x_int_ext_bch(m), dense_x_int_ext_bch(m)
+            assert np.abs(got[0] - want[0]).max() < 1e-15
+            assert np.abs(got[1] - want[1]).max() < 1e-15
+            assert got[2] == want[2]
+
+    def test_empty_internal_set(self, m8_basis, m8_ref, m8_part):
+        cfg = random_cfg(m8_ref, m8_part, np.random.default_rng(51), 0.5)
+        cfg.t_int = zero_amps()
+        m = dl.EccMatrices.build(cfg, m8_basis)
+        direct, series, n_terms = dl.x_int_ext_bch(m)
+        want = dense_x_int_ext_bch(m)
+        assert np.array_equal(direct, m.Xe) and np.array_equal(series, m.Xe)
+        assert np.abs(direct - want[0]).max() < 1e-15 and n_terms == want[2] == 1
+
+    def test_forms_no_identity_or_dense_exponential(self, monkeypatch, m8_basis, m8_ref,
+                                                     m8_part):
+        m = dl.EccMatrices.build(random_cfg(m8_ref, m8_part, np.random.default_rng(52), 0.5),
+                                 m8_basis)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.eye called")
+        monkeypatch.setattr(np, "eye", refused)
+        direct, series, _ = dl.x_int_ext_bch(m)
+        assert np.abs(direct - series).max() < 1e-12
