@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .cluster import (cluster_analyze, excitation_matrix, exp_nilpotent,
@@ -77,6 +76,7 @@ RESIDUAL_BOUNDS = {
     "sweep": {"reconstruction_residual": 1e-9, "generator_column_deviation": 1e-9},
     "downfold": {"sescc_delta_e": 1e-9, "ducc_delta_e": 1e-9},
     "propagate": {"max_decomposition_residual": 1e-9},
+    "imagtime": {"delta_e_vs_fci": 1e-8},
 }
 _residual_check = lambda task, key: (task, (key,), RESIDUAL_BOUNDS[task][key])
 #: verify-all's checks: name -> (task, results, bound); a check passes when
@@ -87,10 +87,13 @@ VERIFY_ALL_CHECKS = {
     "cluster_residual": _residual_check("cluster", "cc_residual"),
     "sweep_reconstruction": _residual_check("sweep", "reconstruction_residual"),
     "td_consistency": ("propagate", ("max_consistency_deviation",), 1e-5),
-    "imagtime_converged": ("imagtime", ("delta_e_vs_fci",), 1e-8),
+    "imagtime_converged": _residual_check("imagtime", "delta_e_vs_fci"),
     "ecc_identities": ("ecc", ("max_ldt_deviation", "max_lh_deviation"), 1e-10),
     "lagrangian_equivalence": ("lagrangians", ("ducc_max_mutual_deviation",), 1e-9),
 }
+#: largest deviation of the two routes of an ECC identity in one
+#: configuration, relative to the larger of 1 and the first route's value
+ECC_IDENTITY_RTOL = 1e-12
 #: the errors that fail a task (or, in ``downfold``, its lowest-order estimate)
 #: instead of the run
 TASK_ERRORS = (DuccLabError, np.linalg.LinAlgError, ValueError, ArithmeticError)
@@ -584,7 +587,7 @@ def task_ecc(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
     n_configs, scale = p["n_configs"], p["scale"]
     rng = ctx.rng("ecc")
     max_v, max_w, max_act, max_bch = 0.0, 0.0, 0.0, 0.0
-    for _ in range(n_configs):
+    for k in range(n_configs):
         cfg = EccConfiguration(
             t_int=random_amplitudes(ctx.ref, rng, part, "internal", scale),
             t_ext=random_amplitudes(ctx.ref, rng, part, "external", scale),
@@ -596,6 +599,11 @@ def task_ecc(ctx: RunContext, params: dict) -> tuple[dict, list[str]]:
         m = EccMatrices.build(cfg, ctx.basis)
         v1, v2, v4 = eval_ldt_forms(m, ctx.ref)
         w1, w2 = eval_lh_forms(m, ctx.H, ctx.ref)
+        for name, a, b in (("lh", w1, w2), ("ldt", v1, v2)):
+            if not abs(a - b) <= ECC_IDENTITY_RTOL * max(1.0, abs(a)):   # NaN fails too
+                raise DuccLabError(
+                    f"ecc configuration {k}: {name} forms {a:.16e} and {b:.16e} "
+                    f"deviate beyond {ECC_IDENTITY_RTOL:.0e} relative")
         _, act_dev = action_deviation(v1, v4, w1, w2)
         direct, series, _ = x_int_ext_bch(m)
         max_v = max(max_v, abs(v1 - v2))
@@ -694,7 +702,6 @@ def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
         "versions": {
             "ducclab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(str(x) for x in sys.version_info[:3]),
         },
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),

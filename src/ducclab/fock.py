@@ -229,36 +229,51 @@ def aufbau_reference(M: int, N: int) -> Determinant:
     return Determinant((1 << N) - 1, M)
 
 
+def string_elements(masks: np.ndarray, annihilated: tuple[int, ...],
+                    created: np.ndarray):
+    """Nonzero matrix elements of the strings ``a+_{c1}..a+_{ck} a_{xk}..a_{x1}``
+    over the basis of ascending ``masks``, one string per row ``c`` of the
+    ``(n, k)`` array ``created`` (each row ascending), all sharing the
+    ascending ``annihilated`` orbitals ``x``: ``(cols, string, rows, signs)``,
+    string ``created[string[i]]`` taking basis column ``cols[i]`` to
+    ``signs[i]`` times row ``rows[i]``, with ``cols`` ascending.
+
+    The annihilators act in ascending, then the creators in descending index
+    order, each contributing the parity of the occupied orbitals below it,
+    as the module conventions state; vectorised over the basis columns and
+    the strings.  Every reached determinant must lie in the basis.
+    """
+    ann = _mask(annihilated)
+    cols = np.flatnonzero(masks & ann == ann)
+    m = masks[cols]
+    parity = np.zeros(cols.size, dtype=np.int64)
+    for x in annihilated:
+        parity += np.bitwise_count(m & ((1 << x) - 1))
+        m = m & ~(1 << x)
+    jj, string = np.nonzero(m[:, None] & (1 << created).sum(axis=1) == 0)
+    new, parity = m[jj], parity[jj]
+    for p in created[string].T[::-1]:
+        parity = parity + np.bitwise_count(new & ((1 << p) - 1))
+        new = new | (1 << p)
+    return cols[jj], string, np.searchsorted(masks, new), 1.0 - 2.0 * (parity & 1)
+
+
 @lru_cache(maxsize=4096)
 def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All determinant pairs coupled by E_sig, for the whole basis at once:
-    (low indices ascending, high indices, phases of <high|E_sig|low>).
-
-    The annihilators act in ascending, then the creators in descending
-    index order, each contributing the parity of the occupied orbitals below
-    it, as the module conventions state; the scalar string algebra this
-    vectorises is the reference in ``tests/oracles.py``.  Memoised per
-    ``(sig, basis)``, the basis keyed by identity; every caller shares one
-    result, so its arrays are read-only.  4096 entries hold every signature
-    of the sectors up to M=14 (3431 at M=14, N=7).
+    (low indices ascending, high indices, phases of <high|E_sig|low>), the
+    elements of the one string of :func:`string_elements`; the scalar string
+    algebra this vectorises is the reference in ``tests/oracles.py``.
+    Memoised per ``(sig, basis)``, the basis keyed by identity; every caller
+    shares one result, so its arrays are read-only.  4096 entries hold every
+    signature of the sectors up to M=14 (3431 at M=14, N=7).
     """
-    occ, virt = _mask(sig.occ), _mask(sig.virt)
-    masks = basis.mask_array
-    lows = np.flatnonzero((masks & occ == occ) & (masks & virt == 0))
-    m = masks[lows]
-    parity = np.zeros(lows.size, dtype=np.int64)
-    for p in sig.occ:
-        parity += np.bitwise_count(m & ((1 << p) - 1))
-        m = m & ~(1 << p)
-    for p in reversed(sig.virt):
-        parity += np.bitwise_count(m & ((1 << p) - 1))
-        m = m | (1 << p)
-    highs = np.searchsorted(masks, m)
-    table = (lows, highs, 1.0 - 2.0 * (parity & 1))
-    for arr in table:
+    lows, _, highs, phases = string_elements(
+        basis.mask_array, sig.occ, np.array([sig.virt], dtype=np.int64))
+    for arr in (lows, highs, phases):
         arr.flags.writeable = False
-    return table
+    return lows, highs, phases
 
 
 class DeterminantTable:

@@ -20,21 +20,22 @@ sweep's generator certificate (the downfolding replays the sweep's record).
 :func:`direct_sum_blocks` finds the blocks of a matrix's exact-zero pattern,
 and :func:`logm_unitary` takes the log of the blocks of each size in one
 batched symmetric or Hermitian eigenproblem, with no Schur form: of
-``(2I - Q - Q^T)/4`` for a real orthogonal stack, of the Cayley transform
-for a complex one.  Every exponential of a generator, and its derivative,
-is one certified Taylor action on vectors, :func:`exp_anti_hermitian`.
+``(2I - U - U^+)/4``, in the arithmetic of the stack, or of the Cayley
+transform for a stack with an eigenvalue near -1.  Every exponential of a
+generator, and its derivative, is one certified Taylor action on vectors,
+:func:`exp_anti_hermitian`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
-from .fock import MAX_ORBITALS, FockBasis
+from .fock import MAX_ORBITALS, FockBasis, string_elements
 
 
 def _inexact(a) -> np.ndarray:
@@ -107,43 +108,18 @@ class IntegralSet:
         return cls(one_body, v, core_energy)
 
 
-def _add_strings(mat: np.ndarray, masks: np.ndarray, annihilated: tuple[int, ...],
-                 created: np.ndarray, coeffs: np.ndarray):
-    """``mat += sum_c coeffs[c] a+_{created[c]} a_{annihilated}`` over the
-    basis of ascending ``masks``.
-
-    ``annihilated`` is ascending and acts first, lowest index first; each
-    row of ``created`` is ascending and acts highest index first, so the
-    string is ``a+_{c1}..a+_{ck} a_{xk}..a_{x1}``.  Vectorised over the
-    basis columns and the rows of ``created``: every pair of them reaches
-    its own matrix element, so one fancy-index add is exact.  Strings with
-    a zero coefficient are skipped: they add nothing, and the determinants
-    they reach need not lie in the basis.
-    """
-    nonzero = np.flatnonzero(coeffs)
-    created, coeffs = created[nonzero], coeffs[nonzero]
-    ann = sum(1 << x for x in annihilated)
-    cols = np.flatnonzero(masks & ann == ann)
-    m = masks[cols]
-    parity = np.zeros(cols.size, dtype=np.int64)
-    for x in annihilated:
-        parity += np.bitwise_count(m & ((1 << x) - 1))
-        m = m & ~(1 << x)
-    jj, cc = np.nonzero(m[:, None] & (1 << created).sum(axis=1) == 0)
-    new, parity = m[jj], parity[jj]
-    for p in created[cc].T[::-1]:
-        parity = parity + np.bitwise_count(new & ((1 << p) - 1))
-        new = new | (1 << p)
-    mat[np.searchsorted(masks, new), cols[jj]] += coeffs[cc] * (1.0 - 2.0 * (parity & 1))
-
-
 def hamiltonian_from_integrals(ints: IntegralSet, basis: FockBasis) -> QOperator:
     """Dense sector Hamiltonian of an integral set (Slater-Condon rules).
 
     One pass per annihilated orbital ``q`` of ``sum h[p,q] a+_p a_q``, then
     one per annihilated pair ``r < s`` of ``sum_{p<q} <pq||rs> a+_p a+_q a_s
     a_r``, in ascending order: every matrix element sums its terms in the
-    order of a per-determinant application of the same strings.
+    order of a per-determinant application of the same strings.  A pass
+    takes the elements of its strings from :func:`ducclab.fock.string_elements`;
+    every pair of a basis column and a string reaches its own matrix
+    element, so one fancy-index add is exact.  Strings with a zero
+    coefficient are skipped: they add nothing, and the determinants they
+    reach need not lie in the basis.
     """
     if ints.M != basis.M:
         raise InvalidDimensionError(
@@ -152,11 +128,14 @@ def hamiltonian_from_integrals(ints: IntegralSet, basis: FockBasis) -> QOperator
     mat = np.zeros((basis.size, basis.size), np.result_type(ints.one_body, ints.two_body))
     mat[np.diag_indices(basis.size)] += ints.core_energy
     orbitals = np.arange(M)[:, None]
-    for q in range(M):
-        _add_strings(mat, masks, (q,), orbitals, ints.one_body[:, q])
     pairs = np.array(list(combinations(range(M), 2)), dtype=np.int64).reshape(-1, 2)
-    for r, s in pairs.tolist():
-        _add_strings(mat, masks, (r, s), pairs, ints.two_body[pairs[:, 0], pairs[:, 1], r, s])
+    passes = chain((((q,), orbitals, ints.one_body[:, q]) for q in range(M)),
+                   (((r, s), pairs, ints.two_body[pairs[:, 0], pairs[:, 1], r, s])
+                    for r, s in pairs.tolist()))
+    for annihilated, created, coeffs in passes:
+        nonzero = np.flatnonzero(coeffs)
+        cols, string, rows, signs = string_elements(masks, annihilated, created[nonzero])
+        mat[rows, cols] += coeffs[nonzero][string] * signs
     return QOperator(mat, basis)
 
 
@@ -259,10 +238,10 @@ def _stacked_unitarity_defect(stacks) -> float:
 UNITARY_TOL = 1e-10
 #: smallest distance ``|lam + 1|`` of an eigenvalue from the branch cut
 BRANCH_TOL = 1e-10
-#: smallest ``|lam + 1|`` of a real block stack that takes the real
+#: smallest ``|lam + 1|`` of a block stack that takes the half-angle
 #: logarithm; nearer the cut its error grows as eps/|lam + 1|, and the stack
 #: takes the Cayley path, whose error stays at the Schur level
-REAL_LOG_MIN_DISTANCE = 1.0
+LOG_MIN_DISTANCE = 1.0
 
 _BRANCH_CUT = "unitary has an eigenvalue at -1; principal log undefined"
 
@@ -313,25 +292,26 @@ def _cayley_log(B: np.ndarray) -> np.ndarray:
     return Z @ D @ Zh
 
 
-def _orthogonal_log(Q: np.ndarray) -> np.ndarray | None:
-    """Principal log of a ``(count, k, k)`` stack of real orthogonal blocks
-    in real arithmetic, or None when an eigenvalue lies nearer than
-    :data:`REAL_LOG_MIN_DISTANCE` to -1.
+def _half_angle_log(U: np.ndarray) -> np.ndarray | None:
+    """Principal log of a ``(count, k, k)`` stack of unitary blocks, real
+    or complex, in the arithmetic of the stack, or None when an eigenvalue
+    lies nearer than :data:`LOG_MIN_DISTANCE` to -1.
 
-    An eigenvalue pair ``e^{+-i theta}`` of ``Q`` spans a real plane on
-    which ``P = (2I - Q - Q^T)/4`` is ``x^2 = sin^2(theta/2)`` times the
-    identity and ``K = (Q - Q^T)/2`` is ``sin(theta)`` times a rotation by
-    pi/2, so ``log Q = theta/sin(theta) K`` there.  One real ``eigh`` of
-    ``P`` gives its eigenvectors ``v_j``; ``s_j = ||K v_j|| = |sin theta_j|``
-    and ``cos theta_j = 1 - 2 x_j^2`` give ``|theta_j|`` by ``atan2``, and
-    ``log Q = K V diag(theta/s) V^T`` (``theta/s = 1`` where ``s = 0``).  The
+    On the eigenvectors of ``e^{+-i theta}``, ``P = (2I - U - U^+)/4`` is
+    ``x^2 = sin^2(theta/2)`` times the identity and ``K = (U - U^+)/2`` is
+    ``+-i sin(theta)``, so ``log U = theta/sin(theta) K`` there; the ratio is
+    even in theta, so it is the same on every vector of their span that
+    ``P`` mixes (for a real stack, the real planes).  One ``eigh`` of ``P``
+    gives its eigenvectors ``v_j``; ``s_j = ||K v_j|| = |sin theta_j|`` and
+    ``cos theta_j = 1 - 2 x_j^2`` give ``|theta_j|`` by ``atan2``, and
+    ``log U = K V diag(theta/s) V^+`` (``theta/s = 1`` where ``s = 0``).  The
     distance of ``lam_j`` from the cut is ``|1 + lam_j| = 2 sin((pi -
     |theta_j|)/2)``.
     """
-    Qt = Q.swapaxes(1, 2)
-    K = 0.5 * (Q - Qt)
-    P = -0.25 * (Q + Qt)
-    diag = np.arange(Q.shape[1])
+    Uh = U.conj().swapaxes(1, 2)
+    K = 0.5 * (U - Uh)
+    P = -0.25 * (U + Uh)
+    diag = np.arange(U.shape[1])
     P[:, diag, diag] += 0.5
     x2, V = np.linalg.eigh(P)
     KV = K @ V
@@ -340,11 +320,11 @@ def _orthogonal_log(Q: np.ndarray) -> np.ndarray | None:
     distance = (2.0 * np.sin(0.5 * np.arctan2(s, -c))).min()
     if distance < BRANCH_TOL:
         raise BranchCutError(_BRANCH_CUT)
-    if distance < REAL_LOG_MIN_DISTANCE:
+    if distance < LOG_MIN_DISTANCE:
         return None
     ratio = np.divide(np.arctan2(s, c), s, out=np.ones_like(s), where=s > 0)
     KV *= ratio[:, None, :]
-    return KV @ V.swapaxes(1, 2)
+    return KV @ V.conj().swapaxes(1, 2)
 
 
 def logm_unitary(U: np.ndarray) -> tuple[np.ndarray, float]:
@@ -355,13 +335,14 @@ def logm_unitary(U: np.ndarray) -> tuple[np.ndarray, float]:
     The log of a direct sum is the direct sum of the logs, so the work runs
     over the blocks of :func:`direct_sum_blocks`, with the blocks of one
     size stacked; the unitarity check reads the same stacks, before any
-    solve or ``eigh``.  A complex stack takes the Cayley transform
-    (:func:`_cayley_log`).  A real stack takes one real ``eigh``
-    (:func:`_orthogonal_log`); its error grows as ``eps/|1+lam|`` near the
-    cut (up to 8e-13 in ``expm(L) - U`` at ``|1+lam| = 1e-3``, where the
-    Cayley path stays below 1.4e-15), so a real stack whose smallest
-    ``|1+lam|`` is below :data:`REAL_LOG_MIN_DISTANCE` takes the Cayley path
-    on a complex copy and keeps its real part.  Raises :class:`BranchCutError` when an
+    solve or ``eigh``.  The path of a stack depends on its distance from the
+    branch cut alone, not on its dtype.  A stack takes one ``eigh`` in its
+    own arithmetic (:func:`_half_angle_log`); its error grows as
+    ``eps/|1+lam|`` near the cut (up to 8e-13 in ``expm(L) - U`` at
+    ``|1+lam| = 1e-3``, where the Cayley path stays below 1.4e-15), so a
+    stack whose smallest ``|1+lam|`` is below :data:`LOG_MIN_DISTANCE` takes
+    the Cayley transform (:func:`_cayley_log`), a real one on a complex copy
+    of which it keeps the real part.  Raises :class:`BranchCutError` when an
     eigenvalue sits within :data:`BRANCH_TOL` of the branch cut at -1, or
     when ``I+U`` is exactly singular, where the principal logarithm is
     ambiguous.  The sweep unitaries stay far from the cut: the smallest
@@ -375,13 +356,12 @@ def logm_unitary(U: np.ndarray) -> tuple[np.ndarray, float]:
     defect = _stacked_unitarity_defect([B for _, B in stacks])
     if defect > UNITARY_TOL:
         raise OperatorPropertyError(f"logm input not unitary (defect {defect:.3e})")
-    real = not np.iscomplexobj(U)
     L = np.zeros_like(U)
     for stack, B in stacks:
-        log = _orthogonal_log(B) if real else None
+        log = _half_angle_log(B)
         if log is None:
             log = _cayley_log(B.astype(complex, copy=False))
-        L[stack] = log.real if real else log
+        L[stack] = log if np.iscomplexobj(U) else log.real
     L = 0.5 * (L - L.conj().T)  # exact log of unitary input is anti-Hermitian
     return L, defect
 

@@ -2,9 +2,10 @@
 
 A normalized state with nonzero reference overlap is reduced to the
 reference determinant by an ordered product of elementary two-level
-unitaries ``exp(theta * (e^{i phi} E_sig - e^{-i phi} E_sig+))``, each of
-which zeroes the coefficient of one target determinant against the
-reference.  Three sweeps run in sequence:
+unitaries ``exp(theta * (e^{i phi} E_sig - e^{-i phi} E_sig+))``, each
+stored as the two matrix entries ``cos(theta)`` and ``e^{i phi} sin(theta)``
+it applies, with no angle ever formed; each zeroes the coefficient of one
+target determinant against the reference.  Three sweeps run in sequence:
 
 1. eliminate every determinant with at least one inactive-occupied hole,
    grouped by its smallest hole (ascending), rank-ascending inside a group;
@@ -35,12 +36,13 @@ columns of e^{sigma_ext} a downfolded Hamiltonian needs, with no logarithm.
 
 Sweeps 1-2 and :func:`replay` also take a ``(dim, B)`` stack of states and
 ``(dim, ncas, B)`` columns: the targets are the same for every state, so the
-stack takes each rotation at once, column b by its own angle and phase.
+stack takes each rotation at once, column b by its own ``cos`` and ``sin``.
 Every check holds per state; a failing stack names its first failing column.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,14 +65,15 @@ SUPPORT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RotationStep:
-    """One elementary rotation: generator
-    ``angle * (e^{i phase} E_{occ}^{virt} - e^{-i phase} E^{occ}_{virt})``;
-    for a stack of states ``angle`` and ``phase`` are ``(B,)`` arrays."""
+    """The rotation ``exp(theta (e^{i phi} E_{occ}^{virt} - e^{-i phi} E^{occ}_{virt}))``
+    as the matrix entries it applies: the real ``cos = cos(theta)`` and ``sin =
+    e^{i phi} sin(theta)`` in the dtype of the swept state (:func:`_apply_rotation`);
+    for a stack of states both are ``(B,)`` arrays."""
 
     occ: tuple[int, ...]
     virt: tuple[int, ...]
-    angle: float | np.ndarray
-    phase: float | np.ndarray
+    cos: float | np.ndarray
+    sin: float | complex | np.ndarray
 
     @property
     def signature(self) -> ExcitationSignature:
@@ -79,59 +82,53 @@ class RotationStep:
 
 def _apply_rotation(step: RotationStep, pairs, arr, inverse: bool = False):
     """Left-multiply an array in place by the rotation unitary, or with
-    ``inverse`` by its adjoint (the same rotation by ``-angle``).
+    ``inverse`` by its adjoint (the same rotation with ``-sin``).
 
     On each coupled pair (low, high) with phase ph the unitary acts as
-        low'  =  cos(t)        * low - e^{-i phi} ph sin(t) * high
-        high' =  e^{i phi} ph sin(t) * low + cos(t)         * high
-    and as the identity elsewhere.  A batched step acts on the trailing
-    axis of ``arr``, entry b on ``arr[..., b]``.  A real array takes phases
-    of 0 or pi, as :func:`rotation_for_target` gives for a real state, and
-    e^{i phi} is then an exact +-1 (``np.exp(1j * np.pi)`` has an imaginary
-    part of 1.2e-16), so it stays real.
+        low'  = cos * low - conj(sin) ph * high
+        high' = sin ph * low + cos * high
+    and as the identity elsewhere, one update for real and complex arrays.
+    A batched step acts on the trailing axis of ``arr``, entry b on
+    ``arr[..., b]``.  A complex step cannot act on a real array.
     """
     lows, highs, phases = pairs
-    if lows.size == 0 or not np.count_nonzero(step.angle):
+    if lows.size == 0 or not np.count_nonzero(step.sin):
         return
-    c = np.cos(step.angle)
-    s = -np.sin(step.angle) if inverse else np.sin(step.angle)
-    if np.iscomplexobj(arr):
-        eip = np.exp(1j * step.phase)
-    elif np.count_nonzero((step.phase != 0.0) & (step.phase != np.pi)):
-        raise ValueError(f"a real rotation needs phase 0 or pi, got {step.phase!r}")
-    else:
-        eip = 1.0 - 2.0 * (step.phase == np.pi)
+    if np.iscomplexobj(step.sin) and not np.iscomplexobj(arr):
+        raise ValueError("a complex rotation cannot act on a real array")
+    s = -step.sin if inverse else step.sin
     lo, hi = arr[lows], arr[highs]
     ph = phases.reshape(phases.shape + (1,) * (lo.ndim - 1))
-    arr[lows] = c * lo - np.conj(eip) * ph * s * hi
-    arr[highs] = eip * ph * s * lo + c * hi
+    arr[lows] = step.cos * lo - np.conj(s) * ph * hi
+    arr[highs] = s * ph * lo + step.cos * hi
 
 
 def rotation_for_target(state: np.ndarray, j: int,
                         table: DeterminantTable) -> RotationStep:
-    """Angle and phase that zero the coefficient of row ``j`` of ``table``
+    """The rotation that zeroes the coefficient of row ``j`` of ``table``
     against the reference, for one state or each column of a stack.
 
     With c = <det_j|state>, c' = <ref|state> and ph the fermionic sign of
     the generator matrix element, the rotated target coefficient is
-    ``e^{i phi} ph sin(t) c' + cos(t) c``; it vanishes for
-    ``e^{i phi} tan(t) = -c / (ph c')``, a zero c taking the identity.  A
-    real state is divided in real arithmetic, so its phase is exactly 0 or
-    pi: complex division can leave a -0.0 imaginary part, where ``np.angle``
-    returns -pi.  A state takes the same array arithmetic alone as stacked.
+    ``sin ph c' + cos c``; with ``z = -c / (ph c')`` it vanishes for ``cos =
+    1/sqrt(1 + |z|^2)`` and ``sin = z cos``.  An empty partner takes a
+    quarter turn (``cos = 0``, ``sin = -c / (ph |c|)``), a zero c the identity
+    (``cos = 1``, ``sin = 0``).  A real state gives a real ``sin``.  A state
+    takes the same array arithmetic alone as stacked.
     """
     sig = table.signatures[j]
     ph = table.phases[j]
     c_t, c_p = state[[j, table.ref_index]].reshape(2, -1)
+    a_t = np.abs(c_t)
+    live = a_t > ZERO_TOL
     # partner empty: a quarter turn moves |c_t| onto it, at the phase of -ph c_t
-    quarter = np.abs(c_p) <= ZERO_TOL
-    z = -c_t / (ph * np.where(quarter, 1.0, c_p))
-    live = np.abs(c_t) > ZERO_TOL
-    angle = np.where(live, np.where(quarter, np.pi / 2, np.arctan(np.abs(z))), 0.0)
-    phase = np.where(live, np.angle(z), 0.0)
+    quarter = live & (np.abs(c_p) <= ZERO_TOL)
+    z = np.divide(-ph * c_t, np.where(quarter, a_t, c_p), out=np.zeros_like(c_t), where=live)
+    cos = np.where(quarter, 0.0, 1.0 / np.hypot(1.0, np.abs(z)))
+    sin = np.where(quarter, z, z * cos)
     if state.ndim == 1:
-        return RotationStep(sig.occ, sig.virt, float(angle[0]), float(phase[0]))
-    return RotationStep(sig.occ, sig.virt, angle, phase)
+        return RotationStep(sig.occ, sig.virt, cos[0].item(), sin[0].item())
+    return RotationStep(sig.occ, sig.virt, cos, sin)
 
 
 def _refuse(bad, error, message):
@@ -196,7 +193,7 @@ def _run_targets(state, targets, table) -> list:
     for sig, j in targets:
         step = rotation_for_target(state, j, table)
         dead[j] = True
-        if not np.count_nonzero(step.angle):
+        if not np.count_nonzero(step.sin):
             continue
         pairs = excitation_pairs(sig, table.basis)
         _apply_rotation(step, pairs, state)
@@ -304,5 +301,5 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
         log3, c_ref / abs(c_ref) * basis.unit_vector(table.ref_index)))
     return SweepResult(
         sigma_ext=sigma_ext, sigma_int_rotation=log3, record=record, psi_act=psi_act,
-        delta=float(np.angle(c_ref)), residual=float(np.linalg.norm(recon - psi_n)),
+        delta=cmath.phase(c_ref), residual=float(np.linalg.norm(recon - psi_n)),
         rotations=len(record) + len(record3), omega12_defect=d12, omega3_defect=d3)

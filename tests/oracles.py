@@ -102,12 +102,15 @@ def dexp_tail_ratio(X: np.ndarray, Xdot: np.ndarray,
 
 
 def rotation_generator(step: RotationStep, basis: FockBasis) -> np.ndarray:
-    """Dense anti-Hermitian generator of the rotation (for provenance checks)."""
+    """Dense anti-Hermitian generator of the rotation (for provenance checks):
+    ``theta (e^{i phi} E - e^{-i phi} E^+)`` with ``theta = arctan2(|sin|,
+    cos)`` and ``e^{i phi} = sin/|sin|``."""
     lows, highs, phases = excitation_pairs(step.signature, basis)
     g = np.zeros((basis.size, basis.size), dtype=complex)
-    eip = np.exp(1j * step.phase)
-    g[highs, lows] += step.angle * eip * phases
-    g[lows, highs] -= step.angle * np.conj(eip) * phases
+    r = abs(step.sin)
+    a = np.arctan2(r, step.cos) / r * step.sin if r else 0.0   # theta e^{i phi}
+    g[highs, lows] += a * phases
+    g[lows, highs] -= np.conj(a) * phases
     return g
 
 

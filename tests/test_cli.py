@@ -327,6 +327,11 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert loaded_modules("ducclab.cli", "scipy.linalg") == "[]"
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: a run needs numpy alone
+    assert loaded_modules("ducclab.cli", "scipy") == "[]"
+
+
 SCIPY_LINALG_IMPORTERS = """
 import builtins, sys
 seen = set()
@@ -558,6 +563,36 @@ def test_every_residual_bound_fails_its_task(tmp_path, monkeypatch, task, key, v
     ctx = cli.build_context(json.loads(write_config(tmp_path).read_text()), str(tmp_path), 0)
     with pytest.raises(ducclab.DuccLabError, match=f"^{task}: {key} = .* exceeds"):
         cli.run_task(ctx, task, {})
+
+
+def test_unconverged_imagtime_fails(tmp_path):
+    # dtau = 1e-9 stops the flow by its tolerance far from the ground energy
+    path = write_config(tmp_path, tasks=[{"name": "imagtime", "dtau": 1e-9}])
+    assert main(["run", str(path)]) == 1
+    task = read_report(tmp_path)["tasks"][0]
+    assert task["status"] == "failed"
+    assert re.match(r"DuccLabError: imagtime: delta_e_vs_fci = .* exceeds 1e-08", task["error"])
+
+
+def test_ecc_at_a_large_scale_stays_ok(tmp_path):
+    # the identities hold relative to the size of their brackets
+    path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3, "scale": 50.0}])
+    assert main(["run", str(path)]) == 0
+    assert read_report(tmp_path)["tasks"][0]["results"]["max_lh_deviation"] > 1e-12
+
+
+def test_ecc_fails_on_deviating_forms(tmp_path, monkeypatch):
+    lh_forms = cli.eval_lh_forms
+
+    def deviating(*args):
+        w1, w2 = lh_forms(*args)
+        return w1, w2 * (1 + 1e-9)
+    monkeypatch.setattr(cli, "eval_lh_forms", deviating)
+    path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3}])
+    assert main(["run", str(path)]) == 1
+    task = read_report(tmp_path)["tasks"][0]
+    assert task["status"] == "failed"
+    assert task["error"].startswith("DuccLabError: ecc configuration 0: lh forms ")
 
 
 def write_seeded_fcidump(path, M, N, seed, coupling=0.05):

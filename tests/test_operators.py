@@ -260,9 +260,9 @@ class TestDirectSumBlocks:
 
 class TestBlockwiseLogm:
     """logm_unitary works on the blocks of the exact-zero pattern, with
-    equal-size blocks stacked into one eigh: of ``(2I - Q - Q^T)/4`` for a
-    real orthogonal stack, after one Cayley-transform solve for a complex
-    one or a real one with an eigenvalue nearer than 1 to -1."""
+    equal-size blocks stacked into one eigh: of ``(2I - U - U^+)/4``, real
+    or complex, or after one Cayley-transform solve for a stack with an
+    eigenvalue nearer than 1 to -1."""
 
     @staticmethod
     def permuted_direct_sum(blocks, rng):
@@ -371,6 +371,22 @@ class TestBlockwiseLogm:
         assert L.dtype == np.float64 and cayley == []
         assert np.abs(L - self.schur_log(Q)).max() < 1e-13
 
+    def test_complex_stacks_off_the_cut_take_the_half_angle_log(self, monkeypatch):
+        # every |1+lam| >= 2 cos(1) = 1.08: +-theta pairs, which share one
+        # eigenvalue of (2I - U - U^+)/4, eigenvalue 1, and blocks of one size
+        rng = np.random.default_rng(43)
+        angles = ([0.7, -0.7, 2.0, -1.2, 0.0, 0.0], [1.1, -1.1, 0.3], [-2.0, 0.5], [0.9])
+        blocks = [self.unitary_with_angles(rng, a) for a in angles for _ in range(3)]
+        blocks.append(np.eye(3, dtype=complex))
+        U, _ = self.permuted_direct_sum(blocks, rng)
+        assert min(abs(1 + np.exp(1j * t)) for a in angles for t in a) \
+            >= operators.LOG_MIN_DISTANCE
+        cayley = self.record_cayley(monkeypatch)
+        L, _ = dl.logm_unitary(U)
+        assert L.dtype == complex and cayley == []
+        assert np.abs(L - self.schur_log(U)).max() < 1e-13
+        assert np.abs(scipy.linalg.expm(L) - U).max() < 1e-13
+
     def test_eigenangle_near_the_cut(self, monkeypatch):
         rng = np.random.default_rng(35)
         theta = 2 * np.arccos(0.5e-3)   # |1 + e^{i theta}| = 1e-3
@@ -399,7 +415,7 @@ class TestBlockwiseLogm:
         cayley = self.record_cayley(monkeypatch)
         L, defect = dl.logm_unitary(Q)
         assert L.dtype == np.float64
-        assert cayley == ([] if distance > operators.REAL_LOG_MIN_DISTANCE else [(3, 7, 7)])
+        assert cayley == ([] if distance > operators.LOG_MIN_DISTANCE else [(3, 7, 7)])
         assert abs(defect - defect_c) < 1e-15
         if cayley:
             assert np.array_equal(L, Lc.real)

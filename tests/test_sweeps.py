@@ -19,7 +19,7 @@ class TestRotationForTarget:
         target = m6_basis.determinant(m6_basis.size - 1)
         step = dl.rotation_for_target(state, m6_basis.index_of(target),
                                       dl.determinant_table(m6_basis, m6_ref))
-        assert step.angle == 0.0
+        assert step.cos == 1.0 and step.sin == 0.0
 
     def test_real_two_determinant_state(self, m6_basis, m6_ref):
         sig = dl.ExcitationSignature((2,), (3,))
@@ -29,7 +29,10 @@ class TestRotationForTarget:
             + c1 * m6_basis.unit_vector(m6_basis.index_of(det))
         step = dl.rotation_for_target(state, m6_basis.index_of(det),
                                       dl.determinant_table(m6_basis, m6_ref))
-        assert step.angle == pytest.approx(np.arctan(c1 / c0))
+        # theta = arctan(c1 / c0), in real arithmetic
+        assert isinstance(step.sin, float)
+        assert step.cos == pytest.approx(c0 / np.hypot(c0, c1))
+        assert abs(step.sin) == pytest.approx(c1 / np.hypot(c0, c1))
         rotated = state.copy()
         from ducclab.sweeps import _apply_rotation
         _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), rotated)
@@ -53,47 +56,69 @@ class TestRotationForTarget:
         state = 0.7j * m6_basis.unit_vector(m6_basis.index_of(det))
         step = dl.rotation_for_target(state, m6_basis.index_of(det),
                                       dl.determinant_table(m6_basis, m6_ref))
-        assert step.angle == pytest.approx(np.pi / 2)
+        assert step.cos == 0.0
+        assert abs(step.sin) == pytest.approx(1.0)
         from ducclab.sweeps import _apply_rotation
         _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
         assert abs(state[m6_basis.index_of(det)]) < 1e-14
         assert abs(state[m6_basis.index_of(m6_ref)]) == pytest.approx(0.7)
 
     def test_real_state_phase_is_exactly_pi(self, m6_basis, m6_ref):
-        # c = -0.3 against c' = -0.5 ph: z = -c / (ph c') = -0.6, for which
-        # complex division leaves a -0.0 imaginary part and np.angle -pi
+        # c = -0.3 against c' = -0.5 ph: z = -c / (ph c') = -0.6, a phase of
+        # exactly pi, which a real state keeps as a negative float sin
         sig = dl.ExcitationSignature((2,), (3,))
         det, _ = apply_excitation(sig, m6_ref)
         table = dl.determinant_table(m6_basis, m6_ref)
         j = m6_basis.index_of(det)
         state = np.zeros(m6_basis.size)
         state[j], state[table.ref_index] = -0.3, -0.5 * table.phases[j]
-        assert np.angle(-complex(-0.3) / (table.phases[j] * complex(state[table.ref_index]))) \
-            == -np.pi
         step = dl.rotation_for_target(state, j, table)
-        assert step.phase == np.pi
+        assert isinstance(step.sin, float) and step.sin < 0.0
+        assert step.sin == pytest.approx(-0.6 / np.hypot(1.0, 0.6))
         sweeps._apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
         assert state.dtype == np.float64
         assert abs(state[j]) < 1e-16
         assert abs(state[table.ref_index]) == pytest.approx(np.hypot(0.3, 0.5))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_dead_and_quarter_columns(self, m6_basis, m6_ref, dtype):
+        # columns: target and partner empty, partner empty, target empty, both
+        # live; no 0/0 on any of them (a RuntimeWarning fails the test)
+        sig = dl.ExcitationSignature((1,), (4,))
+        det, _ = apply_excitation(sig, m6_ref)
+        table = dl.determinant_table(m6_basis, m6_ref)
+        j = m6_basis.index_of(det)
+        stack = np.zeros((m6_basis.size, 4), dtype=dtype)
+        stack[j] = [0.0, -0.7, 0.0, 0.4]
+        stack[table.ref_index] = [0.0, 0.0, 0.9, 0.9]
+        step = dl.rotation_for_target(stack, j, table)
+        assert step.sin.dtype == stack.dtype
+        assert np.array_equal(step.cos[:3], [1.0, 0.0, 1.0])
+        assert np.array_equal(step.sin[:3], [0.0, 1.0 / table.phases[j], 0.0])
+        assert step.cos[3] == pytest.approx(0.9 / np.hypot(0.9, 0.4))
+        rotated = stack.copy()
+        sweeps._apply_rotation(step, dl.excitation_pairs(sig, m6_basis), rotated)
+        assert np.abs(rotated[j]).max() < 1e-16
+        assert np.array_equal(rotated[:, [0, 2]], stack[:, [0, 2]])
+        assert abs(rotated[table.ref_index, 1]) == pytest.approx(0.7)
+
     def test_real_rotation_refuses_a_complex_phase(self, m6_basis):
-        step = dl.RotationStep((2,), (3,), angle=0.3, phase=0.5)
-        with pytest.raises(ValueError, match="phase 0 or pi"):
+        step = dl.RotationStep((2,), (3,), cos=np.cos(0.3), sin=np.exp(0.5j) * np.sin(0.3))
+        with pytest.raises(ValueError, match="complex rotation"):
             sweeps._apply_rotation(step, dl.excitation_pairs(step.signature, m6_basis),
                                    np.ones(m6_basis.size))
 
 
 class TestRotationUnitary:
     def test_matches_generator_exponential(self, m6_basis):
-        step = dl.RotationStep((0, 2), (3, 5), angle=0.47, phase=1.1)
+        step = dl.RotationStep((0, 2), (3, 5), cos=np.cos(0.47), sin=np.exp(1.1j) * np.sin(0.47))
         direct = rotation_unitary(step, m6_basis)
         via_expm = scipy.linalg.expm(rotation_generator(step, m6_basis))
         assert np.abs(direct - via_expm).max() < 1e-12
         assert unitarity_defect(direct) < 1e-13
 
     def test_generator_anti_hermitian(self, m6_basis):
-        step = dl.RotationStep((1,), (4,), angle=0.3, phase=-0.4)
+        step = dl.RotationStep((1,), (4,), cos=np.cos(0.3), sin=np.exp(-0.4j) * np.sin(0.3))
         assert anti_hermiticity_defect(rotation_generator(step, m6_basis)) == 0.0
 
 
@@ -206,7 +231,9 @@ class TestSweepInternal:
         dl.decompose_state(psi, dimer_ref, dimer_part, dimer_basis)
         _, steps3 = sweep_steps
         assert len(steps3) == 1
-        assert abs(steps3[0].angle) == pytest.approx(np.pi / 4)
+        # a rotation by pi/4
+        assert steps3[0].cos == pytest.approx(np.sqrt(0.5))
+        assert abs(steps3[0].sin) == pytest.approx(np.sqrt(0.5))
 
     def test_random_cas_state(self, m8_basis, m8_ref, m8_part, sweep_steps):
         rng = np.random.default_rng(1)
@@ -245,7 +272,7 @@ class TestExtractSigmas:
         assert np.linalg.norm(res.sigma_int) == 0.0
 
     def test_single_rotation_recovers_generator(self, m6_basis, m6_ref, m6_part):
-        step = dl.RotationStep((0, 1), (3, 4), angle=0.4, phase=0.2)
+        step = dl.RotationStep((0, 1), (3, 4), cos=np.cos(0.4), sin=np.exp(0.2j) * np.sin(0.4))
         assert set(step.occ) & set(m6_part.occ_inactive)   # a sweep-1 rotation
         omega = rotation_unitary(step, m6_basis)
         # psi = omega^{-1}|ref> = e^{-g}|ref>: the sweep finds omega again,
@@ -489,15 +516,15 @@ class TestStack:
             steps = {step.signature: step for step, _ in single}
             for step, _ in record:
                 alone = steps.pop(step.signature, None)
-                assert step.angle[b] == (0.0 if alone is None else alone.angle)
-                assert step.phase[b] == (0.0 if alone is None else alone.phase)
+                assert step.cos[b] == (1.0 if alone is None else alone.cos)
+                assert step.sin[b] == (0.0 if alone is None else alone.sin)
             assert steps == {}
             assert np.array_equal(psi_act[:, b], act)
             alone = sweeps.replay(single, np.eye(m8_basis.size, dtype=psi.dtype)[:, cas])
             assert np.abs(R[..., b] - alone).max() < 1e-15
         if real:
             for step, _ in record:
-                assert np.all((step.phase == 0.0) | (step.phase == np.pi))
+                assert step.cos.dtype == step.sin.dtype == np.float64
 
     def test_zero_overlap_state_fails_its_stack(self, m8_basis, m8_ref, m8_part):
         from ducclab.errors import IntermediateNormalizationError
