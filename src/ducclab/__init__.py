@@ -16,10 +16,10 @@ from .cluster import (Amplitudes, cluster_analyze, deexcitation_matrix,
                       sigma_lowest_order, split_amplitudes)
 from .downfold import (EffectiveHamiltonian, cas_eigensolve, downfold_ducc,
                        downfold_sescc, ducc_projection, effective_matrix_dump,
-                       effective_to_dict, match_root, write_effective_json)
+                       effective_to_dict, match_root)
 from .dynamics import (QuenchStudy, downfolded_quench, evaluate_lagrangians,
                        evaluate_sescc_lagrangian, propagate_full, propagate_internal,
-                       sigma_dot_grid, trajectory_to_csv)
+                       sigma_dot_grid)
 from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
                   eval_lh_forms, x_int_ext_bch)
 from .errors import (BranchCutError, CasSupportError, ConfigError,
@@ -31,7 +31,7 @@ from .fock import (Determinant, DetClass, DeterminantTable, ExcitationSignature,
                    determinant_table, enumerate_signatures, excitation_pairs,
                    homo_lumo_partition)
 from .imagtime import (FlowResult, ImaginaryFlowState, imaginary_evolve,
-                       imaginary_step, initial_flow_state, write_flow_log)
+                       imaginary_step, initial_flow_state)
 from .operators import (IntegralSet, QOperator, build_hubbard, build_pairing,
                         direct_sum_blocks, hamiltonian_from_integrals,
                         hubbard_integrals, logm_unitary, pairing_integrals,

@@ -9,7 +9,6 @@ reference-first, then internal determinants in parent basis order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,13 +153,6 @@ def effective_to_dict(heff: EffectiveHamiltonian,
             "virt_inactive": list(part.virt_inactive),
         }
     return out
-
-
-def write_effective_json(heff: EffectiveHamiltonian, path,
-                         part: SpinOrbitalPartition | None = None):
-    with open(path, "w") as fh:
-        json.dump(effective_to_dict(heff, part), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def effective_matrix_dump(heff: EffectiveHamiltonian) -> str:

@@ -287,23 +287,3 @@ def evaluate_sescc_lagrangian(H: QOperator, t_int: Amplitudes, t_ext: Amplitudes
     term2 = bra_le @ m.exp(-m.Ti, 1j * (m.dTe @ ket_i) + inner)
     return complex(form1), complex(term1 + term2)
 
-
-# -- export -------------------------------------------------------------------
-
-
-def trajectory_to_csv(study: QuenchStudy, path):
-    """CSV dump on the whole-step grid: time, energy expectation, norm,
-    active-space weight and the eigenvalues of Heff(t_k).
-
-    Floats are written with 17 significant digits for bit-exact re-reading.
-    """
-    header = ["time", "energy", "norm", "cas_weight"]
-    header += [f"heff_eig_{r}" for r in range(len(study.cas))]
-    lines = [",".join(header)]
-    for k, j in enumerate(range(0, len(study.states), 2)):
-        row = [study.dt * k, study.energies[j], study.norms[j],
-               np.linalg.norm(study.states[j, study.cas]),
-               *np.linalg.eigvalsh(study.heffs[j])]
-        lines.append(",".join(format(float(x), ".17g") for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -88,13 +88,3 @@ def imaginary_evolve(heff: EffectiveHamiltonian, c0: np.ndarray,
         if abs(energy - prev_energy) < tol:
             return FlowResult(energy, state.c_int, history)
     raise ConvergenceError(f"imaginary-time flow not converged in {max_steps} steps")
-
-
-def write_flow_log(history, path):
-    """Convergence log CSV: step, tau, shift, residual norm ||(Heff - S)c||."""
-    g = lambda x: format(float(x), ".17g")
-    lines = ["step,tau,shift,residual"]
-    for step, (tau, shift, resid) in enumerate(history):
-        lines.append(f"{step},{g(tau)},{g(shift)},{g(resid)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

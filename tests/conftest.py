@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 import ducclab as dl
+from ducclab import cli
 from ducclab.operators import exp_anti_hermitian
 
 # every @given test draws the examples derived from its own source, so that
@@ -82,6 +83,29 @@ def count_calls(monkeypatch, module, name, calls, key=None):
         calls[k] = calls.get(k, 0) + 1
         return fn(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
+
+
+def record_returns(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` for the test by a wrapper that appends the
+    value of each call to the list returned."""
+    fn, returned = getattr(module, name), []
+
+    def recorded(*args, **kwargs):
+        returned.append(fn(*args, **kwargs))
+        return returned[-1]
+    monkeypatch.setattr(module, name, recorded)
+    return returned
+
+
+DIMER_CONFIG = {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": 4.0},
+                "electrons": 2, "partition": {"auto_homo_lumo": [1, 1]}}
+
+
+def run_dimer_task(name, **params):
+    """One command-line task on the Hubbard dimer at seed 1: the run
+    context, the task's results and its artifacts ``{file name: text}``."""
+    ctx = cli.build_context({**DIMER_CONFIG, "tasks": [{"name": name, **params}]}, seed=1)
+    return (ctx, *cli.run_task(ctx, name, params))
 
 
 def td_projection(H, sigma, cas, sigma_dot=None):

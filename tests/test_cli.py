@@ -72,56 +72,86 @@ DIMER_FCIDUMP = ["&FCI NORB=4,NELEC=2,MS2=0,", "&END", "-1.0 1 3 0 0", "-1.0 2 4
                  "4.0 1 1 2 2", "4.0 3 3 4 4"]
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("fcidump,overrides", [
-    (DIMER_FCIDUMP + ["0.5 5 5 0 0"], {}),
-    (DIMER_FCIDUMP + ["0.7 1 0 0 0"], {}),
-    (DIMER_FCIDUMP + ["0.5 1 1 0 2"], {}),
-    (DIMER_FCIDUMP + ["abc 1 1 0 0"], {}),
-    (None, {"system": {"kind": "fcidump", "path": "absent"}}),
-    (None, {"electrons": 5}),
-    (None, {"system": {"kind": "hubbard", "L": "x", "t": 1.0, "U": 4.0}}),
-    (None, {"system": {"kind": "hubbard", "L": None, "t": 1.0, "U": 4.0}}),
+#: configs that both commands refuse with exit 2: name -> (FCIDUMP lines or
+#: None, config overrides, or a whole config that is not an object)
+MALFORMED_CONFIGS = {
+    "index-beyond-norb": (DIMER_FCIDUMP + ["0.5 5 5 0 0"], {}),
+    "zero-index-would-wrap": (DIMER_FCIDUMP + ["0.7 1 0 0 0"], {}),
+    "zero-index-two-electron": (DIMER_FCIDUMP + ["0.5 1 1 0 2"], {}),
+    "non-numeric-value": (DIMER_FCIDUMP + ["abc 1 1 0 0"], {}),
+    "missing-fcidump": (None, {"system": {"kind": "fcidump", "path": "absent"}}),
+    "electrons-above-M": (None, {"electrons": 5}),
+    "non-integer-L": (None, {"system": {"kind": "hubbard", "L": "x", "t": 1.0, "U": 4.0}}),
+    "null-L": (None, {"system": {"kind": "hubbard", "L": None, "t": 1.0, "U": 4.0}}),
     # refused by the orbital-count guard before any integral array exists
-    (None, {"system": {"kind": "hubbard", "L": 10**6, "t": 1.0, "U": 4.0}}),
-    (None, {"system": {"kind": "pairing", "levels": 10**6, "g": 0.5}}),
+    "oversized-L": (None, {"system": {"kind": "hubbard", "L": 10**6, "t": 1.0, "U": 4.0}}),
+    "oversized-levels": (None, {"system": {"kind": "pairing", "levels": 10**6, "g": 0.5}}),
     # integers are checked, not truncated
-    (None, {"system": {"kind": "hubbard", "L": 2.7, "t": 1.0, "U": 4.0}}),
-    (None, {"electrons": True}),
-    (None, {"partition": {"auto_homo_lumo": [1.9, 1]}}),
-    (None, {"partition": {"occ_inactive": [], "occ_active": 1, "virt_active": [2],
-                          "virt_inactive": [3]}}),
+    "non-integral-L": (None, {"system": {"kind": "hubbard", "L": 2.7, "t": 1.0, "U": 4.0}}),
+    "bool-electrons": (None, {"electrons": True}),
+    "non-integral-window": (None, {"partition": {"auto_homo_lumo": [1.9, 1]}}),
+    "non-list-partition": (None, {"partition": {"occ_inactive": [], "occ_active": 1,
+                                                "virt_active": [2], "virt_inactive": [3]}}),
     # integrals are finite, checked before any arithmetic touches them
-    (DIMER_FCIDUMP + ["nan 1 1 0 0"], {}),
-    (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": float("inf")}}),
-    (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": float("nan")}}),
-    (None, {"seed": "abc"}),
-    (None, {"seed": -3}),
-    (None, {"output_dir": 5}),
+    "nan-fcidump-value": (DIMER_FCIDUMP + ["nan 1 1 0 0"], {}),
+    "infinite-U": (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": float("inf")}}),
+    "nan-U": (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": float("nan")}}),
+    "non-numeric-seed": (None, {"seed": "abc"}),
+    "negative-seed": (None, {"seed": -3}),
+    "non-string-output-dir": (None, {"output_dir": 5}),
     # floats are not bools
-    (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": True}}),
-    (None, {"tasks": [{"name": "propagate", "dt": True}]}),
-    (None, {"tasks": [{"name": "imagtime", "tol": False}]}),
+    "bool-U": (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": True}}),
+    "bool-dt": (None, {"tasks": [{"name": "propagate", "dt": True}]}),
+    "bool-tol": (None, {"tasks": [{"name": "imagtime", "tol": False}]}),
     # an out-of-order partition is admitted by a bool only
-    (None, {"partition": {"occ_inactive": [], "occ_active": [0, 2], "virt_active": [1],
-                          "virt_inactive": [3], "allow_arbitrary": "no"}}),
-    (None, {"partition": {"occ_inactive": [], "occ_active": [0, 2], "virt_active": [1],
-                          "virt_inactive": [3], "allow_arbitrary": 1}}),
-], ids=["index-beyond-norb", "zero-index-would-wrap", "zero-index-two-electron",
-        "non-numeric-value", "missing-fcidump", "electrons-above-M", "non-integer-L",
-        "null-L", "oversized-L", "oversized-levels", "non-integral-L", "bool-electrons",
-        "non-integral-window", "non-list-partition", "nan-fcidump-value", "infinite-U", "nan-U",
-        "non-numeric-seed", "negative-seed", "non-string-output-dir", "bool-U", "bool-dt",
-        "bool-tol", "string-allow-arbitrary", "int-allow-arbitrary"])
+    "string-allow-arbitrary": (None, {"partition": {
+        "occ_inactive": [], "occ_active": [0, 2], "virt_active": [1], "virt_inactive": [3],
+        "allow_arbitrary": "no"}}),
+    "int-allow-arbitrary": (None, {"partition": {
+        "occ_inactive": [], "occ_active": [0, 2], "virt_active": [1], "virt_inactive": [3],
+        "allow_arbitrary": 1}}),
+    "non-object-root": (None, ["system", "electrons"]),
+    "no-system-kind": (None, {"system": {"L": 2, "t": 1.0, "U": 4.0}}),
+    "unknown-kind": (None, {"system": {"kind": "ising", "L": 2}}),
+    "nelec-mismatch": (["&FCI NORB=4,NELEC=4,MS2=0,"] + DIMER_FCIDUMP[1:], {}),
+    "missing-U": (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0}}),
+    "non-object-partition": (None, {"partition": [1, 1]}),
+    "partition-without-lists": (None, {"partition": {"occ_inactive": [], "occ_active": [0]}}),
+    "partition-of-another-sector": (None, {"partition": {
+        "occ_inactive": [], "occ_active": [0, 1], "virt_active": [2, 3],
+        "virt_inactive": [4, 5]}}),
+    "four-field-fcidump-line": (DIMER_FCIDUMP + ["0.5 1 1 0"], {}),
+}
+
+
+@pytest.mark.parametrize("command,fcidump,overrides", [
+    pytest.param(command, fcidump, overrides, id=f"{name}-{command}")
+    for name, (fcidump, overrides) in MALFORMED_CONFIGS.items()
+    for command in ("validate", "run")
+] + [pytest.param("run", None, {"output_dir": None}, id="no-output-directory-run")])
 def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, overrides):
     if fcidump is not None:
         (tmp_path / "FCIDUMP").write_text("\n".join(fcidump) + "\n")
         overrides = {"system": {"kind": "fcidump", "path": "FCIDUMP"}}
-    assert main([command, str(write_config(tmp_path, **overrides))]) == 2
+    if isinstance(overrides, dict):
+        path = write_config(tmp_path, **overrides)
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(overrides))
+    assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_uncreatable_output_directory_is_config_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main(["run", str(write_config(tmp_path)), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot create output directory '{out}'")
+    assert "Traceback" not in err
 
 
 def test_fcidump_norb_above_the_orbital_cap_is_refused_before_allocating(tmp_path, capsys):
@@ -260,7 +290,7 @@ def test_noninteracting_start_is_the_free_ground_state(tmp_path, system, electro
     cfg = cli.load_config(str(write_config(
         tmp_path, system=system, electrons=electrons,
         tasks=[{"name": "propagate", "nsteps": 4, "initial": "noninteracting-ground"}])))
-    ctx = cli.build_context(cfg, str(tmp_path / "out"), seed=1)
+    ctx = cli.build_context(cfg, seed=1)
     psi0 = cli._initial_state(ctx, "noninteracting-ground")
     vals, vecs = np.linalg.eigh(hamiltonian_from_terms(terms, ctx.basis).matrix)
     assert vals[1] - vals[0] > 1e-3   # a non-degenerate free ground state
@@ -432,7 +462,7 @@ class TestRun:
         assert prop["norm_drift"] < 1e-10
         assert (tmp_path / "out" / "imagtime_flow.csv").exists()
         # every field of the trajectory reads back to the study's value
-        ctx = cli.build_context(cli.load_config(str(path)), str(tmp_path / "out"), seed=3)
+        ctx = cli.build_context(cli.load_config(str(path)), seed=3)
         study = ducclab.downfolded_quench(ctx.H, cli._initial_state(ctx, "reference"),
                                           0.02, 40, ctx.ref, ctx.part)
         lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
@@ -478,7 +508,54 @@ class TestRun:
         assert main(["run", str(path)]) == 0
         report = read_report(tmp_path)
         checks = report["tasks"][0]["results"]["checks"]
+        assert set(checks) == set(cli.VERIFY_ALL_CHECKS)
         assert all(checks.values())
+
+    def test_files_of_every_task(self, tmp_path):
+        path = write_config(tmp_path, tasks=[
+            {"name": name, **BATTERY_PARAMS.get(name, {})} for name in cli.TASK_NAMES])
+        assert main(["run", str(path)]) == 0
+        files = {t["name"]: t["files"] for t in read_report(tmp_path)["tasks"]}
+        assert files == {
+            "fci": ["fci_spectrum.csv"], "cluster": [], "sweep": [],
+            "downfold": ["heff_sescc.json", "heff_ducc.json", "heff_ducc.dump"],
+            "propagate": ["trajectory.csv"], "imagtime": ["imagtime_flow.csv"], "ecc": [],
+            "verify-all": ["fci_spectrum.csv", "heff_sescc.json", "heff_ducc.json",
+                           "heff_ducc.dump", "trajectory.csv", "imagtime_flow.csv"]}
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(files["verify-all"] + ["report.json"])
+
+    def test_propagate_from_the_ground_state_is_stationary(self, tmp_path):
+        path = write_config(tmp_path, tasks=[{"name": "propagate", "dt": 0.02, "nsteps": 20,
+                                              "initial": "ground"}])
+        assert main(["run", str(path)]) == 0
+        results = read_report(tmp_path)["tasks"][0]["results"]
+        assert results["energy_drift"] < 1e-12
+        assert results["norm_drift"] < 1e-12
+        assert results["max_consistency_deviation"] < 1e-8
+
+
+def test_failed_verify_all_check_fails_the_battery(tmp_path, capsys, monkeypatch):
+    task, keys, _ = cli.VERIFY_ALL_CHECKS["td_consistency"]
+    monkeypatch.setitem(cli.VERIFY_ALL_CHECKS, "td_consistency", (task, keys, 0.0))
+    assert main(["run", str(write_config(tmp_path, tasks=[{"name": "verify-all"}]))]) == 1
+    (entry,) = read_report(tmp_path)["tasks"]
+    assert entry["status"] == "failed" and entry["files"] == []
+    assert entry["error"] == "DuccLabError: verification checks failed: td_consistency"
+    assert "task verify-all failed" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == ["report.json"]
+
+
+def test_failed_tasks_write_no_artifacts(tmp_path):
+    # dtau = 1e-9 fails imagtime alone and inside verify-all, after the
+    # battery's other sub-tasks passed; fci's spectrum is the one artifact
+    path = write_config(tmp_path, tasks=[
+        {"name": "verify-all", "imagtime": {"dtau": 1e-9}}, {"name": "fci"},
+        {"name": "imagtime", "dtau": 1e-9}])
+    assert main(["run", str(path)]) == 1
+    tasks = read_report(tmp_path)["tasks"]
+    assert [(t["status"], t["files"]) for t in tasks] == [
+        ("failed", []), ("ok", ["fci_spectrum.csv"]), ("failed", [])]
+    assert sorted(os.listdir(tmp_path / "out")) == ["fci_spectrum.csv", "report.json"]
 
 
 def test_residual_gates_fail_meaningless_tasks(tmp_path, capsys):
@@ -559,8 +636,8 @@ def test_every_residual_bound_fails_its_task(tmp_path, monkeypatch, task, key, v
     bound = cli.RESIDUAL_BOUNDS[task][key]
     results = {k: 0.0 for k in cli.RESIDUAL_BOUNDS[task]}
     results[key] = value * bound
-    monkeypatch.setitem(cli.TASKS, task, lambda ctx, params: (results, []))
-    ctx = cli.build_context(json.loads(write_config(tmp_path).read_text()), str(tmp_path), 0)
+    monkeypatch.setitem(cli.TASKS, task, lambda ctx, params: (results, {}))
+    ctx = cli.build_context(json.loads(write_config(tmp_path).read_text()), 0)
     with pytest.raises(ducclab.DuccLabError, match=f"^{task}: {key} = .* exceeds"):
         cli.run_task(ctx, task, {})
 
@@ -820,7 +897,8 @@ BATTERY_ERRORS = {"LinAlgError"} | {
        coupling=st.sampled_from([0.05, 0.3, 1.0, 3.0]), seed=st.integers(0, 3))
 def test_randomized_battery(tmp_path_factory, system, window, coupling, seed):
     # random real FCIDUMPs through every task: the run exits 0 or 1, a failed
-    # task names a package error or a LinAlgError, and an ok one keeps its bounds
+    # task names a package error or a LinAlgError and writes no file, and an
+    # ok one keeps its bounds
     tmp_path = tmp_path_factory.mktemp("battery")
     M, N = system
     write_seeded_fcidump(tmp_path / "FCIDUMP", M, N, seed, coupling)
@@ -831,6 +909,9 @@ def test_randomized_battery(tmp_path_factory, system, window, coupling, seed):
     code = main(["run", str(path)])
     reports = read_report(tmp_path)["tasks"]
     assert code == int(any(t["status"] != "ok" for t in reports))
+    # the output directory holds the report and the files of the ok tasks alone
+    written = {name for t in reports if t["status"] == "ok" for name in t["files"]}
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(written | {"report.json"})
     for task in reports:
         if task["status"] != "ok":
             assert task["error"].split(":")[0] in BATTERY_ERRORS, task["error"]

@@ -8,7 +8,7 @@ import ducclab as dl
 from ducclab.errors import OperatorPropertyError
 from ducclab.operators import exp_anti_hermitian
 
-from conftest import td_projection
+from conftest import run_dimer_task, td_projection
 from oracles import _dexp_certified, cas_ci, random_hermitian_hamiltonian
 
 
@@ -239,20 +239,21 @@ class TestCasEigensolve:
 
 
 class TestExport:
-    def test_json_round_trip(self, tmp_path, dimer_basis, dimer_H, dimer_ref, dimer_part):
-        vals, vecs = np.linalg.eigh(dimer_H.matrix)
-        res = dl.decompose_state(vecs[:, 0], dimer_ref, dimer_part, dimer_basis)
-        heff = dl.downfold_ducc(dimer_H, res.sigma_ext, dimer_ref, dimer_part)
-        path = tmp_path / "heff.json"
-        dl.write_effective_json(heff, path, part=dimer_part)
-        data = json.loads(path.read_text())
-        mat = np.array(data["matrix_real"]) + 1j * np.array(data["matrix_imag"])
-        assert np.allclose(mat, heff.matrix)
-        assert data["source"] == "ducc"
-        assert data["hermitian"] is True
-        assert data["cas_determinants"][0] == dimer_ref.bitstring()
-        assert data["partition"]["occ_active"] == [1]
-        assert "residuals" not in data
+    def test_json_round_trip(self, dimer_ref):
+        # the downfold task's JSON artifacts re-read to its matrices bit-exactly
+        ctx, _, artifacts = run_dimer_task("downfold")
+        _, t_ext = dl.split_amplitudes(ctx.amplitudes(), ctx.part)
+        sescc = dl.downfold_sescc(ctx.H, t_ext, ctx.ref, ctx.part)
+        for name, heff in (("heff_sescc.json", sescc), ("heff_ducc.json", ctx.ducc_hamiltonian())):
+            data = json.loads(artifacts[name])
+            mat = np.array(data["matrix_real"]) + 1j * np.array(data["matrix_imag"])
+            assert np.array_equal(mat, heff.matrix)
+            assert data["source"] == heff.source
+            assert data["hermitian"] is heff.hermitian
+            assert data["cas_determinants"][0] == dimer_ref.bitstring()
+            assert data["partition"]["occ_active"] == [1]
+            assert "residuals" not in data
+        assert artifacts["heff_ducc.dump"] == dl.effective_matrix_dump(ctx.ducc_hamiltonian())
 
     def test_matrix_dump(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
         heff = cas_ci(dimer_H, dimer_ref, dimer_part)

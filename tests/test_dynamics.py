@@ -5,12 +5,12 @@ import pytest
 import scipy.linalg
 
 import ducclab as dl
-from ducclab import downfold, dynamics, ecc
+from ducclab import cli, downfold, dynamics, ecc
 from ducclab import sweeps as sweeps_module
 from ducclab.errors import NormDriftError, OperatorPropertyError
 from ducclab.sweeps import sweep_targets
 
-from conftest import count_calls, random_state, td_projection
+from conftest import count_calls, random_state, record_returns, run_dimer_task, td_projection
 from oracles import (anti_hermiticity_defect, build_projectors, cas_ci, dexp_series,
                      dexp_tail_ratio, random_hermitian_hamiltonian)
 
@@ -621,17 +621,21 @@ class TestDownfoldedQuench:
 
 
 class TestTrajectoryCsv:
-    def test_columns_and_precision(self, tmp_path, dimer_basis, dimer_H,
-                                   dimer_ref, dimer_part):
-        psi0 = np.linalg.eigh(dimer_H.matrix)[1][:, 0]
-        study = dl.downfolded_quench(dimer_H, psi0, 0.05, 4, dimer_ref, dimer_part)
-        path = tmp_path / "traj.csv"
-        dl.trajectory_to_csv(study, path)
-        lines = path.read_text().strip().splitlines()
+    def test_columns_and_precision(self, monkeypatch, dimer_H):
+        # every field of the propagate task's trajectory reads back to its
+        # study's value
+        studies = record_returns(monkeypatch, cli, "downfolded_quench")
+        _, _, artifacts = run_dimer_task("propagate", dt=0.05, nsteps=4, initial="ground")
+        (study,) = studies
+        lines = artifacts["trajectory.csv"].splitlines()
         assert len(lines) == 1 + 5
-        header = lines[0].split(",")
-        assert header[:4] == ["time", "energy", "norm", "cas_weight"]
-        assert header[4] == "heff_eig_0"
+        assert lines[0] == "time,energy,norm,cas_weight,heff_eig_0,heff_eig_1"
+        for k, line in enumerate(lines[1:]):
+            j = 2 * k
+            expected = [0.05 * k, study.energies[j], study.norms[j],
+                        np.linalg.norm(study.states[j, study.cas]),
+                        *np.linalg.eigvalsh(study.heffs[j])]
+            assert [float(x) for x in line.split(",")] == expected
         vals, _ = np.linalg.eigh(dimer_H.matrix)
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(vals[0], abs=1e-12)

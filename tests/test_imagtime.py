@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import ducclab as dl
+from ducclab import cli
 from ducclab.errors import ConvergenceError, OperatorPropertyError
 
-from conftest import td_projection
+from conftest import record_returns, run_dimer_task, td_projection
 from oracles import _dexp_certified
 
 
@@ -143,13 +144,14 @@ class TestNonstationary:
 
 
 class TestFlowLog:
-    def test_csv_round_trip(self, tmp_path):
-        heff = two_level(0.0, 1.0)
-        res = dl.imaginary_evolve(heff, np.array([0.8, 0.6]), dtau=0.1, tol=1e-11)
-        path = tmp_path / "flow.csv"
-        dl.write_flow_log(res.history, path)
-        lines = path.read_text().strip().splitlines()
+    def test_csv_round_trip(self, monkeypatch):
+        # every field of the imagtime task's log reads back to its flow's value
+        flows = record_returns(monkeypatch, cli, "imaginary_evolve")
+        _, results, artifacts = run_dimer_task("imagtime")
+        (res,) = flows
+        lines = artifacts["imagtime_flow.csv"].splitlines()
         assert lines[0] == "step,tau,shift,residual"
         assert len(lines) == len(res.history) + 1
-        last = lines[-1].split(",")
-        assert float(last[2]) == pytest.approx(res.energy, abs=1e-9)
+        for step, (line, entry) in enumerate(zip(lines[1:], res.history)):
+            assert [float(x) for x in line.split(",")] == [step, *entry]
+        assert float(lines[-1].split(",")[2]) == res.energy == results["energy"]
