@@ -20,8 +20,8 @@ from .downfold import (EffectiveHamiltonian, cas_eigensolve, downfold_ducc,
 from .dynamics import (QuenchStudy, downfolded_quench, evaluate_lagrangians,
                        evaluate_sescc_lagrangian, propagate_full, propagate_internal,
                        sigma_dot_grid)
-from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
-                  eval_lh_forms, x_int_ext_bch)
+from .ecc import (EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms,
+                  x_int_ext_bch)
 from .errors import (BranchCutError, CasSupportError, ConfigError,
                      ConvergenceError, DuccLabError, IntermediateNormalizationError,
                      InvalidDimensionError, NormDriftError, OperatorPropertyError,

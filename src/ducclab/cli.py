@@ -24,7 +24,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .cluster import (cluster_analyze, excitation_matrix, exp_nilpotent,
 from .downfold import (EffectiveHamiltonian, downfold_ducc, downfold_sescc, ducc_projection,
                        effective_matrix_dump, effective_to_dict, match_root, unit_columns)
 from .dynamics import downfolded_quench, evaluate_lagrangians, evaluate_sescc_lagrangian
-from .ecc import (EccConfiguration, EccMatrices, action_deviation, eval_ldt_forms,
-                  eval_lh_forms, x_int_ext_bch)
+from .ecc import (EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms,
+                  x_int_ext_bch)
 from .errors import (ConfigError, DuccLabError, IntermediateNormalizationError,
                      OperatorPropertyError)
 from .fock import (DetClass, SpinOrbitalPartition, build_basis, determinant_table,
@@ -48,6 +49,8 @@ from .sweeps import decompose_state, replay
 VERIFY_ALL_TASKS = ("fci", "cluster", "sweep", "downfold", "propagate", "imagtime", "ecc")
 #: the per-task RNG stream is keyed on the index into this tuple
 TASK_NAMES = VERIFY_ALL_TASKS + ("verify-all",)
+#: the tasks that run without a partition
+UNPARTITIONED_TASKS = ("fci", "cluster")
 INITIAL_STATES = ("reference", "ground", "noninteracting-ground")
 CONFIG_KEYS = ("system", "electrons", "partition", "tasks", "output_dir", "seed")
 SYSTEM_KEYS = {"hubbard": ("kind", "L", "t", "U"), "pairing": ("kind", "levels", "g", "spacing"),
@@ -84,7 +87,8 @@ RESIDUAL_BOUNDS = {
 VERIFY_ALL_CHECKS = {
     "td_consistency": ("propagate", ("max_consistency_deviation",), 1e-5),
     "ecc_identities": ("ecc", ("max_ldt_deviation", "max_lh_deviation"), 1e-10),
-    "lagrangian_equivalence": ("lagrangians", ("ducc_max_mutual_deviation",), 1e-9),
+    "lagrangian_equivalence": ("lagrangians",
+                               ("ducc_max_mutual_deviation", "bivariational_deviation"), 1e-9),
 }
 #: largest deviation of the two routes of an ECC identity in one
 #: configuration, relative to the larger of 1 and the first route's value
@@ -117,8 +121,10 @@ class RunContext:
 
     The ground-state stages (FCI eigenpairs, cluster amplitudes, sweep
     decomposition, its replayed CAS columns, DUCC Hamiltonian) are
-    deterministic functions of the system, so each is computed once per run
-    and shared by every task; a stage that raises is not cached.
+    deterministic functions of the system, so each is a cached property,
+    computed once per run and shared by every task; a stage that raises is
+    not cached.  The stages past ``amplitudes`` read ``part``, which
+    :func:`build_context` requires of every task that reaches them.
     """
 
     config: dict
@@ -127,18 +133,13 @@ class RunContext:
     ref: object
     part: SpinOrbitalPartition | None
     seed: int
-    _cache: dict = field(default_factory=dict)
 
     def rng(self, task: str) -> np.random.Generator:
         # per-task stream keyed on the canonical task id keeps reports
         # independent of task ordering
         return np.random.default_rng([self.seed, TASK_NAMES.index(task)])
 
-    def _stage(self, key: str, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
+    @cached_property
     def ground_state(self) -> tuple[np.ndarray, np.ndarray]:
         """FCI spectrum and ground vector, its nonzero <ref|psi0> turned
         real and positive.
@@ -146,21 +147,19 @@ class RunContext:
         One ``eigh`` in the dtype of H: every system the CLI builds is real,
         so its ground vector is real too, and the phase fix an exact sign.
         """
-        def compute():
-            vals, vecs = np.linalg.eigh(self.H.matrix)
-            psi0 = vecs[:, 0].copy()
-            c0 = psi0[self.basis.index_of(self.ref)]
-            if c0 != 0:
-                psi0 *= np.conj(c0) / abs(c0)
-            return vals, psi0
-        return self._stage("ground", compute)
+        vals, vecs = np.linalg.eigh(self.H.matrix)
+        psi0 = vecs[:, 0].copy()
+        c0 = psi0[self.basis.index_of(self.ref)]
+        if c0 != 0:
+            psi0 *= np.conj(c0) / abs(c0)
+        return vals, psi0
 
     def ground_vector(self) -> np.ndarray:
-        """The ground vector of :meth:`ground_state`, refused where an
+        """The ground vector of :attr:`ground_state`, refused where an
         analysis of it means nothing: a degenerate root (gap below
         :data:`MIN_GROUND_GAP`; a one-determinant basis has no gap) or a
         reference weight below :data:`MIN_REFERENCE_WEIGHT`."""
-        vals, psi0 = self.ground_state()
+        vals, psi0 = self.ground_state
         _check_ground_gap(vals)
         weight = abs(psi0[self.basis.index_of(self.ref)]) ** 2
         if weight < MIN_REFERENCE_WEIGHT:
@@ -169,35 +168,26 @@ class RunContext:
                 f"{MIN_REFERENCE_WEIGHT:.0e}")
         return psi0
 
+    @cached_property
     def amplitudes(self):
-        return self._stage("amplitudes", lambda: cluster_analyze(
-            self.ground_vector(), self.ref, self.basis))
+        return cluster_analyze(self.ground_vector(), self.ref, self.basis)
 
+    @cached_property
     def sweep(self):
-        part = self.need_partition()
-        return self._stage("sweep", lambda: decompose_state(
-            self.ground_vector(), self.ref, part, self.basis))
+        return decompose_state(self.ground_vector(), self.ref, self.part, self.basis)
 
+    @cached_property
     def cas_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """CAS indices, and the CAS columns of e^{sigma_ext}: the sweep's
         record replayed on the CAS unit columns, in the swept state's dtype."""
-        def compute():
-            sweep = self.sweep()
-            cas = determinant_table(self.basis, self.ref).cas(self.need_partition())
-            return cas, replay(sweep.record,
-                               unit_columns(self.basis.size, cas, sweep.psi_act.dtype))
-        return self._stage("cas_columns", compute)
+        sweep = self.sweep
+        cas = determinant_table(self.basis, self.ref).cas(self.part)
+        return cas, replay(sweep.record, unit_columns(self.basis.size, cas, sweep.psi_act.dtype))
 
-    def ducc_hamiltonian(self):
-        def compute():
-            cas, R = self.cas_columns()
-            return EffectiveHamiltonian(ducc_projection(self.H, R), cas, self.basis, "ducc", True)
-        return self._stage("ducc", compute)
-
-    def need_partition(self) -> SpinOrbitalPartition:
-        if self.part is None:
-            raise ConfigError("this task requires a partition")
-        return self.part
+    @cached_property
+    def ducc_hamiltonian(self) -> EffectiveHamiltonian:
+        cas, R = self.cas_columns
+        return EffectiveHamiltonian(ducc_projection(self.H, R), cas, self.basis, "ducc", True)
 
 
 # -- configuration ------------------------------------------------------------
@@ -296,6 +286,8 @@ def _build_system(cfg: dict):
         return basis, hamiltonian_from_integrals(ints, basis)
     except KeyError as exc:
         raise ConfigError(f"system.{exc.args[0]} missing for kind={kind!r}") from exc
+    except ConfigError:
+        raise
     except (OSError, TypeError, ValueError, IndexError, DuccLabError) as exc:
         raise ConfigError(f"system ({kind}): {exc}") from exc
 
@@ -368,6 +360,8 @@ def verify_all_params(params: dict, name: str) -> dict:
 
 
 def _check_task(cfg: dict, name: str, params: dict):
+    if name not in UNPARTITIONED_TASKS and cfg.get("partition") is None:
+        raise ConfigError(f"task {name} requires a partition")
     if name == "verify-all":
         _check_keys(params, ("name", *VERIFY_ALL_TASKS), "task verify-all")
         for sub in VERIFY_ALL_TASKS:
@@ -420,7 +414,7 @@ def _effective_json(heff: EffectiveHamiltonian, part: SpinOrbitalPartition) -> s
 
 
 def task_fci(ctx: RunContext, params: dict) -> tuple[dict, dict]:
-    vals, _ = ctx.ground_state()
+    vals, _ = ctx.ground_state
     nroots = min(task_params("fci", params)["nroots"], len(vals))
     return {"ground_energy": float(vals[0]),
             "roots": [float(e) for e in vals[:nroots]],
@@ -429,9 +423,9 @@ def task_fci(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
-    vals, _ = ctx.ground_state()
+    vals, _ = ctx.ground_state
     psi = ctx.ground_vector()
-    amps = ctx.amplitudes()
+    amps = ctx.amplitudes
     tmat = excitation_matrix(amps, ctx.basis)
     e_ref = ctx.basis.unit_vector(ctx.basis.index_of(ctx.ref))
     recon = exp_nilpotent(tmat, e_ref, ctx.basis)
@@ -446,7 +440,7 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
         "cc_residual": residual,
         "energy_deviation": abs(energy.real - float(vals[0])),
         "amplitude_count": len(amps),
-        "max_rank": amps.max_rank,
+        "max_rank": max((sig.rank for sig in amps), default=0),
     }
     if ctx.part is not None:
         t_int, t_ext = split_amplitudes(amps, ctx.part)
@@ -456,10 +450,9 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, dict]:
-    part = ctx.need_partition()
-    res = ctx.sweep()
-    external = determinant_table(ctx.basis, ctx.ref).classes(part) == DetClass.EXTERNAL
-    cas, R = ctx.cas_columns()
+    res = ctx.sweep
+    external = determinant_table(ctx.basis, ctx.ref).classes(ctx.part) == DetClass.EXTERNAL
+    cas, R = ctx.cas_columns
     series = exp_anti_hermitian(res.sigma_ext, unit_columns(ctx.basis.size, cas, float))
     return {
         "reconstruction_residual": res.residual,
@@ -473,11 +466,11 @@ def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, dict]:
-    part = ctx.need_partition()
-    vals, _ = ctx.ground_state()
+    part = ctx.part
+    vals, _ = ctx.ground_state
     e_fci = float(vals[0])
 
-    _, t_ext = split_amplitudes(ctx.amplitudes(), part)
+    _, t_ext = split_amplitudes(ctx.amplitudes, part)
     heff_s = downfold_sescc(ctx.H, t_ext, ctx.ref, part)
     # on the CAS rows psi / c0 is e^{T_int}|ref>: no external excitation
     # string lands there; the root match and the overlap normalise
@@ -488,8 +481,8 @@ def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     tnorm = target / np.linalg.norm(target)
     overlap_deficit = 1.0 - abs(np.vdot(svecs[:, root], tnorm))
 
-    sweep = ctx.sweep()
-    heff_d = ctx.ducc_hamiltonian()
+    sweep = ctx.sweep
+    heff_d = ctx.ducc_hamiltonian
     dvals, _ = heff_d.eigensystem()
     ducc_delta = abs(float(dvals[0]) - e_fci)
 
@@ -536,12 +529,11 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     """Quench evolution plus the downfolded-consistency study: the active
     coefficients are propagated under the time-dependent downfolded
     Hamiltonian and compared per step against the sweep decomposition."""
-    part = ctx.need_partition()
     p = task_params("propagate", params)
     dt, nsteps = p["dt"], p["nsteps"]
     psi0 = _initial_state(ctx, p["initial"])
 
-    study = downfolded_quench(ctx.H, psi0, dt, nsteps, ctx.ref, part)
+    study = downfolded_quench(ctx.H, psi0, dt, nsteps, ctx.ref, ctx.part)
     devs = study.rk4_deviation
     # the whole-step grid: time, energy, norm, CAS weight, eigenvalues of Heff
     header = ["time", "energy", "norm", "cas_weight"]
@@ -563,8 +555,8 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 def task_imagtime(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     p = task_params("imagtime", params)
     dtau, tol = p["dtau"], p["tol"]
-    heff = ctx.ducc_hamiltonian()
-    vals, _ = ctx.ground_state()
+    heff = ctx.ducc_hamiltonian
+    vals, _ = ctx.ground_state
     rng = ctx.rng("imagtime")
     c0 = rng.normal(size=heff.dim) + 1j * rng.normal(size=heff.dim)
     res = imaginary_evolve(heff, c0, dtau=dtau, tol=tol)
@@ -580,21 +572,16 @@ def task_imagtime(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_ecc(ctx: RunContext, params: dict) -> tuple[dict, dict]:
-    part = ctx.need_partition()
     p = task_params("ecc", params)
     n_configs, scale = p["n_configs"], p["scale"]
     rng = ctx.rng("ecc")
+    amps = lambda kind: random_amplitudes(ctx.ref, rng, ctx.part, kind, scale)
     max_v, max_w, max_act, max_bch = 0.0, 0.0, 0.0, 0.0
     for k in range(n_configs):
-        cfg = EccConfiguration(
-            t_int=random_amplitudes(ctx.ref, rng, part, "internal", scale),
-            t_ext=random_amplitudes(ctx.ref, rng, part, "external", scale),
-            x_int=random_amplitudes(ctx.ref, rng, part, "internal", scale),
-            x_ext=random_amplitudes(ctx.ref, rng, part, "external", scale),
-            dt_int=random_amplitudes(ctx.ref, rng, part, "internal", scale),
-            dt_ext=random_amplitudes(ctx.ref, rng, part, "external", scale),
-        )
-        m = EccMatrices.build(cfg, ctx.basis)
+        # drawn in this order: t_int, t_ext, x_int, x_ext, dt_int, dt_ext
+        m = EccMatrices.build(ctx.basis, t_int=amps("internal"), t_ext=amps("external"),
+                              x_int=amps("internal"), x_ext=amps("external"),
+                              dt_int=amps("internal"), dt_ext=amps("external"))
         v1, v2, v4 = eval_ldt_forms(m, ctx.ref)
         w1, w2 = eval_lh_forms(m, ctx.H, ctx.ref)
         for name, a, b in (("lh", w1, w2), ("ldt", v1, v2)):
@@ -626,13 +613,12 @@ def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, dict]:
         results[name], sub_artifacts = run_task(ctx, name, verify_all_params(params, name))
         artifacts.update(sub_artifacts)
 
-    part = ctx.need_partition()
     rng = ctx.rng("verify-all")
     # arguments are drawn left to right: internal, external, internal, ...
-    amps = lambda kind: random_amplitudes(ctx.ref, rng, part, kind, 0.1)
+    amps = lambda kind: random_amplitudes(ctx.ref, rng, ctx.part, kind, 0.1)
     sigma = lambda kind: sigma_lowest_order(amps(kind), ctx.basis)
     la, lb, lc = evaluate_lagrangians(ctx.H, sigma("internal"), sigma("external"),
-                                      sigma("internal"), sigma("external"), ctx.ref, part)
+                                      sigma("internal"), sigma("external"), ctx.ref, ctx.part)
     f1, f2 = evaluate_sescc_lagrangian(
         ctx.H, amps("internal"), amps("external"), amps("internal"), amps("external"),
         amps("internal"), amps("external"), ctx.ref)
@@ -693,15 +679,26 @@ def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
     entries = [(t["name"], {k: v for k, v in t.items() if k != "name"})
                for t in cfg["tasks"]]
 
+    listings: dict = {}   # file name -> (text on disk, the entries listing it)
+
     def execute(name, params):
         try:
             results, artifacts = run_task(ctx, name, params)
         except TASK_ERRORS as exc:
             return {"name": name, "status": "failed", "results": {},
                     "files": [], "error": f"{type(exc).__name__}: {exc}"}
+        entry = {"name": name, "status": "ok", "results": results, "files": list(artifacts)}
         for file_name, text in artifacts.items():
             _write(os.path.join(outdir, file_name), text)
-        return {"name": name, "status": "ok", "results": results, "files": list(artifacts)}
+            # the last writer's text stays on disk: the earlier entries
+            # listing other text stop listing the file
+            held, entries = listings.get(file_name, (text, []))
+            if held != text:
+                for earlier in entries:
+                    earlier["files"].remove(file_name)
+                entries = []
+            listings[file_name] = (text, entries + [entry])
+        return entry
 
     task_reports = [execute(name, params) for name, params in entries]
 

@@ -5,7 +5,6 @@ splitting, lowest-order anti-Hermitian generators, random amplitude sets.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -17,32 +16,10 @@ from .fock import (Determinant, ExcitationSignature, FockBasis,
 from .operators import _inexact
 
 
-@dataclass
-class Amplitudes:
-    """Rank-indexed map from excitation signatures to real or complex amplitudes.
-
-    Holds excitation sets (T and its internal/external parts) as well as
-    de-excitation sets (Lambda, X) -- the latter are simply applied in
-    adjoint form by :func:`deexcitation_matrix`.
-    """
-
-    entries: dict[ExcitationSignature, complex] = field(default_factory=dict)
-
-    @property
-    def max_rank(self) -> int:
-        return max((sig.rank for sig in self.entries), default=0)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries.items())
-
-    def __getitem__(self, sig: ExcitationSignature) -> complex:
-        return self.entries.get(sig, 0.0)
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(t) ** 2 for t in self.entries.values())))
+#: a cluster amplitude set: excitation signature -> real or complex amplitude.
+#: Excitation sets (T and its internal/external parts) and de-excitation sets
+#: (Lambda, X), the latter applied in adjoint form by :func:`deexcitation_matrix`.
+Amplitudes = dict[ExcitationSignature, complex]
 
 
 def amplitude_pairs(amps: Amplitudes, basis: FockBasis
@@ -52,7 +29,7 @@ def amplitude_pairs(amps: Amplitudes, basis: FockBasis
     :func:`ducclab.fock.excitation_pairs` of each nonzero amplitude.  Within
     a signature no low and no high repeats, and a pair fixes its signature,
     so no pair repeats across signatures either."""
-    return [(lows, highs, t * phases) for sig, t in amps if t != 0
+    return [(lows, highs, t * phases) for sig, t in amps.items() if t != 0
             for lows, highs, phases in (excitation_pairs(sig, basis),)]
 
 
@@ -60,7 +37,7 @@ def excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
     """Matrix of sum_sig t_sig E_sig over the basis (rank 0 contributes the
     identity), float64 unless an amplitude is complex, filled by one scatter
     of the concatenated :func:`amplitude_pairs`."""
-    mat = np.zeros((basis.size, basis.size), dtype=_inexact(list(amps.entries.values())).dtype)
+    mat = np.zeros((basis.size, basis.size), dtype=_inexact(list(amps.values())).dtype)
     pairs = amplitude_pairs(amps, basis)
     if pairs:
         lows, highs, vals = map(np.concatenate, zip(*pairs))
@@ -131,11 +108,11 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Ampl
     c = np.asarray(psi) / c0
     e_ref = basis.unit_vector(table.ref_index)
 
-    entries: dict[ExcitationSignature, complex] = {}
+    entries: Amplitudes = {}
     ranks = table.ranks[table.order]
     for k in range(1, min(ref.N, ref.M - ref.N) + 1):
         if entries:
-            low = exp_nilpotent(excitation_matrix(Amplitudes(entries), basis), e_ref, basis)
+            low = exp_nilpotent(excitation_matrix(entries, basis), e_ref, basis)
         else:
             low = e_ref
         rows = table.order[ranks == k]
@@ -143,7 +120,7 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Ampl
         for j, t in zip(rows.tolist(), amps.tolist()):
             if t != 0:
                 entries[table.signatures[j]] = t
-    return Amplitudes(entries)
+    return entries
 
 
 def split_amplitudes(T: Amplitudes, part: SpinOrbitalPartition
@@ -151,9 +128,9 @@ def split_amplitudes(T: Amplitudes, part: SpinOrbitalPartition
     """Internal part (all indices active) and external remainder; their
     union reproduces T exactly."""
     t_int, t_ext = {}, {}
-    for sig, t in T:
+    for sig, t in T.items():
         (t_int if part.is_internal_signature(sig) else t_ext)[sig] = t
-    return Amplitudes(t_int), Amplitudes(t_ext)
+    return t_int, t_ext
 
 
 def sigma_lowest_order(tpart: Amplitudes, basis: FockBasis) -> np.ndarray:
@@ -193,4 +170,4 @@ def random_amplitudes(ref: Determinant, rng: np.random.Generator,
     sigs = _amplitude_signatures(ref, part, kind, max_rank)
     draws = rng.uniform(-scale, scale, size=(len(sigs), 1 if real else 2))
     vals = draws[:, 0] if real else draws[:, 0] + 1j * draws[:, 1]
-    return Amplitudes(dict(zip(sigs, vals.tolist())))
+    return dict(zip(sigs, vals.tolist()))

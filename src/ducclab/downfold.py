@@ -76,7 +76,7 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
     Generally non-Hermitian; raises if the amplitude set contains an
     internal signature.
     """
-    for sig, _ in t_ext:
+    for sig in t_ext:
         if part.is_internal_signature(sig):
             raise OperatorPropertyError(f"internal signature {sig} in external amplitude set")
     cas = determinant_table(H.basis, ref).cas(part)

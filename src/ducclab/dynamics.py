@@ -22,7 +22,7 @@ import numpy as np
 
 from .cluster import Amplitudes
 from .downfold import ducc_projection, unit_columns
-from .ecc import EccConfiguration, EccMatrices
+from .ecc import EccMatrices
 from .errors import DuccLabError, NormDriftError, OperatorPropertyError
 from .fock import DetClass, Determinant, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, _matmul, exp_anti_hermitian
@@ -267,12 +267,12 @@ def evaluate_sescc_lagrangian(H: QOperator, t_int: Amplitudes, t_ext: Amplitudes
     form1 evaluates the single expression directly; form2 evaluates the
     split into an internal block and an external-coupling block.  Equality
     is a pure operator identity (excitation operators commute and external
-    excitations leave the active block).  The six sets are those of an
-    :class:`ducclab.ecc.EccConfiguration`, Lambda in the de-excitation
+    excitations leave the active block).  The six sets are those of
+    :meth:`ducclab.ecc.EccMatrices.build`, Lambda in the de-excitation
     slots, and every exponential acts on vectors (:meth:`EccMatrices.exp`).
     """
-    m = EccMatrices.build(EccConfiguration(t_int, t_ext, lam_int, lam_ext, dt_int, dt_ext),
-                          H.basis)
+    m = EccMatrices.build(H.basis, t_int=t_int, t_ext=t_ext, x_int=lam_int, x_ext=lam_ext,
+                          dt_int=dt_int, dt_ext=dt_ext)
     phi = H.basis.unit_vector(ref)
     ket_i = m.exp(m.Ti, phi)                     # e^{T_int} |ref>
     ket = m.exp(m.Te, ket_i)

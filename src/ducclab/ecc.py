@@ -39,19 +39,6 @@ from .operators import QOperator
 X_INT_EXT_RTOL = 1e-14
 
 
-@dataclass
-class EccConfiguration:
-    """Excitation amplitudes T, de-excitation amplitudes X, and the time
-    derivatives of T, each split into internal and external parts."""
-
-    t_int: Amplitudes
-    t_ext: Amplitudes
-    x_int: Amplitudes
-    x_ext: Amplitudes
-    dt_int: Amplitudes
-    dt_ext: Amplitudes
-
-
 @dataclass(frozen=True, eq=False)
 class EccMatrices:
     """The six amplitude matrices of one configuration over ``basis``,
@@ -68,14 +55,16 @@ class EccMatrices:
     t_int: Amplitudes
 
     @classmethod
-    def build(cls, cfg: EccConfiguration, basis: FockBasis) -> "EccMatrices":
-        return cls(Ti=excitation_matrix(cfg.t_int, basis),
-                   Te=excitation_matrix(cfg.t_ext, basis),
-                   Xi=deexcitation_matrix(cfg.x_int, basis),
-                   Xe=deexcitation_matrix(cfg.x_ext, basis),
-                   dTi=excitation_matrix(cfg.dt_int, basis),
-                   dTe=excitation_matrix(cfg.dt_ext, basis),
-                   basis=basis, t_int=cfg.t_int)
+    def build(cls, basis: FockBasis, *, t_int: Amplitudes, t_ext: Amplitudes,
+              x_int: Amplitudes, x_ext: Amplitudes, dt_int: Amplitudes,
+              dt_ext: Amplitudes) -> "EccMatrices":
+        """From the excitation amplitudes T, the de-excitation amplitudes X
+        and the time derivatives of T, each split into internal and external
+        parts."""
+        return cls(Ti=excitation_matrix(t_int, basis), Te=excitation_matrix(t_ext, basis),
+                   Xi=deexcitation_matrix(x_int, basis), Xe=deexcitation_matrix(x_ext, basis),
+                   dTi=excitation_matrix(dt_int, basis), dTe=excitation_matrix(dt_ext, basis),
+                   basis=basis, t_int=t_int)
 
     def exp(self, A: np.ndarray, v: np.ndarray) -> np.ndarray:
         """e^{A} v for a nilpotent amplitude matrix ``A``."""

@@ -26,8 +26,7 @@ import numpy as np
 
 from ducclab.cluster import Amplitudes, exp_nilpotent
 from ducclab.downfold import EffectiveHamiltonian
-from ducclab.ecc import (EccConfiguration, EccMatrices, action_deviation,
-                         eval_ldt_forms, eval_lh_forms)
+from ducclab.ecc import EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms
 from ducclab.errors import InvalidDimensionError, OperatorPropertyError, SectorMismatchError
 from ducclab.fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
                           SpinOrbitalPartition, determinant_table, excitation_pairs)
@@ -403,8 +402,8 @@ def per_signature_excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.nd
     """Matrix of sum_sig t_sig E_sig, one scatter per nonzero amplitude:
     the reference for the single scatter of
     :func:`ducclab.cluster.excitation_matrix`."""
-    mat = np.zeros((basis.size, basis.size), dtype=_inexact(list(amps.entries.values())).dtype)
-    for sig, t in amps:
+    mat = np.zeros((basis.size, basis.size), dtype=_inexact(list(amps.values())).dtype)
+    for sig, t in amps.items():
         if t != 0:
             lows, highs, phases = excitation_pairs(sig, basis)
             mat[highs, lows] += t * phases
@@ -433,11 +432,12 @@ def dense_x_int_ext_bch(m: EccMatrices) -> tuple[np.ndarray, np.ndarray, int]:
             raise ArithmeticError(f"nested-commutator series did not terminate by n={cap}")
 
 
-def eval_ecc_action_integrand(cfg: EccConfiguration, H: QOperator,
+def eval_ecc_action_integrand(cfg: dict[str, Amplitudes], H: QOperator,
                               ref: Determinant) -> tuple[complex, float]:
     """:func:`action_deviation` of the forms of :func:`eval_ldt_forms` and
-    :func:`eval_lh_forms`."""
-    m = EccMatrices.build(cfg, H.basis)
+    :func:`eval_lh_forms`, for the keyword arguments ``cfg`` of
+    :meth:`EccMatrices.build`."""
+    m = EccMatrices.build(H.basis, **cfg)
     v1, _, v4 = eval_ldt_forms(m, ref)
     w1, w2 = eval_lh_forms(m, H, ref)
     return action_deviation(v1, v4, w1, w2)

@@ -220,10 +220,9 @@ def test_criterion_8_ecc_identities(m6_basis, m6_ref, m6_part):
     mk = lambda kind: dl.random_amplitudes(m6_ref, rng, m6_part, kind, 0.1)
     worst_v = worst_w = worst_bch = 0.0
     for _ in range(100):
-        cfg = dl.EccConfiguration(mk("internal"), mk("external"),
-                                  mk("internal"), mk("external"),
-                                  mk("internal"), mk("external"))
-        m = dl.EccMatrices.build(cfg, m6_basis)
+        m = dl.EccMatrices.build(m6_basis, t_int=mk("internal"), t_ext=mk("external"),
+                                 x_int=mk("internal"), x_ext=mk("external"),
+                                 dt_int=mk("internal"), dt_ext=mk("external"))
         v1, v2, _ = dl.eval_ldt_forms(m, m6_ref)
         w1, w2 = dl.eval_lh_forms(m, H, m6_ref)
         direct, series, _ = dl.x_int_ext_bch(m)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import importlib
 import json
 import os
@@ -141,6 +143,8 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, ove
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
+    if fcidump is MALFORMED_CONFIGS["nelec-mismatch"][0]:
+        assert err.startswith("configuration error: FCIDUMP NELEC=")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -237,6 +241,22 @@ def test_unknown_key_is_config_error(tmp_path, capsys, command, overrides, messa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("task", [t for t in cli.TASK_NAMES if t not in ("fci", "cluster")])
+def test_task_without_partition_is_config_error(tmp_path, capsys, command, task):
+    path = write_config(tmp_path, partition=None, tasks=[{"name": "fci"}, {"name": task}])
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: task {task} requires a partition\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fci_and_cluster_run_without_partition(tmp_path):
+    path = write_config(tmp_path, partition=None, tasks=[{"name": "fci"}, {"name": "cluster"}])
+    assert main(["run", str(path)]) == 0
+    assert [t["status"] for t in read_report(tmp_path)["tasks"]] == ["ok", "ok"]
+
+
 def test_underscore_keys_are_internal(tmp_path, capsys):
     path = write_config(tmp_path, _comment="x",
                         system={"kind": "hubbard", "L": 2, "t": 1.0, "U": 4.0, "_src": "x"},
@@ -329,6 +349,27 @@ def test_one_determinant_layer():
     H = ducclab.build_hubbard(2, 1.0, 4.0, ducclab.build_basis(4, 2))
     assert not hasattr(ducclab.QOperator, "from_terms")
     assert not hasattr(H, "terms")
+
+
+def test_plain_amplitude_dicts_and_cached_context_properties(m6_basis, m6_ref, m6_part):
+    # amplitude sets are dicts, the ECC sets keyword arguments, and the run
+    # stages cached properties of the context
+    psi = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
+    amps = ducclab.random_amplitudes(m6_ref, np.random.default_rng(0))
+    assert type(ducclab.cluster_analyze(psi, m6_ref, m6_basis)) is dict
+    assert type(amps) is dict
+    assert [type(t) for t in ducclab.split_amplitudes(amps, m6_part)] == [dict, dict]
+    # EccMatrices is the one class of ecc, in the module and in the package
+    for mod in (ecc, ducclab):
+        assert [name for name, obj in vars(mod).items()
+                if isinstance(obj, type) and obj.__module__ == "ducclab.ecc"] == ["EccMatrices"]
+    assert [f.name for f in dataclasses.fields(cli.RunContext)] == [
+        "config", "basis", "H", "ref", "part", "seed"]
+    stages = ("ground_state", "amplitudes", "sweep", "cas_columns", "ducc_hamiltonian")
+    assert all(isinstance(vars(cli.RunContext)[name], functools.cached_property)
+               for name in stages)
+    assert {name for name, obj in vars(cli.RunContext).items()
+            if callable(obj) and not name.startswith("__")} == {"rng", "ground_vector"}
 
 
 def loaded_modules(module: str, prefix: str) -> str:
@@ -439,13 +480,12 @@ class TestRun:
             ta["tasks"][0]["results"]["energy"] != tb["tasks"][0]["results"]["energy"]
 
     def test_task_failure_exit_code(self, tmp_path, capsys):
-        # propagate on a 1x1 CAS with zero-dimensional... use a partition-free
-        # config so partition-requiring tasks fail numerically
-        path = write_config(tmp_path, partition=None,
-                            tasks=[{"name": "fci"}, {"name": "sweep"}])
+        # dtau = 1e-9 stops the flow far from the ground energy: imagtime
+        # fails numerically while fci passes
+        path = write_config(tmp_path, tasks=[{"name": "fci"}, {"name": "imagtime", "dtau": 1e-9}])
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "sweep" in err
+        assert "task imagtime failed" in err
         report = read_report(tmp_path)
         assert report["tasks"][0]["status"] == "ok"
         assert report["tasks"][1]["status"] == "failed"
@@ -519,7 +559,8 @@ class TestRun:
         assert files == {
             "fci": ["fci_spectrum.csv"], "cluster": [], "sweep": [],
             "downfold": ["heff_sescc.json", "heff_ducc.json", "heff_ducc.dump"],
-            "propagate": ["trajectory.csv"], "imagtime": ["imagtime_flow.csv"], "ecc": [],
+            # verify-all's propagate (nsteps 50) rewrites trajectory.csv
+            "propagate": [], "imagtime": ["imagtime_flow.csv"], "ecc": [],
             "verify-all": ["fci_spectrum.csv", "heff_sescc.json", "heff_ducc.json",
                            "heff_ducc.dump", "trajectory.csv", "imagtime_flow.csv"]}
         assert sorted(os.listdir(tmp_path / "out")) == sorted(files["verify-all"] + ["report.json"])
@@ -543,6 +584,38 @@ def test_failed_verify_all_check_fails_the_battery(tmp_path, capsys, monkeypatch
     assert entry["error"] == "DuccLabError: verification checks failed: td_consistency"
     assert "task verify-all failed" in capsys.readouterr().err
     assert os.listdir(tmp_path / "out") == ["report.json"]
+
+
+def test_failed_bivariational_check_fails_the_battery(tmp_path, capsys, monkeypatch):
+    sescc_lagrangian = cli.evaluate_sescc_lagrangian
+
+    def deviating(*args):
+        f1, f2 = sescc_lagrangian(*args)
+        return f1, f2 + 1e-6
+    monkeypatch.setattr(cli, "evaluate_sescc_lagrangian", deviating)
+    assert main(["run", str(write_config(tmp_path, tasks=[{"name": "verify-all"}]))]) == 1
+    (entry,) = read_report(tmp_path)["tasks"]
+    assert entry["error"] == "DuccLabError: verification checks failed: lagrangian_equivalence"
+    assert os.listdir(tmp_path / "out") == ["report.json"]
+
+
+def test_listed_files_hold_the_text_of_their_task(tmp_path):
+    # the dimer's verify-all rewrites six files; only trajectory.csv (nsteps
+    # 50 against propagate's 200) gets other text, so only propagate's
+    # listing of it goes
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                       "hubbard_dimer.json"))
+    report, code = cli.run(cfg, str(tmp_path), 1)
+    assert code == 0
+    unlisted = set()
+    for task, entry in zip(cfg["tasks"], report["tasks"]):
+        # the task's own text, from a fresh context: each task draws its own stream
+        params = {k: v for k, v in task.items() if k != "name"}
+        _, artifacts = cli.run_task(cli.build_context(cfg, 1), task["name"], params)
+        unlisted |= {(task["name"], f) for f in artifacts if f not in entry["files"]}
+        for name in entry["files"]:
+            assert (tmp_path / name).read_text() == artifacts[name]
+    assert unlisted == {("propagate", "trajectory.csv")}
 
 
 def test_failed_tasks_write_no_artifacts(tmp_path):

@@ -22,7 +22,7 @@ class TestSesccDownfold:
     def test_zero_amplitudes_give_cas_ci(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(0)
         H = random_hermitian_hamiltonian(m8_basis, rng)
-        heff = dl.downfold_sescc(H, dl.Amplitudes({}), m8_ref, m8_part)
+        heff = dl.downfold_sescc(H, {}, m8_ref, m8_part)
         bare = cas_ci(H, m8_ref, m8_part)
         assert np.allclose(heff.matrix, bare.matrix)
 
@@ -242,9 +242,9 @@ class TestExport:
     def test_json_round_trip(self, dimer_ref):
         # the downfold task's JSON artifacts re-read to its matrices bit-exactly
         ctx, _, artifacts = run_dimer_task("downfold")
-        _, t_ext = dl.split_amplitudes(ctx.amplitudes(), ctx.part)
+        _, t_ext = dl.split_amplitudes(ctx.amplitudes, ctx.part)
         sescc = dl.downfold_sescc(ctx.H, t_ext, ctx.ref, ctx.part)
-        for name, heff in (("heff_sescc.json", sescc), ("heff_ducc.json", ctx.ducc_hamiltonian())):
+        for name, heff in (("heff_sescc.json", sescc), ("heff_ducc.json", ctx.ducc_hamiltonian)):
             data = json.loads(artifacts[name])
             mat = np.array(data["matrix_real"]) + 1j * np.array(data["matrix_imag"])
             assert np.array_equal(mat, heff.matrix)
@@ -253,7 +253,7 @@ class TestExport:
             assert data["cas_determinants"][0] == dimer_ref.bitstring()
             assert data["partition"]["occ_active"] == [1]
             assert "residuals" not in data
-        assert artifacts["heff_ducc.dump"] == dl.effective_matrix_dump(ctx.ducc_hamiltonian())
+        assert artifacts["heff_ducc.dump"] == dl.effective_matrix_dump(ctx.ducc_hamiltonian)
 
     def test_matrix_dump(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
         heff = cas_ci(dimer_H, dimer_ref, dimer_part)

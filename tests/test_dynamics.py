@@ -494,7 +494,7 @@ class TestSesccLagrangian:
     def test_reduces_without_lambda_and_ext(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(10)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        zero = dl.Amplitudes({})
+        zero = {}
         ti = self._amps(m6_ref, m6_part, rng, "internal")
         dti = self._amps(m6_ref, m6_part, rng, "internal")
         f1, f2 = dl.evaluate_sescc_lagrangian(H, ti, zero, zero, zero, dti, zero,
@@ -510,7 +510,7 @@ class TestSesccLagrangian:
     def test_static_forms_equal(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(11)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        zero = dl.Amplitudes({})
+        zero = {}
         f1, f2 = dl.evaluate_sescc_lagrangian(
             H, self._amps(m6_ref, m6_part, rng, "internal"),
             self._amps(m6_ref, m6_part, rng, "external"),

@@ -8,20 +8,18 @@ from oracles import dense_x_int_ext_bch, eval_ecc_action_integrand, random_hermi
 
 
 def random_cfg(ref, part, rng, scale=0.1):
+    """The keyword arguments of :meth:`dl.EccMatrices.build`, drawn in
+    this order."""
     mk = lambda kind: dl.random_amplitudes(ref, rng, part, kind, scale)
-    return dl.EccConfiguration(mk("internal"), mk("external"),
-                               mk("internal"), mk("external"),
-                               mk("internal"), mk("external"))
-
-
-def zero_amps():
-    return dl.Amplitudes({})
+    return {"t_int": mk("internal"), "t_ext": mk("external"),
+            "x_int": mk("internal"), "x_ext": mk("external"),
+            "dt_int": mk("internal"), "dt_ext": mk("external")}
 
 
 def dense_ldt_forms(cfg, ref, basis):
     """v1, v2, v4 from dense dim x dim exponentials: the reference for the
     matrix-vector chains of :func:`dl.eval_ldt_forms`."""
-    m = dl.EccMatrices.build(cfg, basis)
+    m = dl.EccMatrices.build(basis, **cfg)
     phi = basis.unit_vector(basis.index_of(ref))
     eXi, eXe, eTi, eTe, eTim, eTem = dense_exponentials(m)
     ket = eTe @ (eTi @ phi)
@@ -38,7 +36,7 @@ def dense_lh_forms(cfg, H, ref):
     """w1, w2 from dense exponentials, e^{+-X^int_ext} by scipy.linalg.expm:
     the reference for the chains of :func:`dl.eval_lh_forms`."""
     basis = H.basis
-    m = dl.EccMatrices.build(cfg, basis)
+    m = dl.EccMatrices.build(basis, **cfg)
     phi = basis.unit_vector(basis.index_of(ref))
     eXi, eXe, eTi, eTe, eTim, eTem = dense_exponentials(m)
     w1 = phi.conj() @ (eXi @ (eXe @ (eTim @ (eTem @ (H.matrix @ (eTe @ (eTi @ phi)))))))
@@ -69,7 +67,7 @@ class TestChainsMatchDenseProducts:
         for _ in range(3):
             H = random_hermitian_hamiltonian(basis, rng)
             cfg = random_cfg(ref, part, rng, scale)
-            m = dl.EccMatrices.build(cfg, basis)
+            m = dl.EccMatrices.build(basis, **cfg)
             got = dl.eval_ldt_forms(m, ref) + dl.eval_lh_forms(m, H, ref)
             want = dense_ldt_forms(cfg, ref, basis) + dense_lh_forms(cfg, H, ref)
             assert np.abs(np.subtract(got, want)).max() < 1e-12
@@ -77,7 +75,7 @@ class TestChainsMatchDenseProducts:
     def test_x_int_ext_series_matches_expm(self, request, fixture, scale):
         basis, ref, part = self.system(request, fixture)
         rng = np.random.default_rng(41)
-        m = dl.EccMatrices.build(random_cfg(ref, part, rng, scale), basis)
+        m = dl.EccMatrices.build(basis, **random_cfg(ref, part, rng, scale))
         eye = np.eye(basis.size)
         x = dl.exp_nilpotent(m.Ti, m.Xe, basis) @ dl.exp_nilpotent(-m.Ti, eye, basis)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
@@ -88,8 +86,7 @@ class TestChainsMatchDenseProducts:
 
 
 def test_series_of_non_nilpotent_map_raises(m6_basis, m6_ref, m6_part):
-    m = dl.EccMatrices.build(random_cfg(m6_ref, m6_part, np.random.default_rng(42)),
-                             m6_basis)
+    m = dl.EccMatrices.build(m6_basis, **random_cfg(m6_ref, m6_part, np.random.default_rng(42)))
     shifted = lambda w: m.Xe @ w + 0.3 * w   # X_ext + 0.3 I is not nilpotent
     v = m6_basis.unit_vector(m6_ref)
     with pytest.raises(ArithmeticError):
@@ -101,13 +98,13 @@ class TestLdtForms:
         # with X = 0 every route reduces to i<ref|e^{-T} dT e^{T}|ref>
         rng = np.random.default_rng(0)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg.x_int = zero_amps()
-        cfg.x_ext = zero_amps()
-        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(cfg, m6_basis), m6_ref)
-        t_all = dl.excitation_matrix(cfg.t_int, m6_basis) \
-            + dl.excitation_matrix(cfg.t_ext, m6_basis)
-        dt_all = dl.excitation_matrix(cfg.dt_int, m6_basis) \
-            + dl.excitation_matrix(cfg.dt_ext, m6_basis)
+        cfg["x_int"] = {}
+        cfg["x_ext"] = {}
+        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(m6_basis, **cfg), m6_ref)
+        t_all = dl.excitation_matrix(cfg["t_int"], m6_basis) \
+            + dl.excitation_matrix(cfg["t_ext"], m6_basis)
+        dt_all = dl.excitation_matrix(cfg["dt_int"], m6_basis) \
+            + dl.excitation_matrix(cfg["dt_ext"], m6_basis)
         e_ref = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
         expected = 1j * (e_ref.conj() @ (scipy.linalg.expm(-t_all)
                                          @ (dt_all @ (scipy.linalg.expm(t_all) @ e_ref))))
@@ -117,16 +114,16 @@ class TestLdtForms:
     def test_static_configuration_vanishes(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(1)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg.dt_int = zero_amps()
-        cfg.dt_ext = zero_amps()
-        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(cfg, m6_basis), m6_ref)
+        cfg["dt_int"] = {}
+        cfg["dt_ext"] = {}
+        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(m6_basis, **cfg), m6_ref)
         assert abs(v1) < 1e-14 and abs(v2) < 1e-14 and abs(v4) < 1e-14
 
     @pytest.mark.parametrize("seed", range(5))
     def test_forms_agree(self, m6_basis, m6_ref, m6_part, seed):
         rng = np.random.default_rng(seed)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(cfg, m6_basis), m6_ref)
+        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(m6_basis, **cfg), m6_ref)
         assert abs(v1 - v2) < 1e-10
         assert abs(v4 - v1) < 1e-10  # full-product B carries no deviation
 
@@ -136,16 +133,16 @@ class TestLhForms:
         rng = np.random.default_rng(2)
         H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg.x_ext = zero_amps()
-        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
+        cfg["x_ext"] = {}
+        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(H.basis, **cfg), H, m6_ref)
         assert abs(w1 - w2) < 1e-12
 
     def test_no_internal_excitation(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(3)
         H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg.t_int = zero_amps()  # X^int_ext collapses onto X_ext
-        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
+        cfg["t_int"] = {}  # X^int_ext collapses onto X_ext
+        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(H.basis, **cfg), H, m6_ref)
         assert abs(w1 - w2) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
@@ -153,7 +150,7 @@ class TestLhForms:
         rng = np.random.default_rng(seed + 10)
         H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
+        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(H.basis, **cfg), H, m6_ref)
         assert abs(w1 - w2) < 1e-10
 
 
@@ -161,7 +158,7 @@ class TestActionIntegrand:
     def test_all_zero_amplitudes(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(4)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        cfg = dl.EccConfiguration(*(zero_amps() for _ in range(6)))
+        cfg = dict.fromkeys(("t_int", "t_ext", "x_int", "x_ext", "dt_int", "dt_ext"), {})
         value, dev = eval_ecc_action_integrand(cfg, H, m6_ref)
         e_ref = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
         assert abs(value - (-(e_ref.conj() @ (H.matrix @ e_ref)))) < 1e-12
@@ -171,10 +168,10 @@ class TestActionIntegrand:
         rng = np.random.default_rng(5)
         H = random_hermitian_hamiltonian(m6_basis, rng)
         cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg.dt_int = zero_amps()
-        cfg.dt_ext = zero_amps()
+        cfg["dt_int"] = {}
+        cfg["dt_ext"] = {}
         value, _ = eval_ecc_action_integrand(cfg, H, m6_ref)
-        _, w2 = dl.eval_lh_forms(dl.EccMatrices.build(cfg, H.basis), H, m6_ref)
+        _, w2 = dl.eval_lh_forms(dl.EccMatrices.build(H.basis, **cfg), H, m6_ref)
         assert abs(value - (-w2)) < 1e-13
 
     @pytest.mark.parametrize("seed", range(5))
@@ -190,10 +187,10 @@ class TestOperatorAlgebra:
     def test_excitation_blocks_commute(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(6)
         cfg = random_cfg(m6_ref, m6_part, rng, scale=0.5)
-        ti = dl.excitation_matrix(cfg.t_int, m6_basis)
-        te = dl.excitation_matrix(cfg.t_ext, m6_basis)
-        dt = dl.excitation_matrix(cfg.dt_int, m6_basis) \
-            + dl.excitation_matrix(cfg.dt_ext, m6_basis)
+        ti = dl.excitation_matrix(cfg["t_int"], m6_basis)
+        te = dl.excitation_matrix(cfg["t_ext"], m6_basis)
+        dt = dl.excitation_matrix(cfg["dt_int"], m6_basis) \
+            + dl.excitation_matrix(cfg["dt_ext"], m6_basis)
         assert np.abs(ti @ te - te @ ti).max() < 1e-14
         assert np.abs(dt @ (ti + te) - (ti + te) @ dt).max() < 1e-14
 
@@ -208,7 +205,7 @@ class TestOperatorAlgebra:
     def test_bch_series_terminates_and_matches(self, m6_basis, m6_ref, m6_part, seed):
         rng = np.random.default_rng(seed + 30)
         cfg = random_cfg(m6_ref, m6_part, rng, scale=0.5)
-        direct, series, n_terms = dl.x_int_ext_bch(dl.EccMatrices.build(cfg, m6_basis))
+        direct, series, n_terms = dl.x_int_ext_bch(dl.EccMatrices.build(m6_basis, **cfg))
         assert np.abs(direct - series).max() < 1e-12
         assert n_terms <= 3 * min(m6_basis.N, m6_basis.M - m6_basis.N) + 2
 
@@ -224,7 +221,7 @@ class TestXIntExtBchFromPairLists:
         part = dl.homo_lumo_partition(M, N, *window)
         rng = np.random.default_rng(50)
         for _ in range(2):
-            m = dl.EccMatrices.build(random_cfg(part.reference(), part, rng, 0.5), basis)
+            m = dl.EccMatrices.build(basis, **random_cfg(part.reference(), part, rng, 0.5))
             got, want = dl.x_int_ext_bch(m), dense_x_int_ext_bch(m)
             assert np.abs(got[0] - want[0]).max() < 1e-15
             assert np.abs(got[1] - want[1]).max() < 1e-15
@@ -232,8 +229,8 @@ class TestXIntExtBchFromPairLists:
 
     def test_empty_internal_set(self, m8_basis, m8_ref, m8_part):
         cfg = random_cfg(m8_ref, m8_part, np.random.default_rng(51), 0.5)
-        cfg.t_int = zero_amps()
-        m = dl.EccMatrices.build(cfg, m8_basis)
+        cfg["t_int"] = {}
+        m = dl.EccMatrices.build(m8_basis, **cfg)
         direct, series, n_terms = dl.x_int_ext_bch(m)
         want = dense_x_int_ext_bch(m)
         assert np.array_equal(direct, m.Xe) and np.array_equal(series, m.Xe)
@@ -241,8 +238,8 @@ class TestXIntExtBchFromPairLists:
 
     def test_forms_no_identity_or_dense_exponential(self, monkeypatch, m8_basis, m8_ref,
                                                      m8_part):
-        m = dl.EccMatrices.build(random_cfg(m8_ref, m8_part, np.random.default_rng(52), 0.5),
-                                 m8_basis)
+        m = dl.EccMatrices.build(
+            m8_basis, **random_cfg(m8_ref, m8_part, np.random.default_rng(52), 0.5))
 
         def refused(*args, **kwargs):
             raise AssertionError("np.eye called")

@@ -267,11 +267,11 @@ class TestDeterminantTable:
         basis = dl.build_basis(M, N)
         ref = _interleaved_reference(M, N)
         amps = dl.random_amplitudes(ref, np.random.default_rng(M))
-        amps.entries[dl.ExcitationSignature((), ())] = 0.3 - 0.2j
+        amps[dl.ExcitationSignature((), ())] = 0.3 - 0.2j
         for build, apply in ((dl.excitation_matrix, apply_excitation),
                              (dl.deexcitation_matrix, apply_deexcitation)):
             expected = np.zeros((basis.size, basis.size), dtype=complex)
-            for sig, t in amps:
+            for sig, t in amps.items():
                 for j, det in enumerate(basis):
                     res = apply(sig, det)
                     if res is not None:

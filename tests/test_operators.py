@@ -568,8 +568,8 @@ class TestCommutator:
         sigs = list(dl.enumerate_signatures(m8_ref, max_rank=3))
         for _ in range(10):
             s1, s2 = rng.choice(len(sigs), size=2)
-            m1 = dl.excitation_matrix(dl.Amplitudes({sigs[s1]: 1.0}), m8_basis)
-            m2 = dl.excitation_matrix(dl.Amplitudes({sigs[s2]: 1.0}), m8_basis)
+            m1 = dl.excitation_matrix({sigs[s1]: 1.0}, m8_basis)
+            m2 = dl.excitation_matrix({sigs[s2]: 1.0}, m8_basis)
             assert np.abs(m1 @ m2 - m2 @ m1).max() < 1e-14
 
 
