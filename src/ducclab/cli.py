@@ -52,6 +52,9 @@ TASK_NAMES = VERIFY_ALL_TASKS + ("verify-all",)
 #: the tasks that run without a partition
 UNPARTITIONED_TASKS = ("fci", "cluster")
 INITIAL_STATES = ("reference", "ground", "noninteracting-ground")
+#: the environment variables that set the BLAS thread count, which moves
+#: reported values at round-off; report.json records those that are set
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CONFIG_KEYS = ("system", "electrons", "partition", "tasks", "output_dir", "seed")
 SYSTEM_KEYS = {"hubbard": ("kind", "L", "t", "U"), "pairing": ("kind", "levels", "g", "spacing"),
                "fcidump": ("kind", "path")}
@@ -702,6 +705,7 @@ def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
 
     task_reports = [execute(name, params) for name, params in entries]
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
         "config": _echo_config(cfg),
         "seed": seed,
@@ -709,6 +713,8 @@ def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
             "ducclab": __version__,
             "numpy": np.__version__,
             "python": ".".join(str(x) for x in sys.version_info[:3]),
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "thread_vars": {v: os.environ[v] for v in THREAD_VARS if v in os.environ},
         },
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tasks": task_reports,

@@ -21,8 +21,10 @@ sweep's generator certificate (the downfolding replays the sweep's record).
 and :func:`logm_unitary` takes the log of the blocks of each size in one
 batched symmetric or Hermitian eigenproblem, with no Schur form: of
 ``(2I - U - U^+)/4``, in the arithmetic of the stack, or of the Cayley
-transform for a stack with an eigenvalue near -1.  Every exponential of a
-generator, and its derivative, is one certified Taylor action on vectors,
+transform for a stack with an eigenvalue near -1.  A one-block unitary is
+its own stack, uncopied: at its ``eigh`` only U, that matrix and the
+``eigh``'s outputs are live.  Every exponential of a generator, and its
+derivative, is one certified Taylor action on vectors,
 :func:`exp_anti_hermitian`.
 """
 
@@ -229,9 +231,13 @@ def _stacked_unitarity_defect(stacks) -> float:
     """``||U U^+ - I||_F`` of a direct sum, from its ``(count, k, k)`` block
     stacks: ``U U^+ - I`` is exactly zero between blocks, so its Frobenius
     norm is that of the block defects."""
-    return math.sqrt(sum(
-        np.linalg.norm(B @ B.conj().swapaxes(1, 2) - np.eye(B.shape[1])) ** 2
-        for B in stacks))
+    total = 0.0
+    for B in stacks:
+        G = B @ B.conj().swapaxes(1, 2)
+        diag = np.arange(B.shape[1])
+        G[:, diag, diag] -= 1.0
+        total += np.linalg.norm(G) ** 2
+    return math.sqrt(total)
 
 
 #: largest unitarity defect :func:`logm_unitary` accepts
@@ -306,15 +312,20 @@ def _half_angle_log(U: np.ndarray) -> np.ndarray | None:
     ``cos theta_j = 1 - 2 x_j^2`` give ``|theta_j|`` by ``atan2``, and
     ``log U = K V diag(theta/s) V^+`` (``theta/s = 1`` where ``s = 0``).  The
     distance of ``lam_j`` from the cut is ``|1 + lam_j| = 2 sin((pi -
-    |theta_j|)/2)``.
+    |theta_j|)/2)``.  ``P`` is dropped after the ``eigh`` and ``K`` formed
+    only then; ``U`` is never written.
     """
     Uh = U.conj().swapaxes(1, 2)
-    K = 0.5 * (U - Uh)
-    P = -0.25 * (U + Uh)
+    P = U + Uh
+    P *= -0.25
     diag = np.arange(U.shape[1])
     P[:, diag, diag] += 0.5
     x2, V = np.linalg.eigh(P)
+    del P
+    K = U - Uh
+    K *= 0.5
     KV = K @ V
+    del K
     s = np.linalg.norm(KV, axis=1)
     c = 1.0 - 2.0 * x2
     distance = (2.0 * np.sin(0.5 * np.arctan2(s, -c))).min()
@@ -335,12 +346,16 @@ def logm_unitary(U: np.ndarray) -> tuple[np.ndarray, float]:
     The log of a direct sum is the direct sum of the logs, so the work runs
     over the blocks of :func:`direct_sum_blocks`, with the blocks of one
     size stacked; the unitarity check reads the same stacks, before any
-    solve or ``eigh``.  The path of a stack depends on its distance from the
-    branch cut alone, not on its dtype.  A stack takes one ``eigh`` in its
-    own arithmetic (:func:`_half_angle_log`); its error grows as
-    ``eps/|1+lam|`` near the cut (up to 8e-13 in ``expm(L) - U`` at
-    ``|1+lam| = 1e-3``, where the Cayley path stays below 1.4e-15), so a
-    stack whose smallest ``|1+lam|`` is below :data:`LOG_MIN_DISTANCE` takes
+    solve or ``eigh``.  One block is ``U`` itself as a ``(1, n, n)`` view,
+    with no copy and no scatter, and the anti-Hermitian projection runs in
+    place: beside a real one-block ``U`` off the cut at most three arrays of
+    its size are live (``P`` and ``V`` at the ``eigh``; then ``V``, ``K`` and
+    ``K V``), where the Cayley path takes about 13.  ``U`` is never written.
+    The path of a stack depends on its distance from the branch cut alone,
+    not on its dtype.  A stack takes one ``eigh`` in its own arithmetic
+    (:func:`_half_angle_log`); its error grows as ``eps/|1+lam|`` near the
+    cut (up to 8e-13 in ``expm(L) - U`` at ``|1+lam| = 1e-3``, where the
+    Cayley path stays below 1.4e-15), so a stack whose smallest ``|1+lam|`` is below :data:`LOG_MIN_DISTANCE` takes
     the Cayley transform (:func:`_cayley_log`), a real one on a complex copy
     of which it keeps the real part.  Raises :class:`BranchCutError` when an
     eigenvalue sits within :data:`BRANCH_TOL` of the branch cut at -1, or
@@ -352,17 +367,28 @@ def logm_unitary(U: np.ndarray) -> tuple[np.ndarray, float]:
     U = _inexact(U)
     if not np.all(np.isfinite(U)):
         raise OperatorPropertyError("logm input has non-finite entries")
-    stacks = [(stack, U[stack]) for stack in _size_stacks(direct_sum_blocks(U))]
+    blocks = direct_sum_blocks(U)
+    if len(blocks) == 1:   # its members ascend: U is its own stack, and no scatter
+        stacks = [(None, U[None])]
+        L = None
+    else:
+        stacks = [(stack, U[stack]) for stack in _size_stacks(blocks)]
+        L = np.zeros_like(U)
     defect = _stacked_unitarity_defect([B for _, B in stacks])
     if defect > UNITARY_TOL:
         raise OperatorPropertyError(f"logm input not unitary (defect {defect:.3e})")
-    L = np.zeros_like(U)
     for stack, B in stacks:
         log = _half_angle_log(B)
         if log is None:
             log = _cayley_log(B.astype(complex, copy=False))
-        L[stack] = log if np.iscomplexobj(U) else log.real
-    L = 0.5 * (L - L.conj().T)  # exact log of unitary input is anti-Hermitian
+        if not np.iscomplexobj(U):
+            log = log.real
+        if L is None:
+            L = np.ascontiguousarray(log[0])
+        else:
+            L[stack] = log
+    L -= L.conj().T   # exact log of unitary input is anti-Hermitian
+    L *= 0.5
     return L, defect
 
 

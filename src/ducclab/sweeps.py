@@ -38,6 +38,10 @@ Sweeps 1-2 and :func:`replay` also take a ``(dim, B)`` stack of states and
 ``(dim, ncas, B)`` columns: the targets are the same for every state, so the
 stack takes each rotation at once, column b by its own ``cos`` and ``sin``.
 Every check holds per state; a failing stack names its first failing column.
+
+A one-state rotation replayed onto a 2-D block (the identity, or CAS
+columns) is one batched 2x2 product over its coupled pairs; a state vector
+and a stack's steps keep the elementwise update (:func:`_apply_rotation`).
 """
 
 from __future__ import annotations
@@ -88,8 +92,13 @@ def _apply_rotation(step: RotationStep, pairs, arr, inverse: bool = False):
         low'  = cos * low - conj(sin) ph * high
         high' = sin ph * low + cos * high
     and as the identity elsewhere, one update for real and complex arrays.
-    A batched step acts on the trailing axis of ``arr``, entry b on
-    ``arr[..., b]``.  A complex step cannot act on a real array.
+    A one-state step (scalar ``cos`` and ``sin``) on a 2-D ``arr``, the
+    identity or the CAS columns that :func:`replay` forms, takes its m pairs
+    as one ``(m, 2, 2) @ (m, 2, width)`` product on the interleaved low/high
+    rows.  A 1-D state, and a batched step, which acts on the trailing axis
+    of ``arr``, entry b on ``arr[..., b]``, keep the elementwise update: the
+    product form slowed the stacked replay of a quench and the sweep of one
+    state.  A complex step cannot act on a real array.
     """
     lows, highs, phases = pairs
     if lows.size == 0 or not np.count_nonzero(step.sin):
@@ -97,6 +106,15 @@ def _apply_rotation(step: RotationStep, pairs, arr, inverse: bool = False):
     if np.iscomplexobj(step.sin) and not np.iscomplexobj(arr):
         raise ValueError("a complex rotation cannot act on a real array")
     s = -step.sin if inverse else step.sin
+    if arr.ndim == 2 and np.ndim(s) == 0:
+        m, width = lows.size, arr.shape[1]
+        rows = np.stack((lows, highs), axis=1).ravel()
+        G = np.empty((m, 2, 2), dtype=arr.dtype)
+        G[:, 0, 0] = G[:, 1, 1] = step.cos
+        G[:, 0, 1] = -np.conj(s) * phases
+        G[:, 1, 0] = s * phases
+        arr[rows] = (G @ arr[rows].reshape(m, 2, width)).reshape(2 * m, width)
+        return
     lo, hi = arr[lows], arr[highs]
     ph = phases.reshape(phases.shape + (1,) * (lo.ndim - 1))
     arr[lows] = step.cos * lo - np.conj(s) * ph * hi

@@ -31,7 +31,7 @@ from ducclab.errors import InvalidDimensionError, OperatorPropertyError, SectorM
 from ducclab.fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
                           SpinOrbitalPartition, determinant_table, excitation_pairs)
 from ducclab.operators import IntegralSet, QOperator, _inexact
-from ducclab.sweeps import RotationStep, _apply_rotation, _check_sweep_ordering
+from ducclab.sweeps import RotationStep, _check_sweep_ordering
 
 # -- derivative of the exponential map ---------------------------------------
 
@@ -114,10 +114,15 @@ def rotation_generator(step: RotationStep, basis: FockBasis) -> np.ndarray:
 
 
 def rotation_unitary(step: RotationStep, basis: FockBasis) -> np.ndarray:
-    """Dense unitary of one rotation, assembled pairwise (equals
-    expm(rotation_generator))."""
+    """Dense unitary of one rotation, its four entries per coupled pair
+    (low, high) with phase ph written one pair at a time: ``cos`` on both
+    diagonals, ``sin ph`` at (high, low), ``-conj(sin) ph`` at (low, high)
+    (equals expm(rotation_generator))."""
     u = np.eye(basis.size, dtype=complex)
-    _apply_rotation(step, excitation_pairs(step.signature, basis), u)
+    for low, high, ph in zip(*excitation_pairs(step.signature, basis)):
+        u[low, low] = u[high, high] = step.cos
+        u[high, low] = step.sin * ph
+        u[low, high] = -np.conj(step.sin) * ph
     return u
 
 

@@ -403,6 +403,26 @@ def test_cli_import_loads_no_scipy():
     assert loaded_modules("ducclab.cli", "scipy") == "[]"
 
 
+def test_report_versions_name_the_blas_build_and_thread_settings(tmp_path):
+    # reported values move at round-off with the BLAS build and its thread
+    # count; reading the build from numpy loads no scipy either
+    path = write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in cli.THREAD_VARS}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ducclab.cli import main; code = main(['run', sys.argv[1]]); "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(code)",
+         str(path)], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    versions = read_report(tmp_path)["versions"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert versions["blas"] == f"{blas['name']} {blas['version']}"
+    assert versions["thread_vars"] == {"OPENBLAS_NUM_THREADS": "1"}
+    assert set(versions) == {"ducclab", "numpy", "python", "blas", "thread_vars"}
+
+
 SCIPY_LINALG_IMPORTERS = """
 import builtins, sys
 seen = set()

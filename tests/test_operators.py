@@ -468,6 +468,34 @@ class TestBlockwiseLogm:
         with pytest.raises(BranchCutError):
             dl.logm_unitary(Q)
 
+    def test_one_block_log_holds_u_p_and_the_eigh_outputs_alone(self):
+        # a one-block input is its own stack: beside U, only P and eigh's V
+        # are allocated at the eigh, and V, K and K V after it
+        rng = np.random.default_rng(44)
+        Q = self.random_orthogonal(rng, 400)   # every |1+lam| >= 1.08: no Cayley path
+        assert len(dl.direct_sum_blocks(Q)) == 1
+        tracemalloc.start()
+        try:
+            dl.logm_unitary(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * Q.nbytes
+
+    def test_input_is_never_written(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        cayley = self.record_cayley(monkeypatch)
+        one_block = self.random_orthogonal(rng, 40)
+        many_blocks, _ = self.permuted_direct_sum(
+            [self.random_orthogonal(rng, n) for n in (9, 6, 6, 1)], rng)
+        near_the_cut = self.orthogonal_with_angles(rng, [2 * np.arccos(0.25), 0.4], 9)
+        for U in (one_block, one_block.astype(complex), many_blocks, near_the_cut):
+            before = U.copy()
+            L, _ = dl.logm_unitary(U)
+            assert np.array_equal(U, before)
+            assert not np.shares_memory(L, U)
+        assert cayley == [(1, 9, 9)]   # near_the_cut alone
+
     def test_blockwise_unitarity_defect_matches_dense(self):
         rng = np.random.default_rng(39)
         blocks = [self.random_unitary(rng, n) for n in (6, 4, 4, 3, 2, 1)]

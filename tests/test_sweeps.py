@@ -477,6 +477,21 @@ class TestReplay:
         back = sweeps.replay(res.record, res.psi_act.copy())
         assert np.abs(back - psi / np.linalg.norm(psi)).max() < 1e-14
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_identity_replay_is_the_product_of_rotation_adjoints(self, m8_basis, m8_ref,
+                                                                  m8_part, real):
+        # the one-state record on the identity (one 2x2 product per rotation)
+        # against the dense unitaries of its rotations, entry by entry
+        psi = random_state(m8_basis, np.random.default_rng(35), ref=m8_ref)
+        psi = psi.real if real else psi
+        record, _ = sweeps.sweep_external(psi, m8_ref, m8_part, m8_basis)
+        omega_adj = np.eye(m8_basis.size)
+        for step, _ in record:
+            omega_adj = omega_adj @ rotation_unitary(step, m8_basis).conj().T
+        R = sweeps.replay(record, np.eye(m8_basis.size, dtype=psi.dtype))
+        assert R.dtype == psi.dtype and len(record) > 10
+        assert np.abs(R - omega_adj).max() < 1e-14
+
     def test_sweep_external_is_sweeps_one_and_two(self, m8_basis, m8_ref, m8_part):
         psi = random_state(m8_basis, np.random.default_rng(32), ref=m8_ref)
         res = dl.decompose_state(psi, m8_ref, m8_part, m8_basis)
