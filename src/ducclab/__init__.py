@@ -11,9 +11,9 @@ real and imaginary time.
 
 __version__ = "0.1.0"
 
-from .cluster import (Amplitudes, cluster_analyze, deexcitation_matrix,
-                      excitation_matrix, exp_nilpotent, random_amplitudes,
-                      sigma_lowest_order, split_amplitudes)
+from .cluster import (AmplitudeOperator, Amplitudes, cluster_analyze, excitation_matrix,
+                      exp_nilpotent, random_amplitudes, sigma_lowest_order,
+                      split_amplitudes)
 from .downfold import (EffectiveHamiltonian, cas_eigensolve, downfold_ducc,
                        downfold_sescc, ducc_projection, effective_matrix_dump,
                        effective_to_dict, match_root)

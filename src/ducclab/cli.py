@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .cluster import (cluster_analyze, excitation_matrix, exp_nilpotent,
-                      random_amplitudes, sigma_lowest_order, split_amplitudes)
+from .cluster import (AmplitudeOperator, cluster_analyze, exp_nilpotent, random_amplitudes,
+                      sigma_lowest_order, split_amplitudes)
 from .downfold import (EffectiveHamiltonian, downfold_ducc, downfold_sescc, ducc_projection,
                        effective_matrix_dump, effective_to_dict, match_root, unit_columns)
 from .dynamics import downfolded_quench, evaluate_lagrangians, evaluate_sescc_lagrangian
@@ -429,13 +429,13 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     vals, _ = ctx.ground_state
     psi = ctx.ground_vector()
     amps = ctx.amplitudes
-    tmat = excitation_matrix(amps, ctx.basis)
+    T = AmplitudeOperator(amps, ctx.basis)
     e_ref = ctx.basis.unit_vector(ctx.basis.index_of(ctx.ref))
-    recon = exp_nilpotent(tmat, e_ref, ctx.basis)
+    recon = exp_nilpotent(T, e_ref, ctx.basis)
     c0 = psi[ctx.basis.index_of(ctx.ref)]
     roundtrip = float(np.linalg.norm(recon - psi / c0))
     # e^{-T} H e^{T} |ref>, never forming the similarity-transformed matrix
-    hbar_ref = exp_nilpotent(-tmat, ctx.H @ recon, ctx.basis)
+    hbar_ref = exp_nilpotent(-T, ctx.H @ recon, ctx.basis)
     energy = complex(e_ref.conj() @ hbar_ref)
     residual = float(np.linalg.norm(hbar_ref - energy * e_ref))
     results = {

@@ -1,11 +1,18 @@
 """Cluster amplitudes: extraction from exact states, internal/external
 splitting, lowest-order anti-Hermitian generators, random amplitude sets.
+
+An amplitude set acts as an :class:`AmplitudeOperator`, from the flat list
+of the determinant pairs that its signatures couple, on vectors and on
+``(dim, B)`` blocks; its exponential acts by the terminating series of
+:func:`exp_nilpotent`.  :func:`excitation_matrix` forms the dense matrix
+only where the matrix itself is the object: the lowest-order generator
+T - T+ and the X_ext that :func:`ducclab.ecc.x_int_ext_bch` compares.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -18,48 +25,111 @@ from .operators import _inexact
 
 #: a cluster amplitude set: excitation signature -> real or complex amplitude.
 #: Excitation sets (T and its internal/external parts) and de-excitation sets
-#: (Lambda, X), the latter applied in adjoint form by :func:`deexcitation_matrix`.
+#: (Lambda, X), the latter applied in adjoint form (:attr:`AmplitudeOperator.T`).
 Amplitudes = dict[ExcitationSignature, complex]
 
 
-def amplitude_pairs(amps: Amplitudes, basis: FockBasis
-                    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The nonzero entries of sum_sig t_sig E_sig over the basis, signature
-    by signature: (lows, highs, t_sig * phases) from the memoised
-    :func:`ducclab.fock.excitation_pairs` of each nonzero amplitude.  Within
-    a signature no low and no high repeats, and a pair fixes its signature,
-    so no pair repeats across signatures either."""
-    return [(lows, highs, t * phases) for sig, t in amps.items() if t != 0
-            for lows, highs, phases in (excitation_pairs(sig, basis),)]
+class AmplitudeOperator:
+    """sum_sig t_sig E_sig of an amplitude set over a basis, applied from its
+    pairs of determinants, never as a dense matrix.
+
+    The pairs are the memoised :func:`ducclab.fock.excitation_pairs` of the
+    nonzero amplitudes, each weighted by ``t_sig * phase``.  Within one
+    signature no low and no high repeats, and a pair fixes its signature, so
+    no pair repeats across signatures either.  ``lows``, ``highs`` and
+    ``vals`` hold them concatenated and sorted by high.
+
+    ``op @ X`` has the dtype of the amplitudes times ``X``, and takes the
+    kernel with the fewer numpy calls: per column of ``X`` (a vector is one
+    column) one gather, one multiply and one ``np.add.reduceat`` over the
+    rows that the pairs reach, or per signature one row gather and one row
+    scatter.
+    ``op.T`` is the de-excitation form sum_sig t_sig (E_sig)^T, coefficients
+    not conjugated (the phases are real), and ``-op`` the negated operator;
+    each is built once and cached.  Neither links back to ``op``: a
+    reference cycle would keep every operator of a loop alive until the
+    cyclic garbage collector runs.
+    """
+
+    __array_ufunc__ = None     # no ``X @ op``: numpy defers, and Python raises
+
+    def __init__(self, amps: Amplitudes, basis: FockBasis):
+        dtype = _inexact(list(amps.values())).dtype
+        nonzero = [(excitation_pairs(sig, basis), t) for sig, t in amps.items() if t != 0]
+        lows, highs, phases = (np.concatenate([p[k] for p, _ in nonzero] or [np.zeros(0, int)])
+                               for k in range(3))
+        sizes = [p[0].size for p, _ in nonzero]
+        vals = np.repeat(np.array([t for _, t in nonzero], dtype), sizes) * phases
+        self._set(basis.size, dtype, lows, highs, vals, np.cumsum([0] + sizes))
+
+    def _set(self, size: int, dtype: np.dtype, lows: np.ndarray, highs: np.ndarray,
+             vals: np.ndarray, bounds: np.ndarray, order: np.ndarray | None = None) -> None:
+        """The pairs in signature order, signature k at ``bounds[k]:bounds[k+1]``,
+        and ``order``, an argsort of ``highs``, if known."""
+        self.shape, self.dtype = (size, size), dtype
+        self._signed = lows, highs, vals, bounds
+        self._order = np.argsort(highs) if order is None else order
+        self.lows, self.highs, self.vals = lows[self._order], highs[self._order], vals[self._order]
+        self._starts = np.flatnonzero(np.diff(self.highs, prepend=-1))
+        self._rows = self.highs[self._starts]
+
+    def _derived(self, lows: np.ndarray, highs: np.ndarray, vals: np.ndarray,
+                 order: np.ndarray | None = None) -> "AmplitudeOperator":
+        op = object.__new__(AmplitudeOperator)
+        op._set(self.shape[0], self.dtype, lows, highs, vals, self._signed[3], order)
+        return op
+
+    @cached_property
+    def T(self) -> "AmplitudeOperator":
+        lows, highs, vals, _ = self._signed
+        return self._derived(highs, lows, vals)
+
+    @cached_property
+    def _negated(self) -> "AmplitudeOperator":
+        lows, highs, vals, _ = self._signed
+        return self._derived(lows, highs, -vals, self._order)
+
+    def __neg__(self) -> "AmplitudeOperator":
+        return self._negated
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X)
+        if X.ndim not in (1, 2) or X.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot apply a {self.shape} operator to shape {X.shape}")
+        X2 = X.reshape(X.shape[0], -1)
+        out = np.zeros(X2.shape, np.result_type(self.dtype, X))
+        lows, highs, vals, bounds = self._signed
+        if X2.shape[1] < len(bounds) - 1:
+            for x, y in zip(X2.T, out.T):
+                y[self._rows] = np.add.reduceat(self.vals * x[self.lows], self._starts)
+        else:
+            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                out[highs[a:b]] += vals[a:b, None] * X2[lows[a:b]]
+        return out.reshape(X.shape)
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, filled by one scatter of the pairs."""
+        mat = np.zeros(self.shape, self.dtype)
+        mat[self.highs, self.lows] += self.vals   # += onto zeros: a zero imaginary part stays +0
+        return mat
 
 
 def excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
     """Matrix of sum_sig t_sig E_sig over the basis (rank 0 contributes the
-    identity), float64 unless an amplitude is complex, filled by one scatter
-    of the concatenated :func:`amplitude_pairs`."""
-    mat = np.zeros((basis.size, basis.size), dtype=_inexact(list(amps.values())).dtype)
-    pairs = amplitude_pairs(amps, basis)
-    if pairs:
-        lows, highs, vals = map(np.concatenate, zip(*pairs))
-        mat[highs, lows] += vals   # += onto zeros: a zero imaginary part stays +0
-    return mat
+    identity), float64 unless an amplitude is complex: the dense form of
+    :class:`AmplitudeOperator`, for where the matrix itself is the object."""
+    return AmplitudeOperator(amps, basis).toarray()
 
 
-def deexcitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
-    """Matrix of sum_sig x_sig (E_sig)+ -- amplitude sets applied in adjoint
-    (de-excitation) form, coefficients NOT conjugated.  The phases are real,
-    so this is the transpose of :func:`excitation_matrix`."""
-    return excitation_matrix(amps, basis).T
-
-
-def exp_nilpotent(T: np.ndarray | Callable[[np.ndarray], np.ndarray], V: np.ndarray,
-                  basis: FockBasis, rtol: float = 0.0) -> np.ndarray:
+def exp_nilpotent(T: np.ndarray | AmplitudeOperator | Callable[[np.ndarray], np.ndarray],
+                  V: np.ndarray, basis: FockBasis, rtol: float = 0.0) -> np.ndarray:
     """e^T V as the terminating series sum_n T^n V / n!.
 
-    ``T`` is a matrix or the linear map ``W -> T W``.  It must move every
-    determinant up (excitation) or down (de-excitation) the excitation-rank
-    ladder of height min(N, M-N), so T^n V is exactly zero from
-    n = ladder + 1 on: products of structural zeros stay exact zeros.
+    ``T`` is a matrix, an :class:`AmplitudeOperator` or the linear map
+    ``W -> T W``.  It must move every determinant up (excitation) or down
+    (de-excitation) the excitation-rank ladder of height min(N, M-N), so
+    T^n V is exactly zero from n = ladder + 1 on: products of structural
+    zeros stay exact zeros.
     A map may also multiply its argument from the right by such a matrix,
     ``W -> W A``, which is nilpotent on the same ladder.  With ``rtol == 0``
     the series ends at the first term that is exactly zero (a NaN or inf
@@ -73,7 +143,7 @@ def exp_nilpotent(T: np.ndarray | Callable[[np.ndarray], np.ndarray], V: np.ndar
     """
     apply = T if callable(T) else T.__matmul__
     ladder = min(basis.N, basis.M - basis.N)
-    out = np.array(V, dtype=np.result_type(V) if callable(T) else np.result_type(T, V))
+    out = np.array(V, dtype=np.result_type(V) if callable(T) else np.result_type(T.dtype, V))
     term = out
     for n in range(1, ladder + 2):
         term = apply(term) / n
@@ -94,7 +164,7 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Ampl
     Rank-by-rank recursion: the coefficient of a rank-k determinant in
     e^T|ref> is the rank-k amplitude (times a phase) plus disconnected
     products of lower ranks; the products are obtained by applying the
-    terminating series of the lower-rank amplitude matrix to the reference
+    terminating series of the lower-rank amplitude operator to the reference
     (:func:`exp_nilpotent`) rather than by hand-coded antisymmetrized sums,
     so one code path covers every rank.
     """
@@ -112,7 +182,7 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Ampl
     ranks = table.ranks[table.order]
     for k in range(1, min(ref.N, ref.M - ref.N) + 1):
         if entries:
-            low = exp_nilpotent(excitation_matrix(entries, basis), e_ref, basis)
+            low = exp_nilpotent(AmplitudeOperator(entries, basis), e_ref, basis)
         else:
             low = e_ref
         rows = table.order[ranks == k]

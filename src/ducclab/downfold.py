@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Amplitudes, excitation_matrix, exp_nilpotent
+from .cluster import Amplitudes, AmplitudeOperator, exp_nilpotent
 from .errors import OperatorPropertyError
 from .fock import Determinant, FockBasis, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, exp_anti_hermitian
@@ -80,7 +80,7 @@ def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
         if part.is_internal_signature(sig):
             raise OperatorPropertyError(f"internal signature {sig} in external amplitude set")
     cas = determinant_table(H.basis, ref).cas(part)
-    T = excitation_matrix(t_ext, H.basis)
+    T = AmplitudeOperator(t_ext, H.basis)
     cols = unit_columns(H.basis.size, cas, float)
     # e^{T}[:, cas] and e^{-T}[cas, :] = (e^{-T^T}[:, cas])^T: CAS columns only
     right = exp_nilpotent(T, cols, H.basis)

@@ -9,17 +9,19 @@ restrictions are never taken in isolation: the similarity-transformed
 operators are applied as full products, which agree inside the bracketed
 expectation values.
 
-Every bracket <ref| ... |ref> is a chain of matrix-vector products, and no
-``dim x dim`` exponential is formed.  A ket factor e^{A} is applied by the
-terminating series of :func:`exp_nilpotent`; a bra factor <ref| e^{A} is
-the transpose of e^{A^T} |ref>, and A^T is again a nilpotent excitation
-matrix.  The routes stay independent: w2 applies e^{+-X^int_ext}, with
+Every amplitude set acts as an :class:`ducclab.cluster.AmplitudeOperator`,
+from its pairs of determinants.  Every bracket <ref| ... |ref> is a chain of
+operator-vector products, and no ``dim x dim`` exponential is formed.  A
+ket factor e^{A} is applied by the terminating series of
+:func:`exp_nilpotent`; a bra factor <ref| e^{A} is the transpose of
+e^{A^T} |ref>, and A^T is again a nilpotent excitation operator.  The
+routes stay independent: w2 applies e^{+-X^int_ext}, with
 X^int_ext = e^{T_int} X_ext e^{-T_int}, by its own series in X^int_ext,
 never as e^{T_int} e^{+-X_ext} e^{-T_int}, which is the identity that
-w1 = w2 tests.  :func:`x_int_ext_bch` compares matrices, so it alone acts
-on ``dim x dim`` arrays; it applies T_int, which never changes an inactive
-orbital's occupation and so has few nonzeros, from its pair lists on
-either side, and forms no exponential of it.
+w1 = w2 tests.  :func:`x_int_ext_bch` compares matrices, so it alone forms
+a dense amplitude matrix, X_ext; it applies T_int to ``dim x dim`` arrays
+from either side, one row scatter per signature, and forms no exponential
+of it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import (Amplitudes, amplitude_pairs, deexcitation_matrix, excitation_matrix,
-                      exp_nilpotent)
+from .cluster import Amplitudes, AmplitudeOperator, exp_nilpotent
 from .fock import Determinant, FockBasis
 from .operators import QOperator
 
@@ -41,18 +42,17 @@ X_INT_EXT_RTOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class EccMatrices:
-    """The six amplitude matrices of one configuration over ``basis``,
-    built once and shared by the bracket routes and the series check, and
-    the amplitudes of ``Ti``, whose pair lists the series check applies."""
+    """The six amplitude operators of one configuration over ``basis``,
+    built once and shared by the bracket routes and the series check; X_int
+    and X_ext in de-excitation form."""
 
-    Ti: np.ndarray
-    Te: np.ndarray
-    Xi: np.ndarray
-    Xe: np.ndarray
-    dTi: np.ndarray
-    dTe: np.ndarray
+    Ti: AmplitudeOperator
+    Te: AmplitudeOperator
+    Xi: AmplitudeOperator
+    Xe: AmplitudeOperator
+    dTi: AmplitudeOperator
+    dTe: AmplitudeOperator
     basis: FockBasis
-    t_int: Amplitudes
 
     @classmethod
     def build(cls, basis: FockBasis, *, t_int: Amplitudes, t_ext: Amplitudes,
@@ -61,13 +61,12 @@ class EccMatrices:
         """From the excitation amplitudes T, the de-excitation amplitudes X
         and the time derivatives of T, each split into internal and external
         parts."""
-        return cls(Ti=excitation_matrix(t_int, basis), Te=excitation_matrix(t_ext, basis),
-                   Xi=deexcitation_matrix(x_int, basis), Xe=deexcitation_matrix(x_ext, basis),
-                   dTi=excitation_matrix(dt_int, basis), dTe=excitation_matrix(dt_ext, basis),
-                   basis=basis, t_int=t_int)
+        op = lambda amps: AmplitudeOperator(amps, basis)
+        return cls(Ti=op(t_int), Te=op(t_ext), Xi=op(x_int).T, Xe=op(x_ext).T,
+                   dTi=op(dt_int), dTe=op(dt_ext), basis=basis)
 
-    def exp(self, A: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """e^{A} v for a nilpotent amplitude matrix ``A``."""
+    def exp(self, A: AmplitudeOperator, v: np.ndarray) -> np.ndarray:
+        """e^{A} v for a nilpotent amplitude operator ``A``."""
         return exp_nilpotent(A, v, self.basis)
 
     def exp_x_int_ext(self, sign: int, v: np.ndarray) -> np.ndarray:
@@ -126,38 +125,24 @@ def eval_lh_forms(m: EccMatrices, H: QOperator,
     return complex(w1), complex(w2)
 
 
-def _apply_pairs(pairs: list, X: np.ndarray, right: bool = False) -> np.ndarray:
-    """``A @ X``, or ``X @ A`` with ``right``, for the amplitude operator A
-    of ``pairs`` (:func:`amplitude_pairs`): per signature, whose lows and
-    highs are each unique, one gather of rows and one scatter.  ``X @ A``
-    is ``(A^T X^T)^T``, and the pairs of A^T are those of A with lows and
-    highs swapped."""
-    if right:
-        return _apply_pairs([(highs, lows, vals) for lows, highs, vals in pairs], X.T).T
-    Y = np.zeros(X.shape, np.result_type(X, *(vals for _, _, vals in pairs)))
-    for lows, highs, vals in pairs:
-        Y[highs] += vals[:, None] * X[lows]
-    return Y
-
-
 def x_int_ext_bch(m: EccMatrices) -> tuple[np.ndarray, np.ndarray, int]:
     """Similarity-transformed external de-excitation two ways.
 
     Returns (direct product e^{T_int} X_ext e^{-T_int}, terminating nested-
     commutator series sum_n ad_{T_int}^n(X_ext)/n!, number of series terms).
-    T_int acts from its pair lists (:func:`amplitude_pairs`) on the left or
-    the right of a ``dim x dim`` array, never as a dense matrix: the direct
-    product is the left series e^{T_int} X_ext followed by the right series
-    of e^{-T_int}, and the commutators are T_int Y - Y T_int.
+    X_ext is the one dense amplitude matrix; T_int acts on the left or the
+    right of a ``dim x dim`` array as an operator, ``Y T_int`` being
+    ``(T_int^T Y^T)^T``: the direct product is the left series e^{T_int} X_ext
+    followed by the right series of e^{-T_int}, and the commutators are
+    T_int Y - Y T_int.
     The series terminates: every surviving operator path climbs the
     excitation-rank ladder except for the single de-excitation drop, and the
     ladder height R = min(N, M-N) caps the commutator depth at 3R.
     """
-    Xe, basis = m.Xe, m.basis
-    pairs = amplitude_pairs(m.t_int, basis)
-    left = lambda Y: _apply_pairs(pairs, Y)
-    right = lambda Y: _apply_pairs(pairs, Y, right=True)
-    direct = exp_nilpotent(lambda Y: -right(Y), exp_nilpotent(left, Xe, basis), basis)
+    Ti, basis = m.Ti, m.basis
+    Xe = m.Xe.toarray()
+    right = lambda Y: (Ti.T @ Y.T).T
+    direct = exp_nilpotent(lambda Y: (-Ti.T @ Y.T).T, exp_nilpotent(Ti, Xe, basis), basis)
     ladder = min(basis.N, basis.M - basis.N)
     cap = 3 * ladder + 2
     # cancellation roundoff keeps dead terms from being exact zeros
@@ -168,7 +153,7 @@ def x_int_ext_bch(m: EccMatrices) -> tuple[np.ndarray, np.ndarray, int]:
     while True:
         series = series + term / math.factorial(n)
         n += 1
-        term = left(term) - right(term)
+        term = Ti @ term - right(term)
         if float(np.abs(term).max(initial=0.0)) <= dead:
             break
         if n > cap:

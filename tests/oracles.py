@@ -12,8 +12,9 @@ per-determinant Hamiltonian builders (term lists applied
 literally, and integrals applied by Slater-Condon rules) against the
 vectorised :func:`ducclab.operators.hamiltonian_from_integrals`, a
 reference-dominated random Hamiltonian, the bare CAS-CI Hamiltonian, the
-per-signature amplitude matrix, the assembled ECC action integrand and the
-dense-matrix similarity transform of X_ext by T_int.
+per-signature amplitude matrix, the dense de-excitation matrix and the
+dense amplitude matrices of an ECC configuration, the assembled ECC action
+integrand and the dense-matrix similarity transform of X_ext by T_int.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ducclab.cluster import Amplitudes, exp_nilpotent
+from ducclab.cluster import Amplitudes, excitation_matrix, exp_nilpotent
 from ducclab.downfold import EffectiveHamiltonian
 from ducclab.ecc import EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms
 from ducclab.errors import InvalidDimensionError, OperatorPropertyError, SectorMismatchError
@@ -415,14 +416,47 @@ def per_signature_excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.nd
     return mat
 
 
+def deexcitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
+    """Matrix of sum_sig x_sig (E_sig)+ -- an amplitude set applied in
+    adjoint (de-excitation) form, coefficients NOT conjugated.  The phases
+    are real, so this is the transpose of the excitation matrix."""
+    return excitation_matrix(amps, basis).T
+
+
 # -- extended coupled cluster --------------------------------------------------
 
 
-def dense_x_int_ext_bch(m: EccMatrices) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`ducclab.ecc.x_int_ext_bch` from the dense matrix ``m.Ti``: the
-    product of e^{T_int} X_ext with the dense e^{-T_int}, and the commutator
-    series by dense products."""
-    Ti, Xe, basis = m.Ti, m.Xe, m.basis
+@dataclass(frozen=True)
+class DenseEccMatrices:
+    """The six amplitude matrices of :meth:`ducclab.ecc.EccMatrices.build`,
+    dense: the reference for its operators."""
+
+    Ti: np.ndarray
+    Te: np.ndarray
+    Xi: np.ndarray
+    Xe: np.ndarray
+    dTi: np.ndarray
+    dTe: np.ndarray
+    basis: FockBasis
+
+
+def dense_ecc_matrices(cfg: dict[str, Amplitudes], basis: FockBasis) -> DenseEccMatrices:
+    """The dense matrices of the keyword arguments ``cfg`` of
+    :meth:`ducclab.ecc.EccMatrices.build`."""
+    ex = lambda name: excitation_matrix(cfg[name], basis)
+    return DenseEccMatrices(Ti=ex("t_int"), Te=ex("t_ext"),
+                            Xi=deexcitation_matrix(cfg["x_int"], basis),
+                            Xe=deexcitation_matrix(cfg["x_ext"], basis),
+                            dTi=ex("dt_int"), dTe=ex("dt_ext"), basis=basis)
+
+
+def dense_x_int_ext_bch(cfg: dict[str, Amplitudes], basis: FockBasis
+                        ) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`ducclab.ecc.x_int_ext_bch` from the dense matrices of ``cfg``:
+    the product of e^{T_int} X_ext with the dense e^{-T_int}, and the
+    commutator series by dense products."""
+    m = dense_ecc_matrices(cfg, basis)
+    Ti, Xe = m.Ti, m.Xe
     direct = exp_nilpotent(Ti, Xe, basis) @ exp_nilpotent(-Ti, np.eye(basis.size), basis)
     cap = 3 * min(basis.N, basis.M - basis.N) + 2
     dead = 1e-14 * max(1.0, float(np.abs(Xe).max(initial=0.0)))

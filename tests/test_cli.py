@@ -920,7 +920,8 @@ def test_stationary_pipeline_solves_fci_in_real_arithmetic(tmp_path, monkeypatch
     # eighs of logm_unitary on the two sweep unitaries (omega12 is one
     # (1, 70, 70) block) and the two DUCC Hamiltonians -- and no Cayley solve;
     # the amplitudes of the real ground state are real, and so are every
-    # amplitude matrix and the SES-CC Hamiltonian, whose eig is the only one
+    # amplitude operator and matrix and the SES-CC Hamiltonian, whose eig is
+    # the only one
     write_seeded_fcidump(tmp_path / "FCIDUMP", 8, 4, seed=5)
     path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"},
                         electrons=4, partition={"auto_homo_lumo": [2, 2]},
@@ -931,12 +932,12 @@ def test_stationary_pipeline_solves_fci_in_real_arithmetic(tmp_path, monkeypatch
     count_calls(monkeypatch, np.linalg, "eig", eigs,
                 key=lambda a, *args, **kwargs: (a.dtype.kind, a.shape))
     count_calls(monkeypatch, np.linalg, "solve", calls)
-    for module in (ducclab.cluster, ducclab.downfold, cli):
-        def recorded(*args, build=module.excitation_matrix):
-            mat = build(*args)
-            dtypes.append(mat.dtype)
-            return mat
-        monkeypatch.setattr(module, "excitation_matrix", recorded)
+    init = ducclab.AmplitudeOperator.__init__
+
+    def recorded(op, *args):
+        init(op, *args)
+        dtypes.append(op.dtype)
+    monkeypatch.setattr(ducclab.AmplitudeOperator, "__init__", recorded)
     assert main(["run", str(path)]) == 0
     assert calls[("f", (70, 70))] == 1
     assert calls[("f", (1, 70, 70))] == 1
@@ -965,14 +966,24 @@ def test_quench_of_a_real_hamiltonian_solves_it_in_real_arithmetic(tmp_path, mon
 
 class TestEccVectorChains:
     def test_work_budget(self, tmp_path, monkeypatch):
-        # one set of six amplitude matrices per configuration, no dense exponential
-        calls = {"expm": 0}
-        for name in ("excitation_matrix", "deexcitation_matrix"):
-            count_calls(monkeypatch, ecc, name, calls)
+        # per configuration: six amplitude operators, one dense amplitude
+        # matrix (the X_ext of the BCH check) and no dense exponential
+        calls, configs = {"expm": 0}, []
+        count_calls(monkeypatch, ducclab.AmplitudeOperator, "toarray", calls)
         count_calls(monkeypatch, scipy.linalg, "expm", calls)
+        bch = cli.x_int_ext_bch
+
+        def recorded(m):
+            configs.append(m)
+            return bch(m)
+        monkeypatch.setattr(cli, "x_int_ext_bch", recorded)
         path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3}])
         assert main(["run", str(path)]) == 0
-        assert calls == {"excitation_matrix": 12, "deexcitation_matrix": 6, "expm": 0}
+        assert calls == {"toarray": 3, "expm": 0}
+        assert len(configs) == 3
+        for m in configs:
+            ops = [f.name for f in dataclasses.fields(m) if f.name != "basis"]
+            assert all(isinstance(getattr(m, name), ducclab.AmplitudeOperator) for name in ops)
         assert read_report(tmp_path)["tasks"][0]["results"]["max_lh_deviation"] < 1e-12
 
 

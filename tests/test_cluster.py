@@ -1,13 +1,18 @@
+from functools import cache
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ducclab as dl
 from ducclab.errors import IntermediateNormalizationError
 
 from conftest import random_state
 from oracles import (anti_hermiticity_defect, apply_excitation, build_projectors,
-                     per_signature_excitation_matrix, random_hermitian_hamiltonian)
+                     deexcitation_matrix, per_signature_excitation_matrix,
+                     random_hermitian_hamiltonian)
 
 
 class TestClusterAnalyze:
@@ -80,25 +85,27 @@ class TestClusterAnalyze:
 class TestExpNilpotent:
     @staticmethod
     def generators(basis, ref, part, rng, scale):
-        """Excitation matrices of every rank (all, internal, external) and
-        the de-excitation transposes."""
+        """Excitation matrices of every rank (all, internal, external), their
+        negations and the de-excitation transposes, each with its operator."""
         for kind in ("any", "internal", "external"):
             amps = dl.random_amplitudes(ref, rng, part, kind, scale)
-            yield dl.excitation_matrix(amps, basis)
-            yield -dl.excitation_matrix(amps, basis)
-            yield dl.deexcitation_matrix(amps, basis)
+            op = dl.AmplitudeOperator(amps, basis)
+            yield dl.excitation_matrix(amps, basis), op
+            yield -dl.excitation_matrix(amps, basis), -op
+            yield deexcitation_matrix(amps, basis), op.T
 
     @pytest.mark.parametrize("scale", [0.1, 1.0])
     def test_matches_expm(self, m8_basis, m8_ref, m8_part, scale):
         rng = np.random.default_rng(5)
         vec = rng.normal(size=m8_basis.size) + 1j * rng.normal(size=m8_basis.size)
         cols = np.eye(m8_basis.size)[:, dl.determinant_table(m8_basis, m8_ref).cas(m8_part)]
-        for T in self.generators(m8_basis, m8_ref, m8_part, rng, scale):
+        for T, op in self.generators(m8_basis, m8_ref, m8_part, rng, scale):
             dense = scipy.linalg.expm(T)
             for V in (vec, cols):
-                got = dl.exp_nilpotent(T, V, m8_basis)
                 want = dense @ V
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                for gen in (T, op):
+                    got = dl.exp_nilpotent(gen, V, m8_basis)
+                    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_zero_generator_returns_input(self, m6_basis):
         v = np.arange(m6_basis.size, dtype=complex)
@@ -109,7 +116,7 @@ class TestExpNilpotent:
         # W -> W A climbs the same ladder from the other side
         rng = np.random.default_rng(6)
         V = rng.normal(size=(m8_basis.size,) * 2)
-        for A in self.generators(m8_basis, m8_ref, m8_part, rng, 0.5):
+        for A, _ in self.generators(m8_basis, m8_ref, m8_part, rng, 0.5):
             got = dl.exp_nilpotent(lambda W: W @ A, V, m8_basis)
             want = V @ scipy.linalg.expm(A)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -129,6 +136,68 @@ class TestExpNilpotent:
         e_ref = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
         with pytest.raises(ArithmeticError):
             dl.exp_nilpotent(dl.excitation_matrix(amps, m6_basis), e_ref, m6_basis)
+
+
+@cache
+def _system(M, N, window):
+    """One basis and partition per sector, so that the memoised pair lists
+    are shared across examples."""
+    return dl.build_basis(M, N), dl.homo_lumo_partition(M, N, *window)
+
+
+class TestAmplitudeOperator:
+    """:class:`dl.AmplitudeOperator`, its transpose and its negation act as
+    the dense per-signature matrix does, on vectors and on blocks of every
+    width, through both kernels."""
+
+    @settings(max_examples=60)
+    @given(system=st.sampled_from([(4, 2, (1, 1)), (6, 3, (1, 2)), (8, 4, (2, 2))]),
+           kind=st.sampled_from(["any", "internal", "external"]), real=st.booleans(),
+           complex_x=st.booleans(), width=st.integers(0, 24), seed=st.integers(0, 2**16))
+    def test_matches_dense_matrix(self, system, kind, real, complex_x, width, seed):
+        basis, part = _system(*system)
+        rng = np.random.default_rng(seed)
+        amps = dl.random_amplitudes(part.reference(), rng, part, kind, 0.5, real=real)
+        op = dl.AmplitudeOperator(amps, basis)
+        dense = per_signature_excitation_matrix(amps, basis)
+        # a vector (width 0), a narrow block and the full width: each set
+        # meets both the per-column and the per-signature kernel
+        for shape in ((basis.size,) if width == 0 else (basis.size, width),
+                      (basis.size, basis.size)):
+            X = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_x else 0)
+            for got_op, mat in ((op, dense), (op.T, dense.T), (-op, -dense),
+                                (-op.T, -dense.T)):
+                got, want = got_op @ X, mat @ X
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= 1e-14 * max(
+                    1.0, float(np.abs(want).max(initial=0.0)))
+        assert np.array_equal(op.T.toarray(), dense.T)
+
+    @pytest.mark.parametrize("amps", [{}, {dl.ExcitationSignature((0,), (4,)): 0.0}],
+                             ids=["empty", "zero-valued"])
+    def test_empty_set_gives_zeros_of_the_operand_dtype(self, m8_basis, amps):
+        op = dl.AmplitudeOperator(amps, m8_basis)
+        assert op.dtype == np.float64 and op.vals.size == 0
+        for X in (np.ones(m8_basis.size), np.ones((m8_basis.size, 3), complex),
+                  np.ones((m8_basis.size, m8_basis.size))):
+            for got_op in (op, op.T, -op):
+                got = got_op @ X
+                assert got.dtype == X.dtype and got.shape == X.shape and not got.any()
+
+    def test_transpose_and_negation_are_cached(self, m8_basis, m8_ref):
+        op = dl.AmplitudeOperator(dl.random_amplitudes(m8_ref, np.random.default_rng(0)),
+                                  m8_basis)
+        assert op.T is op.T and -op is -op and -op.T is -op.T
+        assert op.T is not op and -op is not op
+
+    def test_refuses_mismatched_operands(self, m8_basis, m8_ref):
+        op = dl.AmplitudeOperator(dl.random_amplitudes(m8_ref, np.random.default_rng(1)),
+                                  m8_basis)
+        for X in (np.ones(m8_basis.size - 1), np.ones((m8_basis.size,) * 3)):
+            with pytest.raises(ValueError):
+                op @ X
+        with pytest.raises(TypeError):
+            np.ones((2, m8_basis.size)) @ op
 
 
 class TestExcitationMatrix:

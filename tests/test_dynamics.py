@@ -534,7 +534,7 @@ class TestSesccLagrangian:
 
     def test_exponentials_act_on_vectors(self, monkeypatch, m6_basis, m6_ref, m6_part):
         # every factor e^{+-T} of both routes acts on a vector, through the
-        # configuration's amplitude matrices: no dim x dim exponential
+        # configuration's amplitude operators: no dim x dim exponential
         rng = np.random.default_rng(24)
         H = random_hermitian_hamiltonian(m6_basis, rng)
         calls = {}

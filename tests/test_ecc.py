@@ -4,7 +4,8 @@ import scipy.linalg
 
 import ducclab as dl
 
-from oracles import dense_x_int_ext_bch, eval_ecc_action_integrand, random_hermitian_hamiltonian
+from oracles import (dense_ecc_matrices, dense_x_int_ext_bch, eval_ecc_action_integrand,
+                     random_hermitian_hamiltonian)
 
 
 def random_cfg(ref, part, rng, scale=0.1):
@@ -18,8 +19,8 @@ def random_cfg(ref, part, rng, scale=0.1):
 
 def dense_ldt_forms(cfg, ref, basis):
     """v1, v2, v4 from dense dim x dim exponentials: the reference for the
-    matrix-vector chains of :func:`dl.eval_ldt_forms`."""
-    m = dl.EccMatrices.build(basis, **cfg)
+    operator-vector chains of :func:`dl.eval_ldt_forms`."""
+    m = dense_ecc_matrices(cfg, basis)
     phi = basis.unit_vector(basis.index_of(ref))
     eXi, eXe, eTi, eTe, eTim, eTem = dense_exponentials(m)
     ket = eTe @ (eTi @ phi)
@@ -36,7 +37,7 @@ def dense_lh_forms(cfg, H, ref):
     """w1, w2 from dense exponentials, e^{+-X^int_ext} by scipy.linalg.expm:
     the reference for the chains of :func:`dl.eval_lh_forms`."""
     basis = H.basis
-    m = dl.EccMatrices.build(basis, **cfg)
+    m = dense_ecc_matrices(cfg, basis)
     phi = basis.unit_vector(basis.index_of(ref))
     eXi, eXe, eTi, eTe, eTim, eTem = dense_exponentials(m)
     w1 = phi.conj() @ (eXi @ (eXe @ (eTim @ (eTem @ (H.matrix @ (eTe @ (eTi @ phi)))))))
@@ -75,9 +76,10 @@ class TestChainsMatchDenseProducts:
     def test_x_int_ext_series_matches_expm(self, request, fixture, scale):
         basis, ref, part = self.system(request, fixture)
         rng = np.random.default_rng(41)
-        m = dl.EccMatrices.build(basis, **random_cfg(ref, part, rng, scale))
+        cfg = random_cfg(ref, part, rng, scale)
+        m, d = dl.EccMatrices.build(basis, **cfg), dense_ecc_matrices(cfg, basis)
         eye = np.eye(basis.size)
-        x = dl.exp_nilpotent(m.Ti, m.Xe, basis) @ dl.exp_nilpotent(-m.Ti, eye, basis)
+        x = dl.exp_nilpotent(d.Ti, d.Xe, basis) @ dl.exp_nilpotent(-d.Ti, eye, basis)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         for sign in (1, -1):
             want = scipy.linalg.expm(sign * x) @ v
@@ -211,7 +213,7 @@ class TestOperatorAlgebra:
 
 
 class TestXIntExtBchFromPairLists:
-    """:func:`dl.x_int_ext_bch` applies T_int from its pair lists: the dense
+    """:func:`dl.x_int_ext_bch` applies T_int as an operator: the dense
     products of the same formulas are its reference."""
 
     @pytest.mark.parametrize("M,N,window", [(6, 3, (2, 2)), (6, 3, (1, 2)),
@@ -221,8 +223,9 @@ class TestXIntExtBchFromPairLists:
         part = dl.homo_lumo_partition(M, N, *window)
         rng = np.random.default_rng(50)
         for _ in range(2):
-            m = dl.EccMatrices.build(basis, **random_cfg(part.reference(), part, rng, 0.5))
-            got, want = dl.x_int_ext_bch(m), dense_x_int_ext_bch(m)
+            cfg = random_cfg(part.reference(), part, rng, 0.5)
+            got = dl.x_int_ext_bch(dl.EccMatrices.build(basis, **cfg))
+            want = dense_x_int_ext_bch(cfg, basis)
             assert np.abs(got[0] - want[0]).max() < 1e-15
             assert np.abs(got[1] - want[1]).max() < 1e-15
             assert got[2] == want[2]
@@ -232,8 +235,9 @@ class TestXIntExtBchFromPairLists:
         cfg["t_int"] = {}
         m = dl.EccMatrices.build(m8_basis, **cfg)
         direct, series, n_terms = dl.x_int_ext_bch(m)
-        want = dense_x_int_ext_bch(m)
-        assert np.array_equal(direct, m.Xe) and np.array_equal(series, m.Xe)
+        want = dense_x_int_ext_bch(cfg, m8_basis)
+        xe = dense_ecc_matrices(cfg, m8_basis).Xe
+        assert np.array_equal(direct, xe) and np.array_equal(series, xe)
         assert np.abs(direct - want[0]).max() < 1e-15 and n_terms == want[2] == 1
 
     def test_forms_no_identity_or_dense_exponential(self, monkeypatch, m8_basis, m8_ref,

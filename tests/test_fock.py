@@ -268,8 +268,10 @@ class TestDeterminantTable:
         ref = _interleaved_reference(M, N)
         amps = dl.random_amplitudes(ref, np.random.default_rng(M))
         amps[dl.ExcitationSignature((), ())] = 0.3 - 0.2j
+        # the de-excitation form is the transposed operator, coefficients not conjugated
+        deexcitation = lambda amps, basis: dl.AmplitudeOperator(amps, basis).T.toarray()
         for build, apply in ((dl.excitation_matrix, apply_excitation),
-                             (dl.deexcitation_matrix, apply_deexcitation)):
+                             (deexcitation, apply_deexcitation)):
             expected = np.zeros((basis.size, basis.size), dtype=complex)
             for sig, t in amps.items():
                 for j, det in enumerate(basis):
@@ -277,8 +279,7 @@ class TestDeterminantTable:
                     if res is not None:
                         expected[basis.index_of(res[0]), j] += t * res[1]
             assert np.array_equal(build(amps, basis), expected)
-        assert np.array_equal(dl.deexcitation_matrix(amps, basis),
-                              dl.excitation_matrix(amps, basis).T)
+        assert np.array_equal(deexcitation(amps, basis), dl.excitation_matrix(amps, basis).T)
 
     def test_pair_table_memoised_and_read_only(self, m8_basis, m8_ref):
         sigs = list(dl.enumerate_signatures(m8_ref, include_identity=True))
