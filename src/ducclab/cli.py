@@ -96,6 +96,9 @@ VERIFY_ALL_CHECKS = {
 #: largest deviation of the two routes of an ECC identity in one
 #: configuration, relative to the larger of 1 and the first route's value
 ECC_IDENTITY_RTOL = 1e-12
+#: most configurations ``ecc`` evaluates as one stack: its memory stays
+#: bounded whatever ``n_configs``
+ECC_STACK = 16
 #: the errors that fail a task (or, in ``downfold``, its lowest-order estimate)
 #: instead of the run
 TASK_ERRORS = (DuccLabError, np.linalg.LinAlgError, ValueError, ArithmeticError)
@@ -574,30 +577,50 @@ def task_imagtime(ctx: RunContext, params: dict) -> tuple[dict, dict]:
                                       ((k, *h) for k, h in enumerate(res.history)))}
 
 
+#: the six amplitude sets of an ECC configuration, drawn in this order
+ECC_KINDS = dict(zip(("t_int", "t_ext", "x_int", "x_ext", "dt_int", "dt_ext"),
+                     ("internal", "external") * 3))
+
+
+def _ecc_stack_deviations(ctx: RunContext, rng: np.random.Generator, first: int, width: int,
+                          scale: float) -> list[tuple[float, float, float, float]]:
+    """Draw configurations ``first`` .. ``first + width - 1`` one after another
+    and check them as one stack: per configuration |v1 - v2|, |w1 - w2|, the
+    action deviation and max|direct - series| of its BCH check.  Raises on
+    the first configuration whose routes deviate beyond ECC_IDENTITY_RTOL."""
+    draws = [{name: random_amplitudes(ctx.ref, rng, ctx.part, kind, scale)
+              for name, kind in ECC_KINDS.items()} for _ in range(width)]
+    m = EccMatrices.build(ctx.basis, **{name: [d[name] for d in draws] for name in ECC_KINDS})
+    del draws
+    deviations = []
+    forms = zip(*eval_ldt_forms(m, ctx.ref), *eval_lh_forms(m, ctx.H, ctx.ref))
+    for b, values in enumerate(forms):
+        v1, v2, v4, w1, w2 = map(complex, values)
+        for name, a, c in (("lh", w1, w2), ("ldt", v1, v2)):
+            if not abs(a - c) <= ECC_IDENTITY_RTOL * max(1.0, abs(a)):   # NaN fails too
+                raise DuccLabError(
+                    f"ecc configuration {first + b}: {name} forms {a:.16e} and {c:.16e} "
+                    f"deviate beyond {ECC_IDENTITY_RTOL:.0e} relative")
+        _, act_dev = action_deviation(v1, v4, w1, w2)
+        direct, series, _ = x_int_ext_bch(m.config(b), ctx.part)
+        deviations.append((abs(v1 - v2), abs(w1 - w2), act_dev,
+                           float(np.abs(direct - series).max())))
+        del direct, series   # freed before the next configuration's check
+    return deviations
+
+
 def task_ecc(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     p = task_params("ecc", params)
     n_configs, scale = p["n_configs"], p["scale"]
     rng = ctx.rng("ecc")
-    amps = lambda kind: random_amplitudes(ctx.ref, rng, ctx.part, kind, scale)
     max_v, max_w, max_act, max_bch = 0.0, 0.0, 0.0, 0.0
-    for k in range(n_configs):
-        # drawn in this order: t_int, t_ext, x_int, x_ext, dt_int, dt_ext
-        m = EccMatrices.build(ctx.basis, t_int=amps("internal"), t_ext=amps("external"),
-                              x_int=amps("internal"), x_ext=amps("external"),
-                              dt_int=amps("internal"), dt_ext=amps("external"))
-        v1, v2, v4 = eval_ldt_forms(m, ctx.ref)
-        w1, w2 = eval_lh_forms(m, ctx.H, ctx.ref)
-        for name, a, b in (("lh", w1, w2), ("ldt", v1, v2)):
-            if not abs(a - b) <= ECC_IDENTITY_RTOL * max(1.0, abs(a)):   # NaN fails too
-                raise DuccLabError(
-                    f"ecc configuration {k}: {name} forms {a:.16e} and {b:.16e} "
-                    f"deviate beyond {ECC_IDENTITY_RTOL:.0e} relative")
-        _, act_dev = action_deviation(v1, v4, w1, w2)
-        direct, series, _ = x_int_ext_bch(m)
-        max_v = max(max_v, abs(v1 - v2))
-        max_w = max(max_w, abs(w1 - w2))
-        max_act = max(max_act, act_dev)
-        max_bch = max(max_bch, float(np.abs(direct - series).max()))
+    for first in range(0, n_configs, ECC_STACK):
+        width = min(ECC_STACK, n_configs - first)
+        for dv, dw, dact, dbch in _ecc_stack_deviations(ctx, rng, first, width, scale):
+            max_v = max(max_v, dv)
+            max_w = max(max_w, dw)
+            max_act = max(max_act, dact)
+            max_bch = max(max_bch, dbch)
     return {
         "n_configs": n_configs,
         "max_ldt_deviation": max_v,

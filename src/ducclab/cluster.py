@@ -1,17 +1,17 @@
 """Cluster amplitudes: extraction from exact states, internal/external
 splitting, lowest-order anti-Hermitian generators, random amplitude sets.
 
-An amplitude set acts as an :class:`AmplitudeOperator`, from the flat list
-of the determinant pairs that its signatures couple, on vectors and on
-``(dim, B)`` blocks; its exponential acts by the terminating series of
-:func:`exp_nilpotent`.  :func:`excitation_matrix` forms the dense matrix
-only where the matrix itself is the object: the lowest-order generator
-T - T+ and the X_ext that :func:`ducclab.ecc.x_int_ext_bch` compares.
+An amplitude set, or a stack of sets over one signature list, acts as an
+:class:`AmplitudeOperator`, from the flat list of the determinant pairs
+that its signatures couple, on vectors and on ``(dim, B)`` blocks; its
+exponential acts by the terminating series of :func:`exp_nilpotent`.
+:func:`excitation_matrix` forms the dense matrix only where the matrix
+itself is the object: the lowest-order generator T - T+.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -31,19 +31,25 @@ Amplitudes = dict[ExcitationSignature, complex]
 
 class AmplitudeOperator:
     """sum_sig t_sig E_sig of an amplitude set over a basis, applied from its
-    pairs of determinants, never as a dense matrix.
+    pairs of determinants, never as a dense matrix; or of a stack of B sets
+    over one signature list, which share that list.
 
-    The pairs are the memoised :func:`ducclab.fock.excitation_pairs` of the
-    nonzero amplitudes, each weighted by ``t_sig * phase``.  Within one
-    signature no low and no high repeats, and a pair fixes its signature, so
-    no pair repeats across signatures either.  ``lows``, ``highs`` and
-    ``vals`` hold them concatenated and sorted by high.
+    ``amps`` is one set (a dict) or a sequence of B sets with the same
+    signatures in the same order.  The pairs are the memoised
+    :func:`ducclab.fock.excitation_pairs` of the signatures with a nonzero
+    amplitude in some set, each weighted by ``t_sig * phase``.
+    Within one signature no low and no high repeats, and a pair fixes its
+    signature, so no pair repeats across signatures either.  ``lows``,
+    ``highs`` and ``vals`` hold them concatenated and sorted by high;
+    ``vals`` is ``(npairs,)`` for one set and ``(npairs, B)`` for a stack,
+    whose ``width`` is B (``None`` for one set).  Negation and a set of a
+    stack share these arrays.
 
-    ``op @ X`` has the dtype of the amplitudes times ``X``, and takes the
-    kernel with the fewer numpy calls: per column of ``X`` (a vector is one
-    column) one gather, one multiply and one ``np.add.reduceat`` over the
-    rows that the pairs reach, or per signature one row gather and one row
-    scatter.
+    ``op @ X`` has the dtype of the amplitudes times ``X``: a gather, a
+    multiply and an ``np.add.reduceat`` over the rows that the pairs reach.
+    One set acts on a vector, or on a block column by column; a stack acts
+    on a ``(dim, B)`` block, set b on column b, all columns in one pass.
+    ``op[b]`` is set b alone, on the stack's pair list.
     ``op.T`` is the de-excitation form sum_sig t_sig (E_sig)^T, coefficients
     not conjugated (the phases are real), and ``-op`` the negated operator;
     each is built once and cached.  Neither links back to ``op``: a
@@ -53,62 +59,84 @@ class AmplitudeOperator:
 
     __array_ufunc__ = None     # no ``X @ op``: numpy defers, and Python raises
 
-    def __init__(self, amps: Amplitudes, basis: FockBasis):
-        dtype = _inexact(list(amps.values())).dtype
-        nonzero = [(excitation_pairs(sig, basis), t) for sig, t in amps.items() if t != 0]
-        lows, highs, phases = (np.concatenate([p[k] for p, _ in nonzero] or [np.zeros(0, int)])
+    def __init__(self, amps: Amplitudes | Sequence[Amplitudes], basis: FockBasis):
+        sets = [amps] if isinstance(amps, dict) else list(amps)
+        sigs = list(sets[0]) if sets else None
+        if sigs is None or any(list(s) != sigs for s in sets[1:]):
+            raise ValueError("the amplitude sets of a stack must share one signature list")
+        t = _inexact([list(s.values()) for s in sets]).reshape(len(sets), len(sigs)).T
+        keep = t.any(axis=1)
+        pairs = [excitation_pairs(sig, basis) for sig, k in zip(sigs, keep.tolist()) if k]
+        lows, highs, phases = (np.concatenate([p[k] for p in pairs] or [np.zeros(0, int)])
                                for k in range(3))
-        sizes = [p[0].size for p, _ in nonzero]
-        vals = np.repeat(np.array([t for _, t in nonzero], dtype), sizes) * phases
-        self._set(basis.size, dtype, lows, highs, vals, np.cumsum([0] + sizes))
+        vals = np.repeat(t[keep], [p[0].size for p in pairs], axis=0) * phases[:, None]
+        width = None if isinstance(amps, dict) else len(sets)
+        self._set(basis.size, t.dtype, width, lows, highs,
+                  vals if width is not None else vals[:, 0], 1)
 
-    def _set(self, size: int, dtype: np.dtype, lows: np.ndarray, highs: np.ndarray,
-             vals: np.ndarray, bounds: np.ndarray, order: np.ndarray | None = None) -> None:
-        """The pairs in signature order, signature k at ``bounds[k]:bounds[k+1]``,
-        and ``order``, an argsort of ``highs``, if known."""
-        self.shape, self.dtype = (size, size), dtype
-        self._signed = lows, highs, vals, bounds
-        self._order = np.argsort(highs) if order is None else order
-        self.lows, self.highs, self.vals = lows[self._order], highs[self._order], vals[self._order]
+    def _set(self, size: int, dtype: np.dtype, width: int | None, lows: np.ndarray,
+             highs: np.ndarray, vals: np.ndarray, sign: int) -> None:
+        self.shape, self.dtype, self.width, self._sign = (size, size), dtype, width, sign
+        order = np.argsort(highs, kind="stable")
+        self.lows, self.highs, self._vals = lows[order], highs[order], vals[order]
         self._starts = np.flatnonzero(np.diff(self.highs, prepend=-1))
         self._rows = self.highs[self._starts]
 
-    def _derived(self, lows: np.ndarray, highs: np.ndarray, vals: np.ndarray,
-                 order: np.ndarray | None = None) -> "AmplitudeOperator":
+    def _view(self, vals: np.ndarray, width: int | None, sign: int) -> "AmplitudeOperator":
+        """These pairs with other weights, sharing the pair arrays."""
         op = object.__new__(AmplitudeOperator)
-        op._set(self.shape[0], self.dtype, lows, highs, vals, self._signed[3], order)
+        op.shape, op.dtype, op.width, op._sign = self.shape, self.dtype, width, sign
+        op.lows, op.highs, op._vals = self.lows, self.highs, vals
+        op._starts, op._rows = self._starts, self._rows
         return op
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self._vals if self._sign > 0 else -self._vals
 
     @cached_property
     def T(self) -> "AmplitudeOperator":
-        lows, highs, vals, _ = self._signed
-        return self._derived(highs, lows, vals)
+        op = object.__new__(AmplitudeOperator)
+        op._set(self.shape[0], self.dtype, self.width, self.highs, self.lows, self._vals,
+                self._sign)
+        return op
 
     @cached_property
     def _negated(self) -> "AmplitudeOperator":
-        lows, highs, vals, _ = self._signed
-        return self._derived(lows, highs, -vals, self._order)
+        return self._view(self._vals, self.width, -self._sign)
 
     def __neg__(self) -> "AmplitudeOperator":
         return self._negated
 
+    def __getitem__(self, b: int) -> "AmplitudeOperator":
+        if self.width is None:
+            raise TypeError("a one-set amplitude operator has no sets to index")
+        return self._view(self._vals[:, b], None, self._sign)
+
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
-        if X.ndim not in (1, 2) or X.shape[0] != self.shape[1]:
-            raise ValueError(f"cannot apply a {self.shape} operator to shape {X.shape}")
-        X2 = X.reshape(X.shape[0], -1)
-        out = np.zeros(X2.shape, np.result_type(self.dtype, X))
-        lows, highs, vals, bounds = self._signed
-        if X2.shape[1] < len(bounds) - 1:
-            for x, y in zip(X2.T, out.T):
-                y[self._rows] = np.add.reduceat(self.vals * x[self.lows], self._starts)
+        if (X.ndim not in (1, 2) or X.shape[0] != self.shape[1]
+                or self.width is not None and X.shape[1:] != (self.width,)):
+            raise ValueError(f"cannot apply a {self.shape} operator of width "
+                             f"{self.width} to shape {X.shape}")
+        out = np.zeros(X.shape, np.result_type(self.dtype, X))
+        if not self._rows.size:
+            return out
+        if self.width is not None:
+            gathered = np.take(X, self.lows, axis=0)
+            out[self._rows] = np.add.reduceat(self._vals * gathered, self._starts, axis=0)
         else:
-            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                out[highs[a:b]] += vals[a:b, None] * X2[lows[a:b]]
-        return out.reshape(X.shape)
+            # column by column: on a long pair list, a 2-D gather and sum
+            # take twice the time of these 1-D ones
+            for x, y in zip(X.reshape(len(X), -1).T, out.reshape(len(X), -1).T):
+                y[self._rows] = np.add.reduceat(self._vals * x[self.lows], self._starts)
+        return np.negative(out, out=out) if self._sign < 0 else out
 
     def toarray(self) -> np.ndarray:
-        """The dense matrix, filled by one scatter of the pairs."""
+        """The dense matrix of a one-set operator, filled by one scatter of
+        the pairs."""
+        if self.width is not None:
+            raise TypeError("a stack of amplitude sets has no one dense matrix")
         mat = np.zeros(self.shape, self.dtype)
         mat[self.highs, self.lows] += self.vals   # += onto zeros: a zero imaginary part stays +0
         return mat
@@ -135,21 +163,31 @@ def exp_nilpotent(T: np.ndarray | AmplitudeOperator | Callable[[np.ndarray], np.
     the series ends at the first term that is exactly zero (a NaN or inf
     term never is).  With ``rtol > 0``, ``T`` need only be nilpotent up to
     round-off, as a similarity transform ``e^A X e^-A`` of a nilpotent ``X``
-    is; the series then ends at the first term whose norm is at most
-    ``rtol`` times that of the partial sum.  Raises ArithmeticError if the
-    series has not ended by n = ladder + 1, e.g. for an amplitude set
-    holding the rank-0 (identity) signature.  The result has the dtype of
-    ``T @ V`` (of its terms for a map).
+    is; the series of a vector then ends at the first term whose norm is at
+    most ``rtol`` times that of the partial sum, and that of each column of
+    a ``(dim, B)`` block at its own such term: a column that has ended
+    takes no further terms.  Raises ArithmeticError if the series has not
+    ended by n = ladder + 1, e.g. for an amplitude set holding the rank-0
+    (identity) signature.  The result has the dtype of ``T @ V`` (of its
+    terms for a map).
     """
     apply = T if callable(T) else T.__matmul__
     ladder = min(basis.N, basis.M - basis.N)
     out = np.array(V, dtype=np.result_type(V) if callable(T) else np.result_type(T.dtype, V))
+    # the 2-norm of a vector, or of each column of a block
+    norm = lambda a: np.linalg.norm(a, axis=0 if a.ndim == 2 else None)
     term = out
     for n in range(1, ladder + 2):
         term = apply(term) / n
-        if (not term.any() if rtol == 0
-                else np.linalg.norm(term) <= rtol * np.linalg.norm(out)):
-            return out
+        if rtol == 0:
+            if not term.any():
+                return out
+        else:
+            live = ~(norm(term) <= rtol * norm(out))   # NaN stays live
+            if not live.any():
+                return out
+            if not live.all():
+                term = np.where(live, term, 0)
         out = out + term
     raise ArithmeticError(f"series of a non-nilpotent matrix did not end by n={ladder + 1}")
 
@@ -164,9 +202,12 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Ampl
     Rank-by-rank recursion: the coefficient of a rank-k determinant in
     e^T|ref> is the rank-k amplitude (times a phase) plus disconnected
     products of lower ranks; the products are obtained by applying the
-    terminating series of the lower-rank amplitude operator to the reference
-    (:func:`exp_nilpotent`) rather than by hand-coded antisymmetrized sums,
-    so one code path covers every rank.
+    terminating series of the lower-rank amplitude operators to the
+    reference (:func:`exp_nilpotent`) rather than by hand-coded
+    antisymmetrized sums, so one code path covers every rank.  Excitation
+    operators commute, so e^{T_1 + .. + T_k} |ref> is e^{T_k} applied to
+    e^{T_1 + .. + T_{k-1}} |ref>: each rank's operator is built once, from
+    that rank's amplitudes.
     """
     if len(psi) != basis.size:
         raise SectorMismatchError("state vector length does not match basis")
@@ -176,20 +217,19 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Ampl
         raise IntermediateNormalizationError(
             f"reference coefficient {abs(c0):.3e} below {C0_TOL:.0e}")
     c = np.asarray(psi) / c0
-    e_ref = basis.unit_vector(table.ref_index)
+    low = basis.unit_vector(table.ref_index)   # e^{T_1 + .. + T_{k-1}} |ref>
 
     entries: Amplitudes = {}
     ranks = table.ranks[table.order]
-    for k in range(1, min(ref.N, ref.M - ref.N) + 1):
-        if entries:
-            low = exp_nilpotent(AmplitudeOperator(entries, basis), e_ref, basis)
-        else:
-            low = e_ref
+    top = min(ref.N, ref.M - ref.N)
+    for k in range(1, top + 1):
         rows = table.order[ranks == k]
         amps = (c[rows] - low[rows]) / table.phases[rows]
-        for j, t in zip(rows.tolist(), amps.tolist()):
-            if t != 0:
-                entries[table.signatures[j]] = t
+        rank_k = {table.signatures[j]: t for j, t in zip(rows.tolist(), amps.tolist())
+                  if t != 0}
+        entries.update(rank_k)
+        if rank_k and k < top:
+            low = exp_nilpotent(AmplitudeOperator(rank_k, basis), low, basis)
     return entries
 
 

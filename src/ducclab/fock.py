@@ -343,6 +343,32 @@ def determinant_table(basis: FockBasis, ref: Determinant) -> DeterminantTable:
     return DeterminantTable(basis, ref)
 
 
+@lru_cache(maxsize=16)
+def inactive_classes(basis: FockBasis, part: SpinOrbitalPartition
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The determinants of ``basis`` grouped by their occupation of the
+    inactive orbitals of ``part``, in ascending order of that occupation's
+    mask: ``(cls, pos, members)``, determinant ``i`` being entry ``pos[i]``
+    of class ``cls[i]``, and row ``c`` of ``members`` listing the
+    determinants of class ``c`` ascending, padded with -1 to the largest
+    class.  An internal excitation moves electrons among active orbitals
+    only, so it never leaves its class.  Memoised, read-only arrays.
+    """
+    if part.M != basis.M:
+        raise SectorMismatchError("partition and basis disagree on sector")
+    inactive = _mask(part.occ_inactive + part.virt_inactive)
+    _, cls = np.unique(basis.mask_array & inactive, return_inverse=True)
+    sizes = np.bincount(cls)
+    order = np.argsort(cls, kind="stable")
+    pos = np.empty(basis.size, dtype=np.int64)
+    pos[order] = np.arange(basis.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    members = np.full((sizes.size, sizes.max()), -1, dtype=np.int64)
+    members[cls, pos] = np.arange(basis.size)
+    for arr in (cls, pos, members):
+        arr.flags.writeable = False
+    return cls, pos, members
+
+
 def enumerate_signatures(ref: Determinant, max_rank: int | None = None,
                          include_identity: bool = False):
     """Yield excitation signatures of the reference in (rank, occ, virt)

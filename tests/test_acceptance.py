@@ -225,7 +225,7 @@ def test_criterion_8_ecc_identities(m6_basis, m6_ref, m6_part):
                                  dt_int=mk("internal"), dt_ext=mk("external"))
         v1, v2, _ = dl.eval_ldt_forms(m, m6_ref)
         w1, w2 = dl.eval_lh_forms(m, H, m6_ref)
-        direct, series, _ = dl.x_int_ext_bch(m)
+        direct, series, _ = dl.x_int_ext_bch(m, m6_part)
         worst_v = max(worst_v, abs(v1 - v2))
         worst_w = max(worst_w, abs(w1 - w2))
         worst_bch = max(worst_bch, float(np.abs(direct - series).max()))

@@ -765,6 +765,56 @@ def test_ecc_fails_on_deviating_forms(tmp_path, monkeypatch):
     assert task["error"].startswith("DuccLabError: ecc configuration 0: lh forms ")
 
 
+def test_ecc_failure_names_a_configuration_past_the_first_stack(tmp_path, monkeypatch):
+    # only configuration ECC_STACK + 2, the third of the second stack, deviates
+    ldt_forms, widths = cli.eval_ldt_forms, []
+
+    def deviating(m, ref):
+        v1, v2, v4 = ldt_forms(m, ref)
+        widths.append(len(v1))
+        if len(widths) == 2:
+            v2 = v2.copy()
+            v2[2] += 1e-6
+        return v1, v2, v4
+    monkeypatch.setattr(cli, "eval_ldt_forms", deviating)
+    path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": cli.ECC_STACK + 5}])
+    assert main(["run", str(path)]) == 1
+    assert widths == [cli.ECC_STACK, 5]
+    error = read_report(tmp_path)["tasks"][0]["error"]
+    assert error.startswith(f"DuccLabError: ecc configuration {cli.ECC_STACK + 2}: ldt forms ")
+
+
+def test_ecc_of_all_zero_amplitudes(tmp_path):
+    # every set of every configuration is zero: every route is <ref|H|ref>
+    # or zero, and no operator holds a pair
+    path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3, "scale": 0}])
+    assert main(["run", str(path)]) == 0
+    results = read_report(tmp_path)["tasks"][0]["results"]
+    assert results == {"n_configs": 3, "max_ldt_deviation": 0.0, "max_lh_deviation": 0.0,
+                       "max_action_deviation": 0.0, "max_bch_deviation": 0.0}
+
+
+def test_ecc_memory_is_bounded_by_one_stack(tmp_path):
+    # configurations are drawn and checked a stack at a time: from 2 to 40
+    # configurations the traced peak grows only until one stack is full
+    # (holding all 40 would take about 20 times the peak of 2)
+    write_seeded_fcidump(tmp_path / "FCIDUMP", 8, 4, seed=5)
+    path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"}, electrons=4,
+                        partition={"auto_homo_lumo": [2, 2]})
+    ctx = cli.build_context(cli.load_config(str(path)), 3)
+    cli.run_task(ctx, "ecc", {"n_configs": 2})   # the memoised tables exist before tracing
+    peaks = {}
+    for n in (2, cli.ECC_STACK, 40):
+        tracemalloc.start()
+        try:
+            cli.run_task(ctx, "ecc", {"n_configs": n})
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] <= 1.05 * peaks[cli.ECC_STACK]
+    assert peaks[40] < 3 * peaks[2]
+
+
 def write_seeded_fcidump(path, M, N, seed, coupling=0.05):
     """A random real FCIDUMP whose one-body diagonal dominates, so that the
     aufbau determinant carries most of a gapped ground state; a larger
@@ -966,20 +1016,20 @@ def test_quench_of_a_real_hamiltonian_solves_it_in_real_arithmetic(tmp_path, mon
 
 class TestEccVectorChains:
     def test_work_budget(self, tmp_path, monkeypatch):
-        # per configuration: six amplitude operators, one dense amplitude
-        # matrix (the X_ext of the BCH check) and no dense exponential
+        # per configuration: one BCH check on its class blocks; no dense
+        # amplitude matrix and no dense exponential
         calls, configs = {"expm": 0}, []
         count_calls(monkeypatch, ducclab.AmplitudeOperator, "toarray", calls)
         count_calls(monkeypatch, scipy.linalg, "expm", calls)
         bch = cli.x_int_ext_bch
 
-        def recorded(m):
+        def recorded(m, part):
             configs.append(m)
-            return bch(m)
+            return bch(m, part)
         monkeypatch.setattr(cli, "x_int_ext_bch", recorded)
         path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3}])
         assert main(["run", str(path)]) == 0
-        assert calls == {"toarray": 3, "expm": 0}
+        assert calls == {"expm": 0}
         assert len(configs) == 3
         for m in configs:
             ops = [f.name for f in dataclasses.fields(m) if f.name != "basis"]

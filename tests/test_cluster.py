@@ -42,6 +42,31 @@ class TestClusterAnalyze:
         c0 = psi[m8_basis.index_of(m8_ref)]
         assert np.linalg.norm(recon - psi / c0) < 1e-10
 
+    def test_one_operator_per_rank(self, monkeypatch, m8_basis, m8_ref):
+        # each rank below the top builds one operator, from its own amplitudes
+        # only; the amplitudes match the series of all lower ranks at once
+        psi = random_state(m8_basis, np.random.default_rng(4), ref=m8_ref)
+        built = []
+        init = dl.AmplitudeOperator.__init__
+
+        def recorded(op, amps, basis):
+            built.append({sig.rank for sig in amps})
+            init(op, amps, basis)
+        monkeypatch.setattr(dl.AmplitudeOperator, "__init__", recorded)
+        amps = dl.cluster_analyze(psi, m8_ref, m8_basis)
+        monkeypatch.undo()
+        assert built == [{1}, {2}, {3}]
+        table = dl.determinant_table(m8_basis, m8_ref)
+        c = psi / psi[table.ref_index]
+        e_ref = m8_basis.unit_vector(table.ref_index)
+        for k in range(1, 5):
+            lower = {sig: t for sig, t in amps.items() if sig.rank < k}
+            low = dl.exp_nilpotent(dl.AmplitudeOperator(lower, m8_basis), e_ref, m8_basis)
+            rows = [j for j in range(m8_basis.size) if table.ranks[j] == k]
+            want = (c[rows] - low[rows]) / table.phases[rows]
+            got = [amps[table.signatures[j]] for j in rows]
+            assert np.abs(np.subtract(got, want)).max() < 1e-12
+
     def test_intermediate_normalization_guard(self, m6_basis, m6_ref):
         psi = np.zeros(m6_basis.size, dtype=complex)
         psi[-1] = 1.0
@@ -138,6 +163,83 @@ class TestExpNilpotent:
             dl.exp_nilpotent(dl.excitation_matrix(amps, m6_basis), e_ref, m6_basis)
 
 
+class TestAmplitudeStack:
+    """A stack of B sets over one signature list acts as its B one-set
+    operators do, set b on column b."""
+
+    @staticmethod
+    def stack(ref, part, basis, rng, kind="any", width=4, scale=0.5):
+        sets = [dl.random_amplitudes(ref, rng, part, kind, scale) for _ in range(width)]
+        return sets, dl.AmplitudeOperator(sets, basis)
+
+    @pytest.mark.parametrize("kind", ["any", "internal", "external"])
+    def test_columns_match_one_set_operators(self, m8_basis, m8_ref, m8_part, kind):
+        rng = np.random.default_rng(60)
+        sets, op = self.stack(m8_ref, m8_part, m8_basis, rng, kind)
+        X = rng.normal(size=(m8_basis.size, 4)) + 1j * rng.normal(size=(m8_basis.size, 4))
+        assert op.width == 4 and op.vals.shape == (op.lows.size, 4)
+        for got_op, form in ((op, lambda o: o), (op.T, lambda o: o.T), (-op, lambda o: -o),
+                             (-op.T, lambda o: -o.T)):
+            got = got_op @ X
+            for b, amps in enumerate(sets):
+                one = form(dl.AmplitudeOperator(amps, m8_basis))
+                assert np.abs(got[:, b] - one @ X[:, b]).max() <= 1e-15
+                assert np.abs(got[:, b] - form(op[b]) @ X[:, b]).max() <= 1e-15
+        assert np.array_equal(op[2].toarray(), dl.excitation_matrix(sets[2], m8_basis))
+
+    def test_zero_sets_and_zero_signatures(self, m8_basis, m8_ref, m8_part):
+        # a signature zero in every set adds no pair; one zero in some sets
+        # keeps its pairs, with zero weights in those columns
+        rng = np.random.default_rng(61)
+        sets = [dl.random_amplitudes(m8_ref, rng, m8_part, "any", 0.0) for _ in range(3)]
+        op = dl.AmplitudeOperator(sets, m8_basis)
+        assert op.vals.shape == (0, 3)
+        assert not (op @ np.ones((m8_basis.size, 3))).any()
+        sig = next(iter(sets[1]))
+        sets[1] = sets[1] | {sig: 0.25}
+        op = dl.AmplitudeOperator(sets, m8_basis)
+        assert op.lows.size == dl.excitation_pairs(sig, m8_basis)[0].size
+        out = op @ np.ones((m8_basis.size, 3))
+        assert not out[:, [0, 2]].any() and out[:, 1].any()
+
+    def test_refusals(self, m8_basis, m8_ref, m8_part):
+        rng = np.random.default_rng(62)
+        sets, op = self.stack(m8_ref, m8_part, m8_basis, rng, width=3)
+        for X in (np.ones(m8_basis.size), np.ones((m8_basis.size, 2)),
+                  np.ones((m8_basis.size, 4))):
+            with pytest.raises(ValueError):
+                op @ X
+        with pytest.raises(ValueError, match="one signature list"):
+            dl.AmplitudeOperator([sets[0], dict(reversed(sets[1].items()))], m8_basis)
+        with pytest.raises(ValueError, match="one signature list"):
+            dl.AmplitudeOperator([], m8_basis)
+        with pytest.raises(TypeError):
+            op.toarray()
+        with pytest.raises(TypeError):
+            op[0][0]
+
+    def test_series_of_a_stack_matches_column_by_column(self, m8_basis, m8_ref, m8_part):
+        rng = np.random.default_rng(63)
+        sets, op = self.stack(m8_ref, m8_part, m8_basis, rng, width=5)
+        V = rng.normal(size=(m8_basis.size, 5))
+        got = dl.exp_nilpotent(op, V, m8_basis)
+        for b, amps in enumerate(sets):
+            want = dl.exp_nilpotent(dl.AmplitudeOperator(amps, m8_basis), V[:, b], m8_basis)
+            assert np.abs(got[:, b] - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_rtol_ends_each_column_at_its_own_term(self, m8_basis, m8_ref):
+        # a map scaled per column: the columns reach the stop at different
+        # terms, and each sums exactly the terms its own series would
+        rng = np.random.default_rng(64)
+        T = dl.AmplitudeOperator(dl.random_amplitudes(m8_ref, rng, scale=0.5), m8_basis)
+        scales = np.array([1e-9, 1e-3, 0.3, 1.0])
+        V = rng.normal(size=(m8_basis.size, 4))
+        got = dl.exp_nilpotent(lambda W: (T @ W) * scales, V, m8_basis, rtol=1e-12)
+        for b, c in enumerate(scales):
+            want = dl.exp_nilpotent(lambda w: c * (T @ w), V[:, b], m8_basis, rtol=1e-12)
+            assert np.array_equal(got[:, b], want)
+
+
 @cache
 def _system(M, N, window):
     """One basis and partition per sector, so that the memoised pair lists
@@ -148,7 +250,7 @@ def _system(M, N, window):
 class TestAmplitudeOperator:
     """:class:`dl.AmplitudeOperator`, its transpose and its negation act as
     the dense per-signature matrix does, on vectors and on blocks of every
-    width, through both kernels."""
+    width."""
 
     @settings(max_examples=60)
     @given(system=st.sampled_from([(4, 2, (1, 1)), (6, 3, (1, 2)), (8, 4, (2, 2))]),
@@ -160,8 +262,7 @@ class TestAmplitudeOperator:
         amps = dl.random_amplitudes(part.reference(), rng, part, kind, 0.5, real=real)
         op = dl.AmplitudeOperator(amps, basis)
         dense = per_signature_excitation_matrix(amps, basis)
-        # a vector (width 0), a narrow block and the full width: each set
-        # meets both the per-column and the per-signature kernel
+        # a vector (width 0), a narrow block and the full width
         for shape in ((basis.size,) if width == 0 else (basis.size, width),
                       (basis.size, basis.size)):
             X = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_x else 0)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ducclab as dl
 
@@ -85,6 +87,26 @@ class TestChainsMatchDenseProducts:
             want = scipy.linalg.expm(sign * x) @ v
             got = m.exp_x_int_ext(sign, v)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("fixture", ["m6", "m8"])
+def test_stacked_brackets_match_each_configuration(request, fixture):
+    # B configurations evaluated as one stack, bracket per column, against
+    # each evaluated alone
+    basis, ref, part = (request.getfixturevalue(f"{fixture}_{name}")
+                        for name in ("basis", "ref", "part"))
+    rng = np.random.default_rng(43)
+    H = random_hermitian_hamiltonian(basis, rng)
+    cfgs = [random_cfg(ref, part, rng, scale) for scale in (0.1, 0.5, 0.1, 1.0, 0.3)]
+    stack = dl.EccMatrices.build(basis, **{k: [c[k] for c in cfgs] for k in cfgs[0]})
+    got = dl.eval_ldt_forms(stack, ref) + dl.eval_lh_forms(stack, H, ref)
+    assert all(z.shape == (len(cfgs),) for z in got)
+    for b, cfg in enumerate(cfgs):
+        m = dl.EccMatrices.build(basis, **cfg)
+        want = dl.eval_ldt_forms(m, ref) + dl.eval_lh_forms(m, H, ref)
+        assert all(type(z) is complex for z in want)
+        for g, w in zip(got, want):
+            assert abs(g[b] - w) <= 1e-14 * max(1.0, abs(w))
 
 
 def test_series_of_non_nilpotent_map_raises(m6_basis, m6_ref, m6_part):
@@ -207,24 +229,39 @@ class TestOperatorAlgebra:
     def test_bch_series_terminates_and_matches(self, m6_basis, m6_ref, m6_part, seed):
         rng = np.random.default_rng(seed + 30)
         cfg = random_cfg(m6_ref, m6_part, rng, scale=0.5)
-        direct, series, n_terms = dl.x_int_ext_bch(dl.EccMatrices.build(m6_basis, **cfg))
+        direct, series, n_terms = dl.x_int_ext_bch(dl.EccMatrices.build(m6_basis, **cfg),
+                                                    m6_part)
         assert np.abs(direct - series).max() < 1e-12
         assert n_terms <= 3 * min(m6_basis.N, m6_basis.M - m6_basis.N) + 2
 
 
+#: partitions whose four classes are not contiguous blocks
+ARBITRARY_PARTITIONS = [
+    dl.SpinOrbitalPartition((1,), (0, 3), (2, 5), (4,), allow_arbitrary=True),
+    dl.SpinOrbitalPartition((4,), (0, 2), (1, 5), (3, 6, 7), allow_arbitrary=True),
+]
+
+
 class TestXIntExtBchFromPairLists:
-    """:func:`dl.x_int_ext_bch` applies T_int as an operator: the dense
-    products of the same formulas are its reference."""
+    """:func:`dl.x_int_ext_bch` works on the inactive-occupation class blocks
+    that T_int and X_ext fill from their pair lists: the dense products of
+    the same formulas are its reference."""
 
     @pytest.mark.parametrize("M,N,window", [(6, 3, (2, 2)), (6, 3, (1, 2)),
                                             (8, 4, (2, 2)), (8, 4, (1, 2))])
     def test_matches_dense_products(self, M, N, window):
-        basis = dl.build_basis(M, N)
-        part = dl.homo_lumo_partition(M, N, *window)
+        self.check_against_dense(dl.build_basis(M, N), dl.homo_lumo_partition(M, N, *window))
+
+    @pytest.mark.parametrize("part", ARBITRARY_PARTITIONS, ids=["m6", "m8"])
+    def test_matches_dense_products_on_arbitrary_partitions(self, part):
+        self.check_against_dense(dl.build_basis(part.M, part.N), part)
+
+    @staticmethod
+    def check_against_dense(basis, part):
         rng = np.random.default_rng(50)
         for _ in range(2):
             cfg = random_cfg(part.reference(), part, rng, 0.5)
-            got = dl.x_int_ext_bch(dl.EccMatrices.build(basis, **cfg))
+            got = dl.x_int_ext_bch(dl.EccMatrices.build(basis, **cfg), part)
             want = dense_x_int_ext_bch(cfg, basis)
             assert np.abs(got[0] - want[0]).max() < 1e-15
             assert np.abs(got[1] - want[1]).max() < 1e-15
@@ -234,7 +271,7 @@ class TestXIntExtBchFromPairLists:
         cfg = random_cfg(m8_ref, m8_part, np.random.default_rng(51), 0.5)
         cfg["t_int"] = {}
         m = dl.EccMatrices.build(m8_basis, **cfg)
-        direct, series, n_terms = dl.x_int_ext_bch(m)
+        direct, series, n_terms = dl.x_int_ext_bch(m, m8_part)
         want = dense_x_int_ext_bch(cfg, m8_basis)
         xe = dense_ecc_matrices(cfg, m8_basis).Xe
         assert np.array_equal(direct, xe) and np.array_equal(series, xe)
@@ -248,5 +285,48 @@ class TestXIntExtBchFromPairLists:
         def refused(*args, **kwargs):
             raise AssertionError("np.eye called")
         monkeypatch.setattr(np, "eye", refused)
-        direct, series, _ = dl.x_int_ext_bch(m)
+        direct, series, _ = dl.x_int_ext_bch(m, m8_part)
         assert np.abs(direct - series).max() < 1e-12
+
+    def test_configuration_of_a_stack_matches_its_own_build(self, m8_basis, m8_ref, m8_part):
+        rng = np.random.default_rng(53)
+        cfgs = [random_cfg(m8_ref, m8_part, rng, 0.5) for _ in range(3)]
+        stack = dl.EccMatrices.build(m8_basis, **{k: [c[k] for c in cfgs] for k in cfgs[0]})
+        for b, cfg in enumerate(cfgs):
+            got = dl.x_int_ext_bch(stack.config(b), m8_part)
+            want = dl.x_int_ext_bch(dl.EccMatrices.build(m8_basis, **cfg), m8_part)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        with pytest.raises(TypeError, match="one configuration"):
+            dl.x_int_ext_bch(stack, m8_part)
+
+    def test_refuses_an_internal_set_that_leaves_its_class(self, m8_basis, m8_ref, m8_part):
+        # an external signature in the T_int slot breaks the direct sum
+        cfg = random_cfg(m8_ref, m8_part, np.random.default_rng(54), 0.5)
+        cfg["t_int"] = cfg["t_ext"]
+        with pytest.raises(dl.OperatorPropertyError, match="inactive occupation"):
+            dl.x_int_ext_bch(dl.EccMatrices.build(m8_basis, **cfg), m8_part)
+
+
+@settings(max_examples=40)
+@given(M=st.integers(2, 8), data=st.data())
+def test_internal_pairs_never_leave_their_inactive_class(M, data):
+    # any partition, contiguous or not: every pair of an internal amplitude
+    # set joins two determinants of one inactive-occupation class
+    N = data.draw(st.integers(1, M - 1))
+    perm = data.draw(st.permutations(range(M)))
+    cuts = sorted(data.draw(st.tuples(st.integers(0, N), st.integers(N, M))))
+    occ, virt = perm[:N], perm[N:]
+    part = dl.SpinOrbitalPartition(occ[:cuts[0]], occ[cuts[0]:], virt[:cuts[1] - N],
+                                   virt[cuts[1] - N:], allow_arbitrary=True)
+    basis = dl.build_basis(M, N)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    op = dl.AmplitudeOperator(dl.random_amplitudes(part.reference(), rng, part, "internal"),
+                              basis)
+    cls, pos, members = dl.fock.inactive_classes(basis, part)
+    assert np.array_equal(cls[op.lows], cls[op.highs])
+    assert np.array_equal(members[cls, pos], np.arange(basis.size))
+    inactive = sum(1 << p for p in part.occ_inactive + part.virt_inactive)
+    occupation = basis.mask_array & inactive
+    assert np.array_equal(occupation[op.lows], occupation[op.highs])
+    # one class per inactive occupation
+    assert len(members) == len(set(occupation.tolist()))

@@ -666,6 +666,106 @@ class TestFcidump:
             dl.read_fcidump(path)
 
 
+class TestFcidumpLines:
+    """:func:`dl.read_fcidump` parses its data lines in one pass: each
+    refusal keeps its message and names the first faulty line, and of the
+    writes to one integral the last line's wins."""
+
+    @staticmethod
+    def read(tmp_path, lines, norb=2):
+        path = tmp_path / "FCIDUMP"
+        path.write_text("\n".join([f"&FCI NORB={norb},NELEC=2,", "&END"] + lines) + "\n")
+        return dl.read_fcidump(path)[0]
+
+    @pytest.mark.parametrize("line,message", [
+        ("0.5 1 1 0", "malformed FCIDUMP line: '0.5 1 1 0'"),
+        ("0.5 1 1 0 0 0", "malformed FCIDUMP line: '0.5 1 1 0 0 0'"),
+        ("nan 1 1 0 0", "non-finite FCIDUMP value: 'nan 1 1 0 0'"),
+        ("1D400 1 1 0 0", "non-finite FCIDUMP value: '1D400 1 1 0 0'"),
+        ("0.5 3 3 0 0", "FCIDUMP index outside 1..NORB=2: '0.5 3 3 0 0'"),
+        ("0.5 1 0 0 0", "FCIDUMP index outside 1..NORB=2: '0.5 1 0 0 0'"),
+        ("0.5 1 1 0 2", "FCIDUMP index outside 1..NORB=2: '0.5 1 1 0 2'"),
+        ("0.5 -1 1 1 1", "FCIDUMP index outside 1..NORB=2: '0.5 -1 1 1 1'"),
+        ("0.5 1 1 99999999999999999999 1",
+         "FCIDUMP index outside 1..NORB=2: '0.5 1 1 99999999999999999999 1'"),
+    ])
+    def test_refusals_name_the_line(self, tmp_path, line, message):
+        with pytest.raises(OperatorPropertyError) as info:
+            self.read(tmp_path, ["1.0 1 1 0 0", line, "2.0 2 2 0 0"])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("line,message", [
+        ("abc 1 1 0 0", "could not convert string to float: 'abc'"),
+        ("0.5 1.5 1 0 0", "invalid literal for int() with base 10: '1.5'"),
+    ])
+    def test_unparsable_fields_raise_value_errors(self, tmp_path, line, message):
+        with pytest.raises(ValueError) as info:
+            self.read(tmp_path, ["1.0 1 1 0 0", line])
+        assert str(info.value) == message
+
+    def test_first_faulty_line_is_named(self, tmp_path):
+        # a later malformed line does not hide an earlier bad value, and an
+        # unparsable value does not hide an earlier bad index
+        with pytest.raises(OperatorPropertyError, match="non-finite.*'inf 1 1 0 0'"):
+            self.read(tmp_path, ["inf 1 1 0 0", "0.5 1 1 0"])
+        with pytest.raises(OperatorPropertyError, match="index outside.*'0.5 1 3 0 0'"):
+            self.read(tmp_path, ["0.5 1 3 0 0", "abc 1 1 0 0"])
+
+    def test_refusals_past_the_first_chunk(self, tmp_path):
+        # the lines are parsed a chunk at a time; a fault in a later chunk
+        # is refused, and an earlier fault of another kind still comes first
+        filler = ["0.1 1 1 0 0"] * (operators._FCIDUMP_CHUNK + 10)
+        with pytest.raises(OperatorPropertyError, match="malformed FCIDUMP line: '0.5 1 1 0'"):
+            self.read(tmp_path, filler + ["0.5 1 1 0"])
+        with pytest.raises(OperatorPropertyError, match="non-finite.*'nan 2 2 0 0'"):
+            self.read(tmp_path, ["nan 2 2 0 0"] + filler + ["0.5 1 1 0"])
+        with pytest.raises(OperatorPropertyError, match="index outside.*'0.5 3 3 0 0'"):
+            self.read(tmp_path, filler + ["0.5 3 3 0 0"])
+
+    def test_fortran_exponents(self, tmp_path):
+        ints = self.read(tmp_path, ["1.5D-01 1 1 0 0", "-2.5d+00 2 2 0 0", "3D0 0 0 0 0",
+                                    "2.0D-1 1 1 2 2"])
+        want = self.read(tmp_path, ["0.15 1 1 0 0", "-2.5 2 2 0 0", "3.0 0 0 0 0",
+                                    "0.2 1 1 2 2"])
+        assert ints.core_energy == 3.0
+        assert np.array_equal(ints.one_body, want.one_body)
+        assert np.array_equal(ints.two_body, want.two_body)
+        assert ints.one_body.any() and ints.two_body.any()
+
+    def test_last_line_wins(self, tmp_path):
+        # (21|21) and (12|12), (22|11) and (11|22), h_12 and h_21 each set
+        # one symmetry class twice; the core energy is listed three times
+        ints = self.read(tmp_path, [
+            "0.3 1 2 1 2", "0.7 2 1 2 1", "0.1 1 1 2 2", "0.9 2 2 1 1",
+            "0.2 2 1 0 0", "0.6 1 2 0 0", "1.0 0 0 0 0", "2.0 0 0 0 0", "3.0 0 0 0 0"])
+        want = self.read(tmp_path, ["0.7 1 2 1 2", "0.9 1 1 2 2", "0.6 2 1 0 0"])
+        assert ints.core_energy == 3.0
+        assert np.array_equal(ints.one_body, want.one_body)
+        assert np.array_equal(ints.two_body, want.two_body)
+
+    def test_matches_the_line_by_line_symmetrisation(self, tmp_path):
+        rng = np.random.default_rng(3)
+        norb = 4
+        lines = [f"{rng.normal():.17g} {' '.join(str(x) for x in rng.integers(1, norb + 1, 4))}"
+                 for _ in range(300)]
+        lines += [f"{rng.normal():.17g} {rng.integers(1, norb + 1)} {rng.integers(1, norb + 1)} 0 0"
+                  for _ in range(30)]
+        ints = self.read(tmp_path, lines, norb)
+        h, chem = np.zeros((norb,) * 2), np.zeros((norb,) * 4)
+        for line in lines:
+            val, *idx = line.split()
+            i, j, k, l = (int(x) - 1 for x in idx)
+            if k < 0:
+                h[i, j] = h[j, i] = float(val)
+                continue
+            for a, b, c, d in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+                               (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)):
+                chem[a, b, c, d] = float(val)
+        want = dl.IntegralSet.from_chemist(h, chem, 0.0)
+        assert np.array_equal(ints.one_body, want.one_body)
+        assert np.array_equal(ints.two_body, want.two_body)
+
+
 class TestRandomHamiltonian:
     def test_reference_dominance(self, m8_basis):
         rng = np.random.default_rng(5)
