@@ -32,8 +32,7 @@ from .fock import (Determinant, DetClass, DeterminantTable, ExcitationSignature,
                    homo_lumo_partition)
 from .imagtime import (FlowResult, ImaginaryFlowState, imaginary_evolve,
                        imaginary_step, initial_flow_state)
-from .operators import (IntegralSet, QOperator, build_hubbard, build_pairing,
-                        direct_sum_blocks, hamiltonian_from_integrals,
-                        hubbard_integrals, logm_unitary, pairing_integrals,
-                        read_fcidump)
+from .operators import (IntegralSet, QOperator, direct_sum_blocks,
+                        hamiltonian_from_integrals, hubbard_integrals, logm_unitary,
+                        pairing_integrals, read_fcidump)
 from .sweeps import RotationStep, SweepResult, decompose_state, rotation_for_target

@@ -24,7 +24,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,18 +40,13 @@ from .ecc import (EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms,
                   x_int_ext_bch)
 from .errors import (ConfigError, DuccLabError, IntermediateNormalizationError,
                      OperatorPropertyError)
-from .fock import (DetClass, SpinOrbitalPartition, build_basis, determinant_table,
-                   homo_lumo_partition)
+from .fock import (DetClass, SpinOrbitalPartition, aufbau_reference, build_basis,
+                   determinant_table, homo_lumo_partition)
 from .imagtime import imaginary_evolve
 from .operators import (IntegralSet, QOperator, exp_anti_hermitian, hamiltonian_from_integrals,
                         hubbard_integrals, pairing_integrals, read_fcidump)
 from .sweeps import decompose_state, replay
 
-VERIFY_ALL_TASKS = ("fci", "cluster", "sweep", "downfold", "propagate", "imagtime", "ecc")
-#: the per-task RNG stream is keyed on the index into this tuple
-TASK_NAMES = VERIFY_ALL_TASKS + ("verify-all",)
-#: the tasks that run without a partition
-UNPARTITIONED_TASKS = ("fci", "cluster")
 INITIAL_STATES = ("reference", "ground", "noninteracting-ground")
 #: the environment variables that set the BLAS thread count, which moves
 #: reported values at round-off; report.json records those that are set
@@ -59,31 +55,6 @@ CONFIG_KEYS = ("system", "electrons", "partition", "tasks", "output_dir", "seed"
 SYSTEM_KEYS = {"hubbard": ("kind", "L", "t", "U"), "pairing": ("kind", "levels", "g", "spacing"),
                "fcidump": ("kind", "path")}
 
-_positive = (lambda v: v > 0, "> 0")
-#: per task: parameter -> (type, default, (domain predicate, domain text));
-#: floats must also be finite
-TASK_PARAMS = {
-    "fci": {"nroots": (int, 6, (lambda v: v >= 1, ">= 1"))},
-    "propagate": {
-        "dt": (float, 0.02, _positive),
-        "nsteps": (int, 100, (lambda v: v >= 2, ">= 2 for the velocity stencil")),
-        "initial": (str, "reference", (lambda v: v in INITIAL_STATES,
-                                       f"one of {INITIAL_STATES}")),
-    },
-    "imagtime": {"dtau": (float, 0.1, _positive), "tol": (float, 1e-10, _positive)},
-    "ecc": {"n_configs": (int, 50, (lambda v: v >= 1, ">= 1")),
-            "scale": (float, 0.1, (lambda v: True, "any number"))},
-}
-#: sub-task defaults of verify-all, below the user's nested parameters
-VERIFY_ALL_DEFAULTS = {"propagate": {"dt": 0.02, "nsteps": 50}, "ecc": {"n_configs": 10}}
-#: per task: result -> largest value that keeps the task's numbers meaningful
-RESIDUAL_BOUNDS = {
-    "cluster": {"cc_residual": 1e-9, "roundtrip_residual": 1e-9},
-    "sweep": {"reconstruction_residual": 1e-9, "generator_column_deviation": 1e-9},
-    "downfold": {"sescc_delta_e": 1e-9, "ducc_delta_e": 1e-9},
-    "propagate": {"max_decomposition_residual": 1e-9},
-    "imagtime": {"delta_e_vs_fci": 1e-8},
-}
 #: verify-all's checks beyond the sub-tasks' residual bounds: name -> (task,
 #: results, bound); a check passes when the largest of its results is below
 #: the bound
@@ -141,9 +112,9 @@ class RunContext:
     seed: int
 
     def rng(self, task: str) -> np.random.Generator:
-        # per-task stream keyed on the canonical task id keeps reports
-        # independent of task ordering
-        return np.random.default_rng([self.seed, TASK_NAMES.index(task)])
+        # per-task stream keyed on the task's place in TASKS keeps reports
+        # independent of the config's task order
+        return np.random.default_rng([self.seed, list(TASKS).index(task)])
 
     @cached_property
     def ground_state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -330,14 +301,24 @@ def _build_partition(cfg: dict, M: int, N: int) -> SpinOrbitalPartition | None:
 
 
 def task_params(name: str, params: dict) -> dict:
-    """Typed parameters of a task, defaults filled in.
+    """Typed parameters of a task, defaults filled in; for ``verify-all``,
+    the parameters of each sub-task: its defaults, then the user's nested
+    object, parsed when the sub-task runs.
 
     Raises ConfigError for any value the task cannot run with, so that
     ``validate`` and ``run`` reject the same configs.
     """
-    _check_keys(params, ("name", *TASK_PARAMS.get(name, {})), f"task {name}")
+    if name == "verify-all":
+        subs = [sub for sub, task in TASKS.items() if task.verify_all is not None]
+        _check_keys(params, subs, "task verify-all")
+        for sub in subs:
+            if not isinstance(params.get(sub, {}), dict):
+                raise ConfigError(f"task verify-all: {sub} parameters must be an object")
+        return {sub: {**TASKS[sub].verify_all, **params.get(sub, {})} for sub in subs}
+    spec = TASKS[name].params
+    _check_keys(params, spec, f"task {name}")
     out = {}
-    for key, (kind, default, (ok, domain)) in TASK_PARAMS.get(name, {}).items():
+    for key, (kind, default, (ok, domain)) in spec.items():
         raw = params.get(key, default)
         if kind is str:
             value = raw
@@ -356,24 +337,30 @@ def _check_keys(obj: dict, known, what: str):
         raise ConfigError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def verify_all_params(params: dict, name: str) -> dict:
-    """Parameters of one verify-all sub-task: its defaults, then the
-    user's nested ``params[name]`` object."""
-    sub = params.get(name, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"task verify-all: {name} parameters must be an object")
-    return {**VERIFY_ALL_DEFAULTS.get(name, {}), **sub}
+def _task_entries(cfg: dict) -> list[tuple[str, dict]]:
+    """Name and parameters of each configured task: ``name`` is taken out of
+    a top-level entry here, and no parameter object admits it."""
+    tasks = cfg.get("tasks")
+    if not isinstance(tasks, list) or not tasks:
+        raise ConfigError("no tasks configured")
+    entries = []
+    for t in tasks:
+        name = t.get("name") if isinstance(t, dict) else None
+        # a name that is no string (a list cannot even be looked up) is refused
+        if not isinstance(name, str) or name not in TASKS:
+            raise ConfigError(f"unknown task entry {t!r}; valid names: {tuple(TASKS)}")
+        entries.append((name, {k: v for k, v in t.items() if k != "name"}))
+    return entries
 
 
 def _check_task(cfg: dict, name: str, params: dict):
-    if name not in UNPARTITIONED_TASKS and cfg.get("partition") is None:
+    if TASKS[name].needs_partition and cfg.get("partition") is None:
         raise ConfigError(f"task {name} requires a partition")
+    p = task_params(name, params)
     if name == "verify-all":
-        _check_keys(params, ("name", *VERIFY_ALL_TASKS), "task verify-all")
-        for sub in VERIFY_ALL_TASKS:
-            _check_task(cfg, sub, verify_all_params(params, sub))
-        return
-    if task_params(name, params).get("initial") == "noninteracting-ground" \
+        for sub, sub_params in p.items():
+            _check_task(cfg, sub, sub_params)
+    elif p.get("initial") == "noninteracting-ground" \
             and cfg["system"]["kind"] not in ("hubbard", "pairing"):
         raise ConfigError("noninteracting-ground initial state needs a hubbard/pairing system")
 
@@ -389,15 +376,9 @@ def build_context(cfg: dict, seed: int) -> RunContext:
                 f"M={basis.M}, N={basis.N}")
         ref = part.reference()
     else:
-        from .fock import aufbau_reference
         ref = aufbau_reference(basis.M, basis.N)
-    tasks = cfg.get("tasks")
-    if not isinstance(tasks, list) or not tasks:
-        raise ConfigError("no tasks configured")
-    for t in tasks:
-        if not isinstance(t, dict) or t.get("name") not in TASK_NAMES:
-            raise ConfigError(f"unknown task entry {t!r}; valid names: {TASK_NAMES}")
-        _check_task(cfg, t["name"], t)
+    for name, params in _task_entries(cfg):
+        _check_task(cfg, name, params)
     return RunContext(cfg, basis, H, ref, part, seed)
 
 
@@ -421,7 +402,7 @@ def _effective_json(heff: EffectiveHamiltonian, part: SpinOrbitalPartition) -> s
 
 def task_fci(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     vals, _ = ctx.ground_state
-    nroots = min(task_params("fci", params)["nroots"], len(vals))
+    nroots = min(params["nroots"], len(vals))
     return {"ground_energy": float(vals[0]),
             "roots": [float(e) for e in vals[:nroots]],
             "dimension": ctx.basis.size}, {
@@ -535,9 +516,8 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     """Quench evolution plus the downfolded-consistency study: the active
     coefficients are propagated under the time-dependent downfolded
     Hamiltonian and compared per step against the sweep decomposition."""
-    p = task_params("propagate", params)
-    dt, nsteps = p["dt"], p["nsteps"]
-    psi0 = _initial_state(ctx, p["initial"])
+    dt, nsteps = params["dt"], params["nsteps"]
+    psi0 = _initial_state(ctx, params["initial"])
 
     study = downfolded_quench(ctx.H, psi0, dt, nsteps, ctx.ref, ctx.part)
     devs = study.rk4_deviation
@@ -559,8 +539,7 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_imagtime(ctx: RunContext, params: dict) -> tuple[dict, dict]:
-    p = task_params("imagtime", params)
-    dtau, tol = p["dtau"], p["tol"]
+    dtau, tol = params["dtau"], params["tol"]
     heff = ctx.ducc_hamiltonian
     vals, _ = ctx.ground_state
     rng = ctx.rng("imagtime")
@@ -610,8 +589,7 @@ def _ecc_stack_deviations(ctx: RunContext, rng: np.random.Generator, first: int,
 
 
 def task_ecc(ctx: RunContext, params: dict) -> tuple[dict, dict]:
-    p = task_params("ecc", params)
-    n_configs, scale = p["n_configs"], p["scale"]
+    n_configs, scale = params["n_configs"], params["scale"]
     rng = ctx.rng("ecc")
     max_v, max_w, max_act, max_bch = 0.0, 0.0, 0.0, 0.0
     for first in range(0, n_configs, ECC_STACK):
@@ -635,8 +613,8 @@ def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     artifacts are its sub-tasks', so that none is written unless all pass."""
     results: dict = {}
     artifacts: dict = {}
-    for name in VERIFY_ALL_TASKS:
-        results[name], sub_artifacts = run_task(ctx, name, verify_all_params(params, name))
+    for name, sub_params in params.items():
+        results[name], sub_artifacts = run_task(ctx, name, sub_params)
         artifacts.update(sub_artifacts)
 
     rng = ctx.rng("verify-all")
@@ -662,23 +640,57 @@ def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def run_task(ctx: RunContext, name: str, params: dict) -> tuple[dict, dict]:
-    """Run one task and fail it when a result breaches its residual bound."""
-    results, artifacts = TASKS[name](ctx, params)
-    for key, bound in RESIDUAL_BOUNDS.get(name, {}).items():
+    """Run one task on its parsed parameters and fail it when a result
+    breaches its residual bound."""
+    task = TASKS[name]
+    results, artifacts = task(ctx, task_params(name, params))
+    for key, bound in task.bounds.items():
         if not results[key] <= bound:   # NaN fails too
             raise DuccLabError(f"{name}: {key} = {results[key]:.3e} exceeds {bound:.0e}")
     return results, artifacts
 
 
+@dataclass(frozen=True)
+class Task:
+    """A task, called as ``task(ctx, params)`` on the parameters
+    :func:`task_params` parsed: ``params`` maps a parameter to ``(type,
+    default, (domain predicate, domain text))``, a float also finite;
+    ``bounds`` a result to its largest meaningful value; ``verify_all``
+    holds the task's defaults as a verify-all sub-task (None: not one)."""
+
+    run: Callable[[RunContext, dict], tuple[dict, dict]]
+    params: dict = field(default_factory=dict)
+    bounds: dict = field(default_factory=dict)
+    needs_partition: bool = True
+    verify_all: dict | None = field(default_factory=dict)
+
+    def __call__(self, ctx: RunContext, params: dict) -> tuple[dict, dict]:
+        return self.run(ctx, params)
+
+
+_positive = (lambda v: v > 0, "> 0")
+#: every task, in the order that keys its RNG stream (RunContext.rng)
 TASKS = {
-    "fci": task_fci,
-    "cluster": task_cluster,
-    "sweep": task_sweep,
-    "downfold": task_downfold,
-    "propagate": task_propagate,
-    "imagtime": task_imagtime,
-    "ecc": task_ecc,
-    "verify-all": task_verify_all,
+    "fci": Task(task_fci, params={"nroots": (int, 6, (lambda v: v >= 1, ">= 1"))},
+                needs_partition=False),
+    "cluster": Task(task_cluster, bounds={"cc_residual": 1e-9, "roundtrip_residual": 1e-9},
+                    needs_partition=False),
+    "sweep": Task(task_sweep, bounds={"reconstruction_residual": 1e-9,
+                                      "generator_column_deviation": 1e-9}),
+    "downfold": Task(task_downfold, bounds={"sescc_delta_e": 1e-9, "ducc_delta_e": 1e-9}),
+    "propagate": Task(task_propagate, params={
+        "dt": (float, 0.02, _positive),
+        "nsteps": (int, 100, (lambda v: v >= 2, ">= 2 for the velocity stencil")),
+        "initial": (str, "reference", (lambda v: v in INITIAL_STATES,
+                                       f"one of {INITIAL_STATES}")),
+    }, bounds={"max_decomposition_residual": 1e-9}, verify_all={"dt": 0.02, "nsteps": 50}),
+    "imagtime": Task(task_imagtime, params={"dtau": (float, 0.1, _positive),
+                                            "tol": (float, 1e-10, _positive)},
+                     bounds={"delta_e_vs_fci": 1e-8}),
+    "ecc": Task(task_ecc, params={"n_configs": (int, 50, (lambda v: v >= 1, ">= 1")),
+                                  "scale": (float, 0.1, (lambda v: True, "any number"))},
+                verify_all={"n_configs": 10}),
+    "verify-all": Task(task_verify_all, verify_all=None),
 }
 
 
@@ -702,9 +714,6 @@ def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {outdir!r}: {exc}") from exc
-    entries = [(t["name"], {k: v for k, v in t.items() if k != "name"})
-               for t in cfg["tasks"]]
-
     listings: dict = {}   # file name -> (text on disk, the entries listing it)
 
     def execute(name, params):
@@ -726,7 +735,7 @@ def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
             listings[file_name] = (text, entries + [entry])
         return entry
 
-    task_reports = [execute(name, params) for name, params in entries]
+    task_reports = [execute(name, params) for name, params in _task_entries(cfg)]
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {

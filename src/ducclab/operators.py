@@ -174,22 +174,6 @@ def pairing_integrals(levels: int, g: float, spacing: float = 1.0) -> IntegralSe
     return IntegralSet(h, v)
 
 
-def build_hubbard(L: int, t: float, U: float, basis: FockBasis) -> QOperator:
-    """Sector matrix of :func:`hubbard_integrals`."""
-    if basis.M != 2 * L:
-        raise InvalidDimensionError(f"basis has M={basis.M} orbitals, expected 2L={2 * L}")
-    return hamiltonian_from_integrals(hubbard_integrals(L, t, U), basis)
-
-
-def build_pairing(levels: int, g: float, basis: FockBasis,
-                  spacing: float = 1.0) -> QOperator:
-    """Sector matrix of :func:`pairing_integrals`."""
-    if basis.M != 2 * levels:
-        raise InvalidDimensionError(
-            f"basis has M={basis.M} orbitals, expected 2*levels={2 * levels}")
-    return hamiltonian_from_integrals(pairing_integrals(levels, g, spacing), basis)
-
-
 def direct_sum_blocks(A: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected blocks of the exact-zero pattern of ``A``.
 

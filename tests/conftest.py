@@ -19,7 +19,7 @@ def dimer_basis():
 
 @pytest.fixture(scope="session")
 def dimer_H(dimer_basis):
-    return dl.build_hubbard(2, 1.0, 4.0, dimer_basis)
+    return dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 4.0), dimer_basis)
 
 
 @pytest.fixture(scope="session")

@@ -134,8 +134,9 @@ def test_criterion_4_dexp_series(m6_basis, m6_ref):
 
 
 def test_criterion_5_td_consistency(dimer_basis, dimer_ref, dimer_part):
-    H = dl.build_hubbard(2, 1.0, 2.0, dimer_basis)
-    psi0 = np.linalg.eigh(dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
+    H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 2.0), dimer_basis)
+    H0 = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), dimer_basis)
+    psi0 = np.linalg.eigh(H0.matrix)[1][:, 0]
 
     def max_dev(dt, nsteps):
         study = dl.downfolded_quench(H, psi0, dt, nsteps, dimer_ref, dimer_part)

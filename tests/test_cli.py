@@ -220,6 +220,8 @@ def test_bad_task_parameter_is_config_error(tmp_path, capsys, command, task):
      "task verify-all: unknown key(s) 'propagte'"),
     ({"tasks": [{"name": "verify-all", "propagate": {"n_steps": 4}}]},
      "task propagate: unknown key(s) 'n_steps'"),
+    ({"tasks": [{"name": "verify-all", "ecc": {"name": "bogus", "n_configs": 2}}]},
+     "task ecc: unknown key(s) 'name'"),
     ({"system": {"kind": "pairing", "levels": 2, "g": 0.4, "spacng": 0.5}},
      "system: unknown key(s) 'spacng'"),
     ({"system": {"kind": "fcidump", "path": "FCIDUMP", "U": 4.0}},
@@ -232,7 +234,7 @@ def test_bad_task_parameter_is_config_error(tmp_path, capsys, command, task):
     ({"partition": {"auto_homo_lumo": [1, 1], "allow_arbitrary": True}},
      "partition: unknown key(s) 'allow_arbitrary'"),
 ], ids=["top-level", "task-entry", "stale-fd-order", "task-without-params",
-        "verify-all-entry", "verify-all-sub-task", "system-key", "system-key-of-other-kind",
+        "verify-all-entry", "verify-all-sub-task", "verify-all-sub-task-name", "system-key", "system-key-of-other-kind",
         "partition-key", "explicit-partition-key", "auto-partition-with-explicit-key"])
 def test_unknown_key_is_config_error(tmp_path, capsys, command, overrides, message):
     assert main([command, str(write_config(tmp_path, **overrides))]) == 2
@@ -242,7 +244,21 @@ def test_unknown_key_is_config_error(tmp_path, capsys, command, overrides, messa
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("task", [t for t in cli.TASK_NAMES if t not in ("fci", "cluster")])
+@pytest.mark.parametrize("name", [["fci"], {"a": 1}, None, 3],
+                         ids=["list", "object", "null", "number"])
+def test_malformed_task_name_is_config_error(tmp_path, capsys, command, name):
+    # a name that is no string never reaches the task table, which cannot
+    # look up a list or an object
+    entry = {"name": name}
+    assert main([command, str(write_config(tmp_path, tasks=[entry]))]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: unknown task entry {entry!r}; valid names: ('fci', 'cluster', "
+        "'sweep', 'downfold', 'propagate', 'imagtime', 'ecc', 'verify-all')\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("task", [t for t in cli.TASKS if t not in ("fci", "cluster")])
 def test_task_without_partition_is_config_error(tmp_path, capsys, command, task):
     path = write_config(tmp_path, partition=None, tasks=[{"name": "fci"}, {"name": task}])
     assert main([command, str(path)]) == 2
@@ -346,7 +362,8 @@ def test_one_determinant_layer():
     bound = [f"{mod.__name__}.{name}" for mod in modules
              for name in SCALAR_FERMION_ALGEBRA if hasattr(mod, name)]
     assert bound == []
-    H = ducclab.build_hubbard(2, 1.0, 4.0, ducclab.build_basis(4, 2))
+    H = ducclab.hamiltonian_from_integrals(ducclab.hubbard_integrals(2, 1.0, 4.0),
+                                           ducclab.build_basis(4, 2))
     assert not hasattr(ducclab.QOperator, "from_terms")
     assert not hasattr(H, "terms")
 
@@ -573,7 +590,7 @@ class TestRun:
 
     def test_files_of_every_task(self, tmp_path):
         path = write_config(tmp_path, tasks=[
-            {"name": name, **BATTERY_PARAMS.get(name, {})} for name in cli.TASK_NAMES])
+            {"name": name, **BATTERY_PARAMS.get(name, {})} for name in cli.TASKS])
         assert main(["run", str(path)]) == 0
         files = {t["name"]: t["files"] for t in read_report(tmp_path)["tasks"]}
         assert files == {
@@ -636,6 +653,48 @@ def test_listed_files_hold_the_text_of_their_task(tmp_path):
         for name in entry["files"]:
             assert (tmp_path / name).read_text() == artifacts[name]
     assert unlisted == {("propagate", "trajectory.csv")}
+
+
+def test_task_order_keys_the_rng_streams():
+    # RunContext.rng keys a task's stream on its place in TASKS: a new task
+    # goes last, or every report of a seeded task changes
+    assert list(cli.TASKS) == ["fci", "cluster", "sweep", "downfold", "propagate",
+                               "imagtime", "ecc", "verify-all"]
+
+
+def test_wrapped_task_entries_run_alike(tmp_path, monkeypatch):
+    # a profiler replaces each TASKS entry by a functools.wraps wrapper that
+    # calls it: the run's report and files stay the same, the wrapper keeps
+    # the entry's bounds, and every run of a task, verify-all's sub-tasks
+    # too, goes through its wrapper
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                       "hubbard_dimer.json"))
+    plain, code = cli.run(cfg, str(tmp_path / "plain"), 1)
+    assert code == 0
+    calls = dict.fromkeys(cli.TASKS, 0)
+
+    def wrap(name, entry):
+        def timed(*args, **kwargs):
+            calls[name] += 1
+            return entry(*args, **kwargs)
+        return functools.wraps(entry)(timed)
+
+    for name, entry in list(cli.TASKS.items()):
+        monkeypatch.setitem(cli.TASKS, name, wrap(name, entry))
+        assert cli.TASKS[name].bounds == entry.bounds
+    wrapped, code = cli.run(cfg, str(tmp_path / "wrapped"), 1)
+    assert code == 0
+    del plain["generated_at"], wrapped["generated_at"]
+    assert wrapped == plain
+    files = sorted(os.listdir(tmp_path / "plain"))
+    assert sorted(os.listdir(tmp_path / "wrapped")) == files
+    for name in files:
+        if name != "report.json":
+            assert (tmp_path / "wrapped" / name).read_text() == \
+                (tmp_path / "plain" / name).read_text()
+    # the config runs each task once, verify-all each of its sub-tasks again
+    assert calls == {"fci": 2, "cluster": 1, "sweep": 2, "downfold": 2, "propagate": 2,
+                     "imagtime": 2, "ecc": 2, "verify-all": 1}
 
 
 def test_failed_tasks_write_no_artifacts(tmp_path):
@@ -721,15 +780,16 @@ def test_complex_hamiltonian_is_solved_in_complex_arithmetic(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("value", [10.0, float("nan")], ids=["10x", "nan"])
-@pytest.mark.parametrize("task,key", [(task, key) for task, bounds in cli.RESIDUAL_BOUNDS.items()
-                                      for key in bounds])
+@pytest.mark.parametrize("task,key", [(task, key) for task, entry in cli.TASKS.items()
+                                      for key in entry.bounds])
 def test_every_residual_bound_fails_its_task(tmp_path, monkeypatch, task, key, value):
     # each bound, whatever the eigensolver returns: the task reports its
     # result at ten times the bound, or NaN, and run_task refuses it
-    bound = cli.RESIDUAL_BOUNDS[task][key]
-    results = {k: 0.0 for k in cli.RESIDUAL_BOUNDS[task]}
-    results[key] = value * bound
-    monkeypatch.setitem(cli.TASKS, task, lambda ctx, params: (results, {}))
+    bounds = cli.TASKS[task].bounds
+    results = {k: 0.0 for k in bounds}
+    results[key] = value * bounds[key]
+    monkeypatch.setitem(cli.TASKS, task, dataclasses.replace(
+        cli.TASKS[task], run=lambda ctx, params: (results, {})))
     ctx = cli.build_context(json.loads(write_config(tmp_path).read_text()), 0)
     with pytest.raises(ducclab.DuccLabError, match=f"^{task}: {key} = .* exceeds"):
         cli.run_task(ctx, task, {})
@@ -1056,7 +1116,8 @@ def test_randomized_battery(tmp_path_factory, system, window, coupling, seed):
     tmp_path = tmp_path_factory.mktemp("battery")
     M, N = system
     write_seeded_fcidump(tmp_path / "FCIDUMP", M, N, seed, coupling)
-    tasks = [{"name": name, **BATTERY_PARAMS.get(name, {})} for name in cli.VERIFY_ALL_TASKS]
+    tasks = [{"name": name, **BATTERY_PARAMS.get(name, {})}
+             for name, entry in cli.TASKS.items() if entry.verify_all is not None]
     tasks.append({"name": "verify-all", **BATTERY_PARAMS})
     path = write_config(tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"},
                         electrons=N, partition={"auto_homo_lumo": window}, tasks=tasks)
@@ -1073,5 +1134,7 @@ def test_randomized_battery(tmp_path_factory, system, window, coupling, seed):
         nested = task["results"] if task["name"] == "verify-all" else {
             task["name"]: task["results"]}
         for name, results in nested.items():
-            for key, bound in cli.RESIDUAL_BOUNDS.get(name, {}).items():
+            # verify-all's nested lagrangians and checks are no tasks
+            bounds = cli.TASKS[name].bounds if name in cli.TASKS else {}
+            for key, bound in bounds.items():
                 assert results[key] <= bound, (name, key)

@@ -69,8 +69,8 @@ class TestPropagateFull:
         assert np.allclose(states, states[0])
 
     def test_energy_conservation_long_run(self, dimer_basis, dimer_H):
-        psi0 = np.linalg.eigh(
-            dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
+        H0 = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), dimer_basis)
+        psi0 = np.linalg.eigh(H0.matrix)[1][:, 0]
         states = dl.propagate_full(dimer_H, psi0, 0.01, 1000)
         energies = np.array([(s.conj() @ (dimer_H.matrix @ s)).real for s in states])
         assert np.abs(energies - energies[0]).max() < 1e-10
@@ -183,17 +183,17 @@ class TestDecomposeTrajectory:
         assert np.abs(sigma_ext - sigma_ext[0]).max() < 1e-8
 
     def test_t0_matches_static_sweep(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
-        psi0 = np.linalg.eigh(
-            dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
+        H0 = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), dimer_basis)
+        psi0 = np.linalg.eigh(H0.matrix)[1][:, 0]
         study = dl.downfolded_quench(dimer_H, psi0, 0.04, 3, dimer_ref, dimer_part)
         static = dl.decompose_state(psi0, dimer_ref, dimer_part, dimer_basis)
         first = dl.decompose_state(study.states[0], dimer_ref, dimer_part, dimer_basis)
         assert np.abs(first.sigma_ext - static.sigma_ext).max() < 1e-12
 
     def test_per_step_reconstruction(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
-        psi0 = np.linalg.eigh(
-            dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
-        H = dl.build_hubbard(2, 1.0, 2.0, dimer_basis)
+        H0 = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), dimer_basis)
+        psi0 = np.linalg.eigh(H0.matrix)[1][:, 0]
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 2.0), dimer_basis)
         study = dl.downfolded_quench(H, psi0, 0.04, 25, dimer_ref, dimer_part)
         assert len(study.states) == 51
         assert study.residuals.max() < 1e-8
@@ -221,7 +221,7 @@ class TestDecomposeTrajectoryWorkBudget:
         basis = dl.build_basis(6, 3)
         part = dl.homo_lumo_partition(6, 3, 1, 1)
         ref = part.reference()
-        return dl.build_hubbard(3, 1.0, 4.0, basis), ref, part
+        return dl.hamiltonian_from_integrals(dl.hubbard_integrals(3, 1.0, 4.0), basis), ref, part
 
     def test_no_schur_and_one_target_table(self, schur_calls, m6_quench):
         H, ref, part = m6_quench
@@ -262,7 +262,7 @@ class TestQuenchFromReplayedColumns:
         basis = dl.build_basis(6, 3)
         part = dl.homo_lumo_partition(6, 3, 1, 1)
         ref = part.reference()
-        H = dl.build_hubbard(3, 1.0, 4.0, basis)
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(3, 1.0, 4.0), basis)
         study = dl.downfolded_quench(H, basis.unit_vector(basis.index_of(ref)), 0.02, 3,
                                      ref, part)
         assert calls == {}
@@ -272,9 +272,9 @@ class TestQuenchFromReplayedColumns:
         # the Heff of the generators sigma_ext(t) of decompose_state and the
         # stencil over them: the two stencils' truncation errors differ, and
         # the difference falls as dt^4 (15.7x per halving, 4.9e-8 at dt 0.01)
-        H = dl.build_hubbard(2, 1.0, 2.0, dimer_basis)
-        psi0 = np.linalg.eigh(
-            dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 2.0), dimer_basis)
+        H0 = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), dimer_basis)
+        psi0 = np.linalg.eigh(H0.matrix)[1][:, 0]
 
         def max_difference(dt, nsteps):
             study = dl.downfolded_quench(H, psi0, dt, nsteps, dimer_ref, dimer_part)
@@ -301,12 +301,13 @@ class TestQuenchBatches:
         if system == "dimer":
             basis = dl.build_basis(4, 2)
             part = dl.homo_lumo_partition(4, 2, 1, 1)
-            H = dl.build_hubbard(2, 1.0, 4.0, basis)
-            psi0 = np.linalg.eigh(dl.build_hubbard(2, 1.0, 0.0, basis).matrix)[1][:, 0]
+            H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 4.0), basis)
+            H0 = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), basis)
+            psi0 = np.linalg.eigh(H0.matrix)[1][:, 0]
         else:
             basis = dl.build_basis(8, 4)
             part = dl.homo_lumo_partition(8, 4, 2, 2)
-            H = dl.build_hubbard(4, 1.0, 4.0, basis)
+            H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(4, 1.0, 4.0), basis)
             psi0 = basis.unit_vector(basis.index_of(part.reference()))
         ref, dt = part.reference(), 0.02
         blocks = []
@@ -345,7 +346,7 @@ class TestQuenchBatches:
         basis = dl.build_basis(6, 3)
         part = dl.homo_lumo_partition(6, 3, 1, 1)
         ref = part.reference()
-        H = dl.build_hubbard(3, 1.0, 4.0, basis)
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(3, 1.0, 4.0), basis)
         study = dl.downfolded_quench(H, basis.unit_vector(basis.index_of(ref)), 0.02, 3,
                                      ref, part)
         t1, t2, _ = sweep_targets(dl.determinant_table(basis, ref), part)
@@ -367,9 +368,9 @@ class TestPropagateInternal:
         assert np.linalg.norm(cs[-1] - expected) < 1e-8
 
     def test_td_consistency_and_fourth_order(self, dimer_basis, dimer_ref, dimer_part):
-        H = dl.build_hubbard(2, 1.0, 2.0, dimer_basis)
-        psi0 = np.linalg.eigh(
-            dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 2.0), dimer_basis)
+        H0 = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), dimer_basis)
+        psi0 = np.linalg.eigh(H0.matrix)[1][:, 0]
 
         def max_dev(dt, nsteps):
             study = dl.downfolded_quench(H, psi0, dt, nsteps, dimer_ref, dimer_part)
@@ -468,9 +469,9 @@ class TestLagrangians:
     def test_real_on_unitary_trajectory(self, dimer_basis, dimer_ref, dimer_part):
         # sigma and sigma-dot taken from an actual trajectory: the
         # normalized-state Lagrangian is real
-        H = dl.build_hubbard(2, 1.0, 2.0, dimer_basis)
-        psi0 = np.linalg.eigh(
-            dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 2.0), dimer_basis)
+        H0 = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), dimer_basis)
+        psi0 = np.linalg.eigh(H0.matrix)[1][:, 0]
         states = dl.propagate_full(H, psi0, 0.005, 8)
         sweeps = [dl.decompose_state(psi, dimer_ref, dimer_part, dimer_basis)
                   for psi in states]
@@ -561,9 +562,9 @@ class TestTdSesccKet:
     def test_residual_second_order_in_dt(self, dimer_basis, dimer_ref, dimer_part):
         # i d/dt e^{T_int}|ref> = Heff(t) e^{T_int}|ref> with T from
         # cluster-analyzing the trajectory; centered differences show O(dt^2)
-        H = dl.build_hubbard(2, 1.0, 2.0, dimer_basis)
-        psi0 = np.linalg.eigh(
-            dl.build_hubbard(2, 1.0, 0.0, dimer_basis).matrix)[1][:, 0]
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 2.0), dimer_basis)
+        H0 = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), dimer_basis)
+        psi0 = np.linalg.eigh(H0.matrix)[1][:, 0]
         e_ref = dimer_basis.unit_vector(dimer_basis.index_of(dimer_ref))
         projs = build_projectors(dimer_ref, dimer_basis, dimer_part)
         pq = projs.P + projs.Q_int
@@ -601,7 +602,7 @@ class TestDownfoldedQuench:
         basis = dl.build_basis(8, 4)
         part = dl.homo_lumo_partition(8, 4, 2, 2)
         ref = part.reference()
-        H = dl.build_hubbard(4, 1.0, 4.0, basis)
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(4, 1.0, 4.0), basis)
         psi0 = basis.unit_vector(basis.index_of(ref))
         peaks, studies = [], []
         for nsteps in (20, 80):

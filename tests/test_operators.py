@@ -44,11 +44,10 @@ class TestHamiltonianFromIntegrals:
         for L, t, U in ((2, 1.0, 4.0), (3, 0.7, 2.3), (4, 1.0, 0.0), (5, 0.37, 5.9),
                         (6, 1.3, 0.61)):
             basis = dimer_basis if L == 2 else dl.build_basis(2 * L, L)
-            H = dl.build_hubbard(L, t, U, basis)
+            ints = dl.hubbard_integrals(L, t, U)
+            H = dl.hamiltonian_from_integrals(ints, basis)
             direct = hamiltonian_from_terms(hubbard_terms(L, t, U), basis)
             assert np.array_equal(H.matrix, direct.matrix)
-            ints = dl.hubbard_integrals(L, t, U)
-            assert np.array_equal(H.matrix, dl.hamiltonian_from_integrals(ints, basis).matrix)
             assert np.array_equal(H.matrix,
                                   scalar_hamiltonian_from_integrals(ints, basis).matrix)
 
@@ -105,7 +104,7 @@ class TestApply:
         # one real product on the float view of X: the values of the complex
         # product, without the complex copy of H that numpy's mixed product makes
         basis = dl.build_basis(10, 5)
-        H = dl.build_hubbard(5, 1.0, 4.0, basis)
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(5, 1.0, 4.0), basis)
         rng = np.random.default_rng(0)
         X = rng.normal(size=(basis.size, *shape)) + 1j * rng.normal(size=(basis.size, *shape))
         X /= np.linalg.norm(X, axis=0)
@@ -121,7 +120,7 @@ class TestApply:
 
 class TestBuildHubbard:
     def test_tight_binding_limit(self, dimer_basis):
-        H = dl.build_hubbard(2, 1.0, 0.0, dimer_basis)
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 0.0), dimer_basis)
         assert np.linalg.eigvalsh(H.matrix)[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_analytic_ground_energy(self, dimer_H):
@@ -130,13 +129,13 @@ class TestBuildHubbard:
 
     def test_single_site(self):
         basis = dl.build_basis(2, 2)
-        H = dl.build_hubbard(1, 0.7, 3.1, basis)
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(1, 0.7, 3.1), basis)
         assert H.matrix.shape == (1, 1)
         assert H.matrix[0, 0] == pytest.approx(3.1)
 
     def test_wrong_basis(self, m6_basis):
         with pytest.raises(InvalidDimensionError):
-            dl.build_hubbard(2, 1.0, 1.0, m6_basis)
+            dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 1.0), m6_basis)
 
 
 class TestPairing:
@@ -144,7 +143,8 @@ class TestPairing:
         for levels, N, g, spacing in ((3, 2, 0.37, 1.0), (3, 2, 0.41, 0.7),
                                       (4, 4, 0.23, 1.3), (5, 4, 1.1, 0.35)):
             basis = dl.build_basis(2 * levels, N)
-            direct = dl.build_pairing(levels, g, basis, spacing=spacing)
+            direct = dl.hamiltonian_from_integrals(
+                dl.pairing_integrals(levels, g, spacing), basis)
             M = 2 * levels
             h = np.zeros((M, M), dtype=complex)
             for p in range(levels):
@@ -167,7 +167,7 @@ class TestPairing:
     def test_seniority_zero_ground(self):
         # attractive pairing keeps the ground state in the paired sector
         basis = dl.build_basis(4, 2)
-        H = dl.build_pairing(2, 0.5, basis)
+        H = dl.hamiltonian_from_integrals(dl.pairing_integrals(2, 0.5), basis)
         vals, vecs = np.linalg.eigh(H.matrix)
         gs = vecs[:, 0]
         for j, det in enumerate(basis):

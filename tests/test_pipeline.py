@@ -70,7 +70,7 @@ class TestDeskScaleCeiling:
 class TestThreeSiteChain:
     def test_full_downfold_pipeline(self):
         basis = dl.build_basis(6, 2)
-        H = dl.build_hubbard(3, 1.0, 2.0, basis)
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(3, 1.0, 2.0), basis)
         part = dl.homo_lumo_partition(6, 2, 1, 1)
         ref = part.reference()
         vals, vecs = np.linalg.eigh(H.matrix)
@@ -81,7 +81,7 @@ class TestThreeSiteChain:
 
     def test_imaginary_flow_on_chain(self):
         basis = dl.build_basis(6, 2)
-        H = dl.build_hubbard(3, 1.0, 2.0, basis)
+        H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(3, 1.0, 2.0), basis)
         part = dl.homo_lumo_partition(6, 2, 2, 2)
         ref = part.reference()
         vals, vecs = np.linalg.eigh(H.matrix)
