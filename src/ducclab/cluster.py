@@ -19,7 +19,7 @@ import numpy as np
 from .errors import IntermediateNormalizationError, SectorMismatchError
 from .fock import (Determinant, ExcitationSignature, FockBasis,
                    SpinOrbitalPartition, determinant_table, enumerate_signatures,
-                   excitation_pairs)
+                   excitation_pair_lists)
 from .operators import _inexact
 
 
@@ -66,7 +66,7 @@ class AmplitudeOperator:
             raise ValueError("the amplitude sets of a stack must share one signature list")
         t = _inexact([list(s.values()) for s in sets]).reshape(len(sets), len(sigs)).T
         keep = t.any(axis=1)
-        pairs = [excitation_pairs(sig, basis) for sig, k in zip(sigs, keep.tolist()) if k]
+        pairs = excitation_pair_lists([sig for sig, k in zip(sigs, keep.tolist()) if k], basis)
         lows, highs, phases = (np.concatenate([p[k] for p in pairs] or [np.zeros(0, int)])
                                for k in range(3))
         vals = np.repeat(t[keep], [p[0].size for p in pairs], axis=0) * phases[:, None]

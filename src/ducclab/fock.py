@@ -17,6 +17,7 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -175,7 +176,9 @@ class FockBasis:
     occupation-mask value (deterministic).
 
     ``masks`` is the tuple of occupation masks and ``mask_array`` the same
-    masks as a sorted int64 array for whole-basis (vectorised) work.
+    masks as a sorted int64 array for whole-basis (vectorised) work.  The
+    basis also holds the memo of :func:`excitation_pairs`, which so lives
+    and dies with it.
     """
 
     def __init__(self, M: int, N: int):
@@ -189,6 +192,7 @@ class FockBasis:
         self.mask_array = np.array(masks, dtype=np.int64)
         self.dets = tuple(Determinant(m, M) for m in masks)
         self._index = {m: i for i, m in enumerate(masks)}
+        self._pairs = {}
         assert len(masks) == comb(M, N)
 
     @property
@@ -258,7 +262,6 @@ def string_elements(masks: np.ndarray, annihilated: tuple[int, ...],
     return cols[jj], string, np.searchsorted(masks, new), 1.0 - 2.0 * (parity & 1)
 
 
-@lru_cache(maxsize=4096)
 def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All determinant pairs coupled by E_sig, for the whole basis at once:
@@ -266,14 +269,35 @@ def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
     elements of the one string of :func:`string_elements`; the scalar string
     algebra this vectorises is the reference in ``tests/oracles.py``.
     Memoised per ``(sig, basis)``, the basis keyed by identity; every caller
-    shares one result, so its arrays are read-only.  4096 entries hold every
-    signature of the sectors up to M=14 (3431 at M=14, N=7).
+    shares one result, so its arrays are read-only.
     """
-    lows, _, highs, phases = string_elements(
-        basis.mask_array, sig.occ, np.array([sig.virt], dtype=np.int64))
-    for arr in (lows, highs, phases):
-        arr.flags.writeable = False
-    return lows, highs, phases
+    return basis._pairs.get(sig) or excitation_pair_lists((sig,), basis)[0]
+
+
+def excitation_pair_lists(sigs: Sequence[ExcitationSignature], basis: FockBasis
+                          ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`excitation_pairs` of each signature of ``sigs``, in order, for
+    a caller that needs many at once.  The signatures not yet memoised are
+    built with one :func:`string_elements` call per annihilated tuple
+    ``occ``, their created tuples its strings: the same arrays as one call
+    per signature, at a fraction of the numpy calls.
+    """
+    memo = basis._pairs
+    todo = {}
+    for sig in sigs:
+        if sig not in memo:
+            todo.setdefault(sig.occ, {})[sig] = None
+    for occ, group in todo.items():
+        created = np.array([sig.virt for sig in group], dtype=np.int64)
+        lows, string, highs, phases = string_elements(
+            basis.mask_array, occ, created.reshape(len(group), len(occ)))
+        for i, sig in enumerate(group):
+            pick = np.flatnonzero(string == i)
+            arrays = (lows[pick], highs[pick], phases[pick])
+            for arr in arrays:
+                arr.flags.writeable = False
+            memo[sig] = arrays
+    return [memo[sig] for sig in sigs]
 
 
 class DeterminantTable:

@@ -56,7 +56,7 @@ from .errors import (CasSupportError, IntermediateNormalizationError,
                      InvalidDimensionError, OrderingViolationError)
 from .fock import (DetClass, Determinant, DeterminantTable, ExcitationSignature,
                    FockBasis, SpinOrbitalPartition, determinant_table,
-                   excitation_pairs)
+                   excitation_pair_lists, excitation_pairs)
 from .operators import exp_anti_hermitian, logm_unitary
 
 #: Coefficients with magnitude below this are treated as already eliminated.
@@ -205,7 +205,14 @@ def _run_targets(state, targets, table) -> list:
     in place; returns the rotation record, each applied rotation with its
     coupled pairs.  A target that is zero in every state is skipped.  Every
     eliminated row must stay dead: a rotation can re-grow only the rows it
-    touches, so only the dead rows among those are checked, per state."""
+    touches, so only the dead rows among those are checked, per state.
+    The pair lists of the targets live in the input are built in one batch;
+    a target that a rotation brings to life later builds its own."""
+    live = np.abs(state[[j for _, j in targets]]) > ZERO_TOL
+    if live.ndim > 1:   # a stack: live in any of its states
+        live = live.any(axis=1)
+    live_sigs = [sig for (sig, _), k in zip(targets, live.tolist()) if k]
+    batch = dict(zip(live_sigs, excitation_pair_lists(live_sigs, table.basis)))
     record = []
     dead = np.zeros(len(state), dtype=bool)
     for sig, j in targets:
@@ -213,7 +220,7 @@ def _run_targets(state, targets, table) -> list:
         dead[j] = True
         if not np.count_nonzero(step.sin):
             continue
-        pairs = excitation_pairs(sig, table.basis)
+        pairs = batch[sig] if sig in batch else excitation_pairs(sig, table.basis)
         _apply_rotation(step, pairs, state)
         record.append((step, pairs))
         touched = np.concatenate(pairs[:2])

@@ -1,9 +1,13 @@
+# ducclab first: it sets OpenBLAS's idle-thread timeout only if numpy has not
+# loaded OpenBLAS yet, so the in-process tests run under the BLAS runtime of
+# a command-line run
+import ducclab as dl
+from ducclab import cli
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-import ducclab as dl
-from ducclab import cli
 from ducclab.operators import exp_anti_hermitian
 
 # every @given test draws the examples derived from its own source, so that

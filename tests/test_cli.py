@@ -420,24 +420,103 @@ def test_cli_import_loads_no_scipy():
     assert loaded_modules("ducclab.cli", "scipy") == "[]"
 
 
+DIMER_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "hubbard_dimer.json")
+
+
+def run_fresh(code: str, *args, **env_vars) -> str:
+    """Standard output of ``code`` run with ``args`` in a fresh interpreter
+    whose environment has none of ``cli.THREAD_VARS`` and no
+    OPENBLAS_THREAD_TIMEOUT, plus ``env_vars``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in cli.THREAD_VARS and k != "OPENBLAS_THREAD_TIMEOUT"}
+    env.update(PYTHONPATH=src, **env_vars)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def run_cli_fresh(*args, before="", **env_vars) -> str:
+    """``ducclab *args`` by :func:`run_fresh`, after the statements ``before``;
+    returns the run's OPENBLAS_THREAD_TIMEOUT as it printed it."""
+    return run_fresh(
+        before + "import os, sys; from ducclab.cli import main; code = main(sys.argv[1:]); "
+        "print(os.environ.get('OPENBLAS_THREAD_TIMEOUT')); sys.exit(code)",
+        *args, **env_vars).strip()
+
+
 def test_report_versions_name_the_blas_build_and_thread_settings(tmp_path):
     # reported values move at round-off with the BLAS build and its thread
     # count; reading the build from numpy loads no scipy either
-    path = write_config(tmp_path)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
-    env = {k: v for k, v in os.environ.items() if k not in cli.THREAD_VARS}
-    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from ducclab.cli import main; code = main(['run', sys.argv[1]]); "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(code)",
-         str(path)], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = run_fresh(
+        "import sys; from ducclab.cli import main; code = main(['run', sys.argv[1]]); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(code)",
+        write_config(tmp_path), OPENBLAS_NUM_THREADS="1")
+    assert out.strip() == "[]"
     versions = read_report(tmp_path)["versions"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert versions["blas"] == f"{blas['name']} {blas['version']}"
     assert versions["thread_vars"] == {"OPENBLAS_NUM_THREADS": "1"}
     assert set(versions) == {"ducclab", "numpy", "python", "blas", "thread_vars"}
+
+
+@pytest.fixture(scope="module")
+def dimer_outputs(tmp_path_factory):
+    """(output directory, OPENBLAS_THREAD_TIMEOUT) of the dimer config run
+    by :func:`run_cli_fresh`: as ``ducclab`` sets OpenBLAS up, and with
+    numpy imported first, so that OpenBLAS keeps its own defaults."""
+    outputs = {}
+    for name, before in (("package", ""), ("numpy_first", "import numpy; ")):
+        out = tmp_path_factory.mktemp(name)
+        outputs[name] = out, run_cli_fresh("run", DIMER_PATH, "--output", out, before=before)
+    return outputs
+
+
+def test_run_sets_the_blas_thread_timeout_before_numpy(dimer_outputs):
+    assert dimer_outputs["package"][1] == str(ducclab.BLAS_THREAD_TIMEOUT)
+    assert dimer_outputs["numpy_first"][1] == "None"
+
+
+def test_blas_thread_timeout_of_the_caller_wins(tmp_path):
+    assert run_cli_fresh("run", write_config(tmp_path), OPENBLAS_THREAD_TIMEOUT="20") == "20"
+
+
+def test_import_after_numpy_leaves_the_environment_untouched():
+    # OpenBLAS read its settings when numpy loaded it: a variable set now
+    # would change nothing but what the environment claims
+    out = run_fresh("import os, numpy; before = dict(os.environ); import ducclab; "
+                    "print(dict(os.environ) == before, 'OPENBLAS_THREAD_TIMEOUT' in os.environ)")
+    assert out.split() == ["True", "False"]
+
+
+def test_blas_thread_timeout_moves_no_result(dimer_outputs):
+    # the timeout changes when idle helper threads sleep, not how a kernel
+    # splits its work: every report value and artifact is the same.  The
+    # report does not record the timeout, so the two reports are equal but
+    # for their time stamps
+    (package, _), (numpy_first, _) = dimer_outputs["package"], dimer_outputs["numpy_first"]
+    names = sorted(os.listdir(package))
+    assert names == sorted(os.listdir(numpy_first)) and "report.json" in names
+    reports = [json.loads((out / "report.json").read_text()) for out in (package, numpy_first)]
+    assert reports[0]["versions"]["thread_vars"] == {}
+    for report in reports:
+        del report["generated_at"]
+    assert reports[0] == reports[1]
+    for name in names:
+        if name != "report.json":
+            assert (package / name).read_bytes() == (numpy_first / name).read_bytes(), name
+
+
+def test_suite_runs_under_a_blas_thread_timeout():
+    # conftest imports ducclab before numpy, so the in-process tests run
+    # under the OpenBLAS settings of a command-line run
+    assert "OPENBLAS_THREAD_TIMEOUT" in os.environ
+
+
+def test_suite_turns_complex_warnings_into_errors():
+    # the message filter of pyproject.toml: a filter by numpy's warning
+    # class would import numpy before conftest imports ducclab
+    with pytest.raises(np.exceptions.ComplexWarning):
+        np.array([1j]).astype(float)
 
 
 SCIPY_LINALG_IMPORTERS = """

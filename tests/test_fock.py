@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import ducclab as dl
 from ducclab.errors import InvalidDimensionError, SectorMismatchError
 
+from conftest import count_calls
 from oracles import (apply_deexcitation, apply_excitation, classify_determinant,
                      signature_between)
 
@@ -287,8 +288,9 @@ class TestDeterminantTable:
         for sig, table in zip(sigs, first):
             again = dl.excitation_pairs(dl.ExcitationSignature(sig.occ, sig.virt), m8_basis)
             assert all(a is b for a, b in zip(again, table))
-            fresh = dl.excitation_pairs.__wrapped__(sig, m8_basis)
-            for cached, computed in zip(table, fresh):
+            lows, _, highs, phases = dl.fock.string_elements(
+                m8_basis.mask_array, sig.occ, np.array([sig.virt], dtype=np.int64))
+            for cached, computed in zip(table, (lows, highs, phases)):
                 assert np.array_equal(cached, computed) and cached.dtype == computed.dtype
                 assert not cached.flags.writeable
                 with pytest.raises(ValueError):
@@ -296,3 +298,29 @@ class TestDeterminantTable:
         # a new basis object is a new key: no table leaks across bases
         other = dl.build_basis(8, 4)
         assert dl.excitation_pairs(sigs[1], other)[0] is not first[1][0]
+
+    @pytest.mark.parametrize("M,N", [(4, 2), (8, 4), (9, 3), (10, 5)])
+    def test_pair_lists_batch_per_annihilated_tuple(self, M, N, monkeypatch):
+        basis = dl.build_basis(M, N)
+        ref = _interleaved_reference(M, N) if M % 2 else dl.aufbau_reference(M, N)
+        sigs = list(dl.enumerate_signatures(ref, include_identity=True))[::-1]
+        # one string_elements call per signature, as excitation_pairs was built
+        expected = [dl.fock.string_elements(basis.mask_array, sig.occ,
+                                            np.array([sig.virt], dtype=np.int64))
+                    for sig in sigs]
+        calls = {}
+        count_calls(monkeypatch, dl.fock, "string_elements", calls,
+                    key=lambda masks, occ, created: occ)
+        batched = dl.fock.excitation_pair_lists(sigs + sigs[:3], basis)
+        assert calls == {sig.occ: 1 for sig in sigs}
+        for sig, arrays, (lows, _, highs, phases) in zip(sigs, batched, expected):
+            for got, want in zip(arrays, (lows, highs, phases)):
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+                assert not got.flags.writeable
+            # shared with excitation_pairs, and by a repeat within the batch
+            assert all(a is b for a, b in zip(dl.excitation_pairs(sig, basis), arrays))
+        assert all(a is b for a, b in zip(batched[-3:], batched[:3]))
+        # memoised signatures cost no further call
+        again = dl.fock.excitation_pair_lists(sigs, basis)
+        assert all(a is b for a, b in zip(again, batched))
+        assert calls == {sig.occ: 1 for sig in sigs}

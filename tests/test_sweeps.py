@@ -370,6 +370,28 @@ class TestDecomposeState:
         assert res.residual < 1e-12
         assert calls["eigh"] == calls["eigh_in_logm"] > 0
 
+    def test_builds_the_pair_lists_of_the_rotations_it_applies(self, m8_ref, m8_part,
+                                                                monkeypatch):
+        # a state on the determinants with the reference's electron count in
+        # the even orbitals: every rotation keeps that count, so the targets
+        # off the sector stay zero and their pair lists are never built
+        basis = dl.build_basis(8, 4)   # a new basis: an empty pair memo
+        even = sum(1 << p for p in range(0, 8, 2))
+        count = np.bitwise_count(basis.mask_array & even)
+        psi = random_state(basis, np.random.default_rng(13), ref=m8_ref)
+        psi[count != (m8_ref.occupation & even).bit_count()] = 0.0
+        apply, applied = sweeps._apply_rotation, set()
+
+        def recording(step, pairs, arr, inverse=False):
+            applied.add(step.signature)
+            return apply(step, pairs, arr, inverse)
+        monkeypatch.setattr(sweeps, "_apply_rotation", recording)
+        res = dl.decompose_state(psi, m8_ref, m8_part, basis)
+        assert res.residual < 1e-12
+        targets = sum(sweep_targets(dl.determinant_table(basis, m8_ref), m8_part), ())
+        assert len(applied) == res.rotations < len(targets)
+        assert set(basis._pairs) == applied
+
     def test_reported_defects_are_those_of_the_omegas(self, m8_basis, m8_ref, m8_part,
                                                       monkeypatch):
         logm, adjoints = sweeps.logm_unitary, []
