@@ -29,12 +29,10 @@ BLAS_THREAD_TIMEOUT = 24
 if "numpy" not in _sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in _os.environ:
     _os.environ["OPENBLAS_THREAD_TIMEOUT"] = str(BLAS_THREAD_TIMEOUT)
 
-from .cluster import (AmplitudeOperator, Amplitudes, cluster_analyze, excitation_matrix,
-                      exp_nilpotent, random_amplitudes, sigma_lowest_order,
-                      split_amplitudes)
+from .cluster import (AmplitudeOperator, cluster_analyze, exp_nilpotent, random_amplitudes,
+                      sigma_lowest_order, split_amplitudes)
 from .downfold import (EffectiveHamiltonian, cas_eigensolve, downfold_ducc,
-                       downfold_sescc, ducc_projection, effective_matrix_dump,
-                       effective_to_dict, match_root)
+                       downfold_sescc, ducc_projection, effective_to_dict, match_root)
 from .dynamics import (QuenchStudy, downfolded_quench, evaluate_lagrangians,
                        evaluate_sescc_lagrangian, propagate_full, propagate_internal,
                        sigma_dot_grid)
@@ -46,8 +44,7 @@ from .errors import (BranchCutError, CasSupportError, ConfigError,
                      OrderingViolationError, SectorMismatchError)
 from .fock import (Determinant, DetClass, DeterminantTable, ExcitationSignature,
                    FockBasis, SpinOrbitalPartition, aufbau_reference, build_basis,
-                   determinant_table, enumerate_signatures, excitation_pairs,
-                   homo_lumo_partition)
+                   determinant_table, homo_lumo_partition)
 from .imagtime import (FlowResult, ImaginaryFlowState, imaginary_evolve,
                        imaginary_step, initial_flow_state)
 from .operators import (IntegralSet, QOperator, direct_sum_blocks,

@@ -34,14 +34,14 @@ from . import __version__
 from .cluster import (AmplitudeOperator, cluster_analyze, exp_nilpotent, random_amplitudes,
                       sigma_lowest_order, split_amplitudes)
 from .downfold import (EffectiveHamiltonian, downfold_ducc, downfold_sescc, ducc_projection,
-                       effective_matrix_dump, effective_to_dict, match_root, unit_columns)
+                       effective_to_dict, match_root, unit_columns)
 from .dynamics import downfolded_quench, evaluate_lagrangians, evaluate_sescc_lagrangian
 from .ecc import (EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms,
                   x_int_ext_bch)
 from .errors import (ConfigError, DuccLabError, IntermediateNormalizationError,
                      OperatorPropertyError)
-from .fock import (DetClass, SpinOrbitalPartition, aufbau_reference, build_basis,
-                   determinant_table, homo_lumo_partition)
+from .fock import (DetClass, DeterminantTable, SpinOrbitalPartition, aufbau_reference,
+                   build_basis, determinant_table, homo_lumo_partition)
 from .imagtime import imaginary_evolve
 from .operators import (IntegralSet, QOperator, exp_anti_hermitian, hamiltonian_from_integrals,
                         hubbard_integrals, pairing_integrals, read_fcidump)
@@ -96,12 +96,13 @@ def _check_ground_gap(vals: np.ndarray, what: str = "ground"):
 class RunContext:
     """Everything a task needs: system, partition, reference, seed.
 
-    The ground-state stages (FCI eigenpairs, cluster amplitudes, sweep
-    decomposition, its replayed CAS columns, DUCC Hamiltonian) are
-    deterministic functions of the system, so each is a cached property,
-    computed once per run and shared by every task; a stage that raises is
-    not cached.  The stages past ``amplitudes`` read ``part``, which
-    :func:`build_context` requires of every task that reaches them.
+    The determinant table of ``(basis, ref)`` and the ground-state stages
+    (FCI eigenpairs, cluster amplitudes, sweep decomposition, its replayed
+    CAS columns, DUCC Hamiltonian) are deterministic functions of the
+    system, so each is a cached property, computed once per run and shared
+    by every task; a stage that raises is not cached.  The stages past
+    ``amplitudes`` read ``part``, which :func:`build_context` requires of
+    every task that reaches them.
     """
 
     config: dict
@@ -146,7 +147,11 @@ class RunContext:
         return psi0
 
     @cached_property
-    def amplitudes(self):
+    def table(self) -> DeterminantTable:
+        return determinant_table(self.basis, self.ref)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
         return cluster_analyze(self.ground_vector(), self.ref, self.basis)
 
     @cached_property
@@ -158,7 +163,7 @@ class RunContext:
         """CAS indices, and the CAS columns of e^{sigma_ext}: the sweep's
         record replayed on the CAS unit columns, in the swept state's dtype."""
         sweep = self.sweep
-        cas = determinant_table(self.basis, self.ref).cas(self.part)
+        cas = self.table.cas(self.part)
         return cas, replay(sweep.record, unit_columns(self.basis.size, cas, sweep.psi_act.dtype))
 
     @cached_property
@@ -413,7 +418,7 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     vals, _ = ctx.ground_state
     psi = ctx.ground_vector()
     amps = ctx.amplitudes
-    T = AmplitudeOperator(amps, ctx.basis)
+    T = AmplitudeOperator(amps, ctx.table)
     e_ref = ctx.basis.unit_vector(ctx.basis.index_of(ctx.ref))
     recon = exp_nilpotent(T, e_ref, ctx.basis)
     c0 = psi[ctx.basis.index_of(ctx.ref)]
@@ -426,19 +431,19 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
         "roundtrip_residual": roundtrip,
         "cc_residual": residual,
         "energy_deviation": abs(energy.real - float(vals[0])),
-        "amplitude_count": len(amps),
-        "max_rank": max((sig.rank for sig in amps), default=0),
+        "amplitude_count": int(np.count_nonzero(amps)),
+        "max_rank": int(ctx.table.ranks[amps != 0].max(initial=0)),
     }
     if ctx.part is not None:
-        t_int, t_ext = split_amplitudes(amps, ctx.part)
-        results["internal_count"] = len(t_int)
-        results["external_count"] = len(t_ext)
+        t_int, t_ext = split_amplitudes(amps, ctx.table, ctx.part)
+        results["internal_count"] = int(np.count_nonzero(t_int))
+        results["external_count"] = int(np.count_nonzero(t_ext))
     return results, {}
 
 
 def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     res = ctx.sweep
-    external = determinant_table(ctx.basis, ctx.ref).classes(ctx.part) == DetClass.EXTERNAL
+    external = ctx.table.classes(ctx.part) == DetClass.EXTERNAL
     cas, R = ctx.cas_columns
     series = exp_anti_hermitian(res.sigma_ext, unit_columns(ctx.basis.size, cas, float))
     return {
@@ -457,7 +462,7 @@ def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     vals, _ = ctx.ground_state
     e_fci = float(vals[0])
 
-    _, t_ext = split_amplitudes(ctx.amplitudes, part)
+    _, t_ext = split_amplitudes(ctx.amplitudes, ctx.table, part)
     heff_s = downfold_sescc(ctx.H, t_ext, ctx.ref, part)
     # on the CAS rows psi / c0 is e^{T_int}|ref>: no external excitation
     # string lands there; the root match and the overlap normalise
@@ -476,7 +481,7 @@ def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     # the lowest-order energy is an estimate, not an exactness claim: one it
     # cannot form is a null with the reason, and the exact results stand
     try:
-        sigma_low = sigma_lowest_order(t_ext, ctx.basis)
+        sigma_low = sigma_lowest_order(t_ext, ctx.table)
         heff_low = downfold_ducc(ctx.H, sigma_low, ctx.ref, part, source="ducc-lowest-order")
         lvals, _ = heff_low.eigensystem()
         lowest = {"ducc_lowest_order_delta_e": abs(float(lvals[0]) - e_fci)}
@@ -493,8 +498,7 @@ def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, dict]:
         **lowest,
         "sweep_residual": sweep.residual,
     }, {"heff_sescc.json": _effective_json(heff_s, part),
-        "heff_ducc.json": _effective_json(heff_d, part),
-        "heff_ducc.dump": effective_matrix_dump(heff_d)}
+        "heff_ducc.json": _effective_json(heff_d, part)}
 
 
 def _initial_state(ctx: RunContext, kind: str) -> np.ndarray:
@@ -567,9 +571,10 @@ def _ecc_stack_deviations(ctx: RunContext, rng: np.random.Generator, first: int,
     and check them as one stack: per configuration |v1 - v2|, |w1 - w2|, the
     action deviation and max|direct - series| of its BCH check.  Raises on
     the first configuration whose routes deviate beyond ECC_IDENTITY_RTOL."""
-    draws = [{name: random_amplitudes(ctx.ref, rng, ctx.part, kind, scale)
+    draws = [{name: random_amplitudes(ctx.table, rng, ctx.part, kind, scale)
               for name, kind in ECC_KINDS.items()} for _ in range(width)]
-    m = EccMatrices.build(ctx.basis, **{name: [d[name] for d in draws] for name in ECC_KINDS})
+    m = EccMatrices.build(ctx.table, **{name: np.stack([d[name] for d in draws], axis=1)
+                                        for name in ECC_KINDS})
     del draws
     deviations = []
     forms = zip(*eval_ldt_forms(m, ctx.ref), *eval_lh_forms(m, ctx.H, ctx.ref))
@@ -619,8 +624,8 @@ def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
     rng = ctx.rng("verify-all")
     # arguments are drawn left to right: internal, external, internal, ...
-    amps = lambda kind: random_amplitudes(ctx.ref, rng, ctx.part, kind, 0.1)
-    sigma = lambda kind: sigma_lowest_order(amps(kind), ctx.basis)
+    amps = lambda kind: random_amplitudes(ctx.table, rng, ctx.part, kind, 0.1)
+    sigma = lambda kind: sigma_lowest_order(amps(kind), ctx.table)
     la, lb, lc = evaluate_lagrangians(ctx.H, sigma("internal"), sigma("external"),
                                       sigma("internal"), sigma("external"), ctx.ref, ctx.part)
     f1, f2 = evaluate_sescc_lagrangian(

@@ -1,46 +1,40 @@
 """Cluster amplitudes: extraction from exact states, internal/external
 splitting, lowest-order anti-Hermitian generators, random amplitude sets.
 
-An amplitude set, or a stack of sets over one signature list, acts as an
-:class:`AmplitudeOperator`, from the flat list of the determinant pairs
-that its signatures couple, on vectors and on ``(dim, B)`` blocks; its
-exponential acts by the terminating series of :func:`exp_nilpotent`.
-:func:`excitation_matrix` forms the dense matrix only where the matrix
-itself is the object: the lowest-order generator T - T+.
+An amplitude set is an array over the rows of a
+:class:`ducclab.fock.DeterminantTable`: ``(dim,)``, or ``(dim, B)`` for a
+stack of B sets, row j holding the amplitude of row j's signature and the
+reference row that of the identity, which is zero in every set the lab
+builds.  Excitation sets (T and its internal/external parts) and
+de-excitation sets (Lambda, X) alike; the latter act in adjoint form
+(:attr:`AmplitudeOperator.T`).  A set or a stack acts as an
+:class:`AmplitudeOperator`, from the table's pair list, on vectors and on
+``(dim, B)`` blocks; its exponential acts by the terminating series of
+:func:`exp_nilpotent`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from functools import cached_property, lru_cache
+from collections.abc import Callable
+from functools import cached_property
 
 import numpy as np
 
 from .errors import IntermediateNormalizationError, SectorMismatchError
-from .fock import (Determinant, ExcitationSignature, FockBasis,
-                   SpinOrbitalPartition, determinant_table, enumerate_signatures,
-                   excitation_pair_lists)
+from .fock import (DetClass, Determinant, DeterminantTable, FockBasis,
+                   SpinOrbitalPartition, determinant_table)
 from .operators import _inexact
 
 
-#: a cluster amplitude set: excitation signature -> real or complex amplitude.
-#: Excitation sets (T and its internal/external parts) and de-excitation sets
-#: (Lambda, X), the latter applied in adjoint form (:attr:`AmplitudeOperator.T`).
-Amplitudes = dict[ExcitationSignature, complex]
-
-
 class AmplitudeOperator:
-    """sum_sig t_sig E_sig of an amplitude set over a basis, applied from its
-    pairs of determinants, never as a dense matrix; or of a stack of B sets
-    over one signature list, which share that list.
+    """sum_j t_j E_j of an amplitude array ``t`` over the rows of ``table``,
+    E_j the excitation of row j's signature, applied from the table's pair
+    list, never as a dense matrix; or of a ``(dim, B)`` stack of B sets.
 
-    ``amps`` is one set (a dict) or a sequence of B sets with the same
-    signatures in the same order.  The pairs are the memoised
-    :func:`ducclab.fock.excitation_pairs` of the signatures with a nonzero
-    amplitude in some set, each weighted by ``t_sig * phase``.
-    Within one signature no low and no high repeats, and a pair fixes its
-    signature, so no pair repeats across signatures either.  ``lows``,
-    ``highs`` and ``vals`` hold them concatenated and sorted by high;
+    The pairs are those of :attr:`ducclab.fock.DeterminantTable.pair_list`
+    whose row has a nonzero amplitude in some set, in the list's order, each
+    weighted by ``t_j * phase``.  A pair fixes its row, so no pair repeats.
+    ``lows``, ``highs`` and ``vals`` hold them sorted by high, stably;
     ``vals`` is ``(npairs,)`` for one set and ``(npairs, B)`` for a stack,
     whose ``width`` is B (``None`` for one set).  Negation and a set of a
     stack share these arrays.
@@ -50,7 +44,7 @@ class AmplitudeOperator:
     One set acts on a vector, or on a block column by column; a stack acts
     on a ``(dim, B)`` block, set b on column b, all columns in one pass.
     ``op[b]`` is set b alone, on the stack's pair list.
-    ``op.T`` is the de-excitation form sum_sig t_sig (E_sig)^T, coefficients
+    ``op.T`` is the de-excitation form sum_j t_j (E_j)^T, coefficients
     not conjugated (the phases are real), and ``-op`` the negated operator;
     each is built once and cached.  Neither links back to ``op``: a
     reference cycle would keep every operator of a loop alive until the
@@ -59,20 +53,16 @@ class AmplitudeOperator:
 
     __array_ufunc__ = None     # no ``X @ op``: numpy defers, and Python raises
 
-    def __init__(self, amps: Amplitudes | Sequence[Amplitudes], basis: FockBasis):
-        sets = [amps] if isinstance(amps, dict) else list(amps)
-        sigs = list(sets[0]) if sets else None
-        if sigs is None or any(list(s) != sigs for s in sets[1:]):
-            raise ValueError("the amplitude sets of a stack must share one signature list")
-        t = _inexact([list(s.values()) for s in sets]).reshape(len(sets), len(sigs)).T
-        keep = t.any(axis=1)
-        pairs = excitation_pair_lists([sig for sig, k in zip(sigs, keep.tolist()) if k], basis)
-        lows, highs, phases = (np.concatenate([p[k] for p in pairs] or [np.zeros(0, int)])
-                               for k in range(3))
-        vals = np.repeat(t[keep], [p[0].size for p in pairs], axis=0) * phases[:, None]
-        width = None if isinstance(amps, dict) else len(sets)
-        self._set(basis.size, t.dtype, width, lows, highs,
-                  vals if width is not None else vals[:, 0], 1)
+    def __init__(self, t: np.ndarray, table: DeterminantTable):
+        t = _inexact(t)
+        if t.ndim not in (1, 2) or len(t) != table.basis.size:
+            raise ValueError(f"an amplitude array over {table.basis.size} table rows is "
+                             f"(dim,) or (dim, B), not {t.shape}")
+        rows, lows, highs, phases = table.pair_list
+        keep = np.flatnonzero(t.reshape(len(t), -1).any(axis=1)[rows])
+        weights = phases[keep] if t.ndim == 1 else phases[keep, None]
+        self._set(len(t), t.dtype, t.shape[1] if t.ndim == 2 else None, lows[keep],
+                  highs[keep], t[rows[keep]] * weights, 1)
 
     def _set(self, size: int, dtype: np.dtype, width: int | None, lows: np.ndarray,
              highs: np.ndarray, vals: np.ndarray, sign: int) -> None:
@@ -142,13 +132,6 @@ class AmplitudeOperator:
         return mat
 
 
-def excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
-    """Matrix of sum_sig t_sig E_sig over the basis (rank 0 contributes the
-    identity), float64 unless an amplitude is complex: the dense form of
-    :class:`AmplitudeOperator`, for where the matrix itself is the object."""
-    return AmplitudeOperator(amps, basis).toarray()
-
-
 def exp_nilpotent(T: np.ndarray | AmplitudeOperator | Callable[[np.ndarray], np.ndarray],
                   V: np.ndarray, basis: FockBasis, rtol: float = 0.0) -> np.ndarray:
     """e^T V as the terminating series sum_n T^n V / n!.
@@ -167,9 +150,9 @@ def exp_nilpotent(T: np.ndarray | AmplitudeOperator | Callable[[np.ndarray], np.
     most ``rtol`` times that of the partial sum, and that of each column of
     a ``(dim, B)`` block at its own such term: a column that has ended
     takes no further terms.  Raises ArithmeticError if the series has not
-    ended by n = ladder + 1, e.g. for an amplitude set holding the rank-0
-    (identity) signature.  The result has the dtype of ``T @ V`` (of its
-    terms for a map).
+    ended by n = ladder + 1, e.g. for an amplitude set with a nonzero
+    reference-row (identity) amplitude.  The result has the dtype of
+    ``T @ V`` (of its terms for a map).
     """
     apply = T if callable(T) else T.__matmul__
     ladder = min(basis.N, basis.M - basis.N)
@@ -196,8 +179,9 @@ def exp_nilpotent(T: np.ndarray | AmplitudeOperator | Callable[[np.ndarray], np.
 C0_TOL = 1e-12
 
 
-def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Amplitudes:
-    """Extract T with e^T |ref> = psi / <ref|psi> exactly.
+def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> np.ndarray:
+    """Extract T with e^T |ref> = psi / <ref|psi> exactly, as an amplitude
+    array over the rows of ``determinant_table(basis, ref)``.
 
     Rank-by-rank recursion: the coefficient of a rank-k determinant in
     e^T|ref> is the rank-k amplitude (times a phase) plus disconnected
@@ -218,66 +202,54 @@ def cluster_analyze(psi: np.ndarray, ref: Determinant, basis: FockBasis) -> Ampl
             f"reference coefficient {abs(c0):.3e} below {C0_TOL:.0e}")
     c = np.asarray(psi) / c0
     low = basis.unit_vector(table.ref_index)   # e^{T_1 + .. + T_{k-1}} |ref>
-
-    entries: Amplitudes = {}
-    ranks = table.ranks[table.order]
+    t = np.zeros(basis.size, np.result_type(c, low))
     top = min(ref.N, ref.M - ref.N)
     for k in range(1, top + 1):
-        rows = table.order[ranks == k]
-        amps = (c[rows] - low[rows]) / table.phases[rows]
-        rank_k = {table.signatures[j]: t for j, t in zip(rows.tolist(), amps.tolist())
-                  if t != 0}
-        entries.update(rank_k)
-        if rank_k and k < top:
-            low = exp_nilpotent(AmplitudeOperator(rank_k, basis), low, basis)
-    return entries
+        t_k = np.where(table.ranks == k, (c - low) / table.phases, 0)
+        t += t_k
+        if k < top and t_k.any():
+            low = exp_nilpotent(AmplitudeOperator(t_k, table), low, basis)
+    return t
 
 
-def split_amplitudes(T: Amplitudes, part: SpinOrbitalPartition
-                     ) -> tuple[Amplitudes, Amplitudes]:
-    """Internal part (all indices active) and external remainder; their
-    union reproduces T exactly."""
-    t_int, t_ext = {}, {}
-    for sig, t in T.items():
-        (t_int if part.is_internal_signature(sig) else t_ext)[sig] = t
-    return t_int, t_ext
+def split_amplitudes(t: np.ndarray, table: DeterminantTable, part: SpinOrbitalPartition
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Internal part (every index active; the reference row's identity
+    counts as internal) and external remainder of an amplitude array or
+    stack; their sum reproduces ``t`` exactly."""
+    external = table.classes(part) == DetClass.EXTERNAL
+    external = external.reshape(external.shape + (1,) * (np.ndim(t) - 1))
+    return np.where(external, 0, t), np.where(external, t, 0)
 
 
-def sigma_lowest_order(tpart: Amplitudes, basis: FockBasis) -> np.ndarray:
-    """Lowest-order anti-Hermitian generator T - T+."""
-    m = excitation_matrix(tpart, basis)
+def sigma_lowest_order(t: np.ndarray, table: DeterminantTable) -> np.ndarray:
+    """Lowest-order anti-Hermitian generator T - T+, as a dense matrix."""
+    m = AmplitudeOperator(t, table).toarray()
     return m - m.conj().T
 
 
-@lru_cache(maxsize=64)
-def _amplitude_signatures(ref: Determinant, part: SpinOrbitalPartition | None,
-                          kind: str, max_rank: int | None
-                          ) -> tuple[ExcitationSignature, ...]:
-    """The signatures of :func:`enumerate_signatures` that ``kind`` keeps,
-    in its order."""
-    sigs = enumerate_signatures(ref, max_rank=max_rank)
-    if kind == "any":
-        return tuple(sigs)
-    internal = kind == "internal"
-    return tuple(sig for sig in sigs if part.is_internal_signature(sig) == internal)
-
-
-def random_amplitudes(ref: Determinant, rng: np.random.Generator,
+def random_amplitudes(table: DeterminantTable, rng: np.random.Generator,
                       part: SpinOrbitalPartition | None = None,
                       kind: str = "any", scale: float = 0.1,
                       max_rank: int | None = None,
-                      real: bool = False) -> Amplitudes:
-    """Random amplitude set for property tests and verification batteries.
+                      real: bool = False) -> np.ndarray:
+    """Random amplitude array for property tests and verification batteries.
 
     kind: 'any', 'internal' or 'external' (the latter two need ``part``).
     Magnitudes are uniform in [-scale, scale] per quadrature component,
-    drawn signature by signature (real part, then imaginary part) in
-    :func:`enumerate_signatures` order; a ``real`` set draws only the real
-    parts and holds floats.
+    drawn row by row (real part, then imaginary part) in the table's
+    ``order``, the identity excluded and every other row of rank at most
+    ``max_rank`` kept; a ``real`` set draws only the real parts and holds
+    floats.  The rows not drawn hold zero.
     """
     if kind not in ("any", "internal", "external"):
         raise ValueError(f"unknown amplitude kind {kind!r}")
-    sigs = _amplitude_signatures(ref, part, kind, max_rank)
-    draws = rng.uniform(-scale, scale, size=(len(sigs), 1 if real else 2))
-    vals = draws[:, 0] if real else draws[:, 0] + 1j * draws[:, 1]
-    return dict(zip(sigs, vals.tolist()))
+    rows = table.order[1:]   # the identity comes first
+    if max_rank is not None:
+        rows = rows[table.ranks[rows] <= max_rank]
+    if kind != "any":
+        rows = rows[(table.classes(part)[rows] == DetClass.INTERNAL) == (kind == "internal")]
+    draws = rng.uniform(-scale, scale, size=(len(rows), 1 if real else 2))
+    t = np.zeros(table.basis.size, float if real else complex)
+    t[rows] = draws[:, 0] if real else draws[:, 0] + 1j * draws[:, 1]
+    return t

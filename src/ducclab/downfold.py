@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Amplitudes, AmplitudeOperator, exp_nilpotent
+from .cluster import AmplitudeOperator, exp_nilpotent
 from .errors import OperatorPropertyError
-from .fock import Determinant, FockBasis, SpinOrbitalPartition, determinant_table
+from .fock import DetClass, Determinant, FockBasis, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, exp_anti_hermitian
 
 
@@ -69,18 +69,22 @@ def ducc_projection(H: QOperator, R: np.ndarray,
     return 0.5 * (sub + sub.conj().T)
 
 
-def downfold_sescc(H: QOperator, t_ext: Amplitudes, ref: Determinant,
+def downfold_sescc(H: QOperator, t_ext: np.ndarray, ref: Determinant,
                    part: SpinOrbitalPartition) -> EffectiveHamiltonian:
-    """(P+Q_int) e^{-T_ext} H e^{T_ext} (P+Q_int) on the CAS sub-basis.
+    """(P+Q_int) e^{-T_ext} H e^{T_ext} (P+Q_int) on the CAS sub-basis, for
+    the amplitude array ``t_ext`` over the rows of the ``(basis, ref)``
+    table.
 
-    Generally non-Hermitian; raises if the amplitude set contains an
-    internal signature.
+    Generally non-Hermitian; raises if ``t_ext`` holds a nonzero amplitude
+    on an internal or the reference row.
     """
-    for sig in t_ext:
-        if part.is_internal_signature(sig):
-            raise OperatorPropertyError(f"internal signature {sig} in external amplitude set")
-    cas = determinant_table(H.basis, ref).cas(part)
-    T = AmplitudeOperator(t_ext, H.basis)
+    table = determinant_table(H.basis, ref)
+    inside = np.flatnonzero((table.classes(part) != DetClass.EXTERNAL) & (t_ext != 0))
+    if inside.size:
+        raise OperatorPropertyError(f"internal signature {table.signatures[inside[0]]} "
+                                    "in external amplitude set")
+    cas = table.cas(part)
+    T = AmplitudeOperator(t_ext, table)
     cols = unit_columns(H.basis.size, cas, float)
     # e^{T}[:, cas] and e^{-T}[cas, :] = (e^{-T^T}[:, cas])^T: CAS columns only
     right = exp_nilpotent(T, cols, H.basis)
@@ -153,21 +157,3 @@ def effective_to_dict(heff: EffectiveHamiltonian,
             "virt_inactive": list(part.virt_inactive),
         }
     return out
-
-
-def effective_matrix_dump(heff: EffectiveHamiltonian) -> str:
-    """FCIDUMP-like plain-text matrix dump with a basis listing.
-
-    Header line, one line per CAS determinant, then 1-based
-    ``re im i j`` entries for the nonzero matrix elements.
-    """
-    lines = [f"&HEFF DIM={heff.dim} SOURCE={heff.source} "
-             f"HERMITIAN={int(heff.hermitian)} M={heff.basis.M} N={heff.basis.N} &END"]
-    for rank, j in enumerate(heff.cas):
-        lines.append(f"DET {rank + 1} {heff.basis.determinant(int(j)).bitstring()}")
-    for i in range(heff.dim):
-        for j in range(heff.dim):
-            z = heff.matrix[i, j]
-            if z != 0:
-                lines.append(f"{z.real:.17g} {z.imag:.17g} {i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cluster import Amplitudes
 from .downfold import ducc_projection, unit_columns
 from .ecc import EccMatrices
 from .errors import DuccLabError, NormDriftError, OperatorPropertyError
@@ -257,9 +256,9 @@ def evaluate_lagrangians(H: QOperator, sigma_int: np.ndarray, sigma_ext: np.ndar
     return complex(l_a), complex(l_b), complex(l_c)
 
 
-def evaluate_sescc_lagrangian(H: QOperator, t_int: Amplitudes, t_ext: Amplitudes,
-                              lam_int: Amplitudes, lam_ext: Amplitudes,
-                              dt_int: Amplitudes, dt_ext: Amplitudes,
+def evaluate_sescc_lagrangian(H: QOperator, t_int: np.ndarray, t_ext: np.ndarray,
+                              lam_int: np.ndarray, lam_ext: np.ndarray,
+                              dt_int: np.ndarray, dt_ext: np.ndarray,
                               ref: Determinant) -> tuple[complex, complex]:
     """Two assembly routes of the bi-variational Lagrangian with the bra
     <ref|(1 + Lambda) e^{-T}.
@@ -267,12 +266,13 @@ def evaluate_sescc_lagrangian(H: QOperator, t_int: Amplitudes, t_ext: Amplitudes
     form1 evaluates the single expression directly; form2 evaluates the
     split into an internal block and an external-coupling block.  Equality
     is a pure operator identity (excitation operators commute and external
-    excitations leave the active block).  The six sets are those of
+    excitations leave the active block).  The six amplitude arrays over the
+    rows of the ``(basis, ref)`` table are those of
     :meth:`ducclab.ecc.EccMatrices.build`, Lambda in the de-excitation
     slots, and every exponential acts on vectors (:meth:`EccMatrices.exp`).
     """
-    m = EccMatrices.build(H.basis, t_int=t_int, t_ext=t_ext, x_int=lam_int, x_ext=lam_ext,
-                          dt_int=dt_int, dt_ext=dt_ext)
+    m = EccMatrices.build(determinant_table(H.basis, ref), t_int=t_int, t_ext=t_ext,
+                          x_int=lam_int, x_ext=lam_ext, dt_int=dt_int, dt_ext=dt_ext)
     phi = H.basis.unit_vector(ref)
     ket_i = m.exp(m.Ti, phi)                     # e^{T_int} |ref>
     ket = m.exp(m.Te, ket_i)

@@ -9,10 +9,10 @@ restrictions are never taken in isolation: the similarity-transformed
 operators are applied as full products, which agree inside the bracketed
 expectation values.
 
-Every amplitude set acts as an :class:`ducclab.cluster.AmplitudeOperator`,
-from its pairs of determinants; B configurations over one signature list
-stack into operators of width B, which act on ``(dim, B)`` blocks, one
-configuration per column.  Every bracket <ref| ... |ref> is a chain of
+Every amplitude array acts as an :class:`ducclab.cluster.AmplitudeOperator`,
+from its table's pairs of determinants; a ``(dim, B)`` stack of B
+configurations gives operators of width B, which act on ``(dim, B)`` blocks,
+one configuration per column.  Every bracket <ref| ... |ref> is a chain of
 operator-vector products, one bracket per column of a stack, and no
 ``dim x dim`` exponential is formed.  A ket factor e^{A} is applied by the
 terminating series of :func:`exp_nilpotent`; a bra factor <ref| e^{A} is
@@ -28,22 +28,19 @@ occupation, where T_int lives, and forms no ``dim x dim`` product.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import Amplitudes, AmplitudeOperator, exp_nilpotent
+from .cluster import AmplitudeOperator, exp_nilpotent
 from .errors import OperatorPropertyError
-from .fock import Determinant, FockBasis, SpinOrbitalPartition, inactive_classes
+from .fock import (Determinant, DeterminantTable, FockBasis, SpinOrbitalPartition,
+                   inactive_classes)
 from .operators import QOperator
 
 #: relative size of the first dropped term of the e^{+-X^int_ext} series,
 #: which is nilpotent only up to round-off
 X_INT_EXT_RTOL = 1e-14
-
-#: the amplitudes of :meth:`EccMatrices.build`: one set, or one per configuration
-AmplitudeSets = Amplitudes | Sequence[Amplitudes]
 
 
 def _bracket(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -71,16 +68,16 @@ class EccMatrices:
     basis: FockBasis
 
     @classmethod
-    def build(cls, basis: FockBasis, *, t_int: AmplitudeSets, t_ext: AmplitudeSets,
-              x_int: AmplitudeSets, x_ext: AmplitudeSets, dt_int: AmplitudeSets,
-              dt_ext: AmplitudeSets) -> "EccMatrices":
+    def build(cls, table: DeterminantTable, *, t_int: np.ndarray, t_ext: np.ndarray,
+              x_int: np.ndarray, x_ext: np.ndarray, dt_int: np.ndarray,
+              dt_ext: np.ndarray) -> "EccMatrices":
         """From the excitation amplitudes T, the de-excitation amplitudes X
         and the time derivatives of T, each split into internal and external
-        parts: each one set, or for a stack of B configurations a sequence
-        of B sets."""
-        op = lambda amps: AmplitudeOperator(amps, basis)
+        parts: each an amplitude array over the rows of ``table``, ``(dim,)``
+        for one configuration or ``(dim, B)`` for a stack of B."""
+        op = lambda t: AmplitudeOperator(t, table)
         return cls(Ti=op(t_int), Te=op(t_ext), Xi=op(x_int).T, Xe=op(x_ext).T,
-                   dTi=op(dt_int), dTe=op(dt_ext), basis=basis)
+                   dTi=op(dt_int), dTe=op(dt_ext), basis=table.basis)
 
     def config(self, b: int) -> "EccMatrices":
         """Configuration ``b`` of a stack, on the stack's pair lists."""

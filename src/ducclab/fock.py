@@ -17,10 +17,9 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -147,14 +146,6 @@ class SpinOrbitalPartition:
     def reference(self) -> Determinant:
         return Determinant(_mask(self.occ_inactive + self.occ_active), self.M)
 
-    def is_internal_signature(self, sig: ExcitationSignature) -> bool:
-        """True iff every index of ``sig`` lies in the active classes.
-
-        Rank-0 (the scalar/identity signature) counts as internal.
-        """
-        return (set(sig.occ) <= set(self.occ_active)
-                and set(sig.virt) <= set(self.virt_active))
-
 
 def homo_lumo_partition(M: int, N: int, n_occ_active: int,
                         n_virt_active: int) -> SpinOrbitalPartition:
@@ -176,9 +167,7 @@ class FockBasis:
     occupation-mask value (deterministic).
 
     ``masks`` is the tuple of occupation masks and ``mask_array`` the same
-    masks as a sorted int64 array for whole-basis (vectorised) work.  The
-    basis also holds the memo of :func:`excitation_pairs`, which so lives
-    and dies with it.
+    masks as a sorted int64 array for whole-basis (vectorised) work.
     """
 
     def __init__(self, M: int, N: int):
@@ -192,7 +181,6 @@ class FockBasis:
         self.mask_array = np.array(masks, dtype=np.int64)
         self.dets = tuple(Determinant(m, M) for m in masks)
         self._index = {m: i for i, m in enumerate(masks)}
-        self._pairs = {}
         assert len(masks) == comb(M, N)
 
     @property
@@ -262,55 +250,21 @@ def string_elements(masks: np.ndarray, annihilated: tuple[int, ...],
     return cols[jj], string, np.searchsorted(masks, new), 1.0 - 2.0 * (parity & 1)
 
 
-def excitation_pairs(sig: ExcitationSignature, basis: FockBasis
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All determinant pairs coupled by E_sig, for the whole basis at once:
-    (low indices ascending, high indices, phases of <high|E_sig|low>), the
-    elements of the one string of :func:`string_elements`; the scalar string
-    algebra this vectorises is the reference in ``tests/oracles.py``.
-    Memoised per ``(sig, basis)``, the basis keyed by identity; every caller
-    shares one result, so its arrays are read-only.
-    """
-    return basis._pairs.get(sig) or excitation_pair_lists((sig,), basis)[0]
-
-
-def excitation_pair_lists(sigs: Sequence[ExcitationSignature], basis: FockBasis
-                          ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`excitation_pairs` of each signature of ``sigs``, in order, for
-    a caller that needs many at once.  The signatures not yet memoised are
-    built with one :func:`string_elements` call per annihilated tuple
-    ``occ``, their created tuples its strings: the same arrays as one call
-    per signature, at a fraction of the numpy calls.
-    """
-    memo = basis._pairs
-    todo = {}
-    for sig in sigs:
-        if sig not in memo:
-            todo.setdefault(sig.occ, {})[sig] = None
-    for occ, group in todo.items():
-        created = np.array([sig.virt for sig in group], dtype=np.int64)
-        lows, string, highs, phases = string_elements(
-            basis.mask_array, occ, created.reshape(len(group), len(occ)))
-        for i, sig in enumerate(group):
-            pick = np.flatnonzero(string == i)
-            arrays = (lows[pick], highs[pick], phases[pick])
-            for arr in arrays:
-                arr.flags.writeable = False
-            memo[sig] = arrays
-    return [memo[sig] for sig in sigs]
-
-
 class DeterminantTable:
     """How every determinant of a basis relates to one reference.
 
     Row ``j`` holds the signature ``signatures[j]`` with ``E_sig |ref> =
     phases[j] |det_j>``, its rank, and the hole and particle masks of
     ``det_j`` against ``ref``; the reference row holds the identity, phase
-    +1, rank 0.  ``order`` lists the rows in ``(rank, occ, virt)`` order,
-    the order of :func:`enumerate_signatures` with the identity first.  The
-    class and CAS order of every row follow per partition from the masks
-    (:meth:`classes`, :meth:`cas`).  The row arrays are read-only: one table
-    is shared per ``(basis, ref)`` (:func:`determinant_table`).
+    +1, rank 0.  ``order`` lists the rows in ``(rank, occ, virt)``
+    lexicographic order, the identity first.  The class and CAS order of
+    every row follow per partition from the masks (:meth:`classes`,
+    :meth:`cas`), and the determinant pairs that each row's signature
+    couples from :attr:`pair_list` (:meth:`pairs`).  An amplitude set is an
+    array over the rows, ``(dim,)`` or ``(dim, B)`` for a stack of B sets,
+    the reference row holding the identity's amplitude.  The row arrays are
+    read-only: one table is shared per ``(basis, ref)``
+    (:func:`determinant_table`).
     """
 
     def __init__(self, basis: FockBasis, ref: Determinant):
@@ -359,6 +313,51 @@ class DeterminantTable:
         internal = np.flatnonzero(self.classes(part) == DetClass.INTERNAL)
         return np.concatenate(([self.ref_index], internal))
 
+    @cached_property
+    def pair_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every determinant pair that some row's signature couples:
+        ``(rows, lows, highs, phases)``, E of row ``rows[i]``'s signature
+        taking determinant ``lows[i]`` to ``phases[i]`` times ``highs[i]``;
+        the reference row's identity gives the diagonal.  The rows come in
+        :attr:`order`, each row's lows ascending (:meth:`pairs`).
+
+        A rank-k signature couples the C(M-2k, N-k) determinants that hold
+        its holes and lack its particles, so every row's place is known up
+        front: one :func:`string_elements` call per annihilated tuple, its
+        created tuples the strings, writes each group straight into place.
+        Built once per table, read-only.
+        """
+        basis, M, N = self.basis, self.basis.M, self.basis.N
+        sizes = np.array([comb(M - 2 * k, N - k) for k in range(min(N, M - N) + 1)])
+        self._size = sizes[self.ranks]
+        self._first = np.empty(basis.size, dtype=np.int64)
+        self._first[self.order] = np.cumsum(self._size[self.order]) - self._size[self.order]
+        total = int(self._size.sum())
+        rows, lows, highs = (np.empty(total, dtype=np.int64) for _ in range(3))
+        phases = np.empty(total)
+        by_holes = np.argsort(self.holes, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.holes[by_holes])) + 1
+        for group in np.split(by_holes, cuts):
+            occ, size = self.signatures[group[0]].occ, self._size[group[0]]
+            created = np.array([self.signatures[j].virt for j in group.tolist()],
+                               dtype=np.int64).reshape(len(group), len(occ))
+            cols, string, reached, signs = string_elements(basis.mask_array, occ, created)
+            by_string = np.argsort(string, kind="stable")   # size pairs per string
+            at = (self._first[group][:, None] + np.arange(size)).ravel()
+            rows[at] = np.repeat(group, size)
+            lows[at], highs[at], phases[at] = (
+                cols[by_string], reached[by_string], signs[by_string])
+        for arr in (rows, lows, highs, phases):
+            arr.flags.writeable = False
+        return rows, lows, highs, phases
+
+    def pairs(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row ``j``'s pairs of :attr:`pair_list`, as read-only views:
+        ``(lows ascending, highs, phases of <high|E_sig|low>)``."""
+        _, lows, highs, phases = self.pair_list
+        at = slice(self._first[j], self._first[j] + self._size[j])
+        return lows[at], highs[at], phases[at]
+
 
 @lru_cache(maxsize=16)
 def determinant_table(basis: FockBasis, ref: Determinant) -> DeterminantTable:
@@ -391,20 +390,3 @@ def inactive_classes(basis: FockBasis, part: SpinOrbitalPartition
     for arr in (cls, pos, members):
         arr.flags.writeable = False
     return cls, pos, members
-
-
-def enumerate_signatures(ref: Determinant, max_rank: int | None = None,
-                         include_identity: bool = False):
-    """Yield excitation signatures of the reference in (rank, occ, virt)
-    lexicographic order."""
-    occ = ref.occupied()
-    virt = ref.virtuals()
-    top = min(len(occ), len(virt))
-    if max_rank is not None:
-        top = min(top, max_rank)
-    if include_identity:
-        yield ExcitationSignature((), ())
-    for k in range(1, top + 1):
-        for o in combinations(occ, k):
-            for v in combinations(virt, k):
-                yield ExcitationSignature(o, v)

@@ -16,7 +16,8 @@ target determinant against the reference.  Three sweeps run in sequence:
    (ascending), which leaves e^{i delta} times the reference.
 
 The group keys matter: an elementary rotation acts on every determinant
-pair related by its signature, so a later rotation may only touch an
+pair related by its signature (its target row's slice of the determinant
+table's pair list), so a later rotation may only touch an
 already-eliminated determinant if the other pair member is also already
 zero.  Grouping sweep 1 by the smallest (necessarily inactive) hole and
 sweep 2 by the largest (necessarily inactive) particle guarantees exactly
@@ -55,8 +56,7 @@ import numpy as np
 from .errors import (CasSupportError, IntermediateNormalizationError,
                      InvalidDimensionError, OrderingViolationError)
 from .fock import (DetClass, Determinant, DeterminantTable, ExcitationSignature,
-                   FockBasis, SpinOrbitalPartition, determinant_table,
-                   excitation_pair_lists, excitation_pairs)
+                   FockBasis, SpinOrbitalPartition, determinant_table)
 from .operators import exp_anti_hermitian, logm_unitary
 
 #: Coefficients with magnitude below this are treated as already eliminated.
@@ -175,8 +175,8 @@ def _check_sweep_ordering(part: SpinOrbitalPartition):
 
 @lru_cache(maxsize=16)
 def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
-                  ) -> tuple[tuple, tuple, tuple]:
-    """Ordered sweep-1, sweep-2 and sweep-3 target tuples of (signature, row).
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ordered sweep-1, sweep-2 and sweep-3 target rows of ``table``.
 
     Each group is ordered by its key (the smallest hole for sweeps 1 and 3,
     the largest particle, descending, for sweep 2) and by (rank, occ, virt)
@@ -194,40 +194,35 @@ def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
 
     def group(select, key):
         ordered = rows[select][np.argsort(key[select], kind="stable")]
-        return tuple((table.signatures[j], j) for j in ordered.tolist())
+        ordered.flags.writeable = False
+        return ordered
     return (group(external & has_inactive_hole, smallest_hole),
             group(external & ~has_inactive_hole, -largest_particle),
             group(classes == DetClass.INTERNAL, smallest_hole))
 
 
 def _run_targets(state, targets, table) -> list:
-    """Eliminate targets in order, rotating ``state`` (one state or a stack)
-    in place; returns the rotation record, each applied rotation with its
-    coupled pairs.  A target that is zero in every state is skipped.  Every
-    eliminated row must stay dead: a rotation can re-grow only the rows it
-    touches, so only the dead rows among those are checked, per state.
-    The pair lists of the targets live in the input are built in one batch;
-    a target that a rotation brings to life later builds its own."""
-    live = np.abs(state[[j for _, j in targets]]) > ZERO_TOL
-    if live.ndim > 1:   # a stack: live in any of its states
-        live = live.any(axis=1)
-    live_sigs = [sig for (sig, _), k in zip(targets, live.tolist()) if k]
-    batch = dict(zip(live_sigs, excitation_pair_lists(live_sigs, table.basis)))
+    """Eliminate the target rows in order, rotating ``state`` (one state or
+    a stack) in place; returns the rotation record, each applied rotation
+    with its coupled pairs (:meth:`DeterminantTable.pairs`).  A target that
+    is zero in every state is skipped.  Every eliminated row must stay dead:
+    a rotation can re-grow only the rows it touches, so only the dead rows
+    among those are checked, per state."""
     record = []
     dead = np.zeros(len(state), dtype=bool)
-    for sig, j in targets:
+    for j in targets.tolist():
         step = rotation_for_target(state, j, table)
         dead[j] = True
         if not np.count_nonzero(step.sin):
             continue
-        pairs = batch[sig] if sig in batch else excitation_pairs(sig, table.basis)
+        pairs = table.pairs(j)
         _apply_rotation(step, pairs, state)
         record.append((step, pairs))
         touched = np.concatenate(pairs[:2])
         worst = np.abs(state[touched[dead[touched]]]).max(axis=0, initial=0.0)
         _refuse(worst > REGROWTH_TOL, OrderingViolationError, lambda b: (
             f"eliminated coefficient re-grew to {worst[b]:.3e} "
-            f"while processing target {sig}"))
+            f"while processing target {table.signatures[j]}"))
     return record
 
 
@@ -254,7 +249,7 @@ def _sweep_external(psi, table: DeterminantTable, part: SpinOrbitalPartition, ta
     _refuse(np.abs(psi_n[table.ref_index]) < 1e-14, IntermediateNormalizationError,
             lambda b: "state has (numerically) zero reference overlap")
     psi_act = np.array(psi_n, order="C")
-    record = _run_targets(psi_act, targets[0] + targets[1], table)
+    record = _run_targets(psi_act, np.concatenate(targets[:2]), table)
     ext_norm = np.linalg.norm(psi_act[table.classes(part) == DetClass.EXTERNAL], axis=0)
     _refuse(ext_norm > SUPPORT_TOL, CasSupportError, lambda b: (
         f"state has external support {ext_norm[b]:.3e} (tol {SUPPORT_TOL:.0e})"))

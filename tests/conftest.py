@@ -37,6 +37,11 @@ def dimer_ref(dimer_part):
 
 
 @pytest.fixture(scope="session")
+def dimer_table(dimer_basis, dimer_ref):
+    return dl.determinant_table(dimer_basis, dimer_ref)
+
+
+@pytest.fixture(scope="session")
 def m8_basis():
     return dl.build_basis(8, 4)
 
@@ -52,6 +57,11 @@ def m8_part():
 
 
 @pytest.fixture(scope="session")
+def m8_table(m8_basis, m8_ref):
+    return dl.determinant_table(m8_basis, m8_ref)
+
+
+@pytest.fixture(scope="session")
 def m6_basis():
     return dl.build_basis(6, 3)
 
@@ -64,6 +74,11 @@ def m6_ref():
 @pytest.fixture(scope="session")
 def m6_part():
     return dl.homo_lumo_partition(6, 3, 1, 2)
+
+
+@pytest.fixture(scope="session")
+def m6_table(m6_basis, m6_ref):
+    return dl.determinant_table(m6_basis, m6_ref)
 
 
 def random_state(basis, rng, ref=None, min_ref_weight=0.3):

@@ -11,10 +11,12 @@ vectorise, the sweep target order built from it, dense projectors, the
 per-determinant Hamiltonian builders (term lists applied
 literally, and integrals applied by Slater-Condon rules) against the
 vectorised :func:`ducclab.operators.hamiltonian_from_integrals`, a
-reference-dominated random Hamiltonian, the bare CAS-CI Hamiltonian, the
-per-signature amplitude matrix, the dense de-excitation matrix and the
-dense amplitude matrices of an ECC configuration, the assembled ECC action
-integrand and the dense-matrix similarity transform of X_ext by T_int.
+reference-dominated random Hamiltonian, the bare CAS-CI Hamiltonian,
+amplitude arrays from hand-written ``{signature: amplitude}`` sets, the
+signature enumeration and the random sets drawn along it, the dense and
+the per-signature amplitude matrices, the dense de-excitation matrix and
+the dense amplitude matrices of an ECC configuration, the assembled ECC
+action integrand and the dense-matrix similarity transform of X_ext by T_int.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from itertools import combinations
 
 import numpy as np
 
-from ducclab.cluster import Amplitudes, excitation_matrix, exp_nilpotent
+from ducclab.cluster import AmplitudeOperator, exp_nilpotent
 from ducclab.downfold import EffectiveHamiltonian
 from ducclab.ecc import EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms
 from ducclab.errors import InvalidDimensionError, OperatorPropertyError, SectorMismatchError
-from ducclab.fock import (DetClass, Determinant, ExcitationSignature, FockBasis,
-                          SpinOrbitalPartition, determinant_table, excitation_pairs)
+from ducclab.fock import (DetClass, Determinant, DeterminantTable, ExcitationSignature,
+                          FockBasis, SpinOrbitalPartition, determinant_table)
 from ducclab.operators import IntegralSet, QOperator, _inexact
 from ducclab.sweeps import RotationStep, _check_sweep_ordering
 
@@ -105,7 +107,7 @@ def rotation_generator(step: RotationStep, basis: FockBasis) -> np.ndarray:
     """Dense anti-Hermitian generator of the rotation (for provenance checks):
     ``theta (e^{i phi} E - e^{-i phi} E^+)`` with ``theta = arctan2(|sin|,
     cos)`` and ``e^{i phi} = sin/|sin|``."""
-    lows, highs, phases = excitation_pairs(step.signature, basis)
+    lows, highs, phases = signature_pairs(step.signature, basis)
     g = np.zeros((basis.size, basis.size), dtype=complex)
     r = abs(step.sin)
     a = np.arctan2(r, step.cos) / r * step.sin if r else 0.0   # theta e^{i phi}
@@ -120,7 +122,7 @@ def rotation_unitary(step: RotationStep, basis: FockBasis) -> np.ndarray:
     diagonals, ``sin ph`` at (high, low), ``-conj(sin) ph`` at (low, high)
     (equals expm(rotation_generator))."""
     u = np.eye(basis.size, dtype=complex)
-    for low, high, ph in zip(*excitation_pairs(step.signature, basis)):
+    for low, high, ph in zip(*signature_pairs(step.signature, basis)):
         u[low, low] = u[high, high] = step.cos
         u[high, low] = step.sin * ph
         u[low, high] = -np.conj(step.sin) * ph
@@ -182,6 +184,40 @@ def apply_excitation(sig: ExcitationSignature,
         return None
     mask, sign = res
     return Determinant(mask, det.M), sign
+
+
+def signature_pairs(sig: ExcitationSignature, basis: FockBasis
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every determinant pair that E_sig couples, determinant by determinant:
+    (low indices ascending, high indices, phases of <high|E_sig|low>), the
+    reference for :meth:`ducclab.fock.DeterminantTable.pairs`."""
+    pairs = [(low, basis.index_of(res[0]), float(res[1])) for low, det in enumerate(basis)
+             if (res := apply_excitation(sig, det)) is not None]
+    lows, highs, phases = zip(*pairs) if pairs else ((), (), ())
+    return np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64), np.array(phases)
+
+
+def enumerate_signatures(ref: Determinant, max_rank: int | None = None,
+                         include_identity: bool = False):
+    """Yield excitation signatures of the reference in (rank, occ, virt)
+    lexicographic order: the order of ``DeterminantTable.order``."""
+    occ = ref.occupied()
+    virt = ref.virtuals()
+    top = min(len(occ), len(virt))
+    if max_rank is not None:
+        top = min(top, max_rank)
+    if include_identity:
+        yield ExcitationSignature((), ())
+    for k in range(1, top + 1):
+        for o in combinations(occ, k):
+            for v in combinations(virt, k):
+                yield ExcitationSignature(o, v)
+
+
+def is_internal_signature(part: SpinOrbitalPartition, sig: ExcitationSignature) -> bool:
+    """True iff every index of ``sig`` lies in the active classes of
+    ``part``; rank 0 (the identity) counts as internal."""
+    return set(sig.occ) <= set(part.occ_active) and set(sig.virt) <= set(part.virt_active)
 
 
 def holes_and_particles(ref: Determinant,
@@ -401,26 +437,66 @@ def cas_ci(H: QOperator, ref: Determinant,
     return EffectiveHamiltonian(sub, cas, H.basis, "cas-ci", hermitian=hermitian)
 
 
-# -- amplitude matrices ----------------------------------------------------------
+# -- amplitude sets --------------------------------------------------------------
 
 
-def per_signature_excitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
-    """Matrix of sum_sig t_sig E_sig, one scatter per nonzero amplitude:
-    the reference for the single scatter of
-    :func:`ducclab.cluster.excitation_matrix`."""
-    mat = np.zeros((basis.size, basis.size), dtype=_inexact(list(amps.values())).dtype)
-    for sig, t in amps.items():
-        if t != 0:
-            lows, highs, phases = excitation_pairs(sig, basis)
-            mat[highs, lows] += t * phases
+def amplitude_array(amps: dict[ExcitationSignature, complex],
+                    table: DeterminantTable) -> np.ndarray:
+    """The amplitude array over the rows of ``table`` of a hand-written set
+    ``{signature: amplitude}``, float64 unless an amplitude is complex;
+    every signature must excite the table's reference."""
+    t = np.zeros(table.basis.size, dtype=_inexact(list(amps.values())).dtype)
+    for sig, val in amps.items():
+        res = apply_excitation(sig, table.ref)
+        if res is None:
+            raise ValueError(f"{sig} does not excite the reference {table.ref}")
+        t[table.basis.index_of(res[0])] = val
+    return t
+
+
+def random_amplitudes_by_enumeration(ref: Determinant, rng: np.random.Generator,
+                                     part: SpinOrbitalPartition | None = None,
+                                     kind: str = "any", scale: float = 0.1,
+                                     max_rank: int | None = None, real: bool = False
+                                     ) -> dict[ExcitationSignature, complex]:
+    """Signature-by-signature draw over a fresh enumeration, the reference
+    for :func:`ducclab.random_amplitudes`."""
+    entries = {}
+    for sig in enumerate_signatures(ref, max_rank=max_rank):
+        if kind != "any" and (kind == "internal") != is_internal_signature(part, sig):
+            continue
+        val = rng.uniform(-scale, scale)
+        if not real:
+            val = val + 1j * rng.uniform(-scale, scale)
+        entries[sig] = val
+    return entries
+
+
+def excitation_matrix(t: np.ndarray, table: DeterminantTable) -> np.ndarray:
+    """Dense matrix of sum_j t_j E_j, the reference row adding the identity:
+    :meth:`ducclab.AmplitudeOperator.toarray`."""
+    return AmplitudeOperator(t, table).toarray()
+
+
+def per_signature_excitation_matrix(t: np.ndarray, table: DeterminantTable) -> np.ndarray:
+    """Matrix of sum_j t_j E_j, one scalar string application per nonzero
+    amplitude and determinant: the reference for the single scatter of
+    :meth:`ducclab.AmplitudeOperator.toarray`."""
+    basis = table.basis
+    mat = np.zeros((basis.size, basis.size), dtype=_inexact(t).dtype)
+    for j in np.flatnonzero(t):
+        for low, det in enumerate(basis):
+            res = apply_excitation(table.signatures[j], det)
+            if res is not None:
+                mat[basis.index_of(res[0]), low] += t[j] * float(res[1])
     return mat
 
 
-def deexcitation_matrix(amps: Amplitudes, basis: FockBasis) -> np.ndarray:
-    """Matrix of sum_sig x_sig (E_sig)+ -- an amplitude set applied in
-    adjoint (de-excitation) form, coefficients NOT conjugated.  The phases
-    are real, so this is the transpose of the excitation matrix."""
-    return excitation_matrix(amps, basis).T
+def deexcitation_matrix(t: np.ndarray, table: DeterminantTable) -> np.ndarray:
+    """Matrix of sum_j x_j (E_j)+ -- an amplitude set applied in adjoint
+    (de-excitation) form, coefficients NOT conjugated.  The phases are
+    real, so this is the transpose of the excitation matrix."""
+    return excitation_matrix(t, table).T
 
 
 # -- extended coupled cluster --------------------------------------------------
@@ -440,22 +516,24 @@ class DenseEccMatrices:
     basis: FockBasis
 
 
-def dense_ecc_matrices(cfg: dict[str, Amplitudes], basis: FockBasis) -> DenseEccMatrices:
+def dense_ecc_matrices(cfg: dict[str, np.ndarray], table: DeterminantTable
+                       ) -> DenseEccMatrices:
     """The dense matrices of the keyword arguments ``cfg`` of
     :meth:`ducclab.ecc.EccMatrices.build`."""
-    ex = lambda name: excitation_matrix(cfg[name], basis)
+    ex = lambda name: excitation_matrix(cfg[name], table)
     return DenseEccMatrices(Ti=ex("t_int"), Te=ex("t_ext"),
-                            Xi=deexcitation_matrix(cfg["x_int"], basis),
-                            Xe=deexcitation_matrix(cfg["x_ext"], basis),
-                            dTi=ex("dt_int"), dTe=ex("dt_ext"), basis=basis)
+                            Xi=deexcitation_matrix(cfg["x_int"], table),
+                            Xe=deexcitation_matrix(cfg["x_ext"], table),
+                            dTi=ex("dt_int"), dTe=ex("dt_ext"), basis=table.basis)
 
 
-def dense_x_int_ext_bch(cfg: dict[str, Amplitudes], basis: FockBasis
+def dense_x_int_ext_bch(cfg: dict[str, np.ndarray], table: DeterminantTable
                         ) -> tuple[np.ndarray, np.ndarray, int]:
     """:func:`ducclab.ecc.x_int_ext_bch` from the dense matrices of ``cfg``:
     the product of e^{T_int} X_ext with the dense e^{-T_int}, and the
     commutator series by dense products."""
-    m = dense_ecc_matrices(cfg, basis)
+    basis = table.basis
+    m = dense_ecc_matrices(cfg, table)
     Ti, Xe = m.Ti, m.Xe
     direct = exp_nilpotent(Ti, Xe, basis) @ exp_nilpotent(-Ti, np.eye(basis.size), basis)
     cap = 3 * min(basis.N, basis.M - basis.N) + 2
@@ -471,12 +549,12 @@ def dense_x_int_ext_bch(cfg: dict[str, Amplitudes], basis: FockBasis
             raise ArithmeticError(f"nested-commutator series did not terminate by n={cap}")
 
 
-def eval_ecc_action_integrand(cfg: dict[str, Amplitudes], H: QOperator,
+def eval_ecc_action_integrand(cfg: dict[str, np.ndarray], H: QOperator,
                               ref: Determinant) -> tuple[complex, float]:
     """:func:`action_deviation` of the forms of :func:`eval_ldt_forms` and
     :func:`eval_lh_forms`, for the keyword arguments ``cfg`` of
     :meth:`EccMatrices.build`."""
-    m = EccMatrices.build(H.basis, **cfg)
+    m = EccMatrices.build(determinant_table(H.basis, ref), **cfg)
     v1, _, v4 = eval_ldt_forms(m, ref)
     w1, w2 = eval_lh_forms(m, H, ref)
     return action_deviation(v1, v4, w1, w2)

@@ -12,7 +12,7 @@ import scipy.linalg
 import ducclab as dl
 
 from oracles import (_dexp_certified, anti_hermiticity_defect, dexp_series,
-                     random_hermitian_hamiltonian)
+                     excitation_matrix, random_hermitian_hamiltonian)
 
 ACTIVE_WINDOWS = ((1, 1), (2, 2), (3, 3))
 N_SYSTEMS = 20
@@ -53,7 +53,7 @@ def test_criterion_1_ducc_exactness(random_systems, m8_basis, m8_ref):
            f"max |min-eig - E_FCI| {worst_delta:.2e}")
 
 
-def test_criterion_2_sescc_exactness(random_systems, m8_basis, m8_ref):
+def test_criterion_2_sescc_exactness(random_systems, m8_basis, m8_ref, m8_table):
     worst_delta = 0.0
     worst_deficit = 0.0
     e_ref = m8_basis.unit_vector(m8_basis.index_of(m8_ref))
@@ -61,10 +61,10 @@ def test_criterion_2_sescc_exactness(random_systems, m8_basis, m8_ref):
         amps = dl.cluster_analyze(vecs[:, 0], m8_ref, m8_basis)
         for no, nv in ACTIVE_WINDOWS:
             part = dl.homo_lumo_partition(8, 4, no, nv)
-            t_int, t_ext = dl.split_amplitudes(amps, part)
+            t_int, t_ext = dl.split_amplitudes(amps, m8_table, part)
             heff = dl.downfold_sescc(H, t_ext, m8_ref, part)
             target = heff.restrict(
-                scipy.linalg.expm(dl.excitation_matrix(t_int, m8_basis)) @ e_ref)
+                scipy.linalg.expm(excitation_matrix(t_int, m8_table)) @ e_ref)
             root = dl.match_root(heff, target)
             evals, evecs = heff.eigensystem()
             worst_delta = max(worst_delta, abs(complex(evals[root]) - vals[0]))
@@ -77,7 +77,7 @@ def test_criterion_2_sescc_exactness(random_systems, m8_basis, m8_ref):
            f"max eigenvector overlap deficit {worst_deficit:.2e}")
 
 
-def test_criterion_3_cluster_round_trip(random_systems, m8_basis, m8_ref):
+def test_criterion_3_cluster_round_trip(random_systems, m8_basis, m8_ref, m8_table):
     worst_round = 0.0
     worst_resid = 0.0
     e_ref = m8_basis.unit_vector(m8_basis.index_of(m8_ref))
@@ -85,7 +85,7 @@ def test_criterion_3_cluster_round_trip(random_systems, m8_basis, m8_ref):
     for H, vals, vecs in random_systems:
         psi = vecs[:, 0]
         amps = dl.cluster_analyze(psi, m8_ref, m8_basis)
-        tmat = dl.excitation_matrix(amps, m8_basis)
+        tmat = excitation_matrix(amps, m8_table)
         recon = scipy.linalg.expm(tmat) @ e_ref
         worst_round = max(worst_round, np.linalg.norm(recon - psi / psi[i0]))
         r = scipy.linalg.expm(-tmat) @ (H.matrix @ (scipy.linalg.expm(tmat) @ e_ref))
@@ -99,7 +99,7 @@ def test_criterion_3_cluster_round_trip(random_systems, m8_basis, m8_ref):
            f"max projected residual/energy error {worst_resid:.2e}")
 
 
-def test_criterion_4_dexp_series(m6_basis, m6_ref):
+def test_criterion_4_dexp_series(m6_table):
     dt = 1e-4
     worst_k12 = 0.0
     worst_anti = 0.0
@@ -109,7 +109,7 @@ def test_criterion_4_dexp_series(m6_basis, m6_ref):
         ops = []
         for _ in range(3):
             m = dl.sigma_lowest_order(
-                dl.random_amplitudes(m6_ref, rng, scale=0.3), m6_basis)
+                dl.random_amplitudes(m6_table, rng, scale=0.3), m6_table)
             ops.append(m * (0.3 / np.linalg.norm(m, 2)))
         x0, x1, x2 = ops
         X = lambda t: x0 + t * x1 + t * t * x2
@@ -151,17 +151,17 @@ def test_criterion_5_td_consistency(dimer_basis, dimer_ref, dimer_part):
            f"halving improves {ratio:.1f}x (~4th order)")
 
 
-def test_criterion_6_lagrangian_equivalences(m6_basis, m6_ref, m6_part):
+def test_criterion_6_lagrangian_equivalences(m6_basis, m6_ref, m6_part, m6_table):
     rng = np.random.default_rng(42)
     H = random_hermitian_hamiltonian(m6_basis, rng)
-    mk = lambda kind: dl.random_amplitudes(m6_ref, rng, m6_part, kind, 0.1)
+    mk = lambda kind: dl.random_amplitudes(m6_table, rng, m6_part, kind, 0.1)
     worst_ducc = 0.0
     worst_biv = 0.0
     for _ in range(100):
-        si = dl.sigma_lowest_order(mk("internal"), m6_basis)
-        se = dl.sigma_lowest_order(mk("external"), m6_basis)
-        dsi = dl.sigma_lowest_order(mk("internal"), m6_basis)
-        dse = dl.sigma_lowest_order(mk("external"), m6_basis)
+        si = dl.sigma_lowest_order(mk("internal"), m6_table)
+        se = dl.sigma_lowest_order(mk("external"), m6_table)
+        dsi = dl.sigma_lowest_order(mk("internal"), m6_table)
+        dse = dl.sigma_lowest_order(mk("external"), m6_table)
         la, lb, lc = dl.evaluate_lagrangians(H, si, se, dsi, dse, m6_ref, m6_part)
         worst_ducc = max(worst_ducc, abs(la - lb), abs(la - lc), abs(lb - lc))
         f1, f2 = dl.evaluate_sescc_lagrangian(
@@ -174,7 +174,7 @@ def test_criterion_6_lagrangian_equivalences(m6_basis, m6_ref, m6_part):
            f"max bivariational deviation {worst_biv:.2e}")
 
 
-def test_criterion_7_imaginary_time(dimer_basis, dimer_H, dimer_ref, dimer_part):
+def test_criterion_7_imaginary_time(dimer_basis, dimer_H, dimer_ref, dimer_part, dimer_table):
     vals, vecs = np.linalg.eigh(dimer_H.matrix)
     sweep = dl.decompose_state(vecs[:, 0], dimer_ref, dimer_part, dimer_basis)
     heff = dl.downfold_ducc(dimer_H, sweep.sigma_ext, dimer_ref, dimer_part)
@@ -202,8 +202,8 @@ def test_criterion_7_imaginary_time(dimer_basis, dimer_H, dimer_ref, dimer_part)
 
     # velocity term dies under a decaying external schedule
     pert = dl.sigma_lowest_order(
-        dl.random_amplitudes(dimer_ref, rng, dimer_part, "external", 0.1),
-        dimer_basis)
+        dl.random_amplitudes(dimer_table, rng, dimer_part, "external", 0.1),
+        dimer_table)
     a_norms = [np.linalg.norm(_dexp_certified(
         sweep.sigma_ext + np.exp(-tau) * pert,
         -np.exp(-tau) * pert, 12)) for tau in (0.0, 5.0, 15.0, 30.0)]
@@ -215,13 +215,13 @@ def test_criterion_7_imaginary_time(dimer_basis, dimer_H, dimer_ref, dimer_part)
            f"velocity-term norm {a_norms[0]:.2e} -> {a_norms[-1]:.2e}")
 
 
-def test_criterion_8_ecc_identities(m6_basis, m6_ref, m6_part):
+def test_criterion_8_ecc_identities(m6_basis, m6_ref, m6_part, m6_table):
     rng = np.random.default_rng(5)
     H = random_hermitian_hamiltonian(m6_basis, rng)
-    mk = lambda kind: dl.random_amplitudes(m6_ref, rng, m6_part, kind, 0.1)
+    mk = lambda kind: dl.random_amplitudes(m6_table, rng, m6_part, kind, 0.1)
     worst_v = worst_w = worst_bch = 0.0
     for _ in range(100):
-        m = dl.EccMatrices.build(m6_basis, t_int=mk("internal"), t_ext=mk("external"),
+        m = dl.EccMatrices.build(m6_table, t_int=mk("internal"), t_ext=mk("external"),
                                  x_int=mk("internal"), x_ext=mk("external"),
                                  dt_int=mk("internal"), dt_ext=mk("external"))
         v1, v2, _ = dl.eval_ldt_forms(m, m6_ref)
@@ -237,7 +237,7 @@ def test_criterion_8_ecc_identities(m6_basis, m6_ref, m6_part):
 
 
 def test_criterion_9_hubbard_dimer_anchor(dimer_basis, dimer_H, dimer_ref,
-                                          dimer_part):
+                                          dimer_part, dimer_table):
     exact = 2.0 - 2.0 * np.sqrt(2.0)
     vals, vecs = np.linalg.eigh(dimer_H.matrix)
     fci_err = abs(vals[0] - exact)
@@ -247,7 +247,7 @@ def test_criterion_9_hubbard_dimer_anchor(dimer_basis, dimer_H, dimer_ref,
     pipeline_err = abs(dl.cas_eigensolve(heff)[0][0] - exact)
 
     amps = dl.cluster_analyze(vecs[:, 0], dimer_ref, dimer_basis)
-    _, t_ext = dl.split_amplitudes(amps, dimer_part)
+    _, t_ext = dl.split_amplitudes(amps, dimer_table, dimer_part)
     heff_s = dl.downfold_sescc(dimer_H, t_ext, dimer_ref, dimer_part)
     svals, _ = heff_s.eigensystem()
     sescc_err = min(abs(complex(v) - exact) for v in svals)

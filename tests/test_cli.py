@@ -368,21 +368,23 @@ def test_one_determinant_layer():
     assert not hasattr(H, "terms")
 
 
-def test_plain_amplitude_dicts_and_cached_context_properties(m6_basis, m6_ref, m6_part):
-    # amplitude sets are dicts, the ECC sets keyword arguments, and the run
-    # stages cached properties of the context
+def test_plain_amplitude_arrays_and_cached_context_properties(m6_basis, m6_ref, m6_part,
+                                                              m6_table):
+    # amplitude sets are plain arrays over the table's rows, the ECC sets
+    # keyword arguments, and the run stages cached properties of the context
     psi = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
-    amps = ducclab.random_amplitudes(m6_ref, np.random.default_rng(0))
-    assert type(ducclab.cluster_analyze(psi, m6_ref, m6_basis)) is dict
-    assert type(amps) is dict
-    assert [type(t) for t in ducclab.split_amplitudes(amps, m6_part)] == [dict, dict]
+    amps = ducclab.random_amplitudes(m6_table, np.random.default_rng(0))
+    for t in (ducclab.cluster_analyze(psi, m6_ref, m6_basis), amps,
+              *ducclab.split_amplitudes(amps, m6_table, m6_part)):
+        assert type(t) is np.ndarray and t.shape == (m6_basis.size,)
     # EccMatrices is the one class of ecc, in the module and in the package
     for mod in (ecc, ducclab):
         assert [name for name, obj in vars(mod).items()
                 if isinstance(obj, type) and obj.__module__ == "ducclab.ecc"] == ["EccMatrices"]
     assert [f.name for f in dataclasses.fields(cli.RunContext)] == [
         "config", "basis", "H", "ref", "part", "seed"]
-    stages = ("ground_state", "amplitudes", "sweep", "cas_columns", "ducc_hamiltonian")
+    stages = ("ground_state", "table", "amplitudes", "sweep", "cas_columns",
+              "ducc_hamiltonian")
     assert all(isinstance(vars(cli.RunContext)[name], functools.cached_property)
                for name in stages)
     assert {name for name, obj in vars(cli.RunContext).items()
@@ -568,7 +570,6 @@ class TestRun:
         assert downfold["ducc_delta_e"] < 1e-9
         assert downfold["sescc_delta_e"] < 1e-9
         assert (tmp_path / "out" / "heff_ducc.json").exists()
-        assert (tmp_path / "out" / "heff_ducc.dump").exists()
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg = write_config(
@@ -674,11 +675,11 @@ class TestRun:
         files = {t["name"]: t["files"] for t in read_report(tmp_path)["tasks"]}
         assert files == {
             "fci": ["fci_spectrum.csv"], "cluster": [], "sweep": [],
-            "downfold": ["heff_sescc.json", "heff_ducc.json", "heff_ducc.dump"],
+            "downfold": ["heff_sescc.json", "heff_ducc.json"],
             # verify-all's propagate (nsteps 50) rewrites trajectory.csv
             "propagate": [], "imagtime": ["imagtime_flow.csv"], "ecc": [],
             "verify-all": ["fci_spectrum.csv", "heff_sescc.json", "heff_ducc.json",
-                           "heff_ducc.dump", "trajectory.csv", "imagtime_flow.csv"]}
+                           "trajectory.csv", "imagtime_flow.csv"]}
         assert sorted(os.listdir(tmp_path / "out")) == sorted(files["verify-all"] + ["report.json"])
 
     def test_propagate_from_the_ground_state_is_stationary(self, tmp_path):
@@ -832,6 +833,22 @@ def test_one_determinant_basis_has_no_gap_to_check(tmp_path):
     fci, cluster = read_report(tmp_path)["tasks"]
     assert fci["results"]["roots"] == [4.0]
     assert cluster["results"]["cc_residual"] == 0.0
+
+
+@pytest.mark.parametrize("electrons", [0, 4])
+def test_empty_and_full_sectors_have_one_determinant(tmp_path, electrons):
+    # no electron, or every orbital filled: the reference is the one
+    # determinant, whose table has its row alone and no off-diagonal pair
+    path = write_config(tmp_path, electrons=electrons, partition=None,
+                        tasks=[{"name": "fci"}, {"name": "cluster"}])
+    assert main(["run", str(path)]) == 0
+    fci, cluster = read_report(tmp_path)["tasks"]
+    assert fci["status"] == cluster["status"] == "ok"
+    assert fci["results"]["dimension"] == 1
+    assert fci["results"]["roots"] == [0.0 if electrons == 0 else 8.0]
+    assert cluster["results"] == {"roundtrip_residual": 0.0, "cc_residual": 0.0,
+                                  "energy_deviation": 0.0, "amplitude_count": 0,
+                                  "max_rank": 0}
 
 
 def test_complex_hamiltonian_is_solved_in_complex_arithmetic(tmp_path, monkeypatch):

@@ -9,30 +9,30 @@ from ducclab.errors import OperatorPropertyError
 from ducclab.operators import exp_anti_hermitian
 
 from conftest import run_dimer_task, td_projection
-from oracles import _dexp_certified, cas_ci, random_hermitian_hamiltonian
+from oracles import _dexp_certified, cas_ci, excitation_matrix, random_hermitian_hamiltonian
 
 
 def exact_split(H, ref, basis, part, root=0):
     vals, vecs = np.linalg.eigh(H.matrix)
     amps = dl.cluster_analyze(vecs[:, root], ref, basis)
-    return vals, vecs, dl.split_amplitudes(amps, part)
+    return vals, vecs, dl.split_amplitudes(amps, dl.determinant_table(basis, ref), part)
 
 
 class TestSesccDownfold:
     def test_zero_amplitudes_give_cas_ci(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(0)
         H = random_hermitian_hamiltonian(m8_basis, rng)
-        heff = dl.downfold_sescc(H, {}, m8_ref, m8_part)
+        heff = dl.downfold_sescc(H, np.zeros(m8_basis.size), m8_ref, m8_part)
         bare = cas_ci(H, m8_ref, m8_part)
         assert np.allclose(heff.matrix, bare.matrix)
 
-    def test_exact_external_amplitudes_reproduce_fci(self, m8_basis, m8_ref, m8_part):
+    def test_exact_external_amplitudes_reproduce_fci(self, m8_basis, m8_ref, m8_part, m8_table):
         rng = np.random.default_rng(1)
         H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs, (t_int, t_ext) = exact_split(H, m8_ref, m8_basis, m8_part)
         heff = dl.downfold_sescc(H, t_ext, m8_ref, m8_part)
         target = heff.restrict(scipy.linalg.expm(
-            dl.excitation_matrix(t_int, m8_basis)) @ m8_basis.unit_vector(
+            excitation_matrix(t_int, m8_table)) @ m8_basis.unit_vector(
                 m8_basis.index_of(m8_ref)))
         root = dl.match_root(heff, target)
         evals, evecs = heff.eigensystem()
@@ -41,12 +41,19 @@ class TestSesccDownfold:
         t = target / np.linalg.norm(target)
         assert 1.0 - abs(np.vdot(evecs[:, root], t)) < 1e-8
 
-    def test_internal_signature_rejected(self, m8_ref, m8_part, m8_basis):
+    def test_internal_signature_rejected(self, m8_ref, m8_part, m8_basis, m8_table):
         rng = np.random.default_rng(2)
         H = random_hermitian_hamiltonian(m8_basis, rng)
-        bad = dl.random_amplitudes(m8_ref, rng, m8_part, "internal", 0.1)
-        with pytest.raises(OperatorPropertyError):
+        bad = dl.random_amplitudes(m8_table, rng, m8_part, "internal", 0.1)
+        with pytest.raises(OperatorPropertyError, match="internal signature"):
             dl.downfold_sescc(H, bad, m8_ref, m8_part)
+        # the identity's row is internal too; zeros on internal rows pass
+        identity = np.zeros(m8_basis.size)
+        identity[m8_table.ref_index] = 0.1
+        with pytest.raises(OperatorPropertyError, match=r"occ=\(\), virt=\(\)"):
+            dl.downfold_sescc(H, identity, m8_ref, m8_part)
+        t_ext = dl.random_amplitudes(m8_table, rng, m8_part, "external", 0.1)
+        dl.downfold_sescc(H, np.where(bad != 0, -0.0, t_ext), m8_ref, m8_part)
 
 
 class TestDuccDownfold:
@@ -71,11 +78,11 @@ class TestDuccDownfold:
                               @ m8_basis.unit_vector(m8_basis.index_of(m8_ref)))
         assert 1.0 - abs(np.vdot(evecs[:, 0], c_int / np.linalg.norm(c_int))) < 1e-8
 
-    def test_hermitian_for_any_anti_hermitian_input(self, m8_basis, m8_ref, m8_part):
+    def test_hermitian_for_any_anti_hermitian_input(self, m8_basis, m8_ref, m8_part, m8_table):
         rng = np.random.default_rng(5)
         H = random_hermitian_hamiltonian(m8_basis, rng)
         sigma = dl.sigma_lowest_order(
-            dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.3), m8_basis)
+            dl.random_amplitudes(m8_table, rng, m8_part, "external", 0.3), m8_table)
         heff = dl.downfold_ducc(H, sigma, m8_ref, m8_part)
         assert heff.hermitian
         assert np.linalg.norm(heff.matrix - heff.matrix.conj().T) < 1e-10
@@ -86,7 +93,7 @@ class TestDuccDownfold:
         with pytest.raises(OperatorPropertyError):
             dl.downfold_ducc(H, np.eye(m8_basis.size), m8_ref, m8_part)
 
-    def test_lowest_order_error_shrinks_with_active_space(self, m8_basis, m8_ref):
+    def test_lowest_order_error_shrinks_with_active_space(self, m8_basis, m8_ref, m8_table):
         # sigma ~ T_ext - T_ext+ improves as the active space absorbs more
         # of the correlation
         rng = np.random.default_rng(7)
@@ -96,19 +103,19 @@ class TestDuccDownfold:
         errors = []
         for no, nv in ((1, 1), (2, 2), (3, 3), (4, 4)):
             part = dl.homo_lumo_partition(8, 4, no, nv)
-            _, t_ext = dl.split_amplitudes(amps, part)
-            sigma = dl.sigma_lowest_order(t_ext, m8_basis)
+            _, t_ext = dl.split_amplitudes(amps, m8_table, part)
+            sigma = dl.sigma_lowest_order(t_ext, m8_table)
             heff = dl.downfold_ducc(H, sigma, m8_ref, part)
             errors.append(abs(heff.eigensystem()[0][0] - vals[0]))
         assert errors[-1] < 1e-12  # full active space: no external part at all
         assert errors[0] > errors[-1]
         assert min(errors[1:3]) <= errors[0]
 
-    def test_similarity_invariance_of_full_spectrum(self, m6_basis, m6_ref, m6_part):
+    def test_similarity_invariance_of_full_spectrum(self, m6_basis, m6_part, m6_table):
         rng = np.random.default_rng(8)
         H = random_hermitian_hamiltonian(m6_basis, rng)
         sigma = dl.sigma_lowest_order(
-            dl.random_amplitudes(m6_ref, rng, m6_part, "external", 0.2), m6_basis)
+            dl.random_amplitudes(m6_table, rng, m6_part, "external", 0.2), m6_table)
         u = scipy.linalg.expm(sigma)
         hbar = u.conj().T @ H.matrix @ u
         assert np.allclose(np.sort(np.linalg.eigvalsh(hbar)),
@@ -242,7 +249,7 @@ class TestExport:
     def test_json_round_trip(self, dimer_ref):
         # the downfold task's JSON artifacts re-read to its matrices bit-exactly
         ctx, _, artifacts = run_dimer_task("downfold")
-        _, t_ext = dl.split_amplitudes(ctx.amplitudes, ctx.part)
+        _, t_ext = dl.split_amplitudes(ctx.amplitudes, ctx.table, ctx.part)
         sescc = dl.downfold_sescc(ctx.H, t_ext, ctx.ref, ctx.part)
         for name, heff in (("heff_sescc.json", sescc), ("heff_ducc.json", ctx.ducc_hamiltonian)):
             data = json.loads(artifacts[name])
@@ -253,22 +260,6 @@ class TestExport:
             assert data["cas_determinants"][0] == dimer_ref.bitstring()
             assert data["partition"]["occ_active"] == [1]
             assert "residuals" not in data
-        assert artifacts["heff_ducc.dump"] == dl.effective_matrix_dump(ctx.ducc_hamiltonian)
-
-    def test_matrix_dump(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
-        heff = cas_ci(dimer_H, dimer_ref, dimer_part)
-        text = dl.effective_matrix_dump(heff)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("&HEFF DIM=2")
-        assert sum(1 for ln in lines if ln.startswith("DET ")) == heff.dim
-        # entries re-read to the exact matrix
-        mat = np.zeros((heff.dim, heff.dim), dtype=complex)
-        for ln in lines:
-            parts = ln.split()
-            if len(parts) == 4 and not ln.startswith(("DET", "&")):
-                re_, im_, i, j = float(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])
-                mat[i - 1, j - 1] = re_ + 1j * im_
-        assert np.allclose(mat, heff.matrix)
 
     def test_lift_restrict(self, m8_basis, m8_ref, m8_part):
         rng = np.random.default_rng(10)

@@ -12,7 +12,7 @@ from ducclab.sweeps import sweep_targets
 
 from conftest import count_calls, random_state, record_returns, run_dimer_task, td_projection
 from oracles import (anti_hermiticity_defect, build_projectors, cas_ci, dexp_series,
-                     dexp_tail_ratio, random_hermitian_hamiltonian)
+                     dexp_tail_ratio, excitation_matrix, random_hermitian_hamiltonian)
 
 
 def quench_batches(H, study) -> int:
@@ -27,8 +27,8 @@ def anti_hermitian_path(basis, ref, rng, norm=0.35):
     each coefficient operator scaled to a given spectral norm."""
     ops = []
     for _ in range(3):
-        m = dl.sigma_lowest_order(dl.random_amplitudes(ref, rng, scale=0.3),
-                                  basis)
+        table = dl.determinant_table(basis, ref)
+        m = dl.sigma_lowest_order(dl.random_amplitudes(table, rng, scale=0.3), table)
         ops.append(m * (norm / np.linalg.norm(m, 2)))
     x0, x1, x2 = ops
 
@@ -86,16 +86,16 @@ class TestPropagateFull:
 
 
 class TestDexpSeries:
-    def test_zero_velocity(self, m6_basis, m6_ref):
+    def test_zero_velocity(self, m6_table):
         rng = np.random.default_rng(0)
-        X = dl.sigma_lowest_order(dl.random_amplitudes(m6_ref, rng, scale=0.3), m6_basis)
+        X = dl.sigma_lowest_order(dl.random_amplitudes(m6_table, rng, scale=0.3), m6_table)
         A = dexp_series(X, np.zeros_like(X), 8)
         assert np.linalg.norm(A) == 0.0
 
-    def test_order_zero_is_velocity(self, m6_basis, m6_ref):
+    def test_order_zero_is_velocity(self, m6_table):
         rng = np.random.default_rng(1)
-        X = dl.sigma_lowest_order(dl.random_amplitudes(m6_ref, rng, scale=0.3), m6_basis)
-        Xd = dl.sigma_lowest_order(dl.random_amplitudes(m6_ref, rng, scale=0.3), m6_basis)
+        X = dl.sigma_lowest_order(dl.random_amplitudes(m6_table, rng, scale=0.3), m6_table)
+        Xd = dl.sigma_lowest_order(dl.random_amplitudes(m6_table, rng, scale=0.3), m6_table)
         A = dexp_series(X, Xd, 0)
         assert np.allclose(A, Xd)
 
@@ -137,33 +137,33 @@ class TestDexpSeries:
 class TestBuildHeffTd:
     """Heff(t): :func:`ducc_projection` of a generator and its velocity."""
 
-    def test_zero_velocity_reduces_to_static(self, m8_basis, m8_ref, m8_part):
+    def test_zero_velocity_reduces_to_static(self, m8_basis, m8_ref, m8_part, m8_table):
         rng = np.random.default_rng(5)
         H = random_hermitian_hamiltonian(m8_basis, rng)
         sigma = dl.sigma_lowest_order(
-            dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.2), m8_basis)
+            dl.random_amplitudes(m8_table, rng, m8_part, "external", 0.2), m8_table)
         cas = dl.determinant_table(m8_basis, m8_ref).cas(m8_part)
         td = td_projection(H, sigma, cas, np.zeros_like(sigma))
         static = dl.downfold_ducc(H, sigma, m8_ref, m8_part)
         assert np.abs(td - static.matrix).max() < 1e-12
 
-    def test_zero_generator_keeps_velocity_term(self, m8_basis, m8_ref, m8_part):
+    def test_zero_generator_keeps_velocity_term(self, m8_basis, m8_ref, m8_part, m8_table):
         rng = np.random.default_rng(6)
         H = random_hermitian_hamiltonian(m8_basis, rng)
         D = dl.sigma_lowest_order(
-            dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.2), m8_basis)
+            dl.random_amplitudes(m8_table, rng, m8_part, "external", 0.2), m8_table)
         cas = dl.determinant_table(m8_basis, m8_ref).cas(m8_part)
         td = td_projection(H, np.zeros_like(D), cas, D)
         expected = (H.matrix - 1j * D)[np.ix_(cas, cas)]
         assert np.abs(td - expected).max() < 1e-12
 
-    def test_hermitian_on_random_inputs(self, m8_basis, m8_ref, m8_part):
+    def test_hermitian_on_random_inputs(self, m8_basis, m8_ref, m8_part, m8_table):
         rng = np.random.default_rng(7)
         H = random_hermitian_hamiltonian(m8_basis, rng)
         s = dl.sigma_lowest_order(
-            dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.3), m8_basis)
+            dl.random_amplitudes(m8_table, rng, m8_part, "external", 0.3), m8_table)
         sd = dl.sigma_lowest_order(
-            dl.random_amplitudes(m8_ref, rng, m8_part, "external", 0.3), m8_basis)
+            dl.random_amplitudes(m8_table, rng, m8_part, "external", 0.3), m8_table)
         cas = dl.determinant_table(m8_basis, m8_ref).cas(m8_part)
         td = td_projection(H, s, cas, sd)
         assert np.linalg.norm(td - td.conj().T) < 1e-10
@@ -350,7 +350,7 @@ class TestQuenchBatches:
         study = dl.downfolded_quench(H, basis.unit_vector(basis.index_of(ref)), 0.02, 3,
                                      ref, part)
         t1, t2, _ = sweep_targets(dl.determinant_table(basis, ref), part)
-        budget = quench_batches(H, study) * len(t1 + t2)
+        budget = quench_batches(H, study) * (len(t1) + len(t2))
         assert len(study.states) > quench_batches(H, study)
         assert calls["rotation_for_target"] <= budget
         assert 0 < calls["sweep"] <= budget
@@ -418,8 +418,9 @@ class TestSigmaDotGrid:
 
 class TestLagrangians:
     def _sigmas(self, basis, ref, part, rng, scale=0.1):
+        table = dl.determinant_table(basis, ref)
         mk = lambda kind: dl.sigma_lowest_order(
-            dl.random_amplitudes(ref, rng, part, kind, scale), basis)
+            dl.random_amplitudes(table, rng, part, kind, scale), table)
         return mk("internal"), mk("external"), mk("internal"), mk("external")
 
     def test_static_zero_generators(self, m6_basis, m6_ref, m6_part):
@@ -489,51 +490,51 @@ class TestLagrangians:
 
 
 class TestSesccLagrangian:
-    def _amps(self, ref, part, rng, kind, scale=0.1):
-        return dl.random_amplitudes(ref, rng, part, kind, scale)
+    def _amps(self, table, part, rng, kind, scale=0.1):
+        return dl.random_amplitudes(table, rng, part, kind, scale)
 
-    def test_reduces_without_lambda_and_ext(self, m6_basis, m6_ref, m6_part):
+    def test_reduces_without_lambda_and_ext(self, m6_basis, m6_ref, m6_part, m6_table):
         rng = np.random.default_rng(10)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        zero = {}
-        ti = self._amps(m6_ref, m6_part, rng, "internal")
-        dti = self._amps(m6_ref, m6_part, rng, "internal")
+        zero = np.zeros(m6_basis.size)
+        ti = self._amps(m6_table, m6_part, rng, "internal")
+        dti = self._amps(m6_table, m6_part, rng, "internal")
         f1, f2 = dl.evaluate_sescc_lagrangian(H, ti, zero, zero, zero, dti, zero,
                                               m6_ref)
-        mi = dl.excitation_matrix(ti, m6_basis)
+        mi = excitation_matrix(ti, m6_table)
         e_ref = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
         expected = e_ref.conj() @ (scipy.linalg.expm(-mi) @ (
-            1j * (dl.excitation_matrix(dti, m6_basis) @ (scipy.linalg.expm(mi) @ e_ref))
+            1j * (excitation_matrix(dti, m6_table) @ (scipy.linalg.expm(mi) @ e_ref))
             - H.matrix @ (scipy.linalg.expm(mi) @ e_ref)))
         assert abs(f1 - expected) < 1e-12
         assert abs(f2 - expected) < 1e-12
 
-    def test_static_forms_equal(self, m6_basis, m6_ref, m6_part):
+    def test_static_forms_equal(self, m6_basis, m6_ref, m6_part, m6_table):
         rng = np.random.default_rng(11)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        zero = {}
+        zero = np.zeros(m6_basis.size)
         f1, f2 = dl.evaluate_sescc_lagrangian(
-            H, self._amps(m6_ref, m6_part, rng, "internal"),
-            self._amps(m6_ref, m6_part, rng, "external"),
-            self._amps(m6_ref, m6_part, rng, "internal"),
-            self._amps(m6_ref, m6_part, rng, "external"),
+            H, self._amps(m6_table, m6_part, rng, "internal"),
+            self._amps(m6_table, m6_part, rng, "external"),
+            self._amps(m6_table, m6_part, rng, "internal"),
+            self._amps(m6_table, m6_part, rng, "external"),
             zero, zero, m6_ref)
         assert abs(f1 - f2) < 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_forms_equal(self, m6_basis, m6_ref, m6_part, seed):
+    def test_random_forms_equal(self, m6_basis, m6_ref, m6_part, seed, m6_table):
         rng = np.random.default_rng(seed + 20)
         H = random_hermitian_hamiltonian(m6_basis, rng)
         f1, f2 = dl.evaluate_sescc_lagrangian(
-            H, self._amps(m6_ref, m6_part, rng, "internal"),
-            self._amps(m6_ref, m6_part, rng, "external"),
-            self._amps(m6_ref, m6_part, rng, "internal"),
-            self._amps(m6_ref, m6_part, rng, "external"),
-            self._amps(m6_ref, m6_part, rng, "internal"),
-            self._amps(m6_ref, m6_part, rng, "external"), m6_ref)
+            H, self._amps(m6_table, m6_part, rng, "internal"),
+            self._amps(m6_table, m6_part, rng, "external"),
+            self._amps(m6_table, m6_part, rng, "internal"),
+            self._amps(m6_table, m6_part, rng, "external"),
+            self._amps(m6_table, m6_part, rng, "internal"),
+            self._amps(m6_table, m6_part, rng, "external"), m6_ref)
         assert abs(f1 - f2) < 1e-10
 
-    def test_exponentials_act_on_vectors(self, monkeypatch, m6_basis, m6_ref, m6_part):
+    def test_exponentials_act_on_vectors(self, monkeypatch, m6_basis, m6_ref, m6_part, m6_table):
         # every factor e^{+-T} of both routes acts on a vector, through the
         # configuration's amplitude operators: no dim x dim exponential
         rng = np.random.default_rng(24)
@@ -541,17 +542,17 @@ class TestSesccLagrangian:
         calls = {}
         count_calls(monkeypatch, ecc, "exp_nilpotent", calls,
                     key=lambda T, V, *args, **kwargs: np.ndim(V))
-        dl.evaluate_sescc_lagrangian(H, *(self._amps(m6_ref, m6_part, rng, kind)
+        dl.evaluate_sescc_lagrangian(H, *(self._amps(m6_table, m6_part, rng, kind)
                                           for kind in ("internal", "external") * 3), m6_ref)
         assert calls == {1: 7}
 
-    def test_external_velocity_leaves_cas(self, m8_basis, m8_ref, m8_part):
+    def test_external_velocity_leaves_cas(self, m8_basis, m8_ref, m8_part, m8_table):
         # (P+Q_int) dT_ext e^{T_int} |ref> = 0 for any amplitude sets
         rng = np.random.default_rng(12)
-        dte = dl.excitation_matrix(
-            self._amps(m8_ref, m8_part, rng, "external", 0.5), m8_basis)
-        ti = dl.excitation_matrix(
-            self._amps(m8_ref, m8_part, rng, "internal", 0.5), m8_basis)
+        dte = excitation_matrix(
+            self._amps(m8_table, m8_part, rng, "external", 0.5), m8_table)
+        ti = excitation_matrix(
+            self._amps(m8_table, m8_part, rng, "internal", 0.5), m8_table)
         e_ref = m8_basis.unit_vector(m8_basis.index_of(m8_ref))
         vec = dte @ (scipy.linalg.expm(ti) @ e_ref)
         projs = build_projectors(m8_ref, m8_basis, m8_part)
@@ -559,7 +560,7 @@ class TestSesccLagrangian:
 
 
 class TestTdSesccKet:
-    def test_residual_second_order_in_dt(self, dimer_basis, dimer_ref, dimer_part):
+    def test_residual_second_order_in_dt(self, dimer_basis, dimer_ref, dimer_part, dimer_table):
         # i d/dt e^{T_int}|ref> = Heff(t) e^{T_int}|ref> with T from
         # cluster-analyzing the trajectory; centered differences show O(dt^2)
         H = dl.hamiltonian_from_integrals(dl.hubbard_integrals(2, 1.0, 2.0), dimer_basis)
@@ -572,13 +573,13 @@ class TestTdSesccKet:
         def ket_and_heff(t):
             psi = scipy.linalg.expm(-1j * H.matrix * t) @ psi0
             amps = dl.cluster_analyze(psi, dimer_ref, dimer_basis)
-            t_int, t_ext = dl.split_amplitudes(amps, dimer_part)
-            me = dl.excitation_matrix(t_ext, dimer_basis)
+            t_int, t_ext = dl.split_amplitudes(amps, dimer_table, dimer_part)
+            me = excitation_matrix(t_ext, dimer_table)
             # the scalar (rank-0) cluster component belongs to the internal
             # part: e^{T_int}|ref> = <ref|psi> e^{T_int,k>=1}|ref>
             c0 = psi[dimer_basis.index_of(dimer_ref)]
             ket = c0 * (scipy.linalg.expm(
-                dl.excitation_matrix(t_int, dimer_basis)) @ e_ref)
+                excitation_matrix(t_int, dimer_table)) @ e_ref)
             hbar = scipy.linalg.expm(-me) @ H.matrix @ scipy.linalg.expm(me)
             return ket, pq @ hbar @ pq
 

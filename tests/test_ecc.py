@@ -7,22 +7,23 @@ from hypothesis import strategies as st
 import ducclab as dl
 
 from oracles import (dense_ecc_matrices, dense_x_int_ext_bch, eval_ecc_action_integrand,
-                     random_hermitian_hamiltonian)
+                     excitation_matrix, random_hermitian_hamiltonian)
 
 
-def random_cfg(ref, part, rng, scale=0.1):
+def random_cfg(table, part, rng, scale=0.1):
     """The keyword arguments of :meth:`dl.EccMatrices.build`, drawn in
     this order."""
-    mk = lambda kind: dl.random_amplitudes(ref, rng, part, kind, scale)
+    mk = lambda kind: dl.random_amplitudes(table, rng, part, kind, scale)
     return {"t_int": mk("internal"), "t_ext": mk("external"),
             "x_int": mk("internal"), "x_ext": mk("external"),
             "dt_int": mk("internal"), "dt_ext": mk("external")}
 
 
-def dense_ldt_forms(cfg, ref, basis):
+def dense_ldt_forms(cfg, ref, table):
     """v1, v2, v4 from dense dim x dim exponentials: the reference for the
     operator-vector chains of :func:`dl.eval_ldt_forms`."""
-    m = dense_ecc_matrices(cfg, basis)
+    basis = table.basis
+    m = dense_ecc_matrices(cfg, table)
     phi = basis.unit_vector(basis.index_of(ref))
     eXi, eXe, eTi, eTe, eTim, eTem = dense_exponentials(m)
     ket = eTe @ (eTi @ phi)
@@ -39,7 +40,7 @@ def dense_lh_forms(cfg, H, ref):
     """w1, w2 from dense exponentials, e^{+-X^int_ext} by scipy.linalg.expm:
     the reference for the chains of :func:`dl.eval_lh_forms`."""
     basis = H.basis
-    m = dense_ecc_matrices(cfg, basis)
+    m = dense_ecc_matrices(cfg, dl.determinant_table(basis, ref))
     phi = basis.unit_vector(basis.index_of(ref))
     eXi, eXe, eTi, eTe, eTim, eTem = dense_exponentials(m)
     w1 = phi.conj() @ (eXi @ (eXe @ (eTim @ (eTem @ (H.matrix @ (eTe @ (eTi @ phi)))))))
@@ -62,24 +63,25 @@ class TestChainsMatchDenseProducts:
     @staticmethod
     def system(request, fixture):
         return tuple(request.getfixturevalue(f"{fixture}_{name}")
-                     for name in ("basis", "ref", "part"))
+                     for name in ("table", "ref", "part"))
 
     def test_ldt_and_lh_forms(self, request, fixture, scale):
-        basis, ref, part = self.system(request, fixture)
+        table, ref, part = self.system(request, fixture)
         rng = np.random.default_rng(40)
         for _ in range(3):
-            H = random_hermitian_hamiltonian(basis, rng)
-            cfg = random_cfg(ref, part, rng, scale)
-            m = dl.EccMatrices.build(basis, **cfg)
+            H = random_hermitian_hamiltonian(table.basis, rng)
+            cfg = random_cfg(table, part, rng, scale)
+            m = dl.EccMatrices.build(table, **cfg)
             got = dl.eval_ldt_forms(m, ref) + dl.eval_lh_forms(m, H, ref)
-            want = dense_ldt_forms(cfg, ref, basis) + dense_lh_forms(cfg, H, ref)
+            want = dense_ldt_forms(cfg, ref, table) + dense_lh_forms(cfg, H, ref)
             assert np.abs(np.subtract(got, want)).max() < 1e-12
 
     def test_x_int_ext_series_matches_expm(self, request, fixture, scale):
-        basis, ref, part = self.system(request, fixture)
+        table, ref, part = self.system(request, fixture)
+        basis = table.basis
         rng = np.random.default_rng(41)
-        cfg = random_cfg(ref, part, rng, scale)
-        m, d = dl.EccMatrices.build(basis, **cfg), dense_ecc_matrices(cfg, basis)
+        cfg = random_cfg(table, part, rng, scale)
+        m, d = dl.EccMatrices.build(table, **cfg), dense_ecc_matrices(cfg, table)
         eye = np.eye(basis.size)
         x = dl.exp_nilpotent(d.Ti, d.Xe, basis) @ dl.exp_nilpotent(-d.Ti, eye, basis)
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
@@ -93,24 +95,25 @@ class TestChainsMatchDenseProducts:
 def test_stacked_brackets_match_each_configuration(request, fixture):
     # B configurations evaluated as one stack, bracket per column, against
     # each evaluated alone
-    basis, ref, part = (request.getfixturevalue(f"{fixture}_{name}")
-                        for name in ("basis", "ref", "part"))
+    table, ref, part = (request.getfixturevalue(f"{fixture}_{name}")
+                        for name in ("table", "ref", "part"))
     rng = np.random.default_rng(43)
-    H = random_hermitian_hamiltonian(basis, rng)
-    cfgs = [random_cfg(ref, part, rng, scale) for scale in (0.1, 0.5, 0.1, 1.0, 0.3)]
-    stack = dl.EccMatrices.build(basis, **{k: [c[k] for c in cfgs] for k in cfgs[0]})
+    H = random_hermitian_hamiltonian(table.basis, rng)
+    cfgs = [random_cfg(table, part, rng, scale) for scale in (0.1, 0.5, 0.1, 1.0, 0.3)]
+    stack = dl.EccMatrices.build(table, **{k: np.stack([c[k] for c in cfgs], axis=1)
+                                           for k in cfgs[0]})
     got = dl.eval_ldt_forms(stack, ref) + dl.eval_lh_forms(stack, H, ref)
     assert all(z.shape == (len(cfgs),) for z in got)
     for b, cfg in enumerate(cfgs):
-        m = dl.EccMatrices.build(basis, **cfg)
+        m = dl.EccMatrices.build(table, **cfg)
         want = dl.eval_ldt_forms(m, ref) + dl.eval_lh_forms(m, H, ref)
         assert all(type(z) is complex for z in want)
         for g, w in zip(got, want):
             assert abs(g[b] - w) <= 1e-14 * max(1.0, abs(w))
 
 
-def test_series_of_non_nilpotent_map_raises(m6_basis, m6_ref, m6_part):
-    m = dl.EccMatrices.build(m6_basis, **random_cfg(m6_ref, m6_part, np.random.default_rng(42)))
+def test_series_of_non_nilpotent_map_raises(m6_basis, m6_ref, m6_part, m6_table):
+    m = dl.EccMatrices.build(m6_table, **random_cfg(m6_table, m6_part, np.random.default_rng(42)))
     shifted = lambda w: m.Xe @ w + 0.3 * w   # X_ext + 0.3 I is not nilpotent
     v = m6_basis.unit_vector(m6_ref)
     with pytest.raises(ArithmeticError):
@@ -118,63 +121,61 @@ def test_series_of_non_nilpotent_map_raises(m6_basis, m6_ref, m6_part):
 
 
 class TestLdtForms:
-    def test_no_deexcitations(self, m6_basis, m6_ref, m6_part):
+    def test_no_deexcitations(self, m6_basis, m6_ref, m6_part, m6_table):
         # with X = 0 every route reduces to i<ref|e^{-T} dT e^{T}|ref>
         rng = np.random.default_rng(0)
-        cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg["x_int"] = {}
-        cfg["x_ext"] = {}
-        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(m6_basis, **cfg), m6_ref)
-        t_all = dl.excitation_matrix(cfg["t_int"], m6_basis) \
-            + dl.excitation_matrix(cfg["t_ext"], m6_basis)
-        dt_all = dl.excitation_matrix(cfg["dt_int"], m6_basis) \
-            + dl.excitation_matrix(cfg["dt_ext"], m6_basis)
+        cfg = random_cfg(m6_table, m6_part, rng)
+        cfg["x_int"] = cfg["x_ext"] = np.zeros(m6_table.basis.size)
+        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(m6_table, **cfg), m6_ref)
+        t_all = excitation_matrix(cfg["t_int"], m6_table) \
+            + excitation_matrix(cfg["t_ext"], m6_table)
+        dt_all = excitation_matrix(cfg["dt_int"], m6_table) \
+            + excitation_matrix(cfg["dt_ext"], m6_table)
         e_ref = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
         expected = 1j * (e_ref.conj() @ (scipy.linalg.expm(-t_all)
                                          @ (dt_all @ (scipy.linalg.expm(t_all) @ e_ref))))
         for v in (v1, v2, v4):
             assert abs(v - expected) < 1e-12
 
-    def test_static_configuration_vanishes(self, m6_basis, m6_ref, m6_part):
+    def test_static_configuration_vanishes(self, m6_basis, m6_ref, m6_part, m6_table):
         rng = np.random.default_rng(1)
-        cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg["dt_int"] = {}
-        cfg["dt_ext"] = {}
-        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(m6_basis, **cfg), m6_ref)
+        cfg = random_cfg(m6_table, m6_part, rng)
+        cfg["dt_int"] = cfg["dt_ext"] = np.zeros(m6_basis.size)
+        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(m6_table, **cfg), m6_ref)
         assert abs(v1) < 1e-14 and abs(v2) < 1e-14 and abs(v4) < 1e-14
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_forms_agree(self, m6_basis, m6_ref, m6_part, seed):
+    def test_forms_agree(self, m6_ref, m6_part, seed, m6_table):
         rng = np.random.default_rng(seed)
-        cfg = random_cfg(m6_ref, m6_part, rng)
-        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(m6_basis, **cfg), m6_ref)
+        cfg = random_cfg(m6_table, m6_part, rng)
+        v1, v2, v4 = dl.eval_ldt_forms(dl.EccMatrices.build(m6_table, **cfg), m6_ref)
         assert abs(v1 - v2) < 1e-10
         assert abs(v4 - v1) < 1e-10  # full-product B carries no deviation
 
 
 class TestLhForms:
-    def test_no_external_deexcitation(self, m6_basis, m6_ref, m6_part):
+    def test_no_external_deexcitation(self, m6_basis, m6_ref, m6_part, m6_table):
         rng = np.random.default_rng(2)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg["x_ext"] = {}
-        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(H.basis, **cfg), H, m6_ref)
+        cfg = random_cfg(m6_table, m6_part, rng)
+        cfg["x_ext"] = np.zeros(m6_basis.size)
+        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(m6_table, **cfg), H, m6_ref)
         assert abs(w1 - w2) < 1e-12
 
-    def test_no_internal_excitation(self, m6_basis, m6_ref, m6_part):
+    def test_no_internal_excitation(self, m6_basis, m6_ref, m6_part, m6_table):
         rng = np.random.default_rng(3)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg["t_int"] = {}  # X^int_ext collapses onto X_ext
-        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(H.basis, **cfg), H, m6_ref)
+        cfg = random_cfg(m6_table, m6_part, rng)
+        cfg["t_int"] = np.zeros(m6_basis.size)  # X^int_ext collapses onto X_ext
+        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(m6_table, **cfg), H, m6_ref)
         assert abs(w1 - w2) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_forms_agree(self, m6_basis, m6_ref, m6_part, seed):
+    def test_forms_agree(self, m6_basis, m6_ref, m6_part, seed, m6_table):
         rng = np.random.default_rng(seed + 10)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        cfg = random_cfg(m6_ref, m6_part, rng)
-        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(H.basis, **cfg), H, m6_ref)
+        cfg = random_cfg(m6_table, m6_part, rng)
+        w1, w2 = dl.eval_lh_forms(dl.EccMatrices.build(m6_table, **cfg), H, m6_ref)
         assert abs(w1 - w2) < 1e-10
 
 
@@ -182,54 +183,54 @@ class TestActionIntegrand:
     def test_all_zero_amplitudes(self, m6_basis, m6_ref, m6_part):
         rng = np.random.default_rng(4)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        cfg = dict.fromkeys(("t_int", "t_ext", "x_int", "x_ext", "dt_int", "dt_ext"), {})
+        cfg = dict.fromkeys(("t_int", "t_ext", "x_int", "x_ext", "dt_int", "dt_ext"),
+                            np.zeros(m6_basis.size))
         value, dev = eval_ecc_action_integrand(cfg, H, m6_ref)
         e_ref = m6_basis.unit_vector(m6_basis.index_of(m6_ref))
         assert abs(value - (-(e_ref.conj() @ (H.matrix @ e_ref)))) < 1e-12
         assert dev < 1e-14
 
-    def test_static_configuration_is_minus_energy_form(self, m6_basis, m6_ref, m6_part):
+    def test_static_configuration_is_minus_energy_form(self, m6_basis, m6_ref, m6_part, m6_table):
         rng = np.random.default_rng(5)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        cfg = random_cfg(m6_ref, m6_part, rng)
-        cfg["dt_int"] = {}
-        cfg["dt_ext"] = {}
+        cfg = random_cfg(m6_table, m6_part, rng)
+        cfg["dt_int"] = cfg["dt_ext"] = np.zeros(m6_basis.size)
         value, _ = eval_ecc_action_integrand(cfg, H, m6_ref)
-        _, w2 = dl.eval_lh_forms(dl.EccMatrices.build(H.basis, **cfg), H, m6_ref)
+        _, w2 = dl.eval_lh_forms(dl.EccMatrices.build(m6_table, **cfg), H, m6_ref)
         assert abs(value - (-w2)) < 1e-13
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_deviation_small_for_full_product(self, m6_basis, m6_ref, m6_part, seed):
+    def test_deviation_small_for_full_product(self, m6_basis, m6_ref, m6_part, seed, m6_table):
         rng = np.random.default_rng(seed + 20)
         H = random_hermitian_hamiltonian(m6_basis, rng)
-        cfg = random_cfg(m6_ref, m6_part, rng)
+        cfg = random_cfg(m6_table, m6_part, rng)
         _, dev = eval_ecc_action_integrand(cfg, H, m6_ref)
         assert dev < 1e-10
 
 
 class TestOperatorAlgebra:
-    def test_excitation_blocks_commute(self, m6_basis, m6_ref, m6_part):
+    def test_excitation_blocks_commute(self, m6_part, m6_table):
         rng = np.random.default_rng(6)
-        cfg = random_cfg(m6_ref, m6_part, rng, scale=0.5)
-        ti = dl.excitation_matrix(cfg["t_int"], m6_basis)
-        te = dl.excitation_matrix(cfg["t_ext"], m6_basis)
-        dt = dl.excitation_matrix(cfg["dt_int"], m6_basis) \
-            + dl.excitation_matrix(cfg["dt_ext"], m6_basis)
+        cfg = random_cfg(m6_table, m6_part, rng, scale=0.5)
+        ti = excitation_matrix(cfg["t_int"], m6_table)
+        te = excitation_matrix(cfg["t_ext"], m6_table)
+        dt = excitation_matrix(cfg["dt_int"], m6_table) \
+            + excitation_matrix(cfg["dt_ext"], m6_table)
         assert np.abs(ti @ te - te @ ti).max() < 1e-14
         assert np.abs(dt @ (ti + te) - (ti + te) @ dt).max() < 1e-14
 
-    def test_exponential_inverse_exact(self, m8_basis, m8_ref):
+    def test_exponential_inverse_exact(self, m8_basis, m8_table):
         rng = np.random.default_rng(7)
-        t = dl.excitation_matrix(dl.random_amplitudes(m8_ref, rng, scale=0.5),
-                                 m8_basis)
+        t = excitation_matrix(dl.random_amplitudes(m8_table, rng, scale=0.5),
+                                 m8_table)
         prod = scipy.linalg.expm(-t) @ scipy.linalg.expm(t)
         assert np.abs(prod - np.eye(m8_basis.size)).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_bch_series_terminates_and_matches(self, m6_basis, m6_ref, m6_part, seed):
+    def test_bch_series_terminates_and_matches(self, m6_basis, m6_part, seed, m6_table):
         rng = np.random.default_rng(seed + 30)
-        cfg = random_cfg(m6_ref, m6_part, rng, scale=0.5)
-        direct, series, n_terms = dl.x_int_ext_bch(dl.EccMatrices.build(m6_basis, **cfg),
+        cfg = random_cfg(m6_table, m6_part, rng, scale=0.5)
+        direct, series, n_terms = dl.x_int_ext_bch(dl.EccMatrices.build(m6_table, **cfg),
                                                     m6_part)
         assert np.abs(direct - series).max() < 1e-12
         assert n_terms <= 3 * min(m6_basis.N, m6_basis.M - m6_basis.N) + 2
@@ -259,28 +260,28 @@ class TestXIntExtBchFromPairLists:
     @staticmethod
     def check_against_dense(basis, part):
         rng = np.random.default_rng(50)
+        table = dl.determinant_table(basis, part.reference())
         for _ in range(2):
-            cfg = random_cfg(part.reference(), part, rng, 0.5)
-            got = dl.x_int_ext_bch(dl.EccMatrices.build(basis, **cfg), part)
-            want = dense_x_int_ext_bch(cfg, basis)
+            cfg = random_cfg(table, part, rng, 0.5)
+            got = dl.x_int_ext_bch(dl.EccMatrices.build(table, **cfg), part)
+            want = dense_x_int_ext_bch(cfg, table)
             assert np.abs(got[0] - want[0]).max() < 1e-15
             assert np.abs(got[1] - want[1]).max() < 1e-15
             assert got[2] == want[2]
 
-    def test_empty_internal_set(self, m8_basis, m8_ref, m8_part):
-        cfg = random_cfg(m8_ref, m8_part, np.random.default_rng(51), 0.5)
-        cfg["t_int"] = {}
-        m = dl.EccMatrices.build(m8_basis, **cfg)
+    def test_empty_internal_set(self, m8_part, m8_table):
+        cfg = random_cfg(m8_table, m8_part, np.random.default_rng(51), 0.5)
+        cfg["t_int"] = np.zeros(m8_table.basis.size)
+        m = dl.EccMatrices.build(m8_table, **cfg)
         direct, series, n_terms = dl.x_int_ext_bch(m, m8_part)
-        want = dense_x_int_ext_bch(cfg, m8_basis)
-        xe = dense_ecc_matrices(cfg, m8_basis).Xe
+        want = dense_x_int_ext_bch(cfg, m8_table)
+        xe = dense_ecc_matrices(cfg, m8_table).Xe
         assert np.array_equal(direct, xe) and np.array_equal(series, xe)
         assert np.abs(direct - want[0]).max() < 1e-15 and n_terms == want[2] == 1
 
-    def test_forms_no_identity_or_dense_exponential(self, monkeypatch, m8_basis, m8_ref,
-                                                     m8_part):
+    def test_forms_no_identity_or_dense_exponential(self, monkeypatch, m8_part, m8_table):
         m = dl.EccMatrices.build(
-            m8_basis, **random_cfg(m8_ref, m8_part, np.random.default_rng(52), 0.5))
+            m8_table, **random_cfg(m8_table, m8_part, np.random.default_rng(52), 0.5))
 
         def refused(*args, **kwargs):
             raise AssertionError("np.eye called")
@@ -288,23 +289,24 @@ class TestXIntExtBchFromPairLists:
         direct, series, _ = dl.x_int_ext_bch(m, m8_part)
         assert np.abs(direct - series).max() < 1e-12
 
-    def test_configuration_of_a_stack_matches_its_own_build(self, m8_basis, m8_ref, m8_part):
+    def test_configuration_of_a_stack_matches_its_own_build(self, m8_part, m8_table):
         rng = np.random.default_rng(53)
-        cfgs = [random_cfg(m8_ref, m8_part, rng, 0.5) for _ in range(3)]
-        stack = dl.EccMatrices.build(m8_basis, **{k: [c[k] for c in cfgs] for k in cfgs[0]})
+        cfgs = [random_cfg(m8_table, m8_part, rng, 0.5) for _ in range(3)]
+        stack = dl.EccMatrices.build(m8_table, **{k: np.stack([c[k] for c in cfgs], axis=1)
+                                                  for k in cfgs[0]})
         for b, cfg in enumerate(cfgs):
             got = dl.x_int_ext_bch(stack.config(b), m8_part)
-            want = dl.x_int_ext_bch(dl.EccMatrices.build(m8_basis, **cfg), m8_part)
+            want = dl.x_int_ext_bch(dl.EccMatrices.build(m8_table, **cfg), m8_part)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         with pytest.raises(TypeError, match="one configuration"):
             dl.x_int_ext_bch(stack, m8_part)
 
-    def test_refuses_an_internal_set_that_leaves_its_class(self, m8_basis, m8_ref, m8_part):
+    def test_refuses_an_internal_set_that_leaves_its_class(self, m8_part, m8_table):
         # an external signature in the T_int slot breaks the direct sum
-        cfg = random_cfg(m8_ref, m8_part, np.random.default_rng(54), 0.5)
+        cfg = random_cfg(m8_table, m8_part, np.random.default_rng(54), 0.5)
         cfg["t_int"] = cfg["t_ext"]
         with pytest.raises(dl.OperatorPropertyError, match="inactive occupation"):
-            dl.x_int_ext_bch(dl.EccMatrices.build(m8_basis, **cfg), m8_part)
+            dl.x_int_ext_bch(dl.EccMatrices.build(m8_table, **cfg), m8_part)
 
 
 @settings(max_examples=40)
@@ -320,8 +322,8 @@ def test_internal_pairs_never_leave_their_inactive_class(M, data):
                                    virt[cuts[1] - N:], allow_arbitrary=True)
     basis = dl.build_basis(M, N)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    op = dl.AmplitudeOperator(dl.random_amplitudes(part.reference(), rng, part, "internal"),
-                              basis)
+    table = dl.determinant_table(basis, part.reference())
+    op = dl.AmplitudeOperator(dl.random_amplitudes(table, rng, part, "internal"), table)
     cls, pos, members = dl.fock.inactive_classes(basis, part)
     assert np.array_equal(cls[op.lows], cls[op.highs])
     assert np.array_equal(members[cls, pos], np.arange(basis.size))

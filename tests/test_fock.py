@@ -10,7 +10,7 @@ from ducclab.errors import InvalidDimensionError, SectorMismatchError
 
 from conftest import count_calls
 from oracles import (apply_deexcitation, apply_excitation, classify_determinant,
-                     signature_between)
+                     enumerate_signatures, excitation_matrix, signature_between)
 
 
 class TestBuildBasis:
@@ -109,7 +109,7 @@ class TestSignatures:
 
     def test_enumeration_count(self):
         ref = dl.aufbau_reference(6, 3)
-        sigs = list(dl.enumerate_signatures(ref))
+        sigs = list(enumerate_signatures(ref))
         assert len(sigs) == comb(6, 3) - 1  # bijection with non-reference dets
 
 
@@ -194,19 +194,29 @@ def _interleaved_reference(M: int, N: int) -> dl.Determinant:
 class TestDeterminantTable:
     """The vectorised table against the scalar reference implementations."""
 
-    @pytest.mark.parametrize("M,N", [(6, 3), (8, 4), (10, 5)])
+    @pytest.mark.parametrize("M,N", [(6, 3), (8, 4), (10, 5), (4, 2)])
     @pytest.mark.parametrize("interleaved", [False, True])
     def test_excitation_pairs_match_apply_excitation(self, M, N, interleaved):
+        # every row's pairs are those its signature reaches determinant by
+        # determinant; the reference row's identity is the diagonal
         basis = dl.build_basis(M, N)
         ref = _interleaved_reference(M, N) if interleaved else dl.aufbau_reference(M, N)
-        for sig in dl.enumerate_signatures(ref, include_identity=True):
+        table = dl.determinant_table(basis, ref)
+        for j, sig in enumerate(table.signatures):
             expected = []
-            for j, det in enumerate(basis):
+            for low, det in enumerate(basis):
                 res = apply_excitation(sig, det)
                 if res is not None:
-                    expected.append((j, basis.index_of(res[0]), res[1]))
-            lows, highs, phases = dl.excitation_pairs(sig, basis)
+                    expected.append((low, basis.index_of(res[0]), res[1]))
+            lows, highs, phases = table.pairs(j)
             assert list(zip(lows.tolist(), highs.tolist(), phases.tolist())) == expected
+        lows, highs, phases = table.pairs(table.ref_index)
+        assert np.array_equal(lows, np.arange(basis.size))
+        assert np.array_equal(highs, lows) and (phases == 1.0).all()
+        # the list runs through the rows in the table's order
+        rows = table.pair_list[0]
+        assert np.array_equal(rows, np.repeat(table.order, [
+            table.pairs(j)[0].size for j in table.order.tolist()]))
 
     @pytest.mark.parametrize("part", [
         dl.homo_lumo_partition(8, 4, 2, 2),
@@ -252,7 +262,7 @@ class TestDeterminantTable:
             phases.append(ph)
         assert np.array_equal(table.phases, np.array(phases, dtype=float))
         assert np.array_equal(table.ranks, [sig.rank for sig in table.signatures])
-        enumerated = list(dl.enumerate_signatures(ref, include_identity=True))
+        enumerated = list(enumerate_signatures(ref, include_identity=True))
         assert [table.signatures[j] for j in table.order] == enumerated
         for arr in (table.holes, table.particles, table.phases, table.ranks, table.order):
             assert not arr.flags.writeable
@@ -266,61 +276,55 @@ class TestDeterminantTable:
     @pytest.mark.parametrize("M,N", [(6, 3), (8, 4)])
     def test_matrices_match_scalar_loops(self, M, N):
         basis = dl.build_basis(M, N)
-        ref = _interleaved_reference(M, N)
-        amps = dl.random_amplitudes(ref, np.random.default_rng(M))
-        amps[dl.ExcitationSignature((), ())] = 0.3 - 0.2j
+        table = dl.determinant_table(basis, _interleaved_reference(M, N))
+        amps = dl.random_amplitudes(table, np.random.default_rng(M))
+        amps[table.ref_index] = 0.3 - 0.2j
         # the de-excitation form is the transposed operator, coefficients not conjugated
-        deexcitation = lambda amps, basis: dl.AmplitudeOperator(amps, basis).T.toarray()
-        for build, apply in ((dl.excitation_matrix, apply_excitation),
+        deexcitation = lambda amps, table: dl.AmplitudeOperator(amps, table).T.toarray()
+        for build, apply in ((excitation_matrix, apply_excitation),
                              (deexcitation, apply_deexcitation)):
             expected = np.zeros((basis.size, basis.size), dtype=complex)
-            for sig, t in amps.items():
+            for row in np.flatnonzero(amps):
                 for j, det in enumerate(basis):
-                    res = apply(sig, det)
+                    res = apply(table.signatures[row], det)
                     if res is not None:
-                        expected[basis.index_of(res[0]), j] += t * res[1]
-            assert np.array_equal(build(amps, basis), expected)
-        assert np.array_equal(deexcitation(amps, basis), dl.excitation_matrix(amps, basis).T)
+                        expected[basis.index_of(res[0]), j] += amps[row] * res[1]
+            assert np.array_equal(build(amps, table), expected)
+        assert np.array_equal(deexcitation(amps, table), excitation_matrix(amps, table).T)
 
-    def test_pair_table_memoised_and_read_only(self, m8_basis, m8_ref):
-        sigs = list(dl.enumerate_signatures(m8_ref, include_identity=True))
-        first = [dl.excitation_pairs(sig, m8_basis) for sig in sigs]
-        for sig, table in zip(sigs, first):
-            again = dl.excitation_pairs(dl.ExcitationSignature(sig.occ, sig.virt), m8_basis)
-            assert all(a is b for a, b in zip(again, table))
+    def test_pair_table_memoised_and_read_only(self, m8_basis, m8_ref, m8_table):
+        assert m8_table.pair_list is m8_table.pair_list
+        for j, sig in enumerate(m8_table.signatures):
             lows, _, highs, phases = dl.fock.string_elements(
                 m8_basis.mask_array, sig.occ, np.array([sig.virt], dtype=np.int64))
-            for cached, computed in zip(table, (lows, highs, phases)):
+            for cached, computed in zip(m8_table.pairs(j), (lows, highs, phases)):
                 assert np.array_equal(cached, computed) and cached.dtype == computed.dtype
                 assert not cached.flags.writeable
                 with pytest.raises(ValueError):
                     cached[...] = 0
-        # a new basis object is a new key: no table leaks across bases
-        other = dl.build_basis(8, 4)
-        assert dl.excitation_pairs(sigs[1], other)[0] is not first[1][0]
+        for arr in m8_table.pair_list:
+            assert not arr.flags.writeable
+        # a new basis object is a new table: no list leaks across bases
+        other = dl.determinant_table(dl.build_basis(8, 4), m8_ref)
+        assert other is not m8_table and other.pair_list[1] is not m8_table.pair_list[1]
 
     @pytest.mark.parametrize("M,N", [(4, 2), (8, 4), (9, 3), (10, 5)])
     def test_pair_lists_batch_per_annihilated_tuple(self, M, N, monkeypatch):
         basis = dl.build_basis(M, N)
         ref = _interleaved_reference(M, N) if M % 2 else dl.aufbau_reference(M, N)
-        sigs = list(dl.enumerate_signatures(ref, include_identity=True))[::-1]
-        # one string_elements call per signature, as excitation_pairs was built
+        table = dl.fock.DeterminantTable(basis, ref)
+        # one string_elements call per signature, as the rows were built before
         expected = [dl.fock.string_elements(basis.mask_array, sig.occ,
                                             np.array([sig.virt], dtype=np.int64))
-                    for sig in sigs]
+                    for sig in table.signatures]
         calls = {}
         count_calls(monkeypatch, dl.fock, "string_elements", calls,
                     key=lambda masks, occ, created: occ)
-        batched = dl.fock.excitation_pair_lists(sigs + sigs[:3], basis)
-        assert calls == {sig.occ: 1 for sig in sigs}
-        for sig, arrays, (lows, _, highs, phases) in zip(sigs, batched, expected):
-            for got, want in zip(arrays, (lows, highs, phases)):
+        table.pair_list
+        assert calls == {sig.occ: 1 for sig in table.signatures}
+        for j, (lows, _, highs, phases) in enumerate(expected):
+            for got, want in zip(table.pairs(j), (lows, highs, phases)):
                 assert np.array_equal(got, want) and got.dtype == want.dtype
-                assert not got.flags.writeable
-            # shared with excitation_pairs, and by a repeat within the batch
-            assert all(a is b for a, b in zip(dl.excitation_pairs(sig, basis), arrays))
-        assert all(a is b for a, b in zip(batched[-3:], batched[:3]))
-        # memoised signatures cost no further call
-        again = dl.fock.excitation_pair_lists(sigs, basis)
-        assert all(a is b for a, b in zip(again, batched))
-        assert calls == {sig.occ: 1 for sig in sigs}
+        # the built list costs no further call
+        table.pairs(0), table.pair_list
+        assert calls == {sig.occ: 1 for sig in table.signatures}

@@ -110,13 +110,13 @@ class TestImaginaryEvolve:
 
 class TestNonstationary:
     def test_decaying_schedule_reaches_stationary_limit(self, dimer_basis, dimer_H,
-                                                        dimer_ref, dimer_part):
+                                                        dimer_ref, dimer_part, dimer_table):
         rng = np.random.default_rng(2)
         vecs = np.linalg.eigh(dimer_H.matrix)[1]
         sweep = dl.decompose_state(vecs[:, 0], dimer_ref, dimer_part, dimer_basis)
         pert = dl.sigma_lowest_order(
-            dl.random_amplitudes(dimer_ref, rng, dimer_part, "external", 0.1),
-            dimer_basis)
+            dl.random_amplitudes(dimer_table, rng, dimer_part, "external", 0.1),
+            dimer_table)
 
         cas = dl.determinant_table(dimer_basis, dimer_ref).cas(dimer_part)
 

@@ -10,7 +10,8 @@ from ducclab.errors import BranchCutError, InvalidDimensionError, OperatorProper
 from ducclab.operators import (MAX_GENERATOR_NORM1, _size_stacks, _stacked_unitarity_defect,
                                exp_anti_hermitian)
 
-from oracles import (anti_hermiticity_defect, hamiltonian_from_terms, hubbard_terms,
+from oracles import (amplitude_array, anti_hermiticity_defect, enumerate_signatures,
+                     excitation_matrix, hamiltonian_from_terms, hubbard_terms,
                      pairing_terms, random_hermitian_hamiltonian,
                      scalar_hamiltonian_from_integrals, unitarity_defect)
 
@@ -590,14 +591,14 @@ class TestExpAntiHermitian:
 
 
 class TestCommutator:
-    def test_excitation_signatures_commute(self, m8_basis, m8_ref):
+    def test_excitation_signatures_commute(self, m8_ref, m8_table):
         # pure excitations of one reference form a commutative algebra
         rng = np.random.default_rng(4)
-        sigs = list(dl.enumerate_signatures(m8_ref, max_rank=3))
+        sigs = list(enumerate_signatures(m8_ref, max_rank=3))
         for _ in range(10):
             s1, s2 = rng.choice(len(sigs), size=2)
-            m1 = dl.excitation_matrix({sigs[s1]: 1.0}, m8_basis)
-            m2 = dl.excitation_matrix({sigs[s2]: 1.0}, m8_basis)
+            m1 = excitation_matrix(amplitude_array({sigs[s1]: 1.0}, m8_table), m8_table)
+            m2 = excitation_matrix(amplitude_array({sigs[s2]: 1.0}, m8_table), m8_table)
             assert np.abs(m1 @ m2 - m2 @ m1).max() < 1e-14
 
 

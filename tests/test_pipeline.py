@@ -7,7 +7,7 @@ import scipy.linalg
 
 import ducclab as dl
 
-from oracles import random_hermitian_hamiltonian
+from oracles import excitation_matrix, random_hermitian_hamiltonian
 
 
 class TestExcitedStateDecomposition:
@@ -31,16 +31,16 @@ class TestExcitedStateDecomposition:
         # compression bound: no downfolded root lies below the true ground
         assert evals[0] > vals[0] - 1e-10
 
-    def test_sescc_reproduces_excited_energy(self, m8_basis, m8_ref, m8_part):
+    def test_sescc_reproduces_excited_energy(self, m8_basis, m8_ref, m8_part, m8_table):
         rng = np.random.default_rng(123)
         H = random_hermitian_hamiltonian(m8_basis, rng)
         vals, vecs = np.linalg.eigh(H.matrix)
         k = 1
         amps = dl.cluster_analyze(vecs[:, k], m8_ref, m8_basis)
-        t_int, t_ext = dl.split_amplitudes(amps, m8_part)
+        t_int, t_ext = dl.split_amplitudes(amps, m8_table, m8_part)
         heff = dl.downfold_sescc(H, t_ext, m8_ref, m8_part)
         target = heff.restrict(scipy.linalg.expm(
-            dl.excitation_matrix(t_int, m8_basis))
+            excitation_matrix(t_int, m8_table))
             @ m8_basis.unit_vector(m8_basis.index_of(m8_ref)))
         root = dl.match_root(heff, target)
         evals, _ = heff.eigensystem()
@@ -61,7 +61,7 @@ class TestDeskScaleCeiling:
         heff = dl.downfold_ducc(H, res.sigma_ext, ref, part)
         assert abs(heff.eigensystem()[0][0] - vals[0]) < 1e-9
         amps = dl.cluster_analyze(vecs[:, 0], ref, basis)
-        _, t_ext = dl.split_amplitudes(amps, part)
+        _, t_ext = dl.split_amplitudes(amps, dl.determinant_table(basis, ref), part)
         heff_s = dl.downfold_sescc(H, t_ext, ref, part)
         svals, _ = heff_s.eigensystem()
         assert min(abs(complex(v) - vals[0]) for v in svals) < 1e-9

@@ -9,8 +9,9 @@ from ducclab.sweeps import sweep_targets
 
 from conftest import count_calls, random_state
 from oracles import (anti_hermiticity_defect, apply_excitation, build_projectors,
-                     classify_determinant, rotation_generator, rotation_unitary,
-                     scalar_sweep_targets, unitarity_defect)
+                     classify_determinant, is_internal_signature, rotation_generator,
+                     rotation_unitary, scalar_sweep_targets, signature_pairs,
+                     unitarity_defect)
 
 
 class TestRotationForTarget:
@@ -35,7 +36,7 @@ class TestRotationForTarget:
         assert abs(step.sin) == pytest.approx(c1 / np.hypot(c0, c1))
         rotated = state.copy()
         from ducclab.sweeps import _apply_rotation
-        _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), rotated)
+        _apply_rotation(step, signature_pairs(sig, m6_basis), rotated)
         assert abs(rotated[m6_basis.index_of(det)]) < 1e-14
         assert np.linalg.norm(rotated) == pytest.approx(np.linalg.norm(state))
 
@@ -47,7 +48,7 @@ class TestRotationForTarget:
         step = dl.rotation_for_target(state, m6_basis.index_of(det),
                                       dl.determinant_table(m6_basis, m6_ref))
         from ducclab.sweeps import _apply_rotation
-        _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
+        _apply_rotation(step, signature_pairs(sig, m6_basis), state)
         assert abs(state[m6_basis.index_of(det)]) < 1e-14
 
     def test_empty_partner_quarter_turn(self, m6_basis, m6_ref):
@@ -59,7 +60,7 @@ class TestRotationForTarget:
         assert step.cos == 0.0
         assert abs(step.sin) == pytest.approx(1.0)
         from ducclab.sweeps import _apply_rotation
-        _apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
+        _apply_rotation(step, signature_pairs(sig, m6_basis), state)
         assert abs(state[m6_basis.index_of(det)]) < 1e-14
         assert abs(state[m6_basis.index_of(m6_ref)]) == pytest.approx(0.7)
 
@@ -75,7 +76,7 @@ class TestRotationForTarget:
         step = dl.rotation_for_target(state, j, table)
         assert isinstance(step.sin, float) and step.sin < 0.0
         assert step.sin == pytest.approx(-0.6 / np.hypot(1.0, 0.6))
-        sweeps._apply_rotation(step, dl.excitation_pairs(sig, m6_basis), state)
+        sweeps._apply_rotation(step, signature_pairs(sig, m6_basis), state)
         assert state.dtype == np.float64
         assert abs(state[j]) < 1e-16
         assert abs(state[table.ref_index]) == pytest.approx(np.hypot(0.3, 0.5))
@@ -97,7 +98,7 @@ class TestRotationForTarget:
         assert np.array_equal(step.sin[:3], [0.0, 1.0 / table.phases[j], 0.0])
         assert step.cos[3] == pytest.approx(0.9 / np.hypot(0.9, 0.4))
         rotated = stack.copy()
-        sweeps._apply_rotation(step, dl.excitation_pairs(sig, m6_basis), rotated)
+        sweeps._apply_rotation(step, signature_pairs(sig, m6_basis), rotated)
         assert np.abs(rotated[j]).max() < 1e-16
         assert np.array_equal(rotated[:, [0, 2]], stack[:, [0, 2]])
         assert abs(rotated[table.ref_index, 1]) == pytest.approx(0.7)
@@ -105,7 +106,7 @@ class TestRotationForTarget:
     def test_real_rotation_refuses_a_complex_phase(self, m6_basis):
         step = dl.RotationStep((2,), (3,), cos=np.cos(0.3), sin=np.exp(0.5j) * np.sin(0.3))
         with pytest.raises(ValueError, match="complex rotation"):
-            sweeps._apply_rotation(step, dl.excitation_pairs(step.signature, m6_basis),
+            sweeps._apply_rotation(step, signature_pairs(step.signature, m6_basis),
                                    np.ones(m6_basis.size))
 
 
@@ -181,7 +182,7 @@ class TestSweepExternal:
                          for step in steps12]
         assert any(inactive_hole) and not all(inactive_hole)
         for step in steps12:
-            assert not m8_part.is_internal_signature(step.signature)
+            assert not is_internal_signature(m8_part, step.signature)
 
     def test_ordering_keys(self, m8_basis, m8_ref, m8_part):
         # sweep-1 groups carry an inactive hole as smallest index; sweep-2
@@ -198,8 +199,10 @@ class TestSweepExternal:
                  (dl.build_basis(10, 5), dl.aufbau_reference(10, 5),
                   dl.homo_lumo_partition(10, 5, 2, 1))]
         for basis, ref, part in cases:
-            targets = sweep_targets(dl.determinant_table(basis, ref), part)
-            assert targets == scalar_sweep_targets(ref, part, basis)
+            table = dl.determinant_table(basis, ref)
+            targets = [tuple((table.signatures[j], j) for j in rows.tolist())
+                       for rows in sweep_targets(table, part)]
+            assert tuple(targets) == scalar_sweep_targets(ref, part, basis)
             t1, t2, _ = targets
             occ_inact = set(part.occ_inactive)
             virt_inact = set(part.virt_inactive)
@@ -248,13 +251,14 @@ class TestSweepInternal:
         assert abs(final[m8_basis.index_of(m8_ref)]) == pytest.approx(1.0, abs=1e-10)
         _, steps3 = sweep_steps
         for step in steps3:
-            assert m8_part.is_internal_signature(step.signature)
+            assert is_internal_signature(m8_part, step.signature)
 
     def test_external_support_rejected(self, m8_basis, m8_ref, m8_part, monkeypatch):
         # sweeps 1-2 emptied of targets leave the external support to sweep 3
         targets = sweeps.sweep_targets
         monkeypatch.setattr(sweeps, "sweep_targets",
-                            lambda table, part: ((), ()) + targets(table, part)[2:])
+                            lambda table, part: (np.zeros(0, int),) * 2
+                            + targets(table, part)[2:])
         rng = np.random.default_rng(2)
         psi = random_state(m8_basis, rng, ref=m8_ref)  # full support
         with pytest.raises(CasSupportError):
@@ -374,23 +378,28 @@ class TestDecomposeState:
                                                                 monkeypatch):
         # a state on the determinants with the reference's electron count in
         # the even orbitals: every rotation keeps that count, so the targets
-        # off the sector stay zero and their pair lists are never built
-        basis = dl.build_basis(8, 4)   # a new basis: an empty pair memo
+        # off the sector stay zero and take no rotation; each rotation
+        # applied takes its target row's slice of the table's pair list
+        basis = dl.build_basis(8, 4)
+        table = dl.determinant_table(basis, m8_ref)
         even = sum(1 << p for p in range(0, 8, 2))
         count = np.bitwise_count(basis.mask_array & even)
         psi = random_state(basis, np.random.default_rng(13), ref=m8_ref)
         psi[count != (m8_ref.occupation & even).bit_count()] = 0.0
-        apply, applied = sweeps._apply_rotation, set()
+        apply, applied = sweeps._apply_rotation, {}
 
         def recording(step, pairs, arr, inverse=False):
-            applied.add(step.signature)
+            applied[step.signature] = pairs
             return apply(step, pairs, arr, inverse)
         monkeypatch.setattr(sweeps, "_apply_rotation", recording)
         res = dl.decompose_state(psi, m8_ref, m8_part, basis)
         assert res.residual < 1e-12
-        targets = sum(sweep_targets(dl.determinant_table(basis, m8_ref), m8_part), ())
+        targets = np.concatenate(sweep_targets(table, m8_part))
         assert len(applied) == res.rotations < len(targets)
-        assert set(basis._pairs) == applied
+        for sig, pairs in applied.items():
+            row = table.signatures.index(sig)
+            assert all(np.shares_memory(a, b)
+                       for a, b in zip(pairs, table.pairs(row)))
 
     def test_reported_defects_are_those_of_the_omegas(self, m8_basis, m8_ref, m8_part,
                                                       monkeypatch):
@@ -473,9 +482,10 @@ class TestDecomposeState:
         from ducclab.sweeps import _run_targets
         table = dl.determinant_table(dimer_basis, dimer_ref)
         t1, t2, _ = sweep_targets(table, part)
-        assert not t1
-        occ_keyed = sorted(t2, key=lambda sd: (sd[0].occ[0], sd[0].rank, sd[0].occ,
-                                               sd[0].virt))
+        assert not t1.size
+        sig = table.signatures
+        occ_keyed = np.array(sorted(t2.tolist(), key=lambda j: (
+            sig[j].occ[0], sig[j].rank, sig[j].occ, sig[j].virt)))
         state = psi.astype(complex).copy()
         with pytest.raises(OrderingViolationError):
             _run_targets(state, occ_keyed, table)
@@ -578,8 +588,9 @@ class TestStack:
         part = dl.SpinOrbitalPartition((), (0, 1), (2,), (3,))
         table = dl.determinant_table(dimer_basis, dimer_ref)
         _, t2, _ = sweep_targets(table, part)
-        occ_keyed = sorted(t2, key=lambda sd: (sd[0].occ[0], sd[0].rank, sd[0].occ,
-                                               sd[0].virt))
+        sig = table.signatures
+        occ_keyed = np.array(sorted(t2.tolist(), key=lambda j: (
+            sig[j].occ[0], sig[j].rank, sig[j].occ, sig[j].virt)))
         rng = np.random.default_rng(3)
         stack = np.stack([random_state(dimer_basis, rng, ref=dimer_ref) for _ in range(3)],
                          axis=1)
