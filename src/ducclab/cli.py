@@ -22,6 +22,7 @@ import argparse
 import datetime
 import json
 import math
+import numbers
 import os
 import sys
 from collections.abc import Callable
@@ -39,13 +40,13 @@ from .dynamics import downfolded_quench, evaluate_lagrangians, evaluate_sescc_la
 from .ecc import (EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms,
                   x_int_ext_bch)
 from .errors import (ConfigError, DuccLabError, IntermediateNormalizationError,
-                     OperatorPropertyError)
+                     InvalidDimensionError, OperatorPropertyError)
 from .fock import (DetClass, DeterminantTable, SpinOrbitalPartition, aufbau_reference,
                    build_basis, determinant_table, homo_lumo_partition)
 from .imagtime import imaginary_evolve
 from .operators import (IntegralSet, QOperator, exp_anti_hermitian, hamiltonian_from_integrals,
                         hubbard_integrals, pairing_integrals, read_fcidump)
-from .sweeps import decompose_state, replay
+from .sweeps import _check_sweep_ordering, decompose_state, replay
 
 INITIAL_STATES = ("reference", "ground", "noninteracting-ground")
 #: the environment variables that set the BLAS thread count, which moves
@@ -190,28 +191,25 @@ def load_config(path: str) -> dict:
 
 
 def config_int(value, what: str, minimum: int | None = None) -> int:
-    """An integer config value, checked rather than truncated: an integral
-    number such as 2.0 is that integer; a bool, a non-integral number or a
-    value below ``minimum`` is a :class:`ConfigError`."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """An integer config value, checked rather than truncated: a number
+    with no fractional part, such as 2 or 2.0; anything else (a string, a
+    bool, 2.5) or a value below ``minimum`` is a :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
         raise ConfigError(f"{what}={value!r} is not an integer")
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}={value!r} is not an integer") from None
-    if minimum is not None and out < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{what}={value!r} must be >= {minimum}")
-    return out
+    return int(value)
 
 
 def config_float(value, what: str) -> float:
-    """A finite float config value (not a bool), else a :class:`ConfigError`."""
+    """A finite real number as a float; anything else (a string, a bool, an
+    infinity, an integer beyond the float range) is a :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what}={value!r} is not float")
     try:
-        if isinstance(value, bool):
-            raise TypeError
         out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}={value!r} is not float") from None
+    except OverflowError:
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{what}={value!r} must be finite")
     return out
@@ -220,11 +218,15 @@ def config_float(value, what: str) -> float:
 def run_settings(cfg: dict, output: str | None, seed: int | None) -> tuple[str | None, int]:
     """Output directory and seed of a command: the command-line values, else
     the config's ``output_dir`` (None if absent) and ``seed`` (default 0).
+    A relative ``output_dir`` starts at the config's directory, a relative
+    command-line path at the working directory.
     The config's values are checked also when overridden, so that
     ``validate`` and ``run`` refuse the same configs."""
     outdir = cfg.get("output_dir")
     if outdir is not None and not isinstance(outdir, str):
         raise ConfigError(f"output_dir={outdir!r} is not a string")
+    if outdir:
+        outdir = os.path.join(cfg["_config_dir"], outdir)
     config_seed = config_int(cfg.get("seed", 0), "seed", minimum=0)
     return output or outdir, config_seed if seed is None else config_int(seed, "seed", minimum=0)
 
@@ -358,13 +360,18 @@ def _task_entries(cfg: dict) -> list[tuple[str, dict]]:
     return entries
 
 
-def _check_task(cfg: dict, name: str, params: dict):
-    if TASKS[name].needs_partition and cfg.get("partition") is None:
+def _check_task(cfg: dict, part: SpinOrbitalPartition | None, name: str, params: dict):
+    if TASKS[name].needs_partition and part is None:
         raise ConfigError(f"task {name} requires a partition")
+    if TASKS[name].sweeps:
+        try:
+            _check_sweep_ordering(part)
+        except InvalidDimensionError as exc:
+            raise ConfigError(f"task {name}: {exc}") from exc
     p = task_params(name, params)
     if name == "verify-all":
         for sub, sub_params in p.items():
-            _check_task(cfg, sub, sub_params)
+            _check_task(cfg, part, sub, sub_params)
     elif p.get("initial") == "noninteracting-ground" \
             and cfg["system"]["kind"] not in ("hubbard", "pairing"):
         raise ConfigError("noninteracting-ground initial state needs a hubbard/pairing system")
@@ -383,7 +390,7 @@ def build_context(cfg: dict, seed: int) -> RunContext:
     else:
         ref = aufbau_reference(basis.M, basis.N)
     for name, params in _task_entries(cfg):
-        _check_task(cfg, name, params)
+        _check_task(cfg, part, name, params)
     return RunContext(cfg, basis, H, ref, part, seed)
 
 
@@ -565,6 +572,7 @@ ECC_KINDS = dict(zip(("t_int", "t_ext", "x_int", "x_ext", "dt_int", "dt_ext"),
                      ("internal", "external") * 3))
 
 
+# a frame of its own: each stack is freed before task_ecc draws the next
 def _ecc_stack_deviations(ctx: RunContext, rng: np.random.Generator, first: int, width: int,
                           scale: float) -> list[tuple[float, float, float, float]]:
     """Draw configurations ``first`` .. ``first + width - 1`` one after another
@@ -587,8 +595,9 @@ def _ecc_stack_deviations(ctx: RunContext, rng: np.random.Generator, first: int,
                     f"deviate beyond {ECC_IDENTITY_RTOL:.0e} relative")
         _, act_dev = action_deviation(v1, v4, w1, w2)
         direct, series, _ = x_int_ext_bch(m.config(b), ctx.part)
+        # no class block at all when X_ext couples nothing (scale 0, no external)
         deviations.append((abs(v1 - v2), abs(w1 - w2), act_dev,
-                           float(np.abs(direct - series).max())))
+                           float(np.abs(direct - series).max(initial=0.0))))
         del direct, series   # freed before the next configuration's check
     return deviations
 
@@ -660,13 +669,15 @@ class Task:
     """A task, called as ``task(ctx, params)`` on the parameters
     :func:`task_params` parsed: ``params`` maps a parameter to ``(type,
     default, (domain predicate, domain text))``, a float also finite;
-    ``bounds`` a result to its largest meaningful value; ``verify_all``
-    holds the task's defaults as a verify-all sub-task (None: not one)."""
+    ``bounds`` a result to its largest meaningful value; ``sweeps``: it
+    sweeps the ground state, so its partition must be in sweep order;
+    ``verify_all`` its defaults as a verify-all sub-task (None: not one)."""
 
     run: Callable[[RunContext, dict], tuple[dict, dict]]
     params: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
     needs_partition: bool = True
+    sweeps: bool = False
     verify_all: dict | None = field(default_factory=dict)
 
     def __call__(self, ctx: RunContext, params: dict) -> tuple[dict, dict]:
@@ -681,9 +692,10 @@ TASKS = {
     "cluster": Task(task_cluster, bounds={"cc_residual": 1e-9, "roundtrip_residual": 1e-9},
                     needs_partition=False),
     "sweep": Task(task_sweep, bounds={"reconstruction_residual": 1e-9,
-                                      "generator_column_deviation": 1e-9}),
-    "downfold": Task(task_downfold, bounds={"sescc_delta_e": 1e-9, "ducc_delta_e": 1e-9}),
-    "propagate": Task(task_propagate, params={
+                                      "generator_column_deviation": 1e-9}, sweeps=True),
+    "downfold": Task(task_downfold, sweeps=True,
+                     bounds={"sescc_delta_e": 1e-9, "ducc_delta_e": 1e-9}),
+    "propagate": Task(task_propagate, sweeps=True, params={
         "dt": (float, 0.02, _positive),
         "nsteps": (int, 100, (lambda v: v >= 2, ">= 2 for the velocity stencil")),
         "initial": (str, "reference", (lambda v: v in INITIAL_STATES,
@@ -691,7 +703,7 @@ TASKS = {
     }, bounds={"max_decomposition_residual": 1e-9}, verify_all={"dt": 0.02, "nsteps": 50}),
     "imagtime": Task(task_imagtime, params={"dtau": (float, 0.1, _positive),
                                             "tol": (float, 1e-10, _positive)},
-                     bounds={"delta_e_vs_fci": 1e-8}),
+                     bounds={"delta_e_vs_fci": 1e-8}, sweeps=True),
     "ecc": Task(task_ecc, params={"n_configs": (int, 50, (lambda v: v >= 1, ">= 1")),
                                   "scale": (float, 0.1, (lambda v: True, "any number"))},
                 verify_all={"n_configs": 10}),
@@ -787,8 +799,6 @@ def main(argv=None) -> int:
             return 0
         if not outdir:
             raise ConfigError("no output directory (config output_dir or --output)")
-        if not os.path.isabs(outdir):
-            outdir = os.path.join(cfg["_config_dir"], outdir)
         _, code = run(cfg, outdir, seed)
         return code
     except ConfigError as exc:

@@ -22,7 +22,8 @@ X^int_ext = e^{T_int} X_ext e^{-T_int}, by its own series in X^int_ext,
 never as e^{T_int} e^{+-X_ext} e^{-T_int}, which is the identity that
 w1 = w2 tests.  :func:`x_int_ext_bch` compares matrices: it works on the
 small blocks of the classes of determinants that share their inactive
-occupation, where T_int lives, and forms no ``dim x dim`` product.
+occupation, where T_int lives, returns them as they are and forms no
+``dim x dim`` array.
 """
 
 from __future__ import annotations
@@ -158,14 +159,16 @@ def x_int_ext_bch(m: EccMatrices, part: SpinOrbitalPartition
 
     Returns (direct product e^{T_int} X_ext e^{-T_int}, terminating nested-
     commutator series sum_n ad_{T_int}^n(X_ext)/n!, number of series terms),
-    as ``dim x dim`` matrices.  T_int moves electrons among the active
-    orbitals of ``part`` only, so it is a direct sum over the classes of
-    determinants that share their inactive occupation
-    (:func:`ducclab.fock.inactive_classes`): block (c, c') of the direct
-    product is e^{T_c} X_cc' e^{-T_c'}, and of a commutator T_c Y_cc' -
-    Y_cc' T_c'.  Both routes run on the class blocks that X_ext couples,
-    padded to the largest class, as stacked small products; the direct one
-    takes e^{+-T_c} of every class from their series.
+    the first two as ``(nblocks, w, w)`` stacks of class blocks.  T_int
+    moves electrons among the active orbitals of ``part`` only, so it is a
+    direct sum over the classes of determinants that share their inactive
+    occupation (:func:`ducclab.fock.inactive_classes`): block (c, c') of
+    the direct product is e^{T_c} X_cc' e^{-T_c'}, and of a commutator
+    T_c Y_cc' - Y_cc' T_c'.  Both routes run on the nblocks class pairs
+    (c, c') that X_ext couples, ascending in (c, c'), padded to the width w
+    of the largest class, as stacked small products; the direct one takes
+    e^{+-T_c} of every class from their series.  Padding, and every entry
+    outside these blocks, is zero on both routes.
     The series terminates: every surviving operator path climbs the
     excitation-rank ladder except for the single de-excitation drop, and the
     ladder height R = min(N, M-N) caps the commutator depth at 3R.
@@ -173,11 +176,11 @@ def x_int_ext_bch(m: EccMatrices, part: SpinOrbitalPartition
     Ti, Xe, basis = m.Ti, m.Xe, m.basis
     if Ti.width is not None:
         raise TypeError("x_int_ext_bch checks one configuration: pass m.config(b)")
-    cls, pos, members = inactive_classes(basis, part)
+    cls, pos = inactive_classes(basis, part)
     if np.any(cls[Ti.lows] != cls[Ti.highs]):
         raise OperatorPropertyError("T_int couples determinants of different inactive "
                                     "occupation: it holds an external signature")
-    n_cls, width = members.shape
+    n_cls, width = int(cls.max()) + 1, int(pos.max()) + 1
     t_blocks = np.zeros((n_cls, width, width), Ti.dtype)
     t_blocks[cls[Ti.highs], pos[Ti.highs], pos[Ti.lows]] = Ti.vals
     # the class blocks (c, c') that X_ext couples, and its entries in them
@@ -204,20 +207,9 @@ def x_int_ext_bch(m: EccMatrices, part: SpinOrbitalPartition
         n += 1
         term = left @ term - term @ right
         if float(np.abs(term).max(initial=0.0)) <= dead:
-            break
+            return direct, series, n
         if n > cap:
             raise ArithmeticError(f"nested-commutator series did not terminate by n={cap}")
-
-    # the entries of the blocks that are not padding, and where they sit
-    rows, cols = members[row_cls][:, :, None], members[col_cls][:, None, :]
-    held = np.flatnonzero((rows >= 0) & (cols >= 0))
-    at = (rows * Ti.shape[1] + cols).ravel()[held]
-
-    def dense(blocks: np.ndarray) -> np.ndarray:
-        out = np.zeros(Ti.shape[0] * Ti.shape[1], blocks.dtype)
-        out[at] = blocks.ravel()[held]
-        return out.reshape(Ti.shape)
-    return dense(direct), dense(series), n
 
 
 def action_deviation(v1: complex, v4: complex, w1: complex,

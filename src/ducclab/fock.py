@@ -368,14 +368,13 @@ def determinant_table(basis: FockBasis, ref: Determinant) -> DeterminantTable:
 
 @lru_cache(maxsize=16)
 def inactive_classes(basis: FockBasis, part: SpinOrbitalPartition
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """The determinants of ``basis`` grouped by their occupation of the
     inactive orbitals of ``part``, in ascending order of that occupation's
-    mask: ``(cls, pos, members)``, determinant ``i`` being entry ``pos[i]``
-    of class ``cls[i]``, and row ``c`` of ``members`` listing the
-    determinants of class ``c`` ascending, padded with -1 to the largest
-    class.  An internal excitation moves electrons among active orbitals
-    only, so it never leaves its class.  Memoised, read-only arrays.
+    mask: ``(cls, pos)``, determinant ``i`` being entry ``pos[i]`` of class
+    ``cls[i]``, the entries of a class in ascending determinant order.  An
+    internal excitation moves electrons among active orbitals only, so it
+    never leaves its class.  Memoised, read-only arrays.
     """
     if part.M != basis.M:
         raise SectorMismatchError("partition and basis disagree on sector")
@@ -385,8 +384,6 @@ def inactive_classes(basis: FockBasis, part: SpinOrbitalPartition
     order = np.argsort(cls, kind="stable")
     pos = np.empty(basis.size, dtype=np.int64)
     pos[order] = np.arange(basis.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    members = np.full((sizes.size, sizes.max()), -1, dtype=np.int64)
-    members[cls, pos] = np.arange(basis.size)
-    for arr in (cls, pos, members):
+    for arr in (cls, pos):
         arr.flags.writeable = False
-    return cls, pos, members
+    return cls, pos

@@ -16,7 +16,8 @@ amplitude arrays from hand-written ``{signature: amplitude}`` sets, the
 signature enumeration and the random sets drawn along it, the dense and
 the per-signature amplitude matrices, the dense de-excitation matrix and
 the dense amplitude matrices of an ECC configuration, the assembled ECC
-action integrand and the dense-matrix similarity transform of X_ext by T_int.
+action integrand, the dense-matrix similarity transform of X_ext by T_int,
+and the dense matrix of its inactive-occupation class blocks.
 """
 
 from __future__ import annotations
@@ -547,6 +548,43 @@ def dense_x_int_ext_bch(cfg: dict[str, np.ndarray], table: DeterminantTable
             return direct, series, n
         if n > cap:
             raise ArithmeticError(f"nested-commutator series did not terminate by n={cap}")
+
+
+def coupled_class_blocks(Xe: np.ndarray, basis: FockBasis, part: SpinOrbitalPartition
+                         ) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
+    """The layout of :func:`ducclab.ecc.x_int_ext_bch`'s blocks, derived from
+    the labels alone: the determinants of each inactive-occupation class
+    (the classes in ascending order of ``mask & inactive``, the members of
+    one ascending), and the class pairs (c, c') ascending on which the
+    dense de-excitation matrix ``Xe`` has a nonzero entry."""
+    inactive = sum(1 << p for p in part.occ_inactive + part.virt_inactive)
+    labels = basis.mask_array & inactive
+    classes = sorted(set(labels.tolist()))
+    members = [np.flatnonzero(labels == c) for c in classes]
+    label_class = {c: k for k, c in enumerate(classes)}
+    rows, cols = np.nonzero(Xe)
+    pairs = sorted({(label_class[labels[i]], label_class[labels[j]])
+                    for i, j in zip(rows.tolist(), cols.tolist())})
+    return members, pairs
+
+
+def scatter_class_blocks(blocks: np.ndarray, Xe: np.ndarray, basis: FockBasis,
+                         part: SpinOrbitalPartition) -> np.ndarray:
+    """The ``dim x dim`` matrix of a ``(nblocks, w, w)`` stack of class
+    blocks laid out as :func:`coupled_class_blocks` says, zero outside the
+    blocks; asserts one block per coupled class pair, each padded to the
+    largest class with exact zeros."""
+    members, pairs = coupled_class_blocks(Xe, basis, part)
+    width = max(len(m) for m in members)
+    assert blocks.shape == (len(pairs), width, width)
+    out = np.zeros((basis.size, basis.size), blocks.dtype)
+    for block, (c, d) in zip(blocks, pairs):
+        rows, cols = members[c], members[d]
+        out[np.ix_(rows, cols)] = block[:len(rows), :len(cols)]
+        padding = block.copy()
+        padding[:len(rows), :len(cols)] = 0
+        assert not padding.any()
+    return out
 
 
 def eval_ecc_action_integrand(cfg: dict[str, np.ndarray], H: QOperator,

@@ -72,6 +72,10 @@ class TestValidate:
 
 DIMER_FCIDUMP = ["&FCI NORB=4,NELEC=2,MS2=0,", "&END", "-1.0 1 3 0 0", "-1.0 2 4 0 0",
                  "4.0 1 1 2 2", "4.0 3 3 4 4"]
+#: a partition the sweeps cannot take: an inactive hole above the active one
+UNSWEEPABLE = {"system": {"kind": "hubbard", "L": 3, "t": 1.0, "U": 4.0}, "electrons": 2,
+               "partition": {"occ_inactive": [1], "occ_active": [0], "virt_active": [2, 3],
+                             "virt_inactive": [4, 5], "allow_arbitrary": True}}
 
 
 #: configs that both commands refuse with exit 2: name -> (FCIDUMP lines or
@@ -123,6 +127,22 @@ MALFORMED_CONFIGS = {
         "occ_inactive": [], "occ_active": [0, 1], "virt_active": [2, 3],
         "virt_inactive": [4, 5]}}),
     "four-field-fcidump-line": (DIMER_FCIDUMP + ["0.5 1 1 0"], {}),
+    # numbers are JSON numbers, not strings that would parse as one
+    "string-L": (None, {"system": {"kind": "hubbard", "L": "2", "t": 1.0, "U": 4.0}}),
+    "string-t": (None, {"system": {"kind": "hubbard", "L": 2, "t": "1.0", "U": 4.0}}),
+    "string-U": (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": "4"}}),
+    "string-electrons": (None, {"electrons": "2"}),
+    "string-window": (None, {"partition": {"auto_homo_lumo": ["1", "1"]}}),
+    "string-nroots": (None, {"tasks": [{"name": "fci", "nroots": "3"}]}),
+    "string-n-configs": (None, {"tasks": [{"name": "ecc", "n_configs": "2"}]}),
+    "string-scale": (None, {"tasks": [{"name": "ecc", "scale": "0.1"}]}),
+    "string-seed": (None, {"seed": "1"}),
+    # an integer beyond the float range is no finite float
+    "beyond-float-U": (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": 10**400}}),
+    "beyond-float-dt": (None, {"tasks": [{"name": "propagate", "dt": -10**400}]}),
+    # every task that sweeps needs a partition in sweep order
+    **{f"unsweepable-{task}": (None, {**UNSWEEPABLE, "tasks": [{"name": task}]})
+       for task in ("sweep", "downfold", "imagtime", "propagate", "verify-all")},
 }
 
 
@@ -146,6 +166,28 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, ove
     if fcidump is MALFORMED_CONFIGS["nelec-mismatch"][0]:
         assert err.startswith("configuration error: FCIDUMP NELEC=")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tasks_that_do_not_sweep_take_an_unsweepable_partition(tmp_path):
+    path = write_config(tmp_path, **UNSWEEPABLE, tasks=[
+        {"name": "fci"}, {"name": "cluster"}, {"name": "ecc", "n_configs": 2}])
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    assert all(t["status"] == "ok" for t in read_report(tmp_path)["tasks"])
+
+
+def test_relative_output_starts_at_the_working_directory(tmp_path, monkeypatch):
+    # a command-line path is the caller's; only the config's output_dir
+    # starts at the config's directory
+    (tmp_path / "full").mkdir()
+    write_config(tmp_path / "full")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "full/config.json", "--output", "relout"]) == 0
+    assert (tmp_path / "relout" / "report.json").exists()
+    assert not (tmp_path / "full" / "relout").exists()
+    assert main(["run", "full/config.json"]) == 0
+    assert (tmp_path / "full" / "out" / "report.json").exists()
     assert not (tmp_path / "out").exists()
 
 
@@ -941,13 +983,16 @@ def test_ecc_failure_names_a_configuration_past_the_first_stack(tmp_path, monkey
 
 
 def test_ecc_of_all_zero_amplitudes(tmp_path):
-    # every set of every configuration is zero: every route is <ref|H|ref>
-    # or zero, and no operator holds a pair
-    path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3, "scale": 0}])
-    assert main(["run", str(path)]) == 0
-    results = read_report(tmp_path)["tasks"][0]["results"]
-    assert results == {"n_configs": 3, "max_ldt_deviation": 0.0, "max_lh_deviation": 0.0,
-                       "max_action_deviation": 0.0, "max_bch_deviation": 0.0}
+    # every set of every configuration is zero, or every external one is
+    # (no determinant is external): X_ext holds no pair, so the BCH check
+    # has no class block, and every pair of routes agrees exactly
+    for window, scale in (([1, 1], 0), ([2, 2], 0.1)):
+        path = write_config(tmp_path, partition={"auto_homo_lumo": window},
+                            tasks=[{"name": "ecc", "n_configs": 3, "scale": scale}])
+        assert main(["run", str(path)]) == 0
+        results = read_report(tmp_path)["tasks"][0]["results"]
+        assert results == {"n_configs": 3, "max_ldt_deviation": 0.0, "max_lh_deviation": 0.0,
+                           "max_action_deviation": 0.0, "max_bch_deviation": 0.0}, window
 
 
 def test_ecc_memory_is_bounded_by_one_stack(tmp_path):

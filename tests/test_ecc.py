@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 import ducclab as dl
 
-from oracles import (dense_ecc_matrices, dense_x_int_ext_bch, eval_ecc_action_integrand,
-                     excitation_matrix, random_hermitian_hamiltonian)
+from oracles import (coupled_class_blocks, dense_ecc_matrices, dense_x_int_ext_bch,
+                     eval_ecc_action_integrand, excitation_matrix, random_hermitian_hamiltonian,
+                     scatter_class_blocks)
 
 
 def random_cfg(table, part, rng, scale=0.1):
@@ -245,8 +246,9 @@ ARBITRARY_PARTITIONS = [
 
 class TestXIntExtBchFromPairLists:
     """:func:`dl.x_int_ext_bch` works on the inactive-occupation class blocks
-    that T_int and X_ext fill from their pair lists: the dense products of
-    the same formulas are its reference."""
+    that T_int and X_ext fill from their pair lists, and returns them: the
+    dense products of the same formulas are its reference, against the
+    blocks scattered by a layout the test derives itself."""
 
     @pytest.mark.parametrize("M,N,window", [(6, 3, (2, 2)), (6, 3, (1, 2)),
                                             (8, 4, (2, 2)), (8, 4, (1, 2))])
@@ -265,17 +267,45 @@ class TestXIntExtBchFromPairLists:
             cfg = random_cfg(table, part, rng, 0.5)
             got = dl.x_int_ext_bch(dl.EccMatrices.build(table, **cfg), part)
             want = dense_x_int_ext_bch(cfg, table)
-            assert np.abs(got[0] - want[0]).max() < 1e-15
-            assert np.abs(got[1] - want[1]).max() < 1e-15
+            xe = dense_ecc_matrices(cfg, table).Xe
+            for blocks, dense in zip(got[:2], want[:2]):
+                scattered = scatter_class_blocks(blocks, xe, basis, part)
+                assert np.abs(scattered - dense).max() < 1e-15
             assert got[2] == want[2]
 
-    def test_empty_internal_set(self, m8_part, m8_table):
+    @pytest.mark.parametrize("M,N,window", [(6, 3, (2, 2)), (8, 4, (1, 2))])
+    def test_dense_routes_vanish_outside_the_coupled_blocks(self, M, N, window):
+        # why the largest deviation over the blocks is the dense one, bit for bit
+        basis, part = dl.build_basis(M, N), dl.homo_lumo_partition(M, N, *window)
+        table = dl.determinant_table(basis, part.reference())
+        cfg = random_cfg(table, part, np.random.default_rng(55), 0.5)
+        xe = dense_ecc_matrices(cfg, table).Xe
+        members, pairs = coupled_class_blocks(xe, basis, part)
+        inside = np.zeros(xe.shape, dtype=bool)
+        for c, d in pairs:
+            inside[np.ix_(members[c], members[d])] = True
+        direct, series, _ = dense_x_int_ext_bch(cfg, table)
+        assert np.any(direct[inside]) and np.any(series[inside])
+        assert not np.any(direct[~inside]) and not np.any(series[~inside])
+
+    def test_one_block_per_coupled_class_pair(self, m8_basis, m8_part, m8_table):
+        cfg = random_cfg(m8_table, m8_part, np.random.default_rng(56), 0.5)
+        direct, series, _ = dl.x_int_ext_bch(dl.EccMatrices.build(m8_table, **cfg), m8_part)
+        members, pairs = coupled_class_blocks(dense_ecc_matrices(cfg, m8_table).Xe,
+                                              m8_basis, m8_part)
+        width = max(len(m) for m in members)
+        assert len(pairs) < len(members) ** 2
+        assert direct.shape == series.shape == (len(pairs), width, width)
+
+    def test_empty_internal_set(self, m8_basis, m8_part, m8_table):
         cfg = random_cfg(m8_table, m8_part, np.random.default_rng(51), 0.5)
         cfg["t_int"] = np.zeros(m8_table.basis.size)
         m = dl.EccMatrices.build(m8_table, **cfg)
         direct, series, n_terms = dl.x_int_ext_bch(m, m8_part)
         want = dense_x_int_ext_bch(cfg, m8_table)
         xe = dense_ecc_matrices(cfg, m8_table).Xe
+        direct, series = (scatter_class_blocks(b, xe, m8_basis, m8_part)
+                          for b in (direct, series))
         assert np.array_equal(direct, xe) and np.array_equal(series, xe)
         assert np.abs(direct - want[0]).max() < 1e-15 and n_terms == want[2] == 1
 
@@ -324,9 +354,16 @@ def test_internal_pairs_never_leave_their_inactive_class(M, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     table = dl.determinant_table(basis, part.reference())
     op = dl.AmplitudeOperator(dl.random_amplitudes(table, rng, part, "internal"), table)
-    cls, pos, members = dl.fock.inactive_classes(basis, part)
+    cls, pos = dl.fock.inactive_classes(basis, part)
     assert np.array_equal(cls[op.lows], cls[op.highs])
+    # (cls, pos) places every determinant at its own entry, a class's
+    # entries from 0 up in ascending determinant order
+    members = np.full((cls.max() + 1, pos.max() + 1), -1)
+    members[cls, pos] = np.arange(basis.size)
     assert np.array_equal(members[cls, pos], np.arange(basis.size))
+    for row in members:
+        held = row[row >= 0]
+        assert np.array_equal(row[:held.size], held) and np.all(np.diff(held) > 0)
     inactive = sum(1 << p for p in part.occ_inactive + part.virt_inactive)
     occupation = basis.mask_array & inactive
     assert np.array_equal(occupation[op.lows], occupation[op.highs])
