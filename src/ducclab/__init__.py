@@ -29,25 +29,41 @@ BLAS_THREAD_TIMEOUT = 24
 if "numpy" not in _sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in _os.environ:
     _os.environ["OPENBLAS_THREAD_TIMEOUT"] = str(BLAS_THREAD_TIMEOUT)
 
-from .cluster import (AmplitudeOperator, cluster_analyze, exp_nilpotent, random_amplitudes,
-                      sigma_lowest_order, split_amplitudes)
-from .downfold import (EffectiveHamiltonian, cas_eigensolve, downfold_ducc,
-                       downfold_sescc, ducc_projection, effective_to_dict, match_root)
-from .dynamics import (QuenchStudy, downfolded_quench, evaluate_lagrangians,
-                       evaluate_sescc_lagrangian, propagate_full, propagate_internal,
-                       sigma_dot_grid)
-from .ecc import (EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms,
-                  x_int_ext_bch)
-from .errors import (BranchCutError, CasSupportError, ConfigError,
-                     ConvergenceError, DuccLabError, IntermediateNormalizationError,
-                     InvalidDimensionError, NormDriftError, OperatorPropertyError,
-                     OrderingViolationError, SectorMismatchError)
-from .fock import (Determinant, DetClass, DeterminantTable, ExcitationSignature,
-                   FockBasis, SpinOrbitalPartition, aufbau_reference, build_basis,
-                   determinant_table, homo_lumo_partition)
-from .imagtime import (FlowResult, ImaginaryFlowState, imaginary_evolve,
-                       imaginary_step, initial_flow_state)
-from .operators import (IntegralSet, QOperator, direct_sum_blocks,
-                        hamiltonian_from_integrals, hubbard_integrals, logm_unitary,
-                        pairing_integrals, read_fcidump)
-from .sweeps import RotationStep, SweepResult, decompose_state, rotation_for_target
+#: every name the package exports, by the submodule that defines it: a name
+#: is looked up, and its submodule imported, on first use (PEP 562), so that
+#: ``import ducclab`` and the command line load only the modules they use
+_EXPORTS = {name: module for module, names in {
+    "cluster": ("AmplitudeOperator", "cluster_analyze", "exp_nilpotent", "random_amplitudes",
+        "sigma_lowest_order", "split_amplitudes"),
+    "downfold": ("EffectiveHamiltonian", "cas_eigensolve", "downfold_ducc", "downfold_sescc",
+        "ducc_projection", "effective_to_dict", "match_root"),
+    "dynamics": ("QuenchStudy", "downfolded_quench", "evaluate_lagrangians",
+        "evaluate_sescc_lagrangian", "propagate_full", "propagate_internal", "sigma_dot_grid"),
+    "ecc": ("EccMatrices", "action_deviation", "eval_ldt_forms", "eval_lh_forms",
+        "x_int_ext_bch"),
+    "errors": ("BranchCutError", "CasSupportError", "ConfigError", "ConvergenceError",
+        "DuccLabError", "IntermediateNormalizationError", "InvalidDimensionError",
+        "NormDriftError", "OperatorPropertyError", "OrderingViolationError",
+        "SectorMismatchError"),
+    "fock": ("Determinant", "DetClass", "DeterminantTable", "ExcitationSignature", "FockBasis",
+        "SpinOrbitalPartition", "aufbau_reference", "build_basis", "determinant_table",
+        "homo_lumo_partition"),
+    "imagtime": ("FlowResult", "ImaginaryFlowState", "imaginary_evolve", "imaginary_step",
+        "initial_flow_state"),
+    "operators": ("IntegralSet", "QOperator", "direct_sum_blocks",
+        "hamiltonian_from_integrals", "hubbard_integrals", "logm_unitary", "pairing_integrals",
+        "read_fcidump"),
+    "sweeps": ("RotationStep", "SweepResult", "decompose_state", "rotation_for_target"),
+}.items() for name in names}
+__all__ = ["BLAS_THREAD_TIMEOUT", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

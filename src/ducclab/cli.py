@@ -28,25 +28,24 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .cluster import (AmplitudeOperator, cluster_analyze, exp_nilpotent, random_amplitudes,
-                      sigma_lowest_order, split_amplitudes)
-from .downfold import (EffectiveHamiltonian, downfold_ducc, downfold_sescc, ducc_projection,
-                       effective_to_dict, match_root, unit_columns)
-from .dynamics import downfolded_quench, evaluate_lagrangians, evaluate_sescc_lagrangian
-from .ecc import (EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms,
-                  x_int_ext_bch)
 from .errors import (ConfigError, DuccLabError, IntermediateNormalizationError,
                      InvalidDimensionError, OperatorPropertyError)
-from .fock import (DetClass, DeterminantTable, SpinOrbitalPartition, aufbau_reference,
-                   build_basis, determinant_table, homo_lumo_partition)
-from .imagtime import imaginary_evolve
-from .operators import (IntegralSet, QOperator, exp_anti_hermitian, hamiltonian_from_integrals,
-                        hubbard_integrals, pairing_integrals, read_fcidump)
-from .sweeps import _check_sweep_ordering, decompose_state, replay
+from .fock import (DetClass, DeterminantTable, FockBasis, SpinOrbitalPartition,
+                   _check_sweep_ordering, aufbau_reference, build_basis, determinant_table,
+                   homo_lumo_partition, inactive_class_shape, pair_count, sector_size)
+from .operators import (IntegralSet, QOperator, exp_anti_hermitian, hubbard_integrals,
+                        pairing_integrals, read_fcidump)
+
+# The modules that compute (cluster, downfold, dynamics, ecc, imagtime,
+# sweeps) are imported inside the stages and tasks that use them, so that
+# ``validate`` loads only what checks a config.
+if TYPE_CHECKING:
+    from .downfold import EffectiveHamiltonian
 
 INITIAL_STATES = ("reference", "ground", "noninteracting-ground")
 #: the environment variables that set the BLAS thread count, which moves
@@ -95,20 +94,21 @@ def _check_ground_gap(vals: np.ndarray, what: str = "ground"):
 
 @dataclass
 class RunContext:
-    """Everything a task needs: system, partition, reference, seed.
+    """Everything a task needs: the system's integrals, partition,
+    reference and seed.
 
-    The determinant table of ``(basis, ref)`` and the ground-state stages
-    (FCI eigenpairs, cluster amplitudes, sweep decomposition, its replayed
-    CAS columns, DUCC Hamiltonian) are deterministic functions of the
-    system, so each is a cached property, computed once per run and shared
-    by every task; a stage that raises is not cached.  The stages past
-    ``amplitudes`` read ``part``, which :func:`build_context` requires of
-    every task that reaches them.
+    The basis of the reference's sector, the dense Hamiltonian H, the
+    determinant table of ``(basis, ref)`` and the ground-state stages (FCI
+    eigenpairs, cluster amplitudes, sweep decomposition, its CAS columns,
+    DUCC Hamiltonian) are deterministic functions of the system, so each is
+    a cached property, computed when a task first reads it and shared by
+    every later task; a stage that raises is not cached.  ``validate``
+    reads none of them.  The stages past ``amplitudes`` read ``part``, which
+    :func:`build_context` requires of every task that reaches them.
     """
 
     config: dict
-    basis: object
-    H: QOperator
+    ints: IntegralSet
     ref: object
     part: SpinOrbitalPartition | None
     seed: int
@@ -117,6 +117,15 @@ class RunContext:
         # per-task stream keyed on the task's place in TASKS keeps reports
         # independent of the config's task order
         return np.random.default_rng([self.seed, list(TASKS).index(task)])
+
+    @cached_property
+    def basis(self) -> FockBasis:
+        return build_basis(self.ref.M, self.ref.N)
+
+    @cached_property
+    def H(self) -> QOperator:
+        from .operators import hamiltonian_from_integrals
+        return hamiltonian_from_integrals(self.ints, self.basis)
 
     @cached_property
     def ground_state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -153,22 +162,23 @@ class RunContext:
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
+        from .cluster import cluster_analyze
         return cluster_analyze(self.ground_vector(), self.ref, self.basis)
 
     @cached_property
     def sweep(self):
+        from .sweeps import decompose_state
         return decompose_state(self.ground_vector(), self.ref, self.part, self.basis)
 
     @cached_property
     def cas_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """CAS indices, and the CAS columns of e^{sigma_ext}: the sweep's
-        record replayed on the CAS unit columns, in the swept state's dtype."""
-        sweep = self.sweep
-        cas = self.table.cas(self.part)
-        return cas, replay(sweep.record, unit_columns(self.basis.size, cas, sweep.psi_act.dtype))
+        """CAS indices, and the CAS columns of e^{sigma_ext} that the sweep
+        replayed, in the swept state's dtype."""
+        return self.table.cas(self.part), self.sweep.cas_columns
 
     @cached_property
     def ducc_hamiltonian(self) -> EffectiveHamiltonian:
+        from .downfold import EffectiveHamiltonian, ducc_projection
         cas, R = self.cas_columns
         return EffectiveHamiltonian(ducc_projection(self.H, R), cas, self.basis, "ducc", True)
 
@@ -243,7 +253,9 @@ def _model_integrals(sys_cfg: dict, interacting: bool = True) -> IntegralSet:
     return pairing_integrals(config_int(sys_cfg["levels"], "system.levels"), g, spacing)
 
 
-def _build_system(cfg: dict):
+def _build_system(cfg: dict) -> tuple[IntegralSet, int]:
+    """The system's integral set and electron count; the sector is checked
+    before any integral array exists."""
     sys_cfg = cfg.get("system")
     if not isinstance(sys_cfg, dict) or "kind" not in sys_cfg:
         raise ConfigError("config needs system.kind")
@@ -261,13 +273,12 @@ def _build_system(cfg: dict):
             if file_nelec >= 0 and file_nelec != nelec:
                 raise ConfigError(
                     f"FCIDUMP NELEC={file_nelec} != config electrons={nelec}")
-            basis = build_basis(ints.M, nelec)
+            sector_size(ints.M, nelec)
         else:
-            # the basis guards the orbital count before the integrals exist
             key = "L" if kind == "hubbard" else "levels"
-            basis = build_basis(2 * config_int(sys_cfg[key], f"system.{key}"), nelec)
+            sector_size(2 * config_int(sys_cfg[key], f"system.{key}"), nelec)
             ints = _model_integrals(sys_cfg)
-        return basis, hamiltonian_from_integrals(ints, basis)
+        return ints, nelec
     except KeyError as exc:
         raise ConfigError(f"system.{exc.args[0]} missing for kind={kind!r}") from exc
     except ConfigError:
@@ -378,20 +389,29 @@ def _check_task(cfg: dict, part: SpinOrbitalPartition | None, name: str, params:
 
 
 def build_context(cfg: dict, seed: int) -> RunContext:
+    """The run context of a config, every check of ``validate`` passed: the
+    config's keys and values, its partition against the system's sector,
+    each task's parameters, and the run's estimated peak against
+    :data:`MAX_PEAK_BYTES`.  Reads the integrals; builds no basis and no H."""
     _check_keys(cfg, CONFIG_KEYS, "config")
-    basis, H = _build_system(cfg)
-    part = _build_partition(cfg, basis.M, basis.N)
+    ints, nelec = _build_system(cfg)
+    part = _build_partition(cfg, ints.M, nelec)
     if part is not None:
-        if part.M != basis.M or part.N != basis.N:
+        if part.M != ints.M or part.N != nelec:
             raise ConfigError(
                 f"partition covers M={part.M}, N={part.N} but system has "
-                f"M={basis.M}, N={basis.N}")
+                f"M={ints.M}, N={nelec}")
         ref = part.reference()
     else:
-        ref = aufbau_reference(basis.M, basis.N)
-    for name, params in _task_entries(cfg):
+        ref = aufbau_reference(ints.M, nelec)
+    entries = _task_entries(cfg)
+    for name, params in entries:
         _check_task(cfg, part, name, params)
-    return RunContext(cfg, basis, H, ref, part, seed)
+    peak, name = peak_estimate(entries, ints.M, nelec, part)
+    if peak > MAX_PEAK_BYTES:
+        raise ConfigError(f"task {name}: estimated peak of {peak:,} bytes exceeds the "
+                          f"budget of {MAX_PEAK_BYTES:,} bytes")
+    return RunContext(cfg, ints, ref, part, seed)
 
 
 # -- tasks ---------------------------------------------------------------------
@@ -409,6 +429,7 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _effective_json(heff: EffectiveHamiltonian, part: SpinOrbitalPartition) -> str:
+    from .downfold import effective_to_dict
     return json.dumps(effective_to_dict(heff, part), indent=2, sort_keys=True) + "\n"
 
 
@@ -422,6 +443,7 @@ def task_fci(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
+    from .cluster import AmplitudeOperator, exp_nilpotent, split_amplitudes
     vals, _ = ctx.ground_state
     psi = ctx.ground_vector()
     amps = ctx.amplitudes
@@ -449,6 +471,7 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, dict]:
+    from .downfold import unit_columns
     res = ctx.sweep
     external = ctx.table.classes(ctx.part) == DetClass.EXTERNAL
     cas, R = ctx.cas_columns
@@ -465,6 +488,8 @@ def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, dict]:
+    from .cluster import sigma_lowest_order, split_amplitudes
+    from .downfold import downfold_ducc, downfold_sescc, match_root
     part = ctx.part
     vals, _ = ctx.ground_state
     e_fci = float(vals[0])
@@ -516,6 +541,7 @@ def _initial_state(ctx: RunContext, kind: str) -> np.ndarray:
     if kind == "ground":
         return ctx.ground_vector()
     # noninteracting-ground, which _check_task admits for hubbard and pairing only
+    from .operators import hamiltonian_from_integrals
     h0 = hamiltonian_from_integrals(
         _model_integrals(ctx.config["system"], interacting=False), ctx.basis)
     vals, vecs = np.linalg.eigh(h0.matrix)
@@ -527,6 +553,7 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     """Quench evolution plus the downfolded-consistency study: the active
     coefficients are propagated under the time-dependent downfolded
     Hamiltonian and compared per step against the sweep decomposition."""
+    from .dynamics import downfolded_quench
     dt, nsteps = params["dt"], params["nsteps"]
     psi0 = _initial_state(ctx, params["initial"])
 
@@ -550,6 +577,7 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_imagtime(ctx: RunContext, params: dict) -> tuple[dict, dict]:
+    from .imagtime import imaginary_evolve
     dtau, tol = params["dtau"], params["tol"]
     heff = ctx.ducc_hamiltonian
     vals, _ = ctx.ground_state
@@ -579,6 +607,8 @@ def _ecc_stack_deviations(ctx: RunContext, rng: np.random.Generator, first: int,
     and check them as one stack: per configuration |v1 - v2|, |w1 - w2|, the
     action deviation and max|direct - series| of its BCH check.  Raises on
     the first configuration whose routes deviate beyond ECC_IDENTITY_RTOL."""
+    from .cluster import random_amplitudes
+    from .ecc import EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms, x_int_ext_bch
     draws = [{name: random_amplitudes(ctx.table, rng, ctx.part, kind, scale)
               for name, kind in ECC_KINDS.items()} for _ in range(width)]
     m = EccMatrices.build(ctx.table, **{name: np.stack([d[name] for d in draws], axis=1)
@@ -625,6 +655,8 @@ def task_ecc(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     """Battery: every task above plus series/Lagrangian spot checks; its
     artifacts are its sub-tasks', so that none is written unless all pass."""
+    from .cluster import random_amplitudes, sigma_lowest_order
+    from .dynamics import evaluate_lagrangians, evaluate_sescc_lagrangian
     results: dict = {}
     artifacts: dict = {}
     for name, sub_params in params.items():
@@ -664,20 +696,164 @@ def run_task(ctx: RunContext, name: str, params: dict) -> tuple[dict, dict]:
     return results, artifacts
 
 
+# -- peak memory ----------------------------------------------------------------
+#
+# A task's peak model gives the bytes of the arrays live at the task's peak,
+# from the sizes of the sector and the task's parameters.  H stays cached
+# for every task, and so does what the sweep stage keeps once a task has
+# swept: :func:`peak_estimate` adds them to the largest task peak.
+# Dense matrices are real (every system the command line builds is), states
+# complex.  The factors are resident peaks of the kernels, measured with
+# OpenBLAS on 2 vCPUs at n = 1500-2500.
+
+#: largest estimated peak of a run, in bytes: a config above it is refused
+#: (exit 2) before anything of the sector's size is allocated.  A constant,
+#: not the machine's free memory, so that every machine gives the same exit
+#: code: Hubbard L = 7 (dim 3432) runs every task (1.7 GB at most), and
+#: M = 16, N = 8 (dim 12870) is refused every one (8 GB for ``fci``).
+MAX_PEAK_BYTES = 4 * 2**30
+#: bytes of an n x n ``eigh`` beyond its input, in units of the input: the
+#: copy LAPACK works on, its 2 n^2 workspace and the eigenvectors (4.1-4.3
+#: measured)
+EIGH_PEAK = 5
+#: bytes of ``logm_unitary`` on one block beyond its input, in units of the
+#: input, on its worse path, the Cayley transform (13.3-13.6 measured; the
+#: half-angle path 5.2-5.5)
+LOG_PEAK = 14
+#: bytes per determinant of the basis and the determinant table's rows, and
+#: per entry of the table's pair list, with the temporaries of its build
+ROW_BYTES, PAIR_BYTES = 768, 64
+#: bytes per rotation of a sweep's record: the step and its pair views
+STEP_BYTES = 1024
+
+
+class Sizes(NamedTuple):
+    """The sizes of a sector that a peak model reads: its dimension, its CAS
+    dimension, the length of its determinant tables' pair list, and the
+    number and largest size of its inactive classes with the number of
+    class pairs an external set couples (:func:`ducclab.fock.inactive_class_shape`)."""
+
+    dim: int
+    ncas: int
+    pairs: int
+    classes: int
+    class_size: int
+    class_pairs: int
+
+
+def _dense(s: Sizes, count: float) -> int:
+    """Bytes of ``count`` real dim x dim matrices."""
+    return int(count * 8 * s.dim ** 2)
+
+
+def _table(s: Sizes) -> int:
+    return ROW_BYTES * s.dim + PAIR_BYTES * s.pairs
+
+
+def _sweep_stage(s: Sizes) -> int:
+    # what the sweep stage keeps: its two dense generators, the rotation
+    # record and the CAS columns
+    return _dense(s, 2) + STEP_BYTES * s.dim + 8 * s.dim * s.ncas
+
+
+def _fci_peak(s: Sizes, params: dict) -> int:
+    # the basis and the FCI eigh
+    return ROW_BYTES * s.dim + _dense(s, EIGH_PEAK)
+
+
+def _cluster_peak(s: Sizes, params: dict) -> int:
+    # then the table and the amplitude operators on its pair list
+    return _fci_peak(s, params) + _table(s) + PAIR_BYTES * s.pairs
+
+
+def _sweep_peak(s: Sizes, params: dict) -> int:
+    # omega3^+ and its log beside sigma_ext, then the products of the CAS
+    # columns and the eigensolves of the CAS matrices; downfold's
+    # lowest-order generator stays below
+    return _table(s) + _dense(s, 1 + LOG_PEAK) + 32 * s.dim * s.ncas + 64 * s.ncas ** 2
+
+
+def _downfold_peak(s: Sizes, params: dict) -> int:
+    # and its two Hamiltonians as JSON: a float object, a list slot and the
+    # dumped text per entry while one is built, beside the other's text
+    return _sweep_peak(s, params) + 320 * s.ncas ** 2
+
+
+def _propagate_peak(s: Sizes, params: dict) -> int:
+    # the exact states on the half-step grid, their Heff blocks and the CSV
+    # text; beside them the full-space eigh (after the free H of a
+    # noninteracting start), or a quench batch: its swept states, their
+    # rotation record and replayed CAS columns, twice while split, beside
+    # four older blocks and the velocity and projection temporaries of a point
+    nsteps = params["nsteps"]
+    points = 2 * nsteps + 1
+    batch = min(max(1, s.dim // s.ncas), points)
+    grid = (16 * points * (s.dim + s.ncas ** 2 + s.ncas + 34)
+            + 64 * (nsteps + 1) * (s.ncas + 5))
+    window = (16 * s.dim * batch * (2 * s.ncas + 5) + 128 * s.ncas * (s.dim + s.ncas)
+              + STEP_BYTES * s.dim)
+    return _table(s) + grid + max(_dense(s, 1 + EIGH_PEAK), window)
+
+
+def _ecc_peak(s: Sizes, params: dict) -> int:
+    # a stack of B configurations: their draws and chain vectors, eight
+    # amplitude operators on the pair list (T, X, dT and T^T) and the build
+    # or gather temporaries of one more; then one configuration's BCH class
+    # blocks, about ten arrays of the coupled pairs and six of the classes
+    width = min(ECC_STACK, params["n_configs"])
+    stack = 16 * width * (7 * s.pairs + 32 * s.dim) + PAIR_BYTES * s.pairs
+    bch = 16 * s.class_size ** 2 * (10 * s.class_pairs + 6 * s.classes)
+    return _table(s) + stack + bch
+
+
+def _verify_all_peak(s: Sizes, params: dict) -> int:
+    # the largest of its sub-tasks, or its Lagrangian checks: four dense
+    # complex generators and the two temporaries of the last
+    lagrangians = _table(s) + _dense(s, 12) + 3 * PAIR_BYTES * s.pairs
+    return max(lagrangians, *(TASKS[sub].peak(s, task_params(sub, sub_params))
+                              for sub, sub_params in params.items()))
+
+
+def peak_estimate(entries: list[tuple[str, dict]], M: int, N: int,
+                  part: SpinOrbitalPartition | None) -> tuple[int, str]:
+    """Estimated peak bytes of a run of the tasks ``entries`` (name and raw
+    parameters) on the (M, N) sector, and the task whose peak sets it: H,
+    what the sweep stage keeps if a task reads it, and the largest peak of
+    the tasks (:attr:`Task.peak`).  Integer arithmetic on the sector's
+    sizes: nothing is allocated."""
+    if part is None:   # only fci and cluster run, which read no CAS
+        shape = 1, 1, 1, 0
+    else:
+        n_act = len(part.occ_active) + len(part.virt_active)
+        shape = math.comb(n_act, len(part.occ_active)), *inactive_class_shape(part)
+    s = Sizes(sector_size(M, N), shape[0], pair_count(M, N), *shape[1:])
+    peak, name = max((TASKS[name].peak(s, task_params(name, params)), name)
+                     for name, params in entries)
+    kept = _dense(s, 1)
+    if any(TASKS[name].reads_sweep for name, _ in entries):
+        kept += _sweep_stage(s)
+    return kept + peak, name
+
+
 @dataclass(frozen=True)
 class Task:
     """A task, called as ``task(ctx, params)`` on the parameters
-    :func:`task_params` parsed: ``params`` maps a parameter to ``(type,
-    default, (domain predicate, domain text))``, a float also finite;
-    ``bounds`` a result to its largest meaningful value; ``sweeps``: it
-    sweeps the ground state, so its partition must be in sweep order;
+    :func:`task_params` parsed: ``peak`` its peak model, bytes from the
+    sector's :class:`Sizes` and the parsed parameters (:func:`peak_estimate`);
+    ``params`` maps a parameter to ``(type, default, (domain predicate,
+    domain text))``, a float also finite; ``bounds`` a result to its largest
+    meaningful value; ``sweeps``: it sweeps the ground state or quench
+    states, so its partition must be in sweep order; ``reads_sweep``: it
+    reads the sweep stage, which stays cached for every later task;
     ``verify_all`` its defaults as a verify-all sub-task (None: not one)."""
 
     run: Callable[[RunContext, dict], tuple[dict, dict]]
+    peak: Callable[[Sizes, dict], int]
     params: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
     needs_partition: bool = True
     sweeps: bool = False
+    reads_sweep: bool = False
     verify_all: dict | None = field(default_factory=dict)
 
     def __call__(self, ctx: RunContext, params: dict) -> tuple[dict, dict]:
@@ -687,27 +863,28 @@ class Task:
 _positive = (lambda v: v > 0, "> 0")
 #: every task, in the order that keys its RNG stream (RunContext.rng)
 TASKS = {
-    "fci": Task(task_fci, params={"nroots": (int, 6, (lambda v: v >= 1, ">= 1"))},
+    "fci": Task(task_fci, _fci_peak, params={"nroots": (int, 6, (lambda v: v >= 1, ">= 1"))},
                 needs_partition=False),
-    "cluster": Task(task_cluster, bounds={"cc_residual": 1e-9, "roundtrip_residual": 1e-9},
-                    needs_partition=False),
-    "sweep": Task(task_sweep, bounds={"reconstruction_residual": 1e-9,
-                                      "generator_column_deviation": 1e-9}, sweeps=True),
-    "downfold": Task(task_downfold, sweeps=True,
+    "cluster": Task(task_cluster, _cluster_peak, needs_partition=False,
+                    bounds={"cc_residual": 1e-9, "roundtrip_residual": 1e-9}),
+    "sweep": Task(task_sweep, _sweep_peak, bounds={"reconstruction_residual": 1e-9,
+                                                   "generator_column_deviation": 1e-9},
+                  sweeps=True, reads_sweep=True),
+    "downfold": Task(task_downfold, _downfold_peak, sweeps=True, reads_sweep=True,
                      bounds={"sescc_delta_e": 1e-9, "ducc_delta_e": 1e-9}),
-    "propagate": Task(task_propagate, sweeps=True, params={
+    "propagate": Task(task_propagate, _propagate_peak, sweeps=True, params={
         "dt": (float, 0.02, _positive),
         "nsteps": (int, 100, (lambda v: v >= 2, ">= 2 for the velocity stencil")),
         "initial": (str, "reference", (lambda v: v in INITIAL_STATES,
                                        f"one of {INITIAL_STATES}")),
     }, bounds={"max_decomposition_residual": 1e-9}, verify_all={"dt": 0.02, "nsteps": 50}),
-    "imagtime": Task(task_imagtime, params={"dtau": (float, 0.1, _positive),
-                                            "tol": (float, 1e-10, _positive)},
-                     bounds={"delta_e_vs_fci": 1e-8}, sweeps=True),
-    "ecc": Task(task_ecc, params={"n_configs": (int, 50, (lambda v: v >= 1, ">= 1")),
-                                  "scale": (float, 0.1, (lambda v: True, "any number"))},
-                verify_all={"n_configs": 10}),
-    "verify-all": Task(task_verify_all, verify_all=None),
+    "imagtime": Task(task_imagtime, _sweep_peak, params={"dtau": (float, 0.1, _positive),
+                                                         "tol": (float, 1e-10, _positive)},
+                     bounds={"delta_e_vs_fci": 1e-8}, sweeps=True, reads_sweep=True),
+    "ecc": Task(task_ecc, _ecc_peak, params={
+        "n_configs": (int, 50, (lambda v: v >= 1, ">= 1")),
+        "scale": (float, 0.1, (lambda v: True, "any number"))}, verify_all={"n_configs": 10}),
+    "verify-all": Task(task_verify_all, _verify_all_peak, reads_sweep=True, verify_all=None),
 }
 
 

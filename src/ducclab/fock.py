@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import InvalidDimensionError, SectorMismatchError
 
-#: Desk-scale guard: dense sector matrices up to C(16,8)^2 stay tractable.
+#: Desk-scale guard on the orbital count: it bounds the M^4 two-body integral
+#: arrays and keeps every occupation mask an int64.  What fits in memory is
+#: the run's byte budget (``ducclab.cli.MAX_PEAK_BYTES``).
 MAX_ORBITALS = 16
 
 
@@ -147,6 +149,20 @@ class SpinOrbitalPartition:
         return Determinant(_mask(self.occ_inactive + self.occ_active), self.M)
 
 
+def _check_sweep_ordering(part: SpinOrbitalPartition):
+    """The non-reintroduction guarantee of the sweeps needs the inactive
+    classes at the index extremes: every inactive hole below the active
+    holes, every inactive particle above the active particles."""
+    if part.occ_inactive and part.occ_active \
+            and max(part.occ_inactive) > min(part.occ_active):
+        raise InvalidDimensionError(
+            "sweep ordering requires all occ_inactive indices below occ_active")
+    if part.virt_inactive and part.virt_active \
+            and min(part.virt_inactive) < max(part.virt_active):
+        raise InvalidDimensionError(
+            "sweep ordering requires all virt_inactive indices above virt_active")
+
+
 def homo_lumo_partition(M: int, N: int, n_occ_active: int,
                         n_virt_active: int) -> SpinOrbitalPartition:
     """Contiguous partition placing the active window around the Fermi level
@@ -171,9 +187,7 @@ class FockBasis:
     """
 
     def __init__(self, M: int, N: int):
-        if not (0 <= N <= M <= MAX_ORBITALS):
-            raise InvalidDimensionError(
-                f"need 0 <= N <= M <= {MAX_ORBITALS}, got M={M}, N={N}")
+        size = sector_size(M, N)
         self.M = M
         self.N = N
         masks = sorted(_mask(occ) for occ in combinations(range(M), N))
@@ -181,7 +195,7 @@ class FockBasis:
         self.mask_array = np.array(masks, dtype=np.int64)
         self.dets = tuple(Determinant(m, M) for m in masks)
         self._index = {m: i for i, m in enumerate(masks)}
-        assert len(masks) == comb(M, N)
+        assert len(masks) == size
 
     @property
     def size(self) -> int:
@@ -209,6 +223,22 @@ class FockBasis:
         v = np.zeros(self.size)
         v[self.index_of(det) if isinstance(det, Determinant) else det] = 1.0
         return v
+
+
+def sector_size(M: int, N: int) -> int:
+    """Number of determinants C(M, N) of the N-electron sector over M spin
+    orbitals; refused outside ``0 <= N <= M <= MAX_ORBITALS``."""
+    if not (0 <= N <= M <= MAX_ORBITALS):
+        raise InvalidDimensionError(f"need 0 <= N <= M <= {MAX_ORBITALS}, got M={M}, N={N}")
+    return comb(M, N)
+
+
+def pair_count(M: int, N: int) -> int:
+    """Length of the pair list of every :class:`DeterminantTable` of the
+    sector: C(N, k) C(M-N, k) rows of rank k, each coupling C(M-2k, N-k)
+    determinants (:attr:`DeterminantTable.pair_list`)."""
+    return sum(comb(N, k) * comb(M - N, k) * comb(M - 2 * k, N - k)
+               for k in range(min(N, M - N) + 1))
 
 
 def build_basis(M: int, N: int) -> FockBasis:
@@ -387,3 +417,36 @@ def inactive_classes(basis: FockBasis, part: SpinOrbitalPartition
     for arr in (cls, pos):
         arr.flags.writeable = False
     return cls, pos
+
+
+def inactive_class_shape(part: SpinOrbitalPartition) -> tuple[int, int, int]:
+    """Sizes of :func:`inactive_classes` for ``part``, counted without a
+    basis: the number of classes, the size of the largest, and the number
+    of ordered class pairs that an external excitation set with every
+    amplitude nonzero couples.
+
+    A class holds h1 holes in ``occ_inactive`` and p1 particles in
+    ``virt_inactive`` (C(n_oi, h1) C(n_vi, p1) classes), and its
+    determinants spread the remaining e = n_oa + h1 - p1 electrons over the
+    active orbitals.  An external excitation adds h2 inactive holes and p2
+    inactive particles, not both zero, and active holes ha and particles pa
+    with ha + h2 = pa + p2; a determinant of the class with x = min(n_oa, e)
+    active holes still occupied admits one when 0 <= ha <= x and pa <=
+    n_va - e + x.
+    """
+    n_oi, n_oa, n_va, n_vi = (len(c) for c in (part.occ_inactive, part.occ_active,
+                                               part.virt_active, part.virt_inactive))
+    sizes = {(h1, p1): comb(n_oa + n_va, n_oa + h1 - p1)
+             for h1 in range(n_oi + 1) for p1 in range(n_vi + 1)
+             if 0 <= n_oa + h1 - p1 <= n_oa + n_va}
+    count = lambda h1, p1: comb(n_oi, h1) * comb(n_vi, p1)
+    coupled = 0
+    for h1, p1 in sizes:
+        e = n_oa + h1 - p1
+        x = min(n_oa, e)
+        for h2 in range(n_oi - h1 + 1):
+            for p2 in range(n_vi - p1 + 1):
+                lowest_ha = max(0, p2 - h2)   # pa = ha + h2 - p2 >= 0
+                if (h2 or p2) and lowest_ha <= min(x, n_va - e + x - (h2 - p2)):
+                    coupled += count(h1, p1) * comb(n_oi - h1, h2) * comb(n_vi - p1, p2)
+    return sum(count(*key) for key in sizes), max(sizes.values()), coupled

@@ -53,10 +53,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (CasSupportError, IntermediateNormalizationError,
-                     InvalidDimensionError, OrderingViolationError)
+from .errors import CasSupportError, IntermediateNormalizationError, OrderingViolationError
 from .fock import (DetClass, Determinant, DeterminantTable, ExcitationSignature,
-                   FockBasis, SpinOrbitalPartition, determinant_table)
+                   FockBasis, SpinOrbitalPartition, _check_sweep_ordering, determinant_table)
 from .operators import exp_anti_hermitian, logm_unitary
 
 #: Coefficients with magnitude below this are treated as already eliminated.
@@ -159,20 +158,6 @@ def _refuse(bad, error, message):
         raise exc
 
 
-def _check_sweep_ordering(part: SpinOrbitalPartition):
-    """The non-reintroduction guarantee needs the inactive classes at the
-    index extremes: every inactive hole below the active holes, every
-    inactive particle above the active particles."""
-    if part.occ_inactive and part.occ_active \
-            and max(part.occ_inactive) > min(part.occ_active):
-        raise InvalidDimensionError(
-            "sweep ordering requires all occ_inactive indices below occ_active")
-    if part.virt_inactive and part.virt_active \
-            and min(part.virt_inactive) < max(part.virt_active):
-        raise InvalidDimensionError(
-            "sweep ordering requires all virt_inactive indices above virt_active")
-
-
 @lru_cache(maxsize=16)
 def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,8 +255,11 @@ def sweep_external(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition
 class SweepResult:
     """Full decomposition psi = e^{sigma_ext} e^{sigma_int} |ref>.
 
-    ``record`` holds the rotations of sweeps 1-2 (:func:`replay`), ``psi_act``
-    the CAS-supported state e^{sigma_int}|ref> they leave, ``delta`` the
+    ``record`` holds the rotations of sweeps 1-2 (:func:`replay`),
+    ``cas_columns`` their product replayed on the identity, omega12^+ =
+    e^{sigma_ext}, at the CAS columns (:meth:`DeterminantTable.cas`; Fortran
+    order, as a replay of unit columns gives them), ``psi_act`` the
+    CAS-supported state e^{sigma_int}|ref> they leave, ``delta`` the
     phase of e^{i delta}|ref> left by sweep 3, ``sigma_int_rotation`` the
     internal generator without that phase, ``rotations`` the number of
     rotations of all three sweeps, and the defects those that
@@ -281,6 +269,7 @@ class SweepResult:
     sigma_ext: np.ndarray
     sigma_int_rotation: np.ndarray
     record: list
+    cas_columns: np.ndarray
     psi_act: np.ndarray
     delta: float
     residual: float
@@ -301,9 +290,10 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
 
     Sweeps 1-2 rotate away every external determinant, sweep 3 the CAS
     remainder onto e^{i delta}|ref>; their records replayed on the identity
-    give omega12^+ and omega3^+, sigma_ext = log(omega12^+) and sigma_int =
-    log(omega3^+) + i delta.  The residual rebuilds psi from the generators
-    alone, e^{i delta} as a scalar: ``i delta I`` commutes with log(omega3^+).
+    give omega12^+, whose CAS columns the result keeps, and omega3^+;
+    sigma_ext = log(omega12^+) and sigma_int = log(omega3^+) + i delta.  The
+    residual rebuilds psi from the generators alone, e^{i delta} as a
+    scalar: ``i delta I`` commutes with log(omega3^+).
     A real ``psi`` is swept in float64, delta then exactly 0 or pi.
     Raises OrderingViolationError if an eliminated coefficient re-grows (a
     broken elimination order), CasSupportError if sweeps 1-2 leave external
@@ -314,12 +304,16 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
     state = psi_act.copy()
     record3 = _run_targets(state, targets[2], table)
     c_ref = state[table.ref_index]
-    sigma_ext, d12 = logm_unitary(replay(record, np.eye(basis.size, dtype=psi_n.dtype)))
+    omega12 = replay(record, np.eye(basis.size, dtype=psi_n.dtype))
+    cas_columns = omega12[:, table.cas(part)]
+    sigma_ext, d12 = logm_unitary(omega12)
+    del omega12   # one dense array fewer at the second log's peak
     log3, d3 = logm_unitary(replay(record3, np.eye(basis.size, dtype=psi_n.dtype)))
     # psi rebuilt from the generators alone by the certified series
     recon = exp_anti_hermitian(sigma_ext, exp_anti_hermitian(
         log3, c_ref / abs(c_ref) * basis.unit_vector(table.ref_index)))
     return SweepResult(
-        sigma_ext=sigma_ext, sigma_int_rotation=log3, record=record, psi_act=psi_act,
+        sigma_ext=sigma_ext, sigma_int_rotation=log3, record=record,
+        cas_columns=cas_columns, psi_act=psi_act,
         delta=cmath.phase(c_ref), residual=float(np.linalg.norm(recon - psi_n)),
         rotations=len(record) + len(record3), omega12_defect=d12, omega3_defect=d3)

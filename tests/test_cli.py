@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ducclab
-from ducclab import cli, dynamics, ecc, sweeps
+from ducclab import cli, cluster, downfold, dynamics, ecc, imagtime, operators, sweeps
 from ducclab.cli import main
 from ducclab.errors import CasSupportError
 
@@ -116,6 +116,8 @@ MALFORMED_CONFIGS = {
     "int-allow-arbitrary": (None, {"partition": {
         "occ_inactive": [], "occ_active": [0, 2], "virt_active": [1], "virt_inactive": [3],
         "allow_arbitrary": 1}}),
+    # 10^9 steps of the dimer would hold 179 GiB of states
+    "oversized-quench": (None, {"tasks": [{"name": "propagate", "nsteps": 10**9}]}),
     "non-object-root": (None, ["system", "electrons"]),
     "no-system-kind": (None, {"system": {"L": 2, "t": 1.0, "U": 4.0}}),
     "unknown-kind": (None, {"system": {"kind": "ising", "L": 2}}),
@@ -212,6 +214,72 @@ def test_fcidump_norb_above_the_orbital_cap_is_refused_before_allocating(tmp_pat
         tracemalloc.stop()
     assert code == 2
     assert "NORB=40" in capsys.readouterr().err
+    assert peak < 1e6
+
+
+def test_validate_builds_no_hamiltonian(tmp_path, monkeypatch):
+    # validate checks a config from its shape and its integrals: on Hubbard
+    # L = 6 (dim 924, a 6.8 MB H) no module builds H, and every array stays small
+    calls = {}
+    for module in (operators, cli):
+        if hasattr(module, "hamiltonian_from_integrals"):
+            count_calls(monkeypatch, module, "hamiltonian_from_integrals", calls)
+    path = write_config(tmp_path, system={"kind": "hubbard", "L": 6, "t": 1.0, "U": 4.0},
+                        electrons=6, partition={"auto_homo_lumo": [2, 2]},
+                        tasks=[{"name": name} for name in cli.TASKS])
+    tracemalloc.start()
+    try:
+        code = main(["validate", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert calls == {}
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("task", list(cli.TASKS))
+def test_byte_budget_refuses_each_task(tmp_path, capsys, monkeypatch, command, task):
+    # one byte below a task's estimated peak, both commands refuse the
+    # config and name the estimate; at the estimate it passes
+    path = write_config(tmp_path, tasks=[{"name": task}])
+    peak, name = cli.peak_estimate([(task, {})], 4, 2, ducclab.homo_lumo_partition(4, 2, 1, 1))
+    assert name == task
+    monkeypatch.setattr(cli, "MAX_PEAK_BYTES", peak - 1)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: task {task}: estimated peak of {peak:,} bytes exceeds the "
+        f"budget of {peak - 1:,} bytes\n")
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(cli, "MAX_PEAK_BYTES", peak)
+    assert main(["validate", str(path)]) == 0
+
+
+def test_byte_budget_admits_hubbard_l7_and_refuses_m16(tmp_path, capsys):
+    # validate builds nothing of the sector's size, so both sectors are
+    # checked here: L = 7 (dim 3432) runs every task, M = 16 (dim 12870) none
+    for L, code in ((7, 0), (8, 2)):
+        for task in cli.TASKS:
+            path = write_config(tmp_path, system={"kind": "hubbard", "L": L, "t": 1.0, "U": 4.0},
+                                electrons=L, partition={"auto_homo_lumo": [2, 2]},
+                                tasks=[{"name": task}])
+            assert main(["validate", str(path)]) == code, (L, task)
+    assert capsys.readouterr().err.count("estimated peak of ") == len(cli.TASKS)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_oversized_quench_is_refused_before_allocating(tmp_path, capsys, command):
+    path = write_config(tmp_path, tasks=[{"name": "propagate", "nsteps": 10**9}])
+    tracemalloc.start()
+    try:
+        code = main([command, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: task propagate: estimated peak of ")
     assert peak < 1e6
 
 
@@ -421,11 +489,11 @@ def test_plain_amplitude_arrays_and_cached_context_properties(m6_basis, m6_ref, 
         assert type(t) is np.ndarray and t.shape == (m6_basis.size,)
     # EccMatrices is the one class of ecc, in the module and in the package
     for mod in (ecc, ducclab):
-        assert [name for name, obj in vars(mod).items()
-                if isinstance(obj, type) and obj.__module__ == "ducclab.ecc"] == ["EccMatrices"]
+        assert [name for name in dir(mod) if isinstance(getattr(mod, name), type)
+                and getattr(mod, name).__module__ == "ducclab.ecc"] == ["EccMatrices"]
     assert [f.name for f in dataclasses.fields(cli.RunContext)] == [
-        "config", "basis", "H", "ref", "part", "seed"]
-    stages = ("ground_state", "table", "amplitudes", "sweep", "cas_columns",
+        "config", "ints", "ref", "part", "seed"]
+    stages = ("basis", "H", "ground_state", "table", "amplitudes", "sweep", "cas_columns",
               "ducc_hamiltonian")
     assert all(isinstance(vars(cli.RunContext)[name], functools.cached_property)
                for name in stages)
@@ -462,6 +530,53 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 def test_cli_import_loads_no_scipy():
     # scipy is a test dependency only: a run needs numpy alone
     assert loaded_modules("ducclab.cli", "scipy") == "[]"
+
+
+def test_cli_import_loads_only_the_modules_that_check_a_config():
+    # the modules that compute load when a stage or task first needs them
+    assert loaded_modules("ducclab.cli", "ducclab") == str(
+        ["ducclab", "ducclab.cli", "ducclab.errors", "ducclab.fock", "ducclab.operators"])
+    assert loaded_modules("ducclab", "ducclab") == "['ducclab']"
+
+
+#: every name the package exports, by defining module; perfbench's input
+#: check reads read_fcidump, build_basis, hamiltonian_from_integrals and
+#: aufbau_reference
+PACKAGE_EXPORTS = {
+    "cluster": ("AmplitudeOperator", "cluster_analyze", "exp_nilpotent", "random_amplitudes",
+                "sigma_lowest_order", "split_amplitudes"),
+    "downfold": ("EffectiveHamiltonian", "cas_eigensolve", "downfold_ducc", "downfold_sescc",
+                 "ducc_projection", "effective_to_dict", "match_root"),
+    "dynamics": ("QuenchStudy", "downfolded_quench", "evaluate_lagrangians",
+                 "evaluate_sescc_lagrangian", "propagate_full", "propagate_internal",
+                 "sigma_dot_grid"),
+    "ecc": ("EccMatrices", "action_deviation", "eval_ldt_forms", "eval_lh_forms",
+            "x_int_ext_bch"),
+    "errors": ("BranchCutError", "CasSupportError", "ConfigError", "ConvergenceError",
+               "DuccLabError", "IntermediateNormalizationError", "InvalidDimensionError",
+               "NormDriftError", "OperatorPropertyError", "OrderingViolationError",
+               "SectorMismatchError"),
+    "fock": ("Determinant", "DetClass", "DeterminantTable", "ExcitationSignature",
+             "FockBasis", "SpinOrbitalPartition", "aufbau_reference", "build_basis",
+             "determinant_table", "homo_lumo_partition"),
+    "imagtime": ("FlowResult", "ImaginaryFlowState", "imaginary_evolve", "imaginary_step",
+                 "initial_flow_state"),
+    "operators": ("IntegralSet", "QOperator", "direct_sum_blocks", "hamiltonian_from_integrals",
+                  "hubbard_integrals", "logm_unitary", "pairing_integrals", "read_fcidump"),
+    "sweeps": ("RotationStep", "SweepResult", "decompose_state", "rotation_for_target"),
+}
+
+
+@pytest.mark.parametrize("name,module", [(name, module) for module, names
+                                         in PACKAGE_EXPORTS.items() for name in names])
+def test_package_exports_resolve_on_first_use(name, module):
+    defined = getattr(importlib.import_module(f"ducclab.{module}"), name)
+    assert getattr(ducclab, name) is defined
+    namespace = {}
+    exec(f"from ducclab import {name}", namespace)
+    assert namespace[name] is defined
+    assert name in dir(ducclab)
+    assert name in ducclab.__all__
 
 
 DIMER_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "hubbard_dimer.json")
@@ -746,12 +861,12 @@ def test_failed_verify_all_check_fails_the_battery(tmp_path, capsys, monkeypatch
 
 
 def test_failed_bivariational_check_fails_the_battery(tmp_path, capsys, monkeypatch):
-    sescc_lagrangian = cli.evaluate_sescc_lagrangian
+    sescc_lagrangian = dynamics.evaluate_sescc_lagrangian
 
     def deviating(*args):
         f1, f2 = sescc_lagrangian(*args)
         return f1, f2 + 1e-6
-    monkeypatch.setattr(cli, "evaluate_sescc_lagrangian", deviating)
+    monkeypatch.setattr(dynamics, "evaluate_sescc_lagrangian", deviating)
     assert main(["run", str(write_config(tmp_path, tasks=[{"name": "verify-all"}]))]) == 1
     (entry,) = read_report(tmp_path)["tasks"]
     assert entry["error"] == "DuccLabError: verification checks failed: lagrangian_equivalence"
@@ -896,7 +1011,7 @@ def test_empty_and_full_sectors_have_one_determinant(tmp_path, electrons):
 def test_complex_hamiltonian_is_solved_in_complex_arithmetic(tmp_path, monkeypatch):
     # a complex Hermitian H keeps its imaginary part: fci takes one complex
     # eigh and reports that matrix's ground energy, 8.8e-8 below the real one
-    build = cli.hamiltonian_from_integrals
+    build = operators.hamiltonian_from_integrals
     built = []
 
     def complex_h(ints, basis):
@@ -905,7 +1020,7 @@ def test_complex_hamiltonian_is_solved_in_complex_arithmetic(tmp_path, monkeypat
         E[0, 1] = 1.0
         built.append(ducclab.QOperator(H.matrix + 1e-3j * (E - E.T), basis))
         return built[-1]
-    monkeypatch.setattr(cli, "hamiltonian_from_integrals", complex_h)
+    monkeypatch.setattr(operators, "hamiltonian_from_integrals", complex_h)
     calls = {}
     count_calls(monkeypatch, np.linalg, "eigh", calls,
                 key=lambda a, *args, **kwargs: (a.dtype.kind, a.shape))
@@ -950,12 +1065,12 @@ def test_ecc_at_a_large_scale_stays_ok(tmp_path):
 
 
 def test_ecc_fails_on_deviating_forms(tmp_path, monkeypatch):
-    lh_forms = cli.eval_lh_forms
+    lh_forms = ecc.eval_lh_forms
 
     def deviating(*args):
         w1, w2 = lh_forms(*args)
         return w1, w2 * (1 + 1e-9)
-    monkeypatch.setattr(cli, "eval_lh_forms", deviating)
+    monkeypatch.setattr(ecc, "eval_lh_forms", deviating)
     path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3}])
     assert main(["run", str(path)]) == 1
     task = read_report(tmp_path)["tasks"][0]
@@ -965,7 +1080,7 @@ def test_ecc_fails_on_deviating_forms(tmp_path, monkeypatch):
 
 def test_ecc_failure_names_a_configuration_past_the_first_stack(tmp_path, monkeypatch):
     # only configuration ECC_STACK + 2, the third of the second stack, deviates
-    ldt_forms, widths = cli.eval_ldt_forms, []
+    ldt_forms, widths = ecc.eval_ldt_forms, []
 
     def deviating(m, ref):
         v1, v2, v4 = ldt_forms(m, ref)
@@ -974,7 +1089,7 @@ def test_ecc_failure_names_a_configuration_past_the_first_stack(tmp_path, monkey
             v2 = v2.copy()
             v2[2] += 1e-6
         return v1, v2, v4
-    monkeypatch.setattr(cli, "eval_ldt_forms", deviating)
+    monkeypatch.setattr(ecc, "eval_ldt_forms", deviating)
     path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": cli.ECC_STACK + 5}])
     assert main(["run", str(path)]) == 1
     assert widths == [cli.ECC_STACK, 5]
@@ -1032,6 +1147,38 @@ def write_seeded_fcidump(path, M, N, seed, coupling=0.05):
     path.write_text("\n".join(lines) + "\n")
 
 
+#: how far a task's peak estimate may exceed its traced peak: the estimate
+#: holds LAPACK's workspace, which tracemalloc does not see, and the log's
+#: Cayley path, which these sweeps do not take
+PEAK_FACTOR = 4
+#: (M, N, window, tasks) of the peak-model check: dims 70, 252 and 924
+PEAK_SECTORS = [(8, 4, [1, 1], list(cli.TASKS)), (8, 4, [3, 3], list(cli.TASKS)),
+                (10, 5, [2, 2], list(cli.TASKS)),
+                (12, 6, [2, 2], ["fci", "cluster", "sweep", "ecc"])]
+PEAK_PARAMS = {"propagate": {"nsteps": 4}, "ecc": {"n_configs": 2},
+               "verify-all": {"propagate": {"nsteps": 4}, "ecc": {"n_configs": 2}}}
+
+
+@pytest.mark.parametrize("M,N,window,task", [
+    pytest.param(M, N, window, task, id=f"m{M}-{window[0]}{window[1]}-{task}")
+    for M, N, window, tasks in PEAK_SECTORS for task in tasks])
+def test_peak_estimate_bounds_the_traced_peak(tmp_path, M, N, window, task):
+    write_seeded_fcidump(tmp_path / "FCIDUMP", M, N, seed=1)
+    params = PEAK_PARAMS.get(task, {})
+    cfg = cli.load_config(str(write_config(
+        tmp_path, system={"kind": "fcidump", "path": "FCIDUMP"}, electrons=N,
+        partition={"auto_homo_lumo": window}, tasks=[{"name": task, **params}])))
+    ctx = cli.build_context(cfg, seed=1)
+    estimate, _ = cli.peak_estimate([(task, params)], M, N, ctx.part)
+    tracemalloc.start()
+    try:
+        cli.run_task(ctx, task, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate <= PEAK_FACTOR * peak
+
+
 @pytest.mark.parametrize("system", ["dimer", "fcidump"])
 def test_sweep_delta_independent_of_eigenvector_phase(tmp_path, monkeypatch, system):
     # the ground state is turned so that <ref|psi> is real and positive:
@@ -1060,14 +1207,21 @@ def test_sweep_delta_independent_of_eigenvector_phase(tmp_path, monkeypatch, sys
 
 def test_generator_column_deviation_ties_the_generator_to_the_replay(tmp_path, monkeypatch):
     # the sweep task checks e^{sigma_ext}[:, cas] against the replayed
-    # columns the downfolding reads: a replay that drops a rotation fails it
+    # columns the downfolding reads: columns replayed without a rotation fail it
     path = write_config(tmp_path, tasks=[{"name": "sweep"}, {"name": "downfold"}])
     assert main(["run", str(path)]) == 0
     sweep, downfold = read_report(tmp_path)["tasks"]
     assert sweep["results"]["generator_column_deviation"] < 1e-13
     assert downfold["results"]["ducc_delta_e"] < 1e-13
-    replay = cli.replay
-    monkeypatch.setattr(cli, "replay", lambda record, cols: replay(record[1:], cols))
+    decompose_state = sweeps.decompose_state
+
+    def dropped_rotation(psi, ref, part, basis):
+        res = decompose_state(psi, ref, part, basis)
+        cas = ducclab.determinant_table(basis, ref).cas(part)
+        cols = ducclab.downfold.unit_columns(basis.size, cas, res.cas_columns.dtype)
+        res.cas_columns = sweeps.replay(res.record[1:], cols)
+        return res
+    monkeypatch.setattr(sweeps, "decompose_state", dropped_rotation)
     assert main(["run", str(path)]) == 1
     sweep, downfold = read_report(tmp_path)["tasks"]
     assert sweep["error"].startswith("DuccLabError: sweep: generator_column_deviation = ")
@@ -1122,25 +1276,24 @@ GROUND_PIPELINE = [{"name": n} for n in ("fci", "cluster", "sweep", "downfold", 
 class TestGroundStagesOncePerRun:
     def test_work_budget(self, tmp_path, monkeypatch):
         calls = {"expm": 0}
-        for name in ("decompose_state", "cluster_analyze", "downfold_ducc",
-                     "ducc_projection"):
-            count_calls(monkeypatch, cli, name, calls)
+        for module, name in ((sweeps, "decompose_state"), (cluster, "cluster_analyze"),
+                             (downfold, "downfold_ducc"), (downfold, "ducc_projection")):
+            count_calls(monkeypatch, module, name, calls)
         count_calls(monkeypatch, scipy.linalg, "expm", calls)
         assert main(["run", str(write_config(tmp_path, tasks=GROUND_PIPELINE))]) == 0
         # one DUCC Hamiltonian of the sweep's replayed columns, one of the
-        # lowest-order generator
+        # lowest-order generator, whose projection downfold_ducc makes
         assert calls == {"decompose_state": 1, "cluster_analyze": 1,
-                         "downfold_ducc": 1, "ducc_projection": 1, "expm": 0}
+                         "downfold_ducc": 1, "ducc_projection": 2, "expm": 0}
 
     def test_cas_columns_replayed_once(self, tmp_path, monkeypatch):
-        # two replays of decompose_state (sigma_ext and the third sweep) and
-        # one of the CAS columns, which sweep and downfold share
+        # the two replays of decompose_state (sigma_ext, whose CAS columns
+        # sweep and downfold share, and the third sweep) and no other
         calls = {}
-        for module in (sweeps, cli):
-            count_calls(monkeypatch, module, "replay", calls)
+        count_calls(monkeypatch, sweeps, "replay", calls)
         tasks = [{"name": n} for n in ("fci", "sweep", "downfold")]
         assert main(["run", str(write_config(tmp_path, tasks=tasks))]) == 0
-        assert calls == {"replay": 3}
+        assert calls == {"replay": 2}
 
     def test_imagtime_independent_of_task_list(self, tmp_path):
         alone = write_config(tmp_path, tasks=[{"name": "imagtime"}])
@@ -1159,7 +1312,7 @@ class TestGroundStagesOncePerRun:
         def broken(*args, **kwargs):
             calls["decompose_state"] = calls.get("decompose_state", 0) + 1
             raise CasSupportError("injected")
-        monkeypatch.setattr(cli, "decompose_state", broken)
+        monkeypatch.setattr(sweeps, "decompose_state", broken)
         path = write_config(tmp_path, tasks=[{"name": "sweep"}, {"name": "downfold"}])
         assert main(["run", str(path)]) == 1
         assert [t["status"] for t in read_report(tmp_path)["tasks"]] == ["failed", "failed"]
@@ -1222,12 +1375,12 @@ class TestEccVectorChains:
         calls, configs = {"expm": 0}, []
         count_calls(monkeypatch, ducclab.AmplitudeOperator, "toarray", calls)
         count_calls(monkeypatch, scipy.linalg, "expm", calls)
-        bch = cli.x_int_ext_bch
+        bch = ecc.x_int_ext_bch
 
         def recorded(m, part):
             configs.append(m)
             return bch(m, part)
-        monkeypatch.setattr(cli, "x_int_ext_bch", recorded)
+        monkeypatch.setattr(ecc, "x_int_ext_bch", recorded)
         path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3}])
         assert main(["run", str(path)]) == 0
         assert calls == {"expm": 0}

@@ -626,7 +626,7 @@ class TestTrajectoryCsv:
     def test_columns_and_precision(self, monkeypatch, dimer_H):
         # every field of the propagate task's trajectory reads back to its
         # study's value
-        studies = record_returns(monkeypatch, cli, "downfolded_quench")
+        studies = record_returns(monkeypatch, dynamics, "downfolded_quench")
         _, _, artifacts = run_dimer_task("propagate", dt=0.05, nsteps=4, initial="ground")
         (study,) = studies
         lines = artifacts["trajectory.csv"].splitlines()

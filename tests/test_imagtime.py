@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ducclab as dl
-from ducclab import cli
+from ducclab import cli, imagtime
 from ducclab.errors import ConvergenceError, OperatorPropertyError
 
 from conftest import record_returns, run_dimer_task, td_projection
@@ -146,7 +146,7 @@ class TestNonstationary:
 class TestFlowLog:
     def test_csv_round_trip(self, monkeypatch):
         # every field of the imagtime task's log reads back to its flow's value
-        flows = record_returns(monkeypatch, cli, "imaginary_evolve")
+        flows = record_returns(monkeypatch, imagtime, "imaginary_evolve")
         _, results, artifacts = run_dimer_task("imagtime")
         (res,) = flows
         lines = artifacts["imagtime_flow.csv"].splitlines()
