@@ -751,9 +751,8 @@ def _table(s: Sizes) -> int:
 
 
 def _sweep_stage(s: Sizes) -> int:
-    # what the sweep stage keeps: its two dense generators, the rotation
-    # record and the CAS columns
-    return _dense(s, 2) + STEP_BYTES * s.dim + 8 * s.dim * s.ncas
+    # what the sweep stage keeps: its two dense generators and the CAS columns
+    return _dense(s, 2) + 8 * s.dim * s.ncas
 
 
 def _fci_peak(s: Sizes, params: dict) -> int:
@@ -767,10 +766,11 @@ def _cluster_peak(s: Sizes, params: dict) -> int:
 
 
 def _sweep_peak(s: Sizes, params: dict) -> int:
-    # omega3^+ and its log beside sigma_ext, then the products of the CAS
-    # columns and the eigensolves of the CAS matrices; downfold's
-    # lowest-order generator stays below
-    return _table(s) + _dense(s, 1 + LOG_PEAK) + 32 * s.dim * s.ncas + 64 * s.ncas ** 2
+    # omega3^+ and its log beside sigma_ext and the rotation record of
+    # sweeps 1-2, then the products of the CAS columns and the eigensolves
+    # of the CAS matrices; downfold's lowest-order generator stays below
+    return (_table(s) + _dense(s, 1 + LOG_PEAK) + STEP_BYTES * s.dim
+            + 32 * s.dim * s.ncas + 64 * s.ncas ** 2)
 
 
 def _downfold_peak(s: Sizes, params: dict) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -182,42 +181,40 @@ class FockBasis:
     """All N-electron determinants of M spin orbitals, ordered by ascending
     occupation-mask value (deterministic).
 
-    ``masks`` is the tuple of occupation masks and ``mask_array`` the same
-    masks as a sorted int64 array for whole-basis (vectorised) work.
+    ``mask_array`` holds the occupation masks as one sorted, read-only int64
+    array, the codes below ``1 << M`` with N bits set.  :meth:`index_of`
+    finds a mask by binary search, and :meth:`determinant` and iteration
+    build :class:`Determinant` records on demand.
     """
 
     def __init__(self, M: int, N: int):
-        size = sector_size(M, N)
+        sector_size(M, N)
         self.M = M
         self.N = N
-        masks = sorted(_mask(occ) for occ in combinations(range(M), N))
-        self.masks = tuple(masks)
-        self.mask_array = np.array(masks, dtype=np.int64)
-        self.dets = tuple(Determinant(m, M) for m in masks)
-        self._index = {m: i for i, m in enumerate(masks)}
-        assert len(masks) == size
+        codes = np.arange(1 << M, dtype=np.int64)
+        self.mask_array = codes[np.bitwise_count(codes) == N]
+        self.mask_array.flags.writeable = False
 
     @property
     def size(self) -> int:
-        return len(self.masks)
+        return len(self.mask_array)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self.mask_array)
 
     def __iter__(self):
-        return iter(self.dets)
+        return (Determinant(m, self.M) for m in self.mask_array.tolist())
 
     def index_of(self, det: Determinant | int) -> int:
         mask = det.occupation if isinstance(det, Determinant) else det
-        try:
-            return self._index[mask]
-        except KeyError:
+        i = int(np.searchsorted(self.mask_array, mask))
+        if i == self.size or self.mask_array[i] != mask:
             raise SectorMismatchError(
-                f"determinant {mask:#x} is not in the (M={self.M}, N={self.N}) sector"
-            ) from None
+                f"determinant {mask:#x} is not in the (M={self.M}, N={self.N}) sector")
+        return i
 
     def determinant(self, i: int) -> Determinant:
-        return self.dets[i]
+        return Determinant(int(self.mask_array[i]), self.M)
 
     def unit_vector(self, det: Determinant | int) -> np.ndarray:
         v = np.zeros(self.size)
@@ -227,9 +224,10 @@ class FockBasis:
 
 def sector_size(M: int, N: int) -> int:
     """Number of determinants C(M, N) of the N-electron sector over M spin
-    orbitals; refused outside ``0 <= N <= M <= MAX_ORBITALS``."""
-    if not (0 <= N <= M <= MAX_ORBITALS):
-        raise InvalidDimensionError(f"need 0 <= N <= M <= {MAX_ORBITALS}, got M={M}, N={N}")
+    orbitals; refused outside ``0 <= N <= M`` and ``1 <= M <= MAX_ORBITALS``."""
+    if not (0 <= N <= M and 1 <= M <= MAX_ORBITALS):
+        raise InvalidDimensionError(
+            f"need 0 <= N <= M and 1 <= M <= {MAX_ORBITALS}, got M={M}, N={N}")
     return comb(M, N)
 
 

@@ -51,7 +51,8 @@ def imaginary_step(state: ImaginaryFlowState, heff: EffectiveHamiltonian,
     The step is exponential, so the shift, the energy of the incoming
     state, only rescales the norm, and descent monotonicity is exact.
     A tau-dependent generator is followed by passing, at every step, its
-    value at ``state.tau``.
+    value at ``state.tau``.  A step whose vector has no finite norm (``dtau
+    (S - E_0)`` past about 350) is refused with a :class:`ConvergenceError`.
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
@@ -60,8 +61,13 @@ def imaginary_step(state: ImaginaryFlowState, heff: EffectiveHamiltonian,
     c = state.c_int
     s = _rayleigh(heff.matrix, c)
     vals, vecs = heff.eigensystem()  # cached on the operator
-    c1 = vecs @ (np.exp(-dtau * (vals - s)) * (vecs.conj().T @ c))
-    c1 = c1 / np.linalg.norm(c1)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
+        c1 = vecs @ (np.exp(-dtau * (vals - s)) * (vecs.conj().T @ c))
+        norm = np.linalg.norm(c1)
+    if not np.isfinite(norm):
+        raise ConvergenceError(f"imaginary-time step of dtau={dtau:g} at tau={state.tau:g} "
+                               f"overflows: the stepped vector has norm {norm}")
+    c1 = c1 / norm
     return ImaginaryFlowState(state.tau + dtau, c1, s)
 
 

@@ -463,36 +463,6 @@ def _matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 _FCIDUMP_HEADER = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE)
 _FCIDUMP_NELEC = re.compile(r"NELEC\s*=\s*(\d+)", re.IGNORECASE)
-#: data lines parsed at once
-_FCIDUMP_CHUNK = 256
-
-
-def _refuse_data_line(lines: list[str], norb: int) -> None:
-    """Raise the refusal of the first faulty FCIDUMP data line: a line of
-    other than five fields, a value that is not a finite number, or an index
-    outside 1..NORB where the line's pattern uses it."""
-    for line in lines:
-        parts = line.split()
-        if len(parts) != 5:
-            if parts:
-                raise OperatorPropertyError(f"malformed FCIDUMP line: {line!r}")
-            continue
-        val = float(parts[0].replace("D", "E").replace("d", "e"))
-        if not math.isfinite(val):
-            raise OperatorPropertyError(f"non-finite FCIDUMP value: {line!r}")
-        i, j, k, l = idx = tuple(int(x) for x in parts[1:])
-        used = idx if k or l else idx[:2] if i or j else ()
-        if not all(1 <= x <= norb for x in used):
-            raise OperatorPropertyError(f"FCIDUMP index outside 1..NORB={norb}: {line!r}")
-
-
-def _assign_last(arr: np.ndarray, index: tuple[np.ndarray, ...], vals: np.ndarray) -> None:
-    """``arr[index] = vals`` with each index array of shape ``(lines, P)``:
-    the P entries of a line get its value, and of the writes to one entry
-    the last line's wins."""
-    flat = np.ravel_multi_index(index, arr.shape).ravel()[::-1]
-    entries, last = np.unique(flat, return_index=True)
-    arr.flat[entries] = np.repeat(vals, index[0].shape[1])[::-1][last]
 
 
 def read_fcidump(path) -> tuple[IntegralSet, int]:
@@ -502,12 +472,15 @@ def read_fcidump(path) -> tuple[IntegralSet, int]:
     chemist two-electron integral (ij|kl), ``i j 0 0`` a one-electron
     integral, ``0 0 0 0`` the core energy; any other index pattern, or an
     index beyond NORB, is rejected.  Values may carry Fortran ``D``
-    exponents.  Of the header only NORB, refused above ``MAX_ORBITALS``
+    exponents.  Of the header only NORB, refused outside 1..``MAX_ORBITALS``
     before any array exists, and NELEC are read.  Real eightfold
-    permutational symmetry is applied to two-electron entries; an entry
-    that several lines set takes the value of the last.  The lines are
-    parsed in one vectorised pass; a faulty one is refused by name
-    (:func:`_refuse_data_line`).
+    permutational symmetry is applied to two-electron entries.
+
+    One pass over the data lines in file order parses, checks and stores
+    each line, so the first faulty line is the one refused, by name, and of
+    the lines that set one entry the last wins: a two-electron line keys its
+    value by the canonical member of its symmetry class (each index pair
+    ascending, then the pairs ascending), and one scatter writes the classes.
 
     Returns the IntegralSet and the NELEC declared in the header.
     """
@@ -517,50 +490,46 @@ def read_fcidump(path) -> tuple[IntegralSet, int]:
     if m is None:
         raise OperatorPropertyError("FCIDUMP header lacks NORB")
     norb = int(m.group(1))
-    if norb > MAX_ORBITALS:
-        raise InvalidDimensionError(f"FCIDUMP NORB={norb} exceeds {MAX_ORBITALS} orbitals")
+    if not 1 <= norb <= MAX_ORBITALS:
+        raise InvalidDimensionError(f"FCIDUMP NORB={norb} outside 1..{MAX_ORBITALS} orbitals")
     m = _FCIDUMP_NELEC.search(text)
     nelec = int(m.group(1)) if m else -1
 
     lines = text.splitlines()
-    start = 0
-    for k, line in enumerate(lines):
-        if "&END" in line.upper() or line.strip() == "/":
-            start = k + 1
-            break
-    else:
-        # single-line header: skip the first line
-        start = 1
-
-    lines = lines[start:]
-    vals, idx = [], []
-    # a chunk of lines at a time: the fields of every line at once would
-    # leave the interpreter's heap grown for the rest of the run
-    for k in range(0, len(lines), _FCIDUMP_CHUNK):
-        fields = [f for f in map(str.split, lines[k:k + _FCIDUMP_CHUNK]) if f]
-        if any(len(f) != 5 for f in fields):
-            _refuse_data_line(lines, norb)
-        try:
-            vals.append(np.array([f[0].replace("D", "E").replace("d", "e") for f in fields],
-                                 dtype=float))
-            idx.append(np.array([f[1:] for f in fields], dtype=np.int64).reshape(-1, 4))
-        except (ValueError, OverflowError):   # an unparsable field, or an index past int64
-            _refuse_data_line(lines, norb)
-            raise
-    vals, idx = np.concatenate(vals or [[]]), np.concatenate(idx or [np.zeros((0, 4), int)])
-    two = (idx[:, 2] != 0) | (idx[:, 3] != 0)
-    one = ~two & ((idx[:, 0] != 0) | (idx[:, 1] != 0))
-    inside = (idx >= 1) & (idx <= norb)
-    if not (np.isfinite(vals).all() and inside[two].all() and inside[one, :2].all()):
-        _refuse_data_line(lines, norb)
-
-    core = vals[~two & ~one]
+    # the data follow the header's "&END" or "/" line; a one-line header
+    # has neither
+    start = next((k + 1 for k, line in enumerate(lines)
+                  if "&END" in line.upper() or line.strip() == "/"), 1)
     h = np.zeros((norb, norb))
-    i, j = (idx[one, :2] - 1).T
-    _assign_last(h, (np.stack([i, j], 1), np.stack([j, i], 1)), vals[one])
+    classes = {}
+    core = 0.0
+    for line in lines[start:]:
+        parts = line.split()
+        if len(parts) != 5:
+            if parts:
+                raise OperatorPropertyError(f"malformed FCIDUMP line: {line!r}")
+            continue
+        val = float(parts[0].replace("D", "E").replace("d", "e"))
+        if not math.isfinite(val):
+            raise OperatorPropertyError(f"non-finite FCIDUMP value: {line!r}")
+        i, j, k, l = int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])
+        if not (i or j or k or l):
+            core = val
+            continue
+        if not (0 < i <= norb and 0 < j <= norb
+                and (k == l == 0 or 0 < k <= norb and 0 < l <= norb)):
+            raise OperatorPropertyError(f"FCIDUMP index outside 1..NORB={norb}: {line!r}")
+        if k:   # k and l are both 0 on a one-electron line, both past 0 on a two-electron one
+            ij = (i, j) if i <= j else (j, i)
+            kl = (k, l) if k <= l else (l, k)
+            classes[ij + kl if ij <= kl else kl + ij] = val
+        else:
+            h[i - 1, j - 1] = h[j - 1, i - 1] = val
     chem = np.zeros((norb, norb, norb, norb))
-    i, j, k, l = (idx[two] - 1).T
-    _assign_last(chem, tuple(np.stack(p, 1) for p in zip(
-        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i))), vals[two])
-    return IntegralSet.from_chemist(h, chem, core[-1] if core.size else 0.0), nelec
+    if classes:
+        i, j, k, l = np.array(list(classes), dtype=np.int64).T - 1
+        vals = np.fromiter(classes.values(), float, len(classes))
+        for perm in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+                     (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)):
+            chem[perm] = vals
+    return IntegralSet.from_chemist(h, chem, core), nelec

@@ -255,9 +255,9 @@ def sweep_external(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartition
 class SweepResult:
     """Full decomposition psi = e^{sigma_ext} e^{sigma_int} |ref>.
 
-    ``record`` holds the rotations of sweeps 1-2 (:func:`replay`),
-    ``cas_columns`` their product replayed on the identity, omega12^+ =
-    e^{sigma_ext}, at the CAS columns (:meth:`DeterminantTable.cas`; Fortran
+    ``cas_columns`` holds the product of the rotations of sweeps 1-2
+    replayed on the identity (:func:`replay`), omega12^+ = e^{sigma_ext}, at
+    the CAS columns (:meth:`DeterminantTable.cas`; Fortran
     order, as a replay of unit columns gives them), ``psi_act`` the
     CAS-supported state e^{sigma_int}|ref> they leave, ``delta`` the
     phase of e^{i delta}|ref> left by sweep 3, ``sigma_int_rotation`` the
@@ -268,7 +268,6 @@ class SweepResult:
 
     sigma_ext: np.ndarray
     sigma_int_rotation: np.ndarray
-    record: list
     cas_columns: np.ndarray
     psi_act: np.ndarray
     delta: float
@@ -313,7 +312,7 @@ def decompose_state(psi: np.ndarray, ref: Determinant, part: SpinOrbitalPartitio
     recon = exp_anti_hermitian(sigma_ext, exp_anti_hermitian(
         log3, c_ref / abs(c_ref) * basis.unit_vector(table.ref_index)))
     return SweepResult(
-        sigma_ext=sigma_ext, sigma_int_rotation=log3, record=record,
+        sigma_ext=sigma_ext, sigma_int_rotation=log3,
         cas_columns=cas_columns, psi_act=psi_act,
         delta=cmath.phase(c_ref), residual=float(np.linalg.norm(recon - psi_n)),
         rotations=len(record) + len(record3), omega12_defect=d12, omega3_defect=d3)

@@ -349,7 +349,7 @@ def hamiltonian_from_terms(terms, basis: FockBasis) -> QOperator:
     for coeff, creators, annihilators in terms:
         if coeff == 0:
             continue
-        for j, mask in enumerate(basis.masks):
+        for j, mask in enumerate(basis.mask_array.tolist()):
             res = apply_operator_string(mask, creators, annihilators)
             if res is None:
                 continue
@@ -398,7 +398,7 @@ def scalar_hamiltonian_from_integrals(ints: IntegralSet, basis: FockBasis) -> QO
     h = ints.one_body
     v = ints.two_body
     mat = np.zeros((dim, dim), dtype=complex)
-    for j, mask in enumerate(basis.masks):
+    for j, mask in enumerate(basis.mask_array.tolist()):
         occ = [p for p in range(M) if mask >> p & 1]
         mat[j, j] += ints.core_energy
         # one-body: sum_pq h[p,q] a+_p a_q

@@ -171,6 +171,21 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, fcidump, ove
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("system,named", [
+    ({"kind": "hubbard", "L": 0, "t": 1.0, "U": 4.0}, "M=0"),
+    ({"kind": "pairing", "levels": 0, "g": 0.5}, "M=0"),
+    ({"kind": "fcidump", "path": "FCIDUMP"}, "NORB=0"),
+], ids=["hubbard", "pairing", "fcidump"])
+def test_zero_orbital_system_names_the_orbital_count(tmp_path, capsys, command, system, named):
+    (tmp_path / "FCIDUMP").write_text("&FCI NORB=0,NELEC=0,&END\n0.5 0 0 0 0\n")
+    path = write_config(tmp_path, system=system, electrons=0, partition=None)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: system ({system['kind']}): ")
+    assert named in err and "Traceback" not in err
+
+
 def test_tasks_that_do_not_sweep_take_an_unsweepable_partition(tmp_path):
     path = write_config(tmp_path, **UNSWEEPABLE, tasks=[
         {"name": "fci"}, {"name": "cluster"}, {"name": "ecc", "n_configs": 2}])
@@ -1057,6 +1072,19 @@ def test_unconverged_imagtime_fails(tmp_path):
     assert re.match(r"DuccLabError: imagtime: delta_e_vs_fci = .* exceeds 1e-08", task["error"])
 
 
+@pytest.mark.parametrize("dtau", [700, 1000])
+def test_overflowing_imagtime_step_fails_at_once(tmp_path, dtau):
+    # on the dimer's full CAS, exp(-dtau (Heff - S)) of the first step
+    # overflows: the step is refused, where a NaN flow took 1e5 steps
+    path = write_config(tmp_path, partition={"auto_homo_lumo": [2, 2]}, seed=1,
+                        tasks=[{"name": "imagtime", "dtau": dtau}])
+    assert main(["run", str(path)]) == 1
+    task = read_report(tmp_path)["tasks"][0]
+    assert task["status"] == "failed"
+    assert task["error"].startswith(
+        f"ConvergenceError: imaginary-time step of dtau={dtau} at tau=0 overflows")
+
+
 def test_ecc_at_a_large_scale_stays_ok(tmp_path):
     # the identities hold relative to the size of their brackets
     path = write_config(tmp_path, tasks=[{"name": "ecc", "n_configs": 3, "scale": 50.0}])
@@ -1217,9 +1245,10 @@ def test_generator_column_deviation_ties_the_generator_to_the_replay(tmp_path, m
 
     def dropped_rotation(psi, ref, part, basis):
         res = decompose_state(psi, ref, part, basis)
+        record, _ = sweeps.sweep_external(psi, ref, part, basis)
         cas = ducclab.determinant_table(basis, ref).cas(part)
         cols = ducclab.downfold.unit_columns(basis.size, cas, res.cas_columns.dtype)
-        res.cas_columns = sweeps.replay(res.record[1:], cols)
+        res.cas_columns = sweeps.replay(record[1:], cols)
         return res
     monkeypatch.setattr(sweeps, "decompose_state", dropped_rotation)
     assert main(["run", str(path)]) == 1

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -20,9 +21,9 @@ class TestBuildBasis:
 
     def test_deterministic_lexicographic(self):
         basis = dl.build_basis(5, 2)
-        masks = list(basis.masks)
-        assert masks == sorted(masks)
-        assert all(m.bit_count() == 2 for m in masks)
+        masks = basis.mask_array.tolist()
+        assert masks == sorted(sum(1 << p for p in occ) for occ in combinations(range(5), 2))
+        assert not basis.mask_array.flags.writeable
 
     def test_guards(self):
         with pytest.raises(InvalidDimensionError):
@@ -31,11 +32,16 @@ class TestBuildBasis:
             dl.build_basis(17, 2)
         with pytest.raises(InvalidDimensionError):
             dl.build_basis(4, -1)
+        with pytest.raises(InvalidDimensionError, match="M=0"):
+            dl.build_basis(0, 0)
 
     def test_index_roundtrip(self):
         basis = dl.build_basis(6, 3)
         for j, det in enumerate(basis):
             assert basis.index_of(det) == j
+        for mask in (0b1, 1 << 6 | 0b11):   # below and above every mask of the basis
+            with pytest.raises(SectorMismatchError):
+                basis.index_of(mask)
         with pytest.raises(SectorMismatchError):
             basis.index_of(dl.Determinant(0b1, 6))
 

@@ -713,9 +713,9 @@ class TestFcidumpLines:
             self.read(tmp_path, ["0.5 1 3 0 0", "abc 1 1 0 0"])
 
     def test_refusals_past_the_first_chunk(self, tmp_path):
-        # the lines are parsed a chunk at a time; a fault in a later chunk
-        # is refused, and an earlier fault of another kind still comes first
-        filler = ["0.1 1 1 0 0"] * (operators._FCIDUMP_CHUNK + 10)
+        # a fault after many good lines is refused, and an earlier fault of
+        # another kind still comes first
+        filler = ["0.1 1 1 0 0"] * 300
         with pytest.raises(OperatorPropertyError, match="malformed FCIDUMP line: '0.5 1 1 0'"):
             self.read(tmp_path, filler + ["0.5 1 1 0"])
         with pytest.raises(OperatorPropertyError, match="non-finite.*'nan 2 2 0 0'"):
@@ -743,6 +743,16 @@ class TestFcidumpLines:
         assert ints.core_energy == 3.0
         assert np.array_equal(ints.one_body, want.one_body)
         assert np.array_equal(ints.two_body, want.two_body)
+
+    def test_last_line_wins_over_alternating_permutations(self, tmp_path):
+        # a quadruple and a permutation of it set one symmetry class in
+        # turn, the quadruple three times and last: its last value wins,
+        # though the permutation's lines come after its first
+        ints = self.read(tmp_path, [
+            "0.1 1 2 3 3", "0.2 3 3 2 1", "0.3 1 2 3 3", "0.4 3 3 2 1", "0.5 1 2 3 3"], 3)
+        want = self.read(tmp_path, ["0.5 1 2 3 3"], 3)
+        assert np.array_equal(ints.two_body, want.two_body)
+        assert ints.two_body.any()
 
     def test_matches_the_line_by_line_symmetrisation(self, tmp_path):
         rng = np.random.default_rng(3)
