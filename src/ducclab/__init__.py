@@ -45,7 +45,7 @@ _EXPORTS = {name: module for module, names in {
         "DuccLabError", "IntermediateNormalizationError", "InvalidDimensionError",
         "NormDriftError", "OperatorPropertyError", "OrderingViolationError",
         "SectorMismatchError"),
-    "fock": ("Determinant", "DetClass", "DeterminantTable", "ExcitationSignature", "FockBasis",
+    "fock": ("Determinant", "DeterminantTable", "ExcitationSignature", "FockBasis",
         "SpinOrbitalPartition", "aufbau_reference", "build_basis", "determinant_table",
         "homo_lumo_partition"),
     "imagtime": ("FlowResult", "ImaginaryFlowState", "imaginary_evolve", "imaginary_step",

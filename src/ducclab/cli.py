@@ -35,9 +35,9 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, DuccLabError, IntermediateNormalizationError,
                      InvalidDimensionError, OperatorPropertyError)
-from .fock import (DetClass, DeterminantTable, FockBasis, SpinOrbitalPartition,
-                   _check_sweep_ordering, aufbau_reference, build_basis, determinant_table,
-                   homo_lumo_partition, inactive_class_shape, pair_count, sector_size)
+from .fock import (DeterminantTable, FockBasis, SpinOrbitalPartition, _check_sweep_ordering,
+                   aufbau_reference, build_basis, determinant_table, homo_lumo_partition,
+                   inactive_class_shape, pair_count, sector_size)
 from .operators import (IntegralSet, QOperator, exp_anti_hermitian, hubbard_integrals,
                         pairing_integrals, read_fcidump)
 
@@ -304,16 +304,11 @@ def _build_partition(cfg: dict, M: int, N: int) -> SpinOrbitalPartition | None:
         except DuccLabError as exc:
             raise ConfigError(str(exc)) from exc
     keys = ("occ_inactive", "occ_active", "virt_active", "virt_inactive")
-    _check_keys(pcfg, (*keys, "allow_arbitrary"), "partition")
+    _check_keys(pcfg, keys, "partition")
     if not all(k in pcfg for k in keys):
         raise ConfigError(f"explicit partition needs keys {keys}")
-    allow_arbitrary = pcfg.get("allow_arbitrary", False)
-    if not isinstance(allow_arbitrary, bool):
-        raise ConfigError(f"allow_arbitrary={allow_arbitrary!r} is not a bool")
     try:
-        return SpinOrbitalPartition(
-            *(tuple(config_int(p, k) for p in pcfg[k]) for k in keys),
-            allow_arbitrary=allow_arbitrary)
+        return SpinOrbitalPartition(*(tuple(config_int(p, k) for p in pcfg[k]) for k in keys))
     except (TypeError, DuccLabError) as exc:   # TypeError: an index list not a list
         raise ConfigError(str(exc)) from exc
 
@@ -473,7 +468,7 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     from .downfold import unit_columns
     res = ctx.sweep
-    external = ctx.table.classes(ctx.part) == DetClass.EXTERNAL
+    external = ctx.table.external(ctx.part)
     cas, R = ctx.cas_columns
     series = exp_anti_hermitian(res.sigma_ext, unit_columns(ctx.basis.size, cas, float))
     return {
@@ -687,12 +682,21 @@ def task_verify_all(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 def run_task(ctx: RunContext, name: str, params: dict) -> tuple[dict, dict]:
     """Run one task on its parsed parameters and fail it when a result
-    breaches its residual bound."""
+    breaches its residual bound or any number of its results, nested ones
+    too, is not finite."""
     task = TASKS[name]
     results, artifacts = task(ctx, task_params(name, params))
     for key, bound in task.bounds.items():
         if not results[key] <= bound:   # NaN fails too
             raise DuccLabError(f"{name}: {key} = {results[key]:.3e} exceeds {bound:.0e}")
+    stack = list(results.items())
+    while stack:
+        key, value = stack.pop(0)
+        if isinstance(value, dict | list):
+            inner = value.items() if isinstance(value, dict) else enumerate(value)
+            stack += [(f"{key}.{k}", v) for k, v in inner]
+        elif isinstance(value, numbers.Number) and not np.isfinite(value):
+            raise DuccLabError(f"{name}: {key} = {value} is not finite")
     return results, artifacts
 
 
@@ -946,7 +950,7 @@ def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
         "tasks": task_reports,
     }
     _write(os.path.join(outdir, "report.json"),
-           json.dumps(report, indent=2, sort_keys=True) + "\n")
+           json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     failed = [t for t in task_reports if t["status"] != "ok"]
     for t in failed:
         print(f"task {t['name']} failed: {t['error']}", file=sys.stderr)

@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IntermediateNormalizationError, SectorMismatchError
-from .fock import (DetClass, Determinant, DeterminantTable, FockBasis,
-                   SpinOrbitalPartition, determinant_table)
+from .fock import (Determinant, DeterminantTable, FockBasis, SpinOrbitalPartition,
+                   determinant_table)
 from .operators import _inexact
 
 
@@ -217,7 +217,7 @@ def split_amplitudes(t: np.ndarray, table: DeterminantTable, part: SpinOrbitalPa
     """Internal part (every index active; the reference row's identity
     counts as internal) and external remainder of an amplitude array or
     stack; their sum reproduces ``t`` exactly."""
-    external = table.classes(part) == DetClass.EXTERNAL
+    external = table.external(part)
     external = external.reshape(external.shape + (1,) * (np.ndim(t) - 1))
     return np.where(external, 0, t), np.where(external, t, 0)
 
@@ -248,7 +248,7 @@ def random_amplitudes(table: DeterminantTable, rng: np.random.Generator,
     if max_rank is not None:
         rows = rows[table.ranks[rows] <= max_rank]
     if kind != "any":
-        rows = rows[(table.classes(part)[rows] == DetClass.INTERNAL) == (kind == "internal")]
+        rows = rows[table.external(part)[rows] == (kind == "external")]
     draws = rng.uniform(-scale, scale, size=(len(rows), 1 if real else 2))
     t = np.zeros(table.basis.size, float if real else complex)
     t[rows] = draws[:, 0] if real else draws[:, 0] + 1j * draws[:, 1]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cluster import AmplitudeOperator, exp_nilpotent
 from .errors import OperatorPropertyError
-from .fock import DetClass, Determinant, FockBasis, SpinOrbitalPartition, determinant_table
+from .fock import Determinant, FockBasis, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, exp_anti_hermitian
 
 
@@ -63,7 +63,7 @@ def ducc_projection(H: QOperator, R: np.ndarray,
     if A is not None:
         sub = sub - 1j * A
     defect = float(np.linalg.norm(sub - sub.conj().T))
-    if defect > 1e-10 * max(1.0, float(np.linalg.norm(sub))):
+    if not defect <= 1e-10 * max(1.0, float(np.linalg.norm(sub))):   # NaN fails too
         raise OperatorPropertyError(
             f"downfolded matrix unexpectedly non-Hermitian (defect {defect:.3e})")
     return 0.5 * (sub + sub.conj().T)
@@ -79,7 +79,7 @@ def downfold_sescc(H: QOperator, t_ext: np.ndarray, ref: Determinant,
     on an internal or the reference row.
     """
     table = determinant_table(H.basis, ref)
-    inside = np.flatnonzero((table.classes(part) != DetClass.EXTERNAL) & (t_ext != 0))
+    inside = np.flatnonzero(~table.external(part) & (t_ext != 0))
     if inside.size:
         raise OperatorPropertyError(f"internal signature {table.signatures[inside[0]]} "
                                     "in external amplitude set")

@@ -23,7 +23,7 @@ import numpy as np
 from .downfold import ducc_projection, unit_columns
 from .ecc import EccMatrices
 from .errors import DuccLabError, NormDriftError, OperatorPropertyError
-from .fock import DetClass, Determinant, SpinOrbitalPartition, determinant_table
+from .fock import Determinant, SpinOrbitalPartition, determinant_table
 from .operators import QOperator, _matmul, exp_anti_hermitian
 from .sweeps import replay, sweep_external
 
@@ -103,7 +103,7 @@ def propagate_internal(heffs: Sequence[np.ndarray], c0: np.ndarray, dt: float,
         k4 = -1j * (h1 @ (c + dt * k3))
         c = c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         drift = abs(np.linalg.norm(c) - norm_before)
-        if drift > DRIFT_TOL:
+        if not drift <= DRIFT_TOL:   # NaN fails too
             raise NormDriftError(f"norm drift {drift:.3e} at step {k} exceeds {DRIFT_TOL:.0e}")
         out[k + 1] = c
     return out
@@ -237,7 +237,7 @@ def evaluate_lagrangians(H: QOperator, sigma_int: np.ndarray, sigma_ext: np.ndar
     basis = H.basis
     phi = basis.unit_vector(basis.index_of(ref))
     # the (P + Q_int) projector: the CAS determinants
-    pq = determinant_table(basis, ref).classes(part) != DetClass.EXTERNAL
+    pq = ~determinant_table(basis, ref).external(part)
     ket_i, ddt_int = exp_anti_hermitian(sigma_int, phi, sigma_int_dot)
     ket_i_pq = np.where(pq, ket_i, 0.0)
     U, L = exp_anti_hermitian(sigma_ext, np.stack([ket_i, ddt_int, ket_i_pq], axis=1),

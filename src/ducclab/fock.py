@@ -10,15 +10,14 @@ Conventions used everywhere downstream:
   ``(-1)**(number of occupied orbitals with smaller index at the moment it
   acts)``.
 * A spin-orbital partition lists its four classes as occupied-inactive,
-  occupied-active, virtual-active, virtual-inactive.  By default the four
-  classes must be contiguous ascending index blocks in that order; the
-  elimination-order guarantees of the sweep module rely on this ordering.
+  occupied-active, virtual-active, virtual-inactive, any disjoint cover of
+  the orbitals; only the sweeps ask for an order, the inactive classes at
+  the index extremes (``_check_sweep_ordering``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -34,12 +33,6 @@ MAX_ORBITALS = 16
 
 def _mask(orbitals) -> int:
     return sum(1 << p for p in orbitals)
-
-
-class DetClass(Enum):
-    REFERENCE = "reference"
-    INTERNAL = "internal"
-    EXTERNAL = "external"
 
 
 @dataclass(frozen=True)
@@ -117,28 +110,18 @@ class SpinOrbitalPartition:
     occ_active: tuple[int, ...]
     virt_active: tuple[int, ...]
     virt_inactive: tuple[int, ...]
-    allow_arbitrary: bool = False
 
     def __post_init__(self):
-        blocks = [tuple(sorted(b)) for b in
-                  (self.occ_inactive, self.occ_active, self.virt_active, self.virt_inactive)]
-        for name, blk in zip(
-                ("occ_inactive", "occ_active", "virt_active", "virt_inactive"), blocks):
-            object.__setattr__(self, name, blk)
-        flat = [p for blk in blocks for p in blk]
-        if sorted(flat) != list(range(len(flat))):
+        names = ("occ_inactive", "occ_active", "virt_active", "virt_inactive")
+        for name in names:
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
+        if sorted(p for name in names for p in getattr(self, name)) != list(range(self.M)):
             raise InvalidDimensionError(
                 "partition classes must be disjoint and cover 0..M-1 exactly")
-        if not self.allow_arbitrary and flat != sorted(flat):
-            raise InvalidDimensionError(
-                "partition classes must be contiguous ascending blocks "
-                "(occ_inactive < occ_active < virt_active < virt_inactive); "
-                "pass allow_arbitrary=True to bypass")
 
     @property
     def M(self) -> int:
-        return (len(self.occ_inactive) + len(self.occ_active)
-                + len(self.virt_active) + len(self.virt_inactive))
+        return self.N + len(self.virt_active) + len(self.virt_inactive)
 
     @property
     def N(self) -> int:
@@ -152,12 +135,10 @@ def _check_sweep_ordering(part: SpinOrbitalPartition):
     """The non-reintroduction guarantee of the sweeps needs the inactive
     classes at the index extremes: every inactive hole below the active
     holes, every inactive particle above the active particles."""
-    if part.occ_inactive and part.occ_active \
-            and max(part.occ_inactive) > min(part.occ_active):
+    if max(part.occ_inactive, default=-1) > min(part.occ_active, default=part.M):
         raise InvalidDimensionError(
             "sweep ordering requires all occ_inactive indices below occ_active")
-    if part.virt_inactive and part.virt_active \
-            and min(part.virt_inactive) < max(part.virt_active):
+    if min(part.virt_inactive, default=part.M) < max(part.virt_active, default=-1):
         raise InvalidDimensionError(
             "sweep ordering requires all virt_inactive indices above virt_active")
 
@@ -285,13 +266,13 @@ class DeterminantTable:
     phases[j] |det_j>``, its rank, and the hole and particle masks of
     ``det_j`` against ``ref``; the reference row holds the identity, phase
     +1, rank 0.  ``order`` lists the rows in ``(rank, occ, virt)``
-    lexicographic order, the identity first.  The class and CAS order of
-    every row follow per partition from the masks (:meth:`classes`,
-    :meth:`cas`), and the determinant pairs that each row's signature
-    couples from :attr:`pair_list` (:meth:`pairs`).  An amplitude set is an
-    array over the rows, ``(dim,)`` or ``(dim, B)`` for a stack of B sets,
-    the reference row holding the identity's amplitude.  The row arrays are
-    read-only: one table is shared per ``(basis, ref)``
+    lexicographic order, the identity first.  Which rows are external, and
+    the CAS order of the others, follow per partition from the masks
+    (:meth:`external`, :meth:`cas`), and the determinant pairs that each
+    row's signature couples from :attr:`pair_list` (:meth:`pairs`).  An
+    amplitude set is an array over the rows, ``(dim,)`` or ``(dim, B)`` for
+    a stack of B sets, the reference row holding the identity's amplitude.
+    The row arrays are read-only: one table is shared per ``(basis, ref)``
     (:func:`determinant_table`).
     """
 
@@ -320,25 +301,19 @@ class DeterminantTable:
         for arr in (self.holes, self.particles, self.phases, self.ranks, self.order):
             arr.flags.writeable = False
 
-    def classes(self, part: SpinOrbitalPartition) -> np.ndarray:
-        """Reference / internal / external :class:`DetClass` of every row.
-
-        Internal means every hole lies in ``occ_active`` and every particle
-        in ``virt_active``; anything touching an inactive orbital is
-        external.
-        """
+    def external(self, part: SpinOrbitalPartition) -> np.ndarray:
+        """Boolean mask over the rows, True where a row's holes leave
+        ``occ_active`` or its particles leave ``virt_active``.  The
+        reference row and the internal rows, which make the CAS, are False."""
         if part.M != self.ref.M:
             raise SectorMismatchError("partition and reference disagree on sector")
-        internal = ((self.holes & ~_mask(part.occ_active) == 0)
-                    & (self.particles & ~_mask(part.virt_active) == 0))
-        classes = np.where(internal, DetClass.INTERNAL, DetClass.EXTERNAL)
-        classes[self.ref_index] = DetClass.REFERENCE
-        return classes
+        return ((self.holes & ~_mask(part.occ_active) != 0)
+                | (self.particles & ~_mask(part.virt_active) != 0))
 
     def cas(self, part: SpinOrbitalPartition) -> np.ndarray:
         """Rows of the CAS sub-basis: the reference first, then the internal
         determinants in basis order."""
-        internal = np.flatnonzero(self.classes(part) == DetClass.INTERNAL)
+        internal = np.flatnonzero(~self.external(part) & (self.ranks > 0))
         return np.concatenate(([self.ref_index], internal))
 
     @cached_property

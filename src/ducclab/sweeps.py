@@ -54,8 +54,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CasSupportError, IntermediateNormalizationError, OrderingViolationError
-from .fock import (DetClass, Determinant, DeterminantTable, ExcitationSignature,
-                   FockBasis, SpinOrbitalPartition, _check_sweep_ordering, determinant_table)
+from .fock import (Determinant, DeterminantTable, ExcitationSignature, FockBasis,
+                   SpinOrbitalPartition, _check_sweep_ordering, determinant_table)
 from .operators import exp_anti_hermitian, logm_unitary
 
 #: Coefficients with magnitude below this are treated as already eliminated.
@@ -170,11 +170,10 @@ def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
     """
     _check_sweep_ordering(part)
     rows = table.order
-    classes = table.classes(part)[rows]
+    external = table.external(part)[rows]
     holes, particles = table.holes[rows], table.particles[rows]
     smallest_hole = np.bitwise_count((holes & -holes) - 1)
     largest_particle = np.frexp(particles)[1]   # its index + 1
-    external = classes == DetClass.EXTERNAL
     has_inactive_hole = holes & sum(1 << p for p in part.occ_inactive) != 0
 
     def group(select, key):
@@ -183,7 +182,7 @@ def sweep_targets(table: DeterminantTable, part: SpinOrbitalPartition
         return ordered
     return (group(external & has_inactive_hole, smallest_hole),
             group(external & ~has_inactive_hole, -largest_particle),
-            group(classes == DetClass.INTERNAL, smallest_hole))
+            group(~external & (table.ranks[rows] > 0), smallest_hole))
 
 
 def _run_targets(state, targets, table) -> list:
@@ -205,7 +204,7 @@ def _run_targets(state, targets, table) -> list:
         record.append((step, pairs))
         touched = np.concatenate(pairs[:2])
         worst = np.abs(state[touched[dead[touched]]]).max(axis=0, initial=0.0)
-        _refuse(worst > REGROWTH_TOL, OrderingViolationError, lambda b: (
+        _refuse(~(worst <= REGROWTH_TOL), OrderingViolationError, lambda b: (
             f"eliminated coefficient re-grew to {worst[b]:.3e} "
             f"while processing target {table.signatures[j]}"))
     return record
@@ -235,8 +234,8 @@ def _sweep_external(psi, table: DeterminantTable, part: SpinOrbitalPartition, ta
             lambda b: "state has (numerically) zero reference overlap")
     psi_act = np.array(psi_n, order="C")
     record = _run_targets(psi_act, np.concatenate(targets[:2]), table)
-    ext_norm = np.linalg.norm(psi_act[table.classes(part) == DetClass.EXTERNAL], axis=0)
-    _refuse(ext_norm > SUPPORT_TOL, CasSupportError, lambda b: (
+    ext_norm = np.linalg.norm(psi_act[table.external(part)], axis=0)
+    _refuse(~(ext_norm <= SUPPORT_TOL), CasSupportError, lambda b: (
         f"state has external support {ext_norm[b]:.3e} (tol {SUPPORT_TOL:.0e})"))
     return psi_n, record, psi_act
 

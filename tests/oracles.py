@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations
 
 import numpy as np
@@ -32,8 +33,8 @@ from ducclab.cluster import AmplitudeOperator, exp_nilpotent
 from ducclab.downfold import EffectiveHamiltonian
 from ducclab.ecc import EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms
 from ducclab.errors import InvalidDimensionError, OperatorPropertyError, SectorMismatchError
-from ducclab.fock import (DetClass, Determinant, DeterminantTable, ExcitationSignature,
-                          FockBasis, SpinOrbitalPartition, determinant_table)
+from ducclab.fock import (Determinant, DeterminantTable, ExcitationSignature, FockBasis,
+                          SpinOrbitalPartition, determinant_table)
 from ducclab.operators import IntegralSet, QOperator, _inexact
 from ducclab.sweeps import RotationStep, _check_sweep_ordering
 
@@ -246,6 +247,12 @@ def apply_deexcitation(sig: ExcitationSignature,
     return Determinant(mask, det.M), sign
 
 
+class DetClass(Enum):
+    REFERENCE = "reference"
+    INTERNAL = "internal"
+    EXTERNAL = "external"
+
+
 def classify_determinant(det: Determinant, ref: Determinant,
                          part: SpinOrbitalPartition) -> DetClass:
     """Reference / internal / external classification of ``det`` w.r.t. the
@@ -278,8 +285,8 @@ class Projectors:
 
 def build_projectors(ref: Determinant, basis: FockBasis,
                      part: SpinOrbitalPartition) -> Projectors:
-    classes = determinant_table(basis, ref).classes(part)
-    proj = lambda cls: np.diag((classes == cls).astype(complex))
+    classes = [classify_determinant(det, ref, part) for det in basis]
+    proj = lambda cls: np.diag([complex(c is cls) for c in classes])
     return Projectors(P=proj(DetClass.REFERENCE), Q_int=proj(DetClass.INTERNAL),
                       Q_ext=proj(DetClass.EXTERNAL))
 

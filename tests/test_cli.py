@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -39,8 +40,14 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def _refuse_constant(token):
+    raise ValueError(f"report.json holds the non-finite token {token}")
+
+
 def read_report(tmp_path):
-    return json.loads((tmp_path / "out" / "report.json").read_text())
+    """report.json as strict JSON: a bare NaN, Infinity or -Infinity fails."""
+    return json.loads((tmp_path / "out" / "report.json").read_text(),
+                      parse_constant=_refuse_constant)
 
 
 class TestValidate:
@@ -75,7 +82,7 @@ DIMER_FCIDUMP = ["&FCI NORB=4,NELEC=2,MS2=0,", "&END", "-1.0 1 3 0 0", "-1.0 2 4
 #: a partition the sweeps cannot take: an inactive hole above the active one
 UNSWEEPABLE = {"system": {"kind": "hubbard", "L": 3, "t": 1.0, "U": 4.0}, "electrons": 2,
                "partition": {"occ_inactive": [1], "occ_active": [0], "virt_active": [2, 3],
-                             "virt_inactive": [4, 5], "allow_arbitrary": True}}
+                             "virt_inactive": [4, 5]}}
 
 
 #: configs that both commands refuse with exit 2: name -> (FCIDUMP lines or
@@ -109,7 +116,7 @@ MALFORMED_CONFIGS = {
     "bool-U": (None, {"system": {"kind": "hubbard", "L": 2, "t": 1.0, "U": True}}),
     "bool-dt": (None, {"tasks": [{"name": "propagate", "dt": True}]}),
     "bool-tol": (None, {"tasks": [{"name": "imagtime", "tol": False}]}),
-    # an out-of-order partition is admitted by a bool only
+    # allow_arbitrary is no key of a partition, whatever its value
     "string-allow-arbitrary": (None, {"partition": {
         "occ_inactive": [], "occ_active": [0, 2], "virt_active": [1], "virt_inactive": [3],
         "allow_arbitrary": "no"}}),
@@ -192,6 +199,29 @@ def test_tasks_that_do_not_sweep_take_an_unsweepable_partition(tmp_path):
     assert main(["validate", str(path)]) == 0
     assert main(["run", str(path)]) == 0
     assert all(t["status"] == "ok" for t in read_report(tmp_path)["tasks"])
+
+
+#: a partition in sweep order whose classes are no contiguous blocks, with a
+#: reference (orbitals 0, 1, 3, 4) that is not the aufbau one
+NON_CONTIGUOUS = {"system": {"kind": "hubbard", "L": 4, "t": 1.0, "U": 4.0}, "electrons": 4,
+                  "partition": {"occ_inactive": [0], "occ_active": [1, 3, 4],
+                                "virt_active": [2, 5], "virt_inactive": [6, 7]}}
+
+
+def test_non_contiguous_partition_in_sweep_order_runs_every_task(tmp_path):
+    path = write_config(tmp_path, **NON_CONTIGUOUS, seed=1, tasks=[
+        {"name": "fci"}, {"name": "cluster"}, {"name": "sweep"}, {"name": "downfold"},
+        {"name": "imagtime"}, {"name": "propagate", "dt": 0.02, "nsteps": 20},
+        {"name": "ecc", "n_configs": 3}])
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    tasks = read_report(tmp_path)["tasks"]
+    assert [t["status"] for t in tasks] == ["ok"] * 7
+    results = {t["name"]: t["results"] for t in tasks}
+    assert results["cluster"]["internal_count"] == math.comb(5, 3) - 1
+    assert results["downfold"]["cas_dimension"] == math.comb(5, 3)
+    assert results["downfold"]["ducc_delta_e"] < 1e-12
+    assert results["propagate"]["max_consistency_deviation"] < 1e-5
 
 
 def test_relative_output_starts_at_the_working_directory(tmp_path, monkeypatch):
@@ -358,9 +388,13 @@ def test_bad_task_parameter_is_config_error(tmp_path, capsys, command, task):
      "partition: unknown key(s) 'allow_arbitary'"),
     ({"partition": {"auto_homo_lumo": [1, 1], "allow_arbitrary": True}},
      "partition: unknown key(s) 'allow_arbitrary'"),
+    ({"partition": {"occ_inactive": [], "occ_active": [0], "virt_active": [1, 2],
+                    "virt_inactive": [3], "allow_arbitrary": True}},
+     "partition: unknown key(s) 'allow_arbitrary'"),
 ], ids=["top-level", "task-entry", "stale-fd-order", "task-without-params",
         "verify-all-entry", "verify-all-sub-task", "verify-all-sub-task-name", "system-key", "system-key-of-other-kind",
-        "partition-key", "explicit-partition-key", "auto-partition-with-explicit-key"])
+        "partition-key", "explicit-partition-key", "auto-partition-with-explicit-key",
+        "explicit-partition-allow-arbitrary"])
 def test_unknown_key_is_config_error(tmp_path, capsys, command, overrides, message):
     assert main([command, str(write_config(tmp_path, **overrides))]) == 2
     err = capsys.readouterr().err
@@ -571,7 +605,7 @@ PACKAGE_EXPORTS = {
                "DuccLabError", "IntermediateNormalizationError", "InvalidDimensionError",
                "NormDriftError", "OperatorPropertyError", "OrderingViolationError",
                "SectorMismatchError"),
-    "fock": ("Determinant", "DetClass", "DeterminantTable", "ExcitationSignature",
+    "fock": ("Determinant", "DeterminantTable", "ExcitationSignature",
              "FockBasis", "SpinOrbitalPartition", "aufbau_reference", "build_basis",
              "determinant_table", "homo_lumo_partition"),
     "imagtime": ("FlowResult", "ImaginaryFlowState", "imaginary_evolve", "imaginary_step",
@@ -1063,6 +1097,40 @@ def test_every_residual_bound_fails_its_task(tmp_path, monkeypatch, task, key, v
         cli.run_task(ctx, task, {})
 
 
+@pytest.mark.parametrize("task,results,key", [
+    ("fci", {"ground_energy": -1.0, "roots": [-1.0, math.inf], "dimension": 6}, "roots.1"),
+    ("ecc", {"n_configs": 2, "max_bch_deviation": -math.inf}, "max_bch_deviation"),
+    ("propagate", {"max_decomposition_residual": 0.0, "energy_drift": math.nan},
+     "energy_drift"),
+    ("verify-all", {"propagate": {"norm_drift": math.inf}, "checks": {"td_consistency": True}},
+     "propagate.norm_drift"),
+], ids=["list", "top-level", "nan", "nested"])
+def test_non_finite_result_fails_its_task(tmp_path, monkeypatch, task, results, key):
+    # a number that no bound covers, a nested one too, fails the entry: the
+    # report names the key and stays strict JSON, and no artifact is written
+    monkeypatch.setitem(cli.TASKS, task, dataclasses.replace(
+        cli.TASKS[task], run=lambda ctx, params: (results, {"artifact.csv": "x\n"})))
+    assert main(["run", str(write_config(tmp_path, tasks=[{"name": task}]))]) == 1
+    (entry,) = read_report(tmp_path)["tasks"]
+    assert entry["status"] == "failed"
+    assert re.fullmatch(rf"DuccLabError: {task}: {re.escape(key)} = -?(inf|nan) is not finite",
+                        entry["error"])
+    assert os.listdir(tmp_path / "out") == ["report.json"]
+
+
+@pytest.mark.parametrize("dt", [1e150, 1e300])
+# the command line runs without the suite's RuntimeWarning filter
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_quench_fails_its_norm_gate(tmp_path, dt):
+    # the RK4 stages overflow to NaN in the first step: the norm-drift gate
+    # refuses it, where a NaN drift passed it as ok
+    path = write_config(tmp_path, seed=1, tasks=[{"name": "propagate", "dt": dt, "nsteps": 2}])
+    assert main(["run", str(path)]) == 1
+    task = read_report(tmp_path)["tasks"][0]
+    assert task["status"] == "failed"
+    assert task["error"].startswith("NormDriftError: norm drift nan at step 0 exceeds")
+
+
 def test_unconverged_imagtime_fails(tmp_path):
     # dtau = 1e-9 stops the flow by its tolerance far from the ground energy
     path = write_config(tmp_path, tasks=[{"name": "imagtime", "dtau": 1e-9}])
@@ -1461,3 +1529,65 @@ def test_randomized_battery(tmp_path_factory, system, window, coupling, seed):
             bounds = cli.TASKS[name].bounds if name in cli.TASKS else {}
             for key, bound in bounds.items():
                 assert results[key] <= bound, (name, key)
+
+
+#: float values at the edges of the parameter domains and of the float range
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1e-300, 1e-9, 0.02, 1.0, 700.0, 1e150,
+               1e300, 1.7976931348623157e308, 0.0, -1.0, math.inf, math.nan]
+#: a tol below the round-off of the flow's energy is never met: the flow runs
+#: to its 100000-step cap (5 s on the dimer) and fails, too slow to draw here
+SMALLEST_TOL = 1e-6
+EDGE_INTS = {"nroots": [1, 6, 10**18, 0], "nsteps": [2, 3, 10**9, 1],
+             "n_configs": [1, 2, 0]}
+
+
+def _params(task: str):
+    """Every parameter of ``task``, drawn at the edges of its domain."""
+    if task == "verify-all":
+        subs = [sub for sub, entry in cli.TASKS.items() if entry.params and entry.verify_all]
+        return st.fixed_dictionaries({sub: _params(sub) for sub in subs})
+    drawn = {}
+    for key, (kind, _, _) in cli.TASKS[task].params.items():
+        if key == "tol":
+            drawn[key] = st.one_of(st.sampled_from([x for x in EDGE_FLOATS if not
+                                                    0 < x < SMALLEST_TOL]),
+                                   st.floats(min_value=SMALLEST_TOL))
+        elif kind is float:
+            drawn[key] = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+        elif kind is int:
+            drawn[key] = st.sampled_from(EDGE_INTS[key])
+        else:
+            drawn[key] = st.sampled_from(cli.INITIAL_STATES)
+    return st.fixed_dictionaries(drawn)
+
+
+def _numbers(obj) -> list:
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for value in obj for x in _numbers(value)]
+    return [obj] if isinstance(obj, int | float) else []
+
+
+@pytest.mark.parametrize("task", list(cli.TASKS))
+# the command line runs without the suite's RuntimeWarning filter, and these
+# edges overflow on purpose: the run must turn every overflow into a result
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40)
+@given(data=st.data(), window=st.sampled_from([[1, 1], [2, 2]]))
+def test_extreme_task_parameters_exit_cleanly(tmp_path_factory, task, data, window):
+    # any parameter of the task on the dimer: exit 0, 1 or 2 and no escaped
+    # exception; a report that parses strictly, every ok number finite
+    tmp_path = tmp_path_factory.mktemp("edges")
+    params = data.draw(_params(task))
+    path = write_config(tmp_path, partition={"auto_homo_lumo": window},
+                        tasks=[{"name": task, **params}])
+    code = main(["run", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not (tmp_path / "out").exists()
+        return
+    (entry,) = read_report(tmp_path)["tasks"]
+    assert code == int(entry["status"] != "ok")
+    if entry["status"] == "ok":
+        assert all(math.isfinite(x) for x in _numbers(entry["results"])), entry

@@ -239,8 +239,8 @@ class TestOperatorAlgebra:
 
 #: partitions whose four classes are not contiguous blocks
 ARBITRARY_PARTITIONS = [
-    dl.SpinOrbitalPartition((1,), (0, 3), (2, 5), (4,), allow_arbitrary=True),
-    dl.SpinOrbitalPartition((4,), (0, 2), (1, 5), (3, 6, 7), allow_arbitrary=True),
+    dl.SpinOrbitalPartition((1,), (0, 3), (2, 5), (4,)),
+    dl.SpinOrbitalPartition((4,), (0, 2), (1, 5), (3, 6, 7)),
 ]
 
 
@@ -349,7 +349,7 @@ def test_internal_pairs_never_leave_their_inactive_class(M, data):
     cuts = sorted(data.draw(st.tuples(st.integers(0, N), st.integers(N, M))))
     occ, virt = perm[:N], perm[N:]
     part = dl.SpinOrbitalPartition(occ[:cuts[0]], occ[cuts[0]:], virt[:cuts[1] - N],
-                                   virt[cuts[1] - N:], allow_arbitrary=True)
+                                   virt[cuts[1] - N:])
     basis = dl.build_basis(M, N)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     table = dl.determinant_table(basis, part.reference())

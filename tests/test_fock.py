@@ -10,7 +10,7 @@ import ducclab as dl
 from ducclab.errors import InvalidDimensionError, SectorMismatchError
 
 from conftest import count_calls
-from oracles import (apply_deexcitation, apply_excitation, classify_determinant,
+from oracles import (DetClass, apply_deexcitation, apply_excitation, classify_determinant,
                      enumerate_signatures, excitation_matrix, signature_between)
 
 
@@ -120,11 +120,14 @@ class TestSignatures:
 
 
 class TestPartition:
-    def test_contiguity_enforced(self):
-        with pytest.raises(InvalidDimensionError):
-            dl.SpinOrbitalPartition((0,), (2,), (1,), (3,))
-        part = dl.SpinOrbitalPartition((0,), (2,), (1,), (3,), allow_arbitrary=True)
-        assert part.M == 4
+    def test_any_disjoint_cover(self):
+        # the classes need not be contiguous blocks: only the sweeps ask for
+        # an order, and they check their own
+        part = dl.SpinOrbitalPartition((0,), (2,), (1,), (3,))
+        assert part.M == 4 and part.N == 2
+        assert part.reference() == dl.Determinant(0b0101, 4)
+        with pytest.raises(TypeError):
+            dl.SpinOrbitalPartition((0,), (2,), (1,), (3,), allow_arbitrary=True)
 
     def test_cover_and_disjoint(self):
         with pytest.raises(InvalidDimensionError):
@@ -145,19 +148,19 @@ class TestPartition:
 
 class TestClassify:
     def test_reference(self, m8_basis, m8_ref, m8_part):
-        assert classify_determinant(m8_ref, m8_ref, m8_part) is dl.DetClass.REFERENCE
+        assert classify_determinant(m8_ref, m8_ref, m8_part) is DetClass.REFERENCE
 
     def test_internal_hole_active_particle_active(self):
         part = dl.homo_lumo_partition(4, 2, 1, 1)
         ref = part.reference()
         det, _ = apply_excitation(dl.ExcitationSignature((1,), (2,)), ref)
-        assert classify_determinant(det, ref, part) is dl.DetClass.INTERNAL
+        assert classify_determinant(det, ref, part) is DetClass.INTERNAL
 
     def test_inactive_hole_is_external(self):
         part = dl.homo_lumo_partition(4, 2, 1, 1)
         ref = part.reference()
         det, _ = apply_excitation(dl.ExcitationSignature((0,), (2,)), ref)
-        assert classify_determinant(det, ref, part) is dl.DetClass.EXTERNAL
+        assert classify_determinant(det, ref, part) is DetClass.EXTERNAL
 
     def test_sector_mismatch(self, m8_part, m8_ref):
         with pytest.raises(SectorMismatchError):
@@ -166,13 +169,13 @@ class TestClassify:
     @pytest.mark.parametrize("no,nv", [(0, 0), (1, 1), (2, 2), (4, 4), (2, 3)])
     def test_partition_counts(self, m8_basis, m8_ref, no, nv):
         part = dl.homo_lumo_partition(8, 4, no, nv)
-        counts = {cls: 0 for cls in dl.DetClass}
+        counts = {cls: 0 for cls in DetClass}
         for det in m8_basis:
             counts[classify_determinant(det, m8_ref, part)] += 1
-        assert counts[dl.DetClass.REFERENCE] == 1
+        assert counts[DetClass.REFERENCE] == 1
         assert sum(counts.values()) == m8_basis.size
         # all redistributions of the active electrons over active orbitals
-        assert counts[dl.DetClass.INTERNAL] == comb(no + nv, no) - 1
+        assert counts[DetClass.INTERNAL] == comb(no + nv, no) - 1
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -184,11 +187,11 @@ class TestClassify:
         basis = dl.build_basis(M, N)
         ref = dl.aufbau_reference(M, N)
         part = dl.homo_lumo_partition(M, N, no, nv)
-        counts = {cls: 0 for cls in dl.DetClass}
+        counts = {cls: 0 for cls in DetClass}
         for det in basis:
             counts[classify_determinant(det, ref, part)] += 1
-        assert counts[dl.DetClass.REFERENCE] == 1
-        assert counts[dl.DetClass.INTERNAL] == comb(no + nv, no) - 1
+        assert counts[DetClass.REFERENCE] == 1
+        assert counts[DetClass.INTERNAL] == comb(no + nv, no) - 1
         assert sum(counts.values()) == basis.size
 
 
@@ -226,28 +229,28 @@ class TestDeterminantTable:
 
     @pytest.mark.parametrize("part", [
         dl.homo_lumo_partition(8, 4, 2, 2),
-        dl.SpinOrbitalPartition((1,), (0, 3, 6), (2, 5), (4, 7), allow_arbitrary=True),
+        dl.SpinOrbitalPartition((1,), (0, 3, 6), (2, 5), (4, 7)),
     ])
     def test_classify_sector_matches_classify_determinant(self, m8_basis, part):
         ref = part.reference()
-        classes = dl.determinant_table(m8_basis, ref).classes(part)
-        assert classes.tolist() == [classify_determinant(det, ref, part)
-                                    for det in m8_basis]
-        assert len(set(classes.tolist())) == 3
+        external = dl.determinant_table(m8_basis, ref).external(part)
+        classes = [classify_determinant(det, ref, part) for det in m8_basis]
+        assert external.dtype == bool
+        assert external.tolist() == [cls is DetClass.EXTERNAL for cls in classes]
+        assert len(set(classes)) == 3
 
     def test_classify_sector_mismatch(self, m8_part):
         with pytest.raises(SectorMismatchError):
             dl.determinant_table(dl.build_basis(8, 3), m8_part.reference())
         with pytest.raises(SectorMismatchError):
-            dl.determinant_table(dl.build_basis(6, 4), dl.aufbau_reference(6, 4)).classes(m8_part)
+            dl.determinant_table(dl.build_basis(6, 4), dl.aufbau_reference(6, 4)).external(m8_part)
 
     @pytest.mark.parametrize("M,N,part", [
         (6, 3, None),
         (8, 4, dl.homo_lumo_partition(8, 4, 2, 2)),
         (10, 5, dl.homo_lumo_partition(10, 5, 1, 3)),
-        (8, 4, dl.SpinOrbitalPartition((1,), (0, 3, 6), (2, 5), (4, 7), allow_arbitrary=True)),
-        (10, 4, dl.SpinOrbitalPartition((0, 8), (2, 5), (1, 3), (4, 6, 7, 9),
-                                        allow_arbitrary=True)),
+        (8, 4, dl.SpinOrbitalPartition((1,), (0, 3, 6), (2, 5), (4, 7))),
+        (10, 4, dl.SpinOrbitalPartition((0, 8), (2, 5), (1, 3), (4, 6, 7, 9))),
     ])
     @pytest.mark.parametrize("interleaved", [False, True])
     def test_reference_table_matches_scalar_oracles(self, M, N, part, interleaved):
@@ -275,8 +278,8 @@ class TestDeterminantTable:
         if part is None:
             return
         classes = [classify_determinant(det, ref, part) for det in basis]
-        assert table.classes(part).tolist() == classes
-        internal = [j for j, cls in enumerate(classes) if cls is dl.DetClass.INTERNAL]
+        assert table.external(part).tolist() == [cls is DetClass.EXTERNAL for cls in classes]
+        internal = [j for j, cls in enumerate(classes) if cls is DetClass.INTERNAL]
         assert np.array_equal(table.cas(part), [basis.index_of(ref)] + internal)
 
     @pytest.mark.parametrize("M,N", [(6, 3), (8, 4)])

@@ -8,7 +8,7 @@ from ducclab.errors import CasSupportError, OrderingViolationError
 from ducclab.sweeps import sweep_targets
 
 from conftest import count_calls, random_state
-from oracles import (anti_hermiticity_defect, apply_excitation, build_projectors,
+from oracles import (DetClass, anti_hermiticity_defect, apply_excitation, build_projectors,
                      classify_determinant, is_internal_signature, rotation_generator,
                      rotation_unitary, scalar_sweep_targets, signature_pairs,
                      unitarity_defect)
@@ -189,10 +189,8 @@ class TestSweepExternal:
         # groups carry an inactive particle as largest index; the table-driven
         # order equals the determinant-by-determinant one, also for non-aufbau
         # references and arbitrary (but sweep-ordered) partitions
-        interleaved = dl.SpinOrbitalPartition((0,), (2, 4, 5), (1, 3), (6, 7),
-                                              allow_arbitrary=True)
-        dimer_arbitrary = dl.SpinOrbitalPartition((0,), (2,), (1,), (3,),
-                                                  allow_arbitrary=True)
+        interleaved = dl.SpinOrbitalPartition((0,), (2, 4, 5), (1, 3), (6, 7))
+        dimer_arbitrary = dl.SpinOrbitalPartition((0,), (2,), (1,), (3,))
         cases = [(m8_basis, m8_ref, m8_part),
                  (m8_basis, interleaved.reference(), interleaved),
                  (dl.build_basis(4, 2), dimer_arbitrary.reference(), dimer_arbitrary),
@@ -213,7 +211,7 @@ class TestSweepExternal:
                 assert sig.virt[-1] in virt_inact
             assert len(t1) + len(t2) == sum(
                 1 for d in basis
-                if classify_determinant(d, ref, part) is dl.DetClass.EXTERNAL)
+                if classify_determinant(d, ref, part) is DetClass.EXTERNAL)
 
 
 class TestSweepInternal:
@@ -439,8 +437,7 @@ class TestDecomposeState:
     def test_arbitrary_partition_with_ordered_classes(self, dimer_basis):
         # interleaved occupied/virtual blocks are fine as long as the
         # inactive classes sit at the index extremes
-        part = dl.SpinOrbitalPartition((0,), (2,), (1,), (3,),
-                                       allow_arbitrary=True)
+        part = dl.SpinOrbitalPartition((0,), (2,), (1,), (3,))
         ref = part.reference()
         rng = np.random.default_rng(21)
         psi = random_state(dimer_basis, rng, ref=ref)
@@ -450,8 +447,7 @@ class TestDecomposeState:
     def test_order_violating_partition_rejected(self, dimer_basis):
         from ducclab.errors import InvalidDimensionError
         # an inactive hole above an active one breaks the sweep guarantee
-        part = dl.SpinOrbitalPartition((1,), (0,), (2,), (3,),
-                                       allow_arbitrary=True)
+        part = dl.SpinOrbitalPartition((1,), (0,), (2,), (3,))
         ref = part.reference()
         rng = np.random.default_rng(22)
         psi = random_state(dimer_basis, rng, ref=ref)
