@@ -30,22 +30,20 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .errors import (ConfigError, DuccLabError, IntermediateNormalizationError,
                      InvalidDimensionError, OperatorPropertyError)
-from .fock import (DeterminantTable, FockBasis, SpinOrbitalPartition, _check_sweep_ordering,
-                   aufbau_reference, build_basis, determinant_table, homo_lumo_partition,
-                   inactive_class_shape, pair_count, sector_size)
-from .operators import (IntegralSet, QOperator, exp_anti_hermitian, hubbard_integrals,
-                        pairing_integrals, read_fcidump)
+from .shape import (Determinant, FcidumpLines, SpinOrbitalPartition, _check_sweep_ordering,
+                    aufbau_reference, homo_lumo_partition, inactive_class_shape, pair_count,
+                    read_fcidump_lines, sector_size)
 
-# The modules that compute (cluster, downfold, dynamics, ecc, imagtime,
-# sweeps) are imported inside the stages and tasks that use them, so that
-# ``validate`` loads only what checks a config.
+# numpy and the modules that build and compute are imported inside the
+# stages and tasks that use them: ``validate`` loads the shape layer alone.
 if TYPE_CHECKING:
+    import numpy as np
     from .downfold import EffectiveHamiltonian
+    from .fock import DeterminantTable, FockBasis
+    from .operators import IntegralSet, QOperator
 
 INITIAL_STATES = ("reference", "ground", "noninteracting-ground")
 #: the environment variables that set the BLAS thread count, which moves
@@ -71,8 +69,8 @@ ECC_IDENTITY_RTOL = 1e-12
 #: bounded whatever ``n_configs``
 ECC_STACK = 16
 #: the errors that fail a task (or, in ``downfold``, its lowest-order estimate)
-#: instead of the run
-TASK_ERRORS = (DuccLabError, np.linalg.LinAlgError, ValueError, ArithmeticError)
+#: instead of the run; numpy's LinAlgError is a ValueError
+TASK_ERRORS = (DuccLabError, ValueError, ArithmeticError)
 #: smallest FCI gap E1 - E0 of an analysed ground root: below it the root is
 #: degenerate and the eigensolver returns an arbitrary mix of its states
 MIN_GROUND_GAP = 1e-8
@@ -94,10 +92,10 @@ def _check_ground_gap(vals: np.ndarray, what: str = "ground"):
 
 @dataclass
 class RunContext:
-    """Everything a task needs: the system's integrals, partition,
-    reference and seed.
+    """Everything a task needs: the config, its FCIDUMP line pass (None for
+    a model system), partition, reference and seed.
 
-    The basis of the reference's sector, the dense Hamiltonian H, the
+    The integral set, the basis of the reference's sector, the dense H, the
     determinant table of ``(basis, ref)`` and the ground-state stages (FCI
     eigenpairs, cluster amplitudes, sweep decomposition, its CAS columns,
     DUCC Hamiltonian) are deterministic functions of the system, so each is
@@ -108,18 +106,27 @@ class RunContext:
     """
 
     config: dict
-    ints: IntegralSet
-    ref: object
+    fcidump: FcidumpLines | None
+    ref: Determinant
     part: SpinOrbitalPartition | None
     seed: int
 
     def rng(self, task: str) -> np.random.Generator:
+        import numpy as np
         # per-task stream keyed on the task's place in TASKS keeps reports
         # independent of the config's task order
         return np.random.default_rng([self.seed, list(TASKS).index(task)])
 
     @cached_property
+    def ints(self) -> IntegralSet:
+        if self.fcidump is None:
+            return _model_integrals(self.config["system"])
+        from .operators import fcidump_integrals
+        return fcidump_integrals(self.fcidump)
+
+    @cached_property
     def basis(self) -> FockBasis:
+        from .fock import build_basis
         return build_basis(self.ref.M, self.ref.N)
 
     @cached_property
@@ -135,6 +142,7 @@ class RunContext:
         One ``eigh`` in the dtype of H: every system the CLI builds is real,
         so its ground vector is real too, and the phase fix an exact sign.
         """
+        import numpy as np
         vals, vecs = np.linalg.eigh(self.H.matrix)
         psi0 = vecs[:, 0].copy()
         c0 = psi0[self.basis.index_of(self.ref)]
@@ -158,6 +166,7 @@ class RunContext:
 
     @cached_property
     def table(self) -> DeterminantTable:
+        from .fock import determinant_table
         return determinant_table(self.basis, self.ref)
 
     @cached_property
@@ -241,21 +250,32 @@ def run_settings(cfg: dict, output: str | None, seed: int | None) -> tuple[str |
     return output or outdir, config_seed if seed is None else config_int(seed, "seed", minimum=0)
 
 
-def _model_integrals(sys_cfg: dict, interacting: bool = True) -> IntegralSet:
-    """Integral set of a hubbard or pairing system; without ``interacting``,
-    the same set with ``U`` or ``g`` set to 0."""
+def _model_parameters(sys_cfg: dict, interacting: bool = True) -> tuple[int, float, float]:
+    """Checked ``(L, t, U)`` of a hubbard or ``(levels, g, spacing)`` of a
+    pairing system, U or g 0 without ``interacting``; a top level energy
+    that overflows is refused as the integral set would refuse it."""
     num = lambda key: config_float(sys_cfg[key], f"system.{key}")
     if sys_cfg["kind"] == "hubbard":
         U = num("U") if interacting else 0.0
-        return hubbard_integrals(config_int(sys_cfg["L"], "system.L"), num("t"), U)
+        return config_int(sys_cfg["L"], "system.L"), num("t"), U
     g = num("g") if interacting else 0.0
     spacing = config_float(sys_cfg.get("spacing", 1.0), "system.spacing")
-    return pairing_integrals(config_int(sys_cfg["levels"], "system.levels"), g, spacing)
+    levels = config_int(sys_cfg["levels"], "system.levels")
+    if not math.isfinite(spacing * (levels - 1)):
+        raise OperatorPropertyError("integrals have non-finite entries")
+    return levels, g, spacing
 
 
-def _build_system(cfg: dict) -> tuple[IntegralSet, int]:
-    """The system's integral set and electron count; the sector is checked
-    before any integral array exists."""
+def _model_integrals(sys_cfg: dict, interacting: bool = True) -> IntegralSet:
+    """Integral set of a hubbard or pairing system (:func:`_model_parameters`)."""
+    from .operators import hubbard_integrals, pairing_integrals
+    build = hubbard_integrals if sys_cfg["kind"] == "hubbard" else pairing_integrals
+    return build(*_model_parameters(sys_cfg, interacting))
+
+
+def _build_system(cfg: dict) -> tuple[FcidumpLines | None, int, int]:
+    """The system's FCIDUMP line pass (None for a model system), orbital and
+    electron counts, every value checked as the integral set would check it."""
     sys_cfg = cfg.get("system")
     if not isinstance(sys_cfg, dict) or "kind" not in sys_cfg:
         raise ConfigError("config needs system.kind")
@@ -269,16 +289,17 @@ def _build_system(cfg: dict) -> tuple[IntegralSet, int]:
             path = sys_cfg["path"]
             if not os.path.isabs(path):
                 path = os.path.join(cfg["_config_dir"], path)
-            ints, file_nelec = read_fcidump(path)
-            if file_nelec >= 0 and file_nelec != nelec:
+            lines = read_fcidump_lines(path)
+            if lines.nelec >= 0 and lines.nelec != nelec:
                 raise ConfigError(
-                    f"FCIDUMP NELEC={file_nelec} != config electrons={nelec}")
-            sector_size(ints.M, nelec)
-        else:
-            key = "L" if kind == "hubbard" else "levels"
-            sector_size(2 * config_int(sys_cfg[key], f"system.{key}"), nelec)
-            ints = _model_integrals(sys_cfg)
-        return ints, nelec
+                    f"FCIDUMP NELEC={lines.nelec} != config electrons={nelec}")
+            sector_size(lines.norb, nelec)
+            return lines, lines.norb, nelec
+        key = "L" if kind == "hubbard" else "levels"
+        M = 2 * config_int(sys_cfg[key], f"system.{key}")
+        sector_size(M, nelec)
+        _model_parameters(sys_cfg)
+        return None, M, nelec
     except KeyError as exc:
         raise ConfigError(f"system.{exc.args[0]} missing for kind={kind!r}") from exc
     except ConfigError:
@@ -378,6 +399,8 @@ def _check_task(cfg: dict, part: SpinOrbitalPartition | None, name: str, params:
     if name == "verify-all":
         for sub, sub_params in p.items():
             _check_task(cfg, part, sub, sub_params)
+    elif name == "propagate" and not p["dt"] / 2 > 0:   # the quench steps dt / 2
+        raise ConfigError(f"task propagate: dt={p['dt']!r} must be > 0 with dt / 2 > 0")
     elif p.get("initial") == "noninteracting-ground" \
             and cfg["system"]["kind"] not in ("hubbard", "pairing"):
         raise ConfigError("noninteracting-ground initial state needs a hubbard/pairing system")
@@ -387,26 +410,27 @@ def build_context(cfg: dict, seed: int) -> RunContext:
     """The run context of a config, every check of ``validate`` passed: the
     config's keys and values, its partition against the system's sector,
     each task's parameters, and the run's estimated peak against
-    :data:`MAX_PEAK_BYTES`.  Reads the integrals; builds no basis and no H."""
+    :data:`MAX_PEAK_BYTES`.  Reads an FCIDUMP's lines once; builds no
+    array: the integral set, the basis and H are stages of the context."""
     _check_keys(cfg, CONFIG_KEYS, "config")
-    ints, nelec = _build_system(cfg)
-    part = _build_partition(cfg, ints.M, nelec)
+    fcidump, M, nelec = _build_system(cfg)
+    part = _build_partition(cfg, M, nelec)
     if part is not None:
-        if part.M != ints.M or part.N != nelec:
+        if part.M != M or part.N != nelec:
             raise ConfigError(
                 f"partition covers M={part.M}, N={part.N} but system has "
-                f"M={ints.M}, N={nelec}")
+                f"M={M}, N={nelec}")
         ref = part.reference()
     else:
-        ref = aufbau_reference(ints.M, nelec)
+        ref = aufbau_reference(M, nelec)
     entries = _task_entries(cfg)
     for name, params in entries:
         _check_task(cfg, part, name, params)
-    peak, name = peak_estimate(entries, ints.M, nelec, part)
+    peak, name = peak_estimate(entries, M, nelec, part)
     if peak > MAX_PEAK_BYTES:
         raise ConfigError(f"task {name}: estimated peak of {peak:,} bytes exceeds the "
                           f"budget of {MAX_PEAK_BYTES:,} bytes")
-    return RunContext(cfg, ints, ref, part, seed)
+    return RunContext(cfg, fcidump, ref, part, seed)
 
 
 # -- tasks ---------------------------------------------------------------------
@@ -438,6 +462,7 @@ def task_fci(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
+    import numpy as np
     from .cluster import AmplitudeOperator, exp_nilpotent, split_amplitudes
     vals, _ = ctx.ground_state
     psi = ctx.ground_vector()
@@ -466,7 +491,9 @@ def task_cluster(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, dict]:
+    import numpy as np
     from .downfold import unit_columns
+    from .operators import exp_anti_hermitian
     res = ctx.sweep
     external = ctx.table.external(ctx.part)
     cas, R = ctx.cas_columns
@@ -483,6 +510,7 @@ def task_sweep(ctx: RunContext, params: dict) -> tuple[dict, dict]:
 
 
 def task_downfold(ctx: RunContext, params: dict) -> tuple[dict, dict]:
+    import numpy as np
     from .cluster import sigma_lowest_order, split_amplitudes
     from .downfold import downfold_ducc, downfold_sescc, match_root
     part = ctx.part
@@ -536,6 +564,7 @@ def _initial_state(ctx: RunContext, kind: str) -> np.ndarray:
     if kind == "ground":
         return ctx.ground_vector()
     # noninteracting-ground, which _check_task admits for hubbard and pairing only
+    import numpy as np
     from .operators import hamiltonian_from_integrals
     h0 = hamiltonian_from_integrals(
         _model_integrals(ctx.config["system"], interacting=False), ctx.basis)
@@ -548,6 +577,7 @@ def task_propagate(ctx: RunContext, params: dict) -> tuple[dict, dict]:
     """Quench evolution plus the downfolded-consistency study: the active
     coefficients are propagated under the time-dependent downfolded
     Hamiltonian and compared per step against the sweep decomposition."""
+    import numpy as np
     from .dynamics import downfolded_quench
     dt, nsteps = params["dt"], params["nsteps"]
     psi0 = _initial_state(ctx, params["initial"])
@@ -602,6 +632,7 @@ def _ecc_stack_deviations(ctx: RunContext, rng: np.random.Generator, first: int,
     and check them as one stack: per configuration |v1 - v2|, |w1 - w2|, the
     action deviation and max|direct - series| of its BCH check.  Raises on
     the first configuration whose routes deviate beyond ECC_IDENTITY_RTOL."""
+    import numpy as np
     from .cluster import random_amplitudes
     from .ecc import EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms, x_int_ext_bch
     draws = [{name: random_amplitudes(ctx.table, rng, ctx.part, kind, scale)
@@ -684,6 +715,7 @@ def run_task(ctx: RunContext, name: str, params: dict) -> tuple[dict, dict]:
     """Run one task on its parsed parameters and fail it when a result
     breaches its residual bound or any number of its results, nested ones
     too, is not finite."""
+    import numpy as np
     task = TASKS[name]
     results, artifacts = task(ctx, task_params(name, params))
     for key, bound in task.bounds.items():
@@ -907,6 +939,7 @@ def _write(path: str, text: str):
 def run(cfg: dict, outdir: str, seed: int) -> tuple[dict, int]:
     """Run the config's tasks; write the artifacts of each task that passes
     into ``outdir``, then ``report.json``.  A failed task writes nothing."""
+    import numpy as np
     ctx = build_context(cfg, seed)
     try:
         os.makedirs(outdir, exist_ok=True)

@@ -13,149 +13,21 @@ Conventions used everywhere downstream:
   occupied-active, virtual-active, virtual-inactive, any disjoint cover of
   the orbitals; only the sweeps ask for an order, the inactive classes at
   the index extremes (``_check_sweep_ordering``).
+
+The records and counts that need no numpy come from :mod:`ducclab.shape`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 
-from .errors import InvalidDimensionError, SectorMismatchError
-
-#: Desk-scale guard on the orbital count: it bounds the M^4 two-body integral
-#: arrays and keeps every occupation mask an int64.  What fits in memory is
-#: the run's byte budget (``ducclab.cli.MAX_PEAK_BYTES``).
-MAX_ORBITALS = 16
-
-
-def _mask(orbitals) -> int:
-    return sum(1 << p for p in orbitals)
-
-
-@dataclass(frozen=True)
-class Determinant:
-    """An M-orbital occupation-number state with a fixed particle content."""
-
-    occupation: int
-    M: int
-
-    def __post_init__(self):
-        if not 1 <= self.M <= MAX_ORBITALS:
-            raise InvalidDimensionError(
-                f"orbital count {self.M} outside 1..{MAX_ORBITALS}")
-        if self.occupation < 0 or self.occupation >> self.M:
-            raise InvalidDimensionError(
-                f"occupation mask {self.occupation:#x} has bits outside 0..{self.M - 1}")
-
-    @property
-    def N(self) -> int:
-        return self.occupation.bit_count()
-
-    def occupied(self) -> tuple[int, ...]:
-        return tuple(p for p in range(self.M) if self.occupation >> p & 1)
-
-    def virtuals(self) -> tuple[int, ...]:
-        return tuple(p for p in range(self.M) if not self.occupation >> p & 1)
-
-    def bitstring(self) -> str:
-        return "".join("1" if self.occupation >> p & 1 else "0" for p in range(self.M))
-
-    def __str__(self) -> str:
-        return f"|{self.bitstring()}>"
-
-
-@dataclass(frozen=True)
-class ExcitationSignature:
-    """Ordered occupied/virtual index tuples of an excitation operator.
-
-    ``occ`` are the reference orbitals annihilated and ``virt`` the ones
-    created; both tuples are strictly ascending and of equal length.  The
-    rank-0 signature ``((), ())`` is the identity.
-    """
-
-    occ: tuple[int, ...]
-    virt: tuple[int, ...]
-
-    def __post_init__(self):
-        occ = tuple(self.occ)
-        virt = tuple(self.virt)
-        object.__setattr__(self, "occ", occ)
-        object.__setattr__(self, "virt", virt)
-        if len(occ) != len(virt):
-            raise InvalidDimensionError("occ and virt tuples differ in length")
-        for tup in (occ, virt):
-            if any(b <= a for a, b in zip(tup, tup[1:])):
-                raise InvalidDimensionError(f"index tuple {tup} not strictly ascending")
-        if set(occ) & set(virt):
-            raise InvalidDimensionError("occ and virt tuples overlap")
-
-    @property
-    def rank(self) -> int:
-        return len(self.occ)
-
-
-@dataclass(frozen=True)
-class SpinOrbitalPartition:
-    """The four orbital classes of an active-space partition.
-
-    ``occ_inactive`` and ``occ_active`` together must be exactly the
-    orbitals occupied in the reference determinant this partition is used
-    with; :meth:`reference` builds that determinant.
-    """
-
-    occ_inactive: tuple[int, ...]
-    occ_active: tuple[int, ...]
-    virt_active: tuple[int, ...]
-    virt_inactive: tuple[int, ...]
-
-    def __post_init__(self):
-        names = ("occ_inactive", "occ_active", "virt_active", "virt_inactive")
-        for name in names:
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
-        if sorted(p for name in names for p in getattr(self, name)) != list(range(self.M)):
-            raise InvalidDimensionError(
-                "partition classes must be disjoint and cover 0..M-1 exactly")
-
-    @property
-    def M(self) -> int:
-        return self.N + len(self.virt_active) + len(self.virt_inactive)
-
-    @property
-    def N(self) -> int:
-        return len(self.occ_inactive) + len(self.occ_active)
-
-    def reference(self) -> Determinant:
-        return Determinant(_mask(self.occ_inactive + self.occ_active), self.M)
-
-
-def _check_sweep_ordering(part: SpinOrbitalPartition):
-    """The non-reintroduction guarantee of the sweeps needs the inactive
-    classes at the index extremes: every inactive hole below the active
-    holes, every inactive particle above the active particles."""
-    if max(part.occ_inactive, default=-1) > min(part.occ_active, default=part.M):
-        raise InvalidDimensionError(
-            "sweep ordering requires all occ_inactive indices below occ_active")
-    if min(part.virt_inactive, default=part.M) < max(part.virt_active, default=-1):
-        raise InvalidDimensionError(
-            "sweep ordering requires all virt_inactive indices above virt_active")
-
-
-def homo_lumo_partition(M: int, N: int, n_occ_active: int,
-                        n_virt_active: int) -> SpinOrbitalPartition:
-    """Contiguous partition placing the active window around the Fermi level
-    of the aufbau reference (orbitals 0..N-1 occupied)."""
-    if not (0 <= n_occ_active <= N and 0 <= n_virt_active <= M - N):
-        raise InvalidDimensionError(
-            f"active window ({n_occ_active},{n_virt_active}) does not fit M={M}, N={N}")
-    return SpinOrbitalPartition(
-        occ_inactive=tuple(range(N - n_occ_active)),
-        occ_active=tuple(range(N - n_occ_active, N)),
-        virt_active=tuple(range(N, N + n_virt_active)),
-        virt_inactive=tuple(range(N + n_virt_active, M)),
-    )
+from .errors import SectorMismatchError
+from .shape import (MAX_ORBITALS, Determinant, ExcitationSignature, SpinOrbitalPartition,
+                    _check_sweep_ordering, _mask, aufbau_reference, homo_lumo_partition,
+                    inactive_class_shape, pair_count, sector_size)
 
 
 class FockBasis:
@@ -203,31 +75,9 @@ class FockBasis:
         return v
 
 
-def sector_size(M: int, N: int) -> int:
-    """Number of determinants C(M, N) of the N-electron sector over M spin
-    orbitals; refused outside ``0 <= N <= M`` and ``1 <= M <= MAX_ORBITALS``."""
-    if not (0 <= N <= M and 1 <= M <= MAX_ORBITALS):
-        raise InvalidDimensionError(
-            f"need 0 <= N <= M and 1 <= M <= {MAX_ORBITALS}, got M={M}, N={N}")
-    return comb(M, N)
-
-
-def pair_count(M: int, N: int) -> int:
-    """Length of the pair list of every :class:`DeterminantTable` of the
-    sector: C(N, k) C(M-N, k) rows of rank k, each coupling C(M-2k, N-k)
-    determinants (:attr:`DeterminantTable.pair_list`)."""
-    return sum(comb(N, k) * comb(M - N, k) * comb(M - 2 * k, N - k)
-               for k in range(min(N, M - N) + 1))
-
-
 def build_basis(M: int, N: int) -> FockBasis:
     """All N-electron determinants over M spin orbitals (desk-scale guarded)."""
     return FockBasis(M, N)
-
-
-def aufbau_reference(M: int, N: int) -> Determinant:
-    """Reference determinant with the N lowest-index orbitals occupied."""
-    return Determinant((1 << N) - 1, M)
 
 
 def string_elements(masks: np.ndarray, annihilated: tuple[int, ...],
@@ -390,36 +240,3 @@ def inactive_classes(basis: FockBasis, part: SpinOrbitalPartition
     for arr in (cls, pos):
         arr.flags.writeable = False
     return cls, pos
-
-
-def inactive_class_shape(part: SpinOrbitalPartition) -> tuple[int, int, int]:
-    """Sizes of :func:`inactive_classes` for ``part``, counted without a
-    basis: the number of classes, the size of the largest, and the number
-    of ordered class pairs that an external excitation set with every
-    amplitude nonzero couples.
-
-    A class holds h1 holes in ``occ_inactive`` and p1 particles in
-    ``virt_inactive`` (C(n_oi, h1) C(n_vi, p1) classes), and its
-    determinants spread the remaining e = n_oa + h1 - p1 electrons over the
-    active orbitals.  An external excitation adds h2 inactive holes and p2
-    inactive particles, not both zero, and active holes ha and particles pa
-    with ha + h2 = pa + p2; a determinant of the class with x = min(n_oa, e)
-    active holes still occupied admits one when 0 <= ha <= x and pa <=
-    n_va - e + x.
-    """
-    n_oi, n_oa, n_va, n_vi = (len(c) for c in (part.occ_inactive, part.occ_active,
-                                               part.virt_active, part.virt_inactive))
-    sizes = {(h1, p1): comb(n_oa + n_va, n_oa + h1 - p1)
-             for h1 in range(n_oi + 1) for p1 in range(n_vi + 1)
-             if 0 <= n_oa + h1 - p1 <= n_oa + n_va}
-    count = lambda h1, p1: comb(n_oi, h1) * comb(n_vi, p1)
-    coupled = 0
-    for h1, p1 in sizes:
-        e = n_oa + h1 - p1
-        x = min(n_oa, e)
-        for h2 in range(n_oi - h1 + 1):
-            for p2 in range(n_vi - p1 + 1):
-                lowest_ha = max(0, p2 - h2)   # pa = ha + h2 - p2 >= 0
-                if (h2 or p2) and lowest_ha <= min(x, n_va - e + x - (h2 - p2)):
-                    coupled += count(h1, p1) * comb(n_oi - h1, h2) * comb(n_vi - p1, p2)
-    return sum(count(*key) for key in sizes), max(sizes.values()), coupled

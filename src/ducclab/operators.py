@@ -1,7 +1,7 @@
 """Many-body operators as dense matrices over a Fock-sector basis.
 
 Everything is correctness-first dense linear algebra: the sector dimension
-is capped by the desk-scale guard in :mod:`ducclab.fock`, so Hamiltonians,
+is capped by the desk-scale guard in :mod:`ducclab.shape`, so Hamiltonians,
 exponentials and logarithms are ordinary LAPACK-sized problems.  hbar = 1
 throughout.  Integrals and Hamiltonians keep the dtype of their data, float64
 for every Hubbard, pairing and FCIDUMP system; ``H @ X`` applies H, a real H
@@ -31,13 +31,13 @@ derivative, is one certified Taylor action on vectors,
 from __future__ import annotations
 
 import math
-import re
 from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
-from .fock import MAX_ORBITALS, FockBasis, string_elements
+from .fock import FockBasis, string_elements
+from .shape import FcidumpLines, class_members, read_fcidump_lines
 
 
 def _inexact(a) -> np.ndarray:
@@ -461,75 +461,29 @@ def _matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 # -- FCIDUMP-style ingestion -----------------------------------------------
 
-_FCIDUMP_HEADER = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE)
-_FCIDUMP_NELEC = re.compile(r"NELEC\s*=\s*(\d+)", re.IGNORECASE)
+
+def fcidump_integrals(lines: FcidumpLines) -> IntegralSet:
+    """The IntegralSet of an FCIDUMP line pass: one scatter writes each
+    entry with its real permutational symmetry."""
+    norb = lines.norb
+    h = np.zeros((norb, norb))
+    for (i, j), val in lines.one_body.items():
+        h[i - 1, j - 1] = h[j - 1, i - 1] = val
+    chem = np.zeros((norb, norb, norb, norb))
+    if lines.two_body:
+        i, j, k, l = np.array(list(lines.two_body), dtype=np.int64).T - 1
+        vals = np.fromiter(lines.two_body.values(), float, len(lines.two_body))
+        for perm in class_members(i, j, k, l):
+            chem[perm] = vals
+    return IntegralSet.from_chemist(h, chem, lines.core)
 
 
 def read_fcidump(path) -> tuple[IntegralSet, int]:
-    """Read an FCIDUMP-style text file over spin orbitals.
-
-    Data lines are ``value i j k l`` with 1-based indices: ``i j k l`` a
-    chemist two-electron integral (ij|kl), ``i j 0 0`` a one-electron
-    integral, ``0 0 0 0`` the core energy; any other index pattern, or an
-    index beyond NORB, is rejected.  Values may carry Fortran ``D``
-    exponents.  Of the header only NORB, refused outside 1..``MAX_ORBITALS``
-    before any array exists, and NELEC are read.  Real eightfold
-    permutational symmetry is applied to two-electron entries.
-
-    One pass over the data lines in file order parses, checks and stores
-    each line, so the first faulty line is the one refused, by name, and of
-    the lines that set one entry the last wins: a two-electron line keys its
-    value by the canonical member of its symmetry class (each index pair
-    ascending, then the pairs ascending), and one scatter writes the classes.
-
-    Returns the IntegralSet and the NELEC declared in the header.
-    """
-    with open(path) as fh:
-        text = fh.read()
-    m = _FCIDUMP_HEADER.search(text)
-    if m is None:
-        raise OperatorPropertyError("FCIDUMP header lacks NORB")
-    norb = int(m.group(1))
-    if not 1 <= norb <= MAX_ORBITALS:
-        raise InvalidDimensionError(f"FCIDUMP NORB={norb} outside 1..{MAX_ORBITALS} orbitals")
-    m = _FCIDUMP_NELEC.search(text)
-    nelec = int(m.group(1)) if m else -1
-
-    lines = text.splitlines()
-    # the data follow the header's "&END" or "/" line; a one-line header
-    # has neither
-    start = next((k + 1 for k, line in enumerate(lines)
-                  if "&END" in line.upper() or line.strip() == "/"), 1)
-    h = np.zeros((norb, norb))
-    classes = {}
-    core = 0.0
-    for line in lines[start:]:
-        parts = line.split()
-        if len(parts) != 5:
-            if parts:
-                raise OperatorPropertyError(f"malformed FCIDUMP line: {line!r}")
-            continue
-        val = float(parts[0].replace("D", "E").replace("d", "e"))
-        if not math.isfinite(val):
-            raise OperatorPropertyError(f"non-finite FCIDUMP value: {line!r}")
-        i, j, k, l = int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])
-        if not (i or j or k or l):
-            core = val
-            continue
-        if not (0 < i <= norb and 0 < j <= norb
-                and (k == l == 0 or 0 < k <= norb and 0 < l <= norb)):
-            raise OperatorPropertyError(f"FCIDUMP index outside 1..NORB={norb}: {line!r}")
-        if k:   # k and l are both 0 on a one-electron line, both past 0 on a two-electron one
-            ij = (i, j) if i <= j else (j, i)
-            kl = (k, l) if k <= l else (l, k)
-            classes[ij + kl if ij <= kl else kl + ij] = val
-        else:
-            h[i - 1, j - 1] = h[j - 1, i - 1] = val
-    chem = np.zeros((norb, norb, norb, norb))
-    if classes:
-        i, j, k, l = np.array(list(classes), dtype=np.int64).T - 1
-        vals = np.fromiter(classes.values(), float, len(classes))
-        for perm in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-                     (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)):
-            chem[perm] = vals
-    return IntegralSet.from_chemist(h, chem, core), nelec
+    """Read an FCIDUMP-style text file over spin orbitals: the IntegralSet
+    and the NELEC of its header (-1 if absent).  Data lines are ``value i j
+    k l`` with 1-based indices: ``i j k l`` a chemist two-electron integral
+    (ij|kl), ``i j 0 0`` a one-electron integral, ``0 0 0 0`` the core
+    energy, a value possibly with a Fortran ``D`` exponent.  The line pass
+    (:func:`ducclab.shape.read_fcidump_lines`) refuses any other line."""
+    lines = read_fcidump_lines(path)
+    return fcidump_integrals(lines), lines.nelec

@@ -263,12 +263,14 @@ def test_fcidump_norb_above_the_orbital_cap_is_refused_before_allocating(tmp_pat
 
 
 def test_validate_builds_no_hamiltonian(tmp_path, monkeypatch):
-    # validate checks a config from its shape and its integrals: on Hubbard
-    # L = 6 (dim 924, a 6.8 MB H) no module builds H, and every array stays small
+    # validate checks a config from its shape: on Hubbard L = 6 (dim 924, a
+    # 6.8 MB H) no module builds H or even an integral set, and every array
+    # stays small
     calls = {}
     for module in (operators, cli):
         if hasattr(module, "hamiltonian_from_integrals"):
             count_calls(monkeypatch, module, "hamiltonian_from_integrals", calls)
+    count_calls(monkeypatch, operators.IntegralSet, "__init__", calls)
     path = write_config(tmp_path, system={"kind": "hubbard", "L": 6, "t": 1.0, "U": 4.0},
                         electrons=6, partition={"auto_homo_lumo": [2, 2]},
                         tasks=[{"name": name} for name in cli.TASKS])
@@ -281,6 +283,71 @@ def test_validate_builds_no_hamiltonian(tmp_path, monkeypatch):
     assert code == 0
     assert calls == {}
     assert peak < 1e6
+
+
+def cli_fresh(*args) -> subprocess.CompletedProcess:
+    """``ducclab *args`` in a fresh interpreter, with its exit code and its
+    standard error."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from ducclab.cli import main; sys.exit(main())",
+         *map(str, args)], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+
+
+#: systems that pass every line and parameter check, but whose integrals
+#: overflow: the antisymmetrized (12|12) - (11|22), and the top pairing
+#: level's energy 2 * spacing
+OVERFLOWING_SYSTEMS = {
+    "fcidump": DIMER_FCIDUMP + ["1.7e308 1 2 1 2", "-1.7e308 1 1 2 2"],
+    "pairing": {"kind": "pairing", "levels": 3, "g": 0.5, "spacing": 1e308},
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind", list(OVERFLOWING_SYSTEMS))
+def test_overflowing_integrals_are_refused_without_a_warning(tmp_path, command, kind):
+    # both commands refuse the system as its integral set's build would, and
+    # before any arithmetic overflows: no RuntimeWarning reaches stderr
+    system = OVERFLOWING_SYSTEMS[kind]
+    if kind == "fcidump":
+        (tmp_path / "FCIDUMP").write_text("\n".join(system) + "\n")
+        system = {"kind": "fcidump", "path": "FCIDUMP"}
+    proc = cli_fresh(command, write_config(tmp_path, system=system))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"configuration error: system ({kind}): integrals have non-finite entries\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_subnormal_dt_is_config_error(tmp_path, capsys, command):
+    # the quench steps dt / 2, which underflows to 0 at the smallest
+    # subnormal dt: both commands refuse that dt by name, where run failed
+    # the task on a dt of 0 that the config never held
+    path = write_config(tmp_path, tasks=[{"name": "propagate", "dt": 5e-324, "nsteps": 2}])
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: task propagate: dt=5e-324 must be > 0 with dt / 2 > 0\n")
+    assert not (tmp_path / "out").exists()
+    path = write_config(tmp_path, tasks=[{"name": "propagate", "dt": 1e-323, "nsteps": 2}])
+    assert main(["validate", str(path)]) == 0
+
+
+def test_validate_loads_no_numpy(tmp_path):
+    # validate checks a hubbard, a pairing and an FCIDUMP config, every task
+    # of each, from their shape: numpy never loads
+    write_seeded_fcidump(tmp_path / "FCIDUMP", 8, 4, seed=1)
+    paths = []
+    for system, electrons in (({"kind": "hubbard", "L": 3, "t": 1.0, "U": 4.0}, 3),
+                              ({"kind": "pairing", "levels": 3, "g": 0.5}, 2),
+                              ({"kind": "fcidump", "path": "../FCIDUMP"}, 4)):
+        (tmp_path / system["kind"]).mkdir()
+        paths.append(write_config(tmp_path / system["kind"], system=system, electrons=electrons,
+                                  tasks=[{"name": name} for name in cli.TASKS]))
+    out = run_fresh("import sys; from ducclab.cli import main; "
+                    "codes = [main(['validate', path]) for path in sys.argv[1:]]; "
+                    "print(codes, 'numpy' in sys.modules)", *paths)
+    assert out.splitlines() == ["config ok"] * 3 + ["[0, 0, 0] False"]
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -540,10 +607,11 @@ def test_plain_amplitude_arrays_and_cached_context_properties(m6_basis, m6_ref, 
     for mod in (ecc, ducclab):
         assert [name for name in dir(mod) if isinstance(getattr(mod, name), type)
                 and getattr(mod, name).__module__ == "ducclab.ecc"] == ["EccMatrices"]
+    # the context holds an FCIDUMP's line pass; the integral set is a stage
     assert [f.name for f in dataclasses.fields(cli.RunContext)] == [
-        "config", "ints", "ref", "part", "seed"]
-    stages = ("basis", "H", "ground_state", "table", "amplitudes", "sweep", "cas_columns",
-              "ducc_hamiltonian")
+        "config", "fcidump", "ref", "part", "seed"]
+    stages = ("ints", "basis", "H", "ground_state", "table", "amplitudes", "sweep",
+              "cas_columns", "ducc_hamiltonian")
     assert all(isinstance(vars(cli.RunContext)[name], functools.cached_property)
                for name in stages)
     assert {name for name, obj in vars(cli.RunContext).items()
@@ -582,9 +650,11 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_only_the_modules_that_check_a_config():
-    # the modules that compute load when a stage or task first needs them
+    # numpy and the modules that build and compute load when a stage or
+    # task first needs them
     assert loaded_modules("ducclab.cli", "ducclab") == str(
-        ["ducclab", "ducclab.cli", "ducclab.errors", "ducclab.fock", "ducclab.operators"])
+        ["ducclab", "ducclab.cli", "ducclab.errors", "ducclab.shape"])
+    assert loaded_modules("ducclab.cli", "numpy") == "[]"
     assert loaded_modules("ducclab", "ducclab") == "['ducclab']"
 
 
@@ -1577,13 +1647,16 @@ def _numbers(obj) -> list:
 @given(data=st.data(), window=st.sampled_from([[1, 1], [2, 2]]))
 def test_extreme_task_parameters_exit_cleanly(tmp_path_factory, task, data, window):
     # any parameter of the task on the dimer: exit 0, 1 or 2 and no escaped
-    # exception; a report that parses strictly, every ok number finite
+    # exception, validate refusing exactly the configs that run refuses; a
+    # report that parses strictly, every ok number finite
     tmp_path = tmp_path_factory.mktemp("edges")
     params = data.draw(_params(task))
     path = write_config(tmp_path, partition={"auto_homo_lumo": window},
                         tasks=[{"name": task, **params}])
+    checked = main(["validate", str(path)])
     code = main(["run", str(path)])
     assert code in (0, 1, 2)
+    assert checked == (2 if code == 2 else 0)
     if code == 2:
         assert not (tmp_path / "out").exists()
         return

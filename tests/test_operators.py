@@ -3,12 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ducclab as dl
 from ducclab import operators
 from ducclab.errors import BranchCutError, InvalidDimensionError, OperatorPropertyError
 from ducclab.operators import (MAX_GENERATOR_NORM1, _size_stacks, _stacked_unitarity_defect,
                                exp_anti_hermitian)
+from ducclab.shape import read_fcidump_lines
 
 from oracles import (amplitude_array, anti_hermiticity_defect, enumerate_signatures,
                      excitation_matrix, hamiltonian_from_terms, hubbard_terms,
@@ -775,6 +778,37 @@ class TestFcidumpLines:
         want = dl.IntegralSet.from_chemist(h, chem, 0.0)
         assert np.array_equal(ints.one_body, want.one_body)
         assert np.array_equal(ints.two_body, want.two_body)
+
+    @settings(max_examples=60)
+    @given(values=st.tuples(*[st.sampled_from(
+        [1.7e308, -1.7e308, 9e307, -9e307, 8.9e307, -0.5, 0.0])] * 6))
+    def test_line_pass_refuses_exactly_the_overflowing_files(self, tmp_path_factory, values):
+        # once its lines pass, an integral set's checks can fail only where
+        # the antisymmetrized (pr|qs) - (ps|qr) overflows (the scatter makes
+        # every symmetry exact): the line pass refuses exactly those files,
+        # and every other file builds its integral set, with no warning.
+        # One value per symmetry class of NORB = 2, each written as (lk|ji)
+        classes = [(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 2),
+                   (2, 2, 2, 2)]
+        path = tmp_path_factory.mktemp("huge") / "FCIDUMP"
+        path.write_text("".join(["&FCI NORB=2,&END\n"] + [
+            f"{val!r} {l} {k} {j} {i}\n" for val, (i, j, k, l) in zip(values, classes)]))
+        chem = np.zeros((2,) * 4)
+        for val, (i, j, k, l) in zip(values, classes):
+            for a, b, c, d in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+                               (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)):
+                chem[a - 1, b - 1, c - 1, d - 1] = val
+        phys = chem.transpose(0, 2, 1, 3)
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(phys - phys.transpose(0, 1, 3, 2)).all()
+        if overflows:
+            with pytest.raises(OperatorPropertyError,
+                               match="^integrals have non-finite entries$"):
+                read_fcidump_lines(path)
+        else:
+            ints, _ = dl.read_fcidump(path)
+            assert np.array_equal(ints.two_body, dl.IntegralSet.from_chemist(
+                np.zeros((2, 2)), chem).two_body)
 
 
 class TestRandomHamiltonian:
