@@ -45,14 +45,14 @@ _EXPORTS = {name: module for module, names in {
         "DuccLabError", "IntermediateNormalizationError", "InvalidDimensionError",
         "NormDriftError", "OperatorPropertyError", "OrderingViolationError",
         "SectorMismatchError"),
-    "fock": ("Determinant", "DeterminantTable", "ExcitationSignature", "FockBasis",
-        "SpinOrbitalPartition", "aufbau_reference", "build_basis", "determinant_table",
-        "homo_lumo_partition"),
+    "fock": ("DeterminantTable", "FockBasis", "build_basis", "determinant_table"),
     "imagtime": ("FlowResult", "ImaginaryFlowState", "imaginary_evolve", "imaginary_step",
         "initial_flow_state"),
     "operators": ("IntegralSet", "QOperator", "direct_sum_blocks",
         "hamiltonian_from_integrals", "hubbard_integrals", "logm_unitary", "pairing_integrals",
         "read_fcidump"),
+    "shape": ("Determinant", "ExcitationSignature", "SpinOrbitalPartition", "aufbau_reference",
+        "homo_lumo_partition"),
     "sweeps": ("RotationStep", "SweepResult", "decompose_state", "rotation_for_target"),
 }.items() for name in names}
 __all__ = ["BLAS_THREAD_TIMEOUT", *_EXPORTS]

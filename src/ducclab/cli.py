@@ -399,8 +399,8 @@ def _check_task(cfg: dict, part: SpinOrbitalPartition | None, name: str, params:
     if name == "verify-all":
         for sub, sub_params in p.items():
             _check_task(cfg, part, sub, sub_params)
-    elif name == "propagate" and not p["dt"] / 2 > 0:   # the quench steps dt / 2
-        raise ConfigError(f"task propagate: dt={p['dt']!r} must be > 0 with dt / 2 > 0")
+    elif name == "propagate" and not p["dt"] / 2 >= sys.float_info.min:   # the quench's step
+        raise ConfigError(f"task propagate: dt={p['dt']!r} needs dt / 2 >= {sys.float_info.min!r}")
     elif p.get("initial") == "noninteracting-ground" \
             and cfg["system"]["kind"] not in ("hubbard", "pairing"):
         raise ConfigError("noninteracting-ground initial state needs a hubbard/pairing system")
@@ -767,7 +767,7 @@ class Sizes(NamedTuple):
     """The sizes of a sector that a peak model reads: its dimension, its CAS
     dimension, the length of its determinant tables' pair list, and the
     number and largest size of its inactive classes with the number of
-    class pairs an external set couples (:func:`ducclab.fock.inactive_class_shape`)."""
+    class pairs an external set couples (:func:`ducclab.shape.inactive_class_shape`)."""
 
     dim: int
     ncas: int

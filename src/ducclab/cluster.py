@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IntermediateNormalizationError, SectorMismatchError
-from .fock import (Determinant, DeterminantTable, FockBasis, SpinOrbitalPartition,
-                   determinant_table)
+from .fock import DeterminantTable, FockBasis, determinant_table
 from .operators import _inexact
+from .shape import Determinant, SpinOrbitalPartition
 
 
 class AmplitudeOperator:

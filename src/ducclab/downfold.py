@@ -15,8 +15,9 @@ import numpy as np
 
 from .cluster import AmplitudeOperator, exp_nilpotent
 from .errors import OperatorPropertyError
-from .fock import Determinant, FockBasis, SpinOrbitalPartition, determinant_table
+from .fock import FockBasis, determinant_table
 from .operators import QOperator, exp_anti_hermitian
+from .shape import Determinant, SpinOrbitalPartition
 
 
 @dataclass

@@ -23,8 +23,9 @@ import numpy as np
 from .downfold import ducc_projection, unit_columns
 from .ecc import EccMatrices
 from .errors import DuccLabError, NormDriftError, OperatorPropertyError
-from .fock import Determinant, SpinOrbitalPartition, determinant_table
+from .fock import determinant_table
 from .operators import QOperator, _matmul, exp_anti_hermitian
+from .shape import Determinant, SpinOrbitalPartition
 from .sweeps import replay, sweep_external
 
 #: Largest per-step norm drift of the RK4 integrator: the generator is

@@ -35,9 +35,9 @@ import numpy as np
 
 from .cluster import AmplitudeOperator, exp_nilpotent
 from .errors import OperatorPropertyError
-from .fock import (Determinant, DeterminantTable, FockBasis, SpinOrbitalPartition,
-                   inactive_classes)
+from .fock import DeterminantTable, FockBasis, inactive_classes
 from .operators import QOperator
+from .shape import Determinant, SpinOrbitalPartition
 
 #: relative size of the first dropped term of the e^{+-X^int_ext} series,
 #: which is nilpotent only up to round-off

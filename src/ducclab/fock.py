@@ -12,22 +12,19 @@ Conventions used everywhere downstream:
 * A spin-orbital partition lists its four classes as occupied-inactive,
   occupied-active, virtual-active, virtual-inactive, any disjoint cover of
   the orbitals; only the sweeps ask for an order, the inactive classes at
-  the index extremes (``_check_sweep_ordering``).
+  the index extremes (``shape._check_sweep_ordering``).
 
-The records and counts that need no numpy come from :mod:`ducclab.shape`.
+The determinant and partition records live in :mod:`ducclab.shape`, without numpy.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import comb
 
 import numpy as np
 
 from .errors import SectorMismatchError
-from .shape import (MAX_ORBITALS, Determinant, ExcitationSignature, SpinOrbitalPartition,
-                    _check_sweep_ordering, _mask, aufbau_reference, homo_lumo_partition,
-                    inactive_class_shape, pair_count, sector_size)
+from .shape import Determinant, ExcitationSignature, SpinOrbitalPartition, _mask, sector_size
 
 
 class FockBasis:
@@ -174,41 +171,40 @@ class DeterminantTable:
         the reference row's identity gives the diagonal.  The rows come in
         :attr:`order`, each row's lows ascending (:meth:`pairs`).
 
-        A rank-k signature couples the C(M-2k, N-k) determinants that hold
-        its holes and lack its particles, so every row's place is known up
-        front: one :func:`string_elements` call per annihilated tuple, its
-        created tuples the strings, writes each group straight into place.
-        Built once per table, read-only.
+        The rows that share their holes stand together in :attr:`order`.
+        One :func:`string_elements` call per annihilated tuple, its rows'
+        created tuples the strings, finds their pairs, and a stable sort by
+        string lays them out row by row.  Only the pairs found are listed,
+        so any basis that the reached determinants stay in serves.  Built
+        once per table, read-only.
         """
-        basis, M, N = self.basis, self.basis.M, self.basis.N
-        sizes = np.array([comb(M - 2 * k, N - k) for k in range(min(N, M - N) + 1)])
-        self._size = sizes[self.ranks]
-        self._first = np.empty(basis.size, dtype=np.int64)
-        self._first[self.order] = np.cumsum(self._size[self.order]) - self._size[self.order]
-        total = int(self._size.sum())
-        rows, lows, highs = (np.empty(total, dtype=np.int64) for _ in range(3))
-        phases = np.empty(total)
-        by_holes = np.argsort(self.holes, kind="stable")
-        cuts = np.flatnonzero(np.diff(self.holes[by_holes])) + 1
-        for group in np.split(by_holes, cuts):
-            occ, size = self.signatures[group[0]].occ, self._size[group[0]]
+        cuts = np.flatnonzero(np.diff(self.holes[self.order])) + 1
+        found = []
+        for group in np.split(self.order, cuts):
+            occ = self.signatures[group[0]].occ
             created = np.array([self.signatures[j].virt for j in group.tolist()],
                                dtype=np.int64).reshape(len(group), len(occ))
-            cols, string, reached, signs = string_elements(basis.mask_array, occ, created)
-            by_string = np.argsort(string, kind="stable")   # size pairs per string
-            at = (self._first[group][:, None] + np.arange(size)).ravel()
-            rows[at] = np.repeat(group, size)
-            lows[at], highs[at], phases[at] = (
-                cols[by_string], reached[by_string], signs[by_string])
-        for arr in (rows, lows, highs, phases):
+            cols, string, reached, signs = string_elements(self.basis.mask_array, occ, created)
+            by_string = np.argsort(string, kind="stable")
+            found.append([arr[by_string] for arr in (group[string], cols, reached, signs)])
+        pair_list = tuple(np.concatenate(arrs) for arrs in zip(*found))
+        for arr in pair_list:
             arr.flags.writeable = False
-        return rows, lows, highs, phases
+        return pair_list
+
+    @cached_property
+    def _pair_slices(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, stop)`` of each row's pairs in :attr:`pair_list`."""
+        counts = np.bincount(self.pair_list[0], minlength=self.basis.size)
+        stop = np.cumsum(counts[self.order])[np.argsort(self.order)]
+        return stop - counts, stop
 
     def pairs(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row ``j``'s pairs of :attr:`pair_list`, as read-only views:
         ``(lows ascending, highs, phases of <high|E_sig|low>)``."""
         _, lows, highs, phases = self.pair_list
-        at = slice(self._first[j], self._first[j] + self._size[j])
+        first, stop = self._pair_slices
+        at = slice(first[j], stop[j])
         return lows[at], highs[at], phases[at]
 
 

@@ -1,7 +1,7 @@
 """What ``ducclab validate`` checks a config with, without numpy: the
 determinant and partition records, the sector counts, and an FCIDUMP's line
-pass.  :mod:`ducclab.fock` and :mod:`ducclab.operators` import them back, and
-the conventions of :mod:`ducclab.fock` hold here."""
+pass.  This is their one home: every other module imports them from here.
+The conventions of :mod:`ducclab.fock` hold here."""
 
 from __future__ import annotations
 

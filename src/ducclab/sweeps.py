@@ -54,9 +54,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CasSupportError, IntermediateNormalizationError, OrderingViolationError
-from .fock import (Determinant, DeterminantTable, ExcitationSignature, FockBasis,
-                   SpinOrbitalPartition, _check_sweep_ordering, determinant_table)
+from .fock import DeterminantTable, FockBasis, determinant_table
 from .operators import exp_anti_hermitian, logm_unitary
+from .shape import Determinant, ExcitationSignature, SpinOrbitalPartition, _check_sweep_ordering
 
 #: Coefficients with magnitude below this are treated as already eliminated.
 ZERO_TOL = 1e-14

@@ -33,10 +33,11 @@ from ducclab.cluster import AmplitudeOperator, exp_nilpotent
 from ducclab.downfold import EffectiveHamiltonian
 from ducclab.ecc import EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms
 from ducclab.errors import InvalidDimensionError, OperatorPropertyError, SectorMismatchError
-from ducclab.fock import (Determinant, DeterminantTable, ExcitationSignature, FockBasis,
-                          SpinOrbitalPartition, determinant_table)
+from ducclab.fock import DeterminantTable, FockBasis, determinant_table
 from ducclab.operators import IntegralSet, QOperator, _inexact
-from ducclab.sweeps import RotationStep, _check_sweep_ordering
+from ducclab.shape import (Determinant, ExcitationSignature, SpinOrbitalPartition,
+                           _check_sweep_ordering)
+from ducclab.sweeps import RotationStep
 
 # -- derivative of the exponential map ---------------------------------------
 

@@ -322,14 +322,18 @@ def test_overflowing_integrals_are_refused_without_a_warning(tmp_path, command, 
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_subnormal_dt_is_config_error(tmp_path, capsys, command):
     # the quench steps dt / 2, which underflows to 0 at the smallest
-    # subnormal dt: both commands refuse that dt by name, where run failed
-    # the task on a dt of 0 that the config never held
-    path = write_config(tmp_path, tasks=[{"name": "propagate", "dt": 5e-324, "nsteps": 2}])
-    assert main([command, str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: task propagate: dt=5e-324 must be > 0 with dt / 2 > 0\n")
-    assert not (tmp_path / "out").exists()
-    path = write_config(tmp_path, tasks=[{"name": "propagate", "dt": 1e-323, "nsteps": 2}])
+    # subnormal dt and is subnormal at 1e-310, where run failed the task on
+    # a NaN downfolded matrix: both commands refuse a dt whose half is below
+    # the smallest normal float, by name and with that floor
+    for dt in (5e-324, 1e-310):
+        path = write_config(tmp_path, tasks=[{"name": "propagate", "dt": dt, "nsteps": 2}])
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: task propagate: dt={dt!r} needs dt / 2 >= "
+            "2.2250738585072014e-308\n")
+        assert not (tmp_path / "out").exists()
+    path = write_config(tmp_path, tasks=[{"name": "propagate", "dt": 2 * sys.float_info.min,
+                                          "nsteps": 2}])
     assert main(["validate", str(path)]) == 0
 
 
@@ -348,6 +352,16 @@ def test_validate_loads_no_numpy(tmp_path):
                     "codes = [main(['validate', path]) for path in sys.argv[1:]]; "
                     "print(codes, 'numpy' in sys.modules)", *paths)
     assert out.splitlines() == ["config ok"] * 3 + ["[0, 0, 0] False"]
+
+
+def test_sector_records_load_no_numpy():
+    # the package's determinant and partition records and the references
+    # built from them come from ducclab.shape: using them loads no numpy
+    out = run_fresh("import sys, ducclab; "
+                    "print(ducclab.homo_lumo_partition(8, 4, 2, 2).reference(), "
+                    "ducclab.aufbau_reference(4, 2), ducclab.Determinant(5, 3), "
+                    "ducclab.ExcitationSignature((0,), (3,)).rank, 'numpy' in sys.modules)")
+    assert out.split() == ["|11110000>", "|1100>", "|101>", "1", "False"]
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -675,13 +689,13 @@ PACKAGE_EXPORTS = {
                "DuccLabError", "IntermediateNormalizationError", "InvalidDimensionError",
                "NormDriftError", "OperatorPropertyError", "OrderingViolationError",
                "SectorMismatchError"),
-    "fock": ("Determinant", "DeterminantTable", "ExcitationSignature",
-             "FockBasis", "SpinOrbitalPartition", "aufbau_reference", "build_basis",
-             "determinant_table", "homo_lumo_partition"),
+    "fock": ("DeterminantTable", "FockBasis", "build_basis", "determinant_table"),
     "imagtime": ("FlowResult", "ImaginaryFlowState", "imaginary_evolve", "imaginary_step",
                  "initial_flow_state"),
     "operators": ("IntegralSet", "QOperator", "direct_sum_blocks", "hamiltonian_from_integrals",
                   "hubbard_integrals", "logm_unitary", "pairing_integrals", "read_fcidump"),
+    "shape": ("Determinant", "ExcitationSignature", "SpinOrbitalPartition", "aufbau_reference",
+              "homo_lumo_partition"),
     "sweeps": ("RotationStep", "SweepResult", "decompose_state", "rotation_for_target"),
 }
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ducclab as dl
 from ducclab.errors import InvalidDimensionError, SectorMismatchError
+from ducclab.shape import inactive_class_shape, pair_count, sector_size
 
 from conftest import count_calls
 from oracles import (DetClass, apply_deexcitation, apply_excitation, classify_determinant,
@@ -337,3 +338,32 @@ class TestDeterminantTable:
         # the built list costs no further call
         table.pairs(0), table.pair_list
         assert calls == {sig.occ: 1 for sig in table.signatures}
+
+
+def _random_cover(M: int, N: int, rng: np.random.Generator) -> dl.SpinOrbitalPartition:
+    """A partition whose four classes are a random disjoint cover of the M
+    orbitals, N of them occupied in its reference."""
+    perm = rng.permutation(M).tolist()
+    n_oa, n_va = int(rng.integers(N + 1)), int(rng.integers(M - N + 1))
+    occ, virt = perm[:N], perm[N:]
+    return dl.SpinOrbitalPartition(occ[n_oa:], occ[:n_oa], virt[:n_va], virt[n_va:])
+
+
+@pytest.mark.parametrize("M", range(1, 11))
+def test_shape_counts_match_the_built_tables(M):
+    # the byte budget counts the tables without building them: each closed
+    # form of ducclab.shape against the table that fock builds, for random
+    # covers and the references they occupy
+    rng = np.random.default_rng(M)
+    for N in range(M + 1):
+        basis = dl.build_basis(M, N)
+        assert sector_size(M, N) == basis.size
+        for _ in range(4):
+            part = _random_cover(M, N, rng)
+            table = dl.fock.DeterminantTable(basis, part.reference())
+            assert pair_count(M, N) == len(table.pair_list[0])
+            cls, pos = dl.fock.inactive_classes(basis, part)
+            xe = dl.AmplitudeOperator(table.external(part).astype(float), table).T
+            coupled = np.unique(cls[xe.highs] * basis.size + cls[xe.lows]).size
+            assert inactive_class_shape(part) == (
+                int(cls.max()) + 1, int(pos.max()) + 1, coupled)

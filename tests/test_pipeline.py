@@ -112,3 +112,101 @@ class TestActiveSpaceEdges:
             assert heff.dim == m6_basis.size
             assert np.linalg.norm(res.sigma_ext) < 1e-12
         assert abs(heff.eigensystem()[0][0] - vals[0]) < 1e-9
+
+
+class SpinSector(dl.FockBasis):
+    """The determinants of the (M, N) sector with ``two_sz`` more spin-up
+    (even) than spin-down (odd) orbitals occupied, in ascending mask order."""
+
+    def __init__(self, M: int, N: int, two_sz: int):
+        super().__init__(M, N)
+        up = np.bitwise_count(self.mask_array & sum(1 << p for p in range(0, M, 2)))
+        self.mask_array = self.mask_array[2 * up.astype(np.int64) - N == two_sz]
+        self.mask_array.flags.writeable = False
+
+
+class TestSpinSector:
+    """Hubbard L = 5, N = 5 on its 2 S_z = +1 sector (dim 100) against the
+    full space (dim 252): H conserves S_z, so every sector quantity is the
+    full-space one on the sector, the full-space state being the sector's
+    embedded."""
+
+    @pytest.fixture(scope="class")
+    def spaces(self):
+        ints = dl.hubbard_integrals(5, 1.0, 4.0)
+        sector, full = SpinSector(10, 5, 1), dl.build_basis(10, 5)
+        assert sector.size == 100
+        return (sector, dl.hamiltonian_from_integrals(ints, sector),
+                full, dl.hamiltonian_from_integrals(ints, full),
+                np.searchsorted(full.mask_array, sector.mask_array))
+
+    @pytest.fixture(scope="class")
+    def part(self):
+        return dl.homo_lumo_partition(10, 5, 2, 2)
+
+    def test_hamiltonian_and_pair_list_are_the_full_ones_on_the_sector(self, spaces, part):
+        sector, H, full, H_full, at = spaces
+        assert np.array_equal(H.matrix, H_full.matrix[np.ix_(at, at)])
+        ref = part.reference()
+        full_table = dl.determinant_table(full, ref)
+        rows, lows, highs, phases = full_table.pair_list
+        inside = np.zeros(full.size, dtype=bool)
+        inside[at] = True
+        keep = inside[rows] & inside[lows]
+        assert inside[highs[keep]].all()
+        local = np.full(full.size, -1)
+        local[at] = np.arange(sector.size)
+        table = dl.determinant_table(sector, ref)
+        expected = (local[rows[keep]], local[lows[keep]], local[highs[keep]], phases[keep])
+        for got, want in zip(table.pair_list, expected, strict=True):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+        for j in range(sector.size):
+            f_lows, f_highs, f_phases = full_table.pairs(at[j])
+            k = inside[f_lows]
+            for got, want in zip(table.pairs(j), (local[f_lows[k]], local[f_highs[k]],
+                                                  f_phases[k]), strict=True):
+                assert np.array_equal(got, want)
+
+    def test_ground_state_pipeline_matches_full_space(self, spaces, part):
+        sector, H, full, H_full, at = spaces
+        ref = part.reference()
+        vals, vecs = np.linalg.eigh(H.matrix)
+        psi_full = np.zeros(full.size)
+        psi_full[at] = vecs[:, 0]
+        amps = dl.cluster_analyze(vecs[:, 0], ref, sector)
+        amps_full = dl.cluster_analyze(psi_full, ref, full)
+        assert np.array_equal(amps, amps_full[at])
+        assert not np.delete(amps_full, at).any()
+        res = dl.decompose_state(vecs[:, 0], ref, part, sector)
+        assert res.residual <= 1e-9
+        heff = dl.downfold_ducc(H, res.sigma_ext, ref, part)
+        assert heff.dim == 4
+        assert abs(heff.eigensystem()[0][0] - vals[0]) <= 1e-9
+        _, t_ext = dl.split_amplitudes(amps, dl.determinant_table(sector, ref), part)
+        svals, _ = dl.downfold_sescc(H, t_ext, ref, part).eigensystem()
+        assert min(abs(complex(v) - vals[0]) for v in svals) <= 1e-9
+
+    def test_quench_from_the_reference_matches_full_space(self, spaces, part):
+        sector, H, full, H_full, at = spaces
+        ref = part.reference()
+        study = dl.downfolded_quench(H, sector.unit_vector(ref), 0.02, 20, ref, part)
+        study_full = dl.downfolded_quench(H_full, full.unit_vector(ref), 0.02, 20, ref, part)
+        assert np.abs(study.states - study_full.states[:, at]).max() <= 1e-12
+        assert np.abs(np.delete(study_full.states, at, axis=1)).max() <= 1e-12
+        assert abs(study.rk4_deviation.max() - study_full.rk4_deviation.max()) <= 1e-12
+
+    def test_ecc_forms_and_bch_hold(self, spaces, part):
+        sector, H, _, _, _ = spaces
+        ref = part.reference()
+        table = dl.determinant_table(sector, ref)
+        rng = np.random.default_rng(5)
+        mk = lambda kind: dl.random_amplitudes(table, rng, part, kind, 0.1)
+        for _ in range(5):
+            m = dl.EccMatrices.build(table, t_int=mk("internal"), t_ext=mk("external"),
+                                     x_int=mk("internal"), x_ext=mk("external"),
+                                     dt_int=mk("internal"), dt_ext=mk("external"))
+            v1, v2, _ = dl.eval_ldt_forms(m, ref)
+            w1, w2 = dl.eval_lh_forms(m, H, ref)
+            direct, series, _ = dl.x_int_ext_bch(m, part)
+            assert abs(v1 - v2) < 1e-10 and abs(w1 - w2) < 1e-10
+            assert np.abs(direct - series).max() < 1e-12
