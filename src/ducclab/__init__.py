@@ -38,7 +38,7 @@ _EXPORTS = {name: module for module, names in {
     "downfold": ("EffectiveHamiltonian", "cas_eigensolve", "downfold_ducc", "downfold_sescc",
         "ducc_projection", "effective_to_dict", "match_root"),
     "dynamics": ("QuenchStudy", "downfolded_quench", "evaluate_lagrangians",
-        "evaluate_sescc_lagrangian", "propagate_full", "propagate_internal", "sigma_dot_grid"),
+        "evaluate_sescc_lagrangian", "grid_velocity", "propagate_full", "propagate_internal"),
     "ecc": ("EccMatrices", "action_deviation", "eval_ldt_forms", "eval_lh_forms",
         "x_int_ext_bch"),
     "errors": ("BranchCutError", "CasSupportError", "ConfigError", "ConvergenceError",

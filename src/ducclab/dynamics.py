@@ -6,7 +6,7 @@ coefficients under the time-dependent Hermitian effective Hamiltonian
 (P+Q_int){e^{-sigma} H e^{sigma} - i e^{-sigma} d/dt e^{sigma}}(P+Q_int),
 which needs only the CAS columns of e^{sigma_ext}, the sweep's rotation
 record replayed (:func:`ducclab.sweeps.replay`), and their velocity, a
-stencil over the time grid (:func:`downfolded_quench`), swept and replayed
+stencil over the time grid (:func:`grid_velocity`), swept and replayed
 a batch of grid points at a time.  The Lagrangian evaluators act on vectors
 only, by one certified Taylor action per generator and its derivative
 (:func:`ducclab.operators.exp_anti_hermitian`) or, for e^{+-T}, by the
@@ -16,7 +16,7 @@ series of :class:`ducclab.ecc.EccMatrices`.  hbar = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,20 +62,15 @@ _STENCILS = ((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1), (1, -8, 0, 8, -1),
              (-1, 6, -18, 10, 3), (3, -16, 36, -48, 25))
 
 
-def sigma_dot_grid(sigmas: Sequence[np.ndarray], dt: float) -> Iterator[np.ndarray]:
-    """Fourth-order finite-difference velocities of an array-valued grid
-    function on at least five points, one at a time from left to right:
-    central differences inside, one-sided stencils next to either end."""
-    n = len(sigmas)
+def grid_velocity(f, j: int, n: int, dt: float) -> np.ndarray:
+    """Fourth-order finite-difference velocity at point ``j`` of an
+    array-valued function on a grid of ``n >= 5`` points, ``f[k]`` its value
+    at point k: a central stencil inside, one-sided stencils next to either
+    end.  It reads only points ``min(max(j - 2, 0), n - 5)`` to that plus 4."""
     if n < 5:
         raise ValueError("need at least 5 grid points for the fourth-order stencil")
-
-    def velocities(f: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-        for k in range(n):
-            first = min(max(k - 2, 0), n - 5)
-            yield sum(w * f[first + i] for i, w in enumerate(_STENCILS[k - first])
-                      if w) / (12 * dt)
-    return velocities(sigmas)
+    first = min(max(j - 2, 0), n - 5)
+    return sum(w * f[first + i] for i, w in enumerate(_STENCILS[j - first]) if w) / (12 * dt)
 
 
 def propagate_internal(heffs: Sequence[np.ndarray], c0: np.ndarray, dt: float,
@@ -138,28 +133,6 @@ class QuenchStudy:
         return np.linalg.norm(self.c_rk4 - self.c_int[::2], axis=1)
 
 
-class _GridWindow:
-    """A read-only sequence of ``size`` arrays computed in grid order when
-    first read, a batch at a time: ``compute(j)`` gives those of consecutive
-    points from ``j``.  Only the newest batch and the four points before it
-    are kept: the stencil of :func:`sigma_dot_grid`, read in order, needs no more."""
-
-    def __init__(self, size: int, compute):
-        self._size, self._compute = size, compute
-        self._first, self._alive = 0, []   # the arrays of points _first, _first + 1, ...
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        j = range(self._size)[j]
-        while j >= self._first + len(self._alive):
-            kept = self._alive[-4:]
-            self._first += len(self._alive) - len(kept)
-            self._alive = kept + self._compute(self._first + len(kept))
-        return self._alive[j - self._first]
-
-
 def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
                       ref: Determinant, part: SpinOrbitalPartition) -> QuenchStudy:
     """The time-dependent downfolding checked on one quench from ``psi0``.
@@ -167,15 +140,15 @@ def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
     The exact states on the half-step grid (:func:`propagate_full`, so that
     the RK4 stage values are exact) are swept (:func:`ducclab.sweeps.sweep_external`),
     each record replayed into the CAS columns ``R`` of e^{sigma_ext}, and the
-    blocks ``R`` differenced in time (:func:`sigma_dot_grid`) into Heff(t) =
+    blocks ``R`` differenced in time (:func:`grid_velocity`) into Heff(t) =
     R^+ H R - i A, ``A`` the anti-Hermitian part of ``R^+ dR/dt``.  The CAS
     coefficients of the first state are propagated under Heff
     (:func:`propagate_internal`); a state's residual is ``||R c_int - psi||``.
     Batches of ``max(1, dim // ncas)`` consecutive states are swept and
-    replayed in one pass over the targets when the stencil first reaches
-    them: a batch's columns hold at most dim^2 entries, H's size (twice while
-    split into blocks), beside four older blocks.  A failing sweep names the
-    time of its first failing state.
+    replayed in one pass over the targets when a point's stencil first
+    reaches them, the blocks before that stencil dropped: a batch's columns
+    hold at most dim^2 entries, H's size (twice while split into blocks),
+    beside four older blocks.  A failing sweep names its first failing time.
     """
     states = propagate_full(H, psi0, dt / 2, 2 * nsteps)
     dim = H.basis.size
@@ -185,28 +158,33 @@ def downfolded_quench(H: QOperator, psi0: np.ndarray, dt: float, nsteps: int,
     c_int = np.empty((npts, ncas), dtype=complex)
     residuals = np.empty(npts)
 
-    def columns(first: int) -> list[np.ndarray]:
-        batch = states[first:first + width]
+    def columns(start: int) -> dict[int, np.ndarray]:
+        batch = states[start:start + width]
         try:
             record, psi_act = sweep_external(batch.T, ref, part, H.basis)
         except DuccLabError as exc:
             if getattr(exc, "state", None) is None:
                 raise
-            j = first + exc.state
+            j = start + exc.state
             raise type(exc)(f"grid time t_{j} = {j * dt / 2:.6g}: {exc}") from exc
         units = unit_columns(dim, cas, complex)[..., None]
         cols = replay(record, np.repeat(units, len(batch), axis=2))
-        c_int[first:first + len(batch)] = psi_act[cas].T
+        c_int[start:start + len(batch)] = psi_act[cas].T
         # one Fortran-ordered block per point, as a single state's replay gives
-        return [np.asfortranarray(cols[..., b]) for b in range(len(batch))]
+        return {start + b: np.asfortranarray(cols[..., b]) for b in range(len(batch))}
 
-    R = _GridWindow(npts, columns)
+    blocks: dict[int, np.ndarray] = {}   # the column blocks R, by grid point
     heffs = np.empty((npts, ncas, ncas), dtype=complex)
-    for j, dot in enumerate(sigma_dot_grid(R, dt / 2)):
-        residuals[j] = np.linalg.norm(R[j] @ c_int[j] - states[j])
-        A = R[j].conj().T @ dot
+    for j in range(npts):
+        first = min(max(j - 2, 0), npts - 5)   # the first point of j's stencil
+        blocks = {k: block for k, block in blocks.items() if k >= first}
+        while first + 4 not in blocks:
+            blocks.update(columns(max(blocks, default=-1) + 1))
+        R = blocks[j]
+        residuals[j] = np.linalg.norm(R @ c_int[j] - states[j])
+        A = R.conj().T @ grid_velocity(blocks, j, npts, dt / 2)
         # differencing noise breaks anti-hermiticity
-        heffs[j] = ducc_projection(H, R[j], 0.5 * (A - A.conj().T))
+        heffs[j] = ducc_projection(H, R, 0.5 * (A - A.conj().T))
     return QuenchStudy(
         dt=dt, cas=cas, states=states,
         energies=np.array([(s.conj() @ (H @ s)).real for s in states]),

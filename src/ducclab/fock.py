@@ -89,7 +89,8 @@ def string_elements(masks: np.ndarray, annihilated: tuple[int, ...],
     The annihilators act in ascending, then the creators in descending index
     order, each contributing the parity of the occupied orbitals below it,
     as the module conventions state; vectorised over the basis columns and
-    the strings.  Every reached determinant must lie in the basis.
+    the strings.  A string that reaches a determinant outside the basis is
+    refused with a :class:`SectorMismatchError` naming its mask.
     """
     ann = _mask(annihilated)
     cols = np.flatnonzero(masks & ann == ann)
@@ -103,7 +104,12 @@ def string_elements(masks: np.ndarray, annihilated: tuple[int, ...],
     for p in created[string].T[::-1]:
         parity = parity + np.bitwise_count(new & ((1 << p) - 1))
         new = new | (1 << p)
-    return cols[jj], string, np.searchsorted(masks, new), 1.0 - 2.0 * (parity & 1)
+    rows = np.searchsorted(masks, new)
+    outside = masks.take(rows, mode="clip") != new
+    if outside.any():
+        raise SectorMismatchError(
+            f"a string reaches determinant {int(new[outside][0]):#x}, outside the basis")
+    return cols[jj], string, rows, 1.0 - 2.0 * (parity & 1)
 
 
 class DeterminantTable:

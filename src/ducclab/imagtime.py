@@ -51,8 +51,11 @@ def imaginary_step(state: ImaginaryFlowState, heff: EffectiveHamiltonian,
     The step is exponential, so the shift, the energy of the incoming
     state, only rescales the norm, and descent monotonicity is exact.
     A tau-dependent generator is followed by passing, at every step, its
-    value at ``state.tau``.  A step whose vector has no finite norm (``dtau
-    (S - E_0)`` past about 350) is refused with a :class:`ConvergenceError`.
+    value at ``state.tau``.  A step whose vector's norm overflows (``dtau
+    (S - E_0)`` past about 350) or underflows to 0 is retaken once, its
+    exponent shifted by its largest value over the eigencomponents the vector
+    holds; a step with no finite positive norm even then is refused with a
+    :class:`ConvergenceError`.
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
@@ -61,12 +64,17 @@ def imaginary_step(state: ImaginaryFlowState, heff: EffectiveHamiltonian,
     c = state.c_int
     s = _rayleigh(heff.matrix, c)
     vals, vecs = heff.eigensystem()  # cached on the operator
-    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
-        c1 = vecs @ (np.exp(-dtau * (vals - s)) * (vecs.conj().T @ c))
+    coeffs = vecs.conj().T @ c
+    with np.errstate(over="ignore", invalid="ignore"):   # retaken or refused below instead
+        exponent = -dtau * (vals - s)
+        c1 = vecs @ (np.exp(exponent) * coeffs)
         norm = np.linalg.norm(c1)
-    if not np.isfinite(norm):
+        if not 0 < norm < np.inf:   # NaN too
+            c1 = vecs @ (np.exp(exponent - exponent[coeffs != 0].max()) * coeffs)
+            norm = np.linalg.norm(c1)
+    if not 0 < norm < np.inf:
         raise ConvergenceError(f"imaginary-time step of dtau={dtau:g} at tau={state.tau:g} "
-                               f"overflows: the stepped vector has norm {norm}")
+                               f"fails: the stepped vector has norm {norm}")
     c1 = c1 / norm
     return ImaginaryFlowState(state.tau + dtau, c1, s)
 

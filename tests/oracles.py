@@ -3,10 +3,11 @@
 Each is the independent, slower or more literal counterpart of a kernel in
 ``ducclab``: the truncated and certified commutator series of the derivative
 of the exponential map (against the augmented Taylor action of
-:func:`ducclab.operators.exp_anti_hermitian`), dense rotation generators and
-unitaries and their dense unitarity defect, the scalar fermion string
-algebra (operator strings, excitations, de-excitations, holes and
-particles, signatures, classification) that the determinant tables
+:func:`ducclab.operators.exp_anti_hermitian`), the stencil velocities of a
+whole grid, dense rotation generators and unitaries and their dense
+unitarity defect, the scalar fermion string algebra (operator strings,
+excitations, de-excitations, holes and particles, signatures,
+classification) that the determinant tables
 vectorise, the sweep target order built from it, dense projectors, the
 per-determinant Hamiltonian builders (term lists applied
 literally, and integrals applied by Slater-Condon rules) against the
@@ -31,6 +32,7 @@ import numpy as np
 
 from ducclab.cluster import AmplitudeOperator, exp_nilpotent
 from ducclab.downfold import EffectiveHamiltonian
+from ducclab.dynamics import grid_velocity
 from ducclab.ecc import EccMatrices, action_deviation, eval_ldt_forms, eval_lh_forms
 from ducclab.errors import InvalidDimensionError, OperatorPropertyError, SectorMismatchError
 from ducclab.fock import DeterminantTable, FockBasis, determinant_table
@@ -101,6 +103,11 @@ def dexp_tail_ratio(X: np.ndarray, Xdot: np.ndarray,
     if total == 0.0:
         return 0.0
     return float(np.linalg.norm(terms[-1]) / total)
+
+
+def sigma_dot_grid(f, dt: float) -> list[np.ndarray]:
+    """The velocities of :func:`ducclab.dynamics.grid_velocity` at every point of ``f``."""
+    return [grid_velocity(f, j, len(f), dt) for j in range(len(f))]
 
 
 # -- sweeps ------------------------------------------------------------------

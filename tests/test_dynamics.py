@@ -12,7 +12,8 @@ from ducclab.sweeps import sweep_targets
 
 from conftest import count_calls, random_state, record_returns, run_dimer_task, td_projection
 from oracles import (anti_hermiticity_defect, build_projectors, cas_ci, dexp_series,
-                     dexp_tail_ratio, excitation_matrix, random_hermitian_hamiltonian)
+                     dexp_tail_ratio, excitation_matrix, random_hermitian_hamiltonian,
+                     sigma_dot_grid)
 
 
 def quench_batches(H, study) -> int:
@@ -268,6 +269,12 @@ class TestQuenchFromReplayedColumns:
         assert calls == {}
         assert study.residuals.max() < 1e-12
 
+    def test_too_few_points(self, dimer_basis, dimer_H, dimer_ref, dimer_part):
+        # one step gives three half-step points, short of the stencil's five
+        with pytest.raises(ValueError, match="at least 5 grid points"):
+            dl.downfolded_quench(dimer_H, dimer_basis.unit_vector(dimer_ref), 0.02, 1,
+                                 dimer_ref, dimer_part)
+
     def test_matches_the_generator_form(self, dimer_basis, dimer_ref, dimer_part):
         # the Heff of the generators sigma_ext(t) of decompose_state and the
         # stencil over them: the two stencils' truncation errors differ, and
@@ -283,7 +290,7 @@ class TestQuenchFromReplayedColumns:
             return max(np.abs(heff - td_projection(H, sigma, study.cas,
                                                    0.5 * (dot - dot.conj().T))).max()
                        for heff, sigma, dot in zip(study.heffs, sigmas,
-                                                   dl.sigma_dot_grid(sigmas, dt / 2),
+                                                   sigma_dot_grid(sigmas, dt / 2),
                                                    strict=True))
 
         d1, d2 = max_difference(0.01, 10), max_difference(0.005, 20)
@@ -328,7 +335,7 @@ class TestQuenchBatches:
             c_int.append(psi_act[study.cas])
             residuals.append(np.linalg.norm(Rs[-1] @ c_int[-1] - psi))
         heffs = []
-        for R, dot in zip(Rs, dl.sigma_dot_grid(Rs, dt / 2), strict=True):
+        for R, dot in zip(Rs, sigma_dot_grid(Rs, dt / 2), strict=True):
             A = R.conj().T @ dot
             heffs.append(projection(H, R, 0.5 * (A - A.conj().T)))
         assert np.abs(np.array(blocks) - np.array(Rs)).max() < 1e-14
@@ -404,7 +411,7 @@ class TestSigmaDotGrid:
         def worst_err(h):
             ts = h * np.arange(12)
             f = [np.sin(freq * t) * mat for t in ts]
-            d = dl.sigma_dot_grid(f, h)
+            d = sigma_dot_grid(f, h)
             exact = [freq * np.cos(freq * t) * mat for t in ts]
             return max(np.abs(a - b).max() for a, b in zip(d, exact))
 
@@ -413,7 +420,7 @@ class TestSigmaDotGrid:
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            dl.sigma_dot_grid([np.eye(2)] * 4, 0.1)
+            sigma_dot_grid([np.eye(2)] * 4, 0.1)
 
 
 class TestLagrangians:
@@ -479,8 +486,8 @@ class TestLagrangians:
         deltas = np.array([s.delta for s in sweeps])
         sig_e = [s.sigma_ext for s in sweeps]
         sig_i = [s.sigma_int for s in sweeps]
-        dot_e = list(dl.sigma_dot_grid(sig_e, 0.005))
-        dot_i = list(dl.sigma_dot_grid(sig_i, 0.005))
+        dot_e = sigma_dot_grid(sig_e, 0.005)
+        dot_i = sigma_dot_grid(sig_i, 0.005)
         k = 4
         _, _, lc = dl.evaluate_lagrangians(
             H, sig_i[k], sig_e[k], 0.5 * (dot_i[k] - dot_i[k].conj().T),

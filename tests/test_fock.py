@@ -318,6 +318,16 @@ class TestDeterminantTable:
         other = dl.determinant_table(dl.build_basis(8, 4), m8_ref)
         assert other is not m8_table and other.pair_list[1] is not m8_table.pair_list[1]
 
+    @pytest.mark.parametrize("dropped", [0b1001, 0b1100])
+    def test_string_elements_refuses_a_determinant_outside_the_basis(self, dropped):
+        # a+_3 a_1 reaches masks 0b1001 and 0b1100, the largest: without
+        # one of them, a binary search alone gives its image the next row
+        # or one past the last
+        masks = dl.build_basis(4, 2).mask_array
+        with pytest.raises(SectorMismatchError, match=f"{dropped:#x}, outside"):
+            dl.fock.string_elements(masks[masks != dropped], (1,),
+                                    np.array([[3]], dtype=np.int64))
+
     @pytest.mark.parametrize("M,N", [(4, 2), (8, 4), (9, 3), (10, 5)])
     def test_pair_lists_batch_per_annihilated_tuple(self, M, N, monkeypatch):
         basis = dl.build_basis(M, N)

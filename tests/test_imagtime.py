@@ -53,6 +53,30 @@ class TestImaginaryStep:
         evals = np.linalg.eigvalsh(heff.matrix)
         assert all(evals[0] - 1e-12 <= s <= evals[-1] + 1e-12 for s in shifts)
 
+    def test_overflowing_step_is_retaken(self):
+        # exp(2000 * 0.5) overflows on the lower level: the step is retaken
+        # with its exponent shifted by that largest value
+        heff = two_level(0.0, 1.0)
+        state = dl.initial_flow_state(np.array([1.0, 1.0]) / np.sqrt(2), heff)
+        new = dl.imaginary_step(state, heff, 2000.0)
+        assert new.shift == pytest.approx(0.5)
+        assert np.abs(new.c_int - [1.0, 0.0]).max() < 1e-15
+
+    def test_underflowing_step_is_retaken(self):
+        # this start's quotient sits 5.6e-17 below E0 by round-off, so its
+        # one held component decays to 0 at dtau 1e300: retaken, it stays
+        heff = two_level(-0.4, 2.0)
+        state = dl.initial_flow_state(np.array([1 + 1j, 0.0]), heff)
+        assert imagtime._rayleigh(heff.matrix, state.c_int) < -0.4
+        new = dl.imaginary_step(state, heff, 1e300)
+        assert np.abs(new.c_int - state.c_int).max() < 1e-15
+
+    def test_step_without_a_finite_norm_is_refused(self):
+        heff = two_level()
+        state = dl.ImaginaryFlowState(0.0, np.array([np.nan, 0.0]), 0.0)
+        with pytest.raises(ConvergenceError, match="norm nan"):
+            dl.imaginary_step(state, heff, 0.1)
+
     def test_dtau_guard(self):
         heff = two_level()
         state = dl.initial_flow_state(np.array([1.0, 0.0]), heff)

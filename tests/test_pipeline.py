@@ -167,6 +167,15 @@ class TestSpinSector:
                                                   f_phases[k]), strict=True):
                 assert np.array_equal(got, want)
 
+    def test_a_spin_flip_is_refused_not_misplaced(self, spaces):
+        # h[0,1] moves an electron between the two spin orbitals of site 0,
+        # out of the sector: its images must not take a neighbour's row
+        ints = dl.hubbard_integrals(5, 1.0, 4.0)
+        h = ints.one_body.copy()
+        h[0, 1] = h[1, 0] = 0.3
+        with pytest.raises(dl.SectorMismatchError, match="outside the basis"):
+            dl.hamiltonian_from_integrals(dl.IntegralSet(h, ints.two_body), spaces[0])
+
     def test_ground_state_pipeline_matches_full_space(self, spaces, part):
         sector, H, full, H_full, at = spaces
         ref = part.reference()
