@@ -46,8 +46,7 @@ _EXPORTS = {name: module for module, names in {
         "NormDriftError", "OperatorPropertyError", "OrderingViolationError",
         "SectorMismatchError"),
     "fock": ("DeterminantTable", "FockBasis", "build_basis", "determinant_table"),
-    "imagtime": ("FlowResult", "ImaginaryFlowState", "imaginary_evolve", "imaginary_step",
-        "initial_flow_state"),
+    "imagtime": ("FlowResult", "imaginary_evolve"),
     "operators": ("IntegralSet", "QOperator", "direct_sum_blocks",
         "hamiltonian_from_integrals", "hubbard_integrals", "logm_unitary", "pairing_integrals",
         "read_fcidump"),

@@ -15,8 +15,13 @@ pairing model as well as FCIDUMP input -- and one Slater-Condon build,
 build loops over the annihilated orbital or pair and vectorises over the
 basis masks and the created orbitals or pairs.
 
-The sweep unitaries are direct sums of many small blocks; their log is the
-sweep's generator certificate (the downfolding replays the sweep's record).
+The log of each sweep unitary is the sweep's generator certificate (the
+downfolding replays the sweep's record).  How a unitary splits into blocks
+depends on the system: on a seeded M = 12, N = 6 FCIDUMP with window
+[2, 2] (dim 924), omega12 of sweeps 1-2 is one dense block (99.8% of its
+entries nonzero) and omega3 splits into its 238 inactive-occupation
+classes; a spin-conserving Hubbard omega12 splits by S_z, at L = 4 (N = 4,
+window [2, 2]) into blocks of 36, 16, 16, 1 and 1 rows.
 :func:`direct_sum_blocks` finds the blocks of a matrix's exact-zero pattern,
 and :func:`logm_unitary` takes the log of the blocks of each size in one
 batched symmetric or Hermitian eigenproblem, with no Schur form: of

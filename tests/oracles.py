@@ -4,7 +4,9 @@ Each is the independent, slower or more literal counterpart of a kernel in
 ``ducclab``: the truncated and certified commutator series of the derivative
 of the exponential map (against the augmented Taylor action of
 :func:`ducclab.operators.exp_anti_hermitian`), the stencil velocities of a
-whole grid, dense rotation generators and unitaries and their dense
+whole grid, the imaginary-time flow of a generator that may depend on tau,
+shifted by each state's energy and stepped by a dense ``eigh``, dense
+rotation generators and unitaries and their dense
 unitarity defect, the scalar fermion string algebra (operator strings,
 excitations, de-excitations, holes and particles, signatures,
 classification) that the determinant tables
@@ -108,6 +110,18 @@ def dexp_tail_ratio(X: np.ndarray, Xdot: np.ndarray,
 def sigma_dot_grid(f, dt: float) -> list[np.ndarray]:
     """The velocities of :func:`ducclab.dynamics.grid_velocity` at every point of ``f``."""
     return [grid_velocity(f, j, len(f), dt) for j in range(len(f))]
+
+
+def shifted_flow(generator, c0: np.ndarray, dtau: float):
+    """The endless states (tau, c) of c -> N exp(-dtau (H - S)) c, S the energy of c
+    under H = ``generator(tau)``, each step by a dense ``eigh`` of H at its start."""
+    c, tau = np.asarray(c0, dtype=complex) / np.linalg.norm(c0), 0.0
+    while True:
+        yield tau, c
+        h = generator(tau)
+        vals, vecs = np.linalg.eigh(h)
+        c = vecs @ (np.exp(-dtau * (vals - (c.conj() @ h @ c).real)) * (vecs.conj().T @ c))
+        c, tau = c / np.linalg.norm(c), tau + dtau
 
 
 # -- sweeps ------------------------------------------------------------------

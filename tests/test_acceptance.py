@@ -185,19 +185,15 @@ def test_criterion_7_imaginary_time(dimer_basis, dimer_H, dimer_ref, dimer_part,
     monotone = all(b <= a + 1e-12 for a, b in zip(shifts, shifts[1:]))
     delta_e = abs(res.energy - vals[0])
 
-    # decay exponent on a two-level flow
+    # decay exponent on a two-level flow: on diag(0, gap) a unit vector's
+    # level-1 weight is its energy over the gap
     gap = 1.3
     heff2 = dl.EffectiveHamiltonian(np.diag([0.0, gap]).astype(complex),
                                     np.array([0, 1]), dl.build_basis(2, 1),
                                     "ducc", hermitian=True)
-    state = dl.initial_flow_state(np.array([0.8, 0.6]), heff2)
-    taus, contam = [], []
-    for k in range(80):
-        state = dl.imaginary_step(state, heff2, 0.05)
-        if k >= 20:
-            taus.append(state.tau)
-            contam.append(abs(state.c_int[1]) ** 2)
-    slope = -np.polyfit(taus, np.log(contam), 1)[0]
+    flow = dl.imaginary_evolve(heff2, np.array([0.8, 0.6]), dtau=0.05, tol=1e-12)
+    taus, energies, _ = np.array(flow.history[21:81]).T  # steps 21-80
+    slope = -np.polyfit(taus, np.log(energies / gap), 1)[0]
     exponent_err = abs(slope - 2 * gap) / (2 * gap)
 
     # velocity term dies under a decaying external schedule

@@ -287,11 +287,13 @@ def test_validate_builds_no_hamiltonian(tmp_path, monkeypatch):
 
 def cli_fresh(*args) -> subprocess.CompletedProcess:
     """``ducclab *args`` in a fresh interpreter, with its exit code and its
-    standard error."""
+    standard error; a RuntimeWarning there is an error, as pyproject's
+    ``filterwarnings`` makes it in the suite."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from ducclab.cli import main; sys.exit(main())",
-         *map(str, args)], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         "import sys; from ducclab.cli import main; sys.exit(main())", *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
 
 
 #: systems that pass every line and parameter check, but whose integrals
@@ -690,8 +692,7 @@ PACKAGE_EXPORTS = {
                "NormDriftError", "OperatorPropertyError", "OrderingViolationError",
                "SectorMismatchError"),
     "fock": ("DeterminantTable", "FockBasis", "build_basis", "determinant_table"),
-    "imagtime": ("FlowResult", "ImaginaryFlowState", "imaginary_evolve", "imaginary_step",
-                 "initial_flow_state"),
+    "imagtime": ("FlowResult", "imaginary_evolve"),
     "operators": ("IntegralSet", "QOperator", "direct_sum_blocks", "hamiltonian_from_integrals",
                   "hubbard_integrals", "logm_unitary", "pairing_integrals", "read_fcidump"),
     "shape": ("Determinant", "ExcitationSignature", "SpinOrbitalPartition", "aufbau_reference",
@@ -718,13 +719,15 @@ DIMER_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "hubbard_d
 def run_fresh(code: str, *args, **env_vars) -> str:
     """Standard output of ``code`` run with ``args`` in a fresh interpreter
     whose environment has none of ``cli.THREAD_VARS`` and no
-    OPENBLAS_THREAD_TIMEOUT, plus ``env_vars``."""
+    OPENBLAS_THREAD_TIMEOUT, plus ``env_vars``; a RuntimeWarning there is an
+    error."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ducclab.__file__)))
     env = {k: v for k, v in os.environ.items()
            if k not in cli.THREAD_VARS and k != "OPENBLAS_THREAD_TIMEOUT"}
     env.update(PYTHONPATH=src, **env_vars)
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                          capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                           *map(str, args)], env=env, capture_output=True, text=True,
+                          check=True).stdout
 
 
 def run_cli_fresh(*args, before="", **env_vars) -> str:
@@ -1224,17 +1227,21 @@ def test_unconverged_imagtime_fails(tmp_path):
     assert re.match(r"DuccLabError: imagtime: delta_e_vs_fci = .* exceeds 1e-08", task["error"])
 
 
-@pytest.mark.parametrize("dtau", [300, 700, 1000, 1e300])
+@pytest.mark.parametrize("dtau", [300, 700, 1000, 1e300, 1.7e308])
 def test_overflowing_imagtime_step_is_retaken(tmp_path, dtau):
-    # on the dimer's full CAS, exp(-dtau (Heff - S)) of the first step
-    # overflows: the step is retaken with its exponent shifted, and the flow
-    # lands on the ground state
+    # on the dimer's full CAS, exp(-dtau (Heff - S)) of the first step,
+    # shifted by the start's energy S, overflows, and at 1.7e308 so does
+    # dtau (Heff - S) itself; shifted by lambda_lo every factor lies in
+    # [0, 1], the one past the float range exactly 0, so no step needs a
+    # retake: the flow lands on the ground state in its first step and
+    # stops after its second, with no RuntimeWarning
     path = write_config(tmp_path, partition={"auto_homo_lumo": [2, 2]}, seed=1,
                         tasks=[{"name": "imagtime", "dtau": dtau}])
     assert main(["run", str(path)]) == 0
     task = read_report(tmp_path)["tasks"][0]
     assert task["status"] == "ok"
     assert task["results"]["delta_e_vs_fci"] < 1e-8
+    assert task["results"]["steps"] == 2
 
 
 def test_ecc_at_a_large_scale_stays_ok(tmp_path):
